@@ -8,11 +8,31 @@
 // request. Benchmark A2 in the top-level harness quantifies the
 // difference.
 //
-// Children are stored as small sorted edge slices rather than per-node
-// maps: candidate tokens are mostly hex/base64 text with little prefix
-// sharing, so node counts approach total pattern bytes, and slice edges
-// keep memory linear in that size.
+// The automaton is a handful of flat, pointer-free arrays sized up
+// front from the total pattern length, so building it takes a fixed
+// number of allocations however many states it has, and the garbage
+// collector never scans them. Candidate tokens are mostly hex/base64
+// text with little prefix sharing, so state counts approach total
+// pattern bytes and per-state overhead is what memory costs:
+//
+//   - States are numbered breadth first, so a state's children are
+//     consecutive ids: the children of s are the ids in
+//     [first[s], first[s+1]), and label[c] is the byte on the edge into
+//     c. Children are laid out in byte order, so a state's outgoing
+//     labels are one sorted span of label.
+//   - The root, which every mismatch falls back to, gets a dense
+//     256-entry row instead.
+//   - Outputs live in one flat array: state s reports
+//     out[outStart[s]:outStart[s+1]], its own patterns by index followed
+//     by those of its failure target, so scanning never walks failure
+//     chains to report.
 package ahocorasick
+
+import (
+	"bytes"
+	"slices"
+	"strings"
+)
 
 // Match reports one pattern occurrence.
 type Match struct {
@@ -23,137 +43,145 @@ type Match struct {
 	End int
 }
 
-type edge struct {
-	b    byte
-	node int32
-}
-
-type node struct {
-	// edges is sorted by byte for binary search; nodes typically have
-	// very few children, so linear scan wins and sorting keeps builds
-	// deterministic.
-	edges []edge
-	fail  int32
-	// out lists pattern indices ending at this node (including ones
-	// inherited through failure links).
-	out []int32
-}
-
-func (n *node) child(b byte) (int32, bool) {
-	for _, e := range n.edges {
-		if e.b == b {
-			return e.node, true
-		}
-		if e.b > b {
-			break
-		}
-	}
-	return 0, false
-}
-
-func (n *node) addChild(b byte, id int32) {
-	i := 0
-	for i < len(n.edges) && n.edges[i].b < b {
-		i++
-	}
-	n.edges = append(n.edges, edge{})
-	copy(n.edges[i+1:], n.edges[i:])
-	n.edges[i] = edge{b: b, node: id}
-}
-
 // Matcher is an immutable Aho-Corasick automaton. It is safe for
 // concurrent use after construction.
 type Matcher struct {
-	nodes    []node
-	patterns int
+	// root[b] is the state the root moves to on byte b (0: stay).
+	root [256]int32
+	// first has one entry per state plus a sentinel: the children of s
+	// are the states first[s] .. first[s+1]-1.
+	first []int32
+	// label[c] is the byte on the edge into state c (unused for 0).
+	label []byte
+	// fail[s] is s's failure link: the state of its longest proper
+	// suffix that is also a trie prefix.
+	fail []int32
+	// outStart has one entry per state plus a sentinel; state s reports
+	// out[outStart[s]:outStart[s+1]].
+	outStart []int32
+	out      []int32
 	// patLens[i] is the length of pattern i (used to compute start
 	// offsets on demand).
 	patLens []int
 }
 
+// text abstracts the two pattern and scan representations so the build
+// and scan loops are written once; indexing a string yields bytes
+// without conversion.
+type text interface{ ~string | ~[]byte }
+
 // New builds an automaton over the given patterns. Empty patterns are
 // permitted but never match. Duplicate patterns each report their own
 // index.
-func New(patterns [][]byte) *Matcher {
-	m := &Matcher{
-		nodes:    make([]node, 1, 64),
-		patterns: len(patterns),
-		patLens:  make([]int, len(patterns)),
-	}
+func New(patterns [][]byte) *Matcher { return build(patterns, bytes.Compare) }
 
-	// Phase 1: trie.
+// NewStrings is New for string patterns; it does not copy them.
+func NewStrings(patterns []string) *Matcher { return build(patterns, strings.Compare) }
+
+// build constructs the automaton breadth first in one pass over the
+// patterns sorted by their bytes. Each state stands for a run of the
+// sorted order — the patterns sharing its prefix — so its children are
+// that run split by the byte after the prefix, in byte order. Every
+// state a failure link or an inherited output refers to is shallower,
+// and therefore already built, when the state that needs it is reached.
+func build[T text](patterns []T, compare func(a, b T) int) *Matcher {
+	m := &Matcher{patLens: make([]int, len(patterns))}
+	total := 0
+	var order []int32
 	for i, p := range patterns {
 		m.patLens[i] = len(p)
-		if len(p) == 0 {
-			continue
+		if len(p) > 0 {
+			total += len(p)
+			order = append(order, int32(i))
 		}
-		cur := int32(0)
-		for _, b := range p {
-			nxt, ok := m.nodes[cur].child(b)
-			if !ok {
-				m.nodes = append(m.nodes, node{})
-				nxt = int32(len(m.nodes) - 1)
-				m.nodes[cur].addChild(b, nxt)
-			}
-			cur = nxt
-		}
-		m.nodes[cur].out = append(m.nodes[cur].out, int32(i))
 	}
+	// Equal patterns stay in index order, so a state's own outputs are
+	// ascending by index.
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := compare(patterns[a], patterns[b]); c != 0 {
+			return c
+		}
+		return int(a - b)
+	})
 
-	// Phase 2: failure links, breadth first.
-	queue := make([]int32, 0, len(m.nodes))
-	for _, e := range m.nodes[0].edges {
-		m.nodes[e.node].fail = 0
-		queue = append(queue, e.node)
-	}
-	for head := 0; head < len(queue); head++ {
-		cur := queue[head]
-		for _, e := range m.nodes[cur].edges {
-			child := e.node
-			queue = append(queue, child)
-			f := m.nodes[cur].fail
-			for {
-				if nxt, ok := m.nodes[f].child(e.b); ok && nxt != child {
-					m.nodes[child].fail = nxt
-					break
-				}
-				if f == 0 {
-					m.nodes[child].fail = 0
-					break
-				}
-				f = m.nodes[f].fail
+	// A trie over total pattern bytes has at most total+1 states.
+	maxStates := total + 1
+	m.first = make([]int32, maxStates+1)
+	m.label = make([]byte, maxStates)
+	m.fail = make([]int32, maxStates)
+	m.outStart = make([]int32, maxStates+1)
+	m.out = make([]int32, 0, len(order))
+	// lo[s], hi[s] bound the run of order sharing s's prefix.
+	lo := make([]int32, maxStates)
+	hi := make([]int32, maxStates)
+	hi[0] = int32(len(order))
+
+	n := int32(1)
+	depth := 0
+	for levelStart, levelEnd := int32(0), int32(1); levelStart < levelEnd; depth++ {
+		for s := levelStart; s < levelEnd; s++ {
+			m.first[s] = n
+			m.outStart[s] = int32(len(m.out))
+			// Patterns ending here sort first in the run.
+			j := lo[s]
+			for ; j < hi[s] && len(patterns[order[j]]) == depth; j++ {
+				m.out = append(m.out, order[j])
 			}
-			// Inherit outputs from the failure target so scanning
-			// never walks failure chains for reporting.
-			ft := m.nodes[child].fail
-			if len(m.nodes[ft].out) > 0 {
-				m.nodes[child].out = append(m.nodes[child].out, m.nodes[ft].out...)
+			if s != 0 {
+				f := m.fail[s]
+				m.out = append(m.out, m.out[m.outStart[f]:m.outStart[f+1]]...)
+			}
+			// Children: the rest of the run split by the next byte.
+			for j < hi[s] {
+				b := patterns[order[j]][depth]
+				k := j + 1
+				for k < hi[s] && patterns[order[k]][depth] == b {
+					k++
+				}
+				c := n
+				n++
+				m.label[c], lo[c], hi[c] = b, j, k
+				if s == 0 {
+					m.root[b] = c
+				} else {
+					m.fail[c] = m.step(m.fail[s], b)
+				}
+				j = k
 			}
 		}
+		levelStart, levelEnd = levelEnd, n
 	}
+	m.first[n] = n
+	m.outStart[n] = int32(len(m.out))
+	// Trim by length only: reallocating to fit would copy the largest
+	// arrays for a few percent of slack.
+	m.first = m.first[:n+1]
+	m.label = m.label[:n]
+	m.fail = m.fail[:n]
+	m.outStart = m.outStart[:n+1]
 	return m
-}
-
-// NewStrings is New for string patterns.
-func NewStrings(patterns []string) *Matcher {
-	bs := make([][]byte, len(patterns))
-	for i, p := range patterns {
-		bs[i] = []byte(p)
-	}
-	return New(bs)
 }
 
 // step advances the automaton from state s on byte b.
 func (m *Matcher) step(s int32, b byte) int32 {
-	for {
-		if nxt, ok := m.nodes[s].child(b); ok {
-			return nxt
+	for s != 0 {
+		lo, hi := m.first[s], m.first[s+1]
+		for c := lo; c < hi; c++ {
+			if l := m.label[c]; l >= b {
+				if l == b {
+					return c
+				}
+				break
+			}
 		}
-		if s == 0 {
-			return 0
-		}
-		s = m.nodes[s].fail
+		s = m.fail[s]
 	}
+	return m.root[b]
+}
+
+// outputs returns the patterns state s reports.
+func (m *Matcher) outputs(s int32) []int32 {
+	return m.out[m.outStart[s]:m.outStart[s+1]]
 }
 
 // Find returns every occurrence of every pattern in text, in scan order.
@@ -162,7 +190,7 @@ func (m *Matcher) Find(text []byte) []Match {
 	s := int32(0)
 	for i, b := range text {
 		s = m.step(s, b)
-		for _, p := range m.nodes[s].out {
+		for _, p := range m.outputs(s) {
 			matches = append(matches, Match{Pattern: int(p), End: i + 1})
 		}
 	}
@@ -177,7 +205,7 @@ func (m *Matcher) FindUnique(text []byte) []int {
 	s := int32(0)
 	for _, b := range text {
 		s = m.step(s, b)
-		for _, p := range m.nodes[s].out {
+		for _, p := range m.outputs(s) {
 			if seen == nil {
 				seen = make(map[int]bool)
 			}
@@ -200,15 +228,11 @@ type Scratch struct {
 	gen   uint32
 }
 
-// text abstracts the two scannable representations so the scan loops
-// are written once; indexing a string yields bytes without conversion.
-type text interface{ ~string | ~[]byte }
-
 // findUniqueInto is the allocation-free FindUnique core, generic over
 // string and []byte inputs.
 func findUniqueInto[T text](m *Matcher, data T, sc *Scratch, dst []int) []int {
-	if len(sc.stamp) < m.patterns {
-		sc.stamp = make([]uint32, m.patterns)
+	if len(sc.stamp) < len(m.patLens) {
+		sc.stamp = make([]uint32, len(m.patLens))
 		sc.gen = 0
 	}
 	sc.gen++
@@ -219,7 +243,7 @@ func findUniqueInto[T text](m *Matcher, data T, sc *Scratch, dst []int) []int {
 	s := int32(0)
 	for i := 0; i < len(data); i++ {
 		s = m.step(s, data[i])
-		for _, p := range m.nodes[s].out {
+		for _, p := range m.outputs(s) {
 			if sc.stamp[p] != sc.gen {
 				sc.stamp[p] = sc.gen
 				dst = append(dst, int(p))
@@ -249,7 +273,7 @@ func contains[T text](m *Matcher, data T) bool {
 	s := int32(0)
 	for i := 0; i < len(data); i++ {
 		s = m.step(s, data[i])
-		if len(m.nodes[s].out) > 0 {
+		if m.outStart[s+1] > m.outStart[s] {
 			return true
 		}
 	}
@@ -268,8 +292,8 @@ func (m *Matcher) ContainsString(s string) bool { return contains(m, s) }
 func (m *Matcher) PatternLen(i int) int { return m.patLens[i] }
 
 // NumPatterns returns the number of patterns the automaton was built from.
-func (m *Matcher) NumPatterns() int { return m.patterns }
+func (m *Matcher) NumPatterns() int { return len(m.patLens) }
 
 // NumStates returns the number of automaton states (trie nodes), which the
 // candidate-set ablation reports as a memory proxy.
-func (m *Matcher) NumStates() int { return len(m.nodes) }
+func (m *Matcher) NumStates() int { return len(m.fail) }

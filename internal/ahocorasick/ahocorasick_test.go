@@ -120,9 +120,104 @@ func TestMatchEndOffsets(t *testing.T) {
 	}
 }
 
+// naiveMatches finds every occurrence of every pattern with
+// strings.Index, in the automaton's documented order: by end offset,
+// then longer pattern first, then lower index.
+func naiveMatches(patterns []string, text string) []Match {
+	var ms []Match
+	for pi, p := range patterns {
+		if p == "" {
+			continue
+		}
+		for off := 0; ; {
+			idx := strings.Index(text[off:], p)
+			if idx < 0 {
+				break
+			}
+			ms = append(ms, Match{Pattern: pi, End: off + idx + len(p)})
+			off += idx + 1
+		}
+	}
+	sort.Slice(ms, func(a, b int) bool {
+		if ms[a].End != ms[b].End {
+			return ms[a].End < ms[b].End
+		}
+		if la, lb := len(patterns[ms[a].Pattern]), len(patterns[ms[b].Pattern]); la != lb {
+			return la > lb
+		}
+		return ms[a].Pattern < ms[b].Pattern
+	})
+	return ms
+}
+
+// naiveUnique is the distinct patterns of naiveMatches in first-match
+// order.
+func naiveUnique(patterns []string, text string) []int {
+	var out []int
+	seen := map[int]bool{}
+	for _, m := range naiveMatches(patterns, text) {
+		if !seen[m.Pattern] {
+			seen[m.Pattern] = true
+			out = append(out, m.Pattern)
+		}
+	}
+	return out
+}
+
+// distinctPrefixes counts the distinct non-empty prefixes of the
+// patterns: the trie's states other than the root.
+func distinctPrefixes(patterns []string) int {
+	seen := map[string]bool{}
+	for _, p := range patterns {
+		for i := 1; i <= len(p); i++ {
+			seen[p[:i]] = true
+		}
+	}
+	return len(seen)
+}
+
+// checkAgainstNaive compares every scan entry point of an automaton
+// over patterns with the naive reference on text, order included.
+func checkAgainstNaive(t *testing.T, patterns []string, text string) {
+	t.Helper()
+	m := NewStrings(patterns)
+	bs := make([][]byte, len(patterns))
+	for i, p := range patterns {
+		bs[i] = []byte(p)
+	}
+	mb := New(bs)
+
+	want := naiveMatches(patterns, text)
+	wantUnique := naiveUnique(patterns, text)
+	if got := m.Find([]byte(text)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("patterns %q text %q: Find\n got %v\nwant %v", patterns, text, got, want)
+	}
+	if got := mb.Find([]byte(text)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("patterns %q text %q: Find ([]byte patterns)\n got %v\nwant %v", patterns, text, got, want)
+	}
+	if got := m.FindUnique([]byte(text)); !reflect.DeepEqual(got, wantUnique) {
+		t.Fatalf("patterns %q text %q: FindUnique = %v, want %v", patterns, text, got, wantUnique)
+	}
+	var sc Scratch
+	for pass := 0; pass < 2; pass++ { // the second pass reuses sc
+		if got := m.FindUniqueInto([]byte(text), &sc, nil); !reflect.DeepEqual(got, wantUnique) {
+			t.Fatalf("patterns %q text %q pass %d: FindUniqueInto = %v, want %v", patterns, text, pass, got, wantUnique)
+		}
+		if got := m.FindUniqueStringInto(text, &sc, nil); !reflect.DeepEqual(got, wantUnique) {
+			t.Fatalf("patterns %q text %q pass %d: FindUniqueStringInto = %v, want %v", patterns, text, pass, got, wantUnique)
+		}
+	}
+	if got, want := m.ContainsString(text), len(want) > 0; got != want || m.Contains([]byte(text)) != want {
+		t.Fatalf("patterns %q text %q: Contains = %v, want %v", patterns, text, got, want)
+	}
+	if got, want := m.NumStates(), distinctPrefixes(patterns)+1; got != want || mb.NumStates() != want {
+		t.Fatalf("patterns %q: NumStates = %d, want %d", patterns, got, want)
+	}
+}
+
 // TestMatchesNaiveSearch cross-checks the automaton against strings.Index
 // on random inputs over a tiny alphabet (maximizing overlap and failure
-// transitions).
+// transitions), including the order every scan reports matches in.
 func TestMatchesNaiveSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	randStr := func(n int) string {
@@ -132,33 +227,27 @@ func TestMatchesNaiveSearch(t *testing.T) {
 		}
 		return string(b)
 	}
-	for trial := 0; trial < 100; trial++ {
+	for trial := 0; trial < 300; trial++ {
 		var patterns []string
 		for i := 0; i < rng.Intn(6)+1; i++ {
-			patterns = append(patterns, randStr(rng.Intn(4)+1))
+			patterns = append(patterns, randStr(rng.Intn(5)))
 		}
-		text := randStr(rng.Intn(50))
-		m := NewStrings(patterns)
-
-		got := map[[2]int]bool{}
-		for _, match := range m.Find([]byte(text)) {
-			got[[2]int{match.Pattern, match.End}] = true
-		}
-		want := map[[2]int]bool{}
-		for pi, p := range patterns {
-			for off := 0; ; {
-				idx := strings.Index(text[off:], p)
-				if idx < 0 {
-					break
-				}
-				want[[2]int{pi, off + idx + len(p)}] = true
-				off += idx + 1
-			}
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("patterns %q text %q:\n got %v\nwant %v", patterns, text, got, want)
-		}
+		checkAgainstNaive(t, patterns, randStr(rng.Intn(50)))
 	}
+}
+
+// FuzzMatcherMatchesNaive is TestMatchesNaiveSearch over fuzzed
+// patterns ("|"-separated) and text.
+func FuzzMatcherMatchesNaive(f *testing.F) {
+	f.Add("he|she|his|hers", "ushers")
+	f.Add("aa|aaa|a|aa", "aaaa")
+	f.Add("|x", "xx")
+	f.Fuzz(func(t *testing.T, pats, text string) {
+		if len(pats) > 256 || len(text) > 1024 {
+			return
+		}
+		checkAgainstNaive(t, strings.Split(pats, "|"), text)
+	})
 }
 
 func TestQuickSinglePattern(t *testing.T) {

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 )
 
 // Codec is one registered, deterministic byte transform.
@@ -165,25 +166,45 @@ func rot13(d []byte) []byte {
 	return out
 }
 
+// Compressor construction dominates a short input's cost: a
+// BestCompression flate writer allocates about 600 KB of match tables.
+// The pools keep writers between calls; Reset restores a writer to the
+// exact state NewWriter would return (for gzip, the default header with
+// zero MTIME and unknown OS), so outputs are byte-identical to a fresh
+// writer's.
+var (
+	deflatePool = sync.Pool{New: func() any {
+		w, err := flate.NewWriter(nil, flate.BestCompression)
+		if err != nil {
+			panic(err) // only fails on invalid level
+		}
+		return w
+	}}
+	gzipPool = sync.Pool{New: func() any {
+		w, err := gzip.NewWriterLevel(nil, gzip.BestCompression)
+		if err != nil {
+			panic(err) // only fails on invalid level
+		}
+		return w
+	}}
+)
+
 func deflateEncode(d []byte) []byte {
 	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flate.BestCompression)
-	if err != nil {
-		panic(err) // only fails on invalid level
-	}
+	w := deflatePool.Get().(*flate.Writer)
+	w.Reset(&buf)
 	w.Write(d) //nolint:errcheck // bytes.Buffer cannot fail
 	w.Close()  //nolint:errcheck
+	deflatePool.Put(w)
 	return buf.Bytes()
 }
 
 func gzipEncode(d []byte) []byte {
 	var buf bytes.Buffer
-	// Default header: zero MTIME, unknown OS — fully deterministic.
-	w, err := gzip.NewWriterLevel(&buf, gzip.BestCompression)
-	if err != nil {
-		panic(err)
-	}
-	w.Write(d) //nolint:errcheck
+	w := gzipPool.Get().(*gzip.Writer)
+	w.Reset(&buf)
+	w.Write(d) //nolint:errcheck // bytes.Buffer cannot fail
 	w.Close()  //nolint:errcheck
+	gzipPool.Put(w)
 	return buf.Bytes()
 }

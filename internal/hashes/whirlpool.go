@@ -11,7 +11,7 @@ const WhirlpoolSize = 64
 // Whirlpool (ISO/IEC 10118-3) is a 512-bit hash built from a dedicated
 // 8x8-byte block cipher in Miyaguchi-Preneel mode. Rather than transcribing
 // the 256-entry S-box, we generate it from the specification's mini-box
-// network (E, E⁻¹ and R 4-bit boxes), which whirlpool_test.go cross-checks
+// network (E, E⁻¹ and R 4-bit boxes), which hashes_test.go cross-checks
 // against the published first entries and official test vectors.
 
 // The two published 4-bit mini-boxes.
@@ -54,66 +54,73 @@ func whirlMul(a, b byte) byte {
 // whirlC is the first row of the circulant diffusion matrix.
 var whirlC = [8]byte{1, 1, 4, 1, 8, 5, 2, 9}
 
-type whirlState [8][8]byte
+// whirlState is the cipher state: eight rows of eight bytes, row i's
+// column j in bits 56-8j of word i (big-endian, as the bytes are read
+// from a block).
+type whirlState [8]uint64
 
-// whirlRound applies one full round (SubBytes, ShiftColumns, MixRows,
-// AddRoundKey) to st.
-func whirlRound(st *whirlState, key *whirlState) {
-	// gamma: SubBytes.
-	for i := range st {
-		for j := range st[i] {
-			st[i][j] = whirlSbox[st[i][j]]
-		}
-	}
-	// pi: shift column j downwards by j positions.
-	var shifted whirlState
-	for i := 0; i < 8; i++ {
-		for j := 0; j < 8; j++ {
-			shifted[(i+j)%8][j] = st[i][j]
-		}
-	}
-	// theta: MixRows, M' = M * C with C[k][j] = c[(j-k) mod 8].
-	var mixed whirlState
-	for i := 0; i < 8; i++ {
-		for j := 0; j < 8; j++ {
-			var acc byte
-			for k := 0; k < 8; k++ {
-				acc ^= whirlMul(shifted[i][k], whirlC[(j-k+8)%8])
+// whirlT folds SubBytes and MixRows into table lookups: whirlT[k][x]
+// is the row contribution of S-box output S[x] standing in column k,
+// byte j of it being S[x]·c[(j-k) mod 8] in GF(2^8), for the matrix
+// M' = M·C with C[k][j] = c[(j-k) mod 8].
+var whirlT = func() (t [8][256]uint64) {
+	for x := 0; x < 256; x++ {
+		s := whirlSbox[x]
+		for k := 0; k < 8; k++ {
+			var row uint64
+			for j := 0; j < 8; j++ {
+				row |= uint64(whirlMul(s, whirlC[(j-k+8)%8])) << (56 - 8*j)
 			}
-			mixed[i][j] = acc
+			t[k][x] = row
 		}
 	}
-	// sigma: AddRoundKey.
-	for i := 0; i < 8; i++ {
+	return t
+}()
+
+// whirlRC holds the ten round constants: row 0 from consecutive S-box
+// entries, every other row zero.
+var whirlRC = func() (rc [10]uint64) {
+	for r := range rc {
 		for j := 0; j < 8; j++ {
-			mixed[i][j] ^= key[i][j]
+			rc[r] |= uint64(whirlSbox[8*r+j]) << (56 - 8*j)
 		}
 	}
-	*st = mixed
+	return rc
+}()
+
+// whirlRound applies one full round to st: SubBytes, ShiftColumns
+// (column j moves down j rows, so output row i takes column k from
+// input row i-k), MixRows and AddRoundKey.
+func whirlRound(st *whirlState, key *whirlState) {
+	var out whirlState
+	for i := 0; i < 8; i++ {
+		out[i] = whirlT[0][byte(st[i]>>56)] ^
+			whirlT[1][byte(st[(i+7)%8]>>48)] ^
+			whirlT[2][byte(st[(i+6)%8]>>40)] ^
+			whirlT[3][byte(st[(i+5)%8]>>32)] ^
+			whirlT[4][byte(st[(i+4)%8]>>24)] ^
+			whirlT[5][byte(st[(i+3)%8]>>16)] ^
+			whirlT[6][byte(st[(i+2)%8]>>8)] ^
+			whirlT[7][byte(st[(i+1)%8])] ^
+			key[i]
+	}
+	*st = out
 }
 
 // whirlCompress is the Miyaguchi-Preneel compression: H' = E_H(m) ^ H ^ m.
 func whirlCompress(h *whirlState, m *whirlState) {
 	key := *h
 	st := *m
-	for i := 0; i < 8; i++ {
-		for j := 0; j < 8; j++ {
-			st[i][j] ^= key[i][j]
-		}
+	for i := range st {
+		st[i] ^= key[i]
 	}
-	for r := 1; r <= 10; r++ {
-		// Round constant: row 0 from consecutive S-box entries.
-		var rc whirlState
-		for j := 0; j < 8; j++ {
-			rc[0][j] = whirlSbox[8*(r-1)+j]
-		}
+	for r := range whirlRC {
+		rc := whirlState{whirlRC[r]}
 		whirlRound(&key, &rc)
 		whirlRound(&st, &key)
 	}
-	for i := 0; i < 8; i++ {
-		for j := 0; j < 8; j++ {
-			h[i][j] ^= st[i][j] ^ m[i][j]
-		}
+	for i := range h {
+		h[i] ^= st[i] ^ m[i]
 	}
 }
 
@@ -154,8 +161,8 @@ func (d *whirlpoolDigest) Write(p []byte) (int, error) {
 
 func (d *whirlpoolDigest) block(p []byte) {
 	var m whirlState
-	for i := 0; i < 64; i++ {
-		m[i/8][i%8] = p[i]
+	for i := range m {
+		m[i] = binary.BigEndian.Uint64(p[8*i:])
 	}
 	whirlCompress(&d.h, &m)
 }
@@ -171,14 +178,13 @@ func (d *whirlpoolDigest) Sum(in []byte) []byte {
 	if padLen <= 0 {
 		padLen += 64
 	}
-	lenField := make([]byte, 32)
+	var lenField [32]byte
 	binary.BigEndian.PutUint64(lenField[24:], bitLen)
 	cp.Write(pad[:padLen]) //nolint:errcheck // cannot fail
-	cp.Write(lenField)     //nolint:errcheck // cannot fail
+	cp.Write(lenField[:])  //nolint:errcheck // cannot fail
 
-	out := make([]byte, WhirlpoolSize)
-	for i := 0; i < 64; i++ {
-		out[i] = cp.h[i/8][i%8]
+	for _, row := range cp.h {
+		in = binary.BigEndian.AppendUint64(in, row)
 	}
-	return append(in, out...)
+	return in
 }

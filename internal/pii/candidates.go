@@ -142,11 +142,11 @@ func BuildCandidates(p Persona, cfg CandidateConfig) (*CandidateSet, error) {
 		}
 	}
 
-	patterns := make([][]byte, len(cs.tokens))
+	values := make([]string, len(cs.tokens))
 	for i, t := range cs.tokens {
-		patterns[i] = []byte(t.Value)
+		values[i] = t.Value
 	}
-	cs.matcher = ahocorasick.New(patterns)
+	cs.matcher = ahocorasick.NewStrings(values)
 	return cs, nil
 }
 

@@ -6,8 +6,11 @@ import (
 	"crypto/sha256"
 	"encoding/base64"
 	"encoding/hex"
+	"runtime"
 	"strings"
 	"testing"
+
+	"piileak/internal/ahocorasick"
 )
 
 func TestDefaultPersonaFields(t *testing.T) {
@@ -277,8 +280,29 @@ func TestFullTransformSetDepth1(t *testing.T) {
 
 func BenchmarkBuildCandidatesDepth2(b *testing.B) {
 	p := Default()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		MustBuildCandidates(p, CandidateConfig{MaxDepth: 2})
+		benchCandidates = MustBuildCandidates(p, CandidateConfig{MaxDepth: 2})
+	}
+}
+
+var (
+	benchCandidates *CandidateSet
+	benchMatcher    *ahocorasick.Matcher
+)
+
+// BenchmarkAutomatonNew times the automaton compile alone, over the
+// depth-2 candidate token values.
+func BenchmarkAutomatonNew(b *testing.B) {
+	tokens := MustBuildCandidates(Default(), CandidateConfig{MaxDepth: 2}).Tokens()
+	values := make([]string, len(tokens))
+	for i, t := range tokens {
+		values[i] = t.Value
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchMatcher = ahocorasick.NewStrings(values)
 	}
 }
 
@@ -294,5 +318,28 @@ func BenchmarkFindIn(b *testing.B) {
 		if cs.FindIn(blob) == nil {
 			b.Fatal("token lost")
 		}
+	}
+}
+
+// TestBuildCandidatesAllocBudget guards the cold depth-2 compile
+// against per-token garbage creeping back: one uncached BuildCandidates
+// must allocate under 128 MiB in total (it allocated 758 MiB before
+// the compressors were pooled and the automaton flattened).
+func TestBuildCandidatesAllocBudget(t *testing.T) {
+	if raceEnabled {
+		// The race detector drops pooled compressors on purpose, so
+		// every fourth deflate or gz token builds a new writer and the
+		// total measures the detector, not the compile.
+		t.Skip("allocation budget does not hold under the race detector")
+	}
+	const budget = 128 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	MustBuildCandidates(Default(), CandidateConfig{MaxDepth: 2})
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("depth-2 BuildCandidates allocated %.1f MiB", float64(got)/(1<<20))
+	if got >= budget {
+		t.Errorf("depth-2 BuildCandidates allocated %.1f MiB, budget %d MiB", float64(got)/(1<<20), budget>>20)
 	}
 }
