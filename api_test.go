@@ -9,7 +9,6 @@ import (
 	"piileak/internal/crawler"
 	"piileak/internal/faultsim"
 	"piileak/internal/obs"
-	"piileak/internal/pipeline"
 	"piileak/internal/resilience"
 	"piileak/internal/site"
 )
@@ -55,8 +54,6 @@ func TestRunOptionDefaults(t *testing.T) {
 			func(rc runConfig) any { return rc.opts.SiteTimeout }},
 		{"WithQuarantine", WithQuarantine(q), (*crawler.Quarantine)(nil), q,
 			func(rc runConfig) any { return rc.opts.Quarantine }},
-		{"WithSites", WithSites(nil), 0, 0,
-			func(rc runConfig) any { return len(rc.opts.Sites) }},
 		{"WithSource", WithSource(site.Slice(nil)), false, true,
 			func(rc runConfig) any { return rc.opts.Source != nil }},
 		{"WithUniverse", WithUniverse(100_000), 0, 100_000,
@@ -88,55 +85,6 @@ func TestRunOptionDefaults(t *testing.T) {
 	}
 	if rc.opts.Obs != nil {
 		t.Error("default run carries an observer")
-	}
-}
-
-// TestDeprecatedWrappersMatchRun pins the compatibility contract of
-// the old entry points: RunContext and RunStream(Context) are thin
-// wrappers over Run(ctx, ...) and must produce byte-identical leak
-// output and identical headline numbers.
-func TestDeprecatedWrappersMatchRun(t *testing.T) {
-	const seed = 41
-	ctx := context.Background()
-
-	run := func(f func(*Study) error) *Study {
-		t.Helper()
-		s, err := NewStudy(SmallConfig(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f(s); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-
-	newBatch := run(func(s *Study) error { return s.Run(ctx) })
-	oldBatch := run(func(s *Study) error { return s.RunContext(ctx) })
-	newStream := run(func(s *Study) error { return s.Run(ctx, WithStream(), WithWorkers(3, 2)) })
-	oldStream := run(func(s *Study) error {
-		return s.RunStream(pipeline.Options{Options: crawler.Options{Workers: 3}, DetectWorkers: 2})
-	})
-	oldStreamCtx := run(func(s *Study) error {
-		return s.RunStreamContext(ctx, pipeline.Options{Options: crawler.Options{Workers: 3}, DetectWorkers: 2})
-	})
-
-	want := leaksJSON(t, newBatch)
-	for name, s := range map[string]*Study{
-		"RunContext":       oldBatch,
-		"RunStream":        oldStream,
-		"RunStreamContext": oldStreamCtx,
-		"Run+WithStream":   newStream,
-	} {
-		if got := leaksJSON(t, s); !bytes.Equal(want, got) {
-			t.Errorf("%s: leak JSON diverges from Run(ctx) (%d vs %d bytes)", name, len(got), len(want))
-		}
-		if got, want := s.Analysis.Headline(), newBatch.Analysis.Headline(); got != want {
-			t.Errorf("%s: headline diverges:\n%+v\n%+v", name, got, want)
-		}
-	}
-	if newStream.Streamed != oldStream.Streamed {
-		t.Error("streamed flag diverges between old and new stream entry points")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"piileak/internal/browser"
 	"piileak/internal/core"
 	"piileak/internal/crawler"
+	"piileak/internal/detect"
 	"piileak/internal/obs"
 	"piileak/internal/pii"
 	"piileak/internal/pipeline"
@@ -28,7 +29,10 @@ func BenchmarkE0_CollectionFunnel(b *testing.B) {
 	eco := study(b).Eco
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ds := crawler.Crawl(eco, browser.Firefox88())
+		ds, err := crawler.Run(context.Background(), eco, browser.Firefox88(), crawler.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(ds.Successes()) != Paper.CrawledSites {
 			b.Fatalf("crawled = %d", len(ds.Successes()))
 		}
@@ -38,12 +42,13 @@ func BenchmarkE0_CollectionFunnel(b *testing.B) {
 
 func BenchmarkE1_HeadlineLeakage(b *testing.B) {
 	s := study(b)
+	sc := s.Engine.NewScanner()
 	var h core.Headline
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var leaks []core.Leak
 		for _, c := range s.Dataset.Successes() {
-			leaks = append(leaks, s.Detector.DetectSite(c.Domain, c.Records)...)
+			leaks = append(leaks, sc.DetectSite(c.Domain, c.Records)...)
 		}
 		h = core.Analyze(leaks, len(s.Dataset.Successes())).Headline()
 	}
@@ -231,23 +236,29 @@ func BenchmarkA2_MatcherAblation(b *testing.B) {
 
 func BenchmarkA3_DecodeVsCandidates(b *testing.B) {
 	s := study(b)
-	hashOnly := pii.MustBuildCandidates(s.Eco.Persona, pii.CandidateConfig{
-		MaxDepth:   1,
-		Transforms: []string{"md5", "sha1", "sha256"},
+	hashOnly, err := detect.NewEngine(s.Eco.Persona, s.Engine.CNAME(), detect.Config{
+		Candidates: pii.CandidateConfig{
+			MaxDepth:   1,
+			Transforms: []string{"md5", "sha1", "sha256"},
+		},
 	})
-	det := core.NewDetector(hashOnly, s.Detector.CNAME)
+	if err != nil {
+		b.Fatal(err)
+	}
 	succ := s.Dataset.Successes()
 	b.Run("candidate-set", func(b *testing.B) {
+		sc := s.Engine.NewScanner()
 		for i := 0; i < b.N; i++ {
 			c := succ[i%len(succ)]
-			s.Detector.DetectSite(c.Domain, c.Records)
+			sc.DetectSite(c.Domain, c.Records)
 		}
 	})
 	b.Run("decode-based", func(b *testing.B) {
+		sc := hashOnly.NewScanner()
 		for i := 0; i < b.N; i++ {
 			c := succ[i%len(succ)]
 			for j := range c.Records {
-				det.DecodeDetect(c.Domain, &c.Records[j], 2)
+				sc.DecodeDetect(c.Domain, &c.Records[j], 2)
 			}
 		}
 	})
@@ -259,15 +270,19 @@ func BenchmarkA3_DecodeVsCandidates(b *testing.B) {
 // mark — the pipeline's peak-memory bound in sites.
 func BenchmarkPipeline(b *testing.B) {
 	s := study(b)
-	eco, profile, det := s.Eco, s.Config.Browser, s.Detector
+	eco, profile, det := s.Eco, s.Config.Browser, s.Engine
 
 	b.Run("batch", func(b *testing.B) {
 		var leaks int
+		sc := det.NewScanner()
 		for i := 0; i < b.N; i++ {
-			ds := crawler.Crawl(eco, profile)
+			ds, err := crawler.Run(context.Background(), eco, profile, crawler.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
 			var all []core.Leak
 			for _, c := range ds.Successes() {
-				all = append(all, det.DetectSite(c.Domain, c.Records)...)
+				all = append(all, sc.DetectSite(c.Domain, c.Records)...)
 			}
 			leaks = len(all)
 		}
@@ -300,7 +315,7 @@ func BenchmarkPipeline(b *testing.B) {
 // overhead budget applies to.
 func BenchmarkObsOverhead(b *testing.B) {
 	s := study(b)
-	eco, profile, det := s.Eco, s.Config.Browser, s.Detector
+	eco, profile, det := s.Eco, s.Config.Browser, s.Engine
 	for _, tc := range []struct {
 		name string
 		obs  func() *obs.Run
@@ -343,7 +358,7 @@ func BenchmarkWatchdog(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var records int
 			for i := 0; i < b.N; i++ {
-				ds, err := crawler.CrawlOpts(context.Background(), eco, profile, tc.opts)
+				ds, err := crawler.Run(context.Background(), eco, profile, tc.opts)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,22 +1,22 @@
 package piileak_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"piileak/internal/obs"
 )
 
-// TestCLIToolsPipeline builds every command and drives the documented
-// pipeline end to end: crawl → detect/track/pcap, plus the standalone
-// audit tools.
-func TestCLIToolsPipeline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries")
-	}
-	dir := t.TempDir()
-	tools := []string{"piicrawl", "piidetect", "piitrack", "piipolicy", "piiguard", "piiblock", "piipcap", "piirepro"}
+// buildTools builds the named commands into dir and returns a runner
+// that executes one of them and returns its stdout, failing the test
+// (with the tool's stderr) on a non-zero exit.
+func buildTools(t *testing.T, dir string, tools ...string) func(tool string, args ...string) string {
+	t.Helper()
 	for _, tool := range tools {
 		bin := filepath.Join(dir, tool)
 		out, err := exec.Command("go", "build", "-o", bin, "./cmd/"+tool).CombinedOutput()
@@ -24,7 +24,7 @@ func TestCLIToolsPipeline(t *testing.T) {
 			t.Fatalf("building %s: %v\n%s", tool, err, out)
 		}
 	}
-	run := func(tool string, args ...string) string {
+	return func(tool string, args ...string) string {
 		t.Helper()
 		cmd := exec.Command(filepath.Join(dir, tool), args...)
 		out, err := cmd.Output()
@@ -37,17 +37,53 @@ func TestCLIToolsPipeline(t *testing.T) {
 		}
 		return string(out)
 	}
+}
+
+// TestCLIToolsPipeline builds every command and drives the documented
+// pipeline end to end: crawl → detect/track/pcap, plus the standalone
+// audit tools. Every binary path to the leak list — piidetect over a
+// dataset, and a supervised sharded run whose workers are re-execed
+// piicrawl processes — must write the same bytes as piicrawl -stream.
+func TestCLIToolsPipeline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := t.TempDir()
+	run := buildTools(t, dir, "piicrawl", "piidetect", "piitrack", "piipolicy", "piiguard", "piiblock", "piipcap", "piirepro")
+	sameBytes := func(want, got, what string) {
+		t.Helper()
+		w, err := os.ReadFile(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := os.ReadFile(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(w) == 0 || !bytes.Equal(w, g) {
+			t.Errorf("%s: %d bytes differ from the %d-byte piicrawl -stream leak list", what, len(g), len(w))
+		}
+	}
 
 	ds := filepath.Join(dir, "ds.json.gz")
-	run("piicrawl", "-small", "-funnel", "-o", ds)
+	run("piicrawl", "-small", "-seed", "7", "-funnel", "-o", ds)
 	if fi, err := os.Stat(ds); err != nil || fi.Size() == 0 {
 		t.Fatalf("dataset not written: %v", err)
 	}
+	streamed := filepath.Join(dir, "streamed-leaks.json")
+	run("piicrawl", "-small", "-seed", "7", "-stream", "-o", streamed)
 
-	detect := run("piidetect", "-i", ds)
+	detectedLeaks := filepath.Join(dir, "detected-leaks.json")
+	detect := run("piidetect", "-i", ds, "-leaks", detectedLeaks)
 	if !strings.Contains(detect, "Table 1a") || !strings.Contains(detect, "facebook.com") {
 		t.Errorf("piidetect output unexpected:\n%s", detect[:min(400, len(detect))])
 	}
+	sameBytes(streamed, detectedLeaks, "piidetect -leaks")
+
+	sharded := filepath.Join(dir, "sharded-leaks.json")
+	run("piicrawl", "-small", "-seed", "7", "-shards", "2", "-supervise", "-reexec",
+		"-shard-dir", filepath.Join(dir, "shards"), "-o", sharded)
+	sameBytes(streamed, sharded, "piicrawl -supervise -reexec")
 
 	track := run("piitrack", "-i", ds)
 	if !strings.Contains(track, "Table 2") || !strings.Contains(track, "udff[em]") {
@@ -83,6 +119,39 @@ func TestCLIToolsPipeline(t *testing.T) {
 	jsonOut := run("piirepro", "-small", "-json")
 	if !strings.Contains(jsonOut, `"headline"`) {
 		t.Errorf("piirepro -json output unexpected")
+	}
+}
+
+// TestShardWorkerManifest runs one shard worker the way the
+// supervisor's re-exec does and pins its manifest's run block: the
+// worker's shard scope plus the fault seed and detect parallelism a
+// supervised run of the same flags records.
+func TestShardWorkerManifest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := t.TempDir()
+	run := buildTools(t, dir, "piicrawl")
+	metrics := filepath.Join(dir, "metrics.json")
+	run("piicrawl", "-small", "-seed", "7", "-shard", "0/2", "-shard-dir", filepath.Join(dir, "shards"),
+		"-faults", "0.05", "-fault-seed", "9", "-workers", "2", "-detect-workers", "2", "-metrics", metrics)
+
+	data, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		Manifest obs.Manifest `json:"manifest"`
+	}
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	want := obs.RunInfo{
+		EcoSeed: 7, FaultSeed: 9, Browser: "Firefox 88", Sites: 30,
+		CrawlWorkers: 2, DetectWorkers: 2, Streamed: true, Shards: 2, Shard: "0/2",
+	}
+	if m.Manifest.Run != want {
+		t.Errorf("worker manifest run = %+v, want %+v", m.Manifest.Run, want)
 	}
 }
 

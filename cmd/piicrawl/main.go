@@ -58,7 +58,6 @@ import (
 	"piileak"
 	"piileak/internal/cliflags"
 	"piileak/internal/crawler"
-	"piileak/internal/obs"
 	"piileak/internal/resilience"
 	"piileak/internal/shard"
 	"piileak/internal/webgen"
@@ -139,7 +138,7 @@ func main() {
 		fatal(err)
 	}
 
-	ds, err := crawler.CrawlOpts(ctx, eco, profile, common.CrawlerOptions(rt, prog))
+	ds, err := crawler.Run(ctx, eco, profile, common.CrawlerOptions(rt, prog))
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			cliflags.ExitInterrupted(prog, common.Checkpoint)
@@ -210,18 +209,7 @@ func shardCrawlerOptions(common *cliflags.Common, rt *cliflags.Runtime) crawler.
 // result file under -shard-dir. The supervisor (or a later
 // merge) picks the file up; the worker itself writes no dataset.
 func workerRun(ctx context.Context, study *piileak.Study, common *cliflags.Common, rt *cliflags.Runtime, shardIdx, shardN int) {
-	if o := rt.Observer; o != nil {
-		o.SetInfo(obs.RunInfo{
-			EcoSeed:      study.Eco.Config.Seed,
-			Browser:      study.Config.Browser.Name + " " + study.Config.Browser.Version,
-			Sites:        (study.Eco.Universe().Len() + shardN - 1 - shardIdx) / shardN,
-			CrawlWorkers: common.Workers,
-			Streamed:     true,
-			Shards:       shardN,
-			Shard:        fmt.Sprintf("%d/%d", shardIdx, shardN),
-		})
-	}
-	path, err := shard.RunWorker(ctx, study.Eco, study.Config.Browser, study.Detector, shard.WorkerConfig{
+	path, err := study.RunShardWorker(ctx, shard.WorkerConfig{
 		Shard:         shardIdx,
 		Shards:        shardN,
 		Dir:           common.ShardDir,

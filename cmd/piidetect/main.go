@@ -19,6 +19,7 @@ import (
 
 	"piileak/internal/core"
 	"piileak/internal/crawler"
+	"piileak/internal/detect"
 	"piileak/internal/dnssim"
 	"piileak/internal/har"
 	"piileak/internal/httpmodel"
@@ -89,15 +90,17 @@ func main() {
 		nSites = len(sites)
 	}
 
-	cs, err := pii.BuildCandidates(persona, pii.CandidateConfig{MaxDepth: *depth})
+	eng, err := detect.NewEngine(persona, dnssim.NewClassifier(zone), detect.Config{
+		Candidates: pii.CandidateConfig{MaxDepth: *depth},
+	})
 	if err != nil {
 		fatal(err)
 	}
-	det := core.NewDetector(cs, dnssim.NewClassifier(zone))
+	sc := eng.NewScanner()
 
 	var leaks []core.Leak
 	for _, s := range sites {
-		leaks = append(leaks, det.DetectSite(s.domain, s.records)...)
+		leaks = append(leaks, sc.DetectSite(s.domain, s.records)...)
 	}
 	a := core.Analyze(leaks, nSites)
 

@@ -13,6 +13,7 @@ import (
 
 	"piileak/internal/core"
 	"piileak/internal/crawler"
+	"piileak/internal/detect"
 	"piileak/internal/dnssim"
 	"piileak/internal/pii"
 	"piileak/internal/report"
@@ -35,15 +36,17 @@ func main() {
 		fatal(err)
 	}
 
-	cs, err := pii.BuildCandidates(ds.Persona, pii.CandidateConfig{MaxDepth: *depth})
+	eng, err := detect.NewEngine(ds.Persona, dnssim.NewClassifier(ds.Zone()), detect.Config{
+		Candidates: pii.CandidateConfig{MaxDepth: *depth},
+	})
 	if err != nil {
 		fatal(err)
 	}
-	det := core.NewDetector(cs, dnssim.NewClassifier(ds.Zone()))
+	sc := eng.NewScanner()
 
 	var leaks []core.Leak
 	for _, c := range ds.Successes() {
-		leaks = append(leaks, det.DetectSite(c.Domain, c.Records)...)
+		leaks = append(leaks, sc.DetectSite(c.Domain, c.Records)...)
 	}
 	cls := tracking.Classify(leaks)
 

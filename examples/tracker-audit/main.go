@@ -8,7 +8,7 @@ import (
 	"fmt"
 	"log"
 
-	"piileak/internal/core"
+	"piileak/internal/detect"
 	"piileak/internal/dnssim"
 	"piileak/internal/httpmodel"
 	"piileak/internal/pii"
@@ -31,21 +31,23 @@ func main() {
 		Country:   "DE",
 	}
 
-	// Build the candidate set: plaintext + every encoding/hash chain up
-	// to depth 2 (≈ 10k tokens, compiled into one automaton).
-	candidates, err := pii.BuildCandidates(persona, pii.CandidateConfig{MaxDepth: 2})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("candidate set: %d tokens, %d automaton states\n\n",
-		candidates.Size(), candidates.States())
-
 	// The DNS view observed during capture: one first-party subdomain is
 	// CNAME-cloaked to Adobe.
 	zone := dnssim.NewZone()
 	zone.AddCNAME("smetrics.myshop.example", "myshop.sc.omtrdc.net")
 
-	detector := core.NewDetector(candidates, dnssim.NewClassifier(zone))
+	// Compile the detection engine: the candidate set — plaintext plus
+	// every encoding/hash chain up to depth 2 (≈ 10k tokens, one
+	// automaton) — and the CNAME classifier that uncloaks the zone.
+	engine, err := detect.NewEngine(persona, dnssim.NewClassifier(zone), detect.Config{
+		Candidates: pii.CandidateConfig{MaxDepth: 2},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	candidates := engine.Candidates()
+	fmt.Printf("candidate set: %d tokens, %d automaton states\n\n",
+		candidates.Size(), candidates.States())
 
 	// Three captured requests: a facebook pixel with a hashed email in
 	// the URI, a JSON beacon with a base64 email, and a pageview to the
@@ -81,7 +83,7 @@ func main() {
 		},
 	}
 
-	leaks := detector.DetectSite("myshop.example", records)
+	leaks := engine.DetectSite("myshop.example", records)
 	fmt.Printf("%d leaks detected:\n", len(leaks))
 	for _, l := range leaks {
 		cloak := ""

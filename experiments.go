@@ -329,7 +329,7 @@ func runA1(s *Study) (string, error) {
 			cfg.Transforms = []string{"md5", "sha1", "sha256", "sha512", "base64", "base32", "ripemd_160", "sha3_256"}
 		}
 		start := time.Now() //lint:allow detrand A-series ablations report real build/scan wall time; not part of the pinned study bytes
-		eng, err := detect.NewEngine(s.Eco.Persona, s.Detector.CNAME, detect.Config{Candidates: cfg})
+		eng, err := detect.NewEngine(s.Eco.Persona, s.Engine.CNAME(), detect.Config{Candidates: cfg})
 		if err != nil {
 			return "", err
 		}
@@ -419,7 +419,7 @@ func runA3(s *Study) (string, error) {
 	if err := s.requireCaptures("A3"); err != nil {
 		return "", err
 	}
-	eng, err := detect.NewEngine(s.Eco.Persona, s.Detector.CNAME, detect.Config{
+	eng, err := detect.NewEngine(s.Eco.Persona, s.Engine.CNAME(), detect.Config{
 		Candidates: pii.CandidateConfig{
 			MaxDepth:   1,
 			Transforms: []string{"md5", "sha1", "sha256", "sha512", "sha3_256", "ripemd_160"},

@@ -1,6 +1,7 @@
 package piileak
 
 import (
+	"context"
 	"fmt"
 
 	"piileak/internal/browser"
@@ -11,6 +12,7 @@ import (
 	"piileak/internal/httpmodel"
 	"piileak/internal/pii"
 	"piileak/internal/report"
+	"piileak/internal/site"
 	"piileak/internal/trackerdb"
 	"piileak/internal/tracking"
 	"piileak/internal/webgen"
@@ -47,7 +49,7 @@ func runA5(s *Study) (string, error) {
 	if err := s.requireCaptures("A5"); err != nil {
 		return "", err
 	}
-	eng, err := detect.NewEngine(s.Eco.Persona, s.Detector.CNAME, detect.Config{
+	eng, err := detect.NewEngine(s.Eco.Persona, s.Engine.CNAME(), detect.Config{
 		Candidates: pii.CandidateConfig{
 			MaxDepth:    2,
 			MinTokenLen: 4,
@@ -189,7 +191,9 @@ func runX1(s *Study) (string, error) {
 		return "", err
 	}
 	detectUnder := func(profile browser.Profile) []core.Leak {
-		ds := crawler.CrawlSenders(s.Eco, profile)
+		// Without a checkpoint or cancellation the crawl cannot fail.
+		//lint:allow ctxflow experiments take no ctx; X1's checkpoint-free re-crawl of the senders is not cancellable
+		ds, _ := crawler.Run(context.Background(), s.Eco, profile, crawler.Options{Source: site.Slice(s.Eco.SenderSites)})
 		var leaks []core.Leak
 		sc := s.Engine.NewScanner()
 		for _, c := range ds.Crawls {
@@ -254,7 +258,11 @@ func runX2(s *Study) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	ds2 := crawler.Crawl(eco2, s.Config.Browser)
+	//lint:allow ctxflow experiments take no ctx; X2's checkpoint-free crawl of the second cohort is not cancellable
+	ds2, err := crawler.Run(context.Background(), eco2, s.Config.Browser, crawler.Options{})
+	if err != nil {
+		return "", err
+	}
 	var merged []core.Leak
 	merged = append(merged, s.Leaks...)
 	sc := s.Engine.NewScanner()

@@ -448,7 +448,7 @@ func (c *Common) RunOptions(rt *Runtime, prog string, progress func(pipeline.Eve
 		opts = append(opts, piileak.WithQuarantine(rt.Quarantine))
 	}
 	if rt.Sites != nil {
-		opts = append(opts, piileak.WithSites(rt.Sites))
+		opts = append(opts, piileak.WithSource(site.Slice(rt.Sites)))
 	}
 	if c.Checkpoint != "" {
 		opts = append(opts, piileak.WithCheckpoint(c.Checkpoint))
@@ -484,10 +484,12 @@ func (c *Common) CrawlerOptions(rt *Runtime, prog string) crawler.Options {
 		Policy:         resilience.Policy{MaxAttempts: c.Retries},
 		SiteTimeout:    c.SiteTimeout,
 		Quarantine:     rt.Quarantine,
-		Sites:          rt.Sites,
 		CheckpointPath: c.Checkpoint,
 		Resume:         c.Resume,
 		Obs:            rt.Observer,
+	}
+	if rt.Sites != nil {
+		copts.Source = site.Slice(rt.Sites)
 	}
 	if c.Resume {
 		copts.OnResume = ResumeBanner(prog, os.Stderr)

@@ -5,12 +5,14 @@
 package countermeasure
 
 import (
+	"context"
 	"sort"
 
 	"piileak/internal/browser"
 	"piileak/internal/crawler"
 	"piileak/internal/detect"
 	"piileak/internal/dnssim"
+	"piileak/internal/site"
 	"piileak/internal/webgen"
 )
 
@@ -55,7 +57,9 @@ func EvaluateBrowsers(eco *webgen.Ecosystem, baseline browser.Profile, profiles 
 	det := detect.MustNewEngine(eco.Persona, dnssim.NewClassifier(eco.Zone), detect.Config{})
 
 	run := func(p browser.Profile) (senders, receivers map[string]bool, failures int) {
-		ds := crawler.CrawlSenders(eco, p)
+		// Without a checkpoint or cancellation the crawl cannot fail.
+		//lint:allow ctxflow EvaluateBrowsers takes no ctx; its checkpoint-free re-crawl of the senders is not cancellable
+		ds, _ := crawler.Run(context.Background(), eco, p, crawler.Options{Source: site.Slice(eco.SenderSites)})
 		senders, receivers = map[string]bool{}, map[string]bool{}
 		for _, c := range ds.Crawls {
 			if c.Outcome == crawler.OutcomeCaptcha {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"piileak/internal/browser"
+	"piileak/internal/site"
 )
 
 func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
@@ -17,7 +18,7 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	// byte-identical to an uninterrupted crawl — under faults, where
 	// per-site determinism actually earns its keep.
 	eco := faultyEcosystem(t, 53, 0.3)
-	full, err := CrawlOpts(context.Background(), eco, browser.Firefox88(), Options{})
+	full, err := Run(context.Background(), eco, browser.Firefox88(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,11 +26,11 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "crawl.ckpt")
 	half := eco.Sites[:len(eco.Sites)/2]
-	if _, err := CrawlOpts(context.Background(), eco, browser.Firefox88(), Options{Sites: half, CheckpointPath: path}); err != nil {
+	if _, err := Run(context.Background(), eco, browser.Firefox88(), Options{Source: site.Slice(half), CheckpointPath: path}); err != nil {
 		t.Fatal(err)
 	}
 
-	resumed, err := ResumeCrawl(context.Background(), eco, browser.Firefox88(), path, Options{})
+	resumed, err := Run(context.Background(), eco, browser.Firefox88(), Options{CheckpointPath: path, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,14 +41,14 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 
 func TestCheckpointResumeToleratesTornTail(t *testing.T) {
 	eco := faultyEcosystem(t, 53, 0.3)
-	full, err := CrawlOpts(context.Background(), eco, browser.Firefox88(), Options{})
+	full, err := Run(context.Background(), eco, browser.Firefox88(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := datasetBytes(t, full)
 
 	path := filepath.Join(t.TempDir(), "crawl.ckpt")
-	if _, err := CrawlOpts(context.Background(), eco, browser.Firefox88(), Options{Sites: eco.Sites[:3], CheckpointPath: path}); err != nil {
+	if _, err := Run(context.Background(), eco, browser.Firefox88(), Options{Source: site.Slice(eco.Sites[:3]), CheckpointPath: path}); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate a kill mid-append: a truncated JSON line at the tail.
@@ -60,7 +61,7 @@ func TestCheckpointResumeToleratesTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	resumed, err := ResumeCrawl(context.Background(), eco, browser.Firefox88(), path, Options{})
+	resumed, err := Run(context.Background(), eco, browser.Firefox88(), Options{CheckpointPath: path, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,21 +73,21 @@ func TestCheckpointResumeToleratesTornTail(t *testing.T) {
 func TestCheckpointRefusesForeignRun(t *testing.T) {
 	eco := faultyEcosystem(t, 53, 0.3)
 	path := filepath.Join(t.TempDir(), "crawl.ckpt")
-	if _, err := CrawlOpts(context.Background(), eco, browser.Firefox88(), Options{Sites: eco.Sites[:2], CheckpointPath: path}); err != nil {
+	if _, err := Run(context.Background(), eco, browser.Firefox88(), Options{Source: site.Slice(eco.Sites[:2]), CheckpointPath: path}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Different seed: the sites are a different population.
 	other := faultyEcosystem(t, 54, 0.3)
-	if _, err := ResumeCrawl(context.Background(), other, browser.Firefox88(), path, Options{}); err == nil {
+	if _, err := Run(context.Background(), other, browser.Firefox88(), Options{CheckpointPath: path, Resume: true}); err == nil {
 		t.Error("resume accepted a checkpoint from a different seed")
 	}
 	// Different browser: the traffic is incomparable.
-	if _, err := ResumeCrawl(context.Background(), eco, browser.Chrome93(), path, Options{}); err == nil {
+	if _, err := Run(context.Background(), eco, browser.Chrome93(), Options{CheckpointPath: path, Resume: true}); err == nil {
 		t.Error("resume accepted a checkpoint from a different browser")
 	}
 	// Same run resumes fine.
-	if _, err := ResumeCrawl(context.Background(), eco, browser.Firefox88(), path, Options{}); err != nil {
+	if _, err := Run(context.Background(), eco, browser.Firefox88(), Options{CheckpointPath: path, Resume: true}); err != nil {
 		t.Errorf("matching resume failed: %v", err)
 	}
 }
@@ -94,7 +95,7 @@ func TestCheckpointRefusesForeignRun(t *testing.T) {
 func TestCheckpointRefusesDuplicateEntries(t *testing.T) {
 	eco := faultyEcosystem(t, 53, 0.3)
 	path := filepath.Join(t.TempDir(), "crawl.ckpt")
-	if _, err := CrawlOpts(context.Background(), eco, browser.Firefox88(), Options{Sites: eco.Sites[:2], CheckpointPath: path}); err != nil {
+	if _, err := Run(context.Background(), eco, browser.Firefox88(), Options{Source: site.Slice(eco.Sites[:2]), CheckpointPath: path}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -106,7 +107,7 @@ func TestCheckpointRefusesDuplicateEntries(t *testing.T) {
 	if err := os.WriteFile(path, append(data, []byte(last+"\n")...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ResumeCrawl(context.Background(), eco, browser.Firefox88(), path, Options{}); err == nil {
+	if _, err := Run(context.Background(), eco, browser.Firefox88(), Options{CheckpointPath: path, Resume: true}); err == nil {
 		t.Error("resume accepted a checkpoint with a duplicated site")
 	} else if !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("error %q does not name the duplicate", err)
@@ -115,19 +116,19 @@ func TestCheckpointRefusesDuplicateEntries(t *testing.T) {
 
 func TestCheckpointParallelResumeMatchesSerial(t *testing.T) {
 	eco := faultyEcosystem(t, 59, 0.3)
-	full, err := CrawlOpts(context.Background(), eco, browser.Firefox88(), Options{})
+	full, err := Run(context.Background(), eco, browser.Firefox88(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := datasetBytes(t, full)
 
 	path := filepath.Join(t.TempDir(), "crawl.ckpt")
-	if _, err := CrawlOpts(context.Background(), eco, browser.Firefox88(), Options{
-		Sites: eco.Sites[:len(eco.Sites)/3], Workers: 4, CheckpointPath: path,
+	if _, err := Run(context.Background(), eco, browser.Firefox88(), Options{
+		Source: site.Slice(eco.Sites[:len(eco.Sites)/3]), Workers: 4, CheckpointPath: path,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := ResumeCrawl(context.Background(), eco, browser.Firefox88(), path, Options{Workers: 4})
+	resumed, err := Run(context.Background(), eco, browser.Firefox88(), Options{CheckpointPath: path, Resume: true, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +142,10 @@ func TestCheckpointFreshRunTruncatesStaleFile(t *testing.T) {
 	// appended to: a second fresh run must not see the first's entries.
 	eco := faultyEcosystem(t, 53, 0.3)
 	path := filepath.Join(t.TempDir(), "crawl.ckpt")
-	if _, err := CrawlOpts(context.Background(), eco, browser.Firefox88(), Options{Sites: eco.Sites[:4], CheckpointPath: path}); err != nil {
+	if _, err := Run(context.Background(), eco, browser.Firefox88(), Options{Source: site.Slice(eco.Sites[:4]), CheckpointPath: path}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CrawlOpts(context.Background(), eco, browser.Firefox88(), Options{Sites: eco.Sites[:1], CheckpointPath: path}); err != nil {
+	if _, err := Run(context.Background(), eco, browser.Firefox88(), Options{Source: site.Slice(eco.Sites[:1]), CheckpointPath: path}); err != nil {
 		t.Fatal(err)
 	}
 	ckpt, err := OpenCheckpoint(path, eco, browser.Firefox88(), true, "")

@@ -12,6 +12,7 @@ import (
 
 	"piileak/internal/browser"
 	"piileak/internal/faultsim"
+	"piileak/internal/site"
 	"piileak/internal/webgen"
 )
 
@@ -32,7 +33,7 @@ func TestWatchdogCutsOffSlowSite(t *testing.T) {
 	eco := webgen.MustGenerate(cfg)
 
 	// Without a watchdog the slow site still completes.
-	unbounded, err := CrawlOpts(context.Background(), eco, browser.Firefox88(), Options{})
+	unbounded, err := Run(context.Background(), eco, browser.Firefox88(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestWatchdogCutsOffSlowSite(t *testing.T) {
 		t.Fatalf("slow site without watchdog: outcome %s, want success (test premise)", unboundedOutcome)
 	}
 
-	ds, err := CrawlOpts(context.Background(), eco, browser.Firefox88(), Options{SiteTimeout: 12 * time.Second})
+	ds, err := Run(context.Background(), eco, browser.Firefox88(), Options{SiteTimeout: 12 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,13 +78,13 @@ func TestWatchdogDeterministicAcrossWorkerCounts(t *testing.T) {
 	opts := func(workers int) Options {
 		return Options{Workers: workers, SiteTimeout: 20 * time.Second}
 	}
-	serial, err := CrawlOpts(context.Background(), faultyEcosystem(t, 37, 0.3), browser.Firefox88(), opts(0))
+	serial, err := Run(context.Background(), faultyEcosystem(t, 37, 0.3), browser.Firefox88(), opts(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := datasetBytes(t, serial)
 	for _, workers := range []int{1, 4} {
-		ds, err := CrawlOpts(context.Background(), faultyEcosystem(t, 37, 0.3), browser.Firefox88(), opts(workers))
+		ds, err := Run(context.Background(), faultyEcosystem(t, 37, 0.3), browser.Firefox88(), opts(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,8 +100,8 @@ func TestWatchdogDeterministicAcrossWorkerCounts(t *testing.T) {
 // into the JSON.
 func TestWatchdogFaultFreeStaysByteIdentical(t *testing.T) {
 	eco := webgen.MustGenerate(webgen.SmallConfig(11))
-	want := datasetBytes(t, Crawl(eco, browser.Firefox88()))
-	ds, err := CrawlOpts(context.Background(), eco, browser.Firefox88(), Options{SiteTimeout: time.Second})
+	want := datasetBytes(t, mustRun(t, eco, browser.Firefox88(), Options{}))
+	ds, err := Run(context.Background(), eco, browser.Firefox88(), Options{SiteTimeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestPanicQuarantinesOnlyAffectedSite(t *testing.T) {
 	}}
 	eco := webgen.MustGenerate(cfg)
 
-	clean := Crawl(webgen.MustGenerate(webgen.SmallConfig(41)), browser.Firefox88())
+	clean := mustRun(t, webgen.MustGenerate(webgen.SmallConfig(41)), browser.Firefox88(), Options{})
 	cleanBySite := map[string]Outcome{}
 	for i := range clean.Crawls {
 		cleanBySite[clean.Crawls[i].Domain] = clean.Crawls[i].Outcome
@@ -136,7 +137,7 @@ func TestPanicQuarantinesOnlyAffectedSite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := CrawlOpts(context.Background(), eco, browser.Firefox88(), Options{Quarantine: q})
+	ds, err := Run(context.Background(), eco, browser.Firefox88(), Options{Quarantine: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestPanicQuarantinesOnlyAffectedSite(t *testing.T) {
 	}
 
 	// A nil quarantine still contains the panic.
-	ds2, err := CrawlOpts(context.Background(), eco, browser.Firefox88(), Options{})
+	ds2, err := Run(context.Background(), eco, browser.Firefox88(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,11 +209,11 @@ func TestPanicQuarantineParallelMatchesSerial(t *testing.T) {
 		}}
 		return webgen.MustGenerate(cfg)
 	}
-	serial, err := CrawlOpts(context.Background(), build(), browser.Firefox88(), Options{})
+	serial, err := Run(context.Background(), build(), browser.Firefox88(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := CrawlOpts(context.Background(), build(), browser.Firefox88(), Options{Workers: 4})
+	par, err := Run(context.Background(), build(), browser.Firefox88(), Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestCrashedSiteNotRecrawledOnResume(t *testing.T) {
 	eco := webgen.MustGenerate(cfg)
 
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	full, err := CrawlOpts(context.Background(), eco, browser.Firefox88(), Options{CheckpointPath: path})
+	full, err := Run(context.Background(), eco, browser.Firefox88(), Options{CheckpointPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ func TestCrashedSiteNotRecrawledOnResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := ResumeCrawl(context.Background(), eco, browser.Firefox88(), path, Options{Quarantine: q})
+	resumed, err := Run(context.Background(), eco, browser.Firefox88(), Options{CheckpointPath: path, Resume: true, Quarantine: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestCrashedSiteNotRecrawledOnResume(t *testing.T) {
 // byte-identical dataset.
 func TestCancelMidCrawlLeavesResumableCheckpoint(t *testing.T) {
 	eco := faultyEcosystem(t, 53, 0.3)
-	full, err := CrawlOpts(context.Background(), eco, browser.Firefox88(), Options{})
+	full, err := Run(context.Background(), eco, browser.Firefox88(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +287,8 @@ func TestCancelMidCrawlLeavesResumableCheckpoint(t *testing.T) {
 	}
 
 	var summary ResumeSummary
-	resumed, err := ResumeCrawl(context.Background(), eco, browser.Firefox88(), path, Options{
+	resumed, err := Run(context.Background(), eco, browser.Firefox88(), Options{
+		CheckpointPath: path, Resume: true,
 		OnResume: func(rs ResumeSummary) { summary = rs },
 	})
 	if err != nil {
@@ -305,7 +307,7 @@ func TestCancelMidCrawlLeavesResumableCheckpoint(t *testing.T) {
 // still reproduces the uninterrupted dataset exactly.
 func TestCancelParallelCrawlResumesByteIdentical(t *testing.T) {
 	eco := faultyEcosystem(t, 53, 0.3)
-	full, err := CrawlOpts(context.Background(), eco, browser.Firefox88(), Options{})
+	full, err := Run(context.Background(), eco, browser.Firefox88(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +326,7 @@ func TestCancelParallelCrawlResumesByteIdentical(t *testing.T) {
 		t.Fatalf("cancelled crawl returned %v, want context.Canceled", err)
 	}
 
-	resumed, err := ResumeCrawl(context.Background(), eco, browser.Firefox88(), path, Options{})
+	resumed, err := Run(context.Background(), eco, browser.Firefox88(), Options{CheckpointPath: path, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,13 +354,13 @@ func TestCancelledContextStopsBeforeAnySite(t *testing.T) {
 // kill-mid-record case) is counted and reported, not silently dropped.
 func TestResumeReportsTornRecords(t *testing.T) {
 	eco := faultyEcosystem(t, 53, 0.3)
-	full, err := CrawlOpts(context.Background(), eco, browser.Firefox88(), Options{})
+	full, err := Run(context.Background(), eco, browser.Firefox88(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	if _, err := CrawlOpts(context.Background(), eco, browser.Firefox88(), Options{
-		Sites: eco.Sites[:3], CheckpointPath: path,
+	if _, err := Run(context.Background(), eco, browser.Firefox88(), Options{
+		Source: site.Slice(eco.Sites[:3]), CheckpointPath: path,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +378,8 @@ func TestResumeReportsTornRecords(t *testing.T) {
 	}
 
 	var summary ResumeSummary
-	resumed, err := ResumeCrawl(context.Background(), eco, browser.Firefox88(), path, Options{
+	resumed, err := Run(context.Background(), eco, browser.Firefox88(), Options{
+		CheckpointPath: path, Resume: true,
 		OnResume: func(rs ResumeSummary) { summary = rs },
 	})
 	if err != nil {

@@ -8,7 +8,6 @@ package crawler
 
 import (
 	"compress/gzip"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -154,39 +153,6 @@ func decodeDataset(r io.Reader) (*Dataset, error) {
 		seen[c.Domain] = true
 	}
 	return &d, nil
-}
-
-// Crawl runs the full §3.2 flow over every candidate site with the given
-// browser profile and returns the dataset.
-//
-// Deprecated: use Run. Crawl survives as a thin wrapper for one
-// release, pinned byte-identical to Run with no options.
-func Crawl(eco *webgen.Ecosystem, profile browser.Profile) *Dataset {
-	// Without a checkpoint or cancellation the serial loop cannot fail.
-	//lint:allow ctxflow convenience API without cancellation; Run is the ctx-taking surface
-	ds, _ := Run(context.Background(), eco, profile)
-	return ds
-}
-
-// CrawlSenders re-crawls only the leaking first parties — the §7.1
-// browser evaluation's workload.
-//
-// Deprecated: use Run with WithSites(eco.SenderSites). CrawlSenders
-// survives as a thin wrapper for one release.
-func CrawlSenders(eco *webgen.Ecosystem, profile browser.Profile) *Dataset {
-	//lint:allow ctxflow convenience API without cancellation; Run is the ctx-taking surface
-	ds, _ := Run(context.Background(), eco, profile, WithSites(eco.SenderSites))
-	return ds
-}
-
-// CrawlSites crawls a chosen site subset.
-//
-// Deprecated: use Run with WithSites (or WithSource for a lazy
-// population). CrawlSites survives as a thin wrapper for one release.
-func CrawlSites(eco *webgen.Ecosystem, profile browser.Profile, sites []*site.Site) *Dataset {
-	//lint:allow ctxflow convenience API without cancellation; Run is the ctx-taking surface
-	ds, _ := Run(context.Background(), eco, profile, WithSource(site.Slice(sites)))
-	return ds
 }
 
 // newDataset builds an empty dataset shell: persona, browser label and

@@ -2,18 +2,31 @@ package crawler
 
 import (
 	"bytes"
+	"context"
+	"runtime"
 	"strings"
 	"testing"
 
 	"piileak/internal/browser"
 	"piileak/internal/httpmodel"
+	"piileak/internal/site"
 	"piileak/internal/webgen"
 )
+
+// mustRun is Run for tests: any error fails tb.
+func mustRun(tb testing.TB, eco *webgen.Ecosystem, profile browser.Profile, opts Options) *Dataset {
+	tb.Helper()
+	ds, err := Run(context.Background(), eco, profile, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ds
+}
 
 func smallDataset(t *testing.T) (*webgen.Ecosystem, *Dataset) {
 	t.Helper()
 	eco := webgen.MustGenerate(webgen.SmallConfig(11))
-	return eco, Crawl(eco, browser.Firefox88())
+	return eco, mustRun(t, eco, browser.Firefox88(), Options{})
 }
 
 func TestFunnelOutcomes(t *testing.T) {
@@ -124,13 +137,13 @@ func TestGETSignupLeavesPIIInReferer(t *testing.T) {
 
 func TestBraveCaptchaSiteFails(t *testing.T) {
 	eco := webgen.MustGenerate(webgen.SmallConfig(11))
-	ds := Crawl(eco, browser.Brave129(eco.BraveShields))
+	ds := mustRun(t, eco, browser.Brave129(eco.BraveShields), Options{})
 	counts := ds.FunnelCounts()
 	if counts[OutcomeCaptcha] != 1 {
 		t.Errorf("captcha-blocked = %d, want 1", counts[OutcomeCaptcha])
 	}
 	// The same crawl under Firefox succeeds everywhere.
-	ds2 := Crawl(eco, browser.Firefox88())
+	ds2 := mustRun(t, eco, browser.Firefox88(), Options{})
 	if c := ds2.FunnelCounts()[OutcomeCaptcha]; c != 0 {
 		t.Errorf("firefox captcha-blocked = %d, want 0", c)
 	}
@@ -138,7 +151,7 @@ func TestBraveCaptchaSiteFails(t *testing.T) {
 
 func TestBraveBlocksShieldedReceivers(t *testing.T) {
 	eco := webgen.MustGenerate(webgen.SmallConfig(11))
-	ds := CrawlSenders(eco, browser.Brave129(eco.BraveShields))
+	ds := mustRun(t, eco, browser.Brave129(eco.BraveShields), Options{Source: site.Slice(eco.SenderSites)})
 	if len(ds.Blocked) == 0 {
 		t.Fatal("Brave blocked nothing")
 	}
@@ -156,7 +169,7 @@ func TestBraveBlocksShieldedReceivers(t *testing.T) {
 
 func TestCrawlSendersSubset(t *testing.T) {
 	eco := webgen.MustGenerate(webgen.SmallConfig(11))
-	ds := CrawlSenders(eco, browser.Firefox88())
+	ds := mustRun(t, eco, browser.Firefox88(), Options{Source: site.Slice(eco.SenderSites)})
 	if len(ds.Crawls) != len(eco.SenderSites) {
 		t.Errorf("crawls = %d, want %d", len(ds.Crawls), len(eco.SenderSites))
 	}
@@ -189,8 +202,8 @@ func TestReadJSONError(t *testing.T) {
 func TestCrawlDeterministic(t *testing.T) {
 	eco1 := webgen.MustGenerate(webgen.SmallConfig(3))
 	eco2 := webgen.MustGenerate(webgen.SmallConfig(3))
-	d1 := Crawl(eco1, browser.Firefox88())
-	d2 := Crawl(eco2, browser.Firefox88())
+	d1 := mustRun(t, eco1, browser.Firefox88(), Options{})
+	d2 := mustRun(t, eco2, browser.Firefox88(), Options{})
 	if d1.TotalRecords() != d2.TotalRecords() {
 		t.Errorf("record counts differ: %d vs %d", d1.TotalRecords(), d2.TotalRecords())
 	}
@@ -210,7 +223,7 @@ func TestAutomatedCrawlLosesGatedSites(t *testing.T) {
 	if counts[OutcomeAutoNoConfirm] == 0 {
 		t.Error("no confirmation-gated sites stalled")
 	}
-	manual := Crawl(eco, browser.Firefox88())
+	manual := mustRun(t, eco, browser.Firefox88(), Options{})
 	if counts[OutcomeSuccess] >= manual.FunnelCounts()[OutcomeSuccess] {
 		t.Errorf("automation completed %d flows, manual %d — automation should lose coverage",
 			counts[OutcomeSuccess], manual.FunnelCounts()[OutcomeSuccess])
@@ -249,8 +262,8 @@ func TestAutomatedCrawlStillSeesSignupLeaks(t *testing.T) {
 
 func TestCrawlParallelMatchesSerial(t *testing.T) {
 	eco := webgen.MustGenerate(webgen.SmallConfig(17))
-	serial := Crawl(eco, browser.Firefox88())
-	parallel := CrawlParallel(eco, browser.Firefox88(), 4)
+	serial := mustRun(t, eco, browser.Firefox88(), Options{})
+	parallel := mustRun(t, eco, browser.Firefox88(), Options{Workers: 4})
 
 	if len(serial.Crawls) != len(parallel.Crawls) {
 		t.Fatalf("crawl counts differ: %d vs %d", len(serial.Crawls), len(parallel.Crawls))
@@ -278,7 +291,7 @@ func TestCrawlParallelMatchesSerial(t *testing.T) {
 func TestCrawlParallelWorkerBounds(t *testing.T) {
 	eco := webgen.MustGenerate(webgen.SmallConfig(17))
 	for _, workers := range []int{-1, 0, 1, 1000} {
-		ds := CrawlParallel(eco, browser.Firefox88(), workers)
+		ds := mustRun(t, eco, browser.Firefox88(), Options{Workers: workers})
 		if len(ds.Crawls) != len(eco.Sites) {
 			t.Errorf("workers=%d: crawls = %d", workers, len(ds.Crawls))
 		}
@@ -289,7 +302,7 @@ func BenchmarkCrawlSerial(b *testing.B) {
 	eco := webgen.MustGenerate(webgen.SmallConfig(17))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Crawl(eco, browser.Firefox88())
+		mustRun(b, eco, browser.Firefox88(), Options{})
 	}
 }
 
@@ -297,7 +310,7 @@ func BenchmarkCrawlParallel(b *testing.B) {
 	eco := webgen.MustGenerate(webgen.SmallConfig(17))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		CrawlParallel(eco, browser.Firefox88(), 0)
+		mustRun(b, eco, browser.Firefox88(), Options{Workers: runtime.GOMAXPROCS(0)})
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 
 	"piileak/internal/browser"
 	"piileak/internal/core"
+	"piileak/internal/detect"
 	"piileak/internal/dnssim"
 	"piileak/internal/faultsim"
-	"piileak/internal/pii"
 	"piileak/internal/site"
 	"piileak/internal/webgen"
 )
@@ -38,34 +38,26 @@ func datasetBytes(t *testing.T, ds *Dataset) []byte {
 // raw traffic.
 func analyze(t *testing.T, ds *Dataset) *core.Analysis {
 	t.Helper()
-	cands, err := pii.BuildCandidates(ds.Persona, pii.CandidateConfig{MaxDepth: 2})
+	eng, err := detect.NewEngine(ds.Persona, dnssim.NewClassifier(ds.Zone()), detect.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	det := core.NewDetector(cands, dnssim.NewClassifier(ds.Zone()))
+	sc := eng.NewScanner()
 	var leaks []core.Leak
 	for _, c := range ds.Crawls {
-		leaks = append(leaks, det.DetectSite(c.Domain, c.Records)...)
+		leaks = append(leaks, sc.DetectSite(c.Domain, c.Records)...)
 	}
 	return core.Analyze(leaks, len(ds.Crawls))
 }
 
 func TestFaultFreeOptsMatchStockCrawl(t *testing.T) {
-	// Without faults, the options-based entry points must be
-	// byte-identical to the stock serial crawl — the resilient runtime
-	// may not perturb the default dataset.
+	// Without faults, the parallel crawl must be byte-identical to the
+	// stock serial crawl, and the resilient runtime may not perturb the
+	// default dataset.
 	eco := webgen.MustGenerate(webgen.SmallConfig(11))
-	want := datasetBytes(t, Crawl(eco, browser.Firefox88()))
-
-	viaOpts, err := CrawlOpts(context.Background(), eco, browser.Firefox88(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, datasetBytes(t, viaOpts)) {
-		t.Error("CrawlOpts{} differs from Crawl")
-	}
-	if !bytes.Equal(want, datasetBytes(t, CrawlParallel(eco, browser.Firefox88(), 4))) {
-		t.Error("CrawlParallel differs from Crawl")
+	want := datasetBytes(t, mustRun(t, eco, browser.Firefox88(), Options{}))
+	if !bytes.Equal(want, datasetBytes(t, mustRun(t, eco, browser.Firefox88(), Options{Workers: 4}))) {
+		t.Error("parallel crawl differs from the serial crawl")
 	}
 	// Fault-free crawls must not emit resilience accounting fields.
 	if bytes.Contains(want, []byte(`"attempts"`)) || bytes.Contains(want, []byte(`"failed_fetches"`)) {
@@ -74,8 +66,8 @@ func TestFaultFreeOptsMatchStockCrawl(t *testing.T) {
 }
 
 func TestFaultCrawlDeterministicAcrossRuns(t *testing.T) {
-	a := Crawl(faultyEcosystem(t, 23, 0.3), browser.Firefox88())
-	b := Crawl(faultyEcosystem(t, 23, 0.3), browser.Firefox88())
+	a := mustRun(t, faultyEcosystem(t, 23, 0.3), browser.Firefox88(), Options{})
+	b := mustRun(t, faultyEcosystem(t, 23, 0.3), browser.Firefox88(), Options{})
 	if !bytes.Equal(datasetBytes(t, a), datasetBytes(t, b)) {
 		t.Error("same seed produced different fault-injected datasets")
 	}
@@ -86,8 +78,8 @@ func TestFaultCrawlSeedChangesFaults(t *testing.T) {
 	cfg := webgen.SmallConfig(23)
 	cfg.Faults = &faultsim.Config{Seed: 999, Rate: 0.3}
 	other := webgen.MustGenerate(cfg)
-	a := Crawl(eco, browser.Firefox88())
-	b := Crawl(other, browser.Firefox88())
+	a := mustRun(t, eco, browser.Firefox88(), Options{})
+	b := mustRun(t, other, browser.Firefox88(), Options{})
 	if bytes.Equal(datasetBytes(t, a), datasetBytes(t, b)) {
 		t.Error("different fault seeds produced identical datasets (suspicious)")
 	}
@@ -97,7 +89,7 @@ func TestFaultParallelMatchesSerialAllWorkerCounts(t *testing.T) {
 	// The acceptance bar: Workers ∈ {0, 1, 4, 8} under injected faults
 	// produce the same dataset — same funnel, same leaks, same Table 1.
 	serialEco := faultyEcosystem(t, 37, 0.3)
-	serial, err := CrawlOpts(context.Background(), serialEco, browser.Firefox88(), Options{})
+	serial, err := Run(context.Background(), serialEco, browser.Firefox88(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +102,7 @@ func TestFaultParallelMatchesSerialAllWorkerCounts(t *testing.T) {
 
 	for _, workers := range []int{1, 4, 8} {
 		eco := faultyEcosystem(t, 37, 0.3)
-		ds, err := CrawlOpts(context.Background(), eco, browser.Firefox88(), Options{Workers: workers})
+		ds, err := Run(context.Background(), eco, browser.Firefox88(), Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,14 +146,14 @@ func TestRetriesRecoverTransientlyFailingSites(t *testing.T) {
 	// the breaker threshold (5) never truncates a single fetch's budget.
 	// The acceptance bar is ≥ 90% recovery; the design gives 100%.
 	cleanEco := webgen.MustGenerate(webgen.SmallConfig(29))
-	clean := Crawl(cleanEco, browser.Firefox88())
+	clean := mustRun(t, cleanEco, browser.Firefox88(), Options{})
 	cleanBySite := map[string]*SiteCrawl{}
 	for i := range clean.Crawls {
 		cleanBySite[clean.Crawls[i].Domain] = &clean.Crawls[i]
 	}
 
 	eco := faultyEcosystem(t, 29, 0.35)
-	ds := Crawl(eco, browser.Firefox88())
+	ds := mustRun(t, eco, browser.Firefox88(), Options{})
 
 	transient, recovered, retried := 0, 0, 0
 	for i := range ds.Crawls {
@@ -215,7 +207,7 @@ func TestPinnedFaultProfilesShapeOutcomes(t *testing.T) {
 		flaky.Host():     {Kind: faultsim.KindHTTP5xx, FailFirst: 3},
 	}}
 	eco := webgen.MustGenerate(cfg)
-	ds := Crawl(eco, browser.Firefox88())
+	ds := mustRun(t, eco, browser.Firefox88(), Options{})
 
 	byDomain := map[string]*SiteCrawl{}
 	for i := range ds.Crawls {
@@ -246,7 +238,7 @@ func TestPartialRecordsKeepPrefixTraffic(t *testing.T) {
 	// the fault-free crawl: same site, strictly fewer records, and no
 	// record the clean crawl lacks.
 	cleanEco := webgen.MustGenerate(webgen.SmallConfig(29))
-	clean := Crawl(cleanEco, browser.Firefox88())
+	clean := mustRun(t, cleanEco, browser.Firefox88(), Options{})
 	cleanBySite := map[string]*SiteCrawl{}
 	for i := range clean.Crawls {
 		cleanBySite[clean.Crawls[i].Domain] = &clean.Crawls[i]
@@ -256,7 +248,7 @@ func TestPartialRecordsKeepPrefixTraffic(t *testing.T) {
 	// dies mid-flow and the partial path actually runs.
 	cfg := webgen.SmallConfig(29)
 	cfg.Faults = &faultsim.Config{Rate: 0.5, DegradeFrac: 0.6, PermanentFrac: 0.05}
-	ds := Crawl(webgen.MustGenerate(cfg), browser.Firefox88())
+	ds := mustRun(t, webgen.MustGenerate(cfg), browser.Firefox88(), Options{})
 	partials := 0
 	for i := range ds.Crawls {
 		c := &ds.Crawls[i]

@@ -24,17 +24,13 @@ import (
 
 // Options configures a crawl beyond the stock fault-free defaults.
 type Options struct {
-	// Source supplies the site population lazily (site i materialized
-	// on demand); nil falls back to Sites, then to the ecosystem's full
-	// universe. Setting both Source and Sites is a validation error.
+	// Source supplies the site population (site i materialized on
+	// demand); nil means the ecosystem's universe, which at the default
+	// universe size is exactly the candidate sites. A materialized
+	// subset passes as site.Slice(sites).
 	Source site.Source
-	// Sites restricts the crawl to a materialized slice; nil means the
-	// ecosystem's universe (which, at the default universe size, is
-	// exactly the candidate sites).
-	Sites []*site.Site
-	// Workers > 0 crawls with that many parallel workers (<= 0 inside
-	// CrawlOpts means serial; CrawlParallel keeps its own convention
-	// that <= 0 selects GOMAXPROCS).
+	// Workers > 1 crawls with that many parallel workers; <= 1 crawls
+	// serially with one browser.
 	Workers int
 	// Faults overrides the ecosystem's injector; nil falls back to
 	// eco.Faults (which is nil for fault-free configs).
@@ -78,9 +74,6 @@ type Options struct {
 // silently preferring one side. It is the single source of truth the
 // pipeline's embedded options validate through.
 func (o Options) Validate() error {
-	if o.Source != nil && o.Sites != nil {
-		return errors.New("crawler: Source and Sites are both set — pick one site supply")
-	}
 	if o.Resume && o.CheckpointPath == "" {
 		return errors.New("crawler: Resume requires CheckpointPath")
 	}
@@ -119,44 +112,13 @@ type ResumeSummary struct {
 	TornRecords int `json:"torn_records"`
 }
 
-// CrawlOpts runs a crawl under explicit options. ctx cancels the run
-// between sites and interrupts in-flight retry backoffs; the entry being
-// crawled when cancellation lands is discarded (never checkpointed or
-// emitted), so a resumed run stays byte-identical to an uninterrupted
-// one.
-func CrawlOpts(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, opts Options) (*Dataset, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	src := opts.source(eco)
-	if opts.Workers > 0 {
-		return crawlParallel(ctx, eco, profile, src, opts.Workers, opts)
-	}
-	return crawlSerial(ctx, eco, profile, src, opts)
-}
-
-// source resolves the options' effective site supply: the lazy Source,
-// then the materialized Sites slice, then the ecosystem's universe. At
-// the default universe size the universe is exactly the candidate
-// sites, so the fallback is byte-identical to the historical nil-Sites
-// behaviour.
+// source resolves the options' effective site supply: Source, else the
+// ecosystem's universe.
 func (o Options) source(eco *webgen.Ecosystem) site.Source {
 	if o.Source != nil {
 		return o.Source
 	}
-	if o.Sites != nil {
-		return site.Slice(o.Sites)
-	}
 	return eco.Universe()
-}
-
-// ResumeCrawl continues an interrupted checkpointed crawl: completed
-// sites come from the checkpoint, the remainder are crawled, and the
-// merged dataset is identical to an uninterrupted run's.
-func ResumeCrawl(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, path string, opts Options) (*Dataset, error) {
-	opts.CheckpointPath = path
-	opts.Resume = true
-	return CrawlOpts(ctx, eco, profile, opts)
 }
 
 // injectorFor resolves the effective injector for a crawl.
@@ -385,19 +347,4 @@ func crashedEntry(b *browser.Browser, eco *webgen.Ecosystem, s *site.Site, rt *f
 	}
 	q.Add(BundleFor(stage, &crawl, eco.Config.Seed, faultSeed, panicked))
 	return crawlEntry{Crawl: crawl, Mail: mbox.Messages, Blocked: b.Blocked}
-}
-
-// crawlSerial is the single-browser loop behind Run/Crawl/CrawlSites
-// and the checkpointing/resilient paths, built on the streaming engine:
-// serial emissions arrive in site order, so they merge directly.
-func crawlSerial(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, src site.Source, opts Options) (*Dataset, error) {
-	ds := newDataset(eco, profile.Name+" "+profile.Version)
-	err := streamCrawl(ctx, eco, profile, src, 1, opts, func(_ int, e crawlEntry) error {
-		ds.merge(e)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ds, nil
 }

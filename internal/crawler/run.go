@@ -2,84 +2,45 @@ package crawler
 
 import (
 	"context"
-	"time"
+	"sync"
 
 	"piileak/internal/browser"
-	"piileak/internal/faultsim"
-	"piileak/internal/obs"
-	"piileak/internal/resilience"
-	"piileak/internal/site"
 	"piileak/internal/webgen"
 )
 
-// Option configures one Run call. Options compose left to right over a
-// zero Options value; contradictions (Source and Sites both set, Resume
-// without a checkpoint) surface as Validate errors, exactly as on the
-// Options struct itself.
-type Option func(*Options)
-
-// WithSource supplies the site population lazily; sites materialize one
-// at a time as the crawl reaches them.
-func WithSource(src site.Source) Option {
-	return func(o *Options) { o.Source = src }
-}
-
-// WithSites restricts the crawl to a materialized site slice.
-func WithSites(sites []*site.Site) Option {
-	return func(o *Options) { o.Sites = sites }
-}
-
-// WithWorkers crawls with a bounded pool of n parallel workers; n <= 0
-// keeps the serial loop.
-func WithWorkers(n int) Option {
-	return func(o *Options) { o.Workers = n }
-}
-
-// WithFaults overrides the ecosystem's fault injector.
-func WithFaults(inj *faultsim.Injector) Option {
-	return func(o *Options) { o.Faults = inj }
-}
-
-// WithRetryPolicy tunes the resilient transport's retry/breaker
-// behaviour.
-func WithRetryPolicy(p resilience.Policy) Option {
-	return func(o *Options) { o.Policy = p }
-}
-
-// WithSiteTimeout sets the per-site watchdog budget.
-func WithSiteTimeout(d time.Duration) Option {
-	return func(o *Options) { o.SiteTimeout = d }
-}
-
-// WithQuarantine collects crash bundles for panicked sites.
-func WithQuarantine(q *Quarantine) Option {
-	return func(o *Options) { o.Quarantine = q }
-}
-
-// WithCheckpoint persists per-site progress to path; resume loads the
-// file's completed sites instead of re-crawling them.
-func WithCheckpoint(path string, resume bool) Option {
-	return func(o *Options) {
-		o.CheckpointPath = path
-		o.Resume = resume
+// Run executes the §3.2 flow over the options' site population and
+// returns the dataset. It is CrawlStream plus an in-order merge: a site
+// that finishes ahead of an earlier one waits until every earlier site
+// has merged, so the dataset — records, mailbox stream and per-receiver
+// block counters — is byte-identical at any worker count and across
+// checkpoint resumes, and only out-of-order sites are ever held aside.
+// ctx cancels the run between sites and interrupts in-flight retry
+// backoffs; the entry being crawled when cancellation lands is
+// discarded (never checkpointed or emitted), so a resumed run stays
+// byte-identical to an uninterrupted one.
+func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, opts Options) (*Dataset, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
-}
-
-// WithObserver attaches the crawl's telemetry side channel.
-func WithObserver(o *obs.Run) Option {
-	return func(opts *Options) { opts.Obs = o }
-}
-
-// Run executes the §3.2 flow over a site population and returns the
-// dataset. With no options it crawls the ecosystem's universe serially
-// — at the default universe size, exactly the candidate shopping sites.
-// It is the single crawl entry point the historical Crawl, CrawlSenders
-// and CrawlSites wrappers now delegate to, mirroring CrawlOpts but with
-// composable options instead of a bare struct.
-func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, options ...Option) (*Dataset, error) {
-	var opts Options
-	for _, apply := range options {
-		apply(&opts)
+	ds := DatasetShell(eco, profile)
+	var (
+		mu      sync.Mutex
+		next    int
+		pending = map[int]SiteResult{}
+	)
+	err := CrawlStream(ctx, eco, profile, opts, func(r SiteResult) error {
+		mu.Lock()
+		defer mu.Unlock()
+		pending[r.Index] = r
+		for p, ok := pending[next]; ok; p, ok = pending[next] {
+			delete(pending, next)
+			ds.Merge(p)
+			next++
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return CrawlOpts(ctx, eco, profile, opts)
+	return ds, nil
 }

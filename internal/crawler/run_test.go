@@ -2,7 +2,6 @@ package crawler
 
 import (
 	"bytes"
-	"context"
 	"testing"
 
 	"piileak/internal/browser"
@@ -19,75 +18,25 @@ func runDatasetJSON(t *testing.T, ds *Dataset) []byte {
 	return buf.Bytes()
 }
 
-// TestDeprecatedWrappersMatchRun pins the API collapse: Crawl,
-// CrawlSenders and CrawlSites are thin wrappers over the source-based
-// Run, so each must produce byte-identical dataset JSON to the Run call
-// it delegates to — including CrawlSites(nil), which crawls zero sites,
-// never the whole universe.
-func TestDeprecatedWrappersMatchRun(t *testing.T) {
-	eco := webgen.MustGenerate(webgen.SmallConfig(11))
-	profile := browser.Firefox88()
-	ctx := context.Background()
-
-	run := func(options ...Option) []byte {
-		ds, err := Run(ctx, eco, profile, options...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return runDatasetJSON(t, ds)
-	}
-
-	if got, want := runDatasetJSON(t, Crawl(eco, profile)), run(); !bytes.Equal(got, want) {
-		t.Error("Crawl diverges from Run with no options")
-	}
-	if got, want := runDatasetJSON(t, CrawlSenders(eco, profile)), run(WithSites(eco.SenderSites)); !bytes.Equal(got, want) {
-		t.Error("CrawlSenders diverges from Run(WithSites(SenderSites))")
-	}
-	subset := eco.Sites[:5]
-	if got, want := runDatasetJSON(t, CrawlSites(eco, profile, subset)), run(WithSource(site.Slice(subset))); !bytes.Equal(got, want) {
-		t.Error("CrawlSites diverges from Run(WithSource)")
-	}
-	if ds := CrawlSites(eco, profile, nil); len(ds.Crawls) != 0 {
-		t.Errorf("CrawlSites(nil) crawled %d sites, want 0", len(ds.Crawls))
-	}
-}
-
-// TestRunSourceAndSitesContradict: supplying both site populations is a
-// validation error, not a silent preference.
-func TestRunSourceAndSitesContradict(t *testing.T) {
-	eco := webgen.MustGenerate(webgen.SmallConfig(11))
-	_, err := Run(context.Background(), eco, browser.Firefox88(),
-		WithSites(eco.Sites), WithSource(site.Slice(eco.Sites)))
-	if err == nil {
-		t.Fatal("Run accepted Source and Sites together")
-	}
-}
-
 // TestRunLazySourceMatchesEagerSites: the same population supplied
 // lazily (the ecosystem's universe) and eagerly (the materialized core
-// slice) crawls to byte-identical datasets, serial and parallel.
+// slice) crawls to byte-identical datasets, serial and parallel — and
+// an empty slice crawls zero sites, never the whole universe.
 func TestRunLazySourceMatchesEagerSites(t *testing.T) {
 	eco := webgen.MustGenerate(webgen.SmallConfig(11))
 	profile := browser.Firefox88()
-	ctx := context.Background()
 
-	eager, err := Run(ctx, eco, profile, WithSites(eco.Sites))
-	if err != nil {
-		t.Fatal(err)
+	want := runDatasetJSON(t, mustRun(t, eco, profile, Options{Source: site.Slice(eco.Sites)}))
+	if got := runDatasetJSON(t, mustRun(t, eco, profile, Options{})); !bytes.Equal(got, want) {
+		t.Error("default (universe) crawl diverges from the eager slice")
 	}
-	want := runDatasetJSON(t, eager)
-	lazy, err := Run(ctx, eco, profile, WithSource(eco.Universe()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := runDatasetJSON(t, lazy); !bytes.Equal(got, want) {
+	if got := runDatasetJSON(t, mustRun(t, eco, profile, Options{Source: eco.Universe()})); !bytes.Equal(got, want) {
 		t.Error("lazy serial crawl diverges from the eager slice")
 	}
-	parallel, err := Run(ctx, eco, profile, WithSource(eco.Universe()), WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := runDatasetJSON(t, parallel); !bytes.Equal(got, want) {
+	if got := runDatasetJSON(t, mustRun(t, eco, profile, Options{Source: eco.Universe(), Workers: 4})); !bytes.Equal(got, want) {
 		t.Error("lazy parallel crawl diverges from the eager slice")
+	}
+	if ds := mustRun(t, eco, profile, Options{Source: site.Slice(nil)}); len(ds.Crawls) != 0 {
+		t.Errorf("empty source crawled %d sites, want 0", len(ds.Crawls))
 	}
 }

@@ -13,10 +13,9 @@ import (
 )
 
 // This file is the streaming crawl engine: one site-at-a-time emission
-// loop that crawlSerial, crawlParallel and the exported CrawlStream are
-// all built on. The batch paths collect emissions into a Dataset; the
-// streaming study pipeline instead forwards each emission straight into
-// detection so captures never pile up.
+// loop behind CrawlStream. Run collects its emissions into a Dataset;
+// the streaming study pipeline instead forwards each emission straight
+// into detection so captures never pile up.
 
 // SiteResult is one completed site crawl as emitted by CrawlStream: the
 // crawl record plus the mail and shield-block side effects that must
@@ -37,17 +36,18 @@ type SiteResult struct {
 // safe for concurrent use. A blocking emit exerts backpressure: the
 // worker holds its finished site until emit returns, so a bounded
 // consumer bounds the number of captures in flight. An emit error stops
-// the crawl. Checkpointing works exactly as in CrawlOpts: sites already
-// in the checkpoint are emitted without re-crawling, in site order
-// relative to each other, as the crawl reaches them. Cancelling ctx
-// stops the crawl with ctx's error; the site in flight at that moment
-// is discarded, never checkpointed or emitted.
+// the crawl. With CheckpointPath set, every finished site is appended
+// to the checkpoint; under Resume, sites already in it are emitted
+// without re-crawling, in site order relative to each other, as the
+// crawl reaches them. Cancelling ctx stops the crawl with ctx's error;
+// the site in flight at that moment is discarded, never checkpointed or
+// emitted.
 //
-// The site population comes from Options.Source (or Sites, or the
-// ecosystem's universe): sites are materialized one at a time as the
-// crawl reaches them, so a lazy source is never held in memory whole.
+// The site population comes from Options.Source (or the ecosystem's
+// universe): sites are materialized one at a time as the crawl reaches
+// them, so a lazy source is never held in memory whole.
 func CrawlStream(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, opts Options, emit func(SiteResult) error) error {
-	return streamCrawl(ctx, eco, profile, opts.source(eco), opts.Workers, opts, func(i int, e crawlEntry) error {
+	return streamCrawl(ctx, eco, profile, opts, func(i int, e crawlEntry) error {
 		return emit(SiteResult{Index: i, Crawl: e.Crawl, Mail: e.Mail, Blocked: e.Blocked})
 	})
 }
@@ -65,8 +65,8 @@ func (d *Dataset) Merge(r SiteResult) {
 	d.merge(crawlEntry{Crawl: r.Crawl, Mail: r.Mail, Blocked: r.Blocked})
 }
 
-// streamCrawl is the engine. workers <= 1 runs the single-browser
-// serial loop (emissions in site order); workers > 1 runs the bounded
+// streamCrawl is the engine. opts.Workers <= 1 runs the single-browser
+// serial loop (emissions in site order); more workers run the bounded
 // pool (emissions in completion order, concurrent emit). Checkpointed
 // sites are emitted without crawling as the walk reaches them.
 //
@@ -81,10 +81,11 @@ func (d *Dataset) Merge(r SiteResult) {
 // site, and a site mid-crawl when cancellation lands is dropped on the
 // floor — the checkpoint then holds exactly a prefix of the
 // uninterrupted run, which is what makes resume byte-identical.
-func streamCrawl(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, src site.Source, workers int, opts Options, emit func(int, crawlEntry) error) error {
+func streamCrawl(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, opts Options, emit func(int, crawlEntry) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	src, workers := opts.source(eco), opts.Workers
 	inj := injectorFor(eco, opts)
 	o := opts.Obs
 

@@ -4,16 +4,13 @@ import (
 	"net/url"
 	"testing"
 
-	"piileak/internal/browser"
-	"piileak/internal/core"
-	"piileak/internal/crawler"
 	"piileak/internal/dnssim"
 	"piileak/internal/httpmodel"
 	"piileak/internal/pii"
 	"piileak/internal/webgen"
 )
 
-// The detect benchmarks compare the legacy single-phase detector against
+// The detect benchmarks compare the legacy single-phase oracle against
 // the two-phase engine on the workloads that dominate a study: the
 // per-record scan (BenchmarkScan — clean records are the overwhelming
 // majority, so the no-leak path is the one that matters) and the
@@ -51,7 +48,7 @@ func benchRecords() (clean, leaky httpmodel.Record) {
 
 func BenchmarkScan(b *testing.B) {
 	eng := benchEngine(b)
-	legacy := core.NewDetector(eng.Candidates(), eng.CNAME())
+	legacy := LegacyFor(eng)
 	clean, leaky := benchRecords()
 	site := "shop.example.com"
 
@@ -83,9 +80,8 @@ func BenchmarkDetectSite(b *testing.B) {
 	}
 	cname := dnssim.NewClassifier(eco.Zone)
 	eng := MustNewEngine(eco.Persona, cname, Config{})
-	conc := MustNewEngine(eco.Persona, cname, Config{ConcurrentChannels: true})
-	legacy := core.NewDetector(eng.Candidates(), cname)
-	succ := crawler.Crawl(eco, browser.Firefox88()).Successes()
+	legacy := LegacyFor(eng)
+	succ := crawlDataset(b, eco).Successes()
 	if len(succ) == 0 {
 		b.Fatal("no successful crawls")
 	}
@@ -110,14 +106,6 @@ func BenchmarkDetectSite(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			c := succ[i%len(succ)]
 			eng.DetectSite(c.Domain, c.Records)
-		}
-	})
-	b.Run("concurrent-channels", func(b *testing.B) {
-		sc := conc.NewScanner()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c := succ[i%len(succ)]
-			sc.DetectSite(c.Domain, c.Records)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"context"
 	"encoding/json"
 	"net/url"
 	"reflect"
@@ -16,11 +17,14 @@ import (
 	"piileak/internal/webgen"
 )
 
-// legacyFor builds the reference single-phase detector sharing the
-// engine's candidate set and classifier, so any output divergence is the
-// scan path's fault, not a compile difference.
-func legacyFor(e *Engine) *core.Detector {
-	return core.NewDetector(e.Candidates(), e.CNAME())
+// crawlDataset runs the fault-free serial crawl of eco under Firefox 88.
+func crawlDataset(tb testing.TB, eco *webgen.Ecosystem) *crawler.Dataset {
+	tb.Helper()
+	ds, err := crawler.Run(context.Background(), eco, browser.Firefox88(), crawler.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ds
 }
 
 func mustJSON(t *testing.T, v any) []byte {
@@ -36,7 +40,7 @@ func mustJSON(t *testing.T, v any) []byte {
 // for-byte on one record, and returns the leaks.
 func checkRecord(t *testing.T, sc *Scanner, site string, rec *httpmodel.Record) []core.Leak {
 	t.Helper()
-	want := legacyFor(sc.Engine()).DetectRecord(site, rec)
+	want := LegacyFor(sc.Engine()).DetectRecord(site, rec)
 	got := sc.DetectRecord(site, rec)
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("scanner diverges from legacy on %s %s:\nlegacy:  %s\nscanner: %s",
@@ -48,7 +52,7 @@ func checkRecord(t *testing.T, sc *Scanner, site string, rec *httpmodel.Record) 
 // TestScannerMatchesLegacyOnCrawls is the package-level differential:
 // across several ecosystem seeds, the two-phase scanner's output over a
 // full crawl must be byte-identical to the legacy detector's, site by
-// site — serial, pooled (Engine.DetectSite) and concurrent-channel.
+// site — through a held Scanner and the pooled Engine.DetectSite.
 func TestScannerMatchesLegacyOnCrawls(t *testing.T) {
 	for _, seed := range []uint64{3, 17, 99} {
 		eco, err := webgen.Generate(webgen.SmallConfig(seed))
@@ -60,15 +64,10 @@ func TestScannerMatchesLegacyOnCrawls(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		conc, err := NewEngine(eco.Persona, cname, Config{ConcurrentChannels: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacy := legacyFor(eng)
-		ds := crawler.Crawl(eco, browser.Firefox88())
+		legacy := LegacyFor(eng)
+		ds := crawlDataset(t, eco)
 
 		sc := eng.NewScanner()
-		csc := conc.NewScanner()
 		total := 0
 		for _, c := range ds.Successes() {
 			want := legacy.DetectSite(c.Domain, c.Records)
@@ -79,10 +78,6 @@ func TestScannerMatchesLegacyOnCrawls(t *testing.T) {
 			}
 			if got := eng.DetectSite(c.Domain, c.Records); !reflect.DeepEqual(want, got) {
 				t.Fatalf("seed %d, site %s: pooled engine diverges", seed, c.Domain)
-			}
-			if got := csc.DetectSite(c.Domain, c.Records); !reflect.DeepEqual(want, got) {
-				t.Fatalf("seed %d, site %s: concurrent-channel scanner diverges:\nlegacy:  %s\nscanner: %s",
-					seed, c.Domain, mustJSON(t, want), mustJSON(t, got))
 			}
 		}
 		if total == 0 {
@@ -107,9 +102,9 @@ func TestDecodeDetectMatchesLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := legacyFor(eng)
+	legacy := LegacyFor(eng)
 	sc := eng.NewScanner()
-	ds := crawler.Crawl(eco, browser.Firefox88())
+	ds := crawlDataset(t, eco)
 	compared := 0
 	for _, c := range ds.Successes() {
 		for i := range c.Records {
@@ -307,8 +302,8 @@ func TestReceiverMemoAcrossSites(t *testing.T) {
 
 // TestEngineBuildCache pins the shared-compile contract: a second engine
 // for the same (persona, config) reuses the first's candidate set
-// without another BuildCandidates call, config defaulting normalizes
-// into one cache slot, and DisableCache forces a private compile.
+// without another BuildCandidates call, and config defaulting
+// normalizes into one cache slot.
 func TestEngineBuildCache(t *testing.T) {
 	p := pii.Default()
 	e1, err := NewEngine(p, nil, Config{})
@@ -322,7 +317,6 @@ func TestEngineBuildCache(t *testing.T) {
 		{},
 		{Candidates: pii.CandidateConfig{MaxDepth: 2}},
 		{Candidates: pii.CandidateConfig{MaxDepth: 2, MinTokenLen: 8}},
-		{ConcurrentChannels: true},
 	} {
 		e, err := NewEngine(p, nil, cfg)
 		if err != nil {
@@ -346,56 +340,6 @@ func TestEngineBuildCache(t *testing.T) {
 	if e2.Candidates() == e1.Candidates() {
 		t.Error("distinct configs share a candidate set")
 	}
-	// DisableCache bypasses entirely.
-	before := pii.CandidateBuilds()
-	e3, err := NewEngine(p, nil, Config{DisableCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e3.FromCache() {
-		t.Error("DisableCache engine claims a cache hit")
-	}
-	if pii.CandidateBuilds() != before+1 {
-		t.Error("DisableCache did not compile")
-	}
-}
-
-// TestChannelFilter: a filtered engine probes only the configured
-// channels — the cookie channel here is compiled empty, so a cookie
-// leak disappears while the uri leak survives.
-func TestChannelFilter(t *testing.T) {
-	eng, err := NewEngine(pii.Default(), nil, Config{
-		ChannelFilter: func(_ pii.Token, k httpmodel.SurfaceKind) bool {
-			return k != httpmodel.SurfaceCookie
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := eng.ChannelTokens(httpmodel.SurfaceCookie); n != 0 {
-		t.Fatalf("cookie channel holds %d tokens, want 0", n)
-	}
-	if n := eng.ChannelTokens(httpmodel.SurfaceURI); n != eng.Candidates().Size() {
-		t.Fatalf("uri channel holds %d tokens, want the full %d", n, eng.Candidates().Size())
-	}
-	email := pii.Default().Email
-	rec := httpmodel.Record{Request: httpmodel.Request{
-		URL:     "https://t.adnxs.com/c?e=" + url.QueryEscape(email),
-		Cookies: []httpmodel.Cookie{{Name: "uid", Value: email, Domain: "adnxs.com"}},
-	}}
-	leaks := eng.NewScanner().DetectRecord("shop.example.com", &rec)
-	for _, l := range leaks {
-		if l.Method == httpmodel.SurfaceCookie {
-			t.Errorf("filtered cookie channel still reported: %s", mustJSON(t, l))
-		}
-	}
-	found := false
-	for _, l := range leaks {
-		found = found || l.Method == httpmodel.SurfaceURI
-	}
-	if !found {
-		t.Error("uri leak lost under a cookie-only filter")
-	}
 }
 
 // TestScannerNoLeakPathAllocsZero is the allocation budget: after
@@ -405,7 +349,7 @@ func TestChannelFilter(t *testing.T) {
 func TestScannerNoLeakPathAllocsZero(t *testing.T) {
 	eng := edgeEngine(t)
 	sc := eng.NewScanner()
-	legacy := legacyFor(eng)
+	legacy := LegacyFor(eng)
 	rec := httpmodel.Record{Request: httpmodel.Request{
 		URL:     "https://t.adnxs.com/ping?v=2&cb=123456&sess=zZ9yY8xX7",
 		Headers: map[string]string{"Referer": "https://www.shop.example.com/cart"},

@@ -3,7 +3,6 @@ package detect
 import (
 	"sort"
 	"strings"
-	"sync"
 
 	"piileak/internal/core"
 	"piileak/internal/encode"
@@ -20,7 +19,7 @@ import (
 type Scanner struct {
 	eng *Engine
 
-	// scratch is the automaton dedup state for the serial scan path.
+	// scratch is the automaton dedup state.
 	scratch pii.Scratch
 	// idxBuf receives match indices per surface.
 	idxBuf []int
@@ -36,11 +35,6 @@ type Scanner struct {
 	// site change.
 	curSite  string
 	hostRecv map[string]recvEntry
-
-	// chScratch and chIdx are per-channel scan state for the optional
-	// concurrent-channel mode (one slot per goroutine).
-	chScratch [numChannels]pii.Scratch
-	chIdx     [numChannels][]int
 }
 
 type recvEntry struct {
@@ -57,8 +51,7 @@ func (e *Engine) NewScanner() *Scanner {
 // Engine returns the immutable engine this scanner scans with.
 func (s *Scanner) Engine() *Engine { return s.eng }
 
-// DetectSite scans all records of one site crawl. Output is
-// byte-identical to core.Detector.DetectSite on the same inputs.
+// DetectSite scans all records of one site crawl.
 func (s *Scanner) DetectSite(siteDomain string, records []httpmodel.Record) []core.Leak {
 	var out []core.Leak
 	for i := range records {
@@ -67,9 +60,10 @@ func (s *Scanner) DetectSite(siteDomain string, records []httpmodel.Record) []co
 	return out
 }
 
-// DetectRecord returns the leaks in one captured request, byte-identical
-// to core.Detector.DetectRecord: matches dedup per (method, token) and
-// named surfaces own the parameter attribution.
+// DetectRecord returns the leaks in one captured request. Matches are
+// deduplicated per (method, token); named surfaces (query parameters,
+// cookies, body fields) scan first and own the parameter attribution,
+// whole-region surfaces catch the rest.
 func (s *Scanner) DetectRecord(siteDomain string, rec *httpmodel.Record) []core.Leak {
 	s.beginSite(siteDomain)
 	receiver, cloaked := s.receiverFor(&rec.Request)
@@ -78,8 +72,8 @@ func (s *Scanner) DetectRecord(siteDomain string, rec *httpmodel.Record) []core.
 	}
 	if !s.mightLeak(&rec.Request) {
 		// The prefilter proved no surface can match: every surface the
-		// legacy detector would scan is a substring of a raw or
-		// scratch-decoded region checked above.
+		// full scan would build is a substring of a raw or
+		// scratch-decoded region mightLeak checked.
 		return nil
 	}
 	return s.scanRecord(siteDomain, receiver, cloaked, rec)
@@ -178,7 +172,7 @@ func validScheme(s string) bool {
 	return true
 }
 
-// mightLeak is the zero-allocation prefilter: it probes each channel's
+// mightLeak is the zero-allocation prefilter: it probes the candidate
 // automaton over raw regions and scratch-decoded variants that together
 // form a provable superset of every surface the full scan would build.
 // false is conclusive (the record is clean); true falls through to the
@@ -196,8 +190,8 @@ func validScheme(s string) bool {
 //     covers u.Path ('+' stays literal there). A failed whole-query
 //     decode is NOT conclusive — individual pairs may still decode — so
 //     it forces the slow path; a failed prefix decode implies url.Parse
-//     fails and the legacy scan builds no uri surfaces at all.
-//   - cookie: raw value plus its query-unescaped form, as legacy.
+//     fails and the full scan builds no uri surfaces at all.
+//   - cookie: raw value plus its query-unescaped form, as the full scan.
 //   - payload: the raw body; for form bodies a query-mode decode of the
 //     whole body covers every pair value (decode failure → slow path:
 //     ParseQuery drops only the failing pairs); for JSON bodies a raw
@@ -205,24 +199,22 @@ func validScheme(s string) bool {
 //     produced by number/bool re-rendering (jsonLeafSafe) and the body
 //     contains no escape sequences — otherwise slow path.
 func (s *Scanner) mightLeak(r *httpmodel.Request) bool {
-	e := s.eng
+	cs := s.eng.cands
 
 	if ref := r.Referer(); ref != "" {
-		a := e.channelFor(httpmodel.SurfaceReferer)
-		if a.containsString(ref) {
+		if cs.ContainsString(ref) {
 			return true
 		}
 		if dec, ok := unescapeInto(s.dec[:0], ref, true); ok {
 			s.dec = dec[:0]
-			if a.contains(dec) {
+			if cs.Contains(dec) {
 				return true
 			}
 		}
 	}
 
 	if u := r.URL; u != "" {
-		a := e.channelFor(httpmodel.SurfaceURI)
-		if a.containsString(u) {
+		if cs.ContainsString(u) {
 			return true
 		}
 		prefix, query := splitURL(u)
@@ -232,43 +224,39 @@ func (s *Scanner) mightLeak(r *httpmodel.Request) bool {
 				return true // pairs may still decode individually
 			}
 			s.dec = dec[:0]
-			if a.contains(dec) {
+			if cs.Contains(dec) {
 				return true
 			}
 		}
 		if strings.IndexByte(prefix, '%') >= 0 {
 			if dec, ok := unescapeInto(s.dec[:0], prefix, false); ok {
 				s.dec = dec[:0]
-				if a.contains(dec) {
+				if cs.Contains(dec) {
 					return true
 				}
 			}
-			// Decode failure: url.Parse rejects the URL, so the legacy
+			// Decode failure: url.Parse rejects the URL, so the full
 			// scan has no uri surfaces either — conclusive.
 		}
 	}
 
-	if len(r.Cookies) > 0 {
-		a := e.channelFor(httpmodel.SurfaceCookie)
-		for i := range r.Cookies {
-			v := r.Cookies[i].Value
-			if a.containsString(v) {
-				return true
-			}
-			if strings.IndexByte(v, '%') >= 0 || strings.IndexByte(v, '+') >= 0 {
-				if dec, ok := unescapeInto(s.dec[:0], v, true); ok {
-					s.dec = dec[:0]
-					if a.contains(dec) {
-						return true
-					}
+	for i := range r.Cookies {
+		v := r.Cookies[i].Value
+		if cs.ContainsString(v) {
+			return true
+		}
+		if strings.IndexByte(v, '%') >= 0 || strings.IndexByte(v, '+') >= 0 {
+			if dec, ok := unescapeInto(s.dec[:0], v, true); ok {
+				s.dec = dec[:0]
+				if cs.Contains(dec) {
+					return true
 				}
 			}
 		}
 	}
 
 	if len(r.Body) > 0 {
-		a := e.channelFor(httpmodel.SurfaceBody)
-		if a.contains(r.Body) {
+		if cs.Contains(r.Body) {
 			return true
 		}
 		switch {
@@ -278,11 +266,11 @@ func (s *Scanner) mightLeak(r *httpmodel.Request) bool {
 				return true // ParseQuery drops only the failing pairs
 			}
 			s.dec = dec[:0]
-			if a.contains(dec) {
+			if cs.Contains(dec) {
 				return true
 			}
 		case strings.HasPrefix(r.BodyType, "application/json"):
-			if !e.jsonLeafSafe || indexByte(r.Body, '\\') >= 0 {
+			if !s.eng.jsonLeafSafe || indexByte(r.Body, '\\') >= 0 {
 				return true
 			}
 		}
@@ -291,15 +279,12 @@ func (s *Scanner) mightLeak(r *httpmodel.Request) bool {
 }
 
 // scanRecord is the full scan, reached only for records the prefilter
-// could not clear. It reproduces core.Detector.DetectRecord exactly;
-// allocations here (the dedup map, the leak slice) are per-leaky-record,
-// off the steady-state path.
+// could not clear. Allocations here (the dedup map, the leak slice) are
+// per-leaky-record, off the steady-state path.
 func (s *Scanner) scanRecord(siteDomain, receiver string, cloaked bool, rec *httpmodel.Record) []core.Leak {
 	s.surfBuf = httpmodel.SurfacesInto(&rec.Request, s.surfBuf[:0])
 	surfaces := s.surfBuf
-	if s.eng.concurrent {
-		return s.scanChannels(siteDomain, receiver, cloaked, rec, surfaces)
-	}
+	cs := s.eng.cands
 
 	type key struct {
 		method httpmodel.SurfaceKind
@@ -314,10 +299,9 @@ func (s *Scanner) scanRecord(siteDomain, receiver string, cloaked bool, rec *htt
 			if (sf.Name != "") != named {
 				continue
 			}
-			a := s.eng.channelFor(sf.Kind)
-			s.idxBuf = a.findInto(sf.Data, &s.scratch, s.idxBuf[:0])
+			s.idxBuf = cs.FindInto(sf.Data, &s.scratch, s.idxBuf[:0])
 			for _, idx := range s.idxBuf {
-				tok := a.tokenAt(idx)
+				tok := cs.TokenAt(idx)
 				k := key{sf.Kind, tok.Value}
 				if l, ok := found[k]; ok {
 					if l.Param == "" && sf.Name != "" {
@@ -353,105 +337,14 @@ func (s *Scanner) scanRecord(siteDomain, receiver string, cloaked bool, rec *htt
 	return out
 }
 
-// scanChannels is the concurrent-channel scan: one goroutine per leak
-// channel, each with private scratch and dedup state (the dedup key
-// includes the channel, so channels are independent). Reassembly follows
-// the surface-construction order — named uri, cookie, payload segments,
-// then whole referer, uri, payload segments — which is exactly the order
-// the serial named-then-whole scan emits, so output is byte-identical.
-func (s *Scanner) scanChannels(siteDomain, receiver string, cloaked bool, rec *httpmodel.Record, surfaces []httpmodel.Surface) []core.Leak {
-	var res [numChannels]channelLeaks
-	var wg sync.WaitGroup
-	for ci := 0; ci < numChannels; ci++ {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			res[ci] = scanOneChannel(s.eng, ci, siteDomain, receiver, cloaked, rec, surfaces, &s.chScratch[ci], &s.chIdx[ci])
-		}(ci)
-	}
-	wg.Wait()
-
-	n := 0
-	for ci := range res {
-		n += len(res[ci].named) + len(res[ci].whole)
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]core.Leak, 0, n)
-	for _, ci := range [...]int{chURI, chCookie, chBody} {
-		out = append(out, res[ci].named...)
-	}
-	for _, ci := range [...]int{chReferer, chURI, chBody} {
-		out = append(out, res[ci].whole...)
-	}
-	return out
-}
-
-type channelLeaks struct {
-	named []core.Leak
-	whole []core.Leak
-}
-
-var channelKinds = [numChannels]httpmodel.SurfaceKind{
-	chReferer: httpmodel.SurfaceReferer,
-	chURI:     httpmodel.SurfaceURI,
-	chCookie:  httpmodel.SurfaceCookie,
-	chBody:    httpmodel.SurfaceBody,
-}
-
-func scanOneChannel(e *Engine, ci int, siteDomain, receiver string, cloaked bool, rec *httpmodel.Record, surfaces []httpmodel.Surface, sc *pii.Scratch, idxBuf *[]int) channelLeaks {
-	kind := channelKinds[ci]
-	a := &e.channels[ci]
-	found := map[string]*core.Leak{}
-	var namedOrder, wholeOrder []string
-
-	scan := func(named bool, order []string) []string {
-		for i := range surfaces {
-			sf := &surfaces[i]
-			if sf.Kind != kind || (sf.Name != "") != named {
-				continue
-			}
-			*idxBuf = a.findInto(sf.Data, sc, (*idxBuf)[:0])
-			for _, idx := range *idxBuf {
-				tok := a.tokenAt(idx)
-				if l, ok := found[tok.Value]; ok {
-					if l.Param == "" && sf.Name != "" {
-						l.Param = sf.Name
-					}
-					continue
-				}
-				found[tok.Value] = &core.Leak{
-					Site:       siteDomain,
-					Receiver:   receiver,
-					Cloaked:    cloaked,
-					Method:     sf.Kind,
-					Param:      sf.Name,
-					Token:      tok,
-					RequestURL: rec.Request.URL,
-					Phase:      rec.Phase,
-					Seq:        rec.Seq,
-				}
-				order = append(order, tok.Value)
-			}
-		}
-		return order
-	}
-	namedOrder = scan(true, nil)
-	wholeOrder = scan(false, nil)
-
-	var out channelLeaks
-	for _, v := range namedOrder {
-		out.named = append(out.named, *found[v])
-	}
-	for _, v := range wholeOrder {
-		out.whole = append(out.whole, *found[v])
-	}
-	return out
-}
-
-// DecodeDetect is the A3 ablation's decode-and-scan strategy on the
-// two-phase engine, byte-identical to core.Detector.DecodeDetect.
+// DecodeDetect is the alternative detection strategy of ablation A3:
+// instead of pre-computing encoded candidate tokens, it iteratively
+// applies every invertible codec to each surface up to maxDepth times
+// and scans the decoded bytes. It catches encoding-wrapped leaks with a
+// much smaller candidate set, but misses encodings it cannot invert and
+// tokens embedded mid-surface. Output is sorted by (method, param,
+// token): the token value alone ties when the same token surfaces on
+// two channels, and the A3 output must not depend on surface order.
 func (s *Scanner) DecodeDetect(siteDomain string, rec *httpmodel.Record, maxDepth int) []core.Leak {
 	s.beginSite(siteDomain)
 	receiver, cloaked := s.receiverFor(&rec.Request)
@@ -502,6 +395,7 @@ func (s *Scanner) DecodeDetect(siteDomain string, rec *httpmodel.Record, maxDept
 	return out
 }
 
+// invertibleCodecs caches the decodable codec names for DecodeDetect.
 var invertibleCodecs = encode.Invertible()
 
 // splitURL cuts a raw URL the way url.Parse delimits it: fragment at the

@@ -1,4 +1,4 @@
-package piileak
+package detect_test
 
 import (
 	"bytes"
@@ -7,26 +7,37 @@ import (
 	"reflect"
 	"testing"
 
+	"piileak"
 	"piileak/internal/core"
+	"piileak/internal/detect"
 	"piileak/internal/obs"
 	"piileak/internal/resilience"
 	"piileak/internal/shard"
 )
 
+// leaksJSON renders a finished study's leak export.
+func leaksJSON(t *testing.T, s *piileak.Study) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.WriteLeaksJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestEngineMatchesLegacyDetectorAcrossModes anchors the two-phase
-// detection engine to the single-phase core.Detector at the study level:
-// for several seeds, the leaks a full run produces through the Engine
-// (batch, streamed-parallel, and sharded) are byte-identical to
-// re-detecting the batch run's dataset with a freshly built legacy
-// detector over the same candidate set and CNAME zone. This is the
-// refactor's ground truth — if the Engine's prefilter, memoization, or
-// channel automata ever drop or reorder a leak, this diff catches it
+// detection engine to the single-phase legacy oracle at the study
+// level: for several seeds, the leaks a full run produces through the
+// Engine (batch, streamed-parallel, and sharded) are byte-identical to
+// re-detecting the batch run's dataset with a freshly built oracle over
+// the same candidate set and CNAME zone. If the Engine's prefilter or
+// memoization ever drops or reorders a leak, this diff catches it
 // regardless of which runtime mode surfaced it.
 func TestEngineMatchesLegacyDetectorAcrossModes(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []uint64{11, 37, 53} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			batch, err := NewStudy(SmallConfig(seed))
+			batch, err := piileak.NewStudy(piileak.SmallConfig(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -34,9 +45,9 @@ func TestEngineMatchesLegacyDetectorAcrossModes(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// The legacy anchor: one Detector, the old single-phase scan,
-			// over the exact dataset the batch run crawled.
-			legacy := core.NewDetector(batch.Candidates, batch.Engine.CNAME())
+			// The legacy anchor: the old single-phase scan over the
+			// exact dataset the batch run crawled.
+			legacy := detect.LegacyFor(batch.Engine)
 			var want []core.Leak
 			for _, c := range batch.Dataset.Successes() {
 				want = append(want, legacy.DetectSite(c.Domain, c.Records)...)
@@ -51,11 +62,11 @@ func TestEngineMatchesLegacyDetectorAcrossModes(t *testing.T) {
 			ref := leaksJSON(t, batch)
 
 			// Streamed-parallel: per-worker scanners over the shared engine.
-			par, err := NewStudy(SmallConfig(seed))
+			par, err := piileak.NewStudy(piileak.SmallConfig(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := par.Run(ctx, WithStream(), WithWorkers(4, 4), WithObserver(obs.NewRun(nil))); err != nil {
+			if err := par.Run(ctx, piileak.WithStream(), piileak.WithWorkers(4, 4), piileak.WithObserver(obs.NewRun(nil))); err != nil {
 				t.Fatal(err)
 			}
 			if got := leaksJSON(t, par); !bytes.Equal(ref, got) {
@@ -65,7 +76,7 @@ func TestEngineMatchesLegacyDetectorAcrossModes(t *testing.T) {
 
 			// Sharded: each shard builds its own engine from the same
 			// config; the merged output must still match the anchor.
-			sh, err := NewStudy(SmallConfig(seed))
+			sh, err := piileak.NewStudy(piileak.SmallConfig(seed))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"piileak/internal/core"
+	"piileak/internal/detect"
 	"piileak/internal/httpmodel"
 	"piileak/internal/pii"
 )
@@ -158,11 +158,10 @@ func TestHARFeedsDetector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := pii.MustBuildCandidates(p, pii.CandidateConfig{
-		MaxDepth: 1, Transforms: []string{"sha256"},
+	eng := detect.MustNewEngine(p, nil, detect.Config{
+		Candidates: pii.CandidateConfig{MaxDepth: 1, Transforms: []string{"sha256"}},
 	})
-	det := core.NewDetector(cs, nil)
-	leaks := det.DetectSite("shop.example", recs)
+	leaks := eng.DetectSite("shop.example", recs)
 	if len(leaks) != 1 {
 		t.Fatalf("leaks = %+v", leaks)
 	}

@@ -3,6 +3,7 @@ package httpwire
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"strings"
@@ -137,7 +138,10 @@ func TestResponseZeroStatusDefaults(t *testing.T) {
 // the serializer and the stdlib oracle.
 func TestWholeCrawlSerializes(t *testing.T) {
 	eco := webgen.MustGenerate(webgen.SmallConfig(91))
-	ds := crawler.Crawl(eco, browser.Firefox88())
+	ds, err := crawler.Run(context.Background(), eco, browser.Firefox88(), crawler.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	n := 0
 	for _, c := range ds.Crawls {
 		for i := range c.Records {

@@ -3,6 +3,7 @@ package pcap
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"net/http"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"piileak/internal/crawler"
 	"piileak/internal/httpmodel"
 	"piileak/internal/httpwire"
+	"piileak/internal/site"
 	"piileak/internal/webgen"
 )
 
@@ -164,7 +166,10 @@ func TestParseRejectsGarbage(t *testing.T) {
 
 func TestExportCrawlDataset(t *testing.T) {
 	eco := webgen.MustGenerate(webgen.SmallConfig(97))
-	ds := crawler.CrawlSenders(eco, browser.Firefox88())
+	ds, err := crawler.Run(context.Background(), eco, browser.Firefox88(), crawler.Options{Source: site.Slice(eco.SenderSites)})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var buf bytes.Buffer
 	pw := NewWriter(&buf)

@@ -29,16 +29,14 @@ import (
 	"piileak/internal/detect"
 	"piileak/internal/httpmodel"
 	"piileak/internal/obs"
-	"piileak/internal/site"
 	"piileak/internal/tracking"
 	"piileak/internal/webgen"
 )
 
-// Detector is what the detection stage needs from a scanner. The
-// production implementation is *detect.Engine (each detect worker
-// derives a private Scanner from it); *core.Detector still satisfies it,
-// and tests substitute misbehaving detectors to exercise the crash-only
-// path.
+// Detector is what the detection stage needs from a scanner. The one
+// production implementation is *detect.Engine, from which each detect
+// worker derives a private Scanner; tests substitute misbehaving
+// detectors to exercise the crash-only path.
 type Detector interface {
 	DetectSite(siteDomain string, records []httpmodel.Record) []core.Leak
 }
@@ -46,7 +44,7 @@ type Detector interface {
 // Options configures a streamed study run. The embedded crawler.Options
 // is the single source of truth for the crawl stage — its Workers field
 // IS the crawl parallelism (<= 1 crawls serially with one browser), its
-// Obs field is the run's observer, and its site-subset / fault /
+// Obs field is the run's observer, and its site-source / fault /
 // checkpoint / watchdog knobs apply unchanged. There is no separate
 // CrawlWorkers override anymore; Validate rejects contradictions
 // instead of silently preferring one side.
@@ -212,13 +210,9 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, de
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	src := opts.Options.Source
+	src := opts.Source
 	if src == nil {
-		if opts.Sites != nil {
-			src = site.Slice(opts.Sites)
-		} else {
-			src = eco.Universe()
-		}
+		src = eco.Universe()
 	}
 	total := src.Len()
 	o := opts.Obs
@@ -251,11 +245,10 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, de
 
 	// Stage 1: crawl. Emissions block on the captures channel, which is
 	// the backpressure that bounds the pipeline's in-flight state. The
-	// resolved source replaces any Sites slice so the crawl and the
-	// accumulator agree on the population.
+	// crawl walks the resolved source, so it and the accumulator agree
+	// on the population.
 	copts := opts.Options
 	copts.Source = src
-	copts.Sites = nil
 	var crawlErr error
 	go func() {
 		defer close(captures)

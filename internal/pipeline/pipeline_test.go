@@ -9,22 +9,22 @@ import (
 	"piileak/internal/browser"
 	"piileak/internal/core"
 	"piileak/internal/crawler"
+	"piileak/internal/detect"
 	"piileak/internal/dnssim"
-	"piileak/internal/pii"
 	"piileak/internal/webgen"
 )
 
-func fixture(t testing.TB, seed uint64) (*webgen.Ecosystem, browser.Profile, *core.Detector) {
+func fixture(t testing.TB, seed uint64) (*webgen.Ecosystem, browser.Profile, *detect.Engine) {
 	t.Helper()
 	eco, err := webgen.Generate(webgen.SmallConfig(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := pii.BuildCandidates(eco.Persona, pii.CandidateConfig{MaxDepth: 2})
+	eng, err := detect.NewEngine(eco.Persona, dnssim.NewClassifier(eco.Zone), detect.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eco, browser.Firefox88(), core.NewDetector(cs, dnssim.NewClassifier(eco.Zone))
+	return eco, browser.Firefox88(), eng
 }
 
 // TestRunMatchesBatch: the streamed pipeline must reproduce the batch
@@ -33,7 +33,10 @@ func fixture(t testing.TB, seed uint64) (*webgen.Ecosystem, browser.Profile, *co
 func TestRunMatchesBatch(t *testing.T) {
 	eco, profile, det := fixture(t, 29)
 
-	batchDS := crawler.Crawl(eco, profile)
+	batchDS, err := crawler.Run(context.Background(), eco, profile, crawler.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var batchLeaks []core.Leak
 	for _, c := range batchDS.Successes() {
 		batchLeaks = append(batchLeaks, det.DetectSite(c.Domain, c.Records)...)

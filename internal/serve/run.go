@@ -13,6 +13,7 @@ import (
 	"piileak/internal/crawler"
 	"piileak/internal/obs"
 	"piileak/internal/resilience"
+	"piileak/internal/site"
 )
 
 // Result file names under a job's working directory. leaks.json carries
@@ -107,7 +108,7 @@ func (s *Server) runJob(ctx context.Context, job *Job, lg *EventLog) error {
 		if err != nil {
 			return err
 		}
-		opts = append(opts, piileak.WithSites(sites))
+		opts = append(opts, piileak.WithSource(site.Slice(sites)))
 	}
 
 	if err := study.Run(ctx, opts...); err != nil {

@@ -11,9 +11,9 @@ import (
 
 	"piileak/internal/browser"
 	"piileak/internal/core"
+	"piileak/internal/detect"
 	"piileak/internal/dnssim"
 	"piileak/internal/faultsim"
-	"piileak/internal/pii"
 	"piileak/internal/pipeline"
 	"piileak/internal/webgen"
 )
@@ -26,21 +26,17 @@ const fixtureSeed = 53
 var (
 	fixtureOnce sync.Once
 	fixtureEco  *webgen.Ecosystem
-	fixtureDet  *core.Detector
+	fixtureDet  *detect.Engine
 	fixtureRef  *pipeline.Result
 )
 
-func fixture(t testing.TB) (*webgen.Ecosystem, browser.Profile, *core.Detector, *pipeline.Result) {
+func fixture(t testing.TB) (*webgen.Ecosystem, browser.Profile, *detect.Engine, *pipeline.Result) {
 	t.Helper()
 	fixtureOnce.Do(func() {
 		cfg := webgen.SmallConfig(fixtureSeed)
 		cfg.Faults = &faultsim.Config{Rate: 0.3}
 		fixtureEco = webgen.MustGenerate(cfg)
-		cs, err := pii.BuildCandidates(fixtureEco.Persona, pii.CandidateConfig{MaxDepth: 2})
-		if err != nil {
-			panic(err)
-		}
-		fixtureDet = core.NewDetector(cs, dnssim.NewClassifier(fixtureEco.Zone))
+		fixtureDet = detect.MustNewEngine(fixtureEco.Persona, dnssim.NewClassifier(fixtureEco.Zone), detect.Config{})
 		ref, err := pipeline.Run(context.Background(), fixtureEco, browser.Firefox88(), fixtureDet, pipeline.Options{})
 		if err != nil {
 			panic(err)

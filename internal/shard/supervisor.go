@@ -36,8 +36,9 @@ type Options struct {
 	// knobs.
 	Workers, DetectWorkers, Buffer int
 	// Crawl carries the base crawl options handed to every worker —
-	// faults, transport policy, site timeout. Sites, checkpoint and
-	// shard fields are owned by the runtime and overwritten per worker.
+	// faults, transport policy, site timeout. The site source,
+	// checkpoint and shard fields are owned by the runtime and
+	// overwritten per worker.
 	Crawl crawler.Options
 	// QuarantineDir, when set, collects crash bundles shard-unique under
 	// one shared directory; QuarantineMax caps each worker's persisted

@@ -12,6 +12,7 @@ import (
 	"piileak/internal/crawler"
 	"piileak/internal/obs"
 	"piileak/internal/resilience"
+	"piileak/internal/site"
 )
 
 // superviseOpts is the baseline test configuration: fresh directory,
@@ -166,8 +167,8 @@ func TestSuperviseResumesMidRunKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := crawler.CrawlOpts(context.Background(), eco, profile, crawler.Options{
-		Sites:          sites[:len(sites)/2],
+	if _, err := crawler.Run(context.Background(), eco, profile, crawler.Options{
+		Source:         site.Slice(sites[:len(sites)/2]),
 		CheckpointPath: CheckpointPath(dir, 1, shards),
 		Shard:          1,
 		Shards:         shards,

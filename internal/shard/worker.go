@@ -24,9 +24,8 @@ type WorkerConfig struct {
 	// passed through to pipeline.Options.
 	Workers, DetectWorkers, Buffer int
 	// Options carries the remaining crawl knobs — faults, policy, site
-	// timeout, observer. Source, Sites, CheckpointPath, Resume,
-	// Shard/Shards and Quarantine are owned by the worker and
-	// overwritten.
+	// timeout, observer. Source, CheckpointPath, Resume, Shard/Shards
+	// and Quarantine are owned by the worker and overwritten.
 	Options crawler.Options
 	// QuarantineDir, when set, collects crash bundles under shard-unique
 	// paths so K workers can share the directory. QuarantineMax caps the
@@ -104,7 +103,6 @@ func RunWorker(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profi
 	opts.Workers = cfg.Workers
 	opts.Shard, opts.Shards = cfg.Shard, cfg.Shards
 	opts.Source = src
-	opts.Sites = nil
 	opts.CheckpointPath = cfg.Checkpoint
 	if opts.CheckpointPath == "" {
 		opts.CheckpointPath = CheckpointPath(cfg.Dir, cfg.Shard, cfg.Shards)

@@ -14,9 +14,8 @@ type Source interface {
 	At(i int) *Site
 }
 
-// Slice adapts a materialized site slice to a Source. It is the bridge
-// for the eager paths: Options.Sites and every deprecated []*Site
-// entry point wrap their slice in one of these.
+// Slice adapts a materialized site slice to a Source: a -only subset,
+// the §7.1 sender re-crawl, a test's hand-picked sites.
 type Slice []*Site
 
 // Len returns the slice length.

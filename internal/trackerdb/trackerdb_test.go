@@ -1,12 +1,14 @@
 package trackerdb
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"piileak/internal/browser"
 	"piileak/internal/core"
 	"piileak/internal/crawler"
+	"piileak/internal/detect"
 	"piileak/internal/dnssim"
 	"piileak/internal/httpmodel"
 	"piileak/internal/pii"
@@ -82,13 +84,15 @@ func TestDistinctIDsDistinctProfiles(t *testing.T) {
 // the persona's cross-site browsing history.
 func TestServerReconstructsStudyHistory(t *testing.T) {
 	eco := webgen.MustGenerate(webgen.SmallConfig(71))
-	ds := crawler.Crawl(eco, browser.Firefox88())
-	cs := pii.MustBuildCandidates(eco.Persona, pii.CandidateConfig{MaxDepth: 2})
-	det := core.NewDetector(cs, dnssim.NewClassifier(eco.Zone))
+	ds, err := crawler.Run(context.Background(), eco, browser.Firefox88(), crawler.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := detect.MustNewEngine(eco.Persona, dnssim.NewClassifier(eco.Zone), detect.Config{}).NewScanner()
 
 	var leaks []core.Leak
 	for _, c := range ds.Successes() {
-		leaks = append(leaks, det.DetectSite(c.Domain, c.Records)...)
+		leaks = append(leaks, sc.DetectSite(c.Domain, c.Records)...)
 	}
 
 	srv := NewServer("facebook.com")

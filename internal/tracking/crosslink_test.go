@@ -1,15 +1,17 @@
 package tracking
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"piileak/internal/browser"
 	"piileak/internal/core"
 	"piileak/internal/crawler"
+	"piileak/internal/detect"
 	"piileak/internal/dnssim"
 	"piileak/internal/httpmodel"
-	"piileak/internal/pii"
+	"piileak/internal/site"
 	"piileak/internal/webgen"
 )
 
@@ -77,28 +79,30 @@ func TestCrossContextRefererNotIdentifiable(t *testing.T) {
 // every tracking provider an identical ID in both.
 func TestCrossBrowserEndToEnd(t *testing.T) {
 	eco := webgen.MustGenerate(webgen.SmallConfig(61))
-	cs := pii.MustBuildCandidates(eco.Persona, pii.CandidateConfig{MaxDepth: 2})
-	det := core.NewDetector(cs, dnssim.NewClassifier(eco.Zone))
+	sc := detect.MustNewEngine(eco.Persona, dnssim.NewClassifier(eco.Zone), detect.Config{}).NewScanner()
 
-	detect := func(profile browser.Profile) []core.Leak {
-		ds := crawler.CrawlSenders(eco, profile)
+	detectUnder := func(profile browser.Profile) []core.Leak {
+		ds, err := crawler.Run(context.Background(), eco, profile, crawler.Options{Source: site.Slice(eco.SenderSites)})
+		if err != nil {
+			t.Fatal(err)
+		}
 		var leaks []core.Leak
 		for _, c := range ds.Crawls {
-			leaks = append(leaks, det.DetectSite(c.Domain, c.Records)...)
+			leaks = append(leaks, sc.DetectSite(c.Domain, c.Records)...)
 		}
 		return leaks
 	}
 
 	links := CrossContext([]ContextLeaks{
-		{Context: "firefox", Leaks: detect(browser.Firefox88())},
-		{Context: "chrome", Leaks: detect(browser.Chrome93())},
+		{Context: "firefox", Leaks: detectUnder(browser.Firefox88())},
+		{Context: "chrome", Leaks: detectUnder(browser.Chrome93())},
 	})
 	linkers := map[string]bool{}
 	for _, r := range LinkingReceivers(links) {
 		linkers[r] = true
 	}
 
-	cls := Classify(detect(browser.Firefox88()))
+	cls := Classify(detectUnder(browser.Firefox88()))
 	if len(cls.Trackers) == 0 {
 		t.Fatal("no trackers in the small ecosystem")
 	}

@@ -1,11 +1,13 @@
 package tracking
 
 import (
+	"context"
 	"testing"
 
 	"piileak/internal/browser"
 	"piileak/internal/core"
 	"piileak/internal/crawler"
+	"piileak/internal/detect"
 	"piileak/internal/dnssim"
 	"piileak/internal/httpmodel"
 	"piileak/internal/pii"
@@ -107,13 +109,15 @@ func TestDisplayCloaked(t *testing.T) {
 
 func TestEndToEndTrackerCensus(t *testing.T) {
 	eco := webgen.MustGenerate(webgen.SmallConfig(31))
-	ds := crawler.Crawl(eco, browser.Firefox88())
-	cs := pii.MustBuildCandidates(eco.Persona, pii.CandidateConfig{MaxDepth: 2})
-	det := core.NewDetector(cs, dnssim.NewClassifier(eco.Zone))
+	ds, err := crawler.Run(context.Background(), eco, browser.Firefox88(), crawler.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := detect.MustNewEngine(eco.Persona, dnssim.NewClassifier(eco.Zone), detect.Config{}).NewScanner()
 
 	var leaks []core.Leak
 	for _, c := range ds.Successes() {
-		leaks = append(leaks, det.DetectSite(c.Domain, c.Records)...)
+		leaks = append(leaks, sc.DetectSite(c.Domain, c.Records)...)
 	}
 	cls := Classify(leaks)
 

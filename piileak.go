@@ -16,7 +16,10 @@
 // detection, WithWorkers(4, 4) parallelizes both stages,
 // WithCheckpoint(path) makes the run resumable, and WithObserver(run)
 // attaches an obs.Run that collects deterministic metrics and stage
-// traces without changing a single output byte.
+// traces without changing a single output byte. RunSharded runs the
+// same study as K supervised shard workers and merges them back
+// byte-identically; RunShardWorker is one such worker, as piicrawl's
+// re-execed shard processes run it.
 //
 // Every experiment from the paper's evaluation is registered in
 // Experiments(); cmd/piirepro runs them all.
@@ -96,12 +99,8 @@ type Study struct {
 	Engine *detect.Engine
 	// Candidates is the persona's compiled token set (the Engine's).
 	Candidates *pii.CandidateSet
-	// Detector is the legacy single-phase §4.1 leak detector, kept as
-	// the reference implementation; it shares the Engine's candidate
-	// set, so holding both costs no extra compile.
-	Detector *core.Detector
 
-	// Dataset, Leaks and Analysis are populated by Run (or RunStream).
+	// Dataset, Leaks and Analysis are populated by Run or RunSharded.
 	Dataset  *crawler.Dataset
 	Leaks    []core.Leak
 	Analysis *core.Analysis
@@ -111,8 +110,9 @@ type Study struct {
 	// set and the §7.2 request index, all built in one pass. Tracking,
 	// PolicyAudit and EvaluateBlocklists are views over it.
 	Result *pipeline.Result
-	// Streamed marks a RunStream study whose captures were released
-	// after detection; experiments needing raw records refuse to run.
+	// Streamed marks a study whose captures were released after
+	// detection (WithStream, RunSharded); experiments needing raw
+	// records refuse to run.
 	Streamed bool
 }
 
@@ -135,13 +135,11 @@ func NewStudy(cfg Config) (*Study, error) {
 	if err != nil {
 		return nil, err
 	}
-	cs := eng.Candidates()
 	return &Study{
 		Config:     cfg,
 		Eco:        eco,
 		Engine:     eng,
-		Candidates: cs,
-		Detector:   core.NewDetector(cs, cname),
+		Candidates: eng.Candidates(),
 	}, nil
 }
 
@@ -157,8 +155,7 @@ type runConfig struct {
 	universe int
 }
 
-// defaultRunConfig seeds the option set from the study's Config,
-// matching what the deprecated RunContext wrapper always did: both
+// defaultRunConfig seeds the option set from the study's Config: both
 // stages at Config.Workers, batch (KeepRecords) mode.
 func (s *Study) defaultRunConfig() runConfig {
 	var rc runConfig
@@ -229,20 +226,11 @@ func WithQuarantine(q *crawler.Quarantine) RunOption {
 	return func(rc *runConfig) { rc.opts.Quarantine = q }
 }
 
-// WithSites restricts the run to a materialized site subset (re-running
-// quarantined domains, bisecting failures).
-//
-// Deprecated: use WithSource(site.Slice(sites)) — the source-based API
-// covers both materialized subsets and lazy populations. WithSites
-// survives as a thin wrapper for one release, pinned byte-identical.
-func WithSites(sites []*site.Site) RunOption {
-	return func(rc *runConfig) { rc.opts.Sites = sites }
-}
-
-// WithSource supplies the run's site population lazily: sites
-// materialize one at a time as the crawl reaches them, so peak site
-// memory is bounded by the captures in flight, not the population's
-// length.
+// WithSource supplies the run's site population: a materialized subset
+// as site.Slice(sites) (re-running quarantined domains, bisecting
+// failures) or a lazy population whose sites materialize one at a time
+// as the crawl reaches them, so peak site memory is bounded by the
+// captures in flight, not the population's length.
 func WithSource(src site.Source) RunOption {
 	return func(rc *runConfig) { rc.opts.Source = src }
 }
@@ -303,8 +291,24 @@ func (s *Study) Run(ctx context.Context, options ...RunOption) error {
 		}
 		rc.opts.Source = u
 	}
-	rc.opts.KeepRecords = !rc.stream
-	return s.runPipeline(ctx, rc.opts)
+	opts := rc.opts
+	opts.KeepRecords = !rc.stream
+	if err := opts.Validate(); err != nil {
+		return err
+	}
+	if o := opts.Obs; o != nil {
+		sites := s.Eco.Universe().Len()
+		if opts.Source != nil {
+			sites = opts.Source.Len()
+		}
+		o.SetInfo(s.runInfo(sites, opts.Workers, opts.DetectWorkers, opts.Faults, rc.stream))
+	}
+	res, err := pipeline.Run(ctx, s.Eco, s.Config.Browser, s.Engine, opts)
+	if err != nil {
+		return err
+	}
+	s.adopt(res, rc.stream)
+	return nil
 }
 
 // RunSharded executes the study as a supervised sharded run: the site
@@ -319,116 +323,70 @@ func (s *Study) Run(ctx context.Context, options ...RunOption) error {
 // Streamed — shard workers release captures after detection.
 func (s *Study) RunSharded(ctx context.Context, opts shard.Options) (*shard.Report, error) {
 	if o := opts.Obs; o != nil {
-		info := obs.RunInfo{
-			EcoSeed:       s.Eco.Config.Seed,
-			Browser:       s.Config.Browser.Name + " " + s.Config.Browser.Version,
-			Sites:         s.Eco.Universe().Len(),
-			CrawlWorkers:  opts.Workers,
-			DetectWorkers: opts.DetectWorkers,
-			Streamed:      true,
-			Shards:        opts.Shards,
-		}
-		if s.Eco.Faults != nil {
-			info.FaultSeed = s.Eco.Faults.Seed()
-		}
-		if opts.Crawl.Faults != nil {
-			info.FaultSeed = opts.Crawl.Faults.Seed()
-		}
+		info := s.runInfo(s.Eco.Universe().Len(), opts.Workers, opts.DetectWorkers, opts.Crawl.Faults, true)
+		info.Shards = opts.Shards
 		o.SetInfo(info)
 	}
-	res, report, err := shard.Supervise(ctx, s.Eco, s.Config.Browser, s.detector(), opts)
+	res, report, err := shard.Supervise(ctx, s.Eco, s.Config.Browser, s.Engine, opts)
 	if err != nil {
 		return nil, err
 	}
-	s.Result = res
-	s.Dataset = res.Dataset
-	s.Leaks = res.Leaks
-	s.Analysis = res.Analysis
-	s.Streamed = true
+	s.adopt(res, true)
 	return report, nil
 }
 
-// RunContext is Run without options.
-//
-// Deprecated: call Run(ctx) — RunContext survives as a thin wrapper for
-// one release.
-func (s *Study) RunContext(ctx context.Context) error {
-	return s.Run(ctx)
-}
-
-// RunStream executes the fused pipeline under a raw pipeline.Options.
-//
-// Deprecated: call Run(ctx, WithStream(), ...) — functional options
-// replace the raw struct. RunStream survives as a thin wrapper for one
-// release.
-func (s *Study) RunStream(opts pipeline.Options) error {
-	//lint:allow ctxflow deprecated no-ctx wrapper, kept for one release
-	return s.RunStreamContext(context.Background(), opts)
-}
-
-// RunStreamContext is RunStream under a cancellable context.
-//
-// Deprecated: call Run(ctx, WithStream(), ...) — functional options
-// replace the raw struct. RunStreamContext survives as a thin wrapper
-// for one release.
-func (s *Study) RunStreamContext(ctx context.Context, opts pipeline.Options) error {
-	if opts.Workers == 0 {
-		opts.Workers = s.Config.Workers
-	}
-	return s.runPipeline(ctx, opts)
-}
-
-// runPipeline is the single execution path every entry point funnels
-// into: validate, stamp the observer's run manifest, run the fused
-// pipeline, populate the study.
-func (s *Study) runPipeline(ctx context.Context, opts pipeline.Options) error {
-	if err := opts.Validate(); err != nil {
-		return err
-	}
-	if o := opts.Obs; o != nil {
-		info := obs.RunInfo{
-			EcoSeed:       s.Eco.Config.Seed,
-			Browser:       s.Config.Browser.Name + " " + s.Config.Browser.Version,
-			Sites:         s.Eco.Universe().Len(),
-			CrawlWorkers:  opts.Workers,
-			DetectWorkers: opts.DetectWorkers,
-			Streamed:      !opts.KeepRecords,
+// RunShardWorker runs one shard worker of a sharded study, as a
+// re-execed piicrawl -shard i/K process does: crawl + detect over the
+// shard's rank-interleaved slice of the universe, checkpointed so a
+// restart resumes, ending in the shard's digest-bearing result file,
+// whose path it returns. The supervisor's verified merge (RunSharded)
+// consumes that file; the study's own Leaks and Analysis stay unset.
+// When cfg.Options.Obs is set, its run manifest is scoped to the shard:
+// the shard's site count and its "i/K" label.
+func (s *Study) RunShardWorker(ctx context.Context, cfg shard.WorkerConfig) (string, error) {
+	if o := cfg.Options.Obs; o != nil {
+		plan, err := shard.NewPlan(s.Eco, cfg.Shards)
+		if err != nil {
+			return "", err
 		}
-		if opts.Sites != nil {
-			info.Sites = len(opts.Sites)
-		}
-		if opts.Source != nil {
-			info.Sites = opts.Source.Len()
-		}
-		if s.Eco.Faults != nil {
-			info.FaultSeed = s.Eco.Faults.Seed()
-		}
-		if opts.Faults != nil {
-			info.FaultSeed = opts.Faults.Seed()
-		}
+		info := s.runInfo(plan.Size(cfg.Shard), cfg.Workers, cfg.DetectWorkers, cfg.Options.Faults, true)
+		info.Shards = cfg.Shards
+		info.Shard = fmt.Sprintf("%d/%d", cfg.Shard, cfg.Shards)
 		o.SetInfo(info)
 	}
-	res, err := pipeline.Run(ctx, s.Eco, s.Config.Browser, s.detector(), opts)
-	if err != nil {
-		return err
+	return shard.RunWorker(ctx, s.Eco, s.Config.Browser, s.Engine, cfg)
+}
+
+// runInfo builds the run manifest's identity block — the one place Run,
+// RunSharded and RunShardWorker stamp it: the ecosystem and fault seeds
+// (faults overrides the ecosystem's injector when non-nil), the
+// browser, the site population and both stages' parallelism. Sharded
+// callers add the shard scope.
+func (s *Study) runInfo(sites, crawlWorkers, detectWorkers int, faults *faultsim.Injector, streamed bool) obs.RunInfo {
+	info := obs.RunInfo{
+		EcoSeed:       s.Eco.Config.Seed,
+		Browser:       s.Config.Browser.Name + " " + s.Config.Browser.Version,
+		Sites:         sites,
+		CrawlWorkers:  crawlWorkers,
+		DetectWorkers: detectWorkers,
+		Streamed:      streamed,
 	}
+	if faults == nil {
+		faults = s.Eco.Faults
+	}
+	if faults != nil {
+		info.FaultSeed = faults.Seed()
+	}
+	return info
+}
+
+// adopt populates the study from a finished run's result store.
+func (s *Study) adopt(res *pipeline.Result, streamed bool) {
 	s.Result = res
 	s.Dataset = res.Dataset
 	s.Leaks = res.Leaks
 	s.Analysis = res.Analysis
-	s.Streamed = !opts.KeepRecords
-	return nil
-}
-
-// detector returns the detector every run mode scans with: the
-// two-phase Engine when present (detect workers derive per-worker
-// Scanners from it), falling back to the legacy Detector for studies
-// assembled by hand.
-func (s *Study) detector() pipeline.Detector {
-	if s.Engine != nil {
-		return s.Engine
-	}
-	return s.Detector
+	s.Streamed = streamed
 }
 
 // TotalRecords reports the captured request count, served from the
@@ -453,7 +411,7 @@ func (s *Study) mustRun() error {
 
 // Tracking runs the §5.2 persistent-tracking classification, served
 // from the result store's incremental index. Studies populated outside
-// Run/RunStream (loaded datasets, hand-built fixtures) fall back to a
+// Run/RunSharded (loaded datasets, hand-built fixtures) fall back to a
 // batch classification of Leaks.
 func (s *Study) Tracking() (*tracking.Classification, error) {
 	if err := s.mustRun(); err != nil {

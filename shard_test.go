@@ -7,10 +7,12 @@ import (
 	"reflect"
 	"testing"
 
+	"piileak/internal/crawler"
 	"piileak/internal/faultsim"
 	"piileak/internal/obs"
 	"piileak/internal/resilience"
 	"piileak/internal/shard"
+	"piileak/internal/site"
 )
 
 // shardedConfig is the sharded suite's study configuration: a faulty
@@ -224,7 +226,7 @@ func BenchmarkShardMerge(b *testing.B) {
 	dir := b.TempDir()
 	ctx := context.Background()
 	for sh := 0; sh < shards; sh++ {
-		if _, err := shard.RunWorker(ctx, s.Eco, s.Config.Browser, s.Detector, shard.WorkerConfig{
+		if _, err := shard.RunWorker(ctx, s.Eco, s.Config.Browser, s.Engine, shard.WorkerConfig{
 			Shard: sh, Shards: shards, Dir: dir,
 		}); err != nil {
 			b.Fatal(err)
@@ -253,4 +255,65 @@ func BenchmarkShardMerge(b *testing.B) {
 			b.Fatalf("merge went wrong: %+v", rep)
 		}
 	}
+}
+
+// TestRunInfoPerRunPath pins the manifest run block each run path
+// stamps through the one RunInfo builder: Run (batch, and streamed over
+// a site subset with an injector override), RunSharded (the whole
+// universe, K shards) and RunShardWorker (one shard's population and
+// its i/K label). Fault seeds fall back from the run's injector to the
+// ecosystem's.
+func TestRunInfoPerRunPath(t *testing.T) {
+	ctx := context.Background()
+	cfg := SmallConfig(43)
+	cfg.Ecosystem.Faults = &faultsim.Config{Seed: 9, Rate: 0.05}
+	newStudy := func() *Study {
+		s, err := NewStudy(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	universe := newStudy().Eco.Universe().Len()
+	check := func(name string, o *obs.Run, want obs.RunInfo) {
+		t.Helper()
+		want.EcoSeed, want.Browser = 43, "Firefox 88"
+		if got := o.Manifest().Run; got != want {
+			t.Errorf("%s: run info = %+v, want %+v", name, got, want)
+		}
+	}
+
+	o := obs.NewRun(nil)
+	if err := newStudy().Run(ctx, WithObserver(o)); err != nil {
+		t.Fatal(err)
+	}
+	check("Run batch", o, obs.RunInfo{FaultSeed: 9, Sites: universe})
+
+	o = obs.NewRun(nil)
+	s := newStudy()
+	if err := s.Run(ctx, WithObserver(o), WithStream(), WithWorkers(3, 2),
+		WithSource(site.Slice(s.Eco.Sites[:5])), WithFaults(faultsim.New(faultsim.Config{Seed: 5, Rate: 0.05}))); err != nil {
+		t.Fatal(err)
+	}
+	check("Run streamed subset", o, obs.RunInfo{FaultSeed: 5, Sites: 5, CrawlWorkers: 3, DetectWorkers: 2, Streamed: true})
+
+	o = obs.NewRun(nil)
+	if _, err := newStudy().RunSharded(ctx, shard.Options{
+		Shards: 2, Dir: t.TempDir(), Workers: 2, DetectWorkers: 2,
+		Clock: resilience.NewVirtualClock(), Obs: o, Fresh: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check("RunSharded", o, obs.RunInfo{FaultSeed: 9, Sites: universe, CrawlWorkers: 2, DetectWorkers: 2, Streamed: true, Shards: 2})
+
+	o = obs.NewRun(nil)
+	if _, err := newStudy().RunShardWorker(ctx, shard.WorkerConfig{
+		Shard: 1, Shards: 2, Dir: t.TempDir(), Workers: 2, DetectWorkers: 2,
+		Options: crawler.Options{Obs: o},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check("RunShardWorker", o, obs.RunInfo{
+		FaultSeed: 9, Sites: universe / 2, CrawlWorkers: 2, DetectWorkers: 2, Streamed: true, Shards: 2, Shard: "1/2",
+	})
 }

@@ -10,6 +10,7 @@ import (
 	"piileak/internal/core"
 	"piileak/internal/crawler"
 	"piileak/internal/obs"
+	"piileak/internal/site"
 )
 
 func leaksJSON(t *testing.T, s *Study) []byte {
@@ -60,8 +61,8 @@ func TestStreamModesByteIdentical(t *testing.T) {
 	resumed := newStudy()
 	ckpt := filepath.Join(t.TempDir(), "ckpt.jsonl")
 	half := resumed.Eco.Sites[:len(resumed.Eco.Sites)/2]
-	if _, err := crawler.CrawlOpts(context.Background(), resumed.Eco, resumed.Config.Browser, crawler.Options{
-		Sites: half, CheckpointPath: ckpt,
+	if _, err := crawler.Run(context.Background(), resumed.Eco, resumed.Config.Browser, crawler.Options{
+		Source: site.Slice(half), CheckpointPath: ckpt,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -13,10 +13,9 @@ import (
 	"testing"
 
 	"piileak/internal/browser"
-	"piileak/internal/core"
 	"piileak/internal/crawler"
+	"piileak/internal/detect"
 	"piileak/internal/dnssim"
-	"piileak/internal/pii"
 	"piileak/internal/pipeline"
 	"piileak/internal/shard"
 )
@@ -53,11 +52,10 @@ func TestTortureShardChild(t *testing.T) {
 		t.Fatal(err)
 	}
 	eco := tortureEcosystem()
-	cands, err := pii.BuildCandidates(eco.Persona, pii.CandidateConfig{MaxDepth: 2})
+	det, err := detect.NewEngine(eco.Persona, dnssim.NewClassifier(eco.Zone), detect.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	det := core.NewDetector(cands, dnssim.NewClassifier(eco.Zone))
 	if _, err := shard.RunWorker(context.Background(), eco, browser.Firefox88(), det, shard.WorkerConfig{
 		Shard:  sh,
 		Shards: shardTortureK,
@@ -99,11 +97,10 @@ func runShardTortureChild(t *testing.T, dir string, sh, killAt int, killEvent st
 // in-process arm is TestShardedRunsByteIdentical.
 func TestTortureShardedCrashConsistency(t *testing.T) {
 	eco := tortureEcosystem()
-	cands, err := pii.BuildCandidates(eco.Persona, pii.CandidateConfig{MaxDepth: 2})
+	det, err := detect.NewEngine(eco.Persona, dnssim.NewClassifier(eco.Zone), detect.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	det := core.NewDetector(cands, dnssim.NewClassifier(eco.Zone))
 	ref, err := pipeline.Run(context.Background(), eco, browser.Firefox88(), det, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -16,9 +16,9 @@ import (
 	"piileak/internal/core"
 	"piileak/internal/countermeasure"
 	"piileak/internal/crawler"
+	"piileak/internal/detect"
 	"piileak/internal/dnssim"
 	"piileak/internal/faultsim"
-	"piileak/internal/pii"
 	"piileak/internal/tracking"
 	"piileak/internal/webgen"
 )
@@ -46,15 +46,15 @@ func tortureEcosystem() *webgen.Ecosystem {
 // computations over a dataset, the way the study does.
 func tortureTables(t *testing.T, ds *crawler.Dataset) ([]core.Leak, *core.Analysis, *tracking.Classification, *countermeasure.Table4) {
 	t.Helper()
-	cands, err := pii.BuildCandidates(ds.Persona, pii.CandidateConfig{MaxDepth: 2})
+	eng, err := detect.NewEngine(ds.Persona, dnssim.NewClassifier(ds.Zone()), detect.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	det := core.NewDetector(cands, dnssim.NewClassifier(ds.Zone()))
+	sc := eng.NewScanner()
 	var leaks []core.Leak
 	successes := ds.Successes()
 	for _, c := range successes {
-		leaks = append(leaks, det.DetectSite(c.Domain, c.Records)...)
+		leaks = append(leaks, sc.DetectSite(c.Domain, c.Records)...)
 	}
 	analysis := core.Analyze(leaks, len(successes))
 	cls := tracking.Classify(leaks)
@@ -86,8 +86,9 @@ func TestTortureChild(t *testing.T) {
 			}
 		}
 	}
-	ds, err := crawler.ResumeCrawl(context.Background(), tortureEcosystem(), browser.Firefox88(),
-		os.Getenv("PIILEAK_TORTURE_CKPT"), crawler.Options{})
+	ds, err := crawler.Run(context.Background(), tortureEcosystem(), browser.Firefox88(), crawler.Options{
+		CheckpointPath: os.Getenv("PIILEAK_TORTURE_CKPT"), Resume: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func runTortureChild(t *testing.T, ckpt, out string, killAt int, killEvent strin
 // indistinguishable from a run that was never interrupted.
 func TestTortureCrashConsistency(t *testing.T) {
 	eco := tortureEcosystem()
-	ref, err := crawler.CrawlOpts(context.Background(), eco, browser.Firefox88(), crawler.Options{})
+	ref, err := crawler.Run(context.Background(), eco, browser.Firefox88(), crawler.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,8 @@ import (
 	"context"
 	"reflect"
 	"testing"
+
+	"piileak/internal/site"
 )
 
 // TestLazyMatchesEagerByteIdentical is the tentpole pin at the study
@@ -27,7 +29,7 @@ func TestLazyMatchesEagerByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := eager.Run(ctx, WithStream(), WithWorkers(4, 4), WithSites(eager.Eco.Sites)); err != nil {
+			if err := eager.Run(ctx, WithStream(), WithWorkers(4, 4), WithSource(site.Slice(eager.Eco.Sites))); err != nil {
 				t.Fatal(err)
 			}
 			lazy, err := NewStudy(tc.cfg)
