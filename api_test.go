@@ -15,8 +15,9 @@ import (
 
 // TestRunOptionDefaults pins every RunOption's default against the
 // study configuration: the option set a bare Run(ctx) executes under
-// must be exactly the batch-compatible settings DefaultConfig
-// describes, and each option must move exactly its own knob.
+// must be exactly the settings DefaultConfig describes, and each option
+// must move exactly its own knob. WithStream is the one option that
+// moves none: it is nil, which Run skips.
 func TestRunOptionDefaults(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Workers = 3
@@ -36,8 +37,6 @@ func TestRunOptionDefaults(t *testing.T) {
 		def, after any
 		get        func(runConfig) any
 	}{
-		{"WithStream", WithStream(), false, true,
-			func(rc runConfig) any { return rc.stream }},
 		{"WithWorkers/crawl", WithWorkers(5, 6), cfg.Workers, 5,
 			func(rc runConfig) any { return rc.opts.Workers }},
 		{"WithWorkers/detect", WithWorkers(5, 6), cfg.Workers, 6,
@@ -75,11 +74,12 @@ func TestRunOptionDefaults(t *testing.T) {
 		}
 	}
 
+	if WithStream() != nil {
+		t.Error("WithStream is not the nil option")
+	}
+
 	// The remaining defaults a bare Run(ctx) executes under.
 	rc := s.defaultRunConfig()
-	if rc.stream {
-		t.Error("default run is streamed, want batch")
-	}
 	if rc.opts.OnResume != nil || rc.opts.Resume {
 		t.Error("default run resumes")
 	}
@@ -90,9 +90,10 @@ func TestRunOptionDefaults(t *testing.T) {
 
 // TestTelemetryIsSideChannel pins the observability layer's core
 // guarantee from two directions: attaching an observer never moves an
-// output byte (fault-free and under fault injection), and two
-// identically-seeded observed runs export byte-identical metrics and
-// trace files.
+// output byte (fault-free and under fault injection), and five
+// identically-seeded parallel observed runs export byte-identical
+// metrics and trace files — enough runs for a scheduler-dependent value
+// in the registry to show.
 func TestTelemetryIsSideChannel(t *testing.T) {
 	ctx := context.Background()
 	for _, faulty := range []bool{false, true} {
@@ -117,54 +118,58 @@ func TestTelemetryIsSideChannel(t *testing.T) {
 			if err := plain.Run(ctx); err != nil {
 				t.Fatal(err)
 			}
-			o1, o2 := obs.NewRun(nil), obs.NewRun(nil)
-			obs1 := newStudy()
-			if err := obs1.Run(ctx, WithObserver(o1), WithWorkers(3, 2)); err != nil {
-				t.Fatal(err)
-			}
-			obs2 := newStudy()
-			if err := obs2.Run(ctx, WithObserver(o2), WithWorkers(3, 2)); err != nil {
-				t.Fatal(err)
-			}
-
 			want := leaksJSON(t, plain)
-			for name, s := range map[string]*Study{"observed-1": obs1, "observed-2": obs2} {
+			var observers []*obs.Run
+			var obs1 *Study
+			for i := 0; i < 5; i++ {
+				o := obs.NewRun(nil)
+				s := newStudy()
+				if err := s.Run(ctx, WithObserver(o), WithWorkers(3, 2)); err != nil {
+					t.Fatal(err)
+				}
 				if got := leaksJSON(t, s); !bytes.Equal(want, got) {
-					t.Errorf("%s: observer moved the leak bytes (%d vs %d)", name, len(got), len(want))
+					t.Errorf("observed-%d: observer moved the leak bytes (%d vs %d)", i+1, len(got), len(want))
+				}
+				observers = append(observers, o)
+				if i == 0 {
+					obs1 = s
 				}
 			}
 
-			var m1, m2, t1, t2 bytes.Buffer
-			if err := o1.WriteMetrics(&m1); err != nil {
+			var m1, t1 bytes.Buffer
+			if err := observers[0].WriteMetrics(&m1); err != nil {
 				t.Fatal(err)
 			}
-			if err := o2.WriteMetrics(&m2); err != nil {
+			if err := observers[0].WriteTrace(&t1); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(m1.Bytes(), m2.Bytes()) {
-				t.Error("identically-seeded runs exported different metrics bytes")
-			}
-			if err := o1.WriteTrace(&t1); err != nil {
-				t.Fatal(err)
-			}
-			if err := o2.WriteTrace(&t2); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(t1.Bytes(), t2.Bytes()) {
-				t.Error("identically-seeded runs exported different trace bytes")
+			for i, o := range observers[1:] {
+				var m, tr bytes.Buffer
+				if err := o.WriteMetrics(&m); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(m1.Bytes(), m.Bytes()) {
+					t.Errorf("observed-%d exported different metrics bytes than observed-1", i+2)
+				}
+				if err := o.WriteTrace(&tr); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(t1.Bytes(), tr.Bytes()) {
+					t.Errorf("observed-%d exported different trace bytes than observed-1", i+2)
+				}
 			}
 
 			// The manifest's pipeline fold must agree with the study's own
 			// counters — telemetry mirrors the run, it does not invent one.
-			man := o1.Manifest()
+			man := observers[0].Manifest()
 			if man.Pipeline.Leaks != int64(len(obs1.Leaks)) {
 				t.Errorf("manifest leaks = %d, study detected %d", man.Pipeline.Leaks, len(obs1.Leaks))
 			}
 			if man.Pipeline.CrawledSites != int64(len(obs1.Eco.Sites)) {
 				t.Errorf("manifest crawled sites = %d, ecosystem has %d", man.Pipeline.CrawledSites, len(obs1.Eco.Sites))
 			}
-			if man.Run.EcoSeed != 23 || man.Run.Streamed {
-				t.Errorf("manifest run info = %+v, want seed 23, batch", man.Run)
+			if man.Run.EcoSeed != 23 {
+				t.Errorf("manifest run info = %+v, want seed 23", man.Run)
 			}
 			if faulty {
 				if man.Run.FaultSeed != 23 {

@@ -2,6 +2,7 @@ package piileak_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"os/exec"
@@ -9,8 +10,36 @@ import (
 	"strings"
 	"testing"
 
+	"piileak"
 	"piileak/internal/obs"
 )
+
+// buildBinary builds the main package at pkg (a path relative to the
+// repository root) into dir/name.
+func buildBinary(t *testing.T, dir, name, pkg string) string {
+	t.Helper()
+	bin := filepath.Join(dir, name)
+	out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput()
+	if err != nil {
+		t.Fatalf("building %s: %v\n%s", pkg, err, out)
+	}
+	return bin
+}
+
+// output runs cmd and returns its stdout, failing the test (with the
+// command's stderr) on a non-zero exit.
+func output(t *testing.T, cmd *exec.Cmd) string {
+	t.Helper()
+	out, err := cmd.Output()
+	if err != nil {
+		stderr := ""
+		if ee, ok := err.(*exec.ExitError); ok {
+			stderr = string(ee.Stderr)
+		}
+		t.Fatalf("%s %v: %v\n%s", filepath.Base(cmd.Path), cmd.Args[1:], err, stderr)
+	}
+	return string(out)
+}
 
 // buildTools builds the named commands into dir and returns a runner
 // that executes one of them and returns its stdout, failing the test
@@ -18,24 +47,11 @@ import (
 func buildTools(t *testing.T, dir string, tools ...string) func(tool string, args ...string) string {
 	t.Helper()
 	for _, tool := range tools {
-		bin := filepath.Join(dir, tool)
-		out, err := exec.Command("go", "build", "-o", bin, "./cmd/"+tool).CombinedOutput()
-		if err != nil {
-			t.Fatalf("building %s: %v\n%s", tool, err, out)
-		}
+		buildBinary(t, dir, tool, "./cmd/"+tool)
 	}
 	return func(tool string, args ...string) string {
 		t.Helper()
-		cmd := exec.Command(filepath.Join(dir, tool), args...)
-		out, err := cmd.Output()
-		if err != nil {
-			stderr := ""
-			if ee, ok := err.(*exec.ExitError); ok {
-				stderr = string(ee.Stderr)
-			}
-			t.Fatalf("%s %v: %v\n%s", tool, args, err, stderr)
-		}
-		return string(out)
+		return output(t, exec.Command(filepath.Join(dir, tool), args...))
 	}
 }
 
@@ -106,9 +122,21 @@ func TestCLIToolsPipeline(t *testing.T) {
 		t.Errorf("piiguard output unexpected:\n%s", guard)
 	}
 
-	block := run("piiblock", "-small")
-	if !strings.Contains(block, "EasyPrivacy") {
-		t.Errorf("piiblock output unexpected:\n%s", block)
+	// piiblock's defaults are the study's own lists over seed 2021, so
+	// its table is the study's Table 4.
+	ref, err := piileak.NewStudy(piileak.SmallConfig(2021))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	t4, err := ref.Table4()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if block := run("piiblock", "-small"); block != t4+"\n" {
+		t.Errorf("piiblock -small output differs from Study.Table4 for SmallConfig(2021):\n%s\n----\n%s", block, t4)
 	}
 
 	repro := run("piirepro", "-small", "-experiments", "E0,E8")
@@ -119,6 +147,31 @@ func TestCLIToolsPipeline(t *testing.T) {
 	jsonOut := run("piirepro", "-small", "-json")
 	if !strings.Contains(jsonOut, `"headline"`) {
 		t.Errorf("piirepro -json output unexpected")
+	}
+}
+
+// TestExamplesOutput builds each example, runs it in a fresh directory
+// and compares its stdout with testdata/examples/<name>.txt. Every
+// example is deterministic, so a change to the run path that moves what
+// a study exposes — a dataset that silently lost its records, say —
+// shows here.
+func TestExamplesOutput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := t.TempDir()
+	for _, name := range []string{"blocklist-tuning", "browser-compare", "pcap-export", "quickstart", "tracker-audit"} {
+		t.Run(name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", "examples", name+".txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cmd := exec.Command(buildBinary(t, dir, name, "./examples/"+name))
+			cmd.Dir = t.TempDir()
+			if got := output(t, cmd); got != string(want) {
+				t.Errorf("stdout differs from testdata/examples/%s.txt:\n%s\n----\n%s", name, got, want)
+			}
+		})
 	}
 }
 
@@ -148,7 +201,7 @@ func TestShardWorkerManifest(t *testing.T) {
 	}
 	want := obs.RunInfo{
 		EcoSeed: 7, FaultSeed: 9, Browser: "Firefox 88", Sites: 30,
-		CrawlWorkers: 2, DetectWorkers: 2, Streamed: true, Shards: 2, Shard: "0/2",
+		CrawlWorkers: 2, DetectWorkers: 2, Shards: 2, Shard: "0/2",
 	}
 	if m.Manifest.Run != want {
 		t.Errorf("worker manifest run = %+v, want %+v", m.Manifest.Run, want)

@@ -68,7 +68,7 @@ func main() {
 	for _, tr := range cls.Trackers {
 		trackers = append(trackers, tr.Receiver)
 	}
-	t4 := countermeasure.EvaluateBlocklists(study.Leaks, study.Dataset, lists, trackers)
+	t4 := countermeasure.EvaluateBlocklistsIndexed(study.Leaks, study.Result.Requests, lists, trackers)
 	fmt.Println(report.Table4(t4))
 }
 

@@ -28,7 +28,8 @@
 // writes the run's counter registry and manifest as JSON, the latter
 // the per-site stage spans as JSONL. Telemetry is a side channel — the
 // dataset and leak output are byte-identical with it on or off, and two
-// identically-seeded runs write identical telemetry. -pprof serves
+// identically-seeded runs write identical telemetry at any -workers and
+// -detect-workers setting. -pprof serves
 // net/http/pprof for live profiling (wall-clock, inherently
 // nondeterministic — diagnostics only).
 //
@@ -37,21 +38,22 @@
 // the process exits 0 with a valid, resumable checkpoint. A second
 // signal hard-exits immediately.
 //
-// -stream fuses crawl and detection into the streaming pipeline:
-// per-site captures are scanned as they complete and released
-// immediately, per-stage progress counters go to stderr, and the output
-// is the detected leak list (identical to piidetect's over a full
-// dataset) instead of the dataset — the captures are never all in
-// memory, so there is no dataset to write.
+// -stream runs the study instead of the bare crawl: per-site captures
+// are scanned as they complete and released immediately, per-stage
+// progress counters go to stderr, and the output is the detected leak
+// list (identical to piidetect's over a full dataset) instead of the
+// dataset — the captures are never all in memory, so there is no
+// dataset to write. With -funnel it also reports the capture high-water
+// mark, the most captures in flight at once; it depends on scheduling,
+// so it never enters -metrics. Sharded runs (-supervise) write the same
+// leak list.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
 
@@ -69,6 +71,7 @@ func main() {
 	common := cliflags.Register(flag.CommandLine)
 	out := flag.String("o", "", "output path (default stdout): the dataset, or with -stream the leak list")
 	funnel := flag.Bool("funnel", false, "print the §3.2 funnel summary to stderr")
+	stream := flag.Bool("stream", false, "run crawl+detect as one streaming pass and write the leak list instead of the dataset")
 	flag.Parse()
 
 	if err := common.Validate(); err != nil {
@@ -82,30 +85,8 @@ func main() {
 	defer cancel()
 	cliflags.InstallSignalHandler(prog, cancel)
 
-	if shardIdx, shardN, isWorker := common.ShardCoords(); isWorker || common.Supervise {
-		study, err := piileak.NewStudy(common.StudyConfig())
-		if err != nil {
-			fatal(err)
-		}
-		profile, err := common.ResolveProfile(study.Eco)
-		if err != nil {
-			fatal(err)
-		}
-		study.Config.Browser = profile
-		rt, err := common.Runtime(study.Eco)
-		if err != nil {
-			fatal(err)
-		}
-		if isWorker {
-			workerRun(ctx, study, common, rt, shardIdx, shardN)
-		} else {
-			superviseRun(ctx, study, common, rt, *out)
-		}
-		return
-	}
-
-	if common.Stream {
-		// Only the fused pipeline needs the detection machinery (the
+	if shardIdx, shardN, isWorker := common.ShardCoords(); isWorker || common.Supervise || *stream {
+		// Only the study paths need the detection machinery (the
 		// candidate set costs most of the startup); dataset mode below
 		// generates just the ecosystem.
 		study, err := piileak.NewStudy(common.StudyConfig())
@@ -121,7 +102,14 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		streamRun(ctx, study, common, rt, *out, *funnel)
+		switch {
+		case isWorker:
+			workerRun(ctx, study, common, rt, shardIdx, shardN)
+		case common.Supervise:
+			superviseRun(ctx, study, common, rt, *out)
+		default:
+			streamRun(ctx, study, common, rt, *out, *funnel)
+		}
 		return
 	}
 
@@ -166,7 +154,7 @@ func main() {
 }
 
 // printFunnel writes the §3.2 funnel summary. captureHighWater < 0
-// means the batch path (no high-water gauge).
+// means the bare crawl, which has no capture high-water mark.
 func printFunnel(ds *crawler.Dataset, totalRecords, captureHighWater int, faulty bool) {
 	counts := ds.FunnelCounts()
 	fmt.Fprintf(os.Stderr, "sites: %d  success: %d  unreachable: %d  no-auth: %d  signup-blocked: %d  captcha: %d  partial: %d  timeout: %d  crashed: %d\n",
@@ -237,9 +225,9 @@ func workerRun(ctx context.Context, study *piileak.Study, common *cliflags.Commo
 }
 
 // superviseRun runs the full sharded study under the self-healing
-// supervisor and writes the merged leak list (the -stream output
-// shape). A partial merge — some shard exhausted its restarts — still
-// writes the surviving leaks; the gaps are in the report.
+// supervisor and writes the merged leak list (the -stream output). A
+// partial merge — some shard exhausted its restarts — still writes the
+// surviving leaks; the gaps are in the report.
 func superviseRun(ctx context.Context, study *piileak.Study, common *cliflags.Common, rt *cliflags.Runtime, out string) {
 	sopts := shard.Options{
 		Shards:        common.Shards,
@@ -288,30 +276,11 @@ func superviseRun(ctx context.Context, study *piileak.Study, common *cliflags.Co
 	if err := common.WriteTelemetry(rt); err != nil {
 		fatal(err)
 	}
-
-	var w io.Writer = os.Stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-		}()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(study.Leaks); err != nil {
-		fatal(err)
-	}
+	writeLeaks(study, out)
 }
 
 // streamRun executes the fused crawl+detect pipeline through the
-// study's Run API and writes the detected leaks (indented JSON, same
-// shape as Study.WriteLeaksJSON).
+// study's Run API and writes the detected leaks.
 func streamRun(ctx context.Context, study *piileak.Study, common *cliflags.Common, rt *cliflags.Runtime, out string, funnel bool) {
 	opts := common.RunOptions(rt, prog, cliflags.ProgressPrinter(prog, os.Stderr))
 	if err := study.Run(ctx, opts...); err != nil {
@@ -328,23 +297,27 @@ func streamRun(ctx context.Context, study *piileak.Study, common *cliflags.Commo
 	if err := common.WriteTelemetry(rt); err != nil {
 		fatal(err)
 	}
+	writeLeaks(study, out)
+}
 
-	var w io.Writer = os.Stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
+// writeLeaks writes the study's leak list (Study.WriteLeaksJSON) to
+// path, or to stdout when path is empty.
+func writeLeaks(study *piileak.Study, path string) {
+	if path == "" {
+		if err := study.WriteLeaksJSON(os.Stdout); err != nil {
 			fatal(err)
 		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-		}()
-		w = f
+		return
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(study.Leaks); err != nil {
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(err)
+	}
+	if err := study.WriteLeaksJSON(f); err != nil {
+		f.Close() //lint:allow closecheck the write error is the one worth reporting
+		fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		fatal(err)
 	}
 }

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	piirepro [-seed N] [-small] [-experiments E1,E6,E10] [-stream] [-workers N]
+//	piirepro [-seed N] [-small] [-experiments E1,E6,E10] [-workers N]
 //	         [-browser NAME] [-faults RATE] [-fault-seed N] [-retries N]
 //	         [-site-timeout D] [-quarantine dir] [-only domains]
 //	         [-checkpoint file] [-resume]
@@ -19,10 +19,10 @@
 // byte-identical with telemetry on or off, and two identically-seeded
 // runs write identical telemetry files.
 //
-// -stream runs the fused crawl+detect pipeline: captures are released
-// after detection (peak memory stays bounded), every table is identical
-// to the batch run's, and the few ablations that rescan raw captures
-// (A1, A2, A3, A5) are skipped with a note.
+// The study runs as one streaming pass: captures are released after
+// detection, so peak memory stays bounded at any -universe size, and
+// crawl/detect progress goes to stderr. The ablations that rescan raw
+// captures (A1, A2, A3, A5) replay the crawl serially to get them.
 package main
 
 import (
@@ -72,11 +72,7 @@ func main() {
 
 	fmt.Fprintf(os.Stderr, "piirepro: crawling %d candidate sites with %s...\n",
 		study.Eco.Universe().Len(), profile.Name)
-	var progress func(piileak.Event)
-	if common.Stream {
-		progress = cliflags.ProgressPrinter(prog, os.Stderr)
-	}
-	err = study.Run(ctx, common.RunOptions(rt, prog, progress)...)
+	err = study.Run(ctx, common.RunOptions(rt, prog, cliflags.ProgressPrinter(prog, os.Stderr))...)
 	if errors.Is(err, context.Canceled) {
 		if common.Checkpoint != "" {
 			fmt.Fprintf(os.Stderr, "piirepro: interrupted: checkpoint %s is valid; continue with -resume -checkpoint %s\n",
@@ -113,10 +109,6 @@ func main() {
 	failed := false
 	for _, e := range piileak.Experiments() {
 		if len(wanted) > 0 && !wanted[e.ID] {
-			continue
-		}
-		if common.Stream && e.NeedsCaptures && !wanted[e.ID] {
-			fmt.Printf("==== %s — %s ====\n\nSKIPPED: rescans raw captures, which the streamed run released\n\n", e.ID, e.Title)
 			continue
 		}
 		fmt.Printf("==== %s — %s ====\n\n", e.ID, e.Title)

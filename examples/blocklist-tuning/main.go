@@ -35,7 +35,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		t4 := countermeasure.EvaluateBlocklists(study.Leaks, study.Dataset, lists, trackers)
+		t4 := countermeasure.EvaluateBlocklistsIndexed(study.Leaks, study.Result.Requests, lists, trackers)
 		for _, r := range t4.Rows {
 			if r.Metric == "senders" && r.Method == "total" {
 				fmt.Printf("%-22s senders covered: EasyList %d, EasyPrivacy %d, combined %d/%d\n",

@@ -26,10 +26,6 @@ type Experiment struct {
 	// Run renders the regenerated artifact with a paper-vs-measured
 	// comparison.
 	Run func(*Study) (string, error)
-	// NeedsCaptures marks experiments that rescan the raw captured
-	// records; a streamed study released them, so these refuse to run
-	// (and piirepro -stream skips them).
-	NeedsCaptures bool
 }
 
 // Experiments returns the full registry, in DESIGN.md order: the
@@ -37,20 +33,20 @@ type Experiment struct {
 // and the extension experiments (X1-X4).
 func Experiments() []Experiment {
 	return append([]Experiment{
-		{"E0", "§3.2 collection funnel", runE0, false},
-		{"E1", "§4.2 headline leakage statistics", runE1, false},
-		{"E2", "Table 1a — leakage by method", runE2, false},
-		{"E3", "Table 1b — leakage by encoding/hashing", runE3, false},
-		{"E4", "Table 1c — leakage by PII type", runE4, false},
-		{"E5", "Figure 2 — top third-party receivers", runE5, false},
-		{"E6", "Table 2 — persistent-tracking providers", runE6, false},
-		{"E7", "§4.2.3 — marketing e-mail follow-up", runE7, false},
-		{"E8", "Table 3 — privacy-policy disclosures", runE8, false},
-		{"E9", "§7.1 — browser countermeasures", runE9, false},
-		{"E10", "Table 4 — blocklist countermeasures", runE10, false},
-		{"A1", "Ablation — candidate-set depth", runA1, true},
-		{"A2", "Ablation — token-matching strategy", runA2, true},
-		{"A3", "Ablation — decode-based vs candidate-set detection", runA3, true},
+		{"E0", "§3.2 collection funnel", runE0},
+		{"E1", "§4.2 headline leakage statistics", runE1},
+		{"E2", "Table 1a — leakage by method", runE2},
+		{"E3", "Table 1b — leakage by encoding/hashing", runE3},
+		{"E4", "Table 1c — leakage by PII type", runE4},
+		{"E5", "Figure 2 — top third-party receivers", runE5},
+		{"E6", "Table 2 — persistent-tracking providers", runE6},
+		{"E7", "§4.2.3 — marketing e-mail follow-up", runE7},
+		{"E8", "Table 3 — privacy-policy disclosures", runE8},
+		{"E9", "§7.1 — browser countermeasures", runE9},
+		{"E10", "Table 4 — blocklist countermeasures", runE10},
+		{"A1", "Ablation — candidate-set depth", runA1},
+		{"A2", "Ablation — token-matching strategy", runA2},
+		{"A3", "Ablation — decode-based vs candidate-set detection", runA3},
 	}, extraExperiments...)
 }
 
@@ -310,16 +306,18 @@ func runE10(s *Study) (string, error) {
 }
 
 // runA1 measures candidate-set growth and detection recall per chain
-// depth.
+// depth over the run's replayed captures.
 func runA1(s *Study) (string, error) {
 	if err := s.mustRun(); err != nil {
 		return "", err
 	}
-	if err := s.requireCaptures("A1"); err != nil {
-		return "", err
-	}
 	baseline := len(s.Leaks)
-	var rows [][]string
+	type arm struct {
+		eng   *detect.Engine
+		build string
+		found int
+	}
+	var arms []*arm
 	for depth := 1; depth <= 3; depth++ {
 		cfg := pii.CandidateConfig{MaxDepth: depth}
 		if depth == 3 {
@@ -334,24 +332,33 @@ func runA1(s *Study) (string, error) {
 			return "", err
 		}
 		buildTime := time.Since(start) //lint:allow detrand A-series ablations report real build/scan wall time; not part of the pinned study bytes
-		cs := eng.Candidates()
-		found := 0
-		for _, c := range s.Dataset.Successes() {
-			found += len(eng.DetectSite(c.Domain, c.Records))
-		}
-		recall := 0.0
-		if baseline > 0 {
-			recall = 100 * float64(found) / float64(baseline)
-		}
 		build := buildTime.Round(time.Millisecond).String()
 		if eng.FromCache() {
 			// The depth-2 row reuses the study's own compile via the
 			// engine build cache; its wall time is a cache fetch.
 			build += " (cached)"
 		}
+		arms = append(arms, &arm{eng: eng, build: build})
+	}
+	err := s.replayCaptures("A1", func(c *crawler.SiteCrawl) error {
+		for _, a := range arms {
+			a.found += len(a.eng.DetectSite(c.Domain, c.Records))
+		}
+		return nil
+	})
+	if err != nil {
+		return "", err
+	}
+	var rows [][]string
+	for i, a := range arms {
+		recall := 0.0
+		if baseline > 0 {
+			recall = 100 * float64(a.found) / float64(baseline)
+		}
+		cs := a.eng.Candidates()
 		rows = append(rows, []string{
-			itoa(depth), itoa(cs.Size()), itoa(cs.States()),
-			build,
+			itoa(i + 1), itoa(cs.Size()), itoa(cs.States()),
+			a.build,
 			fmt.Sprintf("%.1f%%", recall),
 		})
 	}
@@ -362,23 +369,21 @@ func runA1(s *Study) (string, error) {
 // runA2 compares Aho-Corasick scanning against naive per-token substring
 // search on the study's own traffic.
 func runA2(s *Study) (string, error) {
-	if err := s.mustRun(); err != nil {
-		return "", err
-	}
-	if err := s.requireCaptures("A2"); err != nil {
-		return "", err
-	}
-	// Sample surfaces from the dataset.
+	// Sample surfaces from the replayed captures.
 	var blobs [][]byte
-	for _, c := range s.Dataset.Successes() {
+	err := s.replayCaptures("A2", func(c *crawler.SiteCrawl) error {
 		for i := range c.Records {
 			for _, surf := range httpmodel.Surfaces(&c.Records[i].Request) {
 				blobs = append(blobs, surf.Data)
 			}
 		}
 		if len(blobs) > 4000 {
-			break
+			return errReplayDone
 		}
+		return nil
+	})
+	if err != nil {
+		return "", err
 	}
 	tokens := s.Candidates.Tokens()
 
@@ -416,9 +421,6 @@ func runA3(s *Study) (string, error) {
 	if err := s.mustRun(); err != nil {
 		return "", err
 	}
-	if err := s.requireCaptures("A3"); err != nil {
-		return "", err
-	}
 	eng, err := detect.NewEngine(s.Eco.Persona, s.Engine.CNAME(), detect.Config{
 		Candidates: pii.CandidateConfig{
 			MaxDepth:   1,
@@ -432,10 +434,14 @@ func runA3(s *Study) (string, error) {
 	sc := eng.NewScanner()
 
 	decodeLeaks := 0
-	for _, c := range s.Dataset.Successes() {
+	err = s.replayCaptures("A3", func(c *crawler.SiteCrawl) error {
 		for i := range c.Records {
 			decodeLeaks += len(sc.DecodeDetect(c.Domain, &c.Records[i], 2))
 		}
+		return nil
+	})
+	if err != nil {
+		return "", err
 	}
 	baseline := len(s.Leaks)
 	pctOf := 0.0

@@ -28,25 +28,23 @@ import (
 
 func init() {
 	extraExperiments = []Experiment{
-		{"X1", "Extension — cross-browser identifier linkage (§5.1)", runX1, false},
-		{"X2", "Extension — crowdsourced collection (paper's future work)", runX2, false},
-		{"X3", "Extension — tracker-side profile reconstruction (Figure 3)", runX3, false},
-		{"X4", "Extension — automated vs manual collection (§3.2)", runX4, false},
-		{"A4", "Ablation — Brave shields without CNAME uncloaking", runA4, false},
-		{"A5", "Ablation — minimum candidate-token length vs false positives", runA5, true},
+		{"X1", "Extension — cross-browser identifier linkage (§5.1)", runX1},
+		{"X2", "Extension — crowdsourced collection (paper's future work)", runX2},
+		{"X3", "Extension — tracker-side profile reconstruction (Figure 3)", runX3},
+		{"X4", "Extension — automated vs manual collection (§3.2)", runX4},
+		{"A4", "Ablation — Brave shields without CNAME uncloaking", runA4},
+		{"A5", "Ablation — minimum candidate-token length vs false positives", runA5},
 	}
 }
 
 // runA5 quantifies why the candidate set drops short tokens: 4-hex-char
 // CRC16 digests of short fields collide with substrings of the hashed
 // identifiers that saturate tracking traffic, producing spurious leak
-// reports. The ablation re-runs detection with MinTokenLen 4 and counts
-// the matches the default (8) configuration rejects.
+// reports. The ablation re-runs detection with MinTokenLen 4 over the
+// replayed captures and counts the matches the default (8)
+// configuration rejects.
 func runA5(s *Study) (string, error) {
 	if err := s.mustRun(); err != nil {
-		return "", err
-	}
-	if err := s.requireCaptures("A5"); err != nil {
 		return "", err
 	}
 	eng, err := detect.NewEngine(s.Eco.Persona, s.Engine.CNAME(), detect.Config{
@@ -69,7 +67,7 @@ func runA5(s *Study) (string, error) {
 
 	total, spurious := 0, 0
 	shortTokens := map[string]int{}
-	for _, c := range s.Dataset.Successes() {
+	err = s.replayCaptures("A5", func(c *crawler.SiteCrawl) error {
 		for _, l := range det.DetectSite(c.Domain, c.Records) {
 			total++
 			if !baselineKeys[l.Site+"|"+l.Receiver+"|"+l.Token.Value] {
@@ -79,6 +77,10 @@ func runA5(s *Study) (string, error) {
 				}
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return "", err
 	}
 
 	var worst string

@@ -17,7 +17,7 @@ func TestLeaksJSONGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := small.Run(context.Background(), WithStream()); err != nil {
+	if err := small.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {

@@ -13,7 +13,7 @@ const localMetric = "local_metric_total"
 func constantKeys(o *obs.Run, outcome string) {
 	o.Count(obs.MetricCrawlSites, 1)                     // exported constant
 	o.CountKind(obs.MetricCrawlOutcome, outcome, 1)      // dynamic kind is the supported shape
-	o.GaugeSet(obs.MetricCaptureHighWater, 3)            //
+	o.GaugeSet(obs.MetricUniverseMaterialized, 3)        //
 	o.Observe(obs.HistSiteRecords, 12)                   //
 	o.Count(localMetric, 1)                              // local constant
 	o.Count("literal_total", 1)                          // literal

@@ -50,16 +50,14 @@ type Common struct {
 	// lazily generated ranked tail, derived per site from (seed, rank).
 	// 0 runs the study core alone.
 	Universe int
-	// Workers parallelizes the crawl (and, streamed, detection); 0 is
-	// serial.
+	// Workers parallelizes the crawl (and, unless DetectWorkers says
+	// otherwise, detection); 0 is serial.
 	Workers int
 	// DetectWorkers overrides the detection stage's parallelism; 0
 	// follows Workers. Detection scans through per-worker Scanners over
 	// one shared engine, so extra detect workers cost scratch buffers,
 	// not candidate-set compiles.
 	DetectWorkers int
-	// Stream fuses crawl+detect and releases captures after detection.
-	Stream bool
 
 	// Faults is the fraction of hosts made faulty (0 disables
 	// injection); FaultSeed overrides the injection seed (default: the
@@ -118,7 +116,6 @@ func Register(fs *flag.FlagSet) *Common {
 	fs.IntVar(&c.Universe, "universe", 0, "extend the study to N total sites with a lazily generated ranked tail (0 = study core only)")
 	fs.IntVar(&c.Workers, "workers", 0, "parallel crawl workers (0 = serial)")
 	fs.IntVar(&c.DetectWorkers, "detect-workers", 0, "parallel detection workers (0 = follow -workers)")
-	fs.BoolVar(&c.Stream, "stream", false, "fuse crawl+detect: stream captures through detection, release records after scanning")
 	fs.Float64Var(&c.Faults, "faults", 0, "fraction of hosts made faulty (0 disables fault injection)")
 	fs.Uint64Var(&c.FaultSeed, "fault-seed", 0, "fault-injection seed (default: the ecosystem seed)")
 	fs.IntVar(&c.Retries, "retries", 0, "max fetch attempts per request under faults (default 4)")
@@ -432,9 +429,6 @@ func (c *Common) Runtime(eco *webgen.Ecosystem) (*Runtime, error) {
 // ProgressPrinter); prog names the CLI for the resume banner.
 func (c *Common) RunOptions(rt *Runtime, prog string, progress func(pipeline.Event)) []piileak.RunOption {
 	var opts []piileak.RunOption
-	if c.Stream {
-		opts = append(opts, piileak.WithStream())
-	}
 	if c.DetectWorkers > 0 {
 		opts = append(opts, piileak.WithWorkers(c.Workers, c.DetectWorkers))
 	}

@@ -12,8 +12,8 @@ import (
 // detection can stream with collection instead of buffering every site's
 // traffic before analysis starts. Every index it maintains is a set (or
 // a map of sets), which makes the accumulated state independent of the
-// order leaks arrive in — the property that lets parallel streamed runs
-// reproduce the batch numbers exactly.
+// order leaks arrive in — the property that lets parallel runs
+// reproduce the serial numbers exactly.
 //
 // Analyze is now a thin wrapper: it feeds a fresh Accumulator and
 // finalizes it. A streaming caller instead calls Add per leak and

@@ -3,19 +3,19 @@ package crawler
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"piileak/internal/browser"
 	"piileak/internal/mailbox"
 	"piileak/internal/obs"
 	"piileak/internal/resilience"
-	"piileak/internal/site"
 	"piileak/internal/webgen"
 )
 
-// This file is the streaming crawl engine: one site-at-a-time emission
-// loop behind CrawlStream. Run collects its emissions into a Dataset;
-// the streaming study pipeline instead forwards each emission straight
-// into detection so captures never pile up.
+// This file is the streaming crawl engine: one worker loop behind
+// CrawlStream. Run collects its emissions into a Dataset; the streaming
+// study pipeline instead forwards each emission straight into detection
+// so captures never pile up.
 
 // SiteResult is one completed site crawl as emitted by CrawlStream: the
 // crawl record plus the mail and shield-block side effects that must
@@ -38,10 +38,9 @@ type SiteResult struct {
 // consumer bounds the number of captures in flight. An emit error stops
 // the crawl. With CheckpointPath set, every finished site is appended
 // to the checkpoint; under Resume, sites already in it are emitted
-// without re-crawling, in site order relative to each other, as the
-// crawl reaches them. Cancelling ctx stops the crawl with ctx's error;
-// the site in flight at that moment is discarded, never checkpointed or
-// emitted.
+// without re-crawling, by the workers, as the crawl reaches them.
+// Cancelling ctx stops the crawl with ctx's error; the site in flight at
+// that moment is discarded, never checkpointed or emitted.
 //
 // The site population comes from Options.Source (or the ecosystem's
 // universe): sites are materialized one at a time as the crawl reaches
@@ -59,33 +58,33 @@ func DatasetShell(eco *webgen.Ecosystem, profile browser.Profile) *Dataset {
 }
 
 // Merge appends one streamed site result to the dataset. Callers must
-// merge results in site order for the dataset to match a batch crawl
+// merge results in site order for the dataset to match a serial crawl
 // byte for byte.
 func (d *Dataset) Merge(r SiteResult) {
 	d.merge(crawlEntry{Crawl: r.Crawl, Mail: r.Mail, Blocked: r.Blocked})
 }
 
-// streamCrawl is the engine. opts.Workers <= 1 runs the single-browser
-// serial loop (emissions in site order); more workers run the bounded
-// pool (emissions in completion order, concurrent emit). Checkpointed
-// sites are emitted without crawling as the walk reaches them.
+// streamCrawl is the engine: a pool of opts.Workers workers (one when
+// Workers <= 1), each with its own browser, takes the source's sites in
+// index order from a shared cursor. A site already in the checkpoint is
+// emitted without crawling by the worker that takes it, so only workers
+// call emit. With one worker the emissions arrive in site order; with
+// more, in completion order and concurrently.
 //
-// The engine walks the source by index and materializes exactly one
-// site per step — the serial loop directly, the parallel path in the
-// feeding goroutine — so peak site memory is the sites held by the
-// workers plus the one being fed, never the source's length. The
-// materialization count lands in the universe-materialized gauge: for
-// a shard worker over a lazy universe it reads the shard's size.
+// A worker materializes exactly the site it takes, so peak site memory
+// is the sites held by the workers, never the source's length. The
+// materialization count lands in the universe-materialized gauge: for a
+// shard worker over a lazy universe it reads the shard's size.
 //
-// Cancellation is crash-only: a done ctx stops the loop before the next
-// site, and a site mid-crawl when cancellation lands is dropped on the
-// floor — the checkpoint then holds exactly a prefix of the
+// Cancellation is crash-only: a done ctx stops every worker before its
+// next site, and a site mid-crawl when cancellation lands is dropped on
+// the floor — the checkpoint then holds exactly a prefix of the
 // uninterrupted run, which is what makes resume byte-identical.
 func streamCrawl(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, opts Options, emit func(int, crawlEntry) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	src, workers := opts.source(eco), opts.Workers
+	src := opts.source(eco)
 	inj := injectorFor(eco, opts)
 	o := opts.Obs
 
@@ -105,72 +104,23 @@ func streamCrawl(ctx context.Context, eco *webgen.Ecosystem, profile browser.Pro
 		}
 	}
 
-	var materialized int64
-	defer func() { o.GaugeMax(obs.MetricUniverseMaterialized, materialized) }()
-
-	if workers <= 1 {
-		b := browser.New(profile, eco.Zone)
-		b.Ctx = ctx
-		b.Obs = o
-		for i := 0; i < src.Len(); i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			materialized++
-			s := src.At(i)
-			if e, ok := ckpt.lookup(s.Domain); ok {
-				noteResumedSite(o, &e)
-				if err := emit(i, e); err != nil {
-					return err
-				}
-				continue
-			}
-			sp := o.StartSpan(obs.StageCrawl, s.Domain, i)
-			rt := newFaultTransport(ctx, eco, inj, opts)
-			e := crawlEntryFor(b, eco, s, rt, opts.Quarantine)
-			if err := ctx.Err(); err != nil {
-				// Cancelled mid-site: the entry is abandoned so the
-				// checkpoint stays a clean prefix.
-				return err
-			}
-			if ckpt != nil {
-				if err := ckpt.Append(e); err != nil {
-					return err
-				}
-				o.Count(obs.MetricCheckpointAppends, 1)
-			}
-			noteCrawledSite(o, sp, rt, &e)
-			if err := emit(i, e); err != nil {
-				return err
-			}
-			b.Reset()
-		}
-		if ckpt != nil {
-			return ckpt.Close()
-		}
-		return nil
-	}
-
-	if workers > src.Len() {
-		workers = src.Len()
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	n := src.Len()
+	var cursor atomic.Int64 // the next site index to take
+	defer func() { o.GaugeMax(obs.MetricUniverseMaterialized, min(cursor.Load(), int64(n))) }()
 
 	var (
 		wg       sync.WaitGroup
 		errOnce  sync.Once
 		firstErr error
+		stopped  atomic.Bool
 	)
-	stop := make(chan struct{})
 	fail := func(err error) {
 		errOnce.Do(func() {
 			firstErr = err
-			close(stop)
+			stopped.Store(true)
 		})
 	}
-	next := make(chan feedItem)
+	workers := max(1, min(opts.Workers, n))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -178,10 +128,27 @@ func streamCrawl(ctx context.Context, eco *webgen.Ecosystem, profile browser.Pro
 			b := browser.New(profile, eco.Zone)
 			b.Ctx = ctx
 			b.Obs = o
-			for it := range next {
-				sp := o.StartSpan(obs.StageCrawl, it.site.Domain, it.index)
+			for !stopped.Load() {
+				if err := ctx.Err(); err != nil {
+					fail(err)
+					return
+				}
+				i := int(cursor.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				s := src.At(i)
+				if e, ok := ckpt.lookup(s.Domain); ok {
+					noteResumedSite(o, &e)
+					if err := emit(i, e); err != nil {
+						fail(err)
+						return
+					}
+					continue
+				}
+				sp := o.StartSpan(obs.StageCrawl, s.Domain, i)
 				rt := newFaultTransport(ctx, eco, inj, opts)
-				e := crawlEntryFor(b, eco, it.site, rt, opts.Quarantine)
+				e := crawlEntryFor(b, eco, s, rt, opts.Quarantine)
 				if err := ctx.Err(); err != nil {
 					// Drop the in-flight entry; the checkpoint keeps
 					// only sites finished before cancellation.
@@ -196,7 +163,7 @@ func streamCrawl(ctx context.Context, eco *webgen.Ecosystem, profile browser.Pro
 					o.Count(obs.MetricCheckpointAppends, 1)
 				}
 				noteCrawledSite(o, sp, rt, &e)
-				if err := emit(it.index, e); err != nil {
+				if err := emit(i, e); err != nil {
 					fail(err)
 					return
 				}
@@ -204,7 +171,6 @@ func streamCrawl(ctx context.Context, eco *webgen.Ecosystem, profile browser.Pro
 			}
 		}()
 	}
-	feedSites(ctx, src, ckpt, o, next, stop, fail, emit, &materialized)
 	wg.Wait()
 	if firstErr != nil {
 		return firstErr
@@ -213,52 +179,6 @@ func streamCrawl(ctx context.Context, eco *webgen.Ecosystem, profile browser.Pro
 		return ckpt.Close()
 	}
 	return nil
-}
-
-// feedItem is one site handed to the worker pool: the feeder is the
-// single point that materializes sites from the source, so workers
-// receive the already-derived pointer instead of re-deriving it.
-type feedItem struct {
-	index int
-	site  *site.Site
-}
-
-// feedSites walks the source in index order, materializing one site at
-// a time: checkpointed sites are emitted directly (in site order
-// relative to each other, concurrently with worker emissions), the rest
-// stream to the pool. The walk stops when a worker fails or the run is
-// cancelled, then closes the feed channel.
-func feedSites(ctx context.Context, src site.Source, ckpt *Checkpoint, o *obs.Run, next chan<- feedItem, stop <-chan struct{}, fail func(error), emit func(int, crawlEntry) error, materialized *int64) {
-feed:
-	for i := 0; i < src.Len(); i++ {
-		select {
-		case <-stop:
-			break feed
-		case <-ctx.Done():
-			fail(ctx.Err())
-			break feed
-		default:
-		}
-		*materialized++
-		s := src.At(i)
-		if e, ok := ckpt.lookup(s.Domain); ok {
-			noteResumedSite(o, &e)
-			if err := emit(i, e); err != nil {
-				fail(err)
-				break feed
-			}
-			continue
-		}
-		select {
-		case next <- feedItem{index: i, site: s}:
-		case <-stop:
-			break feed
-		case <-ctx.Done():
-			fail(ctx.Err())
-			break feed
-		}
-	}
-	close(next)
 }
 
 // noteCrawledSite closes a site's crawl span and folds its outcome into

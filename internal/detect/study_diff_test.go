@@ -9,6 +9,7 @@ import (
 
 	"piileak"
 	"piileak/internal/core"
+	"piileak/internal/crawler"
 	"piileak/internal/detect"
 	"piileak/internal/obs"
 	"piileak/internal/resilience"
@@ -28,49 +29,53 @@ func leaksJSON(t *testing.T, s *piileak.Study) []byte {
 // TestEngineMatchesLegacyDetectorAcrossModes anchors the two-phase
 // detection engine to the single-phase legacy oracle at the study
 // level: for several seeds, the leaks a full run produces through the
-// Engine (batch, streamed-parallel, and sharded) are byte-identical to
-// re-detecting the batch run's dataset with a freshly built oracle over
-// the same candidate set and CNAME zone. If the Engine's prefilter or
-// memoization ever drops or reorders a leak, this diff catches it
-// regardless of which runtime mode surfaced it.
+// Engine (serial, parallel, and sharded) are byte-identical to
+// detecting a crawler.Run dataset of the same ecosystem with a freshly
+// built oracle over the same candidate set and CNAME zone. If the
+// Engine's prefilter or memoization ever drops or reorders a leak, this
+// diff catches it regardless of which runtime mode surfaced it.
 func TestEngineMatchesLegacyDetectorAcrossModes(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []uint64{11, 37, 53} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			batch, err := piileak.NewStudy(piileak.SmallConfig(seed))
+			serial, err := piileak.NewStudy(piileak.SmallConfig(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := batch.Run(ctx); err != nil {
+			if err := serial.Run(ctx); err != nil {
 				t.Fatal(err)
 			}
 
-			// The legacy anchor: the old single-phase scan over the
-			// exact dataset the batch run crawled.
-			legacy := detect.LegacyFor(batch.Engine)
+			// The legacy anchor: the old single-phase scan over a full
+			// crawl of the same ecosystem.
+			ds, err := crawler.Run(ctx, serial.Eco, serial.Config.Browser, crawler.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			legacy := detect.LegacyFor(serial.Engine)
 			var want []core.Leak
-			for _, c := range batch.Dataset.Successes() {
+			for _, c := range ds.Successes() {
 				want = append(want, legacy.DetectSite(c.Domain, c.Records)...)
 			}
 			if len(want) == 0 {
 				t.Fatal("legacy detector found no leaks; differential is vacuous")
 			}
-			if len(batch.Leaks) != len(want) || !reflect.DeepEqual(want, batch.Leaks) {
-				t.Fatalf("batch engine output diverges from legacy detector: %d vs %d leaks",
-					len(batch.Leaks), len(want))
+			if len(serial.Leaks) != len(want) || !reflect.DeepEqual(want, serial.Leaks) {
+				t.Fatalf("serial engine output diverges from legacy detector: %d vs %d leaks",
+					len(serial.Leaks), len(want))
 			}
-			ref := leaksJSON(t, batch)
+			ref := leaksJSON(t, serial)
 
-			// Streamed-parallel: per-worker scanners over the shared engine.
+			// Parallel: per-worker scanners over the shared engine.
 			par, err := piileak.NewStudy(piileak.SmallConfig(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := par.Run(ctx, piileak.WithStream(), piileak.WithWorkers(4, 4), piileak.WithObserver(obs.NewRun(nil))); err != nil {
+			if err := par.Run(ctx, piileak.WithWorkers(4, 4), piileak.WithObserver(obs.NewRun(nil))); err != nil {
 				t.Fatal(err)
 			}
 			if got := leaksJSON(t, par); !bytes.Equal(ref, got) {
-				t.Errorf("streamed-parallel leak bytes diverge from legacy-anchored batch (%d vs %d bytes)",
+				t.Errorf("parallel leak bytes diverge from the legacy-anchored serial run (%d vs %d bytes)",
 					len(got), len(ref))
 			}
 
@@ -96,7 +101,7 @@ func TestEngineMatchesLegacyDetectorAcrossModes(t *testing.T) {
 				t.Fatalf("sharded run degraded: %+v", rep)
 			}
 			if got := leaksJSON(t, sh); !bytes.Equal(ref, got) {
-				t.Errorf("sharded leak bytes diverge from legacy-anchored batch (%d vs %d bytes)",
+				t.Errorf("sharded leak bytes diverge from the legacy-anchored serial run (%d vs %d bytes)",
 					len(got), len(ref))
 			}
 		})

@@ -16,9 +16,9 @@ type IndexedRequest struct {
 }
 
 // RequestIndex maps site domains to their reduced request lists. It is
-// the only per-record state a streamed study keeps once detection has
-// run: the blocklist evaluation walks initiator chains through it
-// exactly as it would through the full records.
+// the only per-record state a study keeps once detection has run: the
+// blocklist evaluation walks initiator chains through it exactly as it
+// would through the full records.
 type RequestIndex struct {
 	sites map[string][]IndexedRequest
 }

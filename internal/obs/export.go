@@ -63,7 +63,6 @@ type RunInfo struct {
 	Sites         int    `json:"sites,omitempty"`
 	CrawlWorkers  int    `json:"crawl_workers,omitempty"`
 	DetectWorkers int    `json:"detect_workers,omitempty"`
-	Streamed      bool   `json:"streamed,omitempty"`
 	// Shards is the shard count of a sharded study (zero when unsharded);
 	// Shard is the "i/K" label when this telemetry covers a single shard
 	// worker rather than a whole supervised study.
@@ -72,9 +71,8 @@ type RunInfo struct {
 }
 
 // Manifest folds the registry into the run summary the CLIs print and
-// the metrics file leads with: what ran, what failed, what the
-// resilience machinery did about it, and what the pipeline's memory
-// bound was.
+// the metrics file leads with: what ran, what failed, and what the
+// resilience machinery did about it.
 type Manifest struct {
 	// Schema versions the manifest layout.
 	Schema int     `json:"schema"`
@@ -134,10 +132,6 @@ type PipelineManifest struct {
 	DetectedSites    int64 `json:"detected_sites"`
 	Leaks            int64 `json:"leaks"`
 	ReleasedCaptures int64 `json:"released_captures"`
-	// CaptureHighWater is the peak number of record-bearing captures in
-	// flight (streamed runs; zero in batch mode). It is a bound, not a
-	// byte-reproducible quantity, in parallel runs — see DESIGN.md §10.
-	CaptureHighWater int64 `json:"capture_high_water"`
 }
 
 // labeled extracts a counter family's per-label values: every key of
@@ -190,7 +184,6 @@ func (r *Run) Manifest() Manifest {
 			DetectedSites:    r.counter(MetricDetectSites),
 			Leaks:            r.counter(MetricDetectLeaks),
 			ReleasedCaptures: r.counter(MetricReleased),
-			CaptureHighWater: r.gauges[MetricCaptureHighWater],
 		},
 		Sharding: r.sharding(),
 	}

@@ -3,9 +3,8 @@
 // stage-scoped trace spans, and a run manifest folding together what
 // the runtime layers used to scatter across ad-hoc counters and stdout
 // — resilience attempts/retries/breaker transitions, faultsim
-// injections by kind, watchdog timeouts, quarantine counts, checkpoint
-// appends/torn records, and the pipeline's capture-occupancy high-water
-// mark.
+// injections by kind, watchdog timeouts, quarantine counts, and
+// checkpoint appends/torn records.
 //
 // Telemetry is a side channel, never an input: nothing in the study
 // reads an instrument back, so leak output and table numbers are
@@ -14,10 +13,9 @@
 // map in sorted key order, spans are emitted sorted by (site index,
 // stage), and time flows through an injected Clock that defaults to a
 // virtual clock pinned at the Unix epoch, so two runs of the same seed
-// produce byte-identical metrics and trace files. The one documented
-// exception is the capture-occupancy watermark, which is a
-// scheduler-dependent bound (never exceeded, not exactly reproduced)
-// in parallel streamed runs.
+// produce byte-identical metrics and trace files at any worker count.
+// Scheduler-dependent values, such as the pipeline's capture-occupancy
+// high-water mark (pipeline.Stats), stay out of the registry.
 //
 // A nil *Run is the no-op observer: every method is nil-receiver safe
 // and allocation-free, so instrumented hot paths cost nothing when
@@ -101,9 +99,6 @@ const (
 	MetricDetectSites = "detect_sites_total"
 	MetricDetectLeaks = "detect_leaks_total"
 	MetricReleased    = "pipeline_released_captures_total"
-
-	// Pipeline memory bound (gauge; streamed runs only).
-	MetricCaptureHighWater = "pipeline_capture_highwater_sites"
 
 	// Lazy-universe memory bound (gauge): the largest number of sites
 	// one crawl materialized from its source — for a shard worker over
@@ -214,7 +209,7 @@ func (s *Span) End() {
 }
 
 // Watermark tracks a level and its high-water mark with lock-free
-// updates — the pipeline's in-flight capture gauge. The zero value is
+// updates — the pipeline's in-flight capture bound. The zero value is
 // ready to use.
 type Watermark struct {
 	cur, high atomic.Int64

@@ -17,7 +17,7 @@ func exercise(r *Run) {
 	r.CountKind(MetricFaultInjected, "conn_timeout", 4)
 	r.Count(MetricFetchAttempts, 9)
 	r.Count(MetricFetchRetries, 6)
-	r.GaugeSet(MetricCaptureHighWater, 4)
+	r.GaugeSet(MetricUniverseMaterialized, 4)
 	r.Observe(HistSiteRecords, 12)
 	r.Observe(HistSiteRecords, 40)
 	r.Observe(HistSiteRecords, 0)
@@ -87,7 +87,7 @@ func TestExportOrderIndependent(t *testing.T) {
 	b.Observe(HistSiteRecords, 0)
 	b.Observe(HistSiteRecords, 40)
 	b.Observe(HistSiteRecords, 12)
-	b.GaugeSet(MetricCaptureHighWater, 4)
+	b.GaugeSet(MetricUniverseMaterialized, 4)
 	b.Count(MetricFetchRetries, 6)
 	b.Count(MetricFetchAttempts, 9)
 	b.CountKind(MetricFaultInjected, "conn_timeout", 4)
@@ -126,8 +126,8 @@ func TestNilRunZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		r.Count(MetricCrawlSites, 1)
 		r.CountKind(MetricCrawlOutcome, "success", 1)
-		r.GaugeSet(MetricCaptureHighWater, 3)
-		r.GaugeMax(MetricCaptureHighWater, 5)
+		r.GaugeSet(MetricUniverseMaterialized, 3)
+		r.GaugeMax(MetricUniverseMaterialized, 5)
 		r.Observe(HistSiteRecords, 7)
 		sp := r.StartSpan(StageCrawl, "shop0.com", 0)
 		sp.SetN(1)
@@ -171,7 +171,7 @@ func TestManifestFoldsRegistry(t *testing.T) {
 	if m.Checkpoint.Appends != 3 {
 		t.Errorf("checkpoint = %+v", m.Checkpoint)
 	}
-	if m.Pipeline.CrawledSites != 3 || m.Pipeline.CaptureHighWater != 4 {
+	if m.Pipeline.CrawledSites != 3 {
 		t.Errorf("pipeline = %+v", m.Pipeline)
 	}
 }
@@ -200,10 +200,10 @@ func TestNilRunExports(t *testing.T) {
 // TestGaugeMax ratchets up, never down.
 func TestGaugeMax(t *testing.T) {
 	r := NewRun(nil)
-	r.GaugeMax(MetricCaptureHighWater, 3)
-	r.GaugeMax(MetricCaptureHighWater, 7)
-	r.GaugeMax(MetricCaptureHighWater, 5)
-	if got := r.Snapshot().Gauges[MetricCaptureHighWater]; got != 7 {
+	r.GaugeMax(MetricUniverseMaterialized, 3)
+	r.GaugeMax(MetricUniverseMaterialized, 7)
+	r.GaugeMax(MetricUniverseMaterialized, 5)
+	if got := r.Snapshot().Gauges[MetricUniverseMaterialized]; got != 7 {
 		t.Errorf("gauge = %d, want 7", got)
 	}
 }

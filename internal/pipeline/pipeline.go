@@ -3,19 +3,19 @@
 // bounded channel; detect workers scan each capture as it arrives and
 // release the records immediately afterwards (keeping only the reduced
 // request index the §7.2 blocklist evaluation needs); a single
-// accumulation goroutine folds the resulting leaks into the shared
-// Result store — the §4.2 analysis indexes, the §5 tracking index and
-// the §6 policy-audit sender set — in one pass. Peak memory is bounded
-// by the number of captures in flight (crawl workers + channel buffer +
-// detect workers) instead of the whole crawl.
+// accumulation goroutine folds each site's output into the shared Result
+// store — the §4.2 analysis indexes, the §5 tracking index and the §6
+// policy-audit sender set — through the Accumulator the sharded merge
+// also uses. Peak memory is bounded by the number of captures in flight
+// (crawl workers + channel buffer + detect workers) instead of the whole
+// crawl.
 //
-// Determinism: per-site leaks are collected in site-index slots and
+// Determinism: per-site outputs land in site-index slots and are
 // concatenated in site order at the end, detection runs only on
-// successful crawls (exactly the batch path's Successes loop), and
-// every accumulated aggregate is a set — so batch, streamed-serial,
-// streamed-parallel and checkpoint-resumed runs produce byte-identical
-// leak output and identical table numbers regardless of completion
-// order.
+// successful crawls, and every accumulated aggregate is a set — so
+// serial, parallel, checkpoint-resumed and sharded runs produce
+// byte-identical leak output and identical table numbers regardless of
+// completion order.
 package pipeline
 
 import (
@@ -41,11 +41,11 @@ type Detector interface {
 	DetectSite(siteDomain string, records []httpmodel.Record) []core.Leak
 }
 
-// Options configures a streamed study run. The embedded crawler.Options
-// is the single source of truth for the crawl stage — its Workers field
-// IS the crawl parallelism (<= 1 crawls serially with one browser), its
-// Obs field is the run's observer, and its site-source / fault /
-// checkpoint / watchdog knobs apply unchanged. There is no separate
+// Options configures a study run. The embedded crawler.Options is the
+// single source of truth for the crawl stage — its Workers field IS the
+// crawl parallelism (<= 1 crawls serially with one browser), its Obs
+// field is the run's observer, and its site-source / fault / checkpoint
+// / watchdog knobs apply unchanged. There is no separate
 // CrawlWorkers override anymore; Validate rejects contradictions
 // instead of silently preferring one side.
 type Options struct {
@@ -57,19 +57,15 @@ type Options struct {
 	// Buffer is the capture channel's capacity; <= 0 selects 2. Together
 	// with the worker counts it bounds the captures in flight.
 	Buffer int
-	// KeepRecords retains full captures in the assembled dataset (the
-	// batch-compatible mode Study.Run uses). When false, records are
-	// released after detection and the dataset is thin.
-	KeepRecords bool
 	// Progress, when set, receives per-stage completion events. It is
 	// never called concurrently.
 	Progress func(Event)
-	// Sink, when set, receives every site's final output — crawl
-	// record (thinned unless KeepRecords), side effects, leaks and the
-	// reduced request list — in site order, after accumulation
-	// finishes. It is the shard runtime's extraction point: a shard
-	// worker collects SiteOuts to serialize per-site results for the
-	// verified merge. Never called concurrently.
+	// Sink, when set, receives every site's output — the thin crawl
+	// record, side effects, leaks and the reduced request list — as the
+	// accumulate stage folds it, in completion order. It is the shard
+	// runtime's extraction point: a shard worker collects SiteOuts to
+	// serialize per-site results for the verified merge. Never called
+	// concurrently.
 	Sink func(SiteOut)
 }
 
@@ -107,13 +103,14 @@ type Event struct {
 	Leaks int
 }
 
-// SiteOut is one site's complete pipeline output as delivered to
-// Options.Sink: the (possibly thinned) crawl result with its mail and
-// shield-block side effects, the detected leaks, the reduced request
-// list (leaky sites only), and the pre-release record count.
+// SiteOut is one site after detection, as the accumulate stage folds it
+// and Options.Sink receives it: the thin crawl result (records released)
+// with its mail and shield-block side effects, the detected leaks, the
+// reduced request list (leaky sites only), and the pre-release record
+// count.
 type SiteOut struct {
-	// Result is the site's crawl output; Result.Index is its index in
-	// the run's site list.
+	// Result is the site's crawl output without its records;
+	// Result.Index is its index in the run's site list.
 	Result crawler.SiteResult
 	// Leaks are the site's detected leaks, in detection order.
 	Leaks []core.Leak
@@ -132,8 +129,9 @@ type Stats struct {
 	// Leaks is the total detected leak count.
 	Leaks int
 	// CaptureHighWater is the maximum number of record-bearing captures
-	// simultaneously in flight — the pipeline's memory bound. Zero when
-	// KeepRecords kept every capture alive.
+	// simultaneously in flight — the pipeline's memory bound. It depends
+	// on scheduling in parallel runs, so it stays out of the
+	// deterministic telemetry registry; only Run sets it.
 	CaptureHighWater int
 	// Released counts sites whose records were dropped after detection.
 	Released int
@@ -143,8 +141,8 @@ type Stats struct {
 // §4.2 analysis, §5 tracking classification, §6 audit senders and the
 // §7.2 request index all come out of the same single-pass accumulation.
 type Result struct {
-	// Leaks is the full leak list in site order — byte-identical to the
-	// batch detection loop's output.
+	// Leaks is the full leak list in site order — byte-identical to a
+	// crawl-then-detect loop's output.
 	Leaks []core.Leak
 	// Analysis is the finalized §4.2 aggregate view.
 	Analysis *core.Analysis
@@ -157,8 +155,8 @@ type Result struct {
 	// Requests is the reduced per-site request index (leaky sites only)
 	// for the §7.2 blocklist evaluation.
 	Requests *httpmodel.RequestIndex
-	// Dataset is the assembled crawl dataset: full captures under
-	// KeepRecords, thin (records released) otherwise.
+	// Dataset is the assembled crawl dataset, thin: crawl outcomes,
+	// mailbox and block counters survive, records do not.
 	Dataset *crawler.Dataset
 	// TotalRecords counts captured requests across all sites, counted
 	// before any release.
@@ -167,35 +165,25 @@ type Result struct {
 	Stats Stats
 }
 
-// siteOutput is one site after detection: the (possibly thinned) crawl
-// result, its leaks, the reduced request list when the site leaked, and
-// the pre-release record count.
-type siteOutput struct {
-	res     crawler.SiteResult
-	leaks   []core.Leak
-	reqs    []httpmodel.IndexedRequest
-	records int
-}
-
 // detectGuarded runs detection on one capture with panic isolation: a
 // detector that blows up on a poison site loses that site (recorded as
 // OutcomeCrashed and quarantined with its stack), not the study.
-func detectGuarded(det Detector, out *siteOutput, eco *webgen.Ecosystem, copts crawler.Options) {
+func detectGuarded(det Detector, out *SiteOut, eco *webgen.Ecosystem, copts crawler.Options) {
 	defer func() {
 		if r := recover(); r != nil {
-			out.leaks = nil
-			out.res.Crawl.Outcome = crawler.OutcomeCrashed
+			out.Leaks = nil
+			out.Result.Crawl.Outcome = crawler.OutcomeCrashed
 			var faultSeed uint64
 			if inj := copts.Faults; inj != nil {
 				faultSeed = inj.Seed()
 			} else if eco.Faults != nil {
 				faultSeed = eco.Faults.Seed()
 			}
-			copts.Quarantine.Add(crawler.BundleFor(crawler.StageDetect, &out.res.Crawl, eco.Config.Seed, faultSeed, r))
+			copts.Quarantine.Add(crawler.BundleFor(crawler.StageDetect, &out.Result.Crawl, eco.Config.Seed, faultSeed, r))
 			copts.Obs.CountKind(obs.MetricQuarantined, crawler.StageDetect, 1)
 		}
 	}()
-	out.leaks = det.DetectSite(out.res.Crawl.Domain, out.res.Crawl.Records)
+	out.Leaks = det.DetectSite(out.Result.Crawl.Domain, out.Result.Crawl.Records)
 }
 
 // Run executes the fused crawl+detect+accumulate pipeline and returns
@@ -241,7 +229,7 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, de
 
 	var g obs.Watermark
 	captures := make(chan crawler.SiteResult, buffer)
-	outputs := make(chan siteOutput, buffer)
+	outputs := make(chan SiteOut, buffer)
 
 	// Stage 1: crawl. Emissions block on the captures channel, which is
 	// the backpressure that bounds the pipeline's in-flight state. The
@@ -267,8 +255,7 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, de
 	}()
 
 	// Stage 2: detect. Each worker scans a capture's records and then
-	// releases them (unless KeepRecords), reducing leaky sites to the
-	// request index first.
+	// releases them, reducing leaky sites to the request index first.
 	var wg sync.WaitGroup
 	for w := 0; w < detectWorkers; w++ {
 		wg.Add(1)
@@ -284,18 +271,16 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, de
 			}
 			for r := range captures {
 				sp := o.StartSpan(obs.StageDetect, r.Crawl.Domain, r.Index)
-				out := siteOutput{res: r, records: len(r.Crawl.Records)}
+				out := SiteOut{Result: r, Records: len(r.Crawl.Records)}
 				if r.Crawl.Outcome == crawler.OutcomeSuccess {
 					detectGuarded(wdet, &out, eco, copts)
 				}
-				if len(out.leaks) > 0 {
-					out.reqs = httpmodel.ReduceRecords(r.Crawl.Records)
+				if len(out.Leaks) > 0 {
+					out.Requests = httpmodel.ReduceRecords(r.Crawl.Records)
 				}
-				if !opts.KeepRecords {
-					out.res.Crawl.Records = nil
-				}
+				out.Result.Crawl.Records = nil
 				g.Dec()
-				sp.SetN(len(out.leaks))
+				sp.SetN(len(out.Leaks))
 				sp.End()
 				outputs <- out
 			}
@@ -307,106 +292,31 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, de
 	}()
 
 	// Stage 3: accumulate — the single goroutine (this one) that owns
-	// the shared store. Per-site leaks land in site-index slots so the
-	// final concatenation is in site order no matter when each site
-	// finished.
-	acc := core.NewAccumulator()
-	trk := tracking.NewIndex()
-	reqIx := httpmodel.NewRequestIndex()
-	leaksBySite := make([][]core.Leak, total)
-	results := make([]crawler.SiteResult, total)
-	var reqsBySite [][]httpmodel.IndexedRequest
-	var recordsBySite []int
-	if opts.Sink != nil {
-		reqsBySite = make([][]httpmodel.IndexedRequest, total)
-		recordsBySite = make([]int, total)
-	}
-	stats := Stats{}
-	totalRecords := 0
+	// the shared store. The fold keeps per-site slots, so the final
+	// concatenation is in site order no matter when each site finished.
+	acc := NewAccumulator(total)
 	detected := 0
-	leakCount := 0
 	for out := range outputs {
-		ap := o.StartSpan(obs.StageAccumulate, out.res.Crawl.Domain, out.res.Index)
-		results[out.res.Index] = out.res
-		leaksBySite[out.res.Index] = out.leaks
-		for i := range out.leaks {
-			l := &out.leaks[i]
-			acc.Add(l)
-			trk.Add(l)
-		}
-		if out.reqs != nil {
-			reqIx.AddReduced(out.res.Crawl.Domain, out.reqs)
-		}
-		if opts.Sink != nil {
-			reqsBySite[out.res.Index] = out.reqs
-			recordsBySite[out.res.Index] = out.records
-		}
-		if out.res.Crawl.Outcome == crawler.OutcomeSuccess {
-			acc.AddSites(1)
-			stats.Successes++
-		}
-		if !opts.KeepRecords && out.records > 0 {
-			stats.Released++
+		ap := o.StartSpan(obs.StageAccumulate, out.Result.Crawl.Domain, out.Result.Index)
+		acc.Add(out)
+		if out.Records > 0 {
 			o.Count(obs.MetricReleased, 1)
 		}
-		totalRecords += out.records
-		leakCount += len(out.leaks)
 		detected++
 		o.Count(obs.MetricDetectSites, 1)
-		o.Count(obs.MetricDetectLeaks, int64(len(out.leaks)))
-		o.Observe(obs.HistSiteLeaks, int64(len(out.leaks)))
-		ap.SetN(len(out.leaks))
+		o.Count(obs.MetricDetectLeaks, int64(len(out.Leaks)))
+		o.Observe(obs.HistSiteLeaks, int64(len(out.Leaks)))
+		ap.SetN(len(out.Leaks))
 		ap.End()
-		emitEvent(Event{Stage: "detect", Done: detected, Total: total, Site: out.res.Crawl.Domain, Leaks: leakCount})
+		if opts.Sink != nil {
+			opts.Sink(out)
+		}
+		emitEvent(Event{Stage: "detect", Done: detected, Total: total, Site: out.Result.Crawl.Domain, Leaks: acc.Leaks()})
 	}
 	if crawlErr != nil {
 		return nil, crawlErr
 	}
-
-	var leaks []core.Leak
-	for _, ls := range leaksBySite {
-		leaks = append(leaks, ls...)
-	}
-	ds := crawler.DatasetShell(eco, profile)
-	for i := range results {
-		ds.Merge(results[i])
-	}
-	if opts.Sink != nil {
-		// Site order, like every other deterministic output — the sink
-		// sees the run exactly as the dataset records it, regardless of
-		// the order sites completed in.
-		for i := range results {
-			opts.Sink(SiteOut{
-				Result:   results[i],
-				Leaks:    leaksBySite[i],
-				Requests: reqsBySite[i],
-				Records:  recordsBySite[i],
-			})
-		}
-	}
-
-	stats.Sites = total
-	stats.Leaks = len(leaks)
-	stats.CaptureHighWater = int(g.High())
-	if opts.KeepRecords {
-		stats.CaptureHighWater = 0
-	} else {
-		// Streamed runs export the memory bound. It is the registry's one
-		// scheduler-dependent value (a bound, not an exact replay) in
-		// parallel runs, so batch mode omits it entirely. Ratcheted, not
-		// set: a sharded study's workers share one observer, and the
-		// study-wide bound is the worst shard's.
-		o.GaugeMax(obs.MetricCaptureHighWater, g.High())
-	}
-
-	return &Result{
-		Leaks:        leaks,
-		Analysis:     acc.Finalize(leaks),
-		Tracking:     trk,
-		Senders:      acc.SenderSet(),
-		Requests:     reqIx,
-		Dataset:      ds,
-		TotalRecords: totalRecords,
-		Stats:        stats,
-	}, nil
+	res := acc.Result(eco, profile)
+	res.Stats.CaptureHighWater = int(g.High())
+	return res, nil
 }

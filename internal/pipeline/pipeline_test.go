@@ -27,9 +27,10 @@ func fixture(t testing.TB, seed uint64) (*webgen.Ecosystem, browser.Profile, *de
 	return eco, browser.Firefox88(), eng
 }
 
-// TestRunMatchesBatch: the streamed pipeline must reproduce the batch
-// crawl-then-detect path exactly — same leaks in the same order, and
-// (under KeepRecords) a byte-identical dataset.
+// TestRunMatchesBatch: the pipeline must reproduce the batch
+// crawl-then-detect path exactly — same leaks in the same order, the
+// same record count, and a thin dataset byte-identical to the crawl's
+// dataset with its records stripped.
 func TestRunMatchesBatch(t *testing.T) {
 	eco, profile, det := fixture(t, 29)
 
@@ -41,13 +42,22 @@ func TestRunMatchesBatch(t *testing.T) {
 	for _, c := range batchDS.Successes() {
 		batchLeaks = append(batchLeaks, det.DetectSite(c.Domain, c.Records)...)
 	}
+	thin := *batchDS
+	thin.Crawls = append([]crawler.SiteCrawl(nil), batchDS.Crawls...)
+	for i := range thin.Crawls {
+		thin.Crawls[i].Records = nil
+	}
+	var want bytes.Buffer
+	if err := thin.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
 
 	for _, tc := range []struct {
 		name string
 		opts Options
 	}{
-		{"serial", Options{KeepRecords: true}},
-		{"parallel", Options{Options: crawler.Options{Workers: 4}, DetectWorkers: 3, KeepRecords: true}},
+		{"serial", Options{}},
+		{"parallel", Options{Options: crawler.Options{Workers: 4}, DetectWorkers: 3}},
 	} {
 		res, err := Run(context.Background(), eco, profile, det, tc.opts)
 		if err != nil {
@@ -56,15 +66,12 @@ func TestRunMatchesBatch(t *testing.T) {
 		if !reflect.DeepEqual(res.Leaks, batchLeaks) {
 			t.Errorf("%s: leaks diverge from batch (%d vs %d)", tc.name, len(res.Leaks), len(batchLeaks))
 		}
-		var got, want bytes.Buffer
+		var got bytes.Buffer
 		if err := res.Dataset.WriteJSON(&got); err != nil {
 			t.Fatal(err)
 		}
-		if err := batchDS.WriteJSON(&want); err != nil {
-			t.Fatal(err)
-		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("%s: KeepRecords dataset is not byte-identical to the batch crawl", tc.name)
+			t.Errorf("%s: thin dataset is not byte-identical to the batch crawl minus records", tc.name)
 		}
 		if res.TotalRecords != batchDS.TotalRecords() {
 			t.Errorf("%s: TotalRecords = %d, want %d", tc.name, res.TotalRecords, batchDS.TotalRecords())

@@ -77,7 +77,6 @@ func (s *Server) runJob(ctx context.Context, job *Job, lg *EventLog) error {
 	// metrics.json, independent of the server's own counters.
 	jobRun := obs.NewRun(nil)
 	opts := []piileak.RunOption{
-		piileak.WithStream(),
 		piileak.WithCheckpoint(filepath.Join(jobDir, FileCheckpoint)),
 		piileak.WithResume(func(rs crawler.ResumeSummary) {
 			lg.Publish("resume", Resume{Completed: rs.Completed, TornRecords: rs.TornRecords})

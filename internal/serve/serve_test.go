@@ -381,7 +381,7 @@ func runDirect(t *testing.T, spec Spec) (leaks []byte, tables map[string]string)
 		t.Fatal(err)
 	}
 	study.Config.Browser = profile
-	if err := study.Run(context.Background(), piileak.WithStream()); err != nil {
+	if err := study.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

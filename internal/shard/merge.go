@@ -4,14 +4,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"piileak/internal/browser"
-	"piileak/internal/core"
 	"piileak/internal/crawler"
-	"piileak/internal/httpmodel"
 	"piileak/internal/pipeline"
-	"piileak/internal/tracking"
 	"piileak/internal/webgen"
 )
 
@@ -68,12 +64,10 @@ func ReportPath(dir string) string { return filepath.Join(dir, "report.json") }
 
 // Merge folds verified shard results back into one study result. The
 // input order is irrelevant — results are keyed by their manifest's
-// shard index — and the fold is the same algebra the unsharded pipeline
-// runs: per-site records re-interleaved into global site order, leaks
-// concatenated in that order, and every aggregate (analysis, tracking
-// index, sender set, request index, dataset) rebuilt from the ordered
-// stream. With all shards present the merged leak slice and every
-// table are byte-identical to the unsharded run's.
+// shard index — and the fold is the unsharded pipeline's own
+// accumulator (pipeline.Accumulator): every site lands in its global
+// index slot, so the merged leak slice, dataset and every table are
+// byte-identical to the unsharded run's when all shards are present.
 //
 // Each result's manifest is cross-checked against the plan (seeds,
 // shard count, universe) before a single record is folded; ReadResult
@@ -105,12 +99,11 @@ func Merge(eco *webgen.Ecosystem, profile browser.Profile, plan *Plan, results [
 		byShard[m.Shard] = r
 	}
 
-	// Re-interleave: every record lands in its global site-index slot.
 	// ReadResult guaranteed each record's index is congruent to its
 	// shard, so two results can never fight over a slot; the domain
-	// check below catches a result whose indexes are self-consistent but
+	// check catches a result whose indexes are self-consistent but
 	// belong to a different ecosystem layout.
-	slots := make([]*SiteRecord, plan.Universe)
+	acc := pipeline.NewAccumulator(plan.Universe)
 	report := &Report{Schema: ReportSchema, Shards: plan.Shards}
 	universe := eco.Universe()
 	for s := 0; s < plan.Shards; s++ {
@@ -127,60 +120,20 @@ func Merge(eco *webgen.Ecosystem, profile browser.Profile, plan *Plan, results [
 			if want := universe.At(rec.Index).Domain; rec.Crawl.Domain != want {
 				return nil, nil, fmt.Errorf("shard %d: record %d is %s, ecosystem index %d is %s", s, i, rec.Crawl.Domain, rec.Index, want)
 			}
-			slots[rec.Index] = rec
+			acc.Add(pipeline.SiteOut{
+				Result:   crawler.SiteResult{Index: rec.Index, Crawl: rec.Crawl, Mail: rec.Mail, Blocked: rec.Blocked},
+				Leaks:    rec.Leaks,
+				Requests: rec.Reqs,
+				Records:  rec.Records,
+			})
 		}
 		report.Completed = append(report.Completed, s)
 	}
-	sort.Ints(report.Completed)
 	report.Partial = len(report.Missing) > 0
 
-	// The fold: the unsharded pipeline's accumulate stage replayed over
-	// the globally-ordered record stream.
-	acc := core.NewAccumulator()
-	trk := tracking.NewIndex()
-	reqIx := httpmodel.NewRequestIndex()
-	ds := crawler.DatasetShell(eco, profile)
-	var leaks []core.Leak
-	stats := pipeline.Stats{}
-	totalRecords := 0
-	for i, rec := range slots {
-		if rec == nil {
-			continue
-		}
-		ds.Merge(crawler.SiteResult{Index: i, Crawl: rec.Crawl, Mail: rec.Mail, Blocked: rec.Blocked})
-		for j := range rec.Leaks {
-			l := &rec.Leaks[j]
-			acc.Add(l)
-			trk.Add(l)
-		}
-		if rec.Reqs != nil {
-			reqIx.AddReduced(rec.Crawl.Domain, rec.Reqs)
-		}
-		if rec.Crawl.Outcome == crawler.OutcomeSuccess {
-			acc.AddSites(1)
-			stats.Successes++
-		}
-		if rec.Records > 0 {
-			stats.Released++
-		}
-		leaks = append(leaks, rec.Leaks...)
-		totalRecords += rec.Records
-		stats.Sites++
-	}
-	report.MergedSites = stats.Sites
-	report.Leaks = len(leaks)
-	stats.Leaks = len(leaks)
-
-	res := &pipeline.Result{
-		Leaks:        leaks,
-		Analysis:     acc.Finalize(leaks),
-		Tracking:     trk,
-		Senders:      acc.SenderSet(),
-		Requests:     reqIx,
-		Dataset:      ds,
-		TotalRecords: totalRecords,
-		Stats:        stats,
-	}
+	res := acc.Result(eco, profile)
+	report.MergedSites = res.Stats.Sites
+	report.Leaks = len(res.Leaks)
 	return res, report, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"sort"
 
 	"piileak/internal/browser"
 	"piileak/internal/crawler"
@@ -72,13 +73,10 @@ func (s interleaveSource) At(j int) *site.Site {
 // them, so the worker's peak site memory is proportional to its shard,
 // not the universe.
 //
-// Workers always run streamed (records released after detection): the
-// sharded study's contract covers leak bytes and table numbers, and
-// holding K shards' full captures would defeat the pipeline's memory
-// bound. Resume is unconditional — a missing checkpoint is a fresh
-// start, and a supervisor restart picks up exactly where the dead
-// attempt's checkpoint left off. The supervisor, not the worker, owns
-// clearing stale state for non-resume runs.
+// Resume is unconditional — a missing checkpoint is a fresh start, and
+// a supervisor restart picks up exactly where the dead attempt's
+// checkpoint left off. The supervisor, not the worker, owns clearing
+// stale state for non-resume runs.
 func RunWorker(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, det pipeline.Detector, cfg WorkerConfig) (string, error) {
 	if cfg.Shards < 1 || cfg.Shard < 0 || cfg.Shard >= cfg.Shards {
 		return "", fmt.Errorf("shard: worker coordinates %d/%d are invalid", cfg.Shard, cfg.Shards)
@@ -108,10 +106,10 @@ func RunWorker(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profi
 		opts.CheckpointPath = CheckpointPath(cfg.Dir, cfg.Shard, cfg.Shards)
 	}
 	opts.Resume = true
-	opts.KeepRecords = false
 
-	// Collect per-site outputs — the sink sees them in local site order,
+	// Collect per-site outputs — the sink sees them in completion order,
 	// and local position j maps back to global index Shard + j*Shards.
+	// The result file lists them in site order, sorted once the run ends.
 	recs := make([]SiteRecord, 0, src.Len())
 	opts.Sink = func(out pipeline.SiteOut) {
 		recs = append(recs, SiteRecord{
@@ -137,6 +135,7 @@ func RunWorker(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profi
 	if _, err := pipeline.Run(ctx, eco, profile, det, opts); err != nil {
 		return "", err
 	}
+	sort.Slice(recs, func(a, b int) bool { return recs[a].Index < recs[b].Index })
 
 	m := Manifest{
 		EcoSeed:  eco.Config.Seed,

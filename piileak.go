@@ -12,14 +12,15 @@
 //	if err := study.Run(context.Background()); err != nil { ... }
 //	fmt.Println(report of study.Analysis.Headline())
 //
-// Run takes functional options: WithStream() releases captures after
-// detection, WithWorkers(4, 4) parallelizes both stages,
-// WithCheckpoint(path) makes the run resumable, and WithObserver(run)
-// attaches an obs.Run that collects deterministic metrics and stage
-// traces without changing a single output byte. RunSharded runs the
-// same study as K supervised shard workers and merges them back
-// byte-identically; RunShardWorker is one such worker, as piicrawl's
-// re-execed shard processes run it.
+// Every run streams: each site's captures are scanned as the crawl
+// finishes it and released right after detection, so peak memory is
+// bounded by the captures in flight. Run takes functional options:
+// WithWorkers(4, 4) parallelizes both stages, WithCheckpoint(path) makes
+// the run resumable, and WithObserver(run) attaches an obs.Run that
+// collects deterministic metrics and stage traces without changing a
+// single output byte. RunSharded runs the same study as K supervised
+// shard workers and merges them back byte-identically; RunShardWorker
+// is one such worker, as piicrawl's re-execed shard processes run it.
 //
 // Every experiment from the paper's evaluation is registered in
 // Experiments(); cmd/piirepro runs them all.
@@ -28,6 +29,7 @@ package piileak
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -101,19 +103,22 @@ type Study struct {
 	Candidates *pii.CandidateSet
 
 	// Dataset, Leaks and Analysis are populated by Run or RunSharded.
+	// The dataset is thin: crawl outcomes, mailbox and block counters
+	// survive, the captured records were released after detection.
 	Dataset  *crawler.Dataset
 	Leaks    []core.Leak
 	Analysis *core.Analysis
 
-	// Result is the shared store both run modes populate: the §4.2
+	// Result is the shared store every run path populates: the §4.2
 	// analysis, the incremental §5 tracking index, the §6 audit sender
 	// set and the §7.2 request index, all built in one pass. Tracking,
 	// PolicyAudit and EvaluateBlocklists are views over it.
 	Result *pipeline.Result
-	// Streamed marks a study whose captures were released after
-	// detection (WithStream, RunSharded); experiments needing raw
-	// records refuse to run.
-	Streamed bool
+
+	// replay holds the crawl knobs the run recorded — source, faults,
+	// retry policy, site timeout — for the experiments that rescan raw
+	// captures by replaying the crawl (replayCaptures).
+	replay crawler.Options
 }
 
 // NewStudy generates the ecosystem and builds the detection machinery.
@@ -144,19 +149,18 @@ func NewStudy(cfg Config) (*Study, error) {
 }
 
 // RunOption configures one Study.Run call. Options apply in order over
-// the study's defaults (Config.Workers for both stages, batch mode with
-// full captures, no checkpoint, no observer).
+// the study's defaults (Config.Workers for both stages, no checkpoint,
+// no observer); Run skips nil options.
 type RunOption func(*runConfig)
 
 // runConfig is the resolved option set a Run call executes under.
 type runConfig struct {
 	opts     pipeline.Options
-	stream   bool
 	universe int
 }
 
 // defaultRunConfig seeds the option set from the study's Config: both
-// stages at Config.Workers, batch (KeepRecords) mode.
+// stages at Config.Workers.
 func (s *Study) defaultRunConfig() runConfig {
 	var rc runConfig
 	rc.opts.Workers = s.Config.Workers
@@ -164,15 +168,11 @@ func (s *Study) defaultRunConfig() runConfig {
 	return rc
 }
 
-// WithStream releases per-site captures right after detection: peak
-// memory stays bounded by the in-flight worker count, the assembled
-// Dataset is thin (crawl outcomes, mailbox and block counters survive,
-// Records do not), and the study is marked Streamed so experiments
-// needing raw captures refuse to run. Leaks, analysis and every table
-// are byte-identical to a batch run's.
-func WithStream() RunOption {
-	return func(rc *runConfig) { rc.stream = true }
-}
+// WithStream returns nil, an option Run skips: every run already
+// releases per-site captures right after detection. It remains only for
+// callers written when a run kept its captures, and goes once none is
+// left.
+func WithStream() RunOption { return nil }
 
 // WithWorkers sets the crawl and detect stages' parallelism. Values <= 1
 // run the stage serially; results are byte-identical at any setting.
@@ -266,14 +266,12 @@ func WithProgress(fn func(Event)) RunOption {
 }
 
 // Run executes the §3.2 crawl and the §4 detection over every candidate
-// site, populating Dataset, Leaks, Analysis and the shared Result
-// store. The default is batch-compatible: the fused pipeline runs with
-// full captures kept, so the dataset is byte-identical to a batch
-// crawl. Options select streaming, parallelism, checkpointing,
-// observation and the crash-only runtime's knobs; contradictory
-// combinations are rejected up front (pipeline.Options.Validate).
-// Cancelling ctx stops the crawl between sites and surfaces ctx's
-// error.
+// site as one streaming pass, populating Dataset (thin), Leaks,
+// Analysis and the shared Result store. Options select parallelism,
+// checkpointing, observation and the crash-only runtime's knobs;
+// contradictory combinations are rejected up front
+// (pipeline.Options.Validate). Cancelling ctx stops the crawl between
+// sites and surfaces ctx's error.
 func (s *Study) Run(ctx context.Context, options ...RunOption) error {
 	rc := s.defaultRunConfig()
 	for _, opt := range options {
@@ -292,7 +290,6 @@ func (s *Study) Run(ctx context.Context, options ...RunOption) error {
 		rc.opts.Source = u
 	}
 	opts := rc.opts
-	opts.KeepRecords = !rc.stream
 	if err := opts.Validate(); err != nil {
 		return err
 	}
@@ -301,13 +298,13 @@ func (s *Study) Run(ctx context.Context, options ...RunOption) error {
 		if opts.Source != nil {
 			sites = opts.Source.Len()
 		}
-		o.SetInfo(s.runInfo(sites, opts.Workers, opts.DetectWorkers, opts.Faults, rc.stream))
+		o.SetInfo(s.runInfo(sites, opts.Workers, opts.DetectWorkers, opts.Faults))
 	}
 	res, err := pipeline.Run(ctx, s.Eco, s.Config.Browser, s.Engine, opts)
 	if err != nil {
 		return err
 	}
-	s.adopt(res, rc.stream)
+	s.adopt(res, opts.Source, opts.Options)
 	return nil
 }
 
@@ -316,14 +313,13 @@ func (s *Study) Run(ctx context.Context, options ...RunOption) error {
 // domains, each crawled by an independently-checkpointed worker under
 // restart supervision, and the per-shard outputs are digest-verified
 // and merged back into the study. With every shard completing, Leaks,
-// Analysis and every table are byte-identical to an unsharded streamed
-// run; when a shard exhausts its retry budget the study holds the
-// partial merge and the returned report lists exactly what is missing
-// (Report.Partial, Report.Missing). The study is always marked
-// Streamed — shard workers release captures after detection.
+// Analysis and every table are byte-identical to an unsharded run; when
+// a shard exhausts its retry budget the study holds the partial merge
+// and the returned report lists exactly what is missing
+// (Report.Partial, Report.Missing).
 func (s *Study) RunSharded(ctx context.Context, opts shard.Options) (*shard.Report, error) {
 	if o := opts.Obs; o != nil {
-		info := s.runInfo(s.Eco.Universe().Len(), opts.Workers, opts.DetectWorkers, opts.Crawl.Faults, true)
+		info := s.runInfo(s.Eco.Universe().Len(), opts.Workers, opts.DetectWorkers, opts.Crawl.Faults)
 		info.Shards = opts.Shards
 		o.SetInfo(info)
 	}
@@ -331,7 +327,8 @@ func (s *Study) RunSharded(ctx context.Context, opts shard.Options) (*shard.Repo
 	if err != nil {
 		return nil, err
 	}
-	s.adopt(res, true)
+	// Shard workers walk the whole universe, whatever Crawl.Source says.
+	s.adopt(res, nil, opts.Crawl)
 	return report, nil
 }
 
@@ -349,7 +346,7 @@ func (s *Study) RunShardWorker(ctx context.Context, cfg shard.WorkerConfig) (str
 		if err != nil {
 			return "", err
 		}
-		info := s.runInfo(plan.Size(cfg.Shard), cfg.Workers, cfg.DetectWorkers, cfg.Options.Faults, true)
+		info := s.runInfo(plan.Size(cfg.Shard), cfg.Workers, cfg.DetectWorkers, cfg.Options.Faults)
 		info.Shards = cfg.Shards
 		info.Shard = fmt.Sprintf("%d/%d", cfg.Shard, cfg.Shards)
 		o.SetInfo(info)
@@ -362,14 +359,13 @@ func (s *Study) RunShardWorker(ctx context.Context, cfg shard.WorkerConfig) (str
 // (faults overrides the ecosystem's injector when non-nil), the
 // browser, the site population and both stages' parallelism. Sharded
 // callers add the shard scope.
-func (s *Study) runInfo(sites, crawlWorkers, detectWorkers int, faults *faultsim.Injector, streamed bool) obs.RunInfo {
+func (s *Study) runInfo(sites, crawlWorkers, detectWorkers int, faults *faultsim.Injector) obs.RunInfo {
 	info := obs.RunInfo{
 		EcoSeed:       s.Eco.Config.Seed,
 		Browser:       s.Config.Browser.Name + " " + s.Config.Browser.Version,
 		Sites:         sites,
 		CrawlWorkers:  crawlWorkers,
 		DetectWorkers: detectWorkers,
-		Streamed:      streamed,
 	}
 	if faults == nil {
 		faults = s.Eco.Faults
@@ -380,47 +376,41 @@ func (s *Study) runInfo(sites, crawlWorkers, detectWorkers int, faults *faultsim
 	return info
 }
 
-// adopt populates the study from a finished run's result store.
-func (s *Study) adopt(res *pipeline.Result, streamed bool) {
+// adopt populates the study from a finished run's result store and
+// records the crawl knobs replayCaptures re-runs: the site source (nil
+// is the universe), faults, retry policy and site timeout.
+func (s *Study) adopt(res *pipeline.Result, src site.Source, crawl crawler.Options) {
 	s.Result = res
 	s.Dataset = res.Dataset
 	s.Leaks = res.Leaks
 	s.Analysis = res.Analysis
-	s.Streamed = streamed
+	s.replay = crawler.Options{Source: src, Faults: crawl.Faults, Policy: crawl.Policy, SiteTimeout: crawl.SiteTimeout}
 }
 
-// TotalRecords reports the captured request count, served from the
-// result store so streamed runs report the true pre-release total.
+// TotalRecords reports the captured request count, counted before the
+// captures were released; zero before Run.
 func (s *Study) TotalRecords() int {
-	if s.Result != nil {
-		return s.Result.TotalRecords
+	if err := s.mustRun(); err != nil {
+		return 0
 	}
-	if s.Dataset != nil {
-		return s.Dataset.TotalRecords()
-	}
-	return 0
+	return s.Result.TotalRecords
 }
 
 // mustRun guards accessors that need Run's outputs.
 func (s *Study) mustRun() error {
-	if s.Analysis == nil {
+	if s.Result == nil {
 		return fmt.Errorf("piileak: Run the study first")
 	}
 	return nil
 }
 
 // Tracking runs the §5.2 persistent-tracking classification, served
-// from the result store's incremental index. Studies populated outside
-// Run/RunSharded (loaded datasets, hand-built fixtures) fall back to a
-// batch classification of Leaks.
+// from the result store's incremental index.
 func (s *Study) Tracking() (*tracking.Classification, error) {
 	if err := s.mustRun(); err != nil {
 		return nil, err
 	}
-	if s.Result != nil {
-		return s.Result.Tracking.Classification(), nil
-	}
-	return tracking.Classify(s.Leaks), nil
+	return s.Result.Tracking.Classification(), nil
 }
 
 // PolicyAudit runs the §6 disclosure audit over the detected senders,
@@ -429,26 +419,13 @@ func (s *Study) PolicyAudit() (policy.Table3, error) {
 	if err := s.mustRun(); err != nil {
 		return policy.Table3{}, err
 	}
-	senders := s.senderSet()
 	var out []*site.Site
 	for _, st := range s.Eco.Sites {
-		if senders[st.Domain] {
+		if s.Result.Senders[st.Domain] {
 			out = append(out, st)
 		}
 	}
 	return policy.Audit(out), nil
-}
-
-// senderSet returns the distinct leaking first parties.
-func (s *Study) senderSet() map[string]bool {
-	if s.Result != nil {
-		return s.Result.Senders
-	}
-	senders := map[string]bool{}
-	for _, l := range s.Leaks {
-		senders[l.Site] = true
-	}
-	return senders
 }
 
 // EvaluateBrowsers runs the §7.1 browser comparison. It is
@@ -478,21 +455,53 @@ func (s *Study) EvaluateBlocklists() (*countermeasure.Table4, error) {
 	for _, tr := range cls.Trackers {
 		trackers = append(trackers, tr.Receiver)
 	}
-	if s.Result != nil {
-		// The store's request index covers every leaky site — the only
-		// sites whose initiator chains the evaluation walks — so the
-		// indexed path reproduces the full-dataset result exactly, with
-		// or without retained captures.
-		return countermeasure.EvaluateBlocklistsIndexed(s.Leaks, s.Result.Requests, lists, trackers), nil
-	}
-	return countermeasure.EvaluateBlocklists(s.Leaks, s.Dataset, lists, trackers), nil
+	// The store's request index covers every leaky site — the only sites
+	// whose initiator chains the evaluation walks — so the indexed path
+	// reproduces the full-dataset result exactly.
+	return countermeasure.EvaluateBlocklistsIndexed(s.Leaks, s.Result.Requests, lists, trackers), nil
 }
 
-// requireCaptures guards experiments that rescan raw captured records:
-// a streamed study released them after detection.
-func (s *Study) requireCaptures(id string) error {
-	if s.Streamed {
-		return fmt.Errorf("%s: needs raw captures, but the study ran in streamed mode (records were released after detection); re-run without -stream", id)
+// errReplayDone stops a replay early without failing it.
+var errReplayDone = errors.New("replay done")
+
+// replayCaptures gives experiment id the raw captures the run released:
+// it re-crawls the run's sites serially with the knobs the run recorded
+// and hands each site that completed its auth flow to visit, one at a
+// time, retaining nothing. Only sites the study's dataset holds are
+// visited — a partial sharded merge holds fewer than its source. The
+// crawl is deterministic, so a replay that runs to completion must
+// reproduce the run's record count, or the replay is an error. visit
+// may return errReplayDone to stop early.
+func (s *Study) replayCaptures(id string, visit func(*crawler.SiteCrawl) error) error {
+	if err := s.mustRun(); err != nil {
+		return err
+	}
+	crawls := s.Dataset.Crawls
+	held, records := 0, 0
+	//lint:allow ctxflow experiments take no ctx; the replay is a checkpoint-free serial re-crawl
+	err := crawler.CrawlStream(context.Background(), s.Eco, s.Config.Browser, s.replay, func(r crawler.SiteResult) error {
+		// Serial emissions arrive in site order, as the dataset lists
+		// its crawls.
+		if held == len(crawls) || crawls[held].Domain != r.Crawl.Domain {
+			return nil
+		}
+		outcome := crawls[held].Outcome
+		held++
+		records += len(r.Crawl.Records)
+		if outcome != crawler.OutcomeSuccess {
+			return nil
+		}
+		return visit(&r.Crawl)
+	})
+	if errors.Is(err, errReplayDone) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("%s: replaying the crawl: %w", id, err)
+	}
+	if held != len(crawls) || records != s.Result.TotalRecords {
+		return fmt.Errorf("%s: the replayed crawl captured %d records over %d sites, the run %d over %d",
+			id, records, held, s.Result.TotalRecords, len(crawls))
 	}
 	return nil
 }

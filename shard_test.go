@@ -26,7 +26,7 @@ func shardedConfig(seed uint64) Config {
 
 // TestShardedRunsByteIdentical is the tentpole invariant at the study
 // level: for K in {1, 2, 4, 8}, a supervised sharded run's leak bytes
-// and Tables 1/2/4 are byte-identical to the unsharded streamed run —
+// and Tables 1/2/4 are byte-identical to the unsharded run —
 // and stay identical when shards are killed and restarted mid-study.
 func TestShardedRunsByteIdentical(t *testing.T) {
 	const seed = 41
@@ -36,7 +36,7 @@ func TestShardedRunsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.Run(ctx, WithStream(), WithWorkers(2, 2)); err != nil {
+	if err := ref.Run(ctx, WithWorkers(2, 2)); err != nil {
 		t.Fatal(err)
 	}
 	want := leaksJSON(t, ref)
@@ -53,9 +53,6 @@ func TestShardedRunsByteIdentical(t *testing.T) {
 		t.Helper()
 		if rep.Partial {
 			t.Fatalf("sharded run degraded: %+v", rep)
-		}
-		if !s.Streamed {
-			t.Error("sharded study not marked Streamed")
 		}
 		if got := leaksJSON(t, s); !bytes.Equal(want, got) {
 			t.Errorf("leak JSON diverges from unsharded run (%d vs %d bytes)", len(got), len(want))
@@ -150,8 +147,8 @@ func TestShardedRunsByteIdentical(t *testing.T) {
 		if m.Sharding == nil || m.Sharding.Restarts != 5 {
 			t.Errorf("observer sharding manifest = %+v, want 5 restarts", m.Sharding)
 		}
-		if m.Run.Shards != 4 || !m.Run.Streamed {
-			t.Errorf("run info = %+v, want 4 shards, streamed", m.Run)
+		if m.Run.Shards != 4 {
+			t.Errorf("run info = %+v, want 4 shards", m.Run)
 		}
 	})
 
@@ -169,7 +166,7 @@ func TestShardedRunsByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := bigRef.Run(ctx, WithStream(), WithWorkers(2, 2)); err != nil {
+		if err := bigRef.Run(ctx, WithWorkers(2, 2)); err != nil {
 			t.Fatal(err)
 		}
 		wantBig := leaksJSON(t, bigRef)
@@ -258,7 +255,7 @@ func BenchmarkShardMerge(b *testing.B) {
 }
 
 // TestRunInfoPerRunPath pins the manifest run block each run path
-// stamps through the one RunInfo builder: Run (batch, and streamed over
+// stamps through the one RunInfo builder: Run (serial, and parallel over
 // a site subset with an injector override), RunSharded (the whole
 // universe, K shards) and RunShardWorker (one shard's population and
 // its i/K label). Fault seeds fall back from the run's injector to the
@@ -287,15 +284,15 @@ func TestRunInfoPerRunPath(t *testing.T) {
 	if err := newStudy().Run(ctx, WithObserver(o)); err != nil {
 		t.Fatal(err)
 	}
-	check("Run batch", o, obs.RunInfo{FaultSeed: 9, Sites: universe})
+	check("Run serial", o, obs.RunInfo{FaultSeed: 9, Sites: universe})
 
 	o = obs.NewRun(nil)
 	s := newStudy()
-	if err := s.Run(ctx, WithObserver(o), WithStream(), WithWorkers(3, 2),
+	if err := s.Run(ctx, WithObserver(o), WithWorkers(3, 2),
 		WithSource(site.Slice(s.Eco.Sites[:5])), WithFaults(faultsim.New(faultsim.Config{Seed: 5, Rate: 0.05}))); err != nil {
 		t.Fatal(err)
 	}
-	check("Run streamed subset", o, obs.RunInfo{FaultSeed: 5, Sites: 5, CrawlWorkers: 3, DetectWorkers: 2, Streamed: true})
+	check("Run parallel subset", o, obs.RunInfo{FaultSeed: 5, Sites: 5, CrawlWorkers: 3, DetectWorkers: 2})
 
 	o = obs.NewRun(nil)
 	if _, err := newStudy().RunSharded(ctx, shard.Options{
@@ -304,7 +301,7 @@ func TestRunInfoPerRunPath(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	check("RunSharded", o, obs.RunInfo{FaultSeed: 9, Sites: universe, CrawlWorkers: 2, DetectWorkers: 2, Streamed: true, Shards: 2})
+	check("RunSharded", o, obs.RunInfo{FaultSeed: 9, Sites: universe, CrawlWorkers: 2, DetectWorkers: 2, Shards: 2})
 
 	o = obs.NewRun(nil)
 	if _, err := newStudy().RunShardWorker(ctx, shard.WorkerConfig{
@@ -314,6 +311,6 @@ func TestRunInfoPerRunPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("RunShardWorker", o, obs.RunInfo{
-		FaultSeed: 9, Sites: universe / 2, CrawlWorkers: 2, DetectWorkers: 2, Streamed: true, Shards: 2, Shard: "1/2",
+		FaultSeed: 9, Sites: universe / 2, CrawlWorkers: 2, DetectWorkers: 2, Shards: 2, Shard: "1/2",
 	})
 }

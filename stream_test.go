@@ -3,6 +3,8 @@ package piileak
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -10,6 +12,9 @@ import (
 	"piileak/internal/core"
 	"piileak/internal/crawler"
 	"piileak/internal/obs"
+	"piileak/internal/pipeline"
+	"piileak/internal/resilience"
+	"piileak/internal/shard"
 	"piileak/internal/site"
 )
 
@@ -22,12 +27,13 @@ func leaksJSON(t *testing.T, s *Study) []byte {
 	return buf.Bytes()
 }
 
-// TestStreamModesByteIdentical is the pipeline's hard invariant: batch,
-// streamed-serial, streamed-parallel and checkpoint-resumed runs must
-// produce byte-identical leak output and identical Table 1/2/4 numbers,
-// regardless of worker counts or completion order. The streamed arms
-// run with an active observer — telemetry is a side channel and must
-// not move a single output byte.
+// TestStreamModesByteIdentical is the pipeline's hard invariant:
+// serial, parallel and checkpoint-resumed runs must produce leak output
+// byte-identical to crawl-then-detect over the full dataset, and
+// identical Table 1/2/4 numbers — Table 4 evaluated over the full
+// dataset's records — regardless of worker counts or completion order.
+// Every run carries an active observer — telemetry is a side channel
+// and must not move a single output byte.
 func TestStreamModesByteIdentical(t *testing.T) {
 	const seed = 37
 	ctx := context.Background()
@@ -40,23 +46,32 @@ func TestStreamModesByteIdentical(t *testing.T) {
 		return s
 	}
 
-	batch := newStudy()
-	if err := batch.Run(ctx); err != nil {
+	// The reference: crawl the full dataset, then detect over it.
+	ref := newStudy()
+	ds, err := crawler.Run(ctx, ref.Eco, ref.Config.Browser, crawler.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLeaks, wantT1, wantT2, wantT4 := tortureTables(t, ref.Eco, ds)
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	enc.SetIndent("", " ")
+	if err := enc.Encode(wantLeaks); err != nil {
 		t.Fatal(err)
 	}
 
 	serial := newStudy()
-	if err := serial.Run(ctx, WithStream(), WithObserver(obs.NewRun(nil))); err != nil {
+	if err := serial.Run(ctx, WithObserver(obs.NewRun(nil))); err != nil {
 		t.Fatal(err)
 	}
 
 	parallel := newStudy()
-	if err := parallel.Run(ctx, WithStream(), WithWorkers(4, 4), WithBuffer(2), WithObserver(obs.NewRun(nil))); err != nil {
+	if err := parallel.Run(ctx, WithWorkers(4, 4), WithBuffer(2), WithObserver(obs.NewRun(nil))); err != nil {
 		t.Fatal(err)
 	}
 
-	// Resumed: pre-crawl half the sites into a checkpoint, then stream
-	// the study with Resume — the checkpointed half is emitted from the
+	// Resumed: pre-crawl half the sites into a checkpoint, then run the
+	// study with Resume — the checkpointed half is emitted from the
 	// file, the rest is crawled live.
 	resumed := newStudy()
 	ckpt := filepath.Join(t.TempDir(), "ckpt.jsonl")
@@ -66,36 +81,26 @@ func TestStreamModesByteIdentical(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := resumed.Run(ctx, WithStream(), WithWorkers(3, 2),
+	if err := resumed.Run(ctx, WithWorkers(3, 2),
 		WithCheckpoint(ckpt), WithResume(nil), WithObserver(obs.NewRun(nil))); err != nil {
 		t.Fatal(err)
 	}
 
-	want := leaksJSON(t, batch)
-	wantT2, err := batch.Tracking()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantT4, err := batch.EvaluateBlocklists()
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	for name, s := range map[string]*Study{
-		"streamed-serial":   serial,
-		"streamed-parallel": parallel,
-		"resumed":           resumed,
+		"serial":   serial,
+		"parallel": parallel,
+		"resumed":  resumed,
 	} {
-		if got := leaksJSON(t, s); !bytes.Equal(want, got) {
-			t.Errorf("%s: leak JSON diverges from batch (%d vs %d bytes)", name, len(got), len(want))
+		if got := leaksJSON(t, s); !bytes.Equal(want.Bytes(), got) {
+			t.Errorf("%s: leak JSON diverges from crawl-then-detect (%d vs %d bytes)", name, len(got), want.Len())
 		}
-		if got, want := s.Analysis.Headline(), batch.Analysis.Headline(); got != want {
+		if got, want := s.Analysis.Headline(), wantT1.Headline(); got != want {
 			t.Errorf("%s: headline diverges:\n%+v\n%+v", name, got, want)
 		}
-		if !reflect.DeepEqual(s.Analysis.ByMethod(), batch.Analysis.ByMethod()) {
+		if !reflect.DeepEqual(s.Analysis.ByMethod(), wantT1.ByMethod()) {
 			t.Errorf("%s: Table 1a diverges", name)
 		}
-		if !reflect.DeepEqual(s.Analysis.ByEncoding(), batch.Analysis.ByEncoding()) {
+		if !reflect.DeepEqual(s.Analysis.ByEncoding(), wantT1.ByEncoding()) {
 			t.Errorf("%s: Table 1b diverges", name)
 		}
 		cls, err := s.Tracking()
@@ -115,20 +120,23 @@ func TestStreamModesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestStreamedStudyThin pins the streamed study's released-captures
-// contract: the dataset survives without records, record counts come
-// from the store, and capture-rescanning experiments refuse to run
-// while capture-free ones still work.
+// TestStreamedStudyThin pins the released-captures contract: the
+// dataset survives without records, record counts come from the store,
+// and every experiment still runs — the ones that rescan raw captures
+// (A1, A2, A3, A5) replay the crawl, so A3 and A5 print the same text
+// for a serial, a 4-worker and a 2-shard study of the same seed.
 func TestStreamedStudyThin(t *testing.T) {
-	s, err := NewStudy(SmallConfig(51))
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	newStudy := func() *Study {
+		s, err := NewStudy(SmallConfig(51))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
-	if err := s.Run(context.Background(), WithStream(), WithWorkers(2, 2)); err != nil {
+	s := newStudy()
+	if err := s.Run(ctx, WithWorkers(2, 2)); err != nil {
 		t.Fatal(err)
-	}
-	if !s.Streamed {
-		t.Fatal("study not marked Streamed")
 	}
 	for i := range s.Dataset.Crawls {
 		if len(s.Dataset.Crawls[i].Records) != 0 {
@@ -142,25 +150,89 @@ func TestStreamedStudyThin(t *testing.T) {
 	if s.TotalRecords() == 0 {
 		t.Error("study lost the pre-release record count")
 	}
-	for _, id := range []string{"A1", "A2", "A3", "A5"} {
+	for _, id := range []string{"A1", "A2", "A3", "A5", "E0", "E1", "E6", "E7", "E8", "E10"} {
 		e, ok := ExperimentByID(id)
 		if !ok {
 			t.Fatalf("%s not registered", id)
 		}
-		if !e.NeedsCaptures {
-			t.Errorf("%s not marked NeedsCaptures", id)
-		}
-		if _, err := e.Run(s); err == nil {
-			t.Errorf("%s ran on a streamed study despite released captures", id)
-		}
-	}
-	for _, id := range []string{"E0", "E1", "E6", "E7", "E8", "E10"} {
-		e, _ := ExperimentByID(id)
 		if out, err := e.Run(s); err != nil {
-			t.Errorf("%s failed on streamed study: %v", id, err)
+			t.Errorf("%s failed on a thin study: %v", id, err)
 		} else if len(out) < 40 {
 			t.Errorf("%s output suspiciously short", id)
 		}
+	}
+
+	serial := newStudy()
+	if err := serial.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	parallel := newStudy()
+	if err := parallel.Run(ctx, WithWorkers(4, 4)); err != nil {
+		t.Fatal(err)
+	}
+	sharded := newStudy()
+	rep, err := sharded.RunSharded(ctx, shard.Options{
+		Shards: 2, Dir: t.TempDir(), Workers: 2, DetectWorkers: 2,
+		Clock: resilience.NewVirtualClock(), Fresh: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Partial {
+		t.Fatalf("sharded run degraded: %+v", rep)
+	}
+	for _, id := range []string{"A3", "A5"} {
+		e, _ := ExperimentByID(id)
+		want, err := e.Run(serial)
+		if err != nil {
+			t.Fatalf("%s on the serial study: %v", id, err)
+		}
+		for name, st := range map[string]*Study{"4-worker": parallel, "2-shard": sharded} {
+			got, err := e.Run(st)
+			if err != nil {
+				t.Errorf("%s on the %s study: %v", id, name, err)
+			} else if got != want {
+				t.Errorf("%s on the %s study differs from the serial study:\n%s\n---\n%s", id, name, got, want)
+			}
+		}
+	}
+}
+
+// TestReplayReproducesRun pins the capture replay's guard rails: it
+// visits only the sites the study's dataset holds, so a partial sharded
+// merge still replays cleanly, and a replay whose record count
+// disagrees with the run's is an error, never a silently different
+// capture set.
+func TestReplayReproducesRun(t *testing.T) {
+	shard.WorkerFailpoint = func(sh, attempt int) error {
+		if sh == 1 {
+			return fmt.Errorf("scripted loss of shard %d attempt %d", sh, attempt)
+		}
+		return nil
+	}
+	defer func() { shard.WorkerFailpoint = nil }()
+
+	s, err := NewStudy(SmallConfig(51))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.RunSharded(context.Background(), shard.Options{
+		Shards: 2, Dir: t.TempDir(), Workers: 2, DetectWorkers: 2,
+		Clock: resilience.NewVirtualClock(), MaxRestarts: -1, Fresh: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Partial {
+		t.Fatal("shard 1 survived its scripted loss")
+	}
+	a3, _ := ExperimentByID("A3")
+	if _, err := a3.Run(s); err != nil {
+		t.Fatalf("A3 on a partial merge: %v", err)
+	}
+	s.Result.TotalRecords++
+	if _, err := a3.Run(s); err == nil {
+		t.Error("A3 accepted a replay whose record count disagrees with the run's")
 	}
 }
 
@@ -171,9 +243,9 @@ func TestPolicyAuditZeroLeaks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Hand-populate a completed zero-leak study (the analysis exists,
-	// no sender ever leaked).
-	s.Analysis = core.Analyze(nil, 0)
+	// Hand-populate a completed zero-leak study: an empty fold, no
+	// sender ever leaked.
+	s.adopt(pipeline.NewAccumulator(0).Result(s.Eco, s.Config.Browser), nil, crawler.Options{})
 	tbl, err := s.PolicyAudit()
 	if err != nil {
 		t.Fatal(err)
@@ -201,12 +273,16 @@ func TestPolicyAuditCNAMECloaked(t *testing.T) {
 		t.Fatal(err)
 	}
 	sender := s.Eco.Sites[0]
-	s.Leaks = []core.Leak{{
-		Site:     sender.Domain,
-		Receiver: "omtrdc.net",
-		Cloaked:  true,
-	}}
-	s.Analysis = core.Analyze(s.Leaks, 1)
+	acc := pipeline.NewAccumulator(1)
+	acc.Add(pipeline.SiteOut{
+		Result: crawler.SiteResult{Crawl: crawler.SiteCrawl{Domain: sender.Domain, Outcome: crawler.OutcomeSuccess}},
+		Leaks: []core.Leak{{
+			Site:     sender.Domain,
+			Receiver: "omtrdc.net",
+			Cloaked:  true,
+		}},
+	})
+	s.adopt(acc.Result(s.Eco, s.Config.Browser), nil, crawler.Options{})
 	tbl, err := s.PolicyAudit()
 	if err != nil {
 		t.Fatal(err)

@@ -42,9 +42,10 @@ func tortureEcosystem() *webgen.Ecosystem {
 	return webgen.MustGenerate(cfg)
 }
 
-// tortureTables runs the detection pipeline and the paper's table
-// computations over a dataset, the way the study does.
-func tortureTables(t *testing.T, ds *crawler.Dataset) ([]core.Leak, *core.Analysis, *tracking.Classification, *countermeasure.Table4) {
+// tortureTables runs crawl-then-detect over a full dataset crawled from
+// eco and computes the paper's tables from it, Table 4 over the
+// dataset's records — the reference every run path must reproduce.
+func tortureTables(t *testing.T, eco *webgen.Ecosystem, ds *crawler.Dataset) ([]core.Leak, *core.Analysis, *tracking.Classification, *countermeasure.Table4) {
 	t.Helper()
 	eng, err := detect.NewEngine(ds.Persona, dnssim.NewClassifier(ds.Zone()), detect.Config{})
 	if err != nil {
@@ -58,7 +59,6 @@ func tortureTables(t *testing.T, ds *crawler.Dataset) ([]core.Leak, *core.Analys
 	}
 	analysis := core.Analyze(leaks, len(successes))
 	cls := tracking.Classify(leaks)
-	eco := tortureEcosystem()
 	lists, err := countermeasure.ParseLists(eco.EasyListText, eco.EasyPrivacyText)
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestTortureCrashConsistency(t *testing.T) {
 	if err := ref.WriteJSON(&refBuf); err != nil {
 		t.Fatal(err)
 	}
-	refLeaks, refT1, refT2, refT4 := tortureTables(t, ref)
+	refLeaks, refT1, refT2, refT4 := tortureTables(t, eco, ref)
 
 	rounds, maxKills := 3, 4
 	if testing.Short() {
@@ -177,7 +177,7 @@ func TestTortureCrashConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		leaks, t1, t2, t4 := tortureTables(t, ds)
+		leaks, t1, t2, t4 := tortureTables(t, eco, ds)
 		if !reflect.DeepEqual(leaks, refLeaks) {
 			t.Errorf("round %d: leaks diverge (%d vs %d)", round, len(leaks), len(refLeaks))
 		}

@@ -29,14 +29,14 @@ func TestLazyMatchesEagerByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := eager.Run(ctx, WithStream(), WithWorkers(4, 4), WithSource(site.Slice(eager.Eco.Sites))); err != nil {
+			if err := eager.Run(ctx, WithWorkers(4, 4), WithSource(site.Slice(eager.Eco.Sites))); err != nil {
 				t.Fatal(err)
 			}
 			lazy, err := NewStudy(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := lazy.Run(ctx, WithStream(), WithWorkers(4, 4)); err != nil {
+			if err := lazy.Run(ctx, WithWorkers(4, 4)); err != nil {
 				t.Fatal(err)
 			}
 
@@ -88,14 +88,14 @@ func TestUniverseTailIsStudyNeutral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.Run(ctx, WithStream(), WithWorkers(4, 4)); err != nil {
+	if err := core.Run(ctx, WithWorkers(4, 4)); err != nil {
 		t.Fatal(err)
 	}
 	big, err := NewStudy(SmallConfig(29))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := big.Run(ctx, WithStream(), WithWorkers(4, 4), WithUniverse(5000)); err != nil {
+	if err := big.Run(ctx, WithWorkers(4, 4), WithUniverse(5000)); err != nil {
 		t.Fatal(err)
 	}
 	if want, got := leaksJSON(t, core), leaksJSON(t, big); !bytes.Equal(want, got) {
