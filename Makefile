@@ -48,15 +48,20 @@ bench:
 	$(GO) test -json -bench '^BenchmarkUniverse$$' -benchmem -run '^$$' ./internal/webgen/ > BENCH_universe.json
 	$(GO) test -json -bench '^Benchmark(Scan|DetectSite)$$' -benchmem -run '^$$' ./internal/detect/ > BENCH_detect.json
 	$(GO) test -json -bench '^Benchmark(BuildCandidatesDepth2|AutomatonNew)$$' -benchmem -run '^$$' ./internal/pii/ > BENCH_candidates.json
+	$(GO) test -json -bench '^Benchmark(E10_Table4Blocklists|EngineMatch)$$' -benchmem -run '^$$' . ./internal/blocklist/ > BENCH_table4.json
 
 # Short fuzz smoke for the dataset decoder hardening, the sharded
-# runtime's plan/result readers and the Aho-Corasick automaton (matches
-# and their order against a naive search).
+# runtime's plan/result readers, the Aho-Corasick automaton (matches
+# and their order against a naive search), the filter-list parser and
+# the filter rules' literal prefilter (verdicts and deciding rules
+# against evaluating every rule's regexp).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime 10s ./internal/crawler/
 	$(GO) test -run '^$$' -fuzz FuzzParsePlan -fuzztime 10s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz FuzzParseResult -fuzztime 10s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz FuzzMatcherMatchesNaive -fuzztime 10s ./internal/ahocorasick/
+	$(GO) test -run '^$$' -fuzz FuzzParseList -fuzztime 10s ./internal/blocklist/
+	$(GO) test -run '^$$' -fuzz FuzzMatchAgreesWithRegexp -fuzztime 10s ./internal/blocklist/
 
 # Crash-consistency torture: re-execs a checkpointing crawl subprocess,
 # kills it at seeded random points (including mid-record), resumes, and

@@ -13,7 +13,9 @@ package blocklist
 import (
 	"fmt"
 	"regexp"
+	"slices"
 	"strings"
+	"unicode/utf8"
 
 	"piileak/internal/httpmodel"
 	"piileak/internal/psl"
@@ -55,12 +57,18 @@ type Rule struct {
 	// Exception marks @@ rules.
 	Exception bool
 
-	re          *regexp.Regexp
-	hasTP       bool
-	tpValue     bool // value required when hasTP
-	types       map[ResourceType]bool
-	typesInvert bool
-	domains     []domainOpt
+	re *regexp.Regexp
+	// lit is the longest run of ASCII characters the pattern matches
+	// literally, lower-cased ("" when it has none): every ASCII URL
+	// the regexp matches contains it once lower-cased, so matching
+	// skips a rule whose run is absent without evaluating its options
+	// or its regexp.
+	lit      string
+	hasTP    bool
+	tpValue  bool           // value required when hasTP
+	types    []ResourceType // positive $type options; empty means any type
+	notTypes []ResourceType // negated ($~type) options
+	domains  []domainOpt
 }
 
 type domainOpt struct {
@@ -147,14 +155,10 @@ func compileRule(line string) (Rule, bool, error) {
 					}
 				}
 			case isTypeOption(o):
-				if r.types == nil {
-					r.types = make(map[ResourceType]bool)
-				}
 				if strings.HasPrefix(o, "~") {
-					r.typesInvert = true
-					r.types[ResourceType(o[1:])] = true
+					r.notTypes = append(r.notTypes, ResourceType(o[1:]))
 				} else {
-					r.types[ResourceType(o)] = true
+					r.types = append(r.types, ResourceType(o))
 				}
 			default:
 				// Unsupported option (popup, csp, redirect, ...):
@@ -168,11 +172,11 @@ func compileRule(line string) (Rule, bool, error) {
 	if body == "" {
 		return Rule{}, false, nil
 	}
-	re, err := ruleToRegexp(body)
+	re, lit, err := ruleToRegexp(body)
 	if err != nil {
 		return Rule{}, false, err
 	}
-	r.re = re
+	r.re, r.lit = re, lit
 	return r, true, nil
 }
 
@@ -186,8 +190,11 @@ func isTypeOption(o string) bool {
 }
 
 // ruleToRegexp mirrors adblockparser's translation of ABP filter syntax
-// to a regular expression.
-func ruleToRegexp(body string) (*regexp.Regexp, error) {
+// to a regular expression. It also returns the rule's prefilter: the
+// longest run of pattern characters the regexp matches literally (the
+// anchors stripped, split at '*', '^' and every non-ASCII byte),
+// lower-cased.
+func ruleToRegexp(body string) (*regexp.Regexp, string, error) {
 	var sb strings.Builder
 	sb.WriteString("(?i)") // ABP matching is case-insensitive
 
@@ -206,6 +213,7 @@ func ruleToRegexp(body string) (*regexp.Regexp, error) {
 		endAnchor = true
 		end--
 	}
+	lit, run := "", i // run starts the current literal run
 	for ; i < end; i++ {
 		c := body[i]
 		switch c {
@@ -219,31 +227,64 @@ func ruleToRegexp(body string) (*regexp.Regexp, error) {
 		default:
 			sb.WriteByte(c)
 		}
+		// (?i) lets a non-ASCII pattern rune match an ASCII URL byte
+		// (U+017F matches 's'), so only ASCII characters join a run.
+		if c == '*' || c == '^' || c >= utf8.RuneSelf {
+			if i-run > len(lit) {
+				lit = body[run:i]
+			}
+			run = i + 1
+		}
+	}
+	if end-run > len(lit) {
+		lit = body[run:end]
 	}
 	if endAnchor {
 		sb.WriteString("$")
 	}
-	return regexp.Compile(sb.String())
+	re, err := regexp.Compile(sb.String())
+	return re, strings.ToLower(lit), err
 }
 
-// matches reports whether the rule's pattern and options all hold.
-func (r *Rule) matches(ri RequestInfo) bool {
-	if r.hasTP && ri.ThirdParty != r.tpValue {
+// request is a RequestInfo prepared for matching: its URL ASCII-folded
+// once for every rule's literal prefilter.
+type request struct {
+	RequestInfo
+	// folded is the lower-cased URL when ascii holds. A URL with a
+	// non-ASCII byte skips the prefilter: (?i) folds U+212A to 'k'
+	// and U+017F to 's', which byte-wise ASCII folding cannot see.
+	folded string
+	ascii  bool
+}
+
+func prepare(ri RequestInfo) request {
+	for i := 0; i < len(ri.URL); i++ {
+		if ri.URL[i] >= utf8.RuneSelf {
+			return request{RequestInfo: ri}
+		}
+	}
+	return request{RequestInfo: ri, folded: strings.ToLower(ri.URL), ascii: true}
+}
+
+// matches reports whether the rule's pattern and options all hold. The
+// literal prefilter only rejects; the regexp decides every match.
+func (r *Rule) matches(q *request) bool {
+	if r.lit != "" && q.ascii && !strings.Contains(q.folded, r.lit) {
 		return false
 	}
-	if len(r.domains) > 0 && !r.domainAllowed(ri.PageHost) {
+	if r.hasTP && q.ThirdParty != r.tpValue {
 		return false
 	}
-	if r.types != nil {
-		in := r.types[ri.Type]
-		if r.typesInvert {
-			in = !in
-		}
-		if !in {
-			return false
-		}
+	if len(r.domains) > 0 && !r.domainAllowed(q.PageHost) {
+		return false
 	}
-	return r.re.MatchString(ri.URL)
+	if len(r.types) > 0 && !slices.Contains(r.types, q.Type) {
+		return false
+	}
+	if slices.Contains(r.notTypes, q.Type) {
+		return false
+	}
+	return r.re.MatchString(q.URL)
 }
 
 func (r *Rule) domainAllowed(pageHost string) bool {
@@ -280,6 +321,38 @@ type Decision struct {
 	List string
 }
 
+// Scan reports whether any block rule and whether any exception rule of
+// the list match the request. Under ABP semantics the list alone blocks
+// it when block && !exception; across several lists an exception in
+// any of them overrides a block in any.
+func (l *List) Scan(ri RequestInfo) (block, exception bool) {
+	q := prepare(ri)
+	b, x := l.scan(&q)
+	return b >= 0, x >= 0
+}
+
+// scan returns the indices of the first block rule and of the first
+// exception rule that match q, -1 where none does. Once a kind has
+// matched, later rules of that kind are skipped unevaluated.
+func (l *List) scan(q *request) (block, exception int) {
+	block, exception = -1, -1
+	for i := range l.Rules {
+		r := &l.Rules[i]
+		found := &block
+		if r.Exception {
+			found = &exception
+		}
+		if *found >= 0 || !r.matches(q) {
+			continue
+		}
+		*found = i
+		if block >= 0 && exception >= 0 {
+			break
+		}
+	}
+	return block, exception
+}
+
 // Engine matches requests against one or more lists with ABP semantics:
 // any matching exception rule overrides any matching block rule.
 type Engine struct {
@@ -292,29 +365,21 @@ func NewEngine(lists ...*List) *Engine { return &Engine{lists: lists} }
 // Lists returns the engine's lists.
 func (e *Engine) Lists() []*List { return e.lists }
 
-// Match evaluates a request.
+// Match evaluates a request: the first matching exception rule saves
+// it; otherwise the first matching block rule blocks it.
 func (e *Engine) Match(ri RequestInfo) Decision {
-	var blockRule *Rule
-	var blockList string
+	q := prepare(ri)
+	var d Decision
 	for _, l := range e.lists {
-		for i := range l.Rules {
-			rule := &l.Rules[i]
-			if !rule.matches(ri) {
-				continue
-			}
-			if rule.Exception {
-				return Decision{Blocked: false, Rule: rule, List: l.Name}
-			}
-			if blockRule == nil {
-				blockRule = rule
-				blockList = l.Name
-			}
+		block, exception := l.scan(&q)
+		if exception >= 0 {
+			return Decision{Rule: &l.Rules[exception], List: l.Name}
+		}
+		if block >= 0 && d.Rule == nil {
+			d = Decision{Blocked: true, Rule: &l.Rules[block], List: l.Name}
 		}
 	}
-	if blockRule != nil {
-		return Decision{Blocked: true, Rule: blockRule, List: blockList}
-	}
-	return Decision{}
+	return d
 }
 
 // ShouldBlock is Match reduced to the verdict.

@@ -159,6 +159,30 @@ func TestTypeOptions(t *testing.T) {
 	}
 }
 
+// TestMixedTypeOptions pins ABP's $type semantics when positive and
+// negated types meet: a rule applies when it names no positive type or
+// the request's type is one of them, and the type is not negated.
+func TestMixedTypeOptions(t *testing.T) {
+	cases := []struct {
+		rule               string
+		script, image, xhr bool
+	}{
+		{"||x.com^$script,~image", true, false, false},
+		{"||x.com^$~image", true, false, true},
+		{"||x.com^$script", true, false, false},
+	}
+	for _, c := range cases {
+		e := engine(t, c.rule)
+		for typ, want := range map[ResourceType]bool{TypeScript: c.script, TypeImage: c.image, TypeXHR: c.xhr} {
+			ri := req("https://x.com/t.js")
+			ri.Type = typ
+			if got := e.ShouldBlock(ri); got != want {
+				t.Errorf("%s vs %s request = %v, want %v", c.rule, typ, got, want)
+			}
+		}
+	}
+}
+
 func TestUnsupportedOptionSkipsRule(t *testing.T) {
 	l := MustParseList("t", "||x.com^$popup\n||y.com^")
 	if len(l.Rules) != 1 {

@@ -60,29 +60,92 @@ func ParseLists(easyListText, easyPrivacyText string) (ListSet, error) {
 	return ListSet{EasyList: el, EasyPrivacy: ep}, nil
 }
 
-// leakBlocked reports whether a leak would have been prevented by the
-// engine: the leaky request itself, or any request in its initiator
-// chain (the tag scripts that caused it), matches a block rule (§7.2's
-// methodology).
-func leakBlocked(engine *blocklist.Engine, l *core.Leak, chain []httpmodel.Request, pslList *psl.List, siteHost string) bool {
-	reqs := append([]httpmodel.Request{{URL: l.RequestURL, Type: httpmodel.TypeOther}}, chain...)
-	for i := range reqs {
-		r := &reqs[i]
-		typ := r.Type
-		if typ == "" {
-			typ = httpmodel.TypeOther
-		}
-		ri := blocklist.RequestInfo{
-			URL:        r.URL,
-			PageHost:   siteHost,
-			Type:       typ,
-			ThirdParty: pslList.IsThirdParty(siteHost, hostOf(r.URL)),
-		}
-		if engine.ShouldBlock(ri) {
-			return true
-		}
+// configs is a set of Table 4's filter configurations, one bit each.
+type configs uint8
+
+const (
+	easyList configs = 1 << iota
+	easyPrivacy
+	combined   // both lists in one ABP engine
+	allConfigs = easyList | easyPrivacy | combined
+)
+
+// add counts one entity into the row: covered holds the configurations
+// that block every one of its leaks.
+func (r *Table4Row) add(covered configs) {
+	r.EasyList.Total++
+	r.EasyPrivacy.Total++
+	r.Combined.Total++
+	if covered&easyList != 0 {
+		r.EasyList.Count++
 	}
-	return false
+	if covered&easyPrivacy != 0 {
+		r.EasyPrivacy.Count++
+	}
+	if covered&combined != 0 {
+		r.Combined.Count++
+	}
+}
+
+// requestKey is everything list matching reads from a request: the
+// third-party bit is a function of the page host and the URL.
+type requestKey struct {
+	pageHost, url string
+	typ           httpmodel.ResourceType
+}
+
+// blocker evaluates requests against both lists, scanning each list
+// once per distinct request over one evaluation.
+type blocker struct {
+	lists ListSet
+	psl   *psl.List
+	memo  map[requestKey]configs
+}
+
+// blocks returns the configurations that block the request. Each list
+// is scanned once; the combined verdict follows the ABP rule that an
+// exception in either list overrides a block in either, which is what
+// one engine over both lists decides.
+func (b *blocker) blocks(pageHost, url string, typ httpmodel.ResourceType) configs {
+	if typ == "" {
+		typ = httpmodel.TypeOther
+	}
+	k := requestKey{pageHost, url, typ}
+	if v, ok := b.memo[k]; ok {
+		return v
+	}
+	ri := blocklist.RequestInfo{
+		URL:        url,
+		PageHost:   pageHost,
+		Type:       typ,
+		ThirdParty: b.psl.IsThirdParty(pageHost, hostOf(url)),
+	}
+	elBlock, elExc := b.lists.EasyList.Scan(ri)
+	epBlock, epExc := b.lists.EasyPrivacy.Scan(ri)
+	var v configs
+	if elBlock && !elExc {
+		v |= easyList
+	}
+	if epBlock && !epExc {
+		v |= easyPrivacy
+	}
+	if (elBlock || epBlock) && !(elExc || epExc) {
+		v |= combined
+	}
+	b.memo[k] = v
+	return v
+}
+
+// leakBlocked returns the configurations that would have prevented a
+// leak: those blocking the leaky request itself or any request in its
+// initiator chain (the tag scripts that caused it), §7.2's methodology.
+func (b *blocker) leakBlocked(l *core.Leak, chain []httpmodel.Request) configs {
+	pageHost := "www." + l.Site
+	v := b.blocks(pageHost, l.RequestURL, httpmodel.TypeOther)
+	for i := 0; i < len(chain) && v != allConfigs; i++ {
+		v |= b.blocks(pageHost, chain[i].URL, chain[i].Type)
+	}
+	return v
 }
 
 func hostOf(rawURL string) string {
@@ -108,87 +171,47 @@ func EvaluateBlocklists(leaks []core.Leak, ds *crawler.Dataset, lists ListSet, t
 // streaming pipeline calls this form — it retains only the reduced
 // index, never the full captures.
 func EvaluateBlocklistsIndexed(leaks []core.Leak, ix *httpmodel.RequestIndex, lists ListSet, trackers []string) *Table4 {
-	pslList := psl.Default()
-	engines := map[string]*blocklist.Engine{
-		"el":       blocklist.NewEngine(lists.EasyList),
-		"ep":       blocklist.NewEngine(lists.EasyPrivacy),
-		"combined": blocklist.NewEngine(lists.EasyList, lists.EasyPrivacy),
-	}
-
-	// Per leak, per engine: blocked?
-	type leakVerdict struct {
-		leak    *core.Leak
-		blocked map[string]bool
-	}
-	verdicts := make([]leakVerdict, 0, len(leaks))
+	b := blocker{lists: lists, psl: psl.Default(), memo: map[requestKey]configs{}}
+	blocked := make([]configs, len(leaks))
 	for i := range leaks {
 		l := &leaks[i]
-		chain := ix.Chain(l.Site, l.Seq)
-		v := leakVerdict{leak: l, blocked: map[string]bool{}}
-		for name, eng := range engines {
-			v.blocked[name] = leakBlocked(eng, l, chain, pslList, "www."+l.Site)
-		}
-		verdicts = append(verdicts, v)
+		blocked[i] = b.leakBlocked(l, ix.Chain(l.Site, l.Seq))
 	}
 
-	// For each method: population and covered sets per engine, with
-	// "covered" meaning every leak of that entity through the method is
-	// blocked.
-	methods := append([]httpmodel.SurfaceKind{}, httpmodel.AllSurfaceKinds...)
 	labels := map[httpmodel.SurfaceKind]string{
 		httpmodel.SurfaceReferer: "referer",
 		httpmodel.SurfaceURI:     "uri",
 		httpmodel.SurfaceBody:    "payload",
 		httpmodel.SurfaceCookie:  "cookie",
 	}
-
 	t := &Table4{}
 	for _, metric := range []string{"senders", "receivers"} {
-		entityOf := func(l *core.Leak) string {
-			if metric == "senders" {
-				return l.Site
+		// covered[entity][method]: the configurations blocking every
+		// leak of that entity through that method.
+		covered := map[string]map[httpmodel.SurfaceKind]configs{}
+		for i := range leaks {
+			l := &leaks[i]
+			e := l.Site
+			if metric == "receivers" {
+				e = l.Receiver
 			}
-			return l.Receiver
-		}
-		// entityMethodLeaks[entity][method] -> verdicts
-		eml := map[string]map[httpmodel.SurfaceKind][]*leakVerdict{}
-		for i := range verdicts {
-			v := &verdicts[i]
-			e := entityOf(v.leak)
-			if eml[e] == nil {
-				eml[e] = map[httpmodel.SurfaceKind][]*leakVerdict{}
+			perMethod := covered[e]
+			if perMethod == nil {
+				perMethod = map[httpmodel.SurfaceKind]configs{}
+				covered[e] = perMethod
 			}
-			eml[e][v.leak.Method] = append(eml[e][v.leak.Method], v)
-		}
-
-		coveredFor := func(vs []*leakVerdict, engine string) bool {
-			for _, v := range vs {
-				if !v.blocked[engine] {
-					return false
-				}
+			c, ok := perMethod[l.Method]
+			if !ok {
+				c = allConfigs
 			}
-			return len(vs) > 0
+			perMethod[l.Method] = c & blocked[i]
 		}
 
-		for _, m := range methods {
+		for _, m := range httpmodel.AllSurfaceKinds {
 			row := Table4Row{Metric: metric, Method: labels[m]}
-			for e, perMethod := range eml {
-				vs, ok := perMethod[m]
-				if !ok {
-					continue
-				}
-				_ = e
-				row.EasyList.Total++
-				row.EasyPrivacy.Total++
-				row.Combined.Total++
-				if coveredFor(vs, "el") {
-					row.EasyList.Count++
-				}
-				if coveredFor(vs, "ep") {
-					row.EasyPrivacy.Count++
-				}
-				if coveredFor(vs, "combined") {
-					row.Combined.Count++
+			for _, perMethod := range covered {
+				if c, ok := perMethod[m]; ok {
+					row.add(c)
 				}
 			}
 			t.Rows = append(t.Rows, row)
@@ -197,42 +220,24 @@ func EvaluateBlocklistsIndexed(leaks []core.Leak, ix *httpmodel.RequestIndex, li
 		// Combined-method row: entities using >= 2 channels.
 		rowC := Table4Row{Metric: metric, Method: "combined"}
 		rowT := Table4Row{Metric: metric, Method: "total"}
-		for _, perMethod := range eml {
-			var all []*leakVerdict
-			for _, vs := range perMethod {
-				all = append(all, vs...) //lint:allow maporder coveredFor is an order-insensitive all-blocked predicate over the set
-			}
-			addTo := func(row *Table4Row) {
-				row.EasyList.Total++
-				row.EasyPrivacy.Total++
-				row.Combined.Total++
-				if coveredFor(all, "el") {
-					row.EasyList.Count++
-				}
-				if coveredFor(all, "ep") {
-					row.EasyPrivacy.Count++
-				}
-				if coveredFor(all, "combined") {
-					row.Combined.Count++
-				}
+		for _, perMethod := range covered {
+			all := allConfigs
+			for _, c := range perMethod {
+				all &= c
 			}
 			if len(perMethod) >= 2 {
-				addTo(&rowC)
+				rowC.add(all)
 			}
-			addTo(&rowT)
+			rowT.add(all)
 		}
 		t.Rows = append(t.Rows, rowC, rowT)
 	}
 
 	// Which Table 2 tracking providers escape the combined lists?
-	blockedReceivers := map[string]bool{}
 	escaped := map[string]bool{}
-	for i := range verdicts {
-		v := &verdicts[i]
-		if v.blocked["combined"] {
-			blockedReceivers[v.leak.Receiver] = true
-		} else {
-			escaped[v.leak.Receiver] = true
+	for i := range leaks {
+		if blocked[i]&combined == 0 {
+			escaped[leaks[i].Receiver] = true
 		}
 	}
 	for _, tr := range trackers {

@@ -72,34 +72,37 @@ func (ix *RequestIndex) Has(domain string) bool {
 // number. The walk replicates the full-capture initiator chain exactly:
 // URL lookups resolve to the last record with that URL, the start is
 // the last record with the given Seq, and the walk stops after depth 8,
-// at a missing link, or at a self-loop.
+// at a missing link, or at a self-loop. Each lookup scans the site's
+// requests backward, so a walk allocates nothing but the chain.
 func (ix *RequestIndex) Chain(domain string, seq int) []Request {
 	rs := ix.sites[domain]
-	byURL := map[string]*IndexedRequest{}
-	var start *IndexedRequest
-	for i := range rs {
-		r := &rs[i]
-		byURL[r.URL] = r
-		if r.Seq == seq {
-			start = r
-		}
-	}
-	if start == nil {
+	cur := last(rs, func(r *IndexedRequest) bool { return r.Seq == seq })
+	if cur < 0 {
 		return nil
 	}
 	var chain []Request
-	cur := start
 	for depth := 0; depth < 8; depth++ {
-		init := cur.Initiator
+		init := rs[cur].Initiator
 		if init == "" {
 			break
 		}
-		next, ok := byURL[init]
-		if !ok || next == cur {
+		next := last(rs, func(r *IndexedRequest) bool { return r.URL == init })
+		if next < 0 || next == cur {
 			break
 		}
-		chain = append(chain, Request{URL: next.URL, Initiator: next.Initiator, Type: next.Type})
+		r := &rs[next]
+		chain = append(chain, Request{URL: r.URL, Initiator: r.Initiator, Type: r.Type})
 		cur = next
 	}
 	return chain
+}
+
+// last returns the index of the last request match accepts, or -1.
+func last(rs []IndexedRequest, match func(*IndexedRequest) bool) int {
+	for i := len(rs) - 1; i >= 0; i-- {
+		if match(&rs[i]) {
+			return i
+		}
+	}
+	return -1
 }
