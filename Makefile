@@ -50,13 +50,15 @@ bench:
 	$(GO) test -json -bench '^Benchmark(BuildCandidatesDepth2|AutomatonNew)$$' -benchmem -run '^$$' ./internal/pii/ > BENCH_candidates.json
 	$(GO) test -json -bench '^Benchmark(E10_Table4Blocklists|EngineMatch)$$' -benchmem -run '^$$' . ./internal/blocklist/ > BENCH_table4.json
 
-# Short fuzz smoke for the dataset decoder hardening, the sharded
+# Short fuzz smoke for the dataset decoder hardening, the checkpoint
+# resume (torn-tail cut, loaded count and reopen), the sharded
 # runtime's plan/result readers, the Aho-Corasick automaton (matches
 # and their order against a naive search), the filter-list parser and
 # the filter rules' literal prefilter (verdicts and deciding rules
 # against evaluating every rule's regexp).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime 10s ./internal/crawler/
+	$(GO) test -run '^$$' -fuzz FuzzOpenCheckpoint -fuzztime 10s ./internal/crawler/
 	$(GO) test -run '^$$' -fuzz FuzzParsePlan -fuzztime 10s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz FuzzParseResult -fuzztime 10s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz FuzzMatcherMatchesNaive -fuzztime 10s ./internal/ahocorasick/

@@ -3,13 +3,18 @@ package crawler
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"piileak/internal/browser"
 	"piileak/internal/site"
+	"piileak/internal/webgen"
 )
 
 func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
@@ -155,5 +160,169 @@ func TestCheckpointFreshRunTruncatesStaleFile(t *testing.T) {
 	defer ckpt.Close()
 	if ckpt.Done() != 1 {
 		t.Errorf("fresh run left %d entries, want 1", ckpt.Done())
+	}
+}
+
+func TestCheckpointShard(t *testing.T) {
+	header := func(shard string) string {
+		line, err := json.Marshal(checkpointHeader{Version: checkpointVersion, Browser: "Firefox 88", Seed: 7, Sites: 60, Shard: shard})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(line)
+	}
+	entry := `{"crawl":{"domain":"a.example","rank":1,"outcome":"success"}}` + "\n"
+	for _, tc := range []struct {
+		name    string
+		content string // "" writes no file
+		shard   string
+		found   bool
+	}{
+		{"missing file", "", "", false},
+		{"garbage first line", "not a header\n" + header("1/2") + "\n", "", false},
+		{"unsharded header", header("") + "\n" + entry, "", true},
+		{"sharded header", header("1/2") + "\n" + entry, "1/2", true},
+		{"header without newline", header("0/4"), "0/4", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "crawl.ckpt")
+			if tc.content != "" {
+				if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			shard, found, err := CheckpointShard(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shard != tc.shard || found != tc.found {
+				t.Errorf("CheckpointShard = (%q, %v), want (%q, %v)", shard, found, tc.shard, tc.found)
+			}
+		})
+	}
+}
+
+// sizedEntry returns the i'th of a run of entries whose checkpoint line,
+// newline included, is exactly n bytes long.
+func sizedEntry(t *testing.T, i, n int) crawlEntry {
+	t.Helper()
+	e := crawlEntry{Crawl: SiteCrawl{Domain: fmt.Sprintf("s%d.example", i)}}
+	line, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Crawl.Domain = strings.Repeat("x", n-len(line)-1) + e.Crawl.Domain
+	return e
+}
+
+// TestCheckpointSyncsInGroups pins the group-sync schedule through the
+// failpoint: an append syncs exactly when checkpointSyncBytes or more
+// of lines are unsynced, with "post" after that sync, and Close syncs
+// once if and only if lines are still pending.
+func TestCheckpointSyncsInGroups(t *testing.T) {
+	eco := &webgen.Ecosystem{Config: webgen.Config{Seed: 7, ShoppingSites: 60}}
+	for _, tc := range []struct {
+		name      string
+		size, n   int
+		syncAfter []int // appends whose write closes a group
+		closeSync bool
+	}{
+		{"nothing appended", 0, 0, nil, false},
+		{"one line short of a group", checkpointSyncBytes/4 - 1, 4, nil, true},
+		{"group exactly full", checkpointSyncBytes / 4, 4, []int{4}, false},
+		{"line over the threshold", checkpointSyncBytes + 1, 2, []int{1, 2}, false},
+		{"groups of five", checkpointSyncBytes/4 - 1, 11, []int{5, 10}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var got []string
+			CheckpointFailpoint = func(event string, appends int) {
+				got = append(got, fmt.Sprintf("%s%d", event, appends))
+			}
+			t.Cleanup(func() { CheckpointFailpoint = nil })
+
+			c, err := OpenCheckpoint(filepath.Join(t.TempDir(), "crawl.ckpt"), eco, browser.Firefox88(), false, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []string
+			for i := 1; i <= tc.n; i++ {
+				if err := c.Append(sizedEntry(t, i, tc.size)); err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, fmt.Sprintf("pre%d", i), fmt.Sprintf("mid%d", i))
+				if slices.Contains(tc.syncAfter, i) {
+					want = append(want, fmt.Sprintf("sync%d", i))
+				}
+				want = append(want, fmt.Sprintf("post%d", i))
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.closeSync {
+				want = append(want, fmt.Sprintf("sync%d", tc.n))
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("failpoint events\n got %v\nwant %v", got, want)
+			}
+		})
+	}
+}
+
+// checkpointDigestSmall7 is the SHA-256 of the checkpoint a serial
+// crawl of SmallConfig(7) under 0.2 faults writes — the file of
+// `piicrawl -small -seed 7 -faults 0.2 -checkpoint F`. It pins the
+// on-disk format (checkpointVersion 1): a change to it must bump the
+// version, not silently alter the bytes.
+const checkpointDigestSmall7 = "ef7218000ef93b3d42fba8e38f7f150d81e0bd76f12f2c72e1b76895dbc4ab2e"
+
+func TestCheckpointBytesPinned(t *testing.T) {
+	eco := faultyEcosystem(t, 7, 0.2)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "crawl.ckpt")
+	if _, err := Run(context.Background(), eco, browser.Firefox88(), Options{CheckpointPath: path}); err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(full)); got != checkpointDigestSmall7 {
+		t.Fatalf("checkpoint SHA-256 = %s, want %s", got, checkpointDigestSmall7)
+	}
+
+	// A resume repairs the cut in place and appends the remaining sites:
+	// the finished file is the uninterrupted run's, byte for byte.
+	lines := bytes.SplitAfter(full, []byte("\n"))
+	prefix := bytes.Join(lines[:21], nil) // the header and 20 sites
+	for _, tc := range []struct {
+		name       string
+		cut        []byte
+		done, torn int
+	}{
+		{"cut mid-line", append(slices.Clip(prefix), lines[21][:len(lines[21])/2]...), 20, 1},
+		{"last line without newline", prefix[:len(prefix)-1], 20, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(dir, strings.ReplaceAll(tc.name, " ", "-"))
+			if err := os.WriteFile(path, tc.cut, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var sum ResumeSummary
+			if _, err := Run(context.Background(), eco, browser.Firefox88(), Options{
+				CheckpointPath: path, Resume: true, OnResume: func(s ResumeSummary) { sum = s },
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if sum.Completed != tc.done || sum.TornRecords != tc.torn {
+				t.Errorf("resume loaded %d sites and dropped %d torn, want %d and %d", sum.Completed, sum.TornRecords, tc.done, tc.torn)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, full) {
+				t.Errorf("resumed checkpoint (%d bytes) differs from the uninterrupted one (%d bytes)", len(got), len(full))
+			}
+		})
 	}
 }

@@ -289,48 +289,55 @@ func crawlOne(b *browser.Browser, s *site.Site, p pii.Persona, mbox *mailbox.Mai
 
 // WriteJSONFile writes the dataset to a path, gzip-compressing when the
 // name ends in ".gz" (full datasets are ~10 MB of JSON). The write goes
-// through a temp file in the same directory and an atomic rename, and
-// every close/flush error propagates — a crashed or disk-full run can
-// never leave a truncated dataset under the final name.
-func (d *Dataset) WriteJSONFile(path string) (err error) {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+// through writeFileAtomic and every close/flush error propagates — a
+// crashed or disk-full run can never leave a truncated dataset under
+// the final name.
+func (d *Dataset) WriteJSONFile(path string) error {
+	err := writeFileAtomic(path, func(w io.Writer) error {
+		if !strings.HasSuffix(path, ".gz") {
+			return d.WriteJSON(w)
+		}
+		gz := gzip.NewWriter(w)
+		if err := d.WriteJSON(gz); err != nil {
+			return err
+		}
+		// Close flushes the compressor; losing this error is how
+		// truncated .gz datasets used to reach disk.
+		if err := gz.Close(); err != nil {
+			return fmt.Errorf("flushing gzip: %w", err)
+		}
+		return nil
+	})
 	if err != nil {
 		return fmt.Errorf("crawler: writing %s: %w", path, err)
 	}
-	tmp := f.Name()
+	return nil
+}
+
+// writeFileAtomic writes a file through a temp file in the same
+// directory, synced and then renamed over path, so a crash never leaves
+// a partial file under the final name.
+func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
 	defer func() {
 		if err != nil {
 			f.Close()
-			os.Remove(tmp)
+			os.Remove(f.Name())
 		}
 	}()
-	var w io.Writer = f
-	var gz *gzip.Writer
-	if strings.HasSuffix(path, ".gz") {
-		gz = gzip.NewWriter(f)
-		w = gz
+	if err = write(f); err == nil {
+		err = f.Sync()
 	}
-	if err = d.WriteJSON(w); err != nil {
-		return fmt.Errorf("crawler: writing %s: %w", path, err)
+	if err == nil {
+		err = f.Close()
 	}
-	if gz != nil {
-		// Close flushes the compressor; losing this error is how
-		// truncated .gz datasets used to reach disk.
-		if err = gz.Close(); err != nil {
-			return fmt.Errorf("crawler: writing %s: flushing gzip: %w", path, err)
-		}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
 	}
-	if err = f.Sync(); err != nil {
-		return fmt.Errorf("crawler: writing %s: %w", path, err)
-	}
-	if err = f.Close(); err != nil {
-		return fmt.Errorf("crawler: writing %s: %w", path, err)
-	}
-	if err = os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("crawler: writing %s: %w", path, err)
-	}
-	return nil
+	return err
 }
 
 // ReadJSONFile loads a dataset from a path, transparently decompressing

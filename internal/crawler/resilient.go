@@ -50,7 +50,10 @@ type Options struct {
 	Quarantine *Quarantine
 	// CheckpointPath, when set, persists per-site progress so an
 	// interrupted run can continue; Resume loads the file's completed
-	// sites instead of re-crawling them.
+	// sites instead of re-crawling them. Each finished site's line is
+	// written before the site is emitted and fsynced in 1 MiB groups and
+	// when the run ends, so a killed process loses at most the site in
+	// flight and an OS crash at most the unsynced group (see Checkpoint).
 	CheckpointPath string
 	Resume         bool
 	// OnResume, when set together with Resume, is called once with the
