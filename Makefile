@@ -50,12 +50,15 @@ bench:
 	$(GO) test -json -bench '^Benchmark(BuildCandidatesDepth2|AutomatonNew)$$' -benchmem -run '^$$' ./internal/pii/ > BENCH_candidates.json
 	$(GO) test -json -bench '^Benchmark(E10_Table4Blocklists|EngineMatch)$$' -benchmem -run '^$$' . ./internal/blocklist/ > BENCH_table4.json
 
-# Short fuzz smoke for the dataset decoder hardening, the checkpoint
-# resume (torn-tail cut, loaded count and reopen), the sharded
-# runtime's plan/result readers, the Aho-Corasick automaton (matches
-# and their order against a naive search), the filter-list parser and
-# the filter rules' literal prefilter (verdicts and deciding rules
-# against evaluating every rule's regexp).
+# Short fuzz smoke over every fuzzer in the module, 10s each: the
+# dataset decoder, the checkpoint resume (torn-tail cut, loaded count
+# and reopen), the sharded runtime's plan/result readers, the
+# Aho-Corasick automaton (matches and their order against a naive
+# search), the filter-list parser and the filter rules' literal
+# prefilter (verdicts and deciding rules against evaluating every
+# rule's regexp), the public-suffix algorithm, the bzip2 and base58
+# codecs (round trips, and base58 decoding never panics) and the HAR
+# parser.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime 10s ./internal/crawler/
 	$(GO) test -run '^$$' -fuzz FuzzOpenCheckpoint -fuzztime 10s ./internal/crawler/
@@ -64,6 +67,11 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMatcherMatchesNaive -fuzztime 10s ./internal/ahocorasick/
 	$(GO) test -run '^$$' -fuzz FuzzParseList -fuzztime 10s ./internal/blocklist/
 	$(GO) test -run '^$$' -fuzz FuzzMatchAgreesWithRegexp -fuzztime 10s ./internal/blocklist/
+	$(GO) test -run '^$$' -fuzz FuzzPublicSuffix -fuzztime 10s ./internal/psl/
+	$(GO) test -run '^$$' -fuzz FuzzBzip2RoundTrip -fuzztime 10s ./internal/encode/
+	$(GO) test -run '^$$' -fuzz FuzzBase58RoundTrip -fuzztime 10s ./internal/encode/
+	$(GO) test -run '^$$' -fuzz FuzzBase58DecodeNeverPanics -fuzztime 10s ./internal/encode/
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/har/
 
 # Crash-consistency torture: re-execs a checkpointing crawl subprocess,
 # kills it at seeded random points (including mid-record), resumes, and

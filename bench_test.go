@@ -216,7 +216,10 @@ func BenchmarkA1_CandidateDepth(b *testing.B) {
 		b.Run(map[int]string{1: "depth1", 2: "depth2"}[depth], func(b *testing.B) {
 			var size int
 			for i := 0; i < b.N; i++ {
-				cs := pii.MustBuildCandidates(persona, pii.CandidateConfig{MaxDepth: depth})
+				cs, err := pii.BuildCandidates(persona, pii.CandidateConfig{MaxDepth: depth})
+				if err != nil {
+					b.Fatal(err)
+				}
 				size = cs.Size()
 			}
 			b.ReportMetric(float64(size), "tokens")

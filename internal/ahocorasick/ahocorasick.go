@@ -34,15 +34,6 @@ import (
 	"strings"
 )
 
-// Match reports one pattern occurrence.
-type Match struct {
-	// Pattern is the index of the matched pattern in the slice passed
-	// to New.
-	Pattern int
-	// End is the byte offset just past the match in the scanned text.
-	End int
-}
-
 // Matcher is an immutable Aho-Corasick automaton. It is safe for
 // concurrent use after construction.
 type Matcher struct {
@@ -60,9 +51,8 @@ type Matcher struct {
 	// out[outStart[s]:outStart[s+1]].
 	outStart []int32
 	out      []int32
-	// patLens[i] is the length of pattern i (used to compute start
-	// offsets on demand).
-	patLens []int
+	// numPatterns is the number of patterns, which sizes a Scratch.
+	numPatterns int
 }
 
 // text abstracts the two pattern and scan representations so the build
@@ -85,11 +75,10 @@ func NewStrings(patterns []string) *Matcher { return build(patterns, strings.Com
 // state a failure link or an inherited output refers to is shallower,
 // and therefore already built, when the state that needs it is reached.
 func build[T text](patterns []T, compare func(a, b T) int) *Matcher {
-	m := &Matcher{patLens: make([]int, len(patterns))}
+	m := &Matcher{numPatterns: len(patterns)}
 	total := 0
 	var order []int32
 	for i, p := range patterns {
-		m.patLens[i] = len(p)
 		if len(p) > 0 {
 			total += len(p)
 			order = append(order, int32(i))
@@ -184,19 +173,6 @@ func (m *Matcher) outputs(s int32) []int32 {
 	return m.out[m.outStart[s]:m.outStart[s+1]]
 }
 
-// Find returns every occurrence of every pattern in text, in scan order.
-func (m *Matcher) Find(text []byte) []Match {
-	var matches []Match
-	s := int32(0)
-	for i, b := range text {
-		s = m.step(s, b)
-		for _, p := range m.outputs(s) {
-			matches = append(matches, Match{Pattern: int(p), End: i + 1})
-		}
-	}
-	return matches
-}
-
 // FindUnique returns the set of distinct pattern indices occurring in
 // text, in first-match order. It is the detector's hot path.
 func (m *Matcher) FindUnique(text []byte) []int {
@@ -231,8 +207,8 @@ type Scratch struct {
 // findUniqueInto is the allocation-free FindUnique core, generic over
 // string and []byte inputs.
 func findUniqueInto[T text](m *Matcher, data T, sc *Scratch, dst []int) []int {
-	if len(sc.stamp) < len(m.patLens) {
-		sc.stamp = make([]uint32, len(m.patLens))
+	if len(sc.stamp) < m.numPatterns {
+		sc.stamp = make([]uint32, m.numPatterns)
 		sc.gen = 0
 	}
 	sc.gen++
@@ -262,12 +238,6 @@ func (m *Matcher) FindUniqueInto(data []byte, sc *Scratch, dst []int) []int {
 	return findUniqueInto(m, data, sc, dst)
 }
 
-// FindUniqueStringInto is FindUniqueInto for string input, avoiding the
-// []byte conversion copy.
-func (m *Matcher) FindUniqueStringInto(data string, sc *Scratch, dst []int) []int {
-	return findUniqueInto(m, data, sc, dst)
-}
-
 // contains is the shared Contains core, generic over string and []byte.
 func contains[T text](m *Matcher, data T) bool {
 	s := int32(0)
@@ -286,13 +256,6 @@ func (m *Matcher) Contains(text []byte) bool { return contains(m, text) }
 // ContainsString is Contains for string input, avoiding the []byte
 // conversion copy. It allocates nothing.
 func (m *Matcher) ContainsString(s string) bool { return contains(m, s) }
-
-// PatternLen returns the length of pattern i, so callers can recover the
-// start offset of a Match (End - PatternLen).
-func (m *Matcher) PatternLen(i int) int { return m.patLens[i] }
-
-// NumPatterns returns the number of patterns the automaton was built from.
-func (m *Matcher) NumPatterns() int { return len(m.patLens) }
 
 // NumStates returns the number of automaton states (trie nodes), which the
 // candidate-set ablation reports as a memory proxy.

@@ -97,11 +97,8 @@ func TestDuplicatePatternsReportBothIndices(t *testing.T) {
 
 func TestPatternMetadata(t *testing.T) {
 	m := NewStrings([]string{"abc", "de"})
-	if m.NumPatterns() != 2 {
-		t.Errorf("NumPatterns = %d", m.NumPatterns())
-	}
-	if m.PatternLen(0) != 3 || m.PatternLen(1) != 2 {
-		t.Errorf("PatternLen = %d, %d", m.PatternLen(0), m.PatternLen(1))
+	if m.numPatterns != 2 {
+		t.Errorf("numPatterns = %d", m.numPatterns)
 	}
 	if m.NumStates() < 6 {
 		t.Errorf("NumStates = %d, want >= 6", m.NumStates())
@@ -109,12 +106,13 @@ func TestPatternMetadata(t *testing.T) {
 }
 
 func TestMatchEndOffsets(t *testing.T) {
-	m := NewStrings([]string{"oo@my"})
+	pattern := "oo@my"
+	m := NewStrings([]string{pattern})
 	got := m.Find([]byte("foo@mydom.com"))
 	if len(got) != 1 {
 		t.Fatalf("got %d matches", len(got))
 	}
-	start := got[0].End - m.PatternLen(got[0].Pattern)
+	start := got[0].End - len(pattern)
 	if start != 1 || got[0].End != 6 {
 		t.Errorf("match span [%d,%d), want [1,6)", start, got[0].End)
 	}

@@ -1,6 +1,7 @@
 package suite_test
 
 import (
+	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -29,6 +30,68 @@ func TestRepoIsLintClean(t *testing.T) {
 	}
 	for _, f := range findings {
 		t.Errorf("%s", f)
+	}
+}
+
+// deadExportExemptions names the exported package-level identifiers
+// under internal/ that no non-test code uses but that stay, each with
+// its reason.
+var deadExportExemptions = map[string]string{
+	"piileak/internal/blocklist.NewEngine":               "builds the engine whose Match FuzzMatchAgreesWithRegexp and BenchmarkEngineMatch pin",
+	"piileak/internal/countermeasure.EvaluateBlocklists": "the full-dataset Table 4 oracle of the torture and stream tests",
+	"piileak/internal/psl.PublicSuffix":                  "the subject of FuzzPublicSuffix",
+	"piileak/internal/webgen.MustGenerate":               "the ecosystem fixture constructor of 16 test files",
+}
+
+// TestNoDeadExports keeps unused surface from coming back: every
+// exported package-level func, type, var and const under internal/
+// must be used by a non-test file of the module or of the benchmark
+// harness (bench/), or be named in deadExportExemptions. internal/
+// analysis is out of scope, since its loader and sequential runner
+// serve its own tests; so are methods, whose use interface
+// satisfaction hides from a by-name scan.
+func TestNoDeadExports(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks every package in the module and in bench/")
+	}
+	root := moduleRoot(t)
+	pkgs, err := analysis.Load(root, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	benchPkgs, err := analysis.Load(filepath.Join(root, "bench"), "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// bench/ sees the module through export data, so a use is keyed by
+	// package path and name rather than by object identity.
+	used := map[string]bool{}
+	for _, p := range append(pkgs, benchPkgs...) {
+		for _, obj := range p.TypesInfo.Uses {
+			if obj.Pkg() != nil && obj.Pkg().Scope().Lookup(obj.Name()) == obj {
+				used[obj.Pkg().Path()+"."+obj.Name()] = true
+			}
+		}
+	}
+	declared := map[string]bool{}
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.PkgPath, "piileak/internal/") ||
+			p.PkgPath == "piileak/internal/analysis" ||
+			strings.HasPrefix(p.PkgPath, "piileak/internal/analysis/") {
+			continue
+		}
+		for _, name := range p.Types.Scope().Names() {
+			key := p.PkgPath + "." + name
+			declared[key] = true
+			if token.IsExported(name) && !used[key] && deadExportExemptions[key] == "" {
+				t.Errorf("%s is exported but no non-test code uses it: delete it, move it into a _test.go file, or exempt it with a reason", key)
+			}
+		}
+	}
+	for key := range deadExportExemptions {
+		if !declared[key] || used[key] {
+			t.Errorf("exemption %s is stale: the identifier is gone or has a non-test use", key)
+		}
 	}
 }
 

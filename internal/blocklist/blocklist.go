@@ -112,15 +112,6 @@ func ParseList(name, text string) (*List, error) {
 	return l, nil
 }
 
-// MustParseList panics on error; for embedded lists.
-func MustParseList(name, text string) *List {
-	l, err := ParseList(name, text)
-	if err != nil {
-		panic(err)
-	}
-	return l
-}
-
 // compileRule translates one filter into a Rule. ok=false means the rule
 // is recognized but unsupported (skipped).
 func compileRule(line string) (Rule, bool, error) {
@@ -362,9 +353,6 @@ type Engine struct {
 // NewEngine combines lists; order only affects which rule gets reported.
 func NewEngine(lists ...*List) *Engine { return &Engine{lists: lists} }
 
-// Lists returns the engine's lists.
-func (e *Engine) Lists() []*List { return e.lists }
-
 // Match evaluates a request: the first matching exception rule saves
 // it; otherwise the first matching block rule blocks it.
 func (e *Engine) Match(ri RequestInfo) Decision {
@@ -381,6 +369,3 @@ func (e *Engine) Match(ri RequestInfo) Decision {
 	}
 	return d
 }
-
-// ShouldBlock is Match reduced to the verdict.
-func (e *Engine) ShouldBlock(ri RequestInfo) bool { return e.Match(ri).Blocked }

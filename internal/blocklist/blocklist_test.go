@@ -5,13 +5,17 @@ import (
 	"testing"
 )
 
-func engine(t *testing.T, rules ...string) *Engine {
+func mustParse(t testing.TB, name, text string) *List {
 	t.Helper()
-	l, err := ParseList("test", strings.Join(rules, "\n"))
+	l, err := ParseList(name, text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewEngine(l)
+	return l
+}
+
+func engine(t *testing.T, rules ...string) *Engine {
+	return NewEngine(mustParse(t, "test", strings.Join(rules, "\n")))
 }
 
 func req(url string) RequestInfo {
@@ -29,7 +33,7 @@ func TestDomainAnchor(t *testing.T) {
 		"https://site.com/tracker.net/p":    false,
 	}
 	for url, want := range cases {
-		if got := e.ShouldBlock(req(url)); got != want {
+		if got := e.Match(req(url)).Blocked; got != want {
 			t.Errorf("||tracker.net^ vs %s = %v, want %v", url, got, want)
 		}
 	}
@@ -37,63 +41,63 @@ func TestDomainAnchor(t *testing.T) {
 
 func TestStartEndAnchors(t *testing.T) {
 	e := engine(t, "|https://ads.example.com/banner|")
-	if !e.ShouldBlock(req("https://ads.example.com/banner")) {
+	if !e.Match(req("https://ads.example.com/banner")).Blocked {
 		t.Error("exact anchored URL not blocked")
 	}
-	if e.ShouldBlock(req("https://ads.example.com/banner/extra")) {
+	if e.Match(req("https://ads.example.com/banner/extra")).Blocked {
 		t.Error("end anchor ignored")
 	}
-	if e.ShouldBlock(req("http://evil.com/https://ads.example.com/banner")) {
+	if e.Match(req("http://evil.com/https://ads.example.com/banner")).Blocked {
 		t.Error("start anchor ignored")
 	}
 }
 
 func TestWildcardAndSeparator(t *testing.T) {
 	e := engine(t, "/collect^*pii=")
-	if !e.ShouldBlock(req("https://t.net/collect?pii=abc")) {
+	if !e.Match(req("https://t.net/collect?pii=abc")).Blocked {
 		t.Error("wildcard rule missed")
 	}
-	if e.ShouldBlock(req("https://t.net/collection?pii=abc")) {
+	if e.Match(req("https://t.net/collection?pii=abc")).Blocked {
 		t.Error("separator ^ matched a word character")
 	}
 }
 
 func TestSeparatorAtEnd(t *testing.T) {
 	e := engine(t, "||t.net/path^")
-	if !e.ShouldBlock(req("https://t.net/path")) {
+	if !e.Match(req("https://t.net/path")).Blocked {
 		t.Error("^ should match end of URL")
 	}
-	if !e.ShouldBlock(req("https://t.net/path?q=1")) {
+	if !e.Match(req("https://t.net/path?q=1")).Blocked {
 		t.Error("^ should match ?")
 	}
-	if e.ShouldBlock(req("https://t.net/pathology")) {
+	if e.Match(req("https://t.net/pathology")).Blocked {
 		t.Error("^ matched a letter")
 	}
 }
 
 func TestPlainSubstring(t *testing.T) {
 	e := engine(t, "/ads/")
-	if !e.ShouldBlock(req("https://cdn.com/ads/banner.png")) {
+	if !e.Match(req("https://cdn.com/ads/banner.png")).Blocked {
 		t.Error("substring rule missed")
 	}
-	if e.ShouldBlock(req("https://cdn.com/loads/banner.png")) {
+	if e.Match(req("https://cdn.com/loads/banner.png")).Blocked {
 		t.Error("substring rule over-matched")
 	}
 }
 
 func TestCaseInsensitive(t *testing.T) {
 	e := engine(t, "||Tracker.NET^")
-	if !e.ShouldBlock(req("https://TRACKER.net/x")) {
+	if !e.Match(req("https://TRACKER.net/x")).Blocked {
 		t.Error("matching is not case-insensitive")
 	}
 }
 
 func TestExceptionOverridesBlock(t *testing.T) {
 	e := engine(t, "||tracker.net^", "@@||tracker.net/allowed^")
-	if e.ShouldBlock(req("https://tracker.net/allowed?x=1")) {
+	if e.Match(req("https://tracker.net/allowed?x=1")).Blocked {
 		t.Error("exception did not override block")
 	}
-	if !e.ShouldBlock(req("https://tracker.net/other")) {
+	if !e.Match(req("https://tracker.net/other")).Blocked {
 		t.Error("block rule lost entirely")
 	}
 	d := e.Match(req("https://tracker.net/allowed"))
@@ -105,16 +109,16 @@ func TestExceptionOverridesBlock(t *testing.T) {
 func TestThirdPartyOption(t *testing.T) {
 	e := engine(t, "||widgets.net^$third-party")
 	ri := req("https://widgets.net/w.js")
-	if !e.ShouldBlock(ri) {
+	if !e.Match(ri).Blocked {
 		t.Error("third-party request not blocked")
 	}
 	ri.ThirdParty = false
-	if e.ShouldBlock(ri) {
+	if e.Match(ri).Blocked {
 		t.Error("first-party request blocked by $third-party rule")
 	}
 
 	e2 := engine(t, "||widgets.net^$~third-party")
-	if e2.ShouldBlock(req("https://widgets.net/w.js")) {
+	if e2.Match(req("https://widgets.net/w.js")).Blocked {
 		t.Error("$~third-party blocked a third-party request")
 	}
 }
@@ -123,15 +127,15 @@ func TestDomainOption(t *testing.T) {
 	e := engine(t, "||tracker.net^$domain=shop.com|~mail.shop.com")
 	ri := req("https://tracker.net/x")
 	ri.PageHost = "www.shop.com"
-	if !e.ShouldBlock(ri) {
+	if !e.Match(ri).Blocked {
 		t.Error("domain= did not match subdomain of shop.com")
 	}
 	ri.PageHost = "mail.shop.com"
-	if e.ShouldBlock(ri) {
+	if e.Match(ri).Blocked {
 		t.Error("~mail.shop.com exclusion ignored")
 	}
 	ri.PageHost = "other.com"
-	if e.ShouldBlock(ri) {
+	if e.Match(ri).Blocked {
 		t.Error("domain= matched unrelated page host")
 	}
 }
@@ -140,21 +144,21 @@ func TestTypeOptions(t *testing.T) {
 	e := engine(t, "||tracker.net^$script,image")
 	ri := req("https://tracker.net/x")
 	ri.Type = TypeScript
-	if !e.ShouldBlock(ri) {
+	if !e.Match(ri).Blocked {
 		t.Error("script not blocked")
 	}
 	ri.Type = TypeXHR
-	if e.ShouldBlock(ri) {
+	if e.Match(ri).Blocked {
 		t.Error("xhr blocked despite $script,image")
 	}
 
 	inv := engine(t, "||tracker.net^$~image")
 	ri.Type = TypeImage
-	if inv.ShouldBlock(ri) {
+	if inv.Match(ri).Blocked {
 		t.Error("$~image blocked an image")
 	}
 	ri.Type = TypeScript
-	if !inv.ShouldBlock(ri) {
+	if !inv.Match(ri).Blocked {
 		t.Error("$~image failed to block a script")
 	}
 }
@@ -176,7 +180,7 @@ func TestMixedTypeOptions(t *testing.T) {
 		for typ, want := range map[ResourceType]bool{TypeScript: c.script, TypeImage: c.image, TypeXHR: c.xhr} {
 			ri := req("https://x.com/t.js")
 			ri.Type = typ
-			if got := e.ShouldBlock(ri); got != want {
+			if got := e.Match(ri).Blocked; got != want {
 				t.Errorf("%s vs %s request = %v, want %v", c.rule, typ, got, want)
 			}
 		}
@@ -184,7 +188,7 @@ func TestMixedTypeOptions(t *testing.T) {
 }
 
 func TestUnsupportedOptionSkipsRule(t *testing.T) {
-	l := MustParseList("t", "||x.com^$popup\n||y.com^")
+	l := mustParse(t, "t", "||x.com^$popup\n||y.com^")
 	if len(l.Rules) != 1 {
 		t.Fatalf("rules = %d, want 1 (popup rule skipped)", len(l.Rules))
 	}
@@ -195,7 +199,7 @@ func TestUnsupportedOptionSkipsRule(t *testing.T) {
 
 func TestCommentsCosmeticHeadersSkipped(t *testing.T) {
 	text := "[Adblock Plus 2.0]\n! comment\nsite.com##.ad-banner\n\n||real.net^\n"
-	l := MustParseList("t", text)
+	l := mustParse(t, "t", text)
 	if len(l.Rules) != 1 {
 		t.Fatalf("rules = %d, want 1", len(l.Rules))
 	}
@@ -206,8 +210,8 @@ func TestCommentsCosmeticHeadersSkipped(t *testing.T) {
 }
 
 func TestMultipleListsDecisionNamesList(t *testing.T) {
-	el := MustParseList("easylist", "/banner.")
-	ep := MustParseList("easyprivacy", "||tracker.net^")
+	el := mustParse(t, "easylist", "/banner.")
+	ep := mustParse(t, "easyprivacy", "||tracker.net^")
 	e := NewEngine(el, ep)
 	d := e.Match(req("https://tracker.net/p"))
 	if !d.Blocked || d.List != "easyprivacy" {
@@ -229,12 +233,12 @@ func BenchmarkEngineMatch(b *testing.B) {
 		rules = append(rules, "||tracker"+string(rune('a'+i%26))+".net^$third-party")
 	}
 	rules = append(rules, "||victim.net^")
-	l := MustParseList("bench", strings.Join(rules, "\n"))
+	l := mustParse(b, "bench", strings.Join(rules, "\n"))
 	e := NewEngine(l)
 	ri := RequestInfo{URL: "https://victim.net/pixel?ud=abc", PageHost: "site.com", Type: TypeImage, ThirdParty: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !e.ShouldBlock(ri) {
+		if !e.Match(ri).Blocked {
 			b.Fatal("miss")
 		}
 	}

@@ -9,10 +9,13 @@ import (
 // Example shows the Adblock-Plus engine on a tracker request: the block
 // rule matches, the exception saves an allowed path.
 func Example() {
-	list := blocklist.MustParseList("easyprivacy", `
+	list, err := blocklist.ParseList("easyprivacy", `
 ||tracker.example^$third-party
 @@||tracker.example/unsubscribe^
 `)
+	if err != nil {
+		panic(err)
+	}
 	engine := blocklist.NewEngine(list)
 
 	for _, url := range []string{

@@ -20,7 +20,6 @@ import (
 // AddSites per crawled site as they complete, then Finalize once.
 type Accumulator struct {
 	totalSites int
-	leaks      int
 
 	senderReceivers map[string]map[string]bool
 	receiverSenders map[string]map[string]bool
@@ -58,9 +57,6 @@ func NewAccumulator() *Accumulator {
 // denominator) by n.
 func (acc *Accumulator) AddSites(n int) { acc.totalSites += n }
 
-// Leaks reports how many leaks have been accumulated.
-func (acc *Accumulator) Leaks() int { return acc.leaks }
-
 func mark[K comparable](m map[string]map[K]bool, entity string, k K) {
 	s := m[entity]
 	if s == nil {
@@ -72,7 +68,6 @@ func mark[K comparable](m map[string]map[K]bool, entity string, k K) {
 
 // Add folds one detected leak into every aggregate index.
 func (acc *Accumulator) Add(l *Leak) {
-	acc.leaks++
 	mark(acc.senderReceivers, l.Site, l.Receiver)
 	mark(acc.receiverSenders, l.Receiver, l.Site)
 	acc.leakyRequests[fmt.Sprintf("%s#%d", l.Site, l.Seq)] = true

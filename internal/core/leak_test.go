@@ -230,8 +230,8 @@ func TestDecodeDetectFindsBase64(t *testing.T) {
 	if len(leaks) == 0 {
 		t.Fatal("decode-based detection missed the base64 leak")
 	}
-	if leaks[0].Token.Label() != "plaintext" {
-		t.Errorf("decoded token label = %q", leaks[0].Token.Label())
+	if pii.ChainLabel(leaks[0].Token.Chain) != "plaintext" {
+		t.Errorf("decoded token label = %q", pii.ChainLabel(leaks[0].Token.Chain))
 	}
 }
 

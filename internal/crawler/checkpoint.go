@@ -53,30 +53,40 @@ const checkpointSyncBytes = 1 << 20
 var CheckpointFailpoint func(event string, appends int)
 
 // checkpointHeader pins a checkpoint to one run: resuming under a
-// different seed, site population, browser or shard scope silently
-// mixes datasets, so it is refused instead. Shard is the "i/K" label of
-// a sharded study's failure domain ("" for unsharded runs) — a shard
-// checkpoint resumed by a different shard, or an unsharded checkpoint
-// resumed by a sharded run, is a header mismatch, not silent data
-// corruption.
+// different seed, site population, browser, shard scope or fault
+// settings silently mixes datasets, so it is refused instead. Shard is
+// the "i/K" label of a sharded study's failure domain ("" for unsharded
+// runs) — a shard checkpoint resumed by a different shard, or an
+// unsharded checkpoint resumed by a sharded run, is a header mismatch,
+// not silent data corruption.
 type checkpointHeader struct {
 	Version int    `json:"version"`
 	Browser string `json:"browser"`
 	Seed    uint64 `json:"seed"`
 	Sites   int    `json:"sites"`
 	Shard   string `json:"shard,omitempty"`
+	FaultPin
 }
 
 const checkpointVersion = 1
 
-func headerFor(eco *webgen.Ecosystem, profile browser.Profile, shard string) checkpointHeader {
+func headerFor(eco *webgen.Ecosystem, profile browser.Profile, opts Options) checkpointHeader {
 	return checkpointHeader{
-		Version: checkpointVersion,
-		Browser: profile.Name + " " + profile.Version,
-		Seed:    eco.Config.Seed,
-		Sites:   eco.Config.ShoppingSites,
-		Shard:   shard,
+		Version:  checkpointVersion,
+		Browser:  profile.Name + " " + profile.Version,
+		Seed:     eco.Config.Seed,
+		Sites:    eco.Config.ShoppingSites,
+		Shard:    opts.ShardLabel(),
+		FaultPin: opts.FaultPin(eco),
 	}
+}
+
+func (h checkpointHeader) String() string {
+	s := fmt.Sprintf("%s seed=%d sites=%d shard=%q", h.Browser, h.Seed, h.Sites, h.Shard)
+	if h.FaultPin != (FaultPin{}) {
+		s += " " + h.FaultPin.Summary()
+	}
+	return s
 }
 
 // CheckpointShard peeks at a checkpoint file's header line and reports
@@ -105,15 +115,16 @@ func CheckpointShard(path string) (shard string, found bool, err error) {
 	return hdr.Shard, true, nil
 }
 
-// OpenCheckpoint opens a checkpoint file for a run. With resume set and
-// an existing file, completed entries are loaded and the file's torn
-// tail, if any, is cut off; otherwise the file is created fresh. shard
-// is the run's "i/K" shard label ("" for unsharded runs) — resuming
-// across shard scopes is refused via the header check.
-func OpenCheckpoint(path string, eco *webgen.Ecosystem, profile browser.Profile, resume bool, shard string) (*Checkpoint, error) {
+// OpenCheckpoint opens the checkpoint file at opts.CheckpointPath for a
+// crawl of eco under opts. With opts.Resume and an existing file,
+// completed entries are loaded and the file's torn tail, if any, is cut
+// off; otherwise the file is created fresh. Resuming across shard
+// scopes or fault settings is refused via the header check.
+func OpenCheckpoint(eco *webgen.Ecosystem, profile browser.Profile, opts Options) (*Checkpoint, error) {
+	path := opts.CheckpointPath
 	c := &Checkpoint{path: path}
-	want := headerFor(eco, profile, shard)
-	if resume {
+	want := headerFor(eco, profile, opts)
+	if opts.Resume {
 		if loaded, err := c.load(want); err != nil {
 			return nil, err
 		} else if loaded {
@@ -124,7 +135,7 @@ func OpenCheckpoint(path string, eco *webgen.Ecosystem, profile browser.Profile,
 	// A fresh file is its header alone, written atomically so a stale
 	// checkpoint is replaced whole.
 	hdr, _ := json.Marshal(want) // flat struct: cannot fail
-	err := writeFileAtomic(path, func(w io.Writer) error {
+	err := WriteFileAtomic(path, func(w io.Writer) error {
 		_, err := w.Write(append(hdr, '\n'))
 		return err
 	})
@@ -195,8 +206,7 @@ func (c *Checkpoint) scan(r *bufio.Reader, want checkpointHeader) (keep int64, n
 		return 0, false, c.wrap(fmt.Errorf("malformed header: %w", err))
 	}
 	if hdr != want {
-		return 0, false, fmt.Errorf("crawler: checkpoint %s: written for %s seed=%d sites=%d shard=%q, resume requested for %s seed=%d sites=%d shard=%q",
-			c.path, hdr.Browser, hdr.Seed, hdr.Sites, hdr.Shard, want.Browser, want.Seed, want.Sites, want.Shard)
+		return 0, false, fmt.Errorf("crawler: checkpoint %s: written for %s, resume requested for %s", c.path, hdr, want)
 	}
 	c.entries = map[string]crawlEntry{}
 	size := int64(len(line))

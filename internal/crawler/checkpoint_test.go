@@ -11,8 +11,10 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"piileak/internal/browser"
+	"piileak/internal/resilience"
 	"piileak/internal/site"
 	"piileak/internal/webgen"
 )
@@ -97,6 +99,64 @@ func TestCheckpointRefusesForeignRun(t *testing.T) {
 	}
 }
 
+// TestCheckpointRefusesOtherFaultRate: a checkpoint written under 0.2
+// faults and resumed without faults — `piicrawl -small -seed 7 -faults
+// 0.2 -checkpoint F`, then `-resume` without -faults — is refused, as is
+// the reverse: reusing its sites would write the other run's dataset.
+func TestCheckpointRefusesOtherFaultRate(t *testing.T) {
+	faulted := faultyEcosystem(t, 7, 0.2)
+	clean := webgen.MustGenerate(webgen.SmallConfig(7))
+	for _, tc := range []struct {
+		name          string
+		write, resume *webgen.Ecosystem
+	}{
+		{"faulted-then-clean", faulted, clean},
+		{"clean-then-faulted", clean, faulted},
+		{"0.2-then-0.5", faulted, faultyEcosystem(t, 7, 0.5)},
+	} {
+		path := filepath.Join(t.TempDir(), "crawl.ckpt")
+		if _, err := Run(context.Background(), tc.write, browser.Firefox88(), Options{Source: site.Slice(tc.write.Sites[:3]), CheckpointPath: path}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Run(context.Background(), tc.resume, browser.Firefox88(), Options{CheckpointPath: path, Resume: true})
+		if err == nil || !strings.Contains(err.Error(), "resume requested") {
+			t.Errorf("%s: resume err = %v, want a header mismatch", tc.name, err)
+		}
+	}
+}
+
+// TestCheckpointRefusesOtherRetryPolicy: a faulted checkpoint written
+// at one attempt per fetch — `-faults 0.2 -retries 1 -checkpoint F` —
+// and resumed at the default retries is refused, and so is a resume
+// under another site timeout; the same settings, however spelled,
+// resume.
+func TestCheckpointRefusesOtherRetryPolicy(t *testing.T) {
+	eco := faultyEcosystem(t, 7, 0.2)
+	path := filepath.Join(t.TempDir(), "crawl.ckpt")
+	once := resilience.Policy{MaxAttempts: 1}
+	if _, err := Run(context.Background(), eco, browser.Firefox88(), Options{Source: site.Slice(eco.Sites[:3]), CheckpointPath: path, Policy: once}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"default-retries", Options{}},
+		{"site-timeout", Options{Policy: once, SiteTimeout: 25 * time.Second}},
+	} {
+		tc.opts.CheckpointPath, tc.opts.Resume = path, true
+		_, err := Run(context.Background(), eco, browser.Firefox88(), tc.opts)
+		if err == nil || !strings.Contains(err.Error(), "resume requested") {
+			t.Errorf("%s: resume err = %v, want a header mismatch", tc.name, err)
+		}
+	}
+	spelled := resilience.DefaultPolicy()
+	spelled.MaxAttempts = 1
+	if _, err := Run(context.Background(), eco, browser.Firefox88(), Options{Source: site.Slice(eco.Sites[:3]), CheckpointPath: path, Resume: true, Policy: spelled}); err != nil {
+		t.Errorf("matching resume failed: %v", err)
+	}
+}
+
 func TestCheckpointRefusesDuplicateEntries(t *testing.T) {
 	eco := faultyEcosystem(t, 53, 0.3)
 	path := filepath.Join(t.TempDir(), "crawl.ckpt")
@@ -153,7 +213,7 @@ func TestCheckpointFreshRunTruncatesStaleFile(t *testing.T) {
 	if _, err := Run(context.Background(), eco, browser.Firefox88(), Options{Source: site.Slice(eco.Sites[:1]), CheckpointPath: path}); err != nil {
 		t.Fatal(err)
 	}
-	ckpt, err := OpenCheckpoint(path, eco, browser.Firefox88(), true, "")
+	ckpt, err := OpenCheckpoint(eco, browser.Firefox88(), Options{CheckpointPath: path, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +300,7 @@ func TestCheckpointSyncsInGroups(t *testing.T) {
 			}
 			t.Cleanup(func() { CheckpointFailpoint = nil })
 
-			c, err := OpenCheckpoint(filepath.Join(t.TempDir(), "crawl.ckpt"), eco, browser.Firefox88(), false, "")
+			c, err := OpenCheckpoint(eco, browser.Firefox88(), Options{CheckpointPath: filepath.Join(t.TempDir(), "crawl.ckpt")})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -272,8 +332,11 @@ func TestCheckpointSyncsInGroups(t *testing.T) {
 // crawl of SmallConfig(7) under 0.2 faults writes — the file of
 // `piicrawl -small -seed 7 -faults 0.2 -checkpoint F`. It pins the
 // on-disk format (checkpointVersion 1): a change to it must bump the
-// version, not silently alter the bytes.
-const checkpointDigestSmall7 = "ef7218000ef93b3d42fba8e38f7f150d81e0bd76f12f2c72e1b76895dbc4ab2e"
+// version, not silently alter the bytes. The header's fault pin is the
+// exception: only faulted runs carry it, so fault-free checkpoints keep
+// their version-1 bytes, and a faulted checkpoint written without it
+// is refused as a header mismatch.
+const checkpointDigestSmall7 = "f416fae3285bf091987db10cb2c135fa7382d50d81a760d0ca5464ca4b72c132"
 
 func TestCheckpointBytesPinned(t *testing.T) {
 	eco := faultyEcosystem(t, 7, 0.2)

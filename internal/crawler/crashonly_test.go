@@ -161,10 +161,7 @@ func TestPanicQuarantinesOnlyAffectedSite(t *testing.T) {
 	if q.Len() != 1 || q.Sites()[0] != poison.Domain {
 		t.Fatalf("quarantine holds %v, want exactly [%s]", q.Sites(), poison.Domain)
 	}
-	bundles, err := ReadManifest(q.ManifestPath())
-	if err != nil {
-		t.Fatal(err)
-	}
+	bundles := readManifest(t, q.ManifestPath())
 	if len(bundles) != 1 {
 		t.Fatalf("manifest holds %d bundles, want 1", len(bundles))
 	}

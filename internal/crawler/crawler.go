@@ -289,11 +289,11 @@ func crawlOne(b *browser.Browser, s *site.Site, p pii.Persona, mbox *mailbox.Mai
 
 // WriteJSONFile writes the dataset to a path, gzip-compressing when the
 // name ends in ".gz" (full datasets are ~10 MB of JSON). The write goes
-// through writeFileAtomic and every close/flush error propagates — a
+// through WriteFileAtomic and every close/flush error propagates — a
 // crashed or disk-full run can never leave a truncated dataset under
 // the final name.
 func (d *Dataset) WriteJSONFile(path string) error {
-	err := writeFileAtomic(path, func(w io.Writer) error {
+	err := WriteFileAtomic(path, func(w io.Writer) error {
 		if !strings.HasSuffix(path, ".gz") {
 			return d.WriteJSON(w)
 		}
@@ -314,10 +314,13 @@ func (d *Dataset) WriteJSONFile(path string) error {
 	return nil
 }
 
-// writeFileAtomic writes a file through a temp file in the same
+// WriteFileAtomic writes a file through a temp file in the same
 // directory, synced and then renamed over path, so a crash never leaves
-// a partial file under the final name.
-func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
+// a partial file under the final name. It is the module's one atomic
+// writer: datasets, checkpoint headers, quarantine bundles, shard
+// plan/result/report files and piiserve's WAL and job results all land
+// through it.
+func WriteFileAtomic(path string, write func(io.Writer) error) (err error) {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err

@@ -73,7 +73,7 @@ func FuzzOpenCheckpoint(f *testing.F) {
 		if foreign {
 			hdrEco = other
 		}
-		header, err := json.Marshal(headerFor(hdrEco, profile, ""))
+		header, err := json.Marshal(headerFor(hdrEco, profile, Options{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func FuzzOpenCheckpoint(f *testing.F) {
 			done, keep = done+1, off
 		}
 
-		c, err := OpenCheckpoint(path, eco, profile, true, "")
+		c, err := OpenCheckpoint(eco, profile, Options{CheckpointPath: path, Resume: true})
 		switch {
 		case foreign:
 			if err == nil || !strings.Contains(err.Error(), "resume requested") {
@@ -157,7 +157,7 @@ func FuzzOpenCheckpoint(f *testing.F) {
 			t.Fatalf("file after resume:\n got %q\nwant %q", got, want)
 		}
 
-		c, err = OpenCheckpoint(path, eco, profile, true, "")
+		c, err = OpenCheckpoint(eco, profile, Options{CheckpointPath: path, Resume: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package crawler
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime/debug"
@@ -26,7 +27,6 @@ type Quarantine struct {
 	bundles   []CrashBundle
 	limit     int      // max persisted bundle files (0 = unbounded)
 	persisted []string // bundle file paths in write (eviction) order
-	evicted   int
 }
 
 // Bundle stage markers. StageEvict marks a manifest record noting that
@@ -104,16 +104,6 @@ func (q *Quarantine) SetLimit(n int) {
 	q.limit = n
 }
 
-// Evicted reports how many bundle files the disk cap has deleted.
-func (q *Quarantine) Evicted() int {
-	if q == nil {
-		return 0
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.evicted
-}
-
 // evictLocked deletes the oldest persisted bundle files until the disk
 // cap holds, appending one StageEvict manifest record per deletion.
 // Best-effort like every quarantine write; must be called with the lock
@@ -125,7 +115,6 @@ func (q *Quarantine) evictLocked() {
 		if err := os.Remove(oldest); err != nil && !os.IsNotExist(err) {
 			continue
 		}
-		q.evicted++
 		domain := strings.TrimSuffix(filepath.Base(oldest), q.suffix+".json")
 		q.appendManifestLocked(CrashBundle{Stage: StageEvict, Domain: domain})
 	}
@@ -147,7 +136,7 @@ func (q *Quarantine) appendManifestLocked(b CrashBundle) {
 }
 
 // Add records one crashed site: the bundle file is written whole
-// (atomic temp + rename) and a line is appended to the manifest. Safe
+// (WriteFileAtomic) and a line is appended to the manifest. Safe
 // on a nil receiver — the no-quarantine-dir path, where the crash is
 // still recovered and the site still marked OutcomeCrashed, just
 // without persisted diagnostics. Persistence errors are swallowed: a
@@ -166,12 +155,10 @@ func (q *Quarantine) Add(b CrashBundle) {
 		return
 	}
 	path := filepath.Join(q.dir, b.Domain+q.suffix+".json")
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
+		return err
+	}); err != nil {
 		return
 	}
 	q.persisted = append(q.persisted, path)
@@ -205,37 +192,6 @@ func (q *Quarantine) Sites() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Bundles returns a copy of the collected bundles, sorted by domain.
-func (q *Quarantine) Bundles() []CrashBundle {
-	if q == nil {
-		return nil
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := append([]CrashBundle(nil), q.bundles...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Domain < out[j].Domain })
-	return out
-}
-
-// ReadManifest loads a quarantine manifest's bundles.
-func ReadManifest(path string) ([]CrashBundle, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("crawler: quarantine manifest: %w", err)
-	}
-	defer f.Close() //lint:allow closecheck read-only open; close cannot lose data
-	var out []CrashBundle
-	dec := json.NewDecoder(f)
-	for dec.More() {
-		var b CrashBundle
-		if err := dec.Decode(&b); err != nil {
-			return out, fmt.Errorf("crawler: quarantine manifest %s: %w", path, err)
-		}
-		out = append(out, b)
-	}
-	return out, nil
 }
 
 // BundleFor assembles the diagnostics for a recovered panic. It must

@@ -124,6 +124,47 @@ func (o Options) source(eco *webgen.Ecosystem) site.Source {
 	return eco.Universe()
 }
 
+// FaultPin holds the crawl settings that change a faulted site's bytes:
+// the effective injector's seed and rate, the effective retry policy
+// and the site watchdog budget. A crawl without an injector never
+// retries and never advances its clock, so none of them can change a
+// byte there: its pin is zero and adds nothing to a checkpoint header
+// or a shard plan.
+type FaultPin struct {
+	FaultSeed   uint64  `json:"fault_seed,omitempty"`
+	FaultRate   float64 `json:"fault_rate,omitempty"`
+	Retry       string  `json:"retry,omitempty"`
+	SiteTimeout string  `json:"site_timeout,omitempty"`
+}
+
+// FaultPin returns the pin of a crawl of eco under these options. The
+// retry policy renders every field, so a policy field added later is
+// pinned too.
+func (o Options) FaultPin(eco *webgen.Ecosystem) FaultPin {
+	inj := injectorFor(eco, o)
+	if inj == nil {
+		return FaultPin{}
+	}
+	pin := FaultPin{FaultSeed: inj.Seed(), FaultRate: inj.Rate(), Retry: fmt.Sprintf("%+v", o.Policy.WithDefaults())}
+	if o.SiteTimeout > 0 {
+		pin.SiteTimeout = o.SiteTimeout.String()
+	}
+	return pin
+}
+
+// Summary renders the pin for a mismatch error. It is not String, so a
+// struct that embeds the pin does not print as the pin alone.
+func (p FaultPin) Summary() string {
+	if p == (FaultPin{}) {
+		return "no faults"
+	}
+	s := fmt.Sprintf("fault_seed=%d fault_rate=%g retry=%s", p.FaultSeed, p.FaultRate, p.Retry)
+	if p.SiteTimeout != "" {
+		s += " site_timeout=" + p.SiteTimeout
+	}
+	return s
+}
+
 // injectorFor resolves the effective injector for a crawl.
 func injectorFor(eco *webgen.Ecosystem, opts Options) *faultsim.Injector {
 	if opts.Faults != nil {

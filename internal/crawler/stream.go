@@ -91,7 +91,7 @@ func streamCrawl(ctx context.Context, eco *webgen.Ecosystem, profile browser.Pro
 	var ckpt *Checkpoint
 	if opts.CheckpointPath != "" {
 		var err error
-		ckpt, err = OpenCheckpoint(opts.CheckpointPath, eco, profile, opts.Resume, opts.ShardLabel())
+		ckpt, err = OpenCheckpoint(eco, profile, opts)
 		if err != nil {
 			return err
 		}

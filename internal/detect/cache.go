@@ -66,12 +66,3 @@ func CacheStats() (hits, misses uint64) {
 	defer cacheMu.Unlock()
 	return cacheHits, cacheMisses
 }
-
-// CachedCandidates exposes the shared build cache to callers that need
-// a bare candidate set (ablations measuring candidate-set shape) rather
-// than a full Engine, so they too compile each configuration at most
-// once per process.
-func CachedCandidates(p pii.Persona, cfg pii.CandidateConfig) (*pii.CandidateSet, error) {
-	cs, _, err := cachedCandidates(p, cfg)
-	return cs, err
-}

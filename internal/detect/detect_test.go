@@ -40,7 +40,7 @@ func mustJSON(t *testing.T, v any) []byte {
 // for-byte on one record, and returns the leaks.
 func checkRecord(t *testing.T, sc *Scanner, site string, rec *httpmodel.Record) []core.Leak {
 	t.Helper()
-	want := LegacyFor(sc.Engine()).DetectRecord(site, rec)
+	want := LegacyFor(sc.eng).DetectRecord(site, rec)
 	got := sc.DetectRecord(site, rec)
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("scanner diverges from legacy on %s %s:\nlegacy:  %s\nscanner: %s",
@@ -310,7 +310,7 @@ func TestEngineBuildCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	builds := pii.CandidateBuilds()
+	_, misses := CacheStats()
 	// Same config, explicit defaults, and a second zero config must all
 	// share e1's compile.
 	for _, cfg := range []Config{
@@ -329,8 +329,8 @@ func TestEngineBuildCache(t *testing.T) {
 			t.Errorf("config %+v: cache returned a different candidate set", cfg)
 		}
 	}
-	if got := pii.CandidateBuilds(); got != builds {
-		t.Errorf("cache hits still compiled: %d builds, want %d", got, builds)
+	if _, got := CacheStats(); got != misses {
+		t.Errorf("cache hits still compiled: %d misses, want %d", got, misses)
 	}
 	// A different config compiles fresh.
 	e2, err := NewEngine(p, nil, Config{Candidates: pii.CandidateConfig{MaxDepth: 1}})

@@ -48,9 +48,6 @@ func (e *Engine) NewScanner() *Scanner {
 	return &Scanner{eng: e, hostRecv: make(map[string]recvEntry)}
 }
 
-// Engine returns the immutable engine this scanner scans with.
-func (s *Scanner) Engine() *Engine { return s.eng }
-
 // DetectSite scans all records of one site crawl.
 func (s *Scanner) DetectSite(siteDomain string, records []httpmodel.Record) []core.Leak {
 	var out []core.Leak

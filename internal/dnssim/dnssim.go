@@ -92,11 +92,6 @@ func (r *Resolver) Lookup(host string) ([]string, error) {
 	return r.zone.Resolve(host)
 }
 
-// Attempts reports how many lookups host has seen.
-func (r *Resolver) Attempts(host string) int {
-	return r.attempts[psl.Normalize(host)]
-}
-
 // CloakingList is a blocklist of tracker registrable domains known to
 // offer CNAME cloaking.
 type CloakingList struct {
@@ -176,17 +171,6 @@ func (c *Classifier) EffectiveParty(host string) string {
 		return psl.Normalize(host)
 	}
 	return e
-}
-
-// IsCloakedThirdParty reports whether host — nominally same-site with
-// siteHost — is in fact a third party via CNAME cloaking (§4.1's
-// combination of "CNAME cloaking and third-party resources").
-func (c *Classifier) IsCloakedThirdParty(siteHost, host string) bool {
-	if c.PSL.IsThirdParty(siteHost, host) {
-		return false // already a plain third party
-	}
-	_, cloaked := c.Uncloak(host)
-	return cloaked
 }
 
 // String renders the cloaking list for documentation output.

@@ -79,23 +79,6 @@ func TestEffectiveParty(t *testing.T) {
 	}
 }
 
-func TestIsCloakedThirdParty(t *testing.T) {
-	z := NewZone()
-	z.AddCNAME("metrics.shop.example.com", "x.omtrdc.net")
-	c := NewClassifier(z)
-
-	if !c.IsCloakedThirdParty("shop.example.com", "metrics.shop.example.com") {
-		t.Error("cloaked subdomain not flagged")
-	}
-	// A plain third party is not *cloaked* third party.
-	if c.IsCloakedThirdParty("shop.example.com", "pixel.tracker.net") {
-		t.Error("plain third party misreported as cloaked")
-	}
-	if c.IsCloakedThirdParty("shop.example.com", "cdn.shop.example.com") {
-		t.Error("benign first-party subdomain flagged")
-	}
-}
-
 func TestDefaultCloakingListContents(t *testing.T) {
 	l := DefaultCloakingList()
 	for _, d := range []string{"omtrdc.net", "eulerian.net", "2o7.net"} {

@@ -14,8 +14,8 @@ func TestResolverWithoutHookNeverFails(t *testing.T) {
 			t.Errorf("%s: %v", host, err)
 		}
 	}
-	if r.Attempts("plain.example.com") != 1 {
-		t.Errorf("attempts = %d, want 1", r.Attempts("plain.example.com"))
+	if r.attempts["plain.example.com"] != 1 {
+		t.Errorf("attempts = %d, want 1", r.attempts["plain.example.com"])
 	}
 }
 
@@ -38,15 +38,15 @@ func TestResolverHookVetoesByAttempt(t *testing.T) {
 	if _, err := r.Lookup("other.example.com"); err != nil {
 		t.Errorf("unrelated host failed: %v", err)
 	}
-	if r.Attempts("flaky.example.com") != 2 {
-		t.Errorf("attempts = %d, want 2", r.Attempts("flaky.example.com"))
+	if r.attempts["flaky.example.com"] != 2 {
+		t.Errorf("attempts = %d, want 2", r.attempts["flaky.example.com"])
 	}
 }
 
 func TestResolverNormalizesHostForAccounting(t *testing.T) {
 	r := NewResolver(NewZone(), nil)
 	r.Lookup("WWW.Example.COM")
-	if r.Attempts("www.example.com") != 1 {
+	if r.attempts["www.example.com"] != 1 {
 		t.Error("attempt accounting is case-sensitive")
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"encoding/base32"
 	"encoding/base64"
 	"encoding/hex"
-	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -117,16 +116,6 @@ func init() {
 func Lookup(name string) (Codec, bool) {
 	c, ok := registry[name]
 	return c, ok
-}
-
-// Apply encodes data with the named codec. It returns an error for
-// unknown names so callers can surface configuration typos.
-func Apply(name string, data []byte) ([]byte, error) {
-	c, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("encode: unknown codec %q", name)
-	}
-	return c.Encode(data), nil
 }
 
 // Names returns all registered codec names in sorted order.

@@ -185,6 +185,9 @@ func New(cfg Config) *Injector {
 // Seed returns the injector's fault seed.
 func (in *Injector) Seed() uint64 { return in.cfg.Seed }
 
+// Rate returns the fraction of hosts the injector makes faulty.
+func (in *Injector) Rate() float64 { return in.cfg.Rate }
+
 // mix64 is splitmix64's finalizer — a cheap, well-distributed hash.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30

@@ -58,21 +58,6 @@ func (m *Matcher) Match(inputName string) (pii.Type, bool) {
 	return "", false
 }
 
-// Fill resolves a persona value for one input name.
-func (m *Matcher) Fill(p pii.Persona, inputName string) (string, bool) {
-	t, ok := m.Match(inputName)
-	if !ok {
-		return "", false
-	}
-	switch t {
-	case pii.TypeName:
-		return p.FullName(), true
-	default:
-		v := p.FieldValue(t)
-		return v, v != ""
-	}
-}
-
 // CanComplete reports whether every required input is matchable — the
 // automated crawler's precondition for submitting a form.
 func (m *Matcher) CanComplete(requiredInputs []string) bool {

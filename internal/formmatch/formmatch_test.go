@@ -52,22 +52,6 @@ func TestMatchExoticNamesFail(t *testing.T) {
 	}
 }
 
-func TestFill(t *testing.T) {
-	m := NewMatcher()
-	p := pii.Default()
-	v, ok := m.Fill(p, "customer_email")
-	if !ok || v != p.Email {
-		t.Errorf("Fill(email) = %q, %v", v, ok)
-	}
-	v, ok = m.Fill(p, "full_name")
-	if !ok || v != p.FullName() {
-		t.Errorf("Fill(name) = %q, %v", v, ok)
-	}
-	if _, ok := m.Fill(p, "field_xx"); ok {
-		t.Error("Fill matched an exotic field")
-	}
-}
-
 func TestCanComplete(t *testing.T) {
 	m := NewMatcher()
 	if !m.CanComplete([]string{"email", "name", "password", "terms_accept"}) {

@@ -44,10 +44,3 @@ func (d *crc16Digest) Write(p []byte) (int, error) {
 func (d *crc16Digest) Sum(in []byte) []byte {
 	return append(in, byte(*d>>8), byte(*d))
 }
-
-// CRC16 computes the CRC-16/ARC value of data.
-func CRC16(data []byte) uint16 {
-	var d crc16Digest
-	d.Write(data) //nolint:errcheck // cannot fail
-	return uint16(d)
-}

@@ -22,7 +22,6 @@ import (
 	"crypto/sha256"
 	"crypto/sha512"
 	"encoding/hex"
-	"fmt"
 	"hash"
 	"hash/adler32"
 	"hash/crc32"
@@ -95,25 +94,6 @@ func init() {
 func Lookup(name string) (Func, bool) {
 	f, ok := registry[name]
 	return f, ok
-}
-
-// Sum computes the named digest of data. It returns an error for unknown
-// names so callers can surface configuration typos instead of panicking.
-func Sum(name string, data []byte) ([]byte, error) {
-	f, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("hashes: unknown function %q", name)
-	}
-	return f.Sum(data), nil
-}
-
-// HexSum computes the named digest of data in lower-case hex.
-func HexSum(name string, data []byte) (string, error) {
-	b, err := Sum(name, data)
-	if err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(b), nil
 }
 
 // Names returns all registered function names in sorted order.

@@ -119,16 +119,6 @@ func (r *Request) Referer() string {
 	return ""
 }
 
-// QueryParams returns the decoded query parameters of the request URL in
-// deterministic (sorted-key) order.
-func (r *Request) QueryParams() []Param {
-	u, err := url.Parse(r.URL)
-	if err != nil {
-		return nil
-	}
-	return sortedParams(u.Query())
-}
-
 // Param is one decoded key/value pair.
 type Param struct {
 	Key   string

@@ -27,11 +27,14 @@ func TestRefererCaseInsensitive(t *testing.T) {
 }
 
 func TestQueryParamsSortedAndDecoded(t *testing.T) {
-	r := Request{URL: "https://t.net/p?b=2&a=foo%40mydom.com&b=1"}
-	got := r.QueryParams()
+	u, err := url.Parse("https://t.net/p?b=2&a=foo%40mydom.com&b=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := sortedParams(u.Query())
 	want := []Param{{"a", "foo@mydom.com"}, {"b", "2"}, {"b", "1"}}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("QueryParams = %+v, want %+v", got, want)
+		t.Errorf("sortedParams = %+v, want %+v", got, want)
 	}
 }
 

@@ -58,9 +58,6 @@ func (ix *RequestIndex) AddReduced(domain string, rs []IndexedRequest) {
 	ix.sites[domain] = rs
 }
 
-// Sites reports how many site entries the index holds.
-func (ix *RequestIndex) Sites() int { return len(ix.sites) }
-
 // Has reports whether the index holds an entry for the domain.
 func (ix *RequestIndex) Has(domain string) bool {
 	_, ok := ix.sites[domain]

@@ -88,15 +88,6 @@ func (m *Mailbox) Count(folder Folder) int {
 	return n
 }
 
-// FromDomains returns the distinct sending domains.
-func (m *Mailbox) FromDomains() map[string]bool {
-	out := map[string]bool{}
-	for _, msg := range m.Messages {
-		out[msg.FromDomain] = true
-	}
-	return out
-}
-
 // FromAny reports whether any message came from one of the given
 // domains — the §4.2.3 check that leak receivers never mail the persona.
 func (m *Mailbox) FromAny(domains map[string]bool) []string {

@@ -1,7 +1,6 @@
 package mailbox
 
 import (
-	"reflect"
 	"testing"
 )
 
@@ -27,17 +26,6 @@ func TestConfirmationLink(t *testing.T) {
 	}
 	if m.Messages[0].Kind != KindConfirmation || m.Messages[0].Folder != FolderInbox {
 		t.Errorf("confirmation message misfiled: %+v", m.Messages[0])
-	}
-}
-
-func TestFromDomains(t *testing.T) {
-	var m Mailbox
-	m.DeliverMarketing("a.com", 1, 0)
-	m.DeliverMarketing("b.com", 1, 1)
-	got := m.FromDomains()
-	want := map[string]bool{"a.com": true, "b.com": true}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("FromDomains = %v", got)
 	}
 }
 

@@ -24,10 +24,8 @@ type Packet struct {
 	Payload  []byte
 }
 
-// FIN/SYN/PSH/ACK helpers.
+// SYN/ACK helpers.
 func (p *Packet) SYN() bool { return p.Flags&flagSYN != 0 }
-func (p *Packet) FIN() bool { return p.Flags&flagFIN != 0 }
-func (p *Packet) PSH() bool { return p.Flags&flagPSH != 0 }
 func (p *Packet) ACK() bool { return p.Flags&flagACK != 0 }
 
 // Parse decodes a classic pcap stream, verifying the IPv4 and TCP

@@ -52,7 +52,7 @@ func TestWriteExchangeRoundTrip(t *testing.T) {
 	if !packets[1].SYN() || !packets[1].ACK() {
 		t.Error("second packet is not SYN/ACK")
 	}
-	if !packets[len(packets)-3].FIN() {
+	if packets[len(packets)-3].Flags&flagFIN == 0 {
 		t.Error("teardown missing")
 	}
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"piileak/internal/ahocorasick"
 )
@@ -67,34 +66,19 @@ type Token struct {
 	Chain []string `json:"chain,omitempty"`
 }
 
-// Label renders the token's chain in Table 1b vocabulary.
-func (t Token) Label() string { return ChainLabel(t.Chain) }
-
 // CandidateSet is the compiled token set: the tokens plus an
 // Aho-Corasick automaton for single-pass scanning. It is immutable and
 // safe for concurrent use.
 type CandidateSet struct {
-	cfg     CandidateConfig
 	tokens  []Token
 	matcher *ahocorasick.Matcher
 }
-
-// candidateBuilds counts BuildCandidates calls process-wide; the
-// detection-engine build cache's tests assert it stays flat on cache
-// hits.
-var candidateBuilds atomic.Uint64
-
-// CandidateBuilds returns the number of BuildCandidates calls so far in
-// this process. It exists so tests can pin that cached code paths stop
-// rebuilding candidate sets.
-func CandidateBuilds() uint64 { return candidateBuilds.Load() }
 
 // BuildCandidates generates and compiles the candidate set for a
 // persona. Chains are explored breadth first and deduplicated by value,
 // so a value reachable through several chains is attributed to its
 // shortest chain (e.g. rot13∘rot13 collapses into plaintext).
 func BuildCandidates(p Persona, cfg CandidateConfig) (*CandidateSet, error) {
-	candidateBuilds.Add(1)
 	cfg = cfg.withDefaults()
 	transforms := make([]Transform, 0, len(cfg.Transforms))
 	for _, name := range cfg.Transforms {
@@ -105,7 +89,7 @@ func BuildCandidates(p Persona, cfg CandidateConfig) (*CandidateSet, error) {
 		transforms = append(transforms, t)
 	}
 
-	cs := &CandidateSet{cfg: cfg}
+	cs := &CandidateSet{}
 	seen := make(map[string]bool)
 	add := func(value []byte, field Field, chain []string) {
 		if len(value) < cfg.MinTokenLen || seen[string(value)] {
@@ -150,15 +134,6 @@ func BuildCandidates(p Persona, cfg CandidateConfig) (*CandidateSet, error) {
 	return cs, nil
 }
 
-// MustBuildCandidates panics on configuration errors.
-func MustBuildCandidates(p Persona, cfg CandidateConfig) *CandidateSet {
-	cs, err := BuildCandidates(p, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return cs
-}
-
 // FindIn returns the distinct tokens occurring in data, in first-match
 // order.
 func (cs *CandidateSet) FindIn(data []byte) []Token {
@@ -195,12 +170,6 @@ func (cs *CandidateSet) FindInto(data []byte, sc *Scratch, dst []int) []int {
 	return cs.matcher.FindUniqueInto(data, sc, dst)
 }
 
-// FindStringInto is FindInto for string input, avoiding the []byte
-// conversion copy.
-func (cs *CandidateSet) FindStringInto(data string, sc *Scratch, dst []int) []int {
-	return cs.matcher.FindUniqueStringInto(data, sc, dst)
-}
-
 // TokenAt returns the token at index i of the compiled set, as reported
 // by FindInto. Callers must not mutate the result's Chain.
 func (cs *CandidateSet) TokenAt(i int) Token { return cs.tokens[i] }
@@ -215,6 +184,3 @@ func (cs *CandidateSet) Size() int { return len(cs.tokens) }
 // States returns the automaton state count (a memory proxy reported by
 // ablation A1).
 func (cs *CandidateSet) States() int { return cs.matcher.NumStates() }
-
-// Config returns the effective configuration after defaulting.
-func (cs *CandidateSet) Config() CandidateConfig { return cs.cfg }

@@ -10,15 +10,18 @@ import (
 // a persona's tokens, then scan traffic for any of them.
 func ExampleBuildCandidates() {
 	persona := pii.Default()
-	cs := pii.MustBuildCandidates(persona, pii.CandidateConfig{
+	cs, err := pii.BuildCandidates(persona, pii.CandidateConfig{
 		MaxDepth:   1,
 		Transforms: []string{"md5", "sha256"},
 	})
+	if err != nil {
+		panic(err)
+	}
 
 	hashed := pii.MustApplyChain(persona.Email, []string{"sha256"})
 	blob := []byte("https://tracker.example/p?ud=" + string(hashed))
 	for _, tok := range cs.FindIn(blob) {
-		fmt.Printf("%s of %s\n", tok.Label(), tok.Field.Type)
+		fmt.Printf("%s of %s\n", pii.ChainLabel(tok.Chain), tok.Field.Type)
 	}
 	// Output:
 	// sha256 of email

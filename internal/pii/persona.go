@@ -4,8 +4,6 @@
 // Aho-Corasick automaton for single-pass request scanning.
 package pii
 
-import "strings"
-
 // Type labels one kind of personally identifiable information. The
 // values match the paper's Table 1c vocabulary.
 type Type string
@@ -95,13 +93,4 @@ func (p Persona) FieldValue(t Type) string {
 		}
 	}
 	return ""
-}
-
-// EmailLocalDomain splits the email for sites that leak only a part.
-func (p Persona) EmailLocalDomain() (local, domain string) {
-	at := strings.IndexByte(p.Email, '@')
-	if at < 0 {
-		return p.Email, ""
-	}
-	return p.Email[:at], p.Email[at+1:]
 }

@@ -13,6 +13,16 @@ import (
 	"piileak/internal/ahocorasick"
 )
 
+// MustBuildCandidates is BuildCandidates for the fixed configurations
+// the tests use; it panics on configuration errors.
+func MustBuildCandidates(p Persona, cfg CandidateConfig) *CandidateSet {
+	cs, err := BuildCandidates(p, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return cs
+}
+
 func TestDefaultPersonaFields(t *testing.T) {
 	p := Default()
 	fields := p.Fields()
@@ -30,14 +40,6 @@ func TestDefaultPersonaFields(t *testing.T) {
 		if !types[want] {
 			t.Errorf("missing PII type %s", want)
 		}
-	}
-}
-
-func TestEmailLocalDomain(t *testing.T) {
-	p := Default()
-	local, domain := p.EmailLocalDomain()
-	if local+"@"+domain != p.Email {
-		t.Errorf("split %q + %q does not reassemble %q", local, domain, p.Email)
 	}
 }
 
@@ -133,8 +135,8 @@ func TestBuildCandidatesFindsHashedEmail(t *testing.T) {
 	if tok.Field.Type != TypeEmail {
 		t.Errorf("token field = %s, want email", tok.Field.Type)
 	}
-	if tok.Label() != "sha256" {
-		t.Errorf("token label = %s, want sha256", tok.Label())
+	if ChainLabel(tok.Chain) != "sha256" {
+		t.Errorf("token label = %s, want sha256", ChainLabel(tok.Chain))
 	}
 }
 
@@ -142,7 +144,7 @@ func TestBuildCandidatesFindsDepth2(t *testing.T) {
 	p := Default()
 	cs := MustBuildCandidates(p, smallConfig(2))
 	tok := MustApplyChain(p.Email, []string{"md5", "sha256"})
-	if got := cs.FindIn(tok); len(got) != 1 || got[0].Label() != "sha256ofmd5" {
+	if got := cs.FindIn(tok); len(got) != 1 || ChainLabel(got[0].Chain) != "sha256ofmd5" {
 		t.Fatalf("depth-2 token not attributed: %+v", got)
 	}
 }
@@ -159,7 +161,7 @@ func TestBuildCandidatesDepth1MissesDepth2(t *testing.T) {
 func TestBuildCandidatesPlaintext(t *testing.T) {
 	p := Default()
 	cs := MustBuildCandidates(p, smallConfig(1))
-	if got := cs.FindIn([]byte("email=" + p.Email)); len(got) == 0 || got[0].Label() != "plaintext" {
+	if got := cs.FindIn([]byte("email=" + p.Email)); len(got) == 0 || ChainLabel(got[0].Chain) != "plaintext" {
 		t.Fatalf("plaintext email not found: %+v", got)
 	}
 }
@@ -237,7 +239,7 @@ func TestFindInBinaryToken(t *testing.T) {
 	found := cs.FindIn(blob)
 	ok := false
 	for _, tok := range found {
-		if tok.Label() == "gz" && tok.Field.Type == TypeEmail {
+		if ChainLabel(tok.Chain) == "gz" && tok.Field.Type == TypeEmail {
 			ok = true
 		}
 	}
@@ -253,7 +255,7 @@ func TestFullTransformSetDepth1(t *testing.T) {
 	labels := map[string]bool{}
 	for _, tok := range cs.Tokens() {
 		if tok.Field.Type == TypeEmail {
-			labels[tok.Label()] = true
+			labels[ChainLabel(tok.Chain)] = true
 		}
 	}
 	for _, name := range TransformNames() {

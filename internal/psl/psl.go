@@ -4,11 +4,10 @@
 // eTLD+1 extraction, and site-equality ("same registrable domain")
 // classification.
 //
-// The embedded default list is a curated subset of the real PSL covering
-// every suffix the synthetic ecosystem uses, plus the private-section
-// entries (herokuapp.com, github.io, ...) that matter for the paper's
-// Brave analysis (§7.1, footnote 4). Custom lists can be parsed from the
-// standard PSL text format for tests and for users with their own data.
+// The embedded default list is a curated subset of the real PSL's ICANN
+// section covering every suffix the synthetic ecosystem uses. Custom
+// lists can be parsed from the standard PSL text format for tests and
+// for users with their own data.
 package psl
 
 import (
@@ -71,7 +70,11 @@ func MustParse(text string) *List {
 // label, exception rules override wildcards, and an unmatched domain
 // falls back to its last label.
 func (l *List) PublicSuffix(domain string) string {
-	domain = Normalize(domain)
+	return l.publicSuffix(Normalize(domain))
+}
+
+// publicSuffix is PublicSuffix of an already normalized domain.
+func (l *List) publicSuffix(domain string) string {
 	if domain == "" {
 		return ""
 	}
@@ -113,11 +116,11 @@ func (l *List) PublicSuffix(domain string) string {
 }
 
 // ETLDPlusOne returns the registrable domain (public suffix plus one
-// label). It returns an error when the domain is itself a public suffix
-// or empty.
+// label). It returns an error when the domain is itself a public suffix,
+// empty, or has an empty label.
 func (l *List) ETLDPlusOne(domain string) (string, error) {
 	domain = Normalize(domain)
-	suffix := l.PublicSuffix(domain)
+	suffix := l.publicSuffix(domain)
 	if suffix == "" || suffix == domain || domain == "" {
 		return "", fmt.Errorf("psl: %q has no registrable domain", domain)
 	}
@@ -141,7 +144,9 @@ func (l *List) IsThirdParty(siteHost, requestHost string) bool {
 	return !l.SameSite(siteHost, requestHost)
 }
 
-// Normalize lower-cases a host and strips a trailing dot and port.
+// Normalize lower-cases a host and strips one trailing dot and a port.
+// A host ending in ".." keeps an empty label, which PublicSuffix and
+// ETLDPlusOne reject.
 func Normalize(host string) string {
 	host = strings.ToLower(strings.TrimSpace(host))
 	if i := strings.LastIndexByte(host, ':'); i >= 0 && !strings.Contains(host[i+1:], ".") {
@@ -159,15 +164,14 @@ func Normalize(host string) string {
 		}
 	}
 	// Stripping the trailing dot can expose trailing whitespace; trim
-	// again so Normalize is idempotent.
+	// again.
 	return strings.TrimSpace(strings.TrimSuffix(host, "."))
 }
 
 // defaultPSL is the embedded ICANN-section rule set. The paper's party
 // classification operates at this granularity (it reports herokuapp.com —
-// a private-section suffix — as a single receiver domain), so the default
-// list excludes the private section; DefaultWithPrivate adds it for
-// callers that want hosting customers separated.
+// a private-section suffix — as a single receiver domain), so the list
+// has no private section.
 const defaultPSL = `
 // ---- ICANN section (subset) ----
 com
@@ -227,39 +231,16 @@ club
 *.bd
 `
 
-// privatePSL holds the private-section entries (hosting providers whose
-// customers are mutually third-party).
-const privatePSL = `
-// ---- Private section (subset) ----
-herokuapp.com
-github.io
-blogspot.com
-cloudfront.net
-azurewebsites.net
-web.app
-firebaseapp.com
-`
-
-var (
-	defaultList        = MustParse(defaultPSL)
-	defaultWithPrivate = MustParse(defaultPSL + privatePSL)
-)
+var defaultList = MustParse(defaultPSL)
 
 // Default returns the embedded ICANN-section list.
 func Default() *List { return defaultList }
-
-// DefaultWithPrivate returns the embedded list including the private
-// section.
-func DefaultWithPrivate() *List { return defaultWithPrivate }
 
 // PublicSuffix applies the embedded list.
 func PublicSuffix(domain string) string { return defaultList.PublicSuffix(domain) }
 
 // ETLDPlusOne applies the embedded list.
 func ETLDPlusOne(domain string) (string, error) { return defaultList.ETLDPlusOne(domain) }
-
-// SameSite applies the embedded list.
-func SameSite(a, b string) bool { return defaultList.SameSite(a, b) }
 
 // IsThirdParty applies the embedded list.
 func IsThirdParty(siteHost, requestHost string) bool {

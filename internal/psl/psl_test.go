@@ -55,7 +55,7 @@ func TestETLDPlusOne(t *testing.T) {
 }
 
 func TestETLDPlusOneErrors(t *testing.T) {
-	for _, in := range []string{"com", "co.jp", ""} {
+	for _, in := range []string{"com", "co.jp", "", "a.com.."} {
 		if _, err := ETLDPlusOne(in); err == nil {
 			t.Errorf("ETLDPlusOne(%q) succeeded, want error", in)
 		}
@@ -75,7 +75,7 @@ func TestSameSite(t *testing.T) {
 		{"com", "com", false},
 	}
 	for _, c := range cases {
-		if got := SameSite(c.a, c.b); got != c.want {
+		if got := Default().SameSite(c.a, c.b); got != c.want {
 			t.Errorf("SameSite(%q, %q) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
@@ -129,8 +129,21 @@ func TestMustParsePanics(t *testing.T) {
 	MustParse("bad rule here")
 }
 
+// privatePSL is a subset of the real PSL's private section: hosting
+// providers whose customers are mutually third-party.
+const privatePSL = `
+// ---- Private section (subset) ----
+herokuapp.com
+github.io
+blogspot.com
+cloudfront.net
+azurewebsites.net
+web.app
+firebaseapp.com
+`
+
 func TestPrivateSectionList(t *testing.T) {
-	l := DefaultWithPrivate()
+	l := MustParse(defaultPSL + privatePSL)
 	if got := l.PublicSuffix("example.herokuapp.com"); got != "herokuapp.com" {
 		t.Errorf("PublicSuffix(example.herokuapp.com) = %q", got)
 	}

@@ -5,7 +5,6 @@ package report
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"piileak/internal/core"
@@ -202,27 +201,4 @@ func Comparison(title string, rows []ComparisonRow) string {
 		out = append(out, []string{r.Metric, r.Paper, r.Measured})
 	}
 	return title + "\n" + Table([]string{"metric", "paper", "measured"}, out)
-}
-
-// SortedKeys is a small helper for deterministic map iteration in
-// reports.
-func SortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Figure2CSV renders the Figure 2 series as CSV (receiver, senders,
-// sender_pct, brand, cloaked) for plotting tools.
-func Figure2CSV(ranks []core.ReceiverRank) string {
-	var b strings.Builder
-	b.WriteString("receiver,senders,sender_pct,brand,cloaked\n")
-	for _, r := range ranks {
-		fmt.Fprintf(&b, "%s,%d,%.2f,%s,%v\n",
-			r.Receiver, r.Senders, r.SenderPct, brandOf[r.Receiver], r.Cloaked)
-	}
-	return b.String()
 }

@@ -147,26 +147,3 @@ func TestComparison(t *testing.T) {
 		t.Errorf("comparison:\n%s", out)
 	}
 }
-
-func TestSortedKeys(t *testing.T) {
-	got := SortedKeys(map[string]int{"b": 1, "a": 2, "c": 3})
-	if strings.Join(got, "") != "abc" {
-		t.Errorf("SortedKeys = %v", got)
-	}
-}
-
-func TestFigure2CSV(t *testing.T) {
-	out := Figure2CSV([]core.ReceiverRank{
-		{Receiver: "facebook.com", Senders: 74, SenderPct: 56.92},
-		{Receiver: "omtrdc.net", Senders: 7, SenderPct: 5.38, Cloaked: true},
-	})
-	if !strings.HasPrefix(out, "receiver,senders,sender_pct,brand,cloaked\n") {
-		t.Errorf("header missing:\n%s", out)
-	}
-	if !strings.Contains(out, "facebook.com,74,56.92,,false") {
-		t.Errorf("facebook row missing:\n%s", out)
-	}
-	if !strings.Contains(out, "omtrdc.net,7,5.38,Adobe,true") {
-		t.Errorf("adobe row missing:\n%s", out)
-	}
-}

@@ -20,7 +20,7 @@ func TestDoContextNoSleepAfterBreakerOpens(t *testing.T) {
 	vc := e.Clock.(*VirtualClock)
 
 	calls := 0
-	err := e.Do("h", func() error { calls++; return fmt.Errorf("down") })
+	err := e.DoContext(context.Background(), "h", func() error { calls++; return fmt.Errorf("down") })
 	if !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("err = %v, want ErrCircuitOpen once the breaker opens mid-budget", err)
 	}

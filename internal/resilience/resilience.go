@@ -15,7 +15,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -68,7 +67,7 @@ func DefaultPolicy() Policy {
 // WithDefaults fills unset fields from DefaultPolicy, so callers can
 // override just MaxAttempts and keep the rest stock. Non-positive
 // values count as unset: a negative MaxAttempts would otherwise make
-// every Do a zero-attempt no-op that reports success.
+// every DoContext a zero-attempt no-op that reports success.
 func (p Policy) WithDefaults() Policy {
 	d := DefaultPolicy()
 	if p.MaxAttempts <= 0 {
@@ -300,18 +299,6 @@ func (s *BreakerSet) Get(host string) *Breaker {
 	return b
 }
 
-// Open lists hosts whose breaker is currently open, for reporting.
-func (s *BreakerSet) Open() []string {
-	var out []string
-	for h, b := range s.m {
-		if b.state == BreakerOpen {
-			out = append(out, h)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ErrCircuitOpen marks a fetch refused because the host's breaker was
 // open — the runtime's "stop hammering a dead host" signal.
 var ErrCircuitOpen = errors.New("resilience: circuit open")
@@ -359,13 +346,6 @@ func NewExecutor(p Policy, clock Clock, seed uint64) *Executor {
 		clock = NewVirtualClock()
 	}
 	return &Executor{Policy: p, Clock: clock, Seed: seed, Breakers: NewBreakerSet(p)}
-}
-
-// Do runs op under retry/backoff and key's circuit breaker without
-// cancellation — DoContext with a background context.
-func (e *Executor) Do(key string, op func() error) error {
-	//lint:allow ctxflow Do is the documented no-cancellation wrapper over DoContext
-	return e.DoContext(context.Background(), key, op)
 }
 
 // DoContext runs op under retry/backoff and key's circuit breaker. op

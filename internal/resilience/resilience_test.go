@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -136,7 +137,7 @@ func TestWithDefaultsClampsNonPositive(t *testing.T) {
 	// A negative budget must not turn Do into a zero-attempt success.
 	e := NewExecutor(Policy{MaxAttempts: -1}, nil, 1)
 	calls := 0
-	err := e.Do("h", func() error { calls++; return fmt.Errorf("down") })
+	err := e.DoContext(context.Background(), "h", func() error { calls++; return fmt.Errorf("down") })
 	if calls == 0 {
 		t.Fatal("Do never called the op")
 	}
@@ -161,7 +162,7 @@ func (o *flakyOp) run() error {
 func TestExecutorRetriesTransientFailure(t *testing.T) {
 	e := NewExecutor(Policy{MaxAttempts: 4}, nil, 1)
 	op := &flakyOp{failures: 2}
-	if err := e.Do("host.com", op.run); err != nil {
+	if err := e.DoContext(context.Background(), "host.com", op.run); err != nil {
 		t.Fatalf("Do = %v, want recovery", err)
 	}
 	if op.calls != 3 {
@@ -179,7 +180,7 @@ func TestExecutorRetriesTransientFailure(t *testing.T) {
 func TestExecutorExhaustsBudget(t *testing.T) {
 	e := NewExecutor(Policy{MaxAttempts: 3}, nil, 1)
 	op := &flakyOp{failures: 100}
-	err := e.Do("host.com", op.run)
+	err := e.DoContext(context.Background(), "host.com", op.run)
 	if err == nil {
 		t.Fatal("Do succeeded against a dead op")
 	}
@@ -194,35 +195,35 @@ func TestExecutorCircuitOpensAcrossFetches(t *testing.T) {
 	// fails fast without calling the op at all.
 	e := NewExecutor(Policy{MaxAttempts: 2, BreakerThreshold: 3, BreakerCooldown: time.Hour}, nil, 1)
 	op := &flakyOp{failures: 100}
-	if err := e.Do("host.com", op.run); err == nil {
+	if err := e.DoContext(context.Background(), "host.com", op.run); err == nil {
 		t.Fatal("first fetch should fail")
 	}
-	if err := e.Do("host.com", op.run); !errors.Is(err, ErrCircuitOpen) {
+	if err := e.DoContext(context.Background(), "host.com", op.run); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("second fetch = %v, want ErrCircuitOpen", err)
 	}
 	calls := op.calls
-	if err := e.Do("host.com", op.run); !errors.Is(err, ErrCircuitOpen) {
+	if err := e.DoContext(context.Background(), "host.com", op.run); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("third fetch = %v, want ErrCircuitOpen", err)
 	}
 	if op.calls != calls {
 		t.Errorf("open circuit still called the op %d times", op.calls-calls)
 	}
-	if open := e.Breakers.Open(); len(open) != 1 || open[0] != "host.com" {
-		t.Errorf("Open() = %v, want [host.com]", open)
+	if st := e.Breakers.Get("host.com").State(); st != BreakerOpen {
+		t.Errorf("host.com breaker = %v, want open", st)
 	}
 }
 
 func TestExecutorBreakerHalfOpensAfterCooldown(t *testing.T) {
 	e := NewExecutor(Policy{MaxAttempts: 1, BreakerThreshold: 2, BreakerCooldown: time.Minute}, nil, 1)
 	op := &flakyOp{failures: 2}
-	e.Do("h", op.run)
-	e.Do("h", op.run)
-	if !errors.Is(e.Do("h", op.run), ErrCircuitOpen) {
+	e.DoContext(context.Background(), "h", op.run)
+	e.DoContext(context.Background(), "h", op.run)
+	if !errors.Is(e.DoContext(context.Background(), "h", op.run), ErrCircuitOpen) {
 		t.Fatal("breaker should be open")
 	}
 	// Advance past cooldown: the half-open probe runs and succeeds.
 	e.Clock.Sleep(2 * time.Minute)
-	if err := e.Do("h", op.run); err != nil {
+	if err := e.DoContext(context.Background(), "h", op.run); err != nil {
 		t.Fatalf("post-cooldown probe = %v, want success", err)
 	}
 	if e.Breakers.Get("h").State() != BreakerClosed {
@@ -238,7 +239,7 @@ func (fatal) Transient() bool { return false }
 func TestExecutorDoesNotRetryNonTransient(t *testing.T) {
 	e := NewExecutor(Policy{MaxAttempts: 5}, nil, 1)
 	calls := 0
-	err := e.Do("h", func() error { calls++; return fatal{} })
+	err := e.DoContext(context.Background(), "h", func() error { calls++; return fatal{} })
 	if err == nil || calls != 1 {
 		t.Fatalf("non-transient error retried: calls=%d err=%v", calls, err)
 	}
@@ -248,7 +249,7 @@ func TestExecutorDeterministicTiming(t *testing.T) {
 	run := func() time.Duration {
 		e := NewExecutor(Policy{MaxAttempts: 4}, nil, 99)
 		op := &flakyOp{failures: 3}
-		if err := e.Do("slow-host.com", op.run); err != nil {
+		if err := e.DoContext(context.Background(), "slow-host.com", op.run); err != nil {
 			t.Fatal(err)
 		}
 		return e.Clock.(*VirtualClock).Elapsed()

@@ -130,10 +130,3 @@ func (l *EventLog) Close() {
 		delete(l.subs, sub)
 	}
 }
-
-// LastID returns the most recently assigned event ID (0 if none).
-func (l *EventLog) LastID() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextID - 1
-}

@@ -122,7 +122,14 @@ func (s *Server) runJob(ctx context.Context, job *Job, lg *EventLog) error {
 // and the resumed attempt rewrites them all from the same byte-stable
 // renderers.
 func (s *Server) writeResults(jobDir string, study *piileak.Study, jobRun *obs.Run) error {
-	if err := writeFileAtomic(filepath.Join(jobDir, FileLeaks), study.WriteLeaksJSON); err != nil {
+	write := func(name string, render func(io.Writer) error) error {
+		path := filepath.Join(jobDir, name)
+		if err := crawler.WriteFileAtomic(path, render); err != nil {
+			return fmt.Errorf("serve: write %s: %w", path, err)
+		}
+		return nil
+	}
+	if err := write(FileLeaks, study.WriteLeaksJSON); err != nil {
 		return err
 	}
 	tables := []struct {
@@ -138,38 +145,12 @@ func (s *Server) writeResults(jobDir string, study *piileak.Study, jobRun *obs.R
 		if err != nil {
 			return err
 		}
-		if err := writeFileAtomic(filepath.Join(jobDir, t.name), func(w io.Writer) error {
+		if err := write(t.name, func(w io.Writer) error {
 			_, err := io.WriteString(w, text)
 			return err
 		}); err != nil {
 			return err
 		}
 	}
-	return writeFileAtomic(filepath.Join(jobDir, FileMetrics), jobRun.WriteMetrics)
-}
-
-// writeFileAtomic streams write into path via a temp file + rename.
-func writeFileAtomic(path string, write func(io.Writer) error) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: write %s: %w", path, err)
-	}
-	if err := write(tmp); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fail(err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fail(err)
-	}
-	return nil
+	return write(FileMetrics, jobRun.WriteMetrics)
 }

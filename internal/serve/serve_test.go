@@ -198,7 +198,12 @@ func TestEventLogReplayAndOverflow(t *testing.T) {
 
 	// A subscriber that never drains is disconnected, not buffered
 	// without bound: its channel closes once the 64-slot buffer fills.
-	_, slow, slowCancel := l.Subscribe(l.LastID())
+	lastID := func() int64 {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return l.nextID - 1
+	}
+	_, slow, slowCancel := l.Subscribe(lastID())
 	defer slowCancel()
 	for i := 0; i < 70; i++ {
 		l.Publish("progress", map[string]int{"i": i})
@@ -226,8 +231,8 @@ func TestEventLogReplayAndOverflow(t *testing.T) {
 	if len(replay) != eventRingCap {
 		t.Fatalf("ring replayed %d events, want %d", len(replay), eventRingCap)
 	}
-	if last := replay[len(replay)-1].ID; last != l.LastID() {
-		t.Fatalf("replay ends at ID %d, want %d", last, l.LastID())
+	if last := replay[len(replay)-1].ID; last != lastID() {
+		t.Fatalf("replay ends at ID %d, want %d", last, lastID())
 	}
 
 	l.Close()

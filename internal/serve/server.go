@@ -174,13 +174,6 @@ func (s *Server) Submit(spec Spec) (*Job, error) {
 	return job, nil
 }
 
-// RetryAfter returns the current load-shedding hint.
-func (s *Server) RetryAfter() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.retryAfterLocked()
-}
-
 // retryAfterLocked estimates when a queue slot frees: the job-duration
 // EWMA scaled by how deep the backlog is relative to the slot count,
 // floored at one second. Before any completion it falls back to the
@@ -268,9 +261,6 @@ func (s *Server) Close() error { return s.store.Close() }
 
 // Store exposes the job table to handlers and tests.
 func (s *Server) Store() *Store { return s.store }
-
-// Obs is the server's own metrics run (admission/lifecycle counters).
-func (s *Server) Obs() *obs.Run { return s.run }
 
 // Draining reports whether drain has started.
 func (s *Server) Draining() bool {

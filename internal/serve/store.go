@@ -5,10 +5,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"piileak/internal/crawler"
 )
 
 // The job store is an append-only JSONL write-ahead log with the same
@@ -187,50 +190,27 @@ func (s *Store) apply(ev *walEvent) bool {
 }
 
 // compact rewrites the WAL as header + one folded "job" line per job,
-// atomically (temp + rename) — the same open-time rewrite the crawl
-// checkpoint performs, which also truncates any torn tail.
+// atomically (crawler.WriteFileAtomic), which also drops any torn tail.
 func (s *Store) compact() error {
-	tmp, err := os.CreateTemp(s.dir, filepath.Base(s.path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("serve: store %s: %w", s.path, err)
-	}
-	w := bufio.NewWriter(tmp)
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: store %s: %w", s.path, err)
-	}
-	writeLine := func(v any) error {
-		line, err := json.Marshal(v)
-		if err != nil {
+	err := crawler.WriteFileAtomic(s.path, func(f io.Writer) error {
+		w := bufio.NewWriter(f)
+		enc := json.NewEncoder(w)
+		if err := enc.Encode(storeHeader{Version: storeVersion}); err != nil {
 			return err
 		}
-		_, err = w.Write(append(line, '\n'))
-		return err
-	}
-	if err := writeLine(storeHeader{Version: storeVersion}); err != nil {
-		return fail(err)
-	}
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if err := writeLine(walEvent{
-			Op: "job", ID: j.ID, Seq: j.Seq, Spec: &j.Spec,
-			State: j.State, Error: j.Error, Attempts: j.Attempts, Resumes: j.Resumes,
-		}); err != nil {
-			return fail(err)
+		for _, id := range s.order {
+			j := s.jobs[id]
+			if err := enc.Encode(walEvent{
+				Op: "job", ID: j.ID, Seq: j.Seq, Spec: &j.Spec,
+				State: j.State, Error: j.Error, Attempts: j.Attempts, Resumes: j.Resumes,
+			}); err != nil {
+				return err
+			}
 		}
-	}
-	if err := w.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fail(err)
-	}
-	if err := os.Rename(tmp.Name(), s.path); err != nil {
-		return fail(err)
+		return w.Flush()
+	})
+	if err != nil {
+		return fmt.Errorf("serve: store %s: %w", s.path, err)
 	}
 	return nil
 }
@@ -368,9 +348,6 @@ func (s *Store) TornRecords() int { return s.torn }
 // Recovered reports how many interrupted (running-at-crash) jobs the
 // open re-queued.
 func (s *Store) Recovered() int { return s.recovered }
-
-// Dir returns the store's state directory.
-func (s *Store) Dir() string { return s.dir }
 
 // JobDir is the per-job working directory (checkpoint, results).
 func (s *Store) JobDir(id string) string {

@@ -18,10 +18,11 @@ package shard
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
-	"piileak/internal/site"
+	"piileak/internal/crawler"
 	"piileak/internal/webgen"
 )
 
@@ -45,9 +46,13 @@ const planInterleave = "rank-mod-shards"
 // stores no site data — each shard's population is re-derived from
 // (EcoSeed, Universe, Interleave) on demand via the lazy universe.
 type Plan struct {
-	Schema    int    `json:"schema"`
-	EcoSeed   uint64 `json:"eco_seed"`
-	FaultSeed uint64 `json:"fault_seed,omitempty"`
+	Schema  int    `json:"schema"`
+	EcoSeed uint64 `json:"eco_seed"`
+	// FaultPin pins the crawl settings that change a faulted site's
+	// bytes; a fault-free plan carries none of its fields. NewPlan pins
+	// the ecosystem's injector under the default retry policy, and the
+	// supervisor re-pins its crawl's own settings.
+	crawler.FaultPin
 	// Shards is K; Universe is the full ranked site count, including
 	// any lazily generated tail.
 	Shards   int `json:"shards"`
@@ -70,17 +75,14 @@ func NewPlan(eco *webgen.Ecosystem, shards int) (*Plan, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("shard: ecosystem has no sites to partition")
 	}
-	p := &Plan{
+	return &Plan{
 		Schema:     PlanSchema,
 		EcoSeed:    eco.Config.Seed,
+		FaultPin:   crawler.Options{}.FaultPin(eco),
 		Shards:     shards,
 		Universe:   n,
 		Interleave: planInterleave,
-	}
-	if eco.Faults != nil {
-		p.FaultSeed = eco.Faults.Seed()
-	}
-	return p, nil
+	}, nil
 }
 
 // Size is the number of sites shard covers under the interleave:
@@ -90,40 +92,6 @@ func (p *Plan) Size(shard int) int {
 		return 0
 	}
 	return (p.Universe - shard + p.Shards - 1) / p.Shards
-}
-
-// Indexes expands one shard's global site indexes in ascending (rank)
-// order. The list is derived from the interleave rule on demand — the
-// plan itself never stores it.
-func (p *Plan) Indexes(shard int) []int {
-	n := p.Size(shard)
-	if n == 0 {
-		return nil
-	}
-	out := make([]int, 0, n)
-	for i := shard; i < p.Universe; i += p.Shards {
-		out = append(out, i)
-	}
-	return out
-}
-
-// Sites materializes one shard's site population in rank order — the
-// slice a caller crawls when it wants the whole shard in memory. It
-// walks the ecosystem's lazy universe, so the cost is the shard's
-// size, never the universe's.
-func (p *Plan) Sites(eco *webgen.Ecosystem, shard int) ([]*site.Site, error) {
-	if shard < 0 || shard >= p.Shards {
-		return nil, fmt.Errorf("shard: plan has no shard %d (shards=%d)", shard, p.Shards)
-	}
-	u := eco.Universe()
-	if u.Len() != p.Universe {
-		return nil, fmt.Errorf("shard: plan universe %d, ecosystem has %d sites", p.Universe, u.Len())
-	}
-	out := make([]*site.Site, 0, p.Size(shard))
-	for i := shard; i < p.Universe; i += p.Shards {
-		out = append(out, u.At(i))
-	}
-	return out, nil
 }
 
 // Domains derives the domain list one shard covers, in rank order —
@@ -193,7 +161,7 @@ func WritePlan(dir string, p *Plan) error {
 	if err != nil {
 		return err
 	}
-	return atomicWrite(PlanPath(dir), data)
+	return writeFile(PlanPath(dir), data)
 }
 
 // ReadPlan loads and structurally validates a plan manifest. Exactly
@@ -233,15 +201,13 @@ func parsePlan(data []byte) (*Plan, error) {
 	return &p, nil
 }
 
-// atomicWrite writes data whole under a temp name and renames it into
-// place: readers see the old file or the new one, never a prefix.
-func atomicWrite(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("shard: write %s: %w", path, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+// writeFile writes data whole through crawler.WriteFileAtomic: readers
+// see the old file or the new one, never a prefix.
+func writeFile(path string, data []byte) error {
+	if err := crawler.WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}); err != nil {
 		return fmt.Errorf("shard: write %s: %w", path, err)
 	}
 	return nil

@@ -102,7 +102,7 @@ func WriteResult(path string, m Manifest, recs []SiteRecord) error {
 		return fmt.Errorf("shard: encode manifest: %w", err)
 	}
 	out.Write(body.Bytes())
-	return atomicWrite(path, out.Bytes())
+	return writeFile(path, out.Bytes())
 }
 
 // ReadResult loads one shard result file, verifying the digest and the

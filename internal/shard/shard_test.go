@@ -501,3 +501,14 @@ func TestMergeRejectsMismatchedResults(t *testing.T) {
 		t.Error("MergeDir silently skipped a corrupt result file")
 	}
 }
+
+// Indexes expands one shard's global site indexes in ascending (rank)
+// order under the plan's interleave rule: the reference the tests hold
+// Size and the worker's interleaved view to.
+func (p *Plan) Indexes(shard int) []int {
+	out := make([]int, 0, p.Size(shard))
+	for i := shard; i < p.Universe; i += p.Shards {
+		out = append(out, i)
+	}
+	return out
+}

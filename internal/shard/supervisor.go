@@ -32,9 +32,8 @@ type Options struct {
 	// Dir is the shard working directory: plan.json, per-shard
 	// checkpoints and results, and report.json all live here.
 	Dir string
-	// Workers/DetectWorkers/Buffer are each shard worker's pipeline
-	// knobs.
-	Workers, DetectWorkers, Buffer int
+	// Workers/DetectWorkers are each shard worker's pipeline knobs.
+	Workers, DetectWorkers int
 	// Crawl carries the base crawl options handed to every worker —
 	// faults, transport policy, site timeout. The site source,
 	// checkpoint and shard fields are owned by the runtime and
@@ -49,9 +48,6 @@ type Options struct {
 	// restarted before it is declared missing; < 0 means never restart,
 	// 0 selects the default (2).
 	MaxRestarts int
-	// Restart is the backoff policy between restarts of the same shard
-	// (seeded, deterministic); zero value takes resilience defaults.
-	Restart resilience.Policy
 	// Clock times the restart backoffs and the stall watchdog's polls.
 	// nil selects the wall clock; tests inject a VirtualClock so
 	// supervision is instant and deterministic.
@@ -228,11 +224,16 @@ func preparePlan(eco *webgen.Ecosystem, opts Options) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	plan.FaultPin = opts.Crawl.FaultPin(eco)
 	path := PlanPath(opts.Dir)
 	if existing, err := ReadPlan(path); err == nil && !opts.Fresh {
 		// A resumed run must be resuming THIS study: same partition,
-		// same seeds, same universe.
-		if err := existing.Verify(eco); err != nil {
+		// same seeds, same universe, same fault settings.
+		err := existing.Verify(eco)
+		if err == nil && existing.FaultPin != plan.FaultPin {
+			err = fmt.Errorf("plan crawls with %s, this run with %s", existing.FaultPin.Summary(), plan.FaultPin.Summary())
+		}
+		if err != nil {
 			return nil, fmt.Errorf("shard: %s does not match this study: %w", path, err)
 		}
 		if existing.Shards != opts.Shards {
@@ -258,7 +259,6 @@ func superviseShard(ctx context.Context, eco *webgen.Ecosystem, profile browser.
 	out := shardOutcome{shard: s}
 	o := opts.Obs
 	kind := strconv.Itoa(s)
-	restart := opts.Restart.WithDefaults()
 	budget := opts.maxRestarts()
 	resultPath := ResultPath(opts.Dir, s, opts.Shards)
 
@@ -307,7 +307,8 @@ func superviseShard(ctx context.Context, eco *webgen.Ecosystem, profile browser.
 		}
 		out.restarts++
 		o.CountKind(obs.MetricShardRestarts, kind, 1)
-		d := restart.Backoff(eco.Config.Seed, "shard-"+kind, attempt)
+		// Restarts back off on the stock policy, seeded per shard.
+		d := resilience.DefaultPolicy().Backoff(eco.Config.Seed, "shard-"+kind, attempt)
 		if serr := resilience.SleepContext(ctx, clock, d); serr != nil {
 			out.err = serr
 			return out
@@ -333,7 +334,6 @@ func runAttempt(ctx context.Context, eco *webgen.Ecosystem, profile browser.Prof
 		Dir:           opts.Dir,
 		Workers:       opts.Workers,
 		DetectWorkers: opts.DetectWorkers,
-		Buffer:        opts.Buffer,
 		Options:       crawlOpts,
 		QuarantineDir: opts.QuarantineDir,
 		QuarantineMax: opts.QuarantineMax,
@@ -426,7 +426,7 @@ func WriteReport(dir string, r *Report) error {
 	if err != nil {
 		return fmt.Errorf("shard: marshal report: %w", err)
 	}
-	return atomicWrite(ReportPath(dir), append(data, '\n'))
+	return writeFile(ReportPath(dir), append(data, '\n'))
 }
 
 // ReadReport loads a merge report.

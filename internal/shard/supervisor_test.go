@@ -6,13 +6,16 @@ import (
 	"fmt"
 	"os/exec"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"piileak/internal/crawler"
+	"piileak/internal/faultsim"
 	"piileak/internal/obs"
 	"piileak/internal/resilience"
 	"piileak/internal/site"
+	"piileak/internal/webgen"
 )
 
 // superviseOpts is the baseline test configuration: fresh directory,
@@ -159,16 +162,13 @@ func TestSuperviseResumesMidRunKill(t *testing.T) {
 
 	// Simulate the dead attempt: crawl the first half of shard 1's slice
 	// into its checkpoint, exactly as a worker killed mid-run leaves it.
-	plan, err := NewPlan(eco, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sites, err := plan.Sites(eco, 1)
-	if err != nil {
-		t.Fatal(err)
+	shard1 := interleaveSource{src: eco.Universe(), shard: 1, shards: shards}
+	sites := make([]*site.Site, shard1.Len()/2)
+	for j := range sites {
+		sites[j] = shard1.At(j)
 	}
 	if _, err := crawler.Run(context.Background(), eco, profile, crawler.Options{
-		Source:         site.Slice(sites[:len(sites)/2]),
+		Source:         site.Slice(sites),
 		CheckpointPath: CheckpointPath(dir, 1, shards),
 		Shard:          1,
 		Shards:         shards,
@@ -266,6 +266,38 @@ func TestSuperviseRefusesForeignDir(t *testing.T) {
 	foreign.Fresh = false
 	if _, _, err := Supervise(context.Background(), eco, profile, det, foreign); err == nil {
 		t.Error("resumed a directory planned for a different study")
+	}
+}
+
+// TestSuperviseRefusesOtherFaultSettings: a shard directory written
+// under one fault rate and resumed under another — `-faults 0.2 -shards
+// 2 -supervise -shard-dir D`, then `-faults 0.5 -supervise -resume
+// -shard-dir D` — is refused by the plan check, and so is a resume at
+// other retries: reusing the directory's verified results would merge
+// the first run's leaks.
+func TestSuperviseRefusesOtherFaultSettings(t *testing.T) {
+	eco, profile, det, _ := fixture(t)
+	dir := t.TempDir()
+	if _, _, err := Supervise(context.Background(), eco, profile, det, superviseOpts(dir, 2)); err != nil {
+		t.Fatal(err)
+	}
+	cfg := eco.Config
+	cfg.Faults = &faultsim.Config{Rate: 0.5}
+	retries := superviseOpts(dir, 2)
+	retries.Crawl.Policy = resilience.Policy{MaxAttempts: 1}
+	for _, tc := range []struct {
+		name string
+		eco  *webgen.Ecosystem
+		opts Options
+	}{
+		{"fault-rate", webgen.MustGenerate(cfg), superviseOpts(dir, 2)},
+		{"retries", eco, retries},
+	} {
+		tc.opts.Fresh = false
+		_, _, err := Supervise(context.Background(), tc.eco, profile, det, tc.opts)
+		if err == nil || !strings.Contains(err.Error(), "does not match this study") {
+			t.Errorf("%s: resume err = %v, want the plan refused", tc.name, err)
+		}
 	}
 }
 

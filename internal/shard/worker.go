@@ -21,9 +21,9 @@ type WorkerConfig struct {
 	// Dir is the shard directory holding the worker's checkpoint and
 	// result file.
 	Dir string
-	// Workers/DetectWorkers/Buffer are the per-shard pipeline knobs,
-	// passed through to pipeline.Options.
-	Workers, DetectWorkers, Buffer int
+	// Workers/DetectWorkers are the per-shard pipeline knobs, passed
+	// through to pipeline.Options.
+	Workers, DetectWorkers int
 	// Options carries the remaining crawl knobs — faults, policy, site
 	// timeout, observer. Source, CheckpointPath, Resume, Shard/Shards
 	// and Quarantine are owned by the worker and overwritten.
@@ -93,10 +93,7 @@ func RunWorker(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profi
 		return "", fmt.Errorf("shard: shard %d of %d is empty (universe %d)", cfg.Shard, cfg.Shards, universe.Len())
 	}
 
-	opts := pipeline.Options{
-		DetectWorkers: cfg.DetectWorkers,
-		Buffer:        cfg.Buffer,
-	}
+	opts := pipeline.Options{DetectWorkers: cfg.DetectWorkers}
 	opts.Options = cfg.Options
 	opts.Workers = cfg.Workers
 	opts.Shard, opts.Shards = cfg.Shard, cfg.Shards

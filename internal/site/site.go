@@ -42,16 +42,6 @@ const (
 	PolicyExplicitlyNot PolicyClass = "explicitly_not"
 )
 
-// Event is a browsing event tags react to.
-type Event string
-
-// Browsing events in flow order.
-const (
-	EventPageLoad Event = "pageload"
-	EventSignup   Event = "signup"
-	EventSignin   Event = "signin"
-)
-
 // LeakAction describes how a tag exfiltrates PII on authentication
 // events (and, when the tag is persistent, on later page views).
 type LeakAction struct {

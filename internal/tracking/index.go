@@ -89,10 +89,6 @@ func (ix *Index) Add(l *core.Leak) {
 	r.params[l.Param] = true
 }
 
-// Receivers reports how many distinct (receiver, cloaked) populations
-// the index holds.
-func (ix *Index) Receivers() int { return len(ix.byProv) }
-
 // Classification materializes the §5.2 census from the accumulated
 // state. It can be called repeatedly; each call builds a fresh view.
 func (ix *Index) Classification() *Classification {

@@ -12,7 +12,6 @@ import (
 
 	"piileak/internal/core"
 	"piileak/internal/httpmodel"
-	"piileak/internal/pii"
 )
 
 // Row is one behaviour row of a provider in Table 2: the senders using
@@ -122,22 +121,5 @@ func sortedSet(m map[string]bool) []string {
 		out = append(out, k)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// PIITypes returns the distinct PII types a tracker receives (the
-// paper's observation that all 20 use the email address).
-func PIITypes(leaks []core.Leak, receiver string) []pii.Type {
-	set := map[pii.Type]bool{}
-	for _, l := range leaks {
-		if l.Receiver == receiver && identifiable(&l) {
-			set[l.Token.Field.Type] = true
-		}
-	}
-	out := make([]pii.Type, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
 }

@@ -2,6 +2,7 @@ package tracking
 
 import (
 	"context"
+	"sort"
 	"testing"
 
 	"piileak/internal/browser"
@@ -157,7 +158,7 @@ func TestEndToEndTrackerCensus(t *testing.T) {
 
 	// All trackers identify through the email address.
 	for _, tr := range cls.Trackers {
-		types := PIITypes(leaks, tr.Receiver)
+		types := piiTypes(leaks, tr.Receiver)
 		hasEmail := false
 		for _, tp := range types {
 			if tp == pii.TypeEmail {
@@ -168,4 +169,22 @@ func TestEndToEndTrackerCensus(t *testing.T) {
 			t.Errorf("%s does not use the email address", tr.Receiver)
 		}
 	}
+}
+
+// piiTypes returns the distinct PII types a tracker receives through an
+// identifiable leak (the paper's observation that all 20 use the email
+// address).
+func piiTypes(leaks []core.Leak, receiver string) []pii.Type {
+	set := map[pii.Type]bool{}
+	for _, l := range leaks {
+		if l.Receiver == receiver && identifiable(&l) {
+			set[l.Token.Field.Type] = true
+		}
+	}
+	out := make([]pii.Type, 0, len(set))
+	for t := range set {
+		out = append(out, t)
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	return out
 }

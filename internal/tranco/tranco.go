@@ -144,16 +144,3 @@ func (l *List) Shopping() []Entry {
 	}
 	return out
 }
-
-// Category returns the category of a domain, or "" if unknown.
-func (l *List) Category(domain string) string {
-	for _, e := range l.Entries {
-		if e.Domain == domain {
-			return e.Category
-		}
-	}
-	return ""
-}
-
-// Len returns the list size.
-func (l *List) Len() int { return len(l.Entries) }

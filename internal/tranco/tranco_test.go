@@ -20,8 +20,8 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestGenerateSizeAndRanks(t *testing.T) {
 	l := Generate(1, 500, 20)
-	if l.Len() != 500 {
-		t.Fatalf("Len = %d", l.Len())
+	if len(l.Entries) != 500 {
+		t.Fatalf("len(Entries) = %d", len(l.Entries))
 	}
 	for i, e := range l.Entries {
 		if e.Rank != i+1 {
@@ -58,17 +58,6 @@ func TestShoppingQuotaExact(t *testing.T) {
 		if shopping[i].Rank <= shopping[i-1].Rank {
 			t.Fatal("shopping entries not in rank order")
 		}
-	}
-}
-
-func TestCategoryLookup(t *testing.T) {
-	l := Generate(3, 100, 5)
-	e := l.Entries[0]
-	if got := l.Category(e.Domain); got != e.Category {
-		t.Errorf("Category(%q) = %q, want %q", e.Domain, got, e.Category)
-	}
-	if got := l.Category("not-in-list.example"); got != "" {
-		t.Errorf("Category(unknown) = %q", got)
 	}
 }
 

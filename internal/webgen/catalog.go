@@ -41,9 +41,6 @@ type Slot struct {
 type Provider struct {
 	// Domain is the receiver's registrable domain.
 	Domain string
-	// DisplayName overrides Domain in reports (the paper prints
-	// "adobe_cname" for the cloaked Adobe deployment).
-	DisplayName string
 	// Brand groups multi-domain organisations for the Figure 2
 	// analysis (Google, Adobe).
 	Brand string
@@ -160,7 +157,7 @@ func trackingProviders() []Provider {
 			// senders use the URI channel (Table 2 row 10); four more
 			// mint identifying first-party cookies (§4.2.1's
 			// cookie-channel cases).
-			Domain: "omtrdc.net", DisplayName: "adobe_cname", Brand: "Adobe",
+			Domain: "omtrdc.net", Brand: "Adobe",
 			Host:       "smetrics.FIRSTPARTY", // templated per site
 			Persistent: true, Cloaked: true, EasyPrivacy: true, BraveBlocked: true,
 			Slots: []Slot{
@@ -425,12 +422,4 @@ func Catalog() []Provider {
 	all = append(all, braveMissedTail()...)
 	all = append(all, tailProviders()...)
 	return all
-}
-
-// Display returns the provider's reporting name.
-func (p *Provider) Display() string {
-	if p.DisplayName != "" {
-		return p.DisplayName
-	}
-	return p.Domain
 }

@@ -919,23 +919,3 @@ func (e *Ecosystem) assignMail(rng *rand.Rand) {
 		e.Crawlable[perm[spamSites]].SpamMails = rem
 	}
 }
-
-// ProviderByDomain finds a catalog entry.
-func (e *Ecosystem) ProviderByDomain(domain string) *Provider {
-	for i := range e.Providers {
-		if e.Providers[i].Domain == domain {
-			return &e.Providers[i]
-		}
-	}
-	return nil
-}
-
-// SenderIndex returns the sender index of a site, or -1.
-func (e *Ecosystem) SenderIndex(s *site.Site) int {
-	for i, ss := range e.SenderSites {
-		if ss == s {
-			return i
-		}
-	}
-	return -1
-}

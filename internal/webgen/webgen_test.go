@@ -1,6 +1,7 @@
 package webgen
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -407,25 +408,25 @@ func TestGeneratedBlocklistsParse(t *testing.T) {
 	// EasyPrivacy must block facebook third-party traffic but not
 	// custora/taboola/zendesk.
 	e := blocklist.NewEngine(ep)
-	if !e.ShouldBlock(blocklist.RequestInfo{
+	if !e.Match(blocklist.RequestInfo{
 		URL: "https://www.facebook.com/en_US/fbevents.js", PageHost: "shop.example",
 		Type: blocklist.TypeScript, ThirdParty: true,
-	}) {
+	}).Blocked {
 		t.Error("EasyPrivacy does not block facebook")
 	}
 	for _, miss := range []string{"c.custora.com", "cdn.taboola.com", "ekr.zendesk.com"} {
-		if e.ShouldBlock(blocklist.RequestInfo{
+		if e.Match(blocklist.RequestInfo{
 			URL: "https://" + miss + "/x.js", PageHost: "shop.example",
 			Type: blocklist.TypeScript, ThirdParty: true,
-		}) {
+		}).Blocked {
 			t.Errorf("EasyPrivacy unexpectedly blocks %s", miss)
 		}
 	}
 	// The cloaked Adobe path rule works on first-party hosts.
-	if !e.ShouldBlock(blocklist.RequestInfo{
+	if !e.Match(blocklist.RequestInfo{
 		URL: "https://smetrics.shop.example/b/ss/s_code/collect?v_em=x", PageHost: "shop.example",
 		Type: blocklist.TypeScript, ThirdParty: false,
-	}) {
+	}).Blocked {
 		t.Error("EasyPrivacy misses the cloaked Adobe path")
 	}
 }
@@ -447,7 +448,7 @@ func TestCaptchaSiteDesignated(t *testing.T) {
 		if !s.BotDetection {
 			t.Error("captcha site lacks bot detection")
 		}
-		idx := eco.SenderIndex(s)
+		idx := slices.Index(eco.SenderSites, s)
 		if idx < 0 {
 			t.Error("captcha site is not a sender (nykaa.com was one of the 130)")
 		} else if survivors[idx] {
