@@ -51,8 +51,9 @@ bench:
 	$(GO) test -json -bench '^Benchmark(E10_Table4Blocklists|EngineMatch)$$' -benchmem -run '^$$' . ./internal/blocklist/ > BENCH_table4.json
 
 # Short fuzz smoke over every fuzzer in the module, 10s each: the
-# dataset decoder, the checkpoint resume (torn-tail cut, loaded count
-# and reopen), the sharded runtime's plan/result readers, the
+# dataset decoder, the one checkpoint line reader (leniently as a
+# resume: torn-tail cut, index and domain refusals, reopen; strictly as
+# a sealed shard result), the shard plan reader, the
 # Aho-Corasick automaton (matches and their order against a naive
 # search), the filter-list parser and the filter rules' literal
 # prefilter (verdicts and deciding rules against evaluating every
@@ -82,8 +83,9 @@ torture:
 
 # Sharded torture: same kill machinery, but each victim is a re-execed
 # shard worker of a K-way split. Shards are killed mid-checkpoint-append,
-# resumed until they complete, then the digest-verified merge must be
-# byte-identical to an uninterrupted unsharded run (DESIGN.md §11).
+# resumed until they complete, then the merge of their sealed
+# checkpoints must be byte-identical to an uninterrupted unsharded run
+# (DESIGN.md §11).
 torture-shard:
 	$(GO) test -short -timeout 300s -count=1 -run '^TestTortureShardedCrashConsistency$$' -v .
 

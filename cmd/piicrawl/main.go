@@ -193,9 +193,10 @@ func shardCrawlerOptions(common *cliflags.Common, rt *cliflags.Runtime) crawler.
 }
 
 // workerRun executes one shard worker: crawl + detect over the shard's
-// interleaved site slice, checkpointed, ending in the shard's verified
-// result file under -shard-dir. The supervisor (or a later
-// merge) picks the file up; the worker itself writes no dataset.
+// interleaved site slice, checkpointed under -shard-dir, ending when
+// the checkpoint is sealed into the shard's result file. The supervisor
+// (or a later merge) picks the file up; the worker itself writes no
+// dataset.
 func workerRun(ctx context.Context, study *piileak.Study, common *cliflags.Common, rt *cliflags.Runtime, shardIdx, shardN int) {
 	path, err := study.RunShardWorker(ctx, shard.WorkerConfig{
 		Shard:         shardIdx,
@@ -206,15 +207,10 @@ func workerRun(ctx context.Context, study *piileak.Study, common *cliflags.Commo
 		Options:       shardCrawlerOptions(common, rt),
 		QuarantineDir: common.QuarantineDir,
 		QuarantineMax: common.QuarantineMax,
-		Checkpoint:    common.Checkpoint,
 	})
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
-			ckpt := common.Checkpoint
-			if ckpt == "" {
-				ckpt = shard.CheckpointPath(common.ShardDir, shardIdx, shardN)
-			}
-			cliflags.ExitInterrupted(prog, ckpt)
+			cliflags.ExitInterrupted(prog, shard.CheckpointPath(common.ShardDir, shardIdx, shardN))
 		}
 		fatal(err)
 	}

@@ -85,10 +85,11 @@ type Common struct {
 	// ("i" with -shards, or the self-contained "i/K" form) to run as a
 	// single worker; Supervise runs all K under the self-healing
 	// supervisor and merges. ShardDir is the shard working directory
-	// (plan, checkpoints, results, report). Reexec makes the supervisor
-	// run workers as re-execed subprocesses, watched by the
-	// StallTimeout checkpoint-growth watchdog; MaxRestarts caps
-	// per-shard restarts (0 = default 2, negative = never restart).
+	// (plan, one checkpoint or sealed result per shard, report).
+	// Reexec makes the supervisor run workers as re-execed
+	// subprocesses, watched by the StallTimeout checkpoint-growth
+	// watchdog; MaxRestarts caps per-shard restarts (0 = default 2,
+	// negative = never restart).
 	Shards       int
 	Shard        string
 	Supervise    bool
@@ -128,7 +129,7 @@ func Register(fs *flag.FlagSet) *Common {
 	fs.IntVar(&c.Shards, "shards", 0, "shard the study into K independent failure domains (0 = unsharded)")
 	fs.StringVar(&c.Shard, "shard", "", "run one shard worker: index i (with -shards), or the self-contained i/K form")
 	fs.BoolVar(&c.Supervise, "supervise", false, "run all -shards workers under the self-healing supervisor and merge")
-	fs.StringVar(&c.ShardDir, "shard-dir", "", "shard working directory (plan, per-shard checkpoints and results, report)")
+	fs.StringVar(&c.ShardDir, "shard-dir", "", "shard working directory (plan, one checkpoint or sealed result per shard, report)")
 	fs.BoolVar(&c.Reexec, "reexec", false, "supervisor runs shard workers as re-execed subprocesses")
 	fs.DurationVar(&c.StallTimeout, "stall-timeout", 0, "kill a re-execed worker whose checkpoint stops growing for this long (0 disables)")
 	fs.IntVar(&c.MaxRestarts, "max-restarts", 0, "per-shard restart budget (0 = default 2, negative = never restart)")
@@ -179,7 +180,7 @@ func (c *Common) validateShards() error {
 	if c.Shards < 0 {
 		return fmt.Errorf("-shards %d is negative", c.Shards)
 	}
-	shard, shards, isWorker, err := c.shardCoords()
+	_, _, isWorker, err := c.shardCoords()
 	if err != nil {
 		return err
 	}
@@ -211,35 +212,17 @@ func (c *Common) validateShards() error {
 	if c.StallTimeout < 0 {
 		return fmt.Errorf("-stall-timeout %v is negative", c.StallTimeout)
 	}
+	if c.Checkpoint != "" {
+		return fmt.Errorf("sharded runs keep each shard's checkpoint under -shard-dir; drop -checkpoint")
+	}
 	if c.Supervise {
-		if c.Checkpoint != "" {
-			return fmt.Errorf("-supervise owns each shard's checkpoint under -shard-dir; drop -checkpoint")
-		}
 		if c.StallTimeout > 0 && !c.Reexec {
 			return fmt.Errorf("-stall-timeout watches re-execed workers; add -reexec (in-process workers use -site-timeout)")
 		}
 		return nil
 	}
-	// Worker mode: a custom -checkpoint must not point a shard at a
-	// checkpoint from a different scope. Peek at the header — a file
-	// that exists with the wrong (or no) shard label would be refused
-	// at open time anyway, but failing at flag validation names the
-	// actual mistake.
 	if c.Reexec || c.StallTimeout != 0 || c.MaxRestarts != 0 {
 		return fmt.Errorf("-reexec, -stall-timeout and -max-restarts are supervisor flags; a -shard worker does not take them")
-	}
-	if c.Resume && c.Checkpoint != "" {
-		label, found, err := crawler.CheckpointShard(c.Checkpoint)
-		if err != nil {
-			return fmt.Errorf("-checkpoint: %w", err)
-		}
-		want := fmt.Sprintf("%d/%d", shard, shards)
-		if found && label == "" {
-			return fmt.Errorf("-resume: %s is an unsharded run's checkpoint; shard %s cannot resume it", c.Checkpoint, want)
-		}
-		if found && label != want {
-			return fmt.Errorf("-resume: %s belongs to shard %s, not %s", c.Checkpoint, label, want)
-		}
 	}
 	return nil
 }

@@ -3,43 +3,50 @@ package crawler
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"os"
 	"sync"
 
 	"piileak/internal/browser"
+	"piileak/internal/obs"
+	"piileak/internal/site"
 	"piileak/internal/webgen"
 )
 
-// A Checkpoint persists per-site crawl progress as JSON lines: one
-// header identifying the run, then one self-contained line per finished
-// site (crawl record, mail, shield blocks), written whole with one write
-// before the site is emitted. A killed process keeps its written lines
-// in the page cache, so it loses at most the site in flight. Lines are
-// fsynced in groups, so an OS crash or power loss can also lose the
-// unsynced tail, which a resume crawls again to the same bytes. Appended
-// entries are not retained; a resume holds each loaded entry until it is
-// emitted, keyed by domain — unique in every site source (tranco dedups
-// the core, tail domains are unique by construction, SelectSites dedups)
-// and refused when duplicated on load.
+// A Checkpoint is a run's one per-site file: a header line pinning the
+// run, then one SiteResult line per finished site, in completion order,
+// appended by the stage that finishes the site — Run after the crawl,
+// with its records; the study pipeline after detection, with its leaks.
+// Each line is written whole with one write, so a killed process loses
+// only the sites it had not yet appended; lines are fsynced in groups,
+// so an OS crash can also lose the unsynced tail, which a resume runs
+// again to the same bytes. A resume hands every intact line to the
+// caller's fold and keeps only the set of finished indexes. A sealed
+// checkpoint (Seal) ends in a trailer line and is a shard's result.
 type Checkpoint struct {
 	mu       sync.Mutex
 	f        *os.File
 	path     string
-	entries  map[string]crawlEntry // loaded on resume, deleted as emitted
-	done     int                   // entries loaded at open
-	torn     int                   // non-empty lines dropped on load (crash-torn tail)
-	appends  int                   // lines appended this run, for the failpoint
-	unsynced int                   // bytes written since the last fsync
+	obs      *obs.Run
+	done     []uint64  // finished site indexes loaded on resume, one bit each
+	loaded   int       // site lines loaded at open
+	torn     int       // non-empty lines dropped on load (crash-torn tail)
+	lines    int       // site lines read
+	sum      hash.Hash // SHA-256 of the site lines read
+	appends  int       // lines appended this run, for the failpoint
+	unsynced int       // bytes written since the last fsync
 	closed   bool
 }
 
 // checkpointSyncBytes of unsynced lines trigger a group fsync (Close
 // syncs the rest): about 85 paper-study sites or 1,100 tail sites, tens
-// of milliseconds of crawl. Each fsync holds the mutex all workers
-// share, so smaller groups stall the crawl (64-site groups: 6.65 s
+// of milliseconds of crawl. Each fsync holds the mutex all appenders
+// share, so smaller groups stall the run (64-site groups: 6.65 s
 // against 5.43 s on a 200k-site run); larger ones widen an OS crash's loss.
 const checkpointSyncBytes = 1 << 20
 
@@ -52,82 +59,87 @@ const checkpointSyncBytes = 1 << 20
 // group. The torture harnesses kill the process from it. Test-only.
 var CheckpointFailpoint func(event string, appends int)
 
-// checkpointHeader pins a checkpoint to one run: resuming under a
-// different seed, site population, browser, shard scope or fault
-// settings silently mixes datasets, so it is refused instead. Shard is
-// the "i/K" label of a sharded study's failure domain ("" for unsharded
-// runs) — a shard checkpoint resumed by a different shard, or an
-// unsharded checkpoint resumed by a sharded run, is a header mismatch,
-// not silent data corruption.
-type checkpointHeader struct {
-	Version int    `json:"version"`
-	Browser string `json:"browser"`
-	Seed    uint64 `json:"seed"`
-	Sites   int    `json:"sites"`
-	Shard   string `json:"shard,omitempty"`
+// Header is a checkpoint's first line. It pins the file to one run, so
+// a resume under another seed, population, browser, universe, shard,
+// fault settings or candidate set is refused instead of mixing runs.
+// Detect is the study's candidate-set pin (the pipeline's DetectPin),
+// empty for a dataset crawl, whose lines carry records, not leaks.
+type Header struct {
+	Version  int    `json:"version"`
+	Browser  string `json:"browser"`
+	Seed     uint64 `json:"seed"`
+	Sites    int    `json:"sites"`
+	Universe int    `json:"universe"`
+	Shard    int    `json:"shard,omitempty"`
+	Shards   int    `json:"shards,omitempty"`
 	FaultPin
+	Detect string `json:"detect,omitempty"`
 }
 
-const checkpointVersion = 1
+// checkpointVersion 2 is the one per-site format: indexed SiteResult
+// lines appended by the stage that finishes each site. Version 1 lines
+// were raw crawls keyed by domain.
+const checkpointVersion = 2
 
-func headerFor(eco *webgen.Ecosystem, profile browser.Profile, opts Options) checkpointHeader {
-	return checkpointHeader{
+// NewHeader returns the header a run of eco under opts writes; detect
+// is the study's candidate-set pin, "" for a dataset crawl.
+func NewHeader(eco *webgen.Ecosystem, profile browser.Profile, opts Options, detect string) Header {
+	return Header{
 		Version:  checkpointVersion,
 		Browser:  profile.Name + " " + profile.Version,
 		Seed:     eco.Config.Seed,
 		Sites:    eco.Config.ShoppingSites,
-		Shard:    opts.ShardLabel(),
+		Universe: eco.Universe().Len(),
+		Shard:    opts.Shard,
+		Shards:   opts.Shards,
 		FaultPin: opts.FaultPin(eco),
+		Detect:   detect,
 	}
 }
 
-func (h checkpointHeader) String() string {
-	s := fmt.Sprintf("%s seed=%d sites=%d shard=%q", h.Browser, h.Seed, h.Sites, h.Shard)
-	if h.FaultPin != (FaultPin{}) {
-		s += " " + h.FaultPin.Summary()
-	}
-	return s
+func (h Header) String() string {
+	return fmt.Sprintf("%s seed=%d sites=%d universe=%d shard=%d/%d %s detect=%q",
+		h.Browser, h.Seed, h.Sites, h.Universe, h.Shard, h.Shards, h.FaultPin.Summary(), h.Detect)
 }
 
-// CheckpointShard peeks at a checkpoint file's header line and reports
-// the shard label it was written under ("" = unsharded). found is false
-// when the file does not exist or its header line is unreadable — the
-// caller cannot conclude anything about such a file beyond "not a
-// valid checkpoint".
-func CheckpointShard(path string) (shard string, found bool, err error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return "", false, nil
-	}
-	if err != nil {
-		return "", false, fmt.Errorf("crawler: checkpoint %s: %w", path, err)
-	}
-	// A first line longer than the reader's buffer is no header.
-	line, err := bufio.NewReader(f).ReadSlice('\n')
-	f.Close()
-	if err != nil && err != io.EOF && err != bufio.ErrBufferFull {
-		return "", false, fmt.Errorf("crawler: checkpoint %s: %w", path, err)
-	}
-	var hdr checkpointHeader
-	if json.Unmarshal(line, &hdr) != nil || hdr.Version == 0 {
-		return "", false, nil
-	}
-	return hdr.Shard, true, nil
-}
-
-// OpenCheckpoint opens the checkpoint file at opts.CheckpointPath for a
-// crawl of eco under opts. With opts.Resume and an existing file,
-// completed entries are loaded and the file's torn tail, if any, is cut
-// off; otherwise the file is created fresh. Resuming across shard
-// scopes or fault settings is refused via the header check.
-func OpenCheckpoint(eco *webgen.Ecosystem, profile browser.Profile, opts Options) (*Checkpoint, error) {
-	path := opts.CheckpointPath
-	c := &Checkpoint{path: path}
-	want := headerFor(eco, profile, opts)
+// OpenCheckpoint opens opts.CheckpointPath for a run of eco under opts
+// whose lines detect describes (see NewHeader). With opts.Resume and an
+// existing file, each intact line is counted in the telemetry and handed
+// to fold, in file order, and a torn tail is cut off in place; a line
+// whose index lies outside the run's source or repeats, or whose domain
+// is not the source's there, is refused. Otherwise the file starts fresh.
+func OpenCheckpoint(eco *webgen.Ecosystem, profile browser.Profile, opts Options, detect string, fold func(SiteResult)) (*Checkpoint, error) {
+	c := &Checkpoint{path: opts.CheckpointPath, obs: opts.Obs, sum: sha256.New()}
+	want := NewHeader(eco, profile, opts, detect)
 	if opts.Resume {
-		if loaded, err := c.load(want); err != nil {
+		src := opts.source(eco)
+		c.done = make([]uint64, (src.Len()+63)/64)
+		loaded, err := c.load(&want, func(r SiteResult) error {
+			i := r.Index
+			if i < 0 || i >= src.Len() {
+				return c.wrap(fmt.Errorf("site index %d outside the run's %d sites", i, src.Len()))
+			}
+			if c.done[i/64]&(1<<(i%64)) != 0 {
+				return c.wrap(fmt.Errorf("duplicate site index %d (%s)", i, r.Crawl.Domain))
+			}
+			if want := src.At(i).Domain; r.Crawl.Domain != want {
+				return c.wrap(fmt.Errorf("site %d is %s, the run's site %d is %s", i, r.Crawl.Domain, i, want))
+			}
+			c.done[i/64] |= 1 << (i % 64)
+			c.loaded++
+			c.obs.Count(obs.MetricCheckpointResumed, 1)
+			noteSiteCounters(c.obs, &r)
+			fold(r)
+			return nil
+		})
+		if err != nil {
 			return nil, err
-		} else if loaded {
+		}
+		c.obs.Count(obs.MetricCheckpointTorn, int64(c.torn))
+		if opts.OnResume != nil {
+			opts.OnResume(ResumeSummary{Completed: c.loaded, TornRecords: c.torn})
+		}
+		if loaded {
 			return c, nil
 		}
 	}
@@ -135,14 +147,14 @@ func OpenCheckpoint(eco *webgen.Ecosystem, profile browser.Profile, opts Options
 	// A fresh file is its header alone, written atomically so a stale
 	// checkpoint is replaced whole.
 	hdr, _ := json.Marshal(want) // flat struct: cannot fail
-	err := WriteFileAtomic(path, func(w io.Writer) error {
+	err := WriteFileAtomic(c.path, func(w io.Writer) error {
 		_, err := w.Write(append(hdr, '\n'))
 		return err
 	})
 	if err != nil {
 		return nil, c.wrap(err)
 	}
-	if c.f, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+	if c.f, err = os.OpenFile(c.path, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
 		return nil, c.wrap(err)
 	}
 	return c, nil
@@ -152,11 +164,33 @@ func (c *Checkpoint) wrap(err error) error {
 	return fmt.Errorf("crawler: checkpoint %s: %w", c.path, err)
 }
 
-// load resumes an existing checkpoint: it loads every intact entry,
-// cuts a crash-torn tail off in place and opens the file for appends.
-// loaded is false when there is nothing to resume (no file, or a blank
+// Unfinished returns src without the sites the checkpoint loaded: its
+// At returns nil at a finished index, and the crawl skips a nil site.
+func (c *Checkpoint) Unfinished(src site.Source) site.Source {
+	if c.loaded == 0 {
+		return src
+	}
+	return unfinished{src, c.done}
+}
+
+type unfinished struct {
+	site.Source
+	done []uint64
+}
+
+func (u unfinished) At(i int) *site.Site {
+	if u.done[i/64]&(1<<(i%64)) != 0 {
+		return nil
+	}
+	return u.Source.At(i)
+}
+
+// load reads an existing checkpoint whose header equals want (nil
+// accepts any header of this version), handing each site line to add,
+// then cuts a torn tail off in place and opens the file for appends.
+// loaded is false when there is nothing to load (no file, or a blank
 // first line), so the caller starts fresh.
-func (c *Checkpoint) load(want checkpointHeader) (loaded bool, err error) {
+func (c *Checkpoint) load(want *Header, add func(SiteResult) error) (loaded bool, err error) {
 	f, err := os.Open(c.path)
 	if os.IsNotExist(err) {
 		return false, nil
@@ -164,7 +198,7 @@ func (c *Checkpoint) load(want checkpointHeader) (loaded bool, err error) {
 	if err != nil {
 		return false, c.wrap(err)
 	}
-	keep, nl, err := c.scan(bufio.NewReader(f), want)
+	_, keep, nl, err := c.scan(bufio.NewReader(f), want, false, add)
 	f.Close()
 	if err != nil || keep == 0 {
 		return false, err
@@ -187,79 +221,121 @@ func (c *Checkpoint) load(want checkpointHeader) (loaded bool, err error) {
 	return true, nil
 }
 
-// scan validates the header and loads the entry lines. keep is the byte
-// length of the intact prefix — the header through the last entry that
-// decodes with a domain — and nl whether it ends in a newline; keep is 0
-// when the first line is blank (an empty file, resumed as fresh). A line
-// that does not decode ends the prefix: it and every non-empty line
-// after it are counted as torn, so the resume summary reports them.
-func (c *Checkpoint) scan(r *bufio.Reader, want checkpointHeader) (keep int64, nl bool, err error) {
+// scan is the one checkpoint line reader. It reads the header, which
+// must be of this version and equal want when want is set, then the
+// site lines: each line that decodes with a domain is counted, hashed
+// and handed to add (when set), in file order. keep is the byte length
+// of the prefix through the last site line and nl whether it ends in a
+// newline; keep is 0 when the first line is blank. The first other
+// non-blank line ends the prefix. Leniently — a resume — it and every
+// later non-blank line count as torn, since a crash cut the tail.
+// Strictly — a sealed file — it must be the last line and a trailer
+// that matches the site lines.
+func (c *Checkpoint) scan(r *bufio.Reader, want *Header, strict bool, add func(SiteResult) error) (hdr Header, keep int64, nl bool, err error) {
 	line, err := r.ReadBytes('\n')
 	if err != nil && err != io.EOF {
-		return 0, false, c.wrap(err)
+		return hdr, 0, false, c.wrap(err)
 	}
-	if len(bytes.TrimSpace(line)) == 0 {
-		return 0, false, nil
+	if !strict && len(bytes.TrimSpace(line)) == 0 {
+		return hdr, 0, false, nil
 	}
-	var hdr checkpointHeader
 	if err := json.Unmarshal(line, &hdr); err != nil {
-		return 0, false, c.wrap(fmt.Errorf("malformed header: %w", err))
+		return hdr, 0, false, c.wrap(fmt.Errorf("malformed header: %w", err))
 	}
-	if hdr != want {
-		return 0, false, fmt.Errorf("crawler: checkpoint %s: written for %s, resume requested for %s", c.path, hdr, want)
+	if hdr.Version != checkpointVersion {
+		return hdr, 0, false, c.wrap(fmt.Errorf("format version %d, this build reads version %d: re-run to replace it", hdr.Version, checkpointVersion))
 	}
-	c.entries = map[string]crawlEntry{}
+	if want != nil && hdr != *want {
+		return hdr, 0, false, c.wrap(fmt.Errorf("written for %s, resume requested for %s: re-run without resuming to replace it", hdr, *want))
+	}
 	size := int64(len(line))
 	keep, nl = size, err == nil
+	var tail []byte // the first non-blank line that is not a site
 	for err == nil {
 		if line, err = r.ReadBytes('\n'); err != nil && err != io.EOF {
-			return 0, false, c.wrap(err)
+			return hdr, 0, false, c.wrap(err)
 		}
 		size += int64(len(line))
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		var e crawlEntry
-		if c.torn > 0 || json.Unmarshal(line, &e) != nil || e.Crawl.Domain == "" {
-			c.torn++
+		var s SiteResult
+		if tail == nil && json.Unmarshal(line, &s) == nil && s.Crawl.Domain != "" {
+			if add != nil {
+				if err := add(s); err != nil {
+					return hdr, 0, false, err
+				}
+			}
+			c.lines++
+			c.sum.Write(bytes.TrimSuffix(line, []byte{'\n'}))
+			c.sum.Write([]byte{'\n'})
+			keep, nl = size, err == nil
 			continue
 		}
-		if _, dup := c.entries[e.Crawl.Domain]; dup {
-			return 0, false, fmt.Errorf("crawler: checkpoint %s: duplicate site %q", c.path, e.Crawl.Domain)
+		if tail == nil {
+			tail = line
 		}
-		c.entries[e.Crawl.Domain] = e
-		keep, nl = size, err == nil
+		c.torn++
 	}
-	c.done = len(c.entries)
-	return keep, nl, nil
+	if strict && (c.torn != 1 || !bytes.Equal(bytes.TrimSuffix(tail, []byte{'\n'}), c.trailer())) {
+		return hdr, 0, false, c.wrap(fmt.Errorf("not sealed: %d site lines end in %q, not in their trailer %s alone", c.lines, tail, c.trailer()))
+	}
+	return hdr, keep, nl, nil
 }
 
-// TornRecords reports how many non-empty lines the load dropped as a
-// crash-torn tail.
-func (c *Checkpoint) TornRecords() int { return c.torn }
+// trailer is a sealed checkpoint's last line: the count and SHA-256 of
+// the site lines scanned, each hashed with its newline.
+func (c *Checkpoint) trailer() []byte {
+	return fmt.Appendf(nil, `{"lines":%d,"sha256":"%x"}`, c.lines, c.sum.Sum(nil))
+}
 
-// Done reports how many sites the checkpoint held when it was opened.
-func (c *Checkpoint) Done() int { return c.done }
-
-// lookup returns a site's loaded entry and forgets it, since each site
-// is emitted once. Safe on a nil receiver — the no-checkpoint crawl
-// path — and for concurrent use by the workers.
-func (c *Checkpoint) lookup(domain string) (crawlEntry, bool) {
-	if c == nil {
-		return crawlEntry{}, false
+// Seal ends the checkpoint at path with its trailer — the count and
+// SHA-256 of its site lines — and fsyncs it. It first cuts a torn tail,
+// or the trailer of an earlier seal that was never renamed into place,
+// so sealing again writes the same bytes.
+func Seal(path string) error {
+	c := &Checkpoint{path: path, sum: sha256.New()}
+	loaded, err := c.load(nil, nil)
+	if err != nil {
+		return err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[domain]
-	delete(c.entries, domain)
-	return e, ok
+	if !loaded {
+		return c.wrap(errors.New("nothing to seal"))
+	}
+	if _, err = c.f.Write(append(c.trailer(), '\n')); err == nil {
+		err = c.f.Sync()
+	}
+	if cerr := c.f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return c.wrap(err)
+	}
+	return nil
+}
+
+// ReadSealed reads a sealed checkpoint from r strictly, through the
+// resume's line reader: the header, every site line in file order, and
+// the trailer, which must be the last line and match the site lines.
+// name labels errors.
+func ReadSealed(name string, r io.Reader) (Header, []SiteResult, error) {
+	c := &Checkpoint{path: name, sum: sha256.New()}
+	var sites []SiteResult
+	hdr, _, _, err := c.scan(bufio.NewReader(r), nil, true, func(s SiteResult) error {
+		sites = append(sites, s)
+		return nil
+	})
+	if err != nil {
+		return Header{}, nil, err
+	}
+	return hdr, sites, nil
 }
 
 // Append persists one finished site: its line is written whole before
 // Append returns, and synced with its group once checkpointSyncBytes of
-// lines are unsynced.
-func (c *Checkpoint) Append(e crawlEntry) error {
-	line, err := json.Marshal(e)
+// lines are unsynced. Safe for concurrent use.
+func (c *Checkpoint) Append(r SiteResult) error {
+	line, err := json.Marshal(r)
 	if err != nil {
 		return c.wrap(err)
 	}
@@ -284,6 +360,7 @@ func (c *Checkpoint) Append(e crawlEntry) error {
 	} else if _, err := c.f.Write(line); err != nil {
 		return c.wrap(err)
 	}
+	c.obs.Count(obs.MetricCheckpointAppends, 1)
 	c.unsynced += len(line)
 	if c.unsynced >= checkpointSyncBytes {
 		if err := c.sync(); err != nil {

@@ -213,60 +213,56 @@ func TestCheckpointFreshRunTruncatesStaleFile(t *testing.T) {
 	if _, err := Run(context.Background(), eco, browser.Firefox88(), Options{Source: site.Slice(eco.Sites[:1]), CheckpointPath: path}); err != nil {
 		t.Fatal(err)
 	}
-	ckpt, err := OpenCheckpoint(eco, browser.Firefox88(), Options{CheckpointPath: path, Resume: true})
+	ckpt, err := OpenCheckpoint(eco, browser.Firefox88(), Options{CheckpointPath: path, Resume: true}, "", func(SiteResult) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ckpt.Close()
-	if ckpt.Done() != 1 {
-		t.Errorf("fresh run left %d entries, want 1", ckpt.Done())
+	if ckpt.loaded != 1 {
+		t.Errorf("fresh run left %d sites, want 1", ckpt.loaded)
 	}
 }
 
-func TestCheckpointShard(t *testing.T) {
-	header := func(shard string) string {
-		line, err := json.Marshal(checkpointHeader{Version: checkpointVersion, Browser: "Firefox 88", Seed: 7, Sites: 60, Shard: shard})
-		if err != nil {
+// TestCheckpointRefusesOldAndForeignLines: a version-1 checkpoint is
+// refused with a re-run error, and so is a line that names another
+// domain than the run's site at its index or whose index lies outside
+// the run's sites.
+func TestCheckpointRefusesOldAndForeignLines(t *testing.T) {
+	eco := faultyEcosystem(t, 53, 0.3)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "crawl.ckpt")
+	if _, err := Run(context.Background(), eco, browser.Firefox88(), Options{Source: site.Slice(eco.Sites[:3]), CheckpointPath: path}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	for _, tc := range []struct {
+		name, file, want string
+	}{
+		{"version 1", `{"version":1,"browser":"Firefox 88","seed":53,"sites":60}` + "\n" +
+			`{"crawl":{"domain":"` + eco.Sites[0].Domain + `","rank":1,"outcome":"success"}}` + "\n", "re-run"},
+		{"another domain", lines[0] + strings.Replace(lines[2], `"index":1`, `"index":0`, 1), "the run's site 0 is"},
+		{"index out of range", lines[0] + strings.Replace(lines[1], `"index":0`, `"index":60`, 1), "outside the run's 60 sites"},
+	} {
+		p := filepath.Join(dir, strings.ReplaceAll(tc.name, " ", "-"))
+		if err := os.WriteFile(p, []byte(tc.file), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return string(line)
-	}
-	entry := `{"crawl":{"domain":"a.example","rank":1,"outcome":"success"}}` + "\n"
-	for _, tc := range []struct {
-		name    string
-		content string // "" writes no file
-		shard   string
-		found   bool
-	}{
-		{"missing file", "", "", false},
-		{"garbage first line", "not a header\n" + header("1/2") + "\n", "", false},
-		{"unsharded header", header("") + "\n" + entry, "", true},
-		{"sharded header", header("1/2") + "\n" + entry, "1/2", true},
-		{"header without newline", header("0/4"), "0/4", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "crawl.ckpt")
-			if tc.content != "" {
-				if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			shard, found, err := CheckpointShard(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if shard != tc.shard || found != tc.found {
-				t.Errorf("CheckpointShard = (%q, %v), want (%q, %v)", shard, found, tc.shard, tc.found)
-			}
-		})
+		_, err := Run(context.Background(), eco, browser.Firefox88(), Options{CheckpointPath: p, Resume: true})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: resume err = %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 
-// sizedEntry returns the i'th of a run of entries whose checkpoint line,
+// sizedEntry returns the i'th of a run of sites whose checkpoint line,
 // newline included, is exactly n bytes long.
-func sizedEntry(t *testing.T, i, n int) crawlEntry {
+func sizedEntry(t *testing.T, i, n int) SiteResult {
 	t.Helper()
-	e := crawlEntry{Crawl: SiteCrawl{Domain: fmt.Sprintf("s%d.example", i)}}
+	e := SiteResult{Index: i, Crawl: SiteCrawl{Domain: fmt.Sprintf("s%d.example", i)}}
 	line, err := json.Marshal(e)
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +296,7 @@ func TestCheckpointSyncsInGroups(t *testing.T) {
 			}
 			t.Cleanup(func() { CheckpointFailpoint = nil })
 
-			c, err := OpenCheckpoint(eco, browser.Firefox88(), Options{CheckpointPath: filepath.Join(t.TempDir(), "crawl.ckpt")})
+			c, err := OpenCheckpoint(eco, browser.Firefox88(), Options{CheckpointPath: filepath.Join(t.TempDir(), "crawl.ckpt")}, "", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -331,12 +327,12 @@ func TestCheckpointSyncsInGroups(t *testing.T) {
 // checkpointDigestSmall7 is the SHA-256 of the checkpoint a serial
 // crawl of SmallConfig(7) under 0.2 faults writes — the file of
 // `piicrawl -small -seed 7 -faults 0.2 -checkpoint F`. It pins the
-// on-disk format (checkpointVersion 1): a change to it must bump the
-// version, not silently alter the bytes. The header's fault pin is the
-// exception: only faulted runs carry it, so fault-free checkpoints keep
-// their version-1 bytes, and a faulted checkpoint written without it
-// is refused as a header mismatch.
-const checkpointDigestSmall7 = "f416fae3285bf091987db10cb2c135fa7382d50d81a760d0ca5464ca4b72c132"
+// on-disk format (checkpointVersion 2): a change to it must bump the
+// version, not silently alter the bytes. Version 1 of the same run
+// hashed to f416fae3…; decoded, each of its lines carried the same
+// crawl, mail and blocked fields as the version-2 line at the same
+// position, which adds the index and the record count.
+const checkpointDigestSmall7 = "134aceb48dd323672b3406112cd0ff35ca72ba25c0efc345c680ba7532049ede"
 
 func TestCheckpointBytesPinned(t *testing.T) {
 	eco := faultyEcosystem(t, 7, 0.2)

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -254,6 +253,22 @@ func TestCrashedSiteNotRecrawledOnResume(t *testing.T) {
 	}
 }
 
+// cancelAt is a site source that cancels its run when the crawl takes
+// site n: the site in flight then is dropped, as a Ctrl-C mid-crawl
+// drops it.
+type cancelAt struct {
+	site.Source
+	n      int
+	cancel context.CancelFunc
+}
+
+func (s cancelAt) At(i int) *site.Site {
+	if i == s.n {
+		s.cancel()
+	}
+	return s.Source.At(i)
+}
+
 // TestCancelMidCrawlLeavesResumableCheckpoint: cancelling a serial
 // checkpointed crawl mid-run returns context.Canceled, keeps a valid
 // checkpoint of exactly the finished sites, and a resume completes to a
@@ -268,19 +283,9 @@ func TestCancelMidCrawlLeavesResumableCheckpoint(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
 	ctx, cancel := context.WithCancel(context.Background())
-	emitted := 0
-	err = CrawlStream(ctx, eco, browser.Firefox88(), Options{CheckpointPath: path}, func(SiteResult) error {
-		emitted++
-		if emitted == 3 {
-			cancel()
-		}
-		return nil
-	})
+	_, err = Run(ctx, eco, browser.Firefox88(), Options{CheckpointPath: path, Source: cancelAt{eco.Universe(), 3, cancel}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled crawl returned %v, want context.Canceled", err)
-	}
-	if emitted != 3 {
-		t.Fatalf("emitted %d sites after cancellation, want 3", emitted)
 	}
 
 	var summary ResumeSummary
@@ -312,18 +317,12 @@ func TestCancelParallelCrawlResumesByteIdentical(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
 	ctx, cancel := context.WithCancel(context.Background())
-	var emitted atomic.Int32 // emit is called from the worker goroutines
-	err = CrawlStream(ctx, eco, browser.Firefox88(), Options{CheckpointPath: path, Workers: 4}, func(SiteResult) error {
-		if emitted.Add(1) == 3 {
-			cancel()
-		}
-		return nil
-	})
+	_, err = Run(ctx, eco, browser.Firefox88(), Options{CheckpointPath: path, Workers: 4, Source: cancelAt{eco.Universe(), 6, cancel}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled crawl returned %v, want context.Canceled", err)
 	}
 
-	resumed, err := Run(context.Background(), eco, browser.Firefox88(), Options{CheckpointPath: path, Resume: true})
+	resumed, err := Run(context.Background(), eco, browser.Firefox88(), Options{CheckpointPath: path, Resume: true, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

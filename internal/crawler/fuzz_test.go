@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"piileak/internal/browser"
+	"piileak/internal/site"
 	"piileak/internal/webgen"
 )
 
@@ -55,25 +56,28 @@ func FuzzReadJSON(f *testing.F) {
 }
 
 // FuzzOpenCheckpoint resumes a checkpoint made of a header line and
-// arbitrary bytes — the wanted run's header, or with foreign set another
-// run's. A foreign header is refused and leaves the file untouched.
-// Otherwise the open never panics; it errors exactly when the intact
-// prefix repeats a domain; Done() counts the leading lines that decode
-// with a domain, each handed out once by lookup, and TornRecords() the
-// non-blank lines after them; after Close the file holds exactly the
-// bytes through the last of them, ending in a newline; and a second
-// open reports the same Done() and no torn lines.
+// arbitrary bytes over a four-site source — the wanted run's header, or
+// with foreign set another run's. A foreign header is refused and leaves
+// the file untouched. Otherwise the open never panics; it errors, file
+// untouched, exactly when a leading line that decodes with a domain has
+// an index outside the source, repeats an index or names another domain
+// than the source's site there; it loads those leading lines, each
+// folded once and skipped by Unfinished, and counts the non-blank lines
+// after them as torn; after Close the file holds exactly the bytes
+// through the last of them, ending in a newline; and a second open
+// loads as many and finds no torn lines.
 func FuzzOpenCheckpoint(f *testing.F) {
 	eco := &webgen.Ecosystem{Config: webgen.Config{Seed: 7, ShoppingSites: 60}}
 	other := &webgen.Ecosystem{Config: webgen.Config{Seed: 8, ShoppingSites: 60}}
 	profile := browser.Firefox88()
+	src := site.Slice{{Domain: "a.example"}, {Domain: "b.example"}, {Domain: "c.example"}, {Domain: "d.example"}}
 
 	f.Fuzz(func(t *testing.T, foreign bool, body []byte) {
 		hdrEco := eco
 		if foreign {
 			hdrEco = other
 		}
-		header, err := json.Marshal(headerFor(hdrEco, profile, Options{}))
+		header, err := json.Marshal(NewHeader(hdrEco, profile, Options{}, ""))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,31 +94,42 @@ func FuzzOpenCheckpoint(f *testing.F) {
 		}
 
 		// The oracle: the leading lines that decode with a domain,
-		// blank lines skipped, where the last of them ends, and the
-		// non-blank lines from the first that does not decode on.
+		// blank lines skipped, where the last of them ends, the
+		// non-blank lines from the first that does not decode on, and
+		// the refusal a bad index or domain among the leading lines
+		// earns.
 		keep := len(header) + 1
-		done, torn, dup := 0, 0, false
-		seen := map[string]bool{}
+		done, torn, refuse := 0, 0, ""
+		seen := map[int]bool{}
 		off := keep
 		for _, line := range bytes.SplitAfter(body, []byte("\n")) {
 			off += len(line)
 			if len(bytes.TrimSpace(line)) == 0 {
 				continue
 			}
-			var e crawlEntry
-			if torn > 0 || json.Unmarshal(line, &e) != nil || e.Crawl.Domain == "" {
+			var r SiteResult
+			if torn > 0 || json.Unmarshal(line, &r) != nil || r.Crawl.Domain == "" {
 				torn++
 				continue
 			}
-			if seen[e.Crawl.Domain] {
-				dup = true
+			switch {
+			case r.Index < 0 || r.Index >= len(src):
+				refuse = "outside"
+			case seen[r.Index]:
+				refuse = "duplicate"
+			case src[r.Index].Domain != r.Crawl.Domain:
+				refuse = "the run's site"
+			}
+			if refuse != "" {
 				break
 			}
-			seen[e.Crawl.Domain] = true
+			seen[r.Index] = true
 			done, keep = done+1, off
 		}
 
-		c, err := OpenCheckpoint(eco, profile, Options{CheckpointPath: path, Resume: true})
+		folded := map[int]int{}
+		opts := Options{CheckpointPath: path, Resume: true, Source: src}
+		c, err := OpenCheckpoint(eco, profile, opts, "", func(r SiteResult) { folded[r.Index]++ })
 		switch {
 		case foreign:
 			if err == nil || !strings.Contains(err.Error(), "resume requested") {
@@ -122,24 +137,25 @@ func FuzzOpenCheckpoint(f *testing.F) {
 			}
 			unchanged()
 			return
-		case dup:
-			if err == nil || !strings.Contains(err.Error(), "duplicate") {
-				t.Fatalf("duplicate domain: err = %v, want a duplicate error", err)
+		case refuse != "":
+			if err == nil || !strings.Contains(err.Error(), refuse) {
+				t.Fatalf("bad line: err = %v, want one containing %q", err, refuse)
 			}
 			unchanged()
 			return
 		case err != nil:
 			t.Fatal(err)
 		}
-		if c.Done() != done || c.TornRecords() != torn {
-			t.Errorf("Done() = %d, TornRecords() = %d, want %d and %d", c.Done(), c.TornRecords(), done, torn)
+		if c.loaded != done || c.torn != torn {
+			t.Errorf("loaded %d sites and %d torn lines, want %d and %d", c.loaded, c.torn, done, torn)
 		}
-		for domain := range seen {
-			if _, ok := c.lookup(domain); !ok {
-				t.Errorf("loaded site %q not found", domain)
+		rest := c.Unfinished(src)
+		for i := range src {
+			if seen[i] != (folded[i] == 1) || len(folded) != len(seen) {
+				t.Errorf("site %d: loaded %v, folded %d times", i, seen[i], folded[i])
 			}
-			if _, ok := c.lookup(domain); ok {
-				t.Errorf("loaded site %q found again after it was emitted", domain)
+			if seen[i] != (rest.At(i) == nil) {
+				t.Errorf("site %d: loaded %v, but Unfinished returns %v", i, seen[i], rest.At(i))
 			}
 		}
 		if err := c.Close(); err != nil {
@@ -157,13 +173,13 @@ func FuzzOpenCheckpoint(f *testing.F) {
 			t.Fatalf("file after resume:\n got %q\nwant %q", got, want)
 		}
 
-		c, err = OpenCheckpoint(eco, profile, Options{CheckpointPath: path, Resume: true})
+		c, err = OpenCheckpoint(eco, profile, opts, "", func(SiteResult) {})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		if c.Done() != done || c.TornRecords() != 0 {
-			t.Errorf("reopen: Done() = %d, TornRecords() = %d, want %d and 0", c.Done(), c.TornRecords(), done)
+		if c.loaded != done || c.torn != 0 {
+			t.Errorf("reopen: loaded %d sites and %d torn lines, want %d and 0", c.loaded, c.torn, done)
 		}
 	})
 }

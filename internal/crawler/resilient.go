@@ -49,11 +49,13 @@ type Options struct {
 	// OutcomeCrashed; the bundle is simply not persisted.
 	Quarantine *Quarantine
 	// CheckpointPath, when set, persists per-site progress so an
-	// interrupted run can continue; Resume loads the file's completed
-	// sites instead of re-crawling them. Each finished site's line is
-	// written before the site is emitted and fsynced in 1 MiB groups and
-	// when the run ends, so a killed process loses at most the site in
-	// flight and an OS crash at most the unsynced group (see Checkpoint).
+	// interrupted run can continue; Resume folds the file's finished
+	// sites instead of running them again. The stage that finishes a
+	// site appends its line — Run after the crawl, the study pipeline
+	// after detection — fsynced in 1 MiB groups and when the run ends,
+	// so a killed process loses the sites not yet appended and an OS
+	// crash at most the unsynced group (see Checkpoint). CrawlStream
+	// ignores both.
 	CheckpointPath string
 	Resume         bool
 	// OnResume, when set together with Resume, is called once with the
@@ -69,7 +71,7 @@ type Options struct {
 	// == 0 is the unsharded default. The pair stamps the checkpoint
 	// header, so a shard's checkpoint can never be resumed by a
 	// different shard — or by an unsharded run — without an explicit
-	// error.
+	// error, and a sealed shard result names its shard.
 	Shard, Shards int
 }
 
@@ -96,15 +98,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("crawler: Shard %d out of range [0, %d)", o.Shard, o.Shards)
 	}
 	return nil
-}
-
-// ShardLabel renders the options' shard scope as the "i/K" label the
-// checkpoint header records; "" for unsharded runs.
-func (o Options) ShardLabel() string {
-	if o.Shards <= 0 {
-		return ""
-	}
-	return fmt.Sprintf("%d/%d", o.Shard, o.Shards)
 }
 
 // ResumeSummary describes what a resumed run recovered from its
@@ -331,34 +324,16 @@ func (t *faultTransport) account(c *SiteCrawl, b *browser.Browser) {
 	c.FailedFetches = b.FailedFetches
 }
 
-// crawlEntry is one site's complete progress unit: the crawl record
-// plus the mail and shield-block side effects that must travel with it
-// through checkpoints and parallel merges.
-type crawlEntry struct {
-	Crawl   SiteCrawl         `json:"crawl"`
-	Mail    []mailbox.Message `json:"mail,omitempty"`
-	Blocked map[string]int    `json:"blocked,omitempty"`
-}
-
-// merge appends an entry to the dataset in site order.
-func (d *Dataset) merge(e crawlEntry) {
-	d.Crawls = append(d.Crawls, e.Crawl)
-	d.Mailbox.Messages = append(d.Mailbox.Messages, e.Mail...)
-	for recv, n := range e.Blocked {
-		d.Blocked[recv] += n
-	}
-}
-
-// crawlEntryFor runs one site through the flow and packages the result.
+// crawlSite runs one site through the flow and packages the result.
 // A panic anywhere in the flow is recovered here: the site is recorded
 // as OutcomeCrashed with whatever captures the browser holds, a
 // diagnostics bundle goes to the quarantine, and the crawl continues
 // with the next site.
-func crawlEntryFor(b *browser.Browser, eco *webgen.Ecosystem, s *site.Site, rt *faultTransport, q *Quarantine) (e crawlEntry) {
+func crawlSite(b *browser.Browser, eco *webgen.Ecosystem, s *site.Site, rt *faultTransport, q *Quarantine) (r SiteResult) {
 	var mbox mailbox.Mailbox
 	defer func() {
-		if r := recover(); r != nil {
-			e = crashedEntry(b, eco, s, rt, &mbox, q, StageCrawl, r)
+		if p := recover(); p != nil {
+			r = crashedSite(b, eco, s, rt, &mbox, q, StageCrawl, p)
 		}
 	}()
 	crawl := crawlOne(b, s, eco.Persona, &mbox, rt)
@@ -368,13 +343,13 @@ func crawlEntryFor(b *browser.Browser, eco *webgen.Ecosystem, s *site.Site, rt *
 		// budget exhaustion, recorded as such with partial captures.
 		crawl.Outcome = OutcomeTimeout
 	}
-	return crawlEntry{Crawl: crawl, Mail: mbox.Messages, Blocked: b.Blocked}
+	return SiteResult{Crawl: crawl, Mail: mbox.Messages, Blocked: b.Blocked, Records: len(crawl.Records)}
 }
 
-// crashedEntry packages a panicked site: the quarantined record keeps
+// crashedSite packages a panicked site: the quarantined record keeps
 // the partial captures and side effects gathered before the crash, so
 // the bundle is enough to re-run and debug the site in isolation.
-func crashedEntry(b *browser.Browser, eco *webgen.Ecosystem, s *site.Site, rt *faultTransport, mbox *mailbox.Mailbox, q *Quarantine, stage string, panicked any) crawlEntry {
+func crashedSite(b *browser.Browser, eco *webgen.Ecosystem, s *site.Site, rt *faultTransport, mbox *mailbox.Mailbox, q *Quarantine, stage string, panicked any) SiteResult {
 	crawl := SiteCrawl{
 		Domain:       s.Domain,
 		Rank:         s.Rank,
@@ -390,5 +365,5 @@ func crashedEntry(b *browser.Browser, eco *webgen.Ecosystem, s *site.Site, rt *f
 		faultSeed = rt.inj.Seed()
 	}
 	q.Add(BundleFor(stage, &crawl, eco.Config.Seed, faultSeed, panicked))
-	return crawlEntry{Crawl: crawl, Mail: mbox.Messages, Blocked: b.Blocked}
+	return SiteResult{Crawl: crawl, Mail: mbox.Messages, Blocked: b.Blocked, Records: len(crawl.Records)}
 }

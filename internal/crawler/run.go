@@ -14,10 +14,12 @@ import (
 // has merged, so the dataset — records, mailbox stream and per-receiver
 // block counters — is byte-identical at any worker count and across
 // checkpoint resumes, and only out-of-order sites are ever held aside.
-// ctx cancels the run between sites and interrupts in-flight retry
-// backoffs; the entry being crawled when cancellation lands is
-// discarded (never checkpointed or emitted), so a resumed run stays
-// byte-identical to an uninterrupted one.
+// With CheckpointPath set, Run owns the checkpoint: each crawled site is
+// appended with its records before it merges, and a resume merges the
+// file's sites and crawls only the rest. ctx cancels the run between
+// sites and interrupts in-flight retry backoffs; the site being crawled
+// when cancellation lands is discarded (never appended or merged), so a
+// resumed run stays byte-identical to an uninterrupted one.
 func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, opts Options) (*Dataset, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -28,19 +30,41 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, op
 		next    int
 		pending = map[int]SiteResult{}
 	)
-	err := CrawlStream(ctx, eco, profile, opts, func(r SiteResult) error {
-		mu.Lock()
-		defer mu.Unlock()
+	merge := func(r SiteResult) {
 		pending[r.Index] = r
 		for p, ok := pending[next]; ok; p, ok = pending[next] {
 			delete(pending, next)
 			ds.Merge(p)
 			next++
 		}
+	}
+	var ckpt *Checkpoint
+	if opts.CheckpointPath != "" {
+		var err error
+		if ckpt, err = OpenCheckpoint(eco, profile, opts, "", merge); err != nil {
+			return nil, err
+		}
+		defer ckpt.Close()
+		opts.Source = ckpt.Unfinished(opts.source(eco))
+	}
+	err := CrawlStream(ctx, eco, profile, opts, func(r SiteResult) error {
+		if ckpt != nil {
+			if err := ckpt.Append(r); err != nil {
+				return err
+			}
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		merge(r)
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	if ckpt != nil {
+		if err := ckpt.Close(); err != nil {
+			return nil, err
+		}
 	}
 	return ds, nil
 }

@@ -1,6 +1,9 @@
 package pii
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"strconv"
 	"strings"
@@ -180,6 +183,25 @@ func (cs *CandidateSet) Tokens() []Token { return cs.tokens }
 
 // Size returns the number of candidate tokens.
 func (cs *CandidateSet) Size() int { return len(cs.tokens) }
+
+// Digest is the hex SHA-256 of every token's value, field and chain, in
+// set order, each string length-prefixed so binary values and adjacent
+// fields cannot alias. A checkpoint header pins it.
+func (cs *CandidateSet) Digest() string {
+	h := sha256.New()
+	num := func(v int) { h.Write(binary.BigEndian.AppendUint64(nil, uint64(v))) }
+	str := func(s string) { num(len(s)); h.Write([]byte(s)) }
+	for _, t := range cs.tokens {
+		str(t.Value)
+		str(string(t.Field.Type))
+		str(t.Field.Value)
+		num(len(t.Chain))
+		for _, c := range t.Chain {
+			str(c)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
 
 // States returns the automaton state count (a memory proxy reported by
 // ablation A1).

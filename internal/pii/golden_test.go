@@ -1,42 +1,11 @@
 package pii
 
-import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"hash"
-	"testing"
-)
+import "testing"
 
 // a1Depth3Transforms is the transform subset ablation A1 compiles at
 // depth 3 (runA1 in the root package): the hashes and encodings
 // trackers actually chain.
 var a1Depth3Transforms = []string{"md5", "sha1", "sha256", "sha512", "base64", "base32", "ripemd_160", "sha3_256"}
-
-// tokenDigest hashes every token's value, field and chain, in set
-// order, with each string length-prefixed so binary (compressed) values
-// and adjacent fields cannot alias.
-func tokenDigest(tokens []Token) string {
-	h := sha256.New()
-	str := func(h hash.Hash, s string) {
-		var n [8]byte
-		binary.BigEndian.PutUint64(n[:], uint64(len(s)))
-		h.Write(n[:])
-		h.Write([]byte(s))
-	}
-	for _, t := range tokens {
-		str(h, t.Value)
-		str(h, string(t.Field.Type))
-		str(h, t.Field.Value)
-		var n [8]byte
-		binary.BigEndian.PutUint64(n[:], uint64(len(t.Chain)))
-		h.Write(n[:])
-		for _, c := range t.Chain {
-			str(h, c)
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
 
 // TestCandidateSetGolden pins the compiled candidate sets to constants
 // computed with the encoders, hashes and automaton as they stood before
@@ -65,7 +34,7 @@ func TestCandidateSetGolden(t *testing.T) {
 			if cs.Size() != c.size || cs.States() != c.states {
 				t.Errorf("Size/States = %d/%d, want %d/%d", cs.Size(), cs.States(), c.size, c.states)
 			}
-			if got := tokenDigest(cs.Tokens()); got != c.digest {
+			if got := cs.Digest(); got != c.digest {
 				t.Errorf("token digest = %s, want %s", got, c.digest)
 			}
 		})

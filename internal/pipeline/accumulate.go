@@ -22,51 +22,48 @@ type Accumulator struct {
 	analysis *core.Accumulator
 	tracking *tracking.Index
 	requests *httpmodel.RequestIndex
-	// results and leaks are the per-site slots, by site index. A slot
-	// whose crawl has no domain was never added: a partial merge leaves
-	// the sites of its missing shards empty.
-	results      []crawler.SiteResult
-	leaks        [][]core.Leak
+	// sites are the per-site slots, by site index. A slot whose crawl
+	// has no domain was never added: a partial merge leaves the sites of
+	// its missing shards empty.
+	sites        []crawler.SiteResult
 	stats        Stats
 	totalRecords int
 }
 
 // NewAccumulator returns an empty fold over a population of sites
-// sites; every added site's Result.Index must lie in [0, sites).
+// sites; every added site's Index must lie in [0, sites).
 func NewAccumulator(sites int) *Accumulator {
 	return &Accumulator{
 		analysis: core.NewAccumulator(),
 		tracking: tracking.NewIndex(),
 		requests: httpmodel.NewRequestIndex(),
-		results:  make([]crawler.SiteResult, sites),
-		leaks:    make([][]core.Leak, sites),
+		sites:    make([]crawler.SiteResult, sites),
 	}
 }
 
-// Add folds one site's output. Sites may arrive in any order, each at
-// most once.
-func (a *Accumulator) Add(out SiteOut) {
-	i := out.Result.Index
-	a.results[i] = out.Result
-	a.leaks[i] = out.Leaks
-	for j := range out.Leaks {
-		l := &out.Leaks[j]
+// Add folds one site after detection: its records released, its leaks
+// and reduced requests set. Sites may arrive in any order, each at most
+// once.
+func (a *Accumulator) Add(r crawler.SiteResult) {
+	a.sites[r.Index] = r
+	for j := range r.Leaks {
+		l := &r.Leaks[j]
 		a.analysis.Add(l)
 		a.tracking.Add(l)
 	}
-	if out.Requests != nil {
-		a.requests.AddReduced(out.Result.Crawl.Domain, out.Requests)
+	if r.Requests != nil {
+		a.requests.AddReduced(r.Crawl.Domain, r.Requests)
 	}
-	if out.Result.Crawl.Outcome == crawler.OutcomeSuccess {
+	if r.Crawl.Outcome == crawler.OutcomeSuccess {
 		a.analysis.AddSites(1)
 		a.stats.Successes++
 	}
-	if out.Records > 0 {
+	if r.Records > 0 {
 		a.stats.Released++
 	}
-	a.totalRecords += out.Records
+	a.totalRecords += r.Records
 	a.stats.Sites++
-	a.stats.Leaks += len(out.Leaks)
+	a.stats.Leaks += len(r.Leaks)
 }
 
 // Leaks reports how many leaks have been folded so far.
@@ -77,12 +74,12 @@ func (a *Accumulator) Leaks() int { return a.stats.Leaks }
 func (a *Accumulator) Result(eco *webgen.Ecosystem, profile browser.Profile) *Result {
 	ds := crawler.DatasetShell(eco, profile)
 	var leaks []core.Leak
-	for i := range a.results {
-		if a.results[i].Crawl.Domain == "" {
+	for i := range a.sites {
+		if a.sites[i].Crawl.Domain == "" {
 			continue
 		}
-		ds.Merge(a.results[i])
-		leaks = append(leaks, a.leaks[i]...)
+		ds.Merge(a.sites[i])
+		leaks = append(leaks, a.sites[i].Leaks...)
 	}
 	return &Result{
 		Leaks:        leaks,

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -107,6 +108,46 @@ func TestDetectorPanicQuarantinesSite(t *testing.T) {
 		if b.Panic == "" || b.Stack == "" {
 			t.Errorf("%s: bundle missing diagnostics: panic=%q stack %d bytes", tc.name, b.Panic, len(b.Stack))
 		}
+	}
+}
+
+// TestDetectCrashNotRerunOnResume: a site whose detection panicked is
+// checkpointed after detection with its crashed outcome, so a resume
+// folds it from the file instead of running the poison again — the
+// quarantine manifest keeps its one bundle, and the resumed run writes
+// the first run's leaks and dataset.
+func TestDetectCrashNotRerunOnResume(t *testing.T) {
+	eco, profile, det := fixture(t, 29)
+	base, err := Run(context.Background(), eco, profile, det, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	poison := poisonDetector{real: det, victim: base.Leaks[0].Site}
+	q, err := crawler.NewQuarantine(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{}
+	opts.Quarantine = q
+	opts.CheckpointPath = filepath.Join(t.TempDir(), "ckpt.jsonl")
+	first, err := Run(context.Background(), eco, profile, poison, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Resume = true
+	resumed, err := Run(context.Background(), eco, profile, poison, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifest, err := os.ReadFile(q.ManifestPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(manifest, []byte("\n")); n != 1 {
+		t.Errorf("manifest holds %d bundles after the resume, want 1", n)
+	}
+	if !reflect.DeepEqual(resumed.Leaks, first.Leaks) || !reflect.DeepEqual(resumed.Dataset, first.Dataset) {
+		t.Error("resumed run differs from the first")
 	}
 }
 

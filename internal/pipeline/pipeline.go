@@ -16,6 +16,10 @@
 // serial, parallel, checkpoint-resumed and sharded runs produce
 // byte-identical leak output and identical table numbers regardless of
 // completion order.
+//
+// A checkpointed run appends each site in the accumulate stage, after
+// detection, so its file holds exactly what the fold needs and a
+// resumed site skips both the crawl and detection.
 package pipeline
 
 import (
@@ -60,13 +64,6 @@ type Options struct {
 	// Progress, when set, receives per-stage completion events. It is
 	// never called concurrently.
 	Progress func(Event)
-	// Sink, when set, receives every site's output — the thin crawl
-	// record, side effects, leaks and the reduced request list — as the
-	// accumulate stage folds it, in completion order. It is the shard
-	// runtime's extraction point: a shard worker collects SiteOuts to
-	// serialize per-site results for the verified merge. Never called
-	// concurrently.
-	Sink func(SiteOut)
 }
 
 // Validate rejects contradictory or nonsensical settings, delegating
@@ -101,24 +98,6 @@ type Event struct {
 	Outcome string
 	// Leaks is the cumulative leak count (detect events only).
 	Leaks int
-}
-
-// SiteOut is one site after detection, as the accumulate stage folds it
-// and Options.Sink receives it: the thin crawl result (records released)
-// with its mail and shield-block side effects, the detected leaks, the
-// reduced request list (leaky sites only), and the pre-release record
-// count.
-type SiteOut struct {
-	// Result is the site's crawl output without its records;
-	// Result.Index is its index in the run's site list.
-	Result crawler.SiteResult
-	// Leaks are the site's detected leaks, in detection order.
-	Leaks []core.Leak
-	// Requests is the reduced request list when the site leaked (the
-	// §7.2 evaluation's retained state); nil otherwise.
-	Requests []httpmodel.IndexedRequest
-	// Records is the site's captured request count before any release.
-	Records int
 }
 
 // Stats carries a finished run's counters.
@@ -165,35 +144,43 @@ type Result struct {
 	Stats Stats
 }
 
+// DetectPin names what det detects, for the checkpoint header: an
+// Engine's candidate-set digest, any other detector's type name (the
+// tests' fakes). A checkpoint written under another candidate set holds
+// another detector's leaks, so a resume refuses it.
+func DetectPin(det Detector) string {
+	if eng, ok := det.(*detect.Engine); ok {
+		return eng.Candidates().Digest()
+	}
+	return fmt.Sprintf("%T", det)
+}
+
 // detectGuarded runs detection on one capture with panic isolation: a
 // detector that blows up on a poison site loses that site (recorded as
 // OutcomeCrashed and quarantined with its stack), not the study.
-func detectGuarded(det Detector, out *SiteOut, eco *webgen.Ecosystem, copts crawler.Options) {
+func detectGuarded(det Detector, out *crawler.SiteResult, eco *webgen.Ecosystem, copts crawler.Options) {
 	defer func() {
 		if r := recover(); r != nil {
 			out.Leaks = nil
-			out.Result.Crawl.Outcome = crawler.OutcomeCrashed
-			var faultSeed uint64
-			if inj := copts.Faults; inj != nil {
-				faultSeed = inj.Seed()
-			} else if eco.Faults != nil {
-				faultSeed = eco.Faults.Seed()
-			}
-			copts.Quarantine.Add(crawler.BundleFor(crawler.StageDetect, &out.Result.Crawl, eco.Config.Seed, faultSeed, r))
+			out.Crawl.Outcome = crawler.OutcomeCrashed
+			copts.Quarantine.Add(crawler.BundleFor(crawler.StageDetect, &out.Crawl, eco.Config.Seed, copts.FaultPin(eco).FaultSeed, r))
 			copts.Obs.CountKind(obs.MetricQuarantined, crawler.StageDetect, 1)
 		}
 	}()
-	out.Leaks = det.DetectSite(out.Result.Crawl.Domain, out.Result.Crawl.Records)
+	out.Leaks = det.DetectSite(out.Crawl.Domain, out.Crawl.Records)
 }
 
 // Run executes the fused crawl+detect+accumulate pipeline and returns
 // the shared result store. Cancelling ctx stops the crawl stage (the
 // site in flight is discarded, exactly as in crawler.CrawlStream); the
 // detect and accumulate stages drain what was already captured before
-// Run returns ctx's error, so a checkpointed run is left resumable. A
-// panicking detector does not kill the run: the site is marked
-// OutcomeCrashed, quarantined (opts.Quarantine), and skipped. opts.Obs
-// observes every stage; a nil observer costs nothing.
+// Run returns ctx's error, so a checkpointed run is left resumable. With
+// CheckpointPath set, the accumulate stage appends each site after
+// detection, and a resume folds the file's sites — counted in the
+// progress events and telemetry like the rest — and crawls only the
+// others. A panicking detector does not kill the run: the site is
+// marked OutcomeCrashed, quarantined (opts.Quarantine), and checkpointed
+// as such. opts.Obs observes every stage; a nil observer costs nothing.
 func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, det Detector, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -226,30 +213,68 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, de
 		opts.Progress(ev)
 		progressMu.Unlock()
 	}
+	crawlEvent := func(r *crawler.SiteResult) {
+		progressMu.Lock()
+		crawled++
+		n := crawled
+		progressMu.Unlock()
+		if opts.Progress != nil {
+			emitEvent(Event{Stage: "crawl", Done: n, Total: total, Site: r.Crawl.Domain, Outcome: string(r.Crawl.Outcome)})
+		}
+	}
+
+	// The fold is the accumulate stage's single owner of the shared
+	// store. It keeps per-site slots, so the final concatenation is in
+	// site order no matter when each site finished.
+	acc := NewAccumulator(total)
+	detected := 0
+	fold := func(r crawler.SiteResult) {
+		acc.Add(r)
+		if r.Records > 0 {
+			o.Count(obs.MetricReleased, 1)
+		}
+		detected++
+		o.Count(obs.MetricDetectSites, 1)
+		o.Count(obs.MetricDetectLeaks, int64(len(r.Leaks)))
+		o.Observe(obs.HistSiteLeaks, int64(len(r.Leaks)))
+		emitEvent(Event{Stage: "detect", Done: detected, Total: total, Site: r.Crawl.Domain, Leaks: acc.Leaks()})
+	}
+
+	// The crawl walks the resolved source, so it and the accumulator
+	// agree on the population; a resume hands it only the unfinished
+	// sites.
+	copts := opts.Options
+	copts.Source = src
+	var ckpt *crawler.Checkpoint
+	if opts.CheckpointPath != "" {
+		var err error
+		ckpt, err = crawler.OpenCheckpoint(eco, profile, copts, DetectPin(det), func(r crawler.SiteResult) {
+			crawlEvent(&r)
+			fold(r)
+		})
+		if err != nil {
+			return nil, err
+		}
+		defer ckpt.Close()
+		copts.Source = ckpt.Unfinished(src)
+	}
+	// A failed append stops the crawl through this context.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 
 	var g obs.Watermark
 	captures := make(chan crawler.SiteResult, buffer)
-	outputs := make(chan SiteOut, buffer)
+	outputs := make(chan crawler.SiteResult, buffer)
 
 	// Stage 1: crawl. Emissions block on the captures channel, which is
-	// the backpressure that bounds the pipeline's in-flight state. The
-	// crawl walks the resolved source, so it and the accumulator agree
-	// on the population.
-	copts := opts.Options
-	copts.Source = src
+	// the backpressure that bounds the pipeline's in-flight state.
 	var crawlErr error
 	go func() {
 		defer close(captures)
 		crawlErr = crawler.CrawlStream(ctx, eco, profile, copts, func(r crawler.SiteResult) error {
 			g.Inc()
 			captures <- r
-			progressMu.Lock()
-			crawled++
-			n := crawled
-			progressMu.Unlock()
-			if opts.Progress != nil {
-				emitEvent(Event{Stage: "crawl", Done: n, Total: total, Site: r.Crawl.Domain, Outcome: string(r.Crawl.Outcome)})
-			}
+			crawlEvent(&r)
 			return nil
 		})
 	}()
@@ -271,18 +296,17 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, de
 			}
 			for r := range captures {
 				sp := o.StartSpan(obs.StageDetect, r.Crawl.Domain, r.Index)
-				out := SiteOut{Result: r, Records: len(r.Crawl.Records)}
 				if r.Crawl.Outcome == crawler.OutcomeSuccess {
-					detectGuarded(wdet, &out, eco, copts)
+					detectGuarded(wdet, &r, eco, copts)
 				}
-				if len(out.Leaks) > 0 {
-					out.Requests = httpmodel.ReduceRecords(r.Crawl.Records)
+				if len(r.Leaks) > 0 {
+					r.Requests = httpmodel.ReduceRecords(r.Crawl.Records)
 				}
-				out.Result.Crawl.Records = nil
+				r.Crawl.Records = nil
 				g.Dec()
-				sp.SetN(len(out.Leaks))
+				sp.SetN(len(r.Leaks))
 				sp.End()
-				outputs <- out
+				outputs <- r
 			}
 		}()
 	}
@@ -291,30 +315,35 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, de
 		close(outputs)
 	}()
 
-	// Stage 3: accumulate — the single goroutine (this one) that owns
-	// the shared store. The fold keeps per-site slots, so the final
-	// concatenation is in site order no matter when each site finished.
-	acc := NewAccumulator(total)
-	detected := 0
-	for out := range outputs {
-		ap := o.StartSpan(obs.StageAccumulate, out.Result.Crawl.Domain, out.Result.Index)
-		acc.Add(out)
-		if out.Records > 0 {
-			o.Count(obs.MetricReleased, 1)
+	// Stage 3: accumulate, on this goroutine: append each site to the
+	// checkpoint, then fold it. After a failed append the stage only
+	// drains, so the other stages can stop.
+	var appendErr error
+	for r := range outputs {
+		if appendErr != nil {
+			continue
 		}
-		detected++
-		o.Count(obs.MetricDetectSites, 1)
-		o.Count(obs.MetricDetectLeaks, int64(len(out.Leaks)))
-		o.Observe(obs.HistSiteLeaks, int64(len(out.Leaks)))
-		ap.SetN(len(out.Leaks))
+		if ckpt != nil {
+			if appendErr = ckpt.Append(r); appendErr != nil {
+				cancel()
+				continue
+			}
+		}
+		ap := o.StartSpan(obs.StageAccumulate, r.Crawl.Domain, r.Index)
+		fold(r)
+		ap.SetN(len(r.Leaks))
 		ap.End()
-		if opts.Sink != nil {
-			opts.Sink(out)
-		}
-		emitEvent(Event{Stage: "detect", Done: detected, Total: total, Site: out.Result.Crawl.Domain, Leaks: acc.Leaks()})
+	}
+	if appendErr != nil {
+		return nil, appendErr
 	}
 	if crawlErr != nil {
 		return nil, crawlErr
+	}
+	if ckpt != nil {
+		if err := ckpt.Close(); err != nil {
+			return nil, err
+		}
 	}
 	res := acc.Result(eco, profile)
 	res.Stats.CaptureHighWater = int(g.High())

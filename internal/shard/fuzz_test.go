@@ -6,30 +6,45 @@ import (
 	"path/filepath"
 	"testing"
 
+	"piileak/internal/browser"
 	"piileak/internal/crawler"
+	"piileak/internal/webgen"
 )
 
-// fuzzResultBytes builds a small, fully-valid shard result file in
-// memory — the fuzz corpus' honest seed, which the mutator then tears,
-// truncates and corrupts.
+// fuzzResultBytes builds a small, fully-valid sealed shard result — a
+// checkpoint of shard 0 of 2 over a five-site universe, written and
+// sealed as a worker does — the fuzz corpus' honest seed, which the
+// mutator then tears, truncates and corrupts.
 func fuzzResultBytes(f *testing.F) []byte {
 	f.Helper()
-	recs := []SiteRecord{
-		{Index: 0, Crawl: crawler.SiteCrawl{Domain: "a.example", Outcome: crawler.OutcomeSuccess}, Records: 3},
-		{Index: 2, Crawl: crawler.SiteCrawl{Domain: "c.example", Outcome: crawler.OutcomeUnreachable}},
-		{Index: 4, Crawl: crawler.SiteCrawl{Domain: "e.example", Outcome: crawler.OutcomeSuccess}, Records: 1},
-	}
-	m := Manifest{EcoSeed: 7, Browser: "Firefox 88.0", Shards: 2, Shard: 0, Universe: 5}
+	eco := &webgen.Ecosystem{Config: webgen.Config{Seed: 7, ShoppingSites: 5, UniverseSize: 5}}
 	path := filepath.Join(f.TempDir(), "seed.jsonl")
-	if err := WriteResult(path, m, recs); err != nil {
+	c, err := crawler.OpenCheckpoint(eco, browser.Firefox88(), crawler.Options{CheckpointPath: path, Shards: 2}, "", nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	sites := []crawler.SiteResult{
+		{Index: 0, Crawl: crawler.SiteCrawl{Domain: "a.example", Outcome: crawler.OutcomeSuccess}, Records: 3},
+		{Index: 2, Crawl: crawler.SiteCrawl{Domain: "e.example", Outcome: crawler.OutcomeSuccess}, Records: 1},
+		{Index: 1, Crawl: crawler.SiteCrawl{Domain: "c.example", Outcome: crawler.OutcomeUnreachable}},
+	}
+	for _, r := range sites {
+		if err := c.Append(r); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		f.Fatal(err)
+	}
+	if err := crawler.Seal(path); err != nil {
 		f.Fatal(err)
 	}
 	r, err := ReadResult(path)
 	if err != nil {
 		f.Fatalf("seed corpus does not verify: %v", err)
 	}
-	if len(r.Records) != len(recs) {
-		f.Fatalf("seed corpus lost records: %d of %d", len(r.Records), len(recs))
+	if len(r.Sites) != len(sites) {
+		f.Fatalf("seed corpus lost sites: %d of %d", len(r.Sites), len(sites))
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -41,18 +56,19 @@ func fuzzResultBytes(f *testing.F) []byte {
 // FuzzParseResult hardens the shard result reader: whatever bytes a
 // crashed or malicious worker leaves behind, parseResult returns
 // exactly one of (result, error) and never a partially-validated
-// Result. Valid outputs must satisfy every manifest invariant.
+// Result. An accepted result names a valid shard and holds unique site
+// indexes inside it.
 func FuzzParseResult(f *testing.F) {
 	good := fuzzResultBytes(f)
 	f.Add(good)
 	f.Add([]byte{})
 	f.Add([]byte("\n"))
 	f.Add([]byte("{}\n"))
-	f.Add(good[:len(good)/2])                   // torn tail mid-record
-	f.Add(good[:bytes.IndexByte(good, '\n')/2]) // torn manifest line
-	f.Add(bytes.Replace(good, []byte(`"digest":"`), []byte(`"digest":"00`), 1))
+	f.Add(good[:len(good)/2])                   // torn tail mid-line
+	f.Add(good[:bytes.IndexByte(good, '\n')/2]) // torn header line
+	f.Add(bytes.Replace(good, []byte(`"sha256":"`), []byte(`"sha256":"00`), 1))
 	if i := bytes.LastIndexByte(good[:len(good)-1], '\n'); i > 0 {
-		f.Add(good[:i+1]) // last site line dropped, digest stale
+		f.Add(good[:i+1]) // the trailer dropped: never sealed
 	}
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)/2] ^= 0xff
@@ -66,20 +82,18 @@ func FuzzParseResult(f *testing.F) {
 		if res == nil {
 			return
 		}
-		m := res.Manifest
-		if m.Schema != ResultSchema || m.Shards < 1 || m.Shard < 0 || m.Shard >= m.Shards {
-			t.Fatalf("accepted result with invalid manifest %+v", m)
+		h := res.Header
+		if h.Shards < 1 || h.Shard < 0 || h.Shard >= h.Shards {
+			t.Fatalf("accepted result with invalid coordinates %+v", h)
 		}
-		if len(res.Records) != m.Sites {
-			t.Fatalf("accepted %d records against manifest count %d", len(res.Records), m.Sites)
-		}
-		prev := -1
-		for _, r := range res.Records {
-			if r.Index <= prev || r.Index >= m.Universe || r.Index%m.Shards != m.Shard {
-				t.Fatalf("accepted record index %d (prev %d, universe %d, shard %d/%d)",
-					r.Index, prev, m.Universe, m.Shard, m.Shards)
+		size := (&Plan{Shards: h.Shards, Universe: h.Universe}).Size(h.Shard)
+		seen := map[int]bool{}
+		for _, r := range res.Sites {
+			if r.Index < 0 || r.Index >= size || seen[r.Index] || r.Crawl.Domain == "" {
+				t.Fatalf("accepted site %q at index %d (shard %d/%d of %d sites holds %d)",
+					r.Crawl.Domain, r.Index, h.Shard, h.Shards, h.Universe, size)
 			}
-			prev = r.Index
+			seen[r.Index] = true
 		}
 	})
 }

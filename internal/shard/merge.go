@@ -63,17 +63,19 @@ type MissingShard struct {
 func ReportPath(dir string) string { return filepath.Join(dir, "report.json") }
 
 // Merge folds verified shard results back into one study result. The
-// input order is irrelevant — results are keyed by their manifest's
-// shard index — and the fold is the unsharded pipeline's own
-// accumulator (pipeline.Accumulator): every site lands in its global
-// index slot, so the merged leak slice, dataset and every table are
+// input order is irrelevant — results are keyed by their header's shard
+// index — and the fold is the unsharded pipeline's own accumulator
+// (pipeline.Accumulator): site i of shard s lands in global index slot
+// s + i*K, so the merged leak slice, dataset and every table are
 // byte-identical to the unsharded run's when all shards are present.
 //
-// Each result's manifest is cross-checked against the plan (seeds,
-// shard count, universe) before a single record is folded; ReadResult
-// has already verified the content digest. Shards absent from results
-// degrade the merge instead of failing it: their sites are simply not
-// folded, and the report lists them under Missing with Partial set.
+// Each result's header must be the one a worker of this plan writes —
+// browser, seeds, universe, shard coordinates and fault settings —
+// before a single line is folded; Merge has no detector, so the
+// candidate-set pin is the one field it does not compare. ReadResult has
+// already verified the trailer. Shards absent from results degrade the
+// merge instead of failing it: their sites are simply not folded, and
+// the report lists them under Missing with Partial set.
 func Merge(eco *webgen.Ecosystem, profile browser.Profile, plan *Plan, results []*Result) (*pipeline.Result, *Report, error) {
 	if err := plan.Verify(eco); err != nil {
 		return nil, nil, err
@@ -83,26 +85,22 @@ func Merge(eco *webgen.Ecosystem, profile browser.Profile, plan *Plan, results [
 		if r == nil {
 			continue
 		}
-		m := r.Manifest
-		if m.Shards != plan.Shards {
-			return nil, nil, fmt.Errorf("shard: result for shard %d is %d-way, plan is %d-way", m.Shard, m.Shards, plan.Shards)
+		h := r.Header
+		want := crawler.NewHeader(eco, profile, crawler.Options{Shard: h.Shard, Shards: plan.Shards}, h.Detect)
+		want.FaultPin = plan.FaultPin
+		if h != want {
+			return nil, nil, fmt.Errorf("shard: result for shard %d was written for %s, the plan is for %s", h.Shard, h, want)
 		}
-		if m.EcoSeed != plan.EcoSeed || m.FaultSeed != plan.FaultSeed {
-			return nil, nil, fmt.Errorf("shard: result for shard %d has seeds (%d, %d), plan has (%d, %d)", m.Shard, m.EcoSeed, m.FaultSeed, plan.EcoSeed, plan.FaultSeed)
+		if _, dup := byShard[h.Shard]; dup {
+			return nil, nil, fmt.Errorf("shard: two results claim shard %d", h.Shard)
 		}
-		if m.Universe != plan.Universe {
-			return nil, nil, fmt.Errorf("shard: result for shard %d covers universe %d, plan has %d", m.Shard, m.Universe, plan.Universe)
-		}
-		if _, dup := byShard[m.Shard]; dup {
-			return nil, nil, fmt.Errorf("shard: two results claim shard %d", m.Shard)
-		}
-		byShard[m.Shard] = r
+		byShard[h.Shard] = r
 	}
 
-	// ReadResult guaranteed each record's index is congruent to its
+	// ReadResult guaranteed each line's index is unique and inside its
 	// shard, so two results can never fight over a slot; the domain
-	// check catches a result whose indexes are self-consistent but
-	// belong to a different ecosystem layout.
+	// check catches a result whose lines are self-consistent but belong
+	// to a different ecosystem layout or shard.
 	acc := pipeline.NewAccumulator(plan.Universe)
 	report := &Report{Schema: ReportSchema, Shards: plan.Shards}
 	universe := eco.Universe()
@@ -115,17 +113,13 @@ func Merge(eco *webgen.Ecosystem, profile browser.Profile, plan *Plan, results [
 			})
 			continue
 		}
-		for i := range r.Records {
-			rec := &r.Records[i]
-			if want := universe.At(rec.Index).Domain; rec.Crawl.Domain != want {
-				return nil, nil, fmt.Errorf("shard %d: record %d is %s, ecosystem index %d is %s", s, i, rec.Crawl.Domain, rec.Index, want)
+		for _, site := range r.Sites {
+			g := s + site.Index*plan.Shards
+			if want := universe.At(g).Domain; site.Crawl.Domain != want {
+				return nil, nil, fmt.Errorf("shard %d: site %d is %s, ecosystem index %d is %s", s, site.Index, site.Crawl.Domain, g, want)
 			}
-			acc.Add(pipeline.SiteOut{
-				Result:   crawler.SiteResult{Index: rec.Index, Crawl: rec.Crawl, Mail: rec.Mail, Blocked: rec.Blocked},
-				Leaks:    rec.Leaks,
-				Requests: rec.Reqs,
-				Records:  rec.Records,
-			})
+			site.Index = g
+			acc.Add(site)
 		}
 		report.Completed = append(report.Completed, s)
 	}
@@ -138,10 +132,10 @@ func Merge(eco *webgen.Ecosystem, profile browser.Profile, plan *Plan, results [
 }
 
 // MergeDir reads every completed shard's result file under dir per the
-// plan and merges them. Missing or unreadable-but-absent files degrade
-// into the report; a file that exists but fails verification (digest
-// mismatch, torn tail, wrong run) is an error — corruption must never
-// be silently dropped as "missing".
+// plan and merges them. Absent files degrade into the report; a file
+// that exists but fails verification (trailer mismatch, torn tail,
+// wrong run) is an error — corruption must never be silently dropped as
+// "missing".
 func MergeDir(eco *webgen.Ecosystem, profile browser.Profile, plan *Plan, dir string) (*pipeline.Result, *Report, error) {
 	var results []*Result
 	for s := 0; s < plan.Shards; s++ {

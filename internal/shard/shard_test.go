@@ -4,16 +4,20 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 
 	"piileak/internal/browser"
 	"piileak/internal/core"
+	"piileak/internal/crawler"
 	"piileak/internal/detect"
 	"piileak/internal/dnssim"
 	"piileak/internal/faultsim"
+	"piileak/internal/obs"
 	"piileak/internal/pipeline"
 	"piileak/internal/webgen"
 )
@@ -257,81 +261,140 @@ func TestPlanVerifyRejectsForeign(t *testing.T) {
 	}
 }
 
-// TestResultRejectsTampering: the merge trusts a result file only after
-// the digest and the structural invariants hold; every class of
-// corruption must be rejected with the file intact on disk.
-func TestResultRejectsTampering(t *testing.T) {
-	eco, profile, det, _ := fixture(t)
-	dir := t.TempDir()
-	path, err := RunWorker(context.Background(), eco, profile, det, WorkerConfig{
-		Shard: 0, Shards: 2, Dir: dir,
-	})
+// reseal writes header and site lines to a checkpoint and seals it, so
+// a tampered line carries a valid trailer and only the structural
+// checks can catch it.
+func reseal(t *testing.T, header []byte, lines [][]byte) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "resealed")
+	if err := os.WriteFile(path, bytes.Join(append([][]byte{header}, lines...), nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := crawler.Seal(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return data
+}
+
+// TestResultRejectsTampering: the merge trusts a sealed result only
+// after the trailer and the structural invariants hold; every class of
+// corruption must be rejected.
+func TestResultRejectsTampering(t *testing.T) {
+	eco, profile, det, _ := fixture(t)
+	dir := t.TempDir()
+	plan := runShards(t, dir, 2)
+	path := ResultPath(dir, 0, 2)
 	good, err := ReadResult(path)
 	if err != nil {
 		t.Fatalf("fresh worker result fails verification: %v", err)
 	}
-	if good.Manifest.Shard != 0 || good.Manifest.Shards != 2 || good.Manifest.Universe != len(eco.Sites) {
-		t.Fatalf("manifest coordinates %d/%d universe %d look wrong", good.Manifest.Shard, good.Manifest.Shards, good.Manifest.Universe)
+	if h := good.Header; h.Shard != 0 || h.Shards != 2 || h.Universe != len(eco.Sites) || h.Detect != pipeline.DetectPin(det) {
+		t.Fatalf("header %+v looks wrong", h)
 	}
 
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	head, body, _ := bytes.Cut(raw, []byte("\n"))
+	lines := bytes.SplitAfter(raw, []byte("\n"))
+	lines = lines[:len(lines)-1] // SplitAfter's empty tail
+	header, sites, trailer := lines[0], lines[1:len(lines)-1], lines[len(lines)-1]
+	body := func(edit func(sites [][]byte)) [][]byte {
+		out := append([][]byte(nil), sites...)
+		edit(out)
+		return out
+	}
+	index := func(line []byte, i int) []byte {
+		_, rest, _ := bytes.Cut(line, []byte(","))
+		return append([]byte(fmt.Sprintf(`{"index":%d,`, i)), rest...)
+	}
 
 	flipped := append([]byte(nil), raw...)
-	flipped[len(flipped)-2] ^= 0x20 // inside the last site line
-	truncated := raw[:len(raw)-10]
-	headless := body
-
-	var m Manifest
-	if err := json.Unmarshal(head, &m); err != nil {
+	flipped[len(header)+len(sites[0])/2] ^= 0x20 // inside the first site line
+	var t2 struct {
+		Lines  int    `json:"lines"`
+		SHA256 string `json:"sha256"`
+	}
+	if err := json.Unmarshal(trailer, &t2); err != nil {
 		t.Fatal(err)
 	}
-	m.Sites++ // digest still matches the body; the count does not
-	editedHead, err := json.Marshal(&m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	overcounted := append(append(editedHead, '\n'), body...)
+	recounted := bytes.Replace(raw, []byte(fmt.Sprintf(`{"lines":%d,`, t2.Lines)), []byte(fmt.Sprintf(`{"lines":%d,`, t2.Lines+1)), 1)
 
 	for name, data := range map[string][]byte{
-		"flipped body byte": flipped,
-		"truncated tail":    truncated,
-		"missing manifest":  headless,
-		"edited site count": overcounted,
+		"flipped body byte":  flipped,
+		"truncated trailer":  raw[:len(raw)-10],
+		"missing trailer":    raw[:len(raw)-len(trailer)],
+		"edited line count":  recounted,
+		"repeated index":     reseal(t, header, body(func(s [][]byte) { s[1] = index(s[1], 0) })),
+		"out-of-range index": reseal(t, header, body(func(s [][]byte) { s[0] = index(s[0], plan.Size(0)) })),
 	} {
 		if res, err := parseResult("tampered", data); err == nil || res != nil {
 			t.Errorf("%s: parseResult returned (%v, %v), want (nil, error)", name, res, err)
 		}
 	}
 
-	// A writer can also lie structurally with a valid digest: records out
-	// of order, or filed under the wrong shard. WriteResult recomputes
-	// the digest, so only the structural checks can catch these.
-	if len(good.Records) >= 2 {
-		swapped := append([]SiteRecord(nil), good.Records...)
-		swapped[0], swapped[1] = swapped[1], swapped[0]
-		p := ResultPath(dir, 0, 2) + ".swapped"
-		if err := WriteResult(p, good.Manifest, swapped); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReadResult(p); err == nil {
-			t.Error("out-of-order records passed verification")
-		}
-	}
-	wrongShard := good.Manifest
-	wrongShard.Shard = 1
-	p := ResultPath(dir, 1, 2) + ".stolen"
-	if err := WriteResult(p, wrongShard, good.Records); err != nil {
+	// Another shard's header over shard 0's lines still seals: its
+	// trailer covers the site lines. The merge refuses it, since the
+	// lines name shard 0's sites.
+	var h crawler.Header
+	if err := json.Unmarshal(header, &h); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadResult(p); err == nil {
-		t.Error("shard 0's records passed verification as shard 1")
+	h.Shard = 1
+	stolenHeader, err := json.Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stolen, err := parseResult("stolen", reseal(t, append(stolenHeader, '\n'), sites))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Merge(eco, profile, plan, []*Result{good, stolen}); err == nil {
+		t.Error("shard 0's lines merged under shard 1's header")
+	}
+}
+
+// TestWorkerResultSurvivesRerunAndUnrenamedSeal: a finished worker run
+// again returns its verified result and crawls nothing, and a worker
+// killed after sealing its checkpoint but before renaming it resumes to
+// the same result bytes. Either way the shard leaves one file behind.
+func TestWorkerResultSurvivesRerunAndUnrenamedSeal(t *testing.T) {
+	eco, profile, det, _ := fixture(t)
+	dir := t.TempDir()
+	cfg := WorkerConfig{Shard: 1, Shards: 2, Dir: dir}
+	path, err := RunWorker(context.Background(), eco, profile, det, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	o := obs.NewRun(nil)
+	cfg.Options.Obs = o
+	if _, err := RunWorker(context.Background(), eco, profile, det, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if n := o.Snapshot().Counters[obs.MetricCrawlSites]; n != 0 {
+		t.Errorf("re-running a finished worker crawled %d sites, want 0", n)
+	}
+
+	if err := os.Rename(path, CheckpointPath(dir, 1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunWorker(context.Background(), eco, profile, det, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("resealed result (%d bytes, err %v) differs from the first (%d bytes)", len(got), err, len(want))
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "*")); len(files) != 1 {
+		t.Errorf("shard directory holds %v, want the result alone", files)
 	}
 }
 
@@ -469,20 +532,20 @@ func TestMergeRejectsMismatchedResults(t *testing.T) {
 	}
 
 	foreign := *r0
-	foreign.Manifest.EcoSeed++
+	foreign.Header.Seed++
 	if _, _, err := Merge(eco, profile, plan, []*Result{&foreign, r1}); err == nil {
 		t.Error("result with a foreign eco seed merged")
 	}
 
 	split := *r0
-	split.Manifest.Shards = 4
+	split.Header.Shards = 4
 	if _, _, err := Merge(eco, profile, plan, []*Result{&split, r1}); err == nil {
 		t.Error("result from a different split merged")
 	}
 
 	liar := *r0
-	liar.Records = append([]SiteRecord(nil), r0.Records...)
-	liar.Records[0].Crawl.Domain = "impostor.example"
+	liar.Sites = append([]crawler.SiteResult(nil), r0.Sites...)
+	liar.Sites[0].Crawl.Domain = "impostor.example"
 	if _, _, err := Merge(eco, profile, plan, []*Result{&liar, r1}); err == nil {
 		t.Error("record with a contradicting domain merged")
 	}

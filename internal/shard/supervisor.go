@@ -29,8 +29,9 @@ var WorkerFailpoint func(shard, attempt int) error
 type Options struct {
 	// Shards is K, the number of independent failure domains.
 	Shards int
-	// Dir is the shard working directory: plan.json, per-shard
-	// checkpoints and results, and report.json all live here.
+	// Dir is the shard working directory: plan.json, one file per
+	// shard — its checkpoint, sealed into its result when the shard
+	// finishes — and report.json all live here.
 	Dir string
 	// Workers/DetectWorkers are each shard worker's pipeline knobs.
 	Workers, DetectWorkers int
@@ -143,7 +144,16 @@ func Supervise(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profi
 		return nil, nil, fmt.Errorf("shard: create dir: %w", err)
 	}
 
-	plan, err := preparePlan(eco, opts)
+	// The header each shard's worker writes: a result is reused or
+	// trusted only under it.
+	want := make([]crawler.Header, opts.Shards)
+	pin := pipeline.DetectPin(det)
+	for s := range want {
+		copts := opts.Crawl
+		copts.Shard, copts.Shards = s, opts.Shards
+		want[s] = crawler.NewHeader(eco, profile, copts, pin)
+	}
+	plan, done, err := preparePlan(eco, opts, want)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -155,7 +165,11 @@ func Supervise(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profi
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			outcomes[s] = superviseShard(ctx, eco, profile, det, opts, clock, s)
+			if done[s] != nil {
+				outcomes[s] = shardOutcome{shard: s, result: done[s]}
+				return
+			}
+			outcomes[s] = superviseShard(ctx, eco, profile, det, opts, clock, s, want[s])
 		}(s)
 	}
 	wg.Wait()
@@ -217,16 +231,28 @@ func Supervise(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profi
 	return res, report, nil
 }
 
-// preparePlan writes (or validates) the plan manifest and clears stale
-// shard state under Fresh.
-func preparePlan(eco *webgen.Ecosystem, opts Options) (*Plan, error) {
+// preparePlan writes (or validates) the plan manifest, clears stale
+// shard state under Fresh, and otherwise returns each shard's verified
+// result, by shard, for reuse. A result written under another header
+// than want — the one this run's worker would write — fails the run
+// before any worker starts: merging it would mix two studies.
+func preparePlan(eco *webgen.Ecosystem, opts Options, want []crawler.Header) (*Plan, []*Result, error) {
 	plan, err := NewPlan(eco, opts.Shards)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	plan.FaultPin = opts.Crawl.FaultPin(eco)
+	done := make([]*Result, opts.Shards)
+	if opts.Fresh {
+		for s := 0; s < opts.Shards; s++ {
+			os.Remove(CheckpointPath(opts.Dir, s, opts.Shards))
+			os.Remove(ResultPath(opts.Dir, s, opts.Shards))
+		}
+		return plan, done, WritePlan(opts.Dir, plan)
+	}
 	path := PlanPath(opts.Dir)
-	if existing, err := ReadPlan(path); err == nil && !opts.Fresh {
+	existing, err := ReadPlan(path)
+	if err == nil {
 		// A resumed run must be resuming THIS study: same partition,
 		// same seeds, same universe, same fault settings.
 		err := existing.Verify(eco)
@@ -234,41 +260,38 @@ func preparePlan(eco *webgen.Ecosystem, opts Options) (*Plan, error) {
 			err = fmt.Errorf("plan crawls with %s, this run with %s", existing.FaultPin.Summary(), plan.FaultPin.Summary())
 		}
 		if err != nil {
-			return nil, fmt.Errorf("shard: %s does not match this study: %w", path, err)
+			return nil, nil, fmt.Errorf("shard: %s does not match this study: %w", path, err)
 		}
 		if existing.Shards != opts.Shards {
-			return nil, fmt.Errorf("shard: %s plans %d shards, run wants %d — use a fresh dir or matching -shards", path, existing.Shards, opts.Shards)
-		}
-		return existing, nil
-	}
-	if opts.Fresh {
-		for s := 0; s < opts.Shards; s++ {
-			os.Remove(CheckpointPath(opts.Dir, s, opts.Shards))
-			os.Remove(ResultPath(opts.Dir, s, opts.Shards))
+			return nil, nil, fmt.Errorf("shard: %s plans %d shards, run wants %d — use a fresh dir or matching -shards", path, existing.Shards, opts.Shards)
 		}
 	}
-	if err := WritePlan(opts.Dir, plan); err != nil {
-		return nil, err
+	for s := range done {
+		rpath := ResultPath(opts.Dir, s, opts.Shards)
+		r, err := ReadResult(rpath)
+		if err != nil {
+			continue // absent or unreadable: the shard runs again
+		}
+		if r.Header != want[s] {
+			return nil, nil, fmt.Errorf("shard: %s does not match this study: written for %s, this run writes %s", rpath, r.Header, want[s])
+		}
+		done[s] = r
 	}
-	return plan, nil
+	if existing != nil {
+		return existing, done, nil
+	}
+	return plan, done, WritePlan(opts.Dir, plan)
 }
 
 // superviseShard runs one shard's attempt/restart loop to completion or
-// budget exhaustion.
-func superviseShard(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, det pipeline.Detector, opts Options, clock resilience.Clock, s int) shardOutcome {
+// budget exhaustion; an attempt succeeds when it leaves a verified
+// result written under want.
+func superviseShard(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, det pipeline.Detector, opts Options, clock resilience.Clock, s int, want crawler.Header) shardOutcome {
 	out := shardOutcome{shard: s}
 	o := opts.Obs
 	kind := strconv.Itoa(s)
 	budget := opts.maxRestarts()
 	resultPath := ResultPath(opts.Dir, s, opts.Shards)
-
-	// A verified result from a previous (or concurrent-resumed) run is
-	// already done — reuse it instead of recrawling. Fresh mode removed
-	// it in preparePlan.
-	if r, err := ReadResult(resultPath); err == nil && r.Manifest.EcoSeed == eco.Config.Seed {
-		out.result = r
-		return out
-	}
 
 	for attempt := 1; ; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -286,10 +309,13 @@ func superviseShard(ctx context.Context, eco *webgen.Ecosystem, profile browser.
 		}
 		if err == nil {
 			// Trust nothing the worker said — only the result file it
-			// left, digest-verified.
+			// left, verified and written under this run's header.
 			r, verr := ReadResult(resultPath)
+			if verr == nil && r.Header != want {
+				verr = fmt.Errorf("shard: %s was written for %s, this run writes %s", resultPath, r.Header, want)
+			}
 			if verr == nil {
-				sp.SetN(len(r.Records))
+				sp.SetN(len(r.Sites))
 				sp.End()
 				out.result = r
 				out.err = nil

@@ -7,12 +7,16 @@ import (
 	"os/exec"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"piileak/internal/crawler"
+	"piileak/internal/browser"
+	"piileak/internal/detect"
+	"piileak/internal/dnssim"
 	"piileak/internal/faultsim"
 	"piileak/internal/obs"
+	"piileak/internal/pipeline"
 	"piileak/internal/resilience"
 	"piileak/internal/site"
 	"piileak/internal/webgen"
@@ -160,19 +164,18 @@ func TestSuperviseResumesMidRunKill(t *testing.T) {
 	dir := t.TempDir()
 	const shards = 3
 
-	// Simulate the dead attempt: crawl the first half of shard 1's slice
+	// Simulate the dead attempt: run the first half of shard 1's slice
 	// into its checkpoint, exactly as a worker killed mid-run leaves it.
 	shard1 := interleaveSource{src: eco.Universe(), shard: 1, shards: shards}
 	sites := make([]*site.Site, shard1.Len()/2)
 	for j := range sites {
 		sites[j] = shard1.At(j)
 	}
-	if _, err := crawler.Run(context.Background(), eco, profile, crawler.Options{
-		Source:         site.Slice(sites),
-		CheckpointPath: CheckpointPath(dir, 1, shards),
-		Shard:          1,
-		Shards:         shards,
-	}); err != nil {
+	half := pipeline.Options{}
+	half.Source = site.Slice(sites)
+	half.CheckpointPath = CheckpointPath(dir, 1, shards)
+	half.Shard, half.Shards = 1, shards
+	if _, err := pipeline.Run(context.Background(), eco, profile, det, half); err != nil {
 		t.Fatal(err)
 	}
 
@@ -202,9 +205,9 @@ func TestSuperviseReusesVerifiedResults(t *testing.T) {
 		t.Fatalf("setup run partial: %+v", report)
 	}
 
-	calls := 0
+	var calls atomic.Int32 // both shards' attempts run concurrently
 	withFailpoint(t, func(shard, attempt int) error {
-		calls++
+		calls.Add(1)
 		return errors.New("no new attempts allowed")
 	})
 
@@ -217,8 +220,8 @@ func TestSuperviseReusesVerifiedResults(t *testing.T) {
 	if report.Partial {
 		t.Fatalf("resume of a complete run partial: %+v", report)
 	}
-	if calls != 0 {
-		t.Errorf("resume ran %d worker attempts over verified results, want 0", calls)
+	if n := calls.Load(); n != 0 {
+		t.Errorf("resume ran %d worker attempts over verified results, want 0", n)
 	}
 	if got := report.Attempts[0] + report.Attempts[1]; got != 0 {
 		t.Errorf("resume recorded %d attempts, want 0", got)
@@ -230,7 +233,7 @@ func TestSuperviseReusesVerifiedResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls == 0 {
+	if calls.Load() == 0 {
 		t.Error("fresh mode reused results instead of re-running")
 	}
 	if !report.Partial || len(report.Missing) != 2 {
@@ -298,6 +301,60 @@ func TestSuperviseRefusesOtherFaultSettings(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "does not match this study") {
 			t.Errorf("%s: resume err = %v, want the plan refused", tc.name, err)
 		}
+	}
+}
+
+// studyOf7 is `piicrawl -small -seed 7` with faults at rate (0 for
+// none): the ecosystem and its detector.
+func studyOf7(t *testing.T, rate float64) (*webgen.Ecosystem, pipeline.Detector) {
+	t.Helper()
+	cfg := webgen.SmallConfig(7)
+	if rate > 0 {
+		cfg.Faults = &faultsim.Config{Rate: rate}
+	}
+	eco := webgen.MustGenerate(cfg)
+	return eco, detect.MustNewEngine(eco.Persona, dnssim.NewClassifier(eco.Zone), detect.Config{})
+}
+
+// TestSuperviseRefusesShardOfOtherFaultRate: shard 0 run at 0.2 faults
+// and shard 1 at 0.5 — `piicrawl -small -seed 7 -faults 0.2 -shard 0/2
+// -shard-dir D`, then `-faults 0.5 -shard 1/2` — and supervised with
+// -resume at 0.5 would merge shard 0's 0.2 sites into the 0.5 study. The
+// resume is refused before any worker starts.
+func TestSuperviseRefusesShardOfOtherFaultRate(t *testing.T) {
+	dir := t.TempDir()
+	eco2, det := studyOf7(t, 0.2)
+	eco5, _ := studyOf7(t, 0.5)
+	for s, eco := range []*webgen.Ecosystem{eco2, eco5} {
+		if _, err := RunWorker(context.Background(), eco, browser.Firefox88(), det, WorkerConfig{Shard: s, Shards: 2, Dir: dir}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	withFailpoint(t, func(shard, attempt int) error { return fmt.Errorf("no worker may start") })
+	opts := superviseOpts(dir, 2)
+	opts.Fresh = false
+	_, _, err := Supervise(context.Background(), eco5, browser.Firefox88(), det, opts)
+	if err == nil || !strings.Contains(err.Error(), "does not match this study") {
+		t.Errorf("resume err = %v, want shard 0's result refused", err)
+	}
+}
+
+// TestSuperviseRefusesShardOfOtherBrowser: a Brave shard 0 — `piicrawl
+// -small -seed 7 -browser brave -shard 0/2 -shard-dir D` — resumed by a
+// Firefox supervision would merge Brave's traffic into a Firefox study.
+// The resume is refused before any worker starts.
+func TestSuperviseRefusesShardOfOtherBrowser(t *testing.T) {
+	dir := t.TempDir()
+	eco, det := studyOf7(t, 0)
+	if _, err := RunWorker(context.Background(), eco, browser.Brave129(eco.BraveShields), det, WorkerConfig{Shard: 0, Shards: 2, Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	withFailpoint(t, func(shard, attempt int) error { return fmt.Errorf("no worker may start") })
+	opts := superviseOpts(dir, 2)
+	opts.Fresh = false
+	_, _, err := Supervise(context.Background(), eco, browser.Firefox88(), det, opts)
+	if err == nil || !strings.Contains(err.Error(), "does not match this study") {
+		t.Errorf("resume err = %v, want the Brave shard refused", err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"sort"
 
 	"piileak/internal/browser"
 	"piileak/internal/crawler"
@@ -18,8 +17,8 @@ type WorkerConfig struct {
 	// Shard/Shards are the worker's coordinates: it crawls global site
 	// indexes congruent to Shard mod Shards, in rank order.
 	Shard, Shards int
-	// Dir is the shard directory holding the worker's checkpoint and
-	// result file.
+	// Dir is the shard directory holding the worker's checkpoint,
+	// which it seals and renames into its result file.
 	Dir string
 	// Workers/DetectWorkers are the per-shard pipeline knobs, passed
 	// through to pipeline.Options.
@@ -34,11 +33,6 @@ type WorkerConfig struct {
 	// unbounded).
 	QuarantineDir string
 	QuarantineMax int
-	// Checkpoint overrides the shard's derived checkpoint path; "" uses
-	// CheckpointPath(Dir, Shard, Shards). The header's shard label is
-	// stamped either way, so a foreign checkpoint is refused, not
-	// silently mixed in.
-	Checkpoint string
 }
 
 // interleaveSource is one shard's lazy view of the universe: local
@@ -64,9 +58,11 @@ func (s interleaveSource) At(j int) *site.Site {
 }
 
 // RunWorker executes one shard end to end: crawl + detect + accumulate
-// over the shard's interleaved site slice, checkpointed so a restart
-// resumes instead of recrawling, finishing by atomically writing the
-// shard's digest-bearing result file. It returns the result path.
+// over the shard's interleaved site slice, checkpointed at
+// CheckpointPath so a restart resumes instead of recrawling, and
+// finishing by sealing the checkpoint (crawler.Seal) and renaming it
+// into the shard's result file, whose path it returns. A finished
+// worker run again returns its verified result and crawls nothing.
 //
 // The shard's population is a lazy interleaved view of the ecosystem's
 // universe — sites materialize one at a time as the crawl reaches
@@ -98,26 +94,12 @@ func RunWorker(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profi
 	opts.Workers = cfg.Workers
 	opts.Shard, opts.Shards = cfg.Shard, cfg.Shards
 	opts.Source = src
-	opts.CheckpointPath = cfg.Checkpoint
-	if opts.CheckpointPath == "" {
-		opts.CheckpointPath = CheckpointPath(cfg.Dir, cfg.Shard, cfg.Shards)
-	}
+	opts.CheckpointPath = CheckpointPath(cfg.Dir, cfg.Shard, cfg.Shards)
 	opts.Resume = true
 
-	// Collect per-site outputs — the sink sees them in completion order,
-	// and local position j maps back to global index Shard + j*Shards.
-	// The result file lists them in site order, sorted once the run ends.
-	recs := make([]SiteRecord, 0, src.Len())
-	opts.Sink = func(out pipeline.SiteOut) {
-		recs = append(recs, SiteRecord{
-			Index:   cfg.Shard + out.Result.Index*cfg.Shards,
-			Crawl:   out.Result.Crawl,
-			Mail:    out.Result.Mail,
-			Blocked: out.Result.Blocked,
-			Records: out.Records,
-			Leaks:   out.Leaks,
-			Reqs:    out.Requests,
-		})
+	path := ResultPath(cfg.Dir, cfg.Shard, cfg.Shards)
+	if r, err := ReadResult(path); err == nil && r.Header == crawler.NewHeader(eco, profile, opts.Options, pipeline.DetectPin(det)) {
+		return path, nil
 	}
 
 	if cfg.QuarantineDir != "" {
@@ -132,23 +114,11 @@ func RunWorker(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profi
 	if _, err := pipeline.Run(ctx, eco, profile, det, opts); err != nil {
 		return "", err
 	}
-	sort.Slice(recs, func(a, b int) bool { return recs[a].Index < recs[b].Index })
-
-	m := Manifest{
-		EcoSeed:  eco.Config.Seed,
-		Browser:  profile.Name + " " + profile.Version,
-		Shards:   cfg.Shards,
-		Shard:    cfg.Shard,
-		Universe: universe.Len(),
-	}
-	if inj := cfg.Options.Faults; inj != nil {
-		m.FaultSeed = inj.Seed()
-	} else if eco.Faults != nil {
-		m.FaultSeed = eco.Faults.Seed()
-	}
-	path := ResultPath(cfg.Dir, cfg.Shard, cfg.Shards)
-	if err := WriteResult(path, m, recs); err != nil {
+	if err := crawler.Seal(opts.CheckpointPath); err != nil {
 		return "", err
+	}
+	if err := os.Rename(opts.CheckpointPath, path); err != nil {
+		return "", fmt.Errorf("shard: %w", err)
 	}
 	return path, nil
 }

@@ -311,7 +311,7 @@ func (s *Study) Run(ctx context.Context, options ...RunOption) error {
 // RunSharded executes the study as a supervised sharded run: the site
 // universe is partitioned into opts.Shards rank-interleaved failure
 // domains, each crawled by an independently-checkpointed worker under
-// restart supervision, and the per-shard outputs are digest-verified
+// restart supervision, and the shards' sealed checkpoints are verified
 // and merged back into the study. With every shard completing, Leaks,
 // Analysis and every table are byte-identical to an unsharded run; when
 // a shard exhausts its retry budget the study holds the partial merge
@@ -335,9 +335,9 @@ func (s *Study) RunSharded(ctx context.Context, opts shard.Options) (*shard.Repo
 // RunShardWorker runs one shard worker of a sharded study, as a
 // re-execed piicrawl -shard i/K process does: crawl + detect over the
 // shard's rank-interleaved slice of the universe, checkpointed so a
-// restart resumes, ending in the shard's digest-bearing result file,
-// whose path it returns. The supervisor's verified merge (RunSharded)
-// consumes that file; the study's own Leaks and Analysis stay unset.
+// restart resumes, ending when the checkpoint is sealed into the
+// shard's result file, whose path it returns. RunSharded's verified
+// merge consumes that file; the study's Leaks and Analysis stay unset.
 // When cfg.Options.Obs is set, its run manifest is scoped to the shard:
 // the shard's site count and its "i/K" label.
 func (s *Study) RunShardWorker(ctx context.Context, cfg shard.WorkerConfig) (string, error) {

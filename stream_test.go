@@ -70,15 +70,14 @@ func TestStreamModesByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Resumed: pre-crawl half the sites into a checkpoint, then run the
-	// study with Resume — the checkpointed half is emitted from the
-	// file, the rest is crawled live.
+	// Resumed: run the study over the first half of the sites into a
+	// checkpoint, then run it over all of them with Resume — the
+	// checkpointed half is folded from the file, the rest is crawled
+	// and detected live.
 	resumed := newStudy()
 	ckpt := filepath.Join(t.TempDir(), "ckpt.jsonl")
 	half := resumed.Eco.Sites[:len(resumed.Eco.Sites)/2]
-	if _, err := crawler.Run(context.Background(), resumed.Eco, resumed.Config.Browser, crawler.Options{
-		Source: site.Slice(half), CheckpointPath: ckpt,
-	}); err != nil {
+	if err := resumed.Run(ctx, WithSource(site.Slice(half)), WithCheckpoint(ckpt)); err != nil {
 		t.Fatal(err)
 	}
 	if err := resumed.Run(ctx, WithWorkers(3, 2),
@@ -274,8 +273,8 @@ func TestPolicyAuditCNAMECloaked(t *testing.T) {
 	}
 	sender := s.Eco.Sites[0]
 	acc := pipeline.NewAccumulator(1)
-	acc.Add(pipeline.SiteOut{
-		Result: crawler.SiteResult{Crawl: crawler.SiteCrawl{Domain: sender.Domain, Outcome: crawler.OutcomeSuccess}},
+	acc.Add(crawler.SiteResult{
+		Crawl: crawler.SiteCrawl{Domain: sender.Domain, Outcome: crawler.OutcomeSuccess},
 		Leaks: []core.Leak{{
 			Site:     sender.Domain,
 			Receiver: "omtrdc.net",
