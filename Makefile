@@ -49,6 +49,7 @@ bench:
 	$(GO) test -json -bench '^Benchmark(Scan|DetectSite)$$' -benchmem -run '^$$' ./internal/detect/ > BENCH_detect.json
 	$(GO) test -json -bench '^Benchmark(BuildCandidatesDepth2|AutomatonNew)$$' -benchmem -run '^$$' ./internal/pii/ > BENCH_candidates.json
 	$(GO) test -json -bench '^Benchmark(E10_Table4Blocklists|EngineMatch)$$' -benchmem -run '^$$' . ./internal/blocklist/ > BENCH_table4.json
+	$(GO) test -json -bench '^Benchmark(ETLDPlusOne|CrawlTailSite)$$' -benchmem -run '^$$' ./internal/psl/ ./internal/crawler/ > BENCH_browser.json
 
 # Short fuzz smoke over every fuzzer in the module, 10s each: the
 # dataset decoder, the one checkpoint line reader (leniently as a
@@ -57,7 +58,8 @@ bench:
 # Aho-Corasick automaton (matches and their order against a naive
 # search), the filter-list parser and the filter rules' literal
 # prefilter (verdicts and deciding rules against evaluating every
-# rule's regexp), the public-suffix algorithm, the bzip2 and base58
+# rule's regexp), the public-suffix walk (differential against the
+# label-splitting oracle it replaced), the bzip2 and base58
 # codecs (round trips, and base58 decoding never panics) and the HAR
 # parser.
 fuzz:

@@ -9,6 +9,14 @@
 // crawler drives authentication events that make tags emit leak
 // requests. Everything the browser lets through is appended to Records —
 // the dataset §4's detection pipeline runs on.
+//
+// Every policy turns on one §4.1 split, whether a request is cross-site
+// for its page, and the engine computes it once per request: each
+// request's host comes from the place that built its URL (the page,
+// the site or the tag), its registrable domain is resolved once, and
+// Shields, the cookie policy and the referer policy share that one
+// verdict. A page's host, registrable domain and origin are computed
+// once per page (DESIGN.md §17).
 package browser
 
 import (
@@ -121,6 +129,31 @@ type Browser struct {
 
 	jar map[string][]httpmodel.Cookie // cookie domain -> cookies
 	seq int
+	// page is the page the last request came from, parsed once.
+	page page
+}
+
+// page is what every request from one page URL needs: its host,
+// registrable domain ("" when it has none) and origin, the Referer a
+// cross-site request gets.
+type page struct {
+	url, host, etld1, origin string
+}
+
+// pageFor returns the parsed page for pageURL, parsing only when the
+// page changed since the last request. The zero page saves nothing, so
+// an empty URL is parsed every time.
+func (b *Browser) pageFor(pageURL string) *page {
+	if pageURL != "" && b.page.url == pageURL {
+		return &b.page
+	}
+	b.page = page{url: pageURL}
+	if u, err := url.Parse(pageURL); err == nil {
+		b.page.host = strings.ToLower(u.Hostname())
+		b.page.etld1, _ = b.Classifier.PSL.ETLDPlusOne(b.page.host)
+		b.page.origin = u.Scheme + "://" + u.Host + "/"
+	}
+	return &b.page
 }
 
 // New creates a browsing session. zone supplies CNAME records for
@@ -137,8 +170,8 @@ func New(profile Profile, zone *dnssim.Zone) *Browser {
 	}
 }
 
-// Reset clears cookies, captured traffic and the transport (a fresh
-// session on a fresh connection).
+// Reset clears cookies, captured traffic, the saved page and the
+// transport (a fresh session on a fresh connection).
 func (b *Browser) Reset() {
 	b.Records = nil
 	b.Blocked = map[string]int{}
@@ -146,6 +179,7 @@ func (b *Browser) Reset() {
 	b.Transport = nil
 	b.jar = map[string][]httpmodel.Cookie{}
 	b.seq = 0
+	b.page = page{}
 }
 
 // SetCookie stores a cookie in the jar.
@@ -160,47 +194,50 @@ func (b *Browser) SetCookie(c httpmodel.Cookie) {
 	b.jar[d] = append(b.jar[d], c)
 }
 
-// cookiesFor returns the cookies the profile allows on a request to host
-// from a page on pageHost.
-func (b *Browser) cookiesFor(host, pageHost string) []httpmodel.Cookie {
-	var out []httpmodel.Cookie
-	thirdParty := b.Classifier.PSL.IsThirdParty(pageHost, host)
-	if thirdParty {
-		if b.Profile.BlockThirdPartyCookies {
-			return nil
-		}
-		if b.Profile.ETPTrackerCookies {
-			if e, err := b.Classifier.PSL.ETLDPlusOne(host); err == nil && b.Profile.KnownTrackers[e] {
-				return nil
-			}
-		}
+// dropsCrossSiteCookie reports whether the profile keeps cookies off a
+// cross-site exchange with a host whose registrable domain is e ("" when
+// it has none).
+func (p *Profile) dropsCrossSiteCookie(e string) bool {
+	return p.BlockThirdPartyCookies || p.ETPTrackerCookies && e != "" && p.KnownTrackers[e]
+}
+
+// cookiesFor returns the cookies the profile allows on a request to
+// host, whose registrable domain is e, given the request's third-party
+// verdict.
+func (b *Browser) cookiesFor(host, e string, thirdParty bool) []httpmodel.Cookie {
+	if thirdParty && b.Profile.dropsCrossSiteCookie(e) {
+		return nil
 	}
 	// Match domains first and walk them sorted: the jar is a map, and
 	// when several domains cover the host the emitted cookie order
 	// must not follow randomized map iteration.
 	var domains []string
 	for domain := range b.jar {
-		if host == domain || strings.HasSuffix(host, "."+domain) {
+		if strings.HasSuffix(host, domain) && (len(host) == len(domain) || host[len(host)-len(domain)-1] == '.') {
 			domains = append(domains, domain)
 		}
 	}
-	sort.Strings(domains)
+	if len(domains) > 1 {
+		sort.Strings(domains)
+	}
+	var out []httpmodel.Cookie
 	for _, domain := range domains {
 		out = append(out, b.jar[domain]...)
 	}
 	return out
 }
 
-// allowed applies Shields: false means the request is blocked. The
-// receiver is the registrable domain charged for the block.
-func (b *Browser) allowed(reqHost string) (receiver string, ok bool) {
+// allowed applies Shields to a request to host, whose registrable
+// domain is e: false means the request is blocked. The receiver is the
+// registrable domain charged for the block.
+func (b *Browser) allowed(host, e string) (receiver string, ok bool) {
 	if b.Profile.Shields == nil {
 		return "", true
 	}
-	party := reqHost
+	party := host
 	if b.Profile.UncloakCNAME {
-		party = b.Classifier.EffectiveParty(reqHost)
-	} else if e, err := b.Classifier.PSL.ETLDPlusOne(reqHost); err == nil {
+		party = b.Classifier.EffectiveParty(host)
+	} else if e != "" {
 		party = e
 	}
 	if b.Profile.Shields[party] {
@@ -209,11 +246,23 @@ func (b *Browser) allowed(reqHost string) (receiver string, ok bool) {
 	return "", true
 }
 
-// Do issues one request: applies shields and cookie policy, attaches the
-// referer, records the exchange, and returns whether it went through.
+// Do issues one request from page: applies shields and cookie policy,
+// attaches referer when it is not empty, records the exchange, and
+// returns whether it went through.
 func (b *Browser) Do(req httpmodel.Request, page string, phase httpmodel.Phase, referer string, resp httpmodel.Response) bool {
-	host := req.Host()
-	if receiver, ok := b.allowed(host); !ok {
+	return b.do(req, req.Host(), b.pageFor(page), phase, nil, referer, resp)
+}
+
+// do is Do for a request to host, which the caller knows from building
+// the request's URL. It resolves the host's registrable domain once,
+// and Shields, the cookie policy and the referer policy share the one
+// third-party verdict. A subresource of a page on site s (s non-nil)
+// gets its Referer from that verdict, as Firefox 88's default policy
+// does: the full page URL same-site, the page's origin cross-site. A
+// navigation (s nil) carries referer as given.
+func (b *Browser) do(req httpmodel.Request, host string, pg *page, phase httpmodel.Phase, s *site.Site, referer string, resp httpmodel.Response) bool {
+	e, _ := b.Classifier.PSL.ETLDPlusOne(host) // "" when host has none
+	if receiver, ok := b.allowed(host, e); !ok {
 		b.Blocked[receiver]++
 		b.Obs.Count(obs.MetricBrowserBlocked, 1)
 		return false
@@ -233,20 +282,30 @@ func (b *Browser) Do(req httpmodel.Request, page string, phase httpmodel.Phase, 
 			return false
 		}
 	}
-	pageHost := hostOf(page)
+	// A host or page without a registrable domain is never same-site.
+	thirdParty := e == "" || e != pg.etld1
+	if s != nil {
+		referer = pg.origin
+		if !thirdParty || s.SignupGET {
+			// Badly-coded GET-form sites also ship
+			// `Referrer-Policy: unsafe-url`, which is what makes their
+			// accidental leak observable cross-origin (§4.1).
+			referer = pg.url
+		}
+	}
 	if referer != "" {
 		if req.Headers == nil {
 			req.Headers = map[string]string{}
 		}
 		req.Headers["Referer"] = referer
 	}
-	req.Cookies = b.cookiesFor(host, pageHost)
+	req.Cookies = b.cookiesFor(host, e, thirdParty)
 
 	if resp.Status == 0 {
 		resp.Status = 200
 	}
 	for _, c := range resp.SetCookies {
-		if b.canSetCookie(c, pageHost) {
+		if b.canSetCookie(c, pg) {
 			b.SetCookie(c)
 		}
 	}
@@ -255,7 +314,7 @@ func (b *Browser) Do(req httpmodel.Request, page string, phase httpmodel.Phase, 
 	b.Obs.Count(obs.MetricBrowserRequests, 1)
 	b.Records = append(b.Records, httpmodel.Record{
 		Seq:      b.seq,
-		Page:     page,
+		Page:     pg.url,
 		Phase:    phase,
 		Request:  req,
 		Response: resp,
@@ -263,48 +322,11 @@ func (b *Browser) Do(req httpmodel.Request, page string, phase httpmodel.Phase, 
 	return true
 }
 
-func (b *Browser) canSetCookie(c httpmodel.Cookie, pageHost string) bool {
-	thirdParty := b.Classifier.PSL.IsThirdParty(pageHost, c.Domain)
-	if !thirdParty {
-		return true
-	}
-	if b.Profile.BlockThirdPartyCookies {
-		return false
-	}
-	if b.Profile.ETPTrackerCookies {
-		if e, err := b.Classifier.PSL.ETLDPlusOne(c.Domain); err == nil && b.Profile.KnownTrackers[e] {
-			return false
-		}
-	}
-	return true
-}
-
-func hostOf(pageURL string) string {
-	u, err := url.Parse(pageURL)
-	if err != nil {
-		return ""
-	}
-	return strings.ToLower(u.Hostname())
-}
-
-// refererFrom computes the Referer value a subresource request gets
-// from its page: the full URL when the page is same-origin with the
-// target or the site opted into unsafe-url (the GET-form sites), the
-// origin otherwise — Firefox 88's default policy.
-func refererFrom(s *site.Site, pageURL, targetHost string) string {
-	pageHost := hostOf(pageURL)
-	sameSite := !psl.IsThirdParty(pageHost, targetHost)
-	if sameSite || s.SignupGET {
-		// Badly-coded GET-form sites also ship
-		// `Referrer-Policy: unsafe-url`, which is what makes their
-		// accidental leak observable cross-origin (§4.1).
-		return pageURL
-	}
-	u, err := url.Parse(pageURL)
-	if err != nil {
-		return ""
-	}
-	return u.Scheme + "://" + u.Host + "/"
+// canSetCookie applies the cookie policy to a Set-Cookie received on a
+// request from page pg.
+func (b *Browser) canSetCookie(c httpmodel.Cookie, pg *page) bool {
+	e, _ := b.Classifier.PSL.ETLDPlusOne(c.Domain)
+	return e != "" && e == pg.etld1 || !b.Profile.dropsCrossSiteCookie(e)
 }
 
 // VisitPage renders a page: the document request, one first-party asset,
@@ -313,9 +335,10 @@ func refererFrom(s *site.Site, pageURL, targetHost string) string {
 // the document itself arrived; when it did not (a transport failure),
 // no subresources load and the caller's flow is broken at this step.
 func (b *Browser) VisitPage(s *site.Site, pageURL string, phase httpmodel.Phase, subpage bool) bool {
-	if !b.Do(httpmodel.Request{
+	pg := b.pageFor(pageURL)
+	if !b.do(httpmodel.Request{
 		Method: "GET", URL: pageURL, Type: httpmodel.TypeDocument,
-	}, pageURL, phase, "", httpmodel.Response{}) {
+	}, pg.host, pg, phase, nil, "", httpmodel.Response{}) {
 		return false
 	}
 	b.RenderSubresources(s, pageURL, phase, subpage)
@@ -326,14 +349,14 @@ func (b *Browser) VisitPage(s *site.Site, pageURL string, phase httpmodel.Phase,
 // the document request — used after form submissions, where the
 // navigation request already happened.
 func (b *Browser) RenderSubresources(s *site.Site, pageURL string, phase httpmodel.Phase, subpage bool) {
+	pg := b.pageFor(pageURL)
 	asset := s.PageURL("/static/app.js")
-	b.Do(httpmodel.Request{
+	b.do(httpmodel.Request{
 		Method: "GET", URL: asset, Type: httpmodel.TypeScript, Initiator: pageURL,
-	}, pageURL, phase, refererFrom(s, pageURL, s.Host()), httpmodel.Response{})
+	}, s.Host(), pg, phase, s, "", httpmodel.Response{})
 
 	for _, tag := range s.TagsOn(subpage) {
-		req := tag.LoadRequest(pageURL)
-		b.Do(req, pageURL, phase, refererFrom(s, pageURL, req.Host()), httpmodel.Response{})
+		b.do(tag.LoadRequest(pageURL), tag.Host, pg, phase, s, "", httpmodel.Response{})
 	}
 }
 
@@ -345,6 +368,7 @@ func (b *Browser) FireAuthEvent(s *site.Site, pageURL string, phase httpmodel.Ph
 	if times < 1 {
 		times = 1
 	}
+	pg := b.pageFor(pageURL)
 	for _, tag := range s.TagsOn(subpage) {
 		if len(tag.Actions) == 0 {
 			continue
@@ -357,7 +381,7 @@ func (b *Browser) FireAuthEvent(s *site.Site, pageURL string, phase httpmodel.Ph
 					// the (cloaked, first-party) tag host.
 					b.SetCookie(c)
 				}
-				b.Do(req, pageURL, phase, refererFrom(s, pageURL, req.Host()), httpmodel.Response{})
+				b.do(req, tag.Host, pg, phase, s, "", httpmodel.Response{})
 			}
 		}
 	}
@@ -389,5 +413,6 @@ func (b *Browser) SubmitForm(s *site.Site, action string, fields []site.FormFiel
 			Name: "session", Value: "sess-" + s.Domain, Domain: s.Host(),
 		}},
 	}
-	return b.Do(req, action, phase, fromPage, resp)
+	pg := b.pageFor(action)
+	return b.do(req, pg.host, pg, phase, nil, fromPage, resp)
 }

@@ -18,14 +18,17 @@ import (
 // List is a parsed public suffix list. The zero value matches nothing;
 // use Parse or Default.
 type List struct {
-	// rules maps a rule's domain form (without "*." or "!") to its kind.
+	// rules maps a rule's domain form (without "*." or "!") to every
+	// kind of rule the list has under that name.
 	rules map[string]ruleKind
 }
 
+// ruleKind is a set of rule kinds: "ck" and "*.ck" are two rules with
+// one name, and neither may overwrite the other.
 type ruleKind uint8
 
 const (
-	ruleNormal ruleKind = iota
+	ruleNormal ruleKind = 1 << iota
 	ruleWildcard
 	ruleException
 )
@@ -43,14 +46,14 @@ func Parse(text string) (*List, error) {
 		}
 		switch {
 		case strings.HasPrefix(line, "!"):
-			l.rules[line[1:]] = ruleException
+			l.rules[line[1:]] |= ruleException
 		case strings.HasPrefix(line, "*."):
-			l.rules[line[2:]] = ruleWildcard
+			l.rules[line[2:]] |= ruleWildcard
 		default:
 			if strings.ContainsAny(line, " \t") {
 				return nil, fmt.Errorf("psl: malformed rule on line %d: %q", lineNo+1, line)
 			}
-			l.rules[line] = ruleNormal
+			l.rules[line] |= ruleNormal
 		}
 	}
 	return l, nil
@@ -73,60 +76,56 @@ func (l *List) PublicSuffix(domain string) string {
 	return l.publicSuffix(Normalize(domain))
 }
 
-// publicSuffix is PublicSuffix of an already normalized domain.
+// publicSuffix is PublicSuffix of an already normalized domain. It
+// walks the suffixes domain[i:] that start at a label, longest first,
+// so "longest rule wins"; the result is always a substring of domain,
+// and nothing is allocated.
 func (l *List) publicSuffix(domain string) string {
-	if domain == "" {
-		return ""
+	if domain == "" || domain[0] == '.' || domain[len(domain)-1] == '.' || strings.Contains(domain, "..") {
+		return "" // empty label: not a valid host
 	}
-	labels := strings.Split(domain, ".")
-	for _, l := range labels {
-		if l == "" {
-			return "" // empty label: not a valid host
-		}
-	}
-	// Walk suffixes from longest to shortest so "longest rule wins".
-	for i := 0; i < len(labels); i++ {
-		suffix := strings.Join(labels[i:], ".")
-		if kind, ok := l.rules[suffix]; ok {
-			switch kind {
-			case ruleException:
-				// The exception's own suffix is one label shorter.
-				return strings.Join(labels[i+1:], ".")
-			case ruleNormal:
-				return suffix
-			case ruleWildcard:
-				// Wildcard matched as its own name: "*.ck" also
-				// implies "anything.ck" is a suffix; matching the
-				// bare name means the rule is the suffix of a longer
-				// domain handled below. Treat bare match as normal.
-				return suffix
+	suffix, kinds := domain, l.rules[domain]
+	for {
+		dot := strings.IndexByte(suffix, '.')
+		switch {
+		case kinds&ruleException != 0:
+			// An exception beats a normal rule of the same name, and
+			// its own suffix is one label shorter.
+			if dot < 0 {
+				return ""
 			}
+			return suffix[dot+1:]
+		case kinds != 0:
+			// A normal rule, or a wildcard matched as its own name:
+			// "*.ck" also implies "anything.ck" is a suffix; matching
+			// the bare name means the rule is the suffix of a longer
+			// domain handled below. Treat a bare match as normal.
+			return suffix
+		case dot < 0:
+			return suffix // unmatched: the last label
 		}
-		// Wildcard: "*.<suffix-without-first-label>".
-		if i+1 <= len(labels)-1 {
-			parent := strings.Join(labels[i+1:], ".")
-			if kind, ok := l.rules[parent]; ok && kind == ruleWildcard {
-				// Exception rules are checked first above, so this
-				// label is covered by the wildcard.
-				return suffix
-			}
+		// Wildcard: "*.<suffix-without-first-label>". The parent's
+		// lookup is also the next, shorter suffix's.
+		parent := suffix[dot+1:]
+		kinds = l.rules[parent]
+		if kinds&ruleWildcard != 0 {
+			return suffix
 		}
+		suffix = parent
 	}
-	return labels[len(labels)-1]
 }
 
 // ETLDPlusOne returns the registrable domain (public suffix plus one
-// label). It returns an error when the domain is itself a public suffix,
-// empty, or has an empty label.
+// label), a substring of the normalized domain. It returns an error when
+// the domain is itself a public suffix, empty, or has an empty label.
 func (l *List) ETLDPlusOne(domain string) (string, error) {
 	domain = Normalize(domain)
 	suffix := l.publicSuffix(domain)
-	if suffix == "" || suffix == domain || domain == "" {
+	if suffix == "" || suffix == domain {
 		return "", fmt.Errorf("psl: %q has no registrable domain", domain)
 	}
-	rest := strings.TrimSuffix(domain, "."+suffix)
-	labels := strings.Split(rest, ".")
-	return labels[len(labels)-1] + "." + suffix, nil
+	rest := domain[:len(domain)-len(suffix)-1]
+	return domain[strings.LastIndexByte(rest, '.')+1:], nil
 }
 
 // SameSite reports whether two hosts share a registrable domain — the
@@ -241,8 +240,3 @@ func PublicSuffix(domain string) string { return defaultList.PublicSuffix(domain
 
 // ETLDPlusOne applies the embedded list.
 func ETLDPlusOne(domain string) (string, error) { return defaultList.ETLDPlusOne(domain) }
-
-// IsThirdParty applies the embedded list.
-func IsThirdParty(siteHost, requestHost string) bool {
-	return defaultList.IsThirdParty(siteHost, requestHost)
-}

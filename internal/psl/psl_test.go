@@ -1,6 +1,10 @@
 package psl
 
-import "testing"
+import (
+	"testing"
+
+	"piileak/internal/tranco"
+)
 
 func TestPublicSuffix(t *testing.T) {
 	cases := map[string]string{
@@ -82,10 +86,10 @@ func TestSameSite(t *testing.T) {
 }
 
 func TestIsThirdParty(t *testing.T) {
-	if IsThirdParty("shop.example.com", "cdn.example.com") {
+	if Default().IsThirdParty("shop.example.com", "cdn.example.com") {
 		t.Error("same-site CDN flagged as third party")
 	}
-	if !IsThirdParty("shop.example.com", "pixel.tracker.net") {
+	if !Default().IsThirdParty("shop.example.com", "pixel.tracker.net") {
 		t.Error("tracker not flagged as third party")
 	}
 }
@@ -166,5 +170,89 @@ func TestLongestRuleWins(t *testing.T) {
 	// Both "jp" and "co.jp" are rules; co.jp must win for x.co.jp.
 	if got := PublicSuffix("x.co.jp"); got != "co.jp" {
 		t.Errorf("PublicSuffix(x.co.jp) = %q, want co.jp", got)
+	}
+}
+
+// TestParseRuleOrderIrrelevant pins that a name carrying two kinds of
+// rule keeps both, whichever line comes first: an exception beats a
+// normal rule or a bare wildcard match of its own name, and a normal
+// rule does not hide a wildcard under the same name.
+func TestParseRuleOrderIrrelevant(t *testing.T) {
+	for _, c := range []struct {
+		first, second string
+		host, suffix  string
+		etld1         string // "" when ETLDPlusOne must err
+	}{
+		{"ck", "*.ck", "a.b.ck", "b.ck", "a.b.ck"},
+		{"ck", "*.ck", "ck", "ck", ""},
+		{"!www.ck", "www.ck", "www.ck", "ck", "www.ck"},
+		{"!www.ck", "www.ck", "x.www.ck", "ck", "www.ck"},
+		{"!www.ck", "*.www.ck", "www.ck", "ck", "www.ck"},
+	} {
+		for _, text := range []string{c.first + "\n" + c.second, c.second + "\n" + c.first} {
+			l := MustParse(text)
+			if got := l.PublicSuffix(c.host); got != c.suffix {
+				t.Errorf("list %q: PublicSuffix(%q) = %q, want %q", text, c.host, got, c.suffix)
+			}
+			got, err := l.ETLDPlusOne(c.host)
+			if (err == nil) != (c.etld1 != "") || got != c.etld1 {
+				t.Errorf("list %q: ETLDPlusOne(%q) = %q, %v; want %q", text, c.host, got, err, c.etld1)
+			}
+		}
+	}
+}
+
+// TestETLDPlusOneAllocs pins the walk at zero allocations for an
+// already lower-case host: the result is a substring of the host.
+func TestETLDPlusOneAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	hosts := []string{"www.example.com", "cdn.shop.example.co.jp", "x.y.www.ck", "a.b.ck", "host.unknown.zz"}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, h := range hosts {
+			sinkString, _ = ETLDPlusOne(h)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ETLDPlusOne allocates %.1f times per %d hosts, want 0", allocs, len(hosts))
+	}
+}
+
+var sinkString string
+
+// tailHosts returns the request hosts of n universe-tail site visits:
+// the site's own host for the document and its first-party asset, then
+// the hosts of the benign tags tail sites embed.
+func tailHosts(n int) []string {
+	var hosts []string
+	for r := 0; r < n; r++ {
+		own := "www." + tranco.TailEntry(2021, 10_000+r).Domain
+		hosts = append(hosts, own, own, "cdn.jscdn-static.net")
+		if r%3 == 0 {
+			hosts = append(hosts, "fonts.webfonts-host.org", "www.facebook.com")
+		}
+	}
+	return hosts
+}
+
+// BenchmarkETLDPlusOne times one registrable-domain lookup over the
+// universe tail's request hosts, against the label-splitting oracle.
+func BenchmarkETLDPlusOne(b *testing.B) {
+	hosts := tailHosts(1000)
+	l := Default()
+	for _, bc := range []struct {
+		name string
+		fn   func(string) (string, error)
+	}{
+		{"walk", l.ETLDPlusOne},
+		{"oracle", func(h string) (string, error) { return oracleETLDPlusOne(l, h) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkString, _ = bc.fn(hosts[i%len(hosts)])
+			}
+		})
 	}
 }
