@@ -13,22 +13,16 @@ import (
 	"piileak/internal/site"
 )
 
-// TestRunOptionDefaults pins every RunOption's default against the
-// study configuration: the option set a bare Run(ctx) executes under
-// must be exactly the settings DefaultConfig describes, and each option
-// must move exactly its own knob. WithStream is the one option that
-// moves none: it is nil, which Run skips.
+// TestRunOptionDefaults pins every RunOption's default: a bare Run(ctx)
+// executes under the zero option set, and each option must move exactly
+// its own knob. WithStream is the one option that moves none: it is
+// nil, which Run skips.
 func TestRunOptionDefaults(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Workers = 3
-	s := &Study{Config: cfg}
-
 	o := obs.NewRun(nil)
 	q, err := crawler.NewQuarantine(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := faultsim.New(faultsim.Config{Seed: 5, Rate: 0.5})
 	pol := resilience.Policy{MaxAttempts: 7}
 
 	for _, tc := range []struct {
@@ -37,9 +31,9 @@ func TestRunOptionDefaults(t *testing.T) {
 		def, after any
 		get        func(runConfig) any
 	}{
-		{"WithWorkers/crawl", WithWorkers(5, 6), cfg.Workers, 5,
+		{"WithWorkers/crawl", WithWorkers(5, 6), 0, 5,
 			func(rc runConfig) any { return rc.opts.Workers }},
-		{"WithWorkers/detect", WithWorkers(5, 6), cfg.Workers, 6,
+		{"WithWorkers/detect", WithWorkers(5, 6), 0, 6,
 			func(rc runConfig) any { return rc.opts.DetectWorkers }},
 		{"WithBuffer", WithBuffer(4), 0, 4,
 			func(rc runConfig) any { return rc.opts.Buffer }},
@@ -55,16 +49,12 @@ func TestRunOptionDefaults(t *testing.T) {
 			func(rc runConfig) any { return rc.opts.Quarantine }},
 		{"WithSource", WithSource(site.Slice(nil)), false, true,
 			func(rc runConfig) any { return rc.opts.Source != nil }},
-		{"WithUniverse", WithUniverse(100_000), 0, 100_000,
-			func(rc runConfig) any { return rc.universe }},
-		{"WithFaults", WithFaults(inj), (*faultsim.Injector)(nil), inj,
-			func(rc runConfig) any { return rc.opts.Faults }},
 		{"WithRetryPolicy", WithRetryPolicy(pol), resilience.Policy{}, pol,
 			func(rc runConfig) any { return rc.opts.Policy }},
 		{"WithProgress", WithProgress(func(Event) {}), false, true,
 			func(rc runConfig) any { return rc.opts.Progress != nil }},
 	} {
-		rc := s.defaultRunConfig()
+		var rc runConfig
 		if got := tc.get(rc); got != tc.def {
 			t.Errorf("%s: default = %v, want %v", tc.name, got, tc.def)
 		}
@@ -79,7 +69,7 @@ func TestRunOptionDefaults(t *testing.T) {
 	}
 
 	// The remaining defaults a bare Run(ctx) executes under.
-	rc := s.defaultRunConfig()
+	var rc runConfig
 	if rc.opts.OnResume != nil || rc.opts.Resume {
 		t.Error("default run resumes")
 	}

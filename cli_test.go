@@ -12,6 +12,7 @@ import (
 
 	"piileak"
 	"piileak/internal/obs"
+	"piileak/internal/serve"
 )
 
 // buildBinary builds the main package at pkg (a path relative to the
@@ -205,6 +206,46 @@ func TestShardWorkerManifest(t *testing.T) {
 	}
 	if m.Manifest.Run != want {
 		t.Errorf("worker manifest run = %+v, want %+v", m.Manifest.Run, want)
+	}
+}
+
+// TestEntryPointsShareVerdicts submits each refused input to every
+// entry point: piicrawl in dataset and -stream mode, piirepro, and a
+// piiserve job spec. One validator judges them all, so each must refuse
+// with the same message.
+func TestEntryPointsShareVerdicts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := t.TempDir()
+	buildTools(t, dir, "piicrawl", "piirepro")
+	for _, c := range []struct {
+		flags []string
+		spec  serve.Spec
+		want  string
+	}{
+		{[]string{"-retries", "-1"}, serve.Spec{Retries: -1}, "-retries -1 is negative"},
+		{[]string{"-site-timeout", "-5s"}, serve.Spec{SiteTimeout: "-5s"}, "-site-timeout -5s is negative"},
+		{[]string{"-workers", "-2"}, serve.Spec{Workers: -2}, "-workers -2 is negative"},
+		{[]string{"-browser", "netscape"}, serve.Spec{Browser: "netscape"}, `unknown browser "netscape"`},
+		{[]string{"-faults", "1.5"}, serve.Spec{Faults: 1.5}, "-faults 1.5 out of range"},
+	} {
+		if err := c.spec.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("spec %+v: Validate() = %v, want %q", c.spec, err, c.want)
+		}
+		for _, argv := range [][]string{
+			append([]string{"piicrawl", "-small"}, c.flags...),
+			append([]string{"piicrawl", "-small", "-stream"}, c.flags...),
+			append([]string{"piirepro", "-small"}, c.flags...),
+		} {
+			cmd := exec.Command(filepath.Join(dir, argv[0]), argv[1:]...)
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 || !strings.Contains(stderr.String(), c.want) {
+				t.Errorf("%v: exit %v, stderr %q; want exit 1 naming %q", argv, err, stderr.String(), c.want)
+			}
+		}
 	}
 }
 

@@ -77,7 +77,7 @@ func main() {
 	if err := common.Validate(); err != nil {
 		fatal(err)
 	}
-	if err := common.StartPprof(prog); err != nil {
+	if err := cliflags.StartPprof(prog, common.Pprof); err != nil {
 		fatal(err)
 	}
 
@@ -234,7 +234,6 @@ func superviseRun(ctx context.Context, study *piileak.Study, common *cliflags.Co
 		QuarantineDir: common.QuarantineDir,
 		QuarantineMax: common.QuarantineMax,
 		MaxRestarts:   common.MaxRestarts,
-		Obs:           rt.Observer,
 		Fresh:         !common.Resume,
 		StallTimeout:  common.StallTimeout,
 	}

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"piileak/internal/core"
@@ -105,16 +106,14 @@ func main() {
 	a := core.Analyze(leaks, nSites)
 
 	if *leaksOut != "" {
-		f, err := os.Create(*leaksOut)
+		err := crawler.WriteFileAtomic(*leaksOut, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", " ")
+			return enc.Encode(leaks)
+		})
 		if err != nil {
 			fatal(err)
 		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", " ")
-		if err := enc.Encode(leaks); err != nil {
-			fatal(err)
-		}
-		f.Close()
 	}
 
 	fmt.Println(report.Headline(a.Headline()))

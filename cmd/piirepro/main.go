@@ -48,7 +48,7 @@ func main() {
 	if err := common.Validate(); err != nil {
 		fatal(err)
 	}
-	if err := common.StartPprof(prog); err != nil {
+	if err := cliflags.StartPprof(prog, common.Pprof); err != nil {
 		fatal(err)
 	}
 
@@ -72,17 +72,10 @@ func main() {
 
 	fmt.Fprintf(os.Stderr, "piirepro: crawling %d candidate sites with %s...\n",
 		study.Eco.Universe().Len(), profile.Name)
-	err = study.Run(ctx, common.RunOptions(rt, prog, cliflags.ProgressPrinter(prog, os.Stderr))...)
-	if errors.Is(err, context.Canceled) {
-		if common.Checkpoint != "" {
-			fmt.Fprintf(os.Stderr, "piirepro: interrupted: checkpoint %s is valid; continue with -resume -checkpoint %s\n",
-				common.Checkpoint, common.Checkpoint)
-		} else {
-			fmt.Fprintln(os.Stderr, "piirepro: interrupted: crawl cancelled before completion; nothing written")
+	if err := study.Run(ctx, common.RunOptions(rt, prog, cliflags.ProgressPrinter(prog, os.Stderr))...); err != nil {
+		if errors.Is(err, context.Canceled) {
+			cliflags.ExitInterrupted(prog, common.Checkpoint)
 		}
-		os.Exit(130)
-	}
-	if err != nil {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "piirepro: %d records captured, %d leaks detected\n",

@@ -28,12 +28,12 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	_ "net/http/pprof" // -pprof serves the default mux's profile endpoints
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
+	"piileak/internal/cliflags"
 	"piileak/internal/serve"
 )
 
@@ -58,7 +58,7 @@ func main() {
 	if *queueDepth < 1 {
 		fatal(fmt.Errorf("-queue-depth %d: need at least one queue slot", *queueDepth))
 	}
-	if err := startPprof(*pprofAddr); err != nil {
+	if err := cliflags.StartPprof(prog, *pprofAddr); err != nil {
 		fatal(err)
 	}
 
@@ -125,26 +125,6 @@ func main() {
 	}
 	<-done
 	fmt.Fprintf(os.Stderr, "%s: drained: job store is consistent; restart to resume queued work\n", prog)
-}
-
-// startPprof serves net/http/pprof's default mux for live diagnostics.
-func startPprof(addr string) error {
-	if addr == "" {
-		return nil
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("-pprof: %w", err)
-	}
-	pprofOn := ln.Addr().String() // a TCP listen address, not postal PII
-	fmt.Fprintf(os.Stderr, "%s: pprof on http://%s/debug/pprof/\n", prog, pprofOn)
-	//lint:allow goroleak the pprof server serves for the process lifetime by design
-	go func() {
-		if err := http.Serve(ln, nil); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: pprof server: %v\n", prog, err)
-		}
-	}()
-	return nil
 }
 
 func fatal(err error) {

@@ -1,12 +1,13 @@
-// Package cliflags is the flag surface the piileak CLIs share: one
-// Common struct registers the study-shaping flags (seed, browser,
-// fault injection, the crash-only runtime's knobs) and the telemetry
-// outputs (-metrics, -trace, -pprof), and turns them into a validated
-// piileak.Config, a resolved browser profile, and the RunOption list a
-// Study.Run call consumes. Extracting it means every CLI gets the full
-// flag set — piirepro gained -site-timeout, -quarantine, -only and the
-// rest the day it switched over — and the flags behave identically
-// everywhere.
+// Package cliflags is the one place a study's knobs are parsed,
+// validated, defaulted and turned into run options. One Common struct
+// registers the study-shaping flags (seed, browser, fault injection,
+// the crash-only runtime's knobs) and the telemetry outputs (-metrics,
+// -trace, -pprof), and turns them into a validated piileak.Config, a
+// resolved browser profile, and the RunOption list a Study.Run call
+// consumes. piicrawl and piirepro register it as their flags, and
+// piiserve maps each job spec onto it, so every entry point accepts
+// the same inputs, refuses the same ones with the same validator, and
+// runs them with the same options.
 package cliflags
 
 import (
@@ -139,11 +140,23 @@ func Register(fs *flag.FlagSet) *Common {
 	return c
 }
 
-// Validate rejects contradictory flag combinations up front, before
-// any ecosystem generation happens.
+// Validate rejects out-of-range values and contradictory flag
+// combinations up front, before any ecosystem generation happens.
 func (c *Common) Validate() error {
+	if _, err := ResolveBrowser(c.Browser, nil); err != nil {
+		return err
+	}
+	if c.Workers < 0 {
+		return fmt.Errorf("-workers %d is negative", c.Workers)
+	}
 	if c.Faults < 0 || c.Faults > 1 {
 		return fmt.Errorf("-faults %v out of range [0, 1]", c.Faults)
+	}
+	if c.Retries < 0 {
+		return fmt.Errorf("-retries %d is negative", c.Retries)
+	}
+	if c.SiteTimeout < 0 {
+		return fmt.Errorf("-site-timeout %v is negative", c.SiteTimeout)
 	}
 	if c.QuarantineMax < 0 {
 		return fmt.Errorf("-quarantine-max %d is negative", c.QuarantineMax)
@@ -331,7 +344,6 @@ func (c *Common) StudyConfig() piileak.Config {
 	}
 	cfg.Ecosystem.Seed = c.Seed
 	cfg.Ecosystem.UniverseSize = c.Universe
-	cfg.Workers = c.Workers
 	if c.Faults > 0 {
 		cfg.Ecosystem.Faults = &faultsim.Config{Seed: c.FaultSeed, Rate: c.Faults}
 	}
@@ -353,9 +365,14 @@ func (c *Common) ResolveProfile(eco *webgen.Ecosystem) (browser.Profile, error) 
 }
 
 // ResolveBrowser maps a collection-browser name to its profile — the
-// single vocabulary every entry point (CLI flags, piiserve job specs)
-// resolves through, so the accepted names cannot drift apart.
+// single vocabulary every entry point resolves through. The shielded
+// profiles take eco's shield list; a nil eco gives them none, which is
+// enough for Validate to check the name before any ecosystem exists.
 func ResolveBrowser(name string, eco *webgen.Ecosystem) (browser.Profile, error) {
+	var shields map[string]bool
+	if eco != nil {
+		shields = eco.BraveShields
+	}
 	switch name {
 	case "firefox":
 		return browser.Firefox88(), nil
@@ -366,11 +383,11 @@ func ResolveBrowser(name string, eco *webgen.Ecosystem) (browser.Profile, error)
 	case "safari":
 		return browser.Safari14(), nil
 	case "firefox-etp":
-		return browser.Firefox88ETP(eco.BraveShields), nil
+		return browser.Firefox88ETP(shields), nil
 	case "brave":
-		return browser.Brave129(eco.BraveShields), nil
+		return browser.Brave129(shields), nil
 	default:
-		return browser.Profile{}, fmt.Errorf("unknown browser %q", name)
+		return browser.Profile{}, fmt.Errorf("unknown browser %q (want firefox, chrome, opera, safari, firefox-etp or brave)", name)
 	}
 }
 
@@ -411,10 +428,7 @@ func (c *Common) Runtime(eco *webgen.Ecosystem) (*Runtime, error) {
 // progress, when non-nil, receives pipeline events (see
 // ProgressPrinter); prog names the CLI for the resume banner.
 func (c *Common) RunOptions(rt *Runtime, prog string, progress func(pipeline.Event)) []piileak.RunOption {
-	var opts []piileak.RunOption
-	if c.DetectWorkers > 0 {
-		opts = append(opts, piileak.WithWorkers(c.Workers, c.DetectWorkers))
-	}
+	opts := []piileak.RunOption{piileak.WithWorkers(c.Workers, c.EffectiveDetectWorkers())}
 	if c.SiteTimeout > 0 {
 		opts = append(opts, piileak.WithSiteTimeout(c.SiteTimeout))
 	}
@@ -537,15 +551,15 @@ func writeFile(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-// StartPprof serves net/http/pprof's default-mux endpoints on the
-// -pprof address for the process's lifetime. It binds synchronously —
-// a bad address fails here, not in a goroutine's logs — and never
-// returns on the serving path. No-op when the flag is unset.
-func (c *Common) StartPprof(prog string) error {
-	if c.Pprof == "" {
+// StartPprof serves net/http/pprof's default-mux endpoints on addr (a
+// -pprof flag's value) for the process's lifetime. It binds
+// synchronously — a bad address fails here, not in a goroutine's logs —
+// and never returns on the serving path. No-op when addr is empty.
+func StartPprof(prog, addr string) error {
+	if addr == "" {
 		return nil
 	}
-	ln, err := net.Listen("tcp", c.Pprof)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("-pprof: %w", err)
 	}

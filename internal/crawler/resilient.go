@@ -32,9 +32,6 @@ type Options struct {
 	// Workers > 1 crawls with that many parallel workers; <= 1 crawls
 	// serially with one browser.
 	Workers int
-	// Faults overrides the ecosystem's injector; nil falls back to
-	// eco.Faults (which is nil for fault-free configs).
-	Faults *faultsim.Injector
 	// Policy tunes retry/backoff/breaker behaviour; zero fields take
 	// resilience.DefaultPolicy values.
 	Policy resilience.Policy
@@ -118,7 +115,7 @@ func (o Options) source(eco *webgen.Ecosystem) site.Source {
 }
 
 // FaultPin holds the crawl settings that change a faulted site's bytes:
-// the effective injector's seed and rate, the effective retry policy
+// the ecosystem's injector seed and rate, the effective retry policy
 // and the site watchdog budget. A crawl without an injector never
 // retries and never advances its clock, so none of them can change a
 // byte there: its pin is zero and adds nothing to a checkpoint header
@@ -134,7 +131,7 @@ type FaultPin struct {
 // retry policy renders every field, so a policy field added later is
 // pinned too.
 func (o Options) FaultPin(eco *webgen.Ecosystem) FaultPin {
-	inj := injectorFor(eco, o)
+	inj := eco.Faults
 	if inj == nil {
 		return FaultPin{}
 	}
@@ -156,14 +153,6 @@ func (p FaultPin) Summary() string {
 		s += " site_timeout=" + p.SiteTimeout
 	}
 	return s
-}
-
-// injectorFor resolves the effective injector for a crawl.
-func injectorFor(eco *webgen.Ecosystem, opts Options) *faultsim.Injector {
-	if opts.Faults != nil {
-		return opts.Faults
-	}
-	return eco.Faults
 }
 
 // watchdogError is the non-transient failure a tripped site watchdog
@@ -200,10 +189,11 @@ type faultTransport struct {
 	timedOut bool
 }
 
-// newFaultTransport builds a transport for one site crawl; nil injector
-// with no watchdog yields nil (no transport, no overhead, byte-identical
-// fault-free records).
-func newFaultTransport(ctx context.Context, eco *webgen.Ecosystem, inj *faultsim.Injector, opts Options) *faultTransport {
+// newFaultTransport builds a transport for one site crawl under the
+// ecosystem's injector; no injector and no watchdog yields nil (no
+// transport, no overhead, byte-identical fault-free records).
+func newFaultTransport(ctx context.Context, eco *webgen.Ecosystem, opts Options) *faultTransport {
+	inj := eco.Faults
 	if inj == nil && opts.SiteTimeout <= 0 {
 		return nil
 	}

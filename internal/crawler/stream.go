@@ -59,7 +59,6 @@ func CrawlStream(ctx context.Context, eco *webgen.Ecosystem, profile browser.Pro
 		ctx = context.Background()
 	}
 	src := opts.source(eco)
-	inj := injectorFor(eco, opts)
 	o := opts.Obs
 
 	n := src.Len()
@@ -100,7 +99,7 @@ func CrawlStream(ctx context.Context, eco *webgen.Ecosystem, profile browser.Pro
 					continue
 				}
 				sp := o.StartSpan(obs.StageCrawl, s.Domain, i)
-				rt := newFaultTransport(ctx, eco, inj, opts)
+				rt := newFaultTransport(ctx, eco, opts)
 				r := crawlSite(b, eco, s, rt, opts.Quarantine)
 				r.Index = i
 				if err := ctx.Err(); err != nil {

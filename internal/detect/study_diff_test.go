@@ -91,7 +91,7 @@ func TestEngineMatchesLegacyDetectorAcrossModes(t *testing.T) {
 				Workers:       2,
 				DetectWorkers: 2,
 				Clock:         resilience.NewVirtualClock(),
-				Obs:           obs.NewRun(nil),
+				Crawl:         crawler.Options{Obs: obs.NewRun(nil)},
 				Fresh:         true,
 			})
 			if err != nil {

@@ -29,13 +29,14 @@
 package serve
 
 import (
+	"errors"
+	"flag"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
 	"piileak"
-	"piileak/internal/faultsim"
+	"piileak/internal/cliflags"
 )
 
 // State is a job's lifecycle position. The durable transitions are
@@ -62,122 +63,81 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// Spec is one study submission: the same study-shaping surface the
-// piicrawl flags expose, as a JSON document. The zero value of each
-// field selects the CLI default, so {"seed":7,"small":true} is a
-// complete spec.
+// Spec is one study submission: the piicrawl flag surface as a JSON
+// document. Each field sets the flag named beside it, and an unset
+// (zero) field leaves that flag at its default, so {"seed":7,"small":true}
+// is a complete spec. A spec is parsed, validated and run by the same
+// code as the flags (internal/cliflags).
 type Spec struct {
-	// Seed is the ecosystem seed (0 selects the paper's 2021).
+	// Seed sets -seed; 0 keeps the default, the paper's 2021.
 	Seed uint64 `json:"seed"`
-	// Small selects the scaled-down ecosystem.
+	// Small sets -small.
 	Small bool `json:"small,omitempty"`
-	// Browser names the collection profile (firefox, chrome, opera,
-	// safari, firefox-etp, brave); empty means firefox.
+	// Browser sets -browser; empty keeps firefox.
 	Browser string `json:"browser,omitempty"`
-	// Workers/DetectWorkers parallelize the two pipeline stages.
+	// Workers and DetectWorkers set -workers and -detect-workers.
 	Workers       int `json:"workers,omitempty"`
 	DetectWorkers int `json:"detect_workers,omitempty"`
-	// Faults opts the run into deterministic fault injection at this
-	// host fraction; FaultSeed overrides the injection seed; Retries
-	// caps fetch attempts under faults.
+	// Faults, FaultSeed and Retries set -faults, -fault-seed and
+	// -retries.
 	Faults    float64 `json:"faults,omitempty"`
 	FaultSeed uint64  `json:"fault_seed,omitempty"`
 	Retries   int     `json:"retries,omitempty"`
-	// SiteTimeout is the per-site watchdog budget as a Go duration
-	// string ("30s"); empty disables the watchdog.
+	// SiteTimeout sets -site-timeout, as a Go duration string ("30s").
 	SiteTimeout string `json:"site_timeout,omitempty"`
-	// Only restricts the run to a site subset (domains).
+	// Only sets -only, one domain per element.
 	Only []string `json:"only,omitempty"`
-	// UniverseSize extends the study to that many total sites with a
-	// lazily generated ranked tail (0 = study core only); it must not
-	// be smaller than the study core.
+	// UniverseSize sets -universe.
 	UniverseSize int `json:"universe_size,omitempty"`
 }
 
-// knownBrowsers is the accepted -browser vocabulary, mirrored from the
-// CLI flag surface.
-var knownBrowsers = map[string]bool{
-	"": true, "firefox": true, "chrome": true, "opera": true,
-	"safari": true, "firefox-etp": true, "brave": true,
-}
-
-// Validate rejects contradictory or out-of-range specs before any
-// ecosystem generation happens — the admission path must stay cheap.
-func (sp *Spec) Validate() error {
-	if sp.Faults < 0 || sp.Faults > 1 {
-		return fmt.Errorf("faults %v out of range [0, 1]", sp.Faults)
+// flags maps the spec onto the flag surface it mirrors: the flags'
+// defaults, overridden by every field the spec sets. Only the two
+// fields whose JSON form differs from the flag's are checked here — a
+// site_timeout that is not a duration and an empty only element; the
+// flags' own validator judges the rest.
+func (sp *Spec) flags() (*cliflags.Common, error) {
+	c := cliflags.Register(flag.NewFlagSet("spec", flag.ContinueOnError))
+	if sp.Seed != 0 {
+		c.Seed = sp.Seed
 	}
-	if sp.Workers < 0 || sp.DetectWorkers < 0 {
-		return fmt.Errorf("negative worker counts")
+	if sp.Browser != "" {
+		c.Browser = sp.Browser
 	}
-	if sp.Retries < 0 {
-		return fmt.Errorf("negative retries")
-	}
-	if !knownBrowsers[sp.Browser] {
-		names := make([]string, 0, len(knownBrowsers)-1)
-		for n := range knownBrowsers {
-			if n != "" {
-				names = append(names, n)
-			}
-		}
-		sort.Strings(names)
-		return fmt.Errorf("unknown browser %q (want one of %s)", sp.Browser, strings.Join(names, ", "))
-	}
-	if _, err := sp.siteTimeout(); err != nil {
-		return err
-	}
+	c.Small, c.Universe = sp.Small, sp.UniverseSize
+	c.Workers, c.DetectWorkers = sp.Workers, sp.DetectWorkers
+	c.Faults, c.FaultSeed, c.Retries = sp.Faults, sp.FaultSeed, sp.Retries
+	c.Only = strings.Join(sp.Only, ",")
 	for _, d := range sp.Only {
 		if strings.TrimSpace(d) == "" {
-			return fmt.Errorf("only: empty site domain")
+			return c, errors.New("only: empty site domain")
 		}
 	}
-	if sp.UniverseSize < 0 {
-		return fmt.Errorf("universe_size %d is negative", sp.UniverseSize)
-	}
-	if sp.UniverseSize > 0 {
-		if core := sp.StudyConfig().Ecosystem.ShoppingSites; sp.UniverseSize < core {
-			return fmt.Errorf("universe_size %d is smaller than the %d-site study core", sp.UniverseSize, core)
+	if sp.SiteTimeout != "" {
+		d, err := time.ParseDuration(sp.SiteTimeout)
+		if err != nil {
+			return c, fmt.Errorf("site_timeout: %v", err)
 		}
-		if len(sp.Only) > 0 {
-			return fmt.Errorf("universe_size and only are contradictory: only selects from the study core")
-		}
+		c.SiteTimeout = d
 	}
-	return nil
+	return c, nil
 }
 
-// siteTimeout parses the per-site watchdog budget.
-func (sp *Spec) siteTimeout() (time.Duration, error) {
-	if sp.SiteTimeout == "" {
-		return 0, nil
-	}
-	d, err := time.ParseDuration(sp.SiteTimeout)
+// Validate rejects a spec the flags would refuse, before any ecosystem
+// generation happens — the admission path must stay cheap.
+func (sp *Spec) Validate() error {
+	c, err := sp.flags()
 	if err != nil {
-		return 0, fmt.Errorf("site_timeout: %v", err)
+		return err
 	}
-	if d < 0 {
-		return 0, fmt.Errorf("site_timeout %v is negative", d)
-	}
-	return d, nil
+	return c.Validate()
 }
 
 // StudyConfig builds the piileak configuration the spec describes,
-// exactly as the piicrawl flag surface would.
+// exactly as the same flags would.
 func (sp *Spec) StudyConfig() piileak.Config {
-	seed := sp.Seed
-	if seed == 0 {
-		seed = 2021
-	}
-	cfg := piileak.DefaultConfig()
-	if sp.Small {
-		cfg = piileak.SmallConfig(seed)
-	}
-	cfg.Ecosystem.Seed = seed
-	cfg.Ecosystem.UniverseSize = sp.UniverseSize
-	cfg.Workers = sp.Workers
-	if sp.Faults > 0 {
-		cfg.Ecosystem.Faults = &faultsim.Config{Seed: sp.FaultSeed, Rate: sp.Faults}
-	}
-	return cfg
+	c, _ := sp.flags() // a site_timeout or only error leaves the study's shape intact
+	return c.StudyConfig()
 }
 
 // Job is one submitted study: the durable fields the WAL persists plus

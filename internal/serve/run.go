@@ -6,14 +6,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"piileak"
-	"piileak/internal/cliflags"
 	"piileak/internal/crawler"
 	"piileak/internal/obs"
-	"piileak/internal/resilience"
-	"piileak/internal/site"
 )
 
 // Result file names under a job's working directory. leaks.json carries
@@ -47,26 +43,32 @@ type Resume struct {
 }
 
 // runJob executes one study attempt for job and, on success, writes the
-// job's result files. Every attempt runs checkpointed with resume on:
+// job's result files. The spec runs as piicrawl -stream runs the same
+// flags — one study config, browser profile, site subset and option
+// list — and the server adds only its own checkpoint, resume, observer
+// and progress options. Every attempt runs checkpointed with resume on:
 // a fresh job simply finds no checkpoint, and a recovered or drained
 // job continues from the sites its previous attempt completed — the
 // crawl checkpoint's torn-tail tolerance makes the two cases one code
 // path with byte-identical output.
 func (s *Server) runJob(ctx context.Context, job *Job, lg *EventLog) error {
-	spec := job.Spec
-	study, err := piileak.NewStudy(spec.StudyConfig())
+	c, err := job.Spec.flags()
 	if err != nil {
 		return err
 	}
-	browserName := spec.Browser
-	if browserName == "" {
-		browserName = "firefox"
+	study, err := piileak.NewStudy(c.StudyConfig())
+	if err != nil {
+		return err
 	}
-	profile, err := cliflags.ResolveBrowser(browserName, study.Eco)
+	profile, err := c.ResolveProfile(study.Eco)
 	if err != nil {
 		return err
 	}
 	study.Config.Browser = profile
+	rt, err := c.Runtime(study.Eco)
+	if err != nil {
+		return err
+	}
 
 	jobDir := s.store.JobDir(job.ID)
 	if err := os.MkdirAll(jobDir, 0o755); err != nil {
@@ -76,7 +78,7 @@ func (s *Server) runJob(ctx context.Context, job *Job, lg *EventLog) error {
 	// Per-job observer: deterministic metrics for the job's
 	// metrics.json, independent of the server's own counters.
 	jobRun := obs.NewRun(nil)
-	opts := []piileak.RunOption{
+	opts := append(c.RunOptions(rt, "piiserve", nil),
 		piileak.WithCheckpoint(filepath.Join(jobDir, FileCheckpoint)),
 		piileak.WithResume(func(rs crawler.ResumeSummary) {
 			lg.Publish("resume", Resume{Completed: rs.Completed, TornRecords: rs.TornRecords})
@@ -88,28 +90,7 @@ func (s *Server) runJob(ctx context.Context, job *Job, lg *EventLog) error {
 				Site: ev.Site, Outcome: ev.Outcome, Leaks: ev.Leaks,
 			})
 		}),
-	}
-	if spec.Workers > 0 || spec.DetectWorkers > 0 {
-		detect := spec.DetectWorkers
-		if detect <= 0 {
-			detect = spec.Workers
-		}
-		opts = append(opts, piileak.WithWorkers(spec.Workers, detect))
-	}
-	if d, err := spec.siteTimeout(); err == nil && d > 0 {
-		opts = append(opts, piileak.WithSiteTimeout(d))
-	}
-	if spec.Retries > 0 {
-		opts = append(opts, piileak.WithRetryPolicy(resilience.Policy{MaxAttempts: spec.Retries}))
-	}
-	if len(spec.Only) > 0 {
-		sites, err := cliflags.SelectSites(study.Eco, strings.Join(spec.Only, ","))
-		if err != nil {
-			return err
-		}
-		opts = append(opts, piileak.WithSource(site.Slice(sites)))
-	}
-
+	)
 	if err := study.Run(ctx, opts...); err != nil {
 		return err
 	}

@@ -36,9 +36,12 @@ type Options struct {
 	// Workers/DetectWorkers are each shard worker's pipeline knobs.
 	Workers, DetectWorkers int
 	// Crawl carries the base crawl options handed to every worker —
-	// faults, transport policy, site timeout. The site source,
+	// transport policy, site timeout, observer. The site source,
 	// checkpoint and shard fields are owned by the runtime and
-	// overwritten per worker.
+	// overwritten per worker. Its observer also observes the supervised
+	// run: per-shard attempt/restart/stall counters, completion and
+	// merge counts, and shard/merge spans; in-process workers' pipeline
+	// telemetry accumulates into the same registry.
 	Crawl crawler.Options
 	// QuarantineDir, when set, collects crash bundles shard-unique under
 	// one shared directory; QuarantineMax caps each worker's persisted
@@ -53,11 +56,6 @@ type Options struct {
 	// nil selects the wall clock; tests inject a VirtualClock so
 	// supervision is instant and deterministic.
 	Clock resilience.Clock
-	// Obs observes the supervised run: per-shard attempt/restart/stall
-	// counters, completion and merge counts, and shard/merge spans. It
-	// is also handed to in-process workers, whose pipeline telemetry
-	// accumulates into the same registry.
-	Obs *obs.Run
 	// Fresh clears each shard's previous checkpoint and result before
 	// running. The default resumes: verified results are reused without
 	// re-crawling, checkpoints continue where they stopped.
@@ -158,7 +156,7 @@ func Supervise(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profi
 		return nil, nil, err
 	}
 
-	o := opts.Obs
+	o := opts.Crawl.Obs
 	outcomes := make([]shardOutcome, opts.Shards)
 	var wg sync.WaitGroup
 	for s := 0; s < opts.Shards; s++ {
@@ -288,7 +286,7 @@ func preparePlan(eco *webgen.Ecosystem, opts Options, want []crawler.Header) (*P
 // result written under want.
 func superviseShard(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, det pipeline.Detector, opts Options, clock resilience.Clock, s int, want crawler.Header) shardOutcome {
 	out := shardOutcome{shard: s}
-	o := opts.Obs
+	o := opts.Crawl.Obs
 	kind := strconv.Itoa(s)
 	budget := opts.maxRestarts()
 	resultPath := ResultPath(opts.Dir, s, opts.Shards)
@@ -352,15 +350,13 @@ func runAttempt(ctx context.Context, eco *webgen.Ecosystem, profile browser.Prof
 	if opts.Command != nil {
 		return runSubprocess(ctx, opts.Command(s), CheckpointPath(opts.Dir, s, opts.Shards), opts.StallTimeout, clock, out)
 	}
-	crawlOpts := opts.Crawl
-	crawlOpts.Obs = opts.Obs
 	_, err := RunWorker(ctx, eco, profile, det, WorkerConfig{
 		Shard:         s,
 		Shards:        opts.Shards,
 		Dir:           opts.Dir,
 		Workers:       opts.Workers,
 		DetectWorkers: opts.DetectWorkers,
-		Options:       crawlOpts,
+		Options:       opts.Crawl,
 		QuarantineDir: opts.QuarantineDir,
 		QuarantineMax: opts.QuarantineMax,
 	})

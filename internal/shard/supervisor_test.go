@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"piileak/internal/browser"
+	"piileak/internal/crawler"
 	"piileak/internal/detect"
 	"piileak/internal/dnssim"
 	"piileak/internal/faultsim"
@@ -29,7 +30,7 @@ func superviseOpts(dir string, shards int) Options {
 		Shards: shards,
 		Dir:    dir,
 		Clock:  resilience.NewVirtualClock(),
-		Obs:    obs.NewRun(nil),
+		Crawl:  crawler.Options{Obs: obs.NewRun(nil)},
 		Fresh:  true,
 	}
 }
@@ -90,7 +91,7 @@ func TestSuperviseHealsDeadShards(t *testing.T) {
 	}
 
 	// Supervision telemetry lands in the observer's manifest.
-	m := opts.Obs.Manifest()
+	m := opts.Crawl.Obs.Manifest()
 	if m.Sharding == nil {
 		t.Fatal("observer manifest has no sharding section")
 	}
@@ -151,7 +152,7 @@ func TestSuperviseExhaustedShardGoesMissing(t *testing.T) {
 	if len(res.Leaks) != report.Leaks {
 		t.Errorf("result holds %d leaks, report says %d", len(res.Leaks), report.Leaks)
 	}
-	if ob := opts.Obs.Manifest().Sharding; ob == nil || ob.Missing != 1 || ob.Completed != 1 {
+	if ob := opts.Crawl.Obs.Manifest().Sharding; ob == nil || ob.Missing != 1 || ob.Completed != 1 {
 		t.Errorf("sharding manifest = %+v, want 1 completed / 1 missing", ob)
 	}
 }
@@ -420,7 +421,7 @@ func TestSuperviseStallWatchdog(t *testing.T) {
 			t.Errorf("shard %d missing without a terminal error", s)
 		}
 	}
-	if ob := opts.Obs.Manifest().Sharding; ob == nil || ob.Stalls != 2 {
+	if ob := opts.Crawl.Obs.Manifest().Sharding; ob == nil || ob.Stalls != 2 {
 		t.Errorf("sharding manifest = %+v, want 2 stalls", ob)
 	}
 }

@@ -23,8 +23,8 @@ type WorkerConfig struct {
 	// Workers/DetectWorkers are the per-shard pipeline knobs, passed
 	// through to pipeline.Options.
 	Workers, DetectWorkers int
-	// Options carries the remaining crawl knobs — faults, policy, site
-	// timeout, observer. Source, CheckpointPath, Resume, Shard/Shards
+	// Options carries the remaining crawl knobs — policy, site timeout,
+	// observer. Source, CheckpointPath, Resume, Shard/Shards
 	// and Quarantine are owned by the worker and overwritten.
 	Options crawler.Options
 	// QuarantineDir, when set, collects crash bundles under shard-unique

@@ -11,6 +11,7 @@ package tranco
 import (
 	"fmt"
 	"math/rand/v2"
+	"strconv"
 )
 
 // Entry is one ranked, categorized site.
@@ -129,7 +130,7 @@ func TailEntry(seed uint64, rank int) Entry {
 	}
 	return Entry{
 		Rank:     rank,
-		Domain:   fmt.Sprintf("%s%s-r%d.%s", p, s, rank, tld),
+		Domain:   p + s + "-r" + strconv.Itoa(rank) + "." + tld,
 		Category: category,
 	}
 }

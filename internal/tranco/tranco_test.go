@@ -69,3 +69,28 @@ func TestQuotaPanics(t *testing.T) {
 	}()
 	Generate(1, 10, 11)
 }
+
+// TestTailEntryPinned pins the derived tail entries for a few (seed,
+// rank) pairs, shopping ranks included. Tail sites never leak, so no
+// leak or table golden covers these bytes; a change to the derivation
+// would move every universe run's dataset silently.
+func TestTailEntryPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed uint64
+		want Entry
+	}{
+		{2021, Entry{Rank: 10001, Domain: "opalbase-r10001.co", Category: "health"}},
+		{2021, Entry{Rank: 10097, Domain: "vistaport-r10097.org", Category: "education"}},
+		{2021, Entry{Rank: 10088, Domain: "altomill-r10088.com", Category: "shopping"}},
+		{7, Entry{Rank: 1, Domain: "opalisle-r1.com", Category: "business"}},
+		{7, Entry{Rank: 97, Domain: "pixeledge-r97.com", Category: "shopping"}},
+		{11, Entry{Rank: 123456, Domain: "zephyrjunction-r123456.de", Category: "travel"}},
+		{3303, Entry{Rank: 999999, Domain: "pixelforge-r999999.org", Category: "news"}},
+		{0, Entry{Rank: 42, Domain: "urbanyard-r42.co", Category: "technology"}},
+		{18446744073709551615, Entry{Rank: 1000000, Domain: "fluxgate-r1000000.com", Category: "news"}},
+	} {
+		if got := TailEntry(c.seed, c.want.Rank); got != c.want {
+			t.Errorf("TailEntry(%d, %d) = %+v, want %+v", c.seed, c.want.Rank, got, c.want)
+		}
+	}
+}

@@ -40,20 +40,6 @@ func (e *Ecosystem) Universe() *Universe {
 	return &Universe{eco: e, size: size}
 }
 
-// UniverseOf returns the population resized to n sites, overriding
-// Config.UniverseSize. n == 0 means the configured scale; a non-zero n
-// smaller than the study core is an error — the core is the calibrated
-// study population and cannot be truncated by scaling.
-func (e *Ecosystem) UniverseOf(n int) (*Universe, error) {
-	if n == 0 {
-		return e.Universe(), nil
-	}
-	if n < len(e.Sites) {
-		return nil, fmt.Errorf("webgen: universe of %d is smaller than the %d-site study core", n, len(e.Sites))
-	}
-	return &Universe{eco: e, size: n}, nil
-}
-
 // Len returns the universe size.
 func (u *Universe) Len() int { return u.size }
 

@@ -132,27 +132,16 @@ func TestUniverseTailShape(t *testing.T) {
 	}
 }
 
-// TestUniverseOfValidation: scaling below the study core is an error,
-// zero means the configured scale, and a negative or too-small
-// Config.UniverseSize is rejected at Generate time.
-func TestUniverseOfValidation(t *testing.T) {
-	eco, _ := universeFixture(t, 0)
-	if _, err := eco.UniverseOf(len(eco.Sites) - 1); err == nil {
-		t.Error("UniverseOf accepted a size below the study core")
-	}
-	u, err := eco.UniverseOf(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestUniverseSizeValidation: a zero Config.UniverseSize is the study
+// core alone, a larger one is the universe's length, and a negative or
+// too-small one is rejected at Generate time.
+func TestUniverseSizeValidation(t *testing.T) {
+	eco, u := universeFixture(t, 0)
 	if u.Len() != len(eco.Sites) {
-		t.Errorf("UniverseOf(0) has %d sites, want the %d-site core", u.Len(), len(eco.Sites))
+		t.Errorf("UniverseSize 0 has %d sites, want the %d-site core", u.Len(), len(eco.Sites))
 	}
-	grown, err := eco.UniverseOf(10_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grown.Len() != 10_000 {
-		t.Errorf("UniverseOf(10000) has %d sites", grown.Len())
+	if _, grown := universeFixture(t, 10_000); grown.Len() != 10_000 {
+		t.Errorf("UniverseSize 10000 has %d sites", grown.Len())
 	}
 
 	bad := SmallConfig(19)

@@ -22,6 +22,13 @@
 // shard workers and merges them back byte-identically; RunShardWorker
 // is one such worker, as piicrawl's re-execed shard processes run it.
 //
+// Every knob has one setter. What the study is — the ecosystem's seed,
+// scale, universe size and fault injection, the candidate depth, the
+// browser — is Config; how one run executes — parallelism, site
+// subset, checkpoint, observer, retry policy, site timeout — is a
+// RunOption. The CLIs and piiserve's job specs set both through
+// internal/cliflags.
+//
 // Every experiment from the paper's evaluation is registered in
 // Experiments(); cmd/piirepro runs them all.
 package piileak
@@ -40,7 +47,6 @@ import (
 	"piileak/internal/crawler"
 	"piileak/internal/detect"
 	"piileak/internal/dnssim"
-	"piileak/internal/faultsim"
 	"piileak/internal/obs"
 	"piileak/internal/pii"
 	"piileak/internal/pipeline"
@@ -52,7 +58,8 @@ import (
 	"piileak/internal/webgen"
 )
 
-// Config configures a study run.
+// Config is what a study is: its synthetic web, candidate set and
+// collection browser. How one run executes is a RunOption.
 type Config struct {
 	// Ecosystem parameterizes the synthetic web (webgen.DefaultConfig
 	// reproduces the paper's population).
@@ -63,9 +70,6 @@ type Config struct {
 	CandidateDepth int
 	// Browser is the collection profile (§3.2 used vanilla Firefox 88).
 	Browser browser.Profile
-	// Workers > 0 crawls with that many parallel workers (results are
-	// identical to the serial crawl); 0 keeps the serial crawler.
-	Workers int
 }
 
 // DefaultConfig reproduces the paper's setup.
@@ -115,8 +119,8 @@ type Study struct {
 	// PolicyAudit and EvaluateBlocklists are views over it.
 	Result *pipeline.Result
 
-	// replay holds the crawl knobs the run recorded — source, faults,
-	// retry policy, site timeout — for the experiments that rescan raw
+	// replay holds the crawl knobs the run recorded — source, retry
+	// policy, site timeout — for the experiments that rescan raw
 	// captures by replaying the crawl (replayCaptures).
 	replay crawler.Options
 }
@@ -149,23 +153,13 @@ func NewStudy(cfg Config) (*Study, error) {
 }
 
 // RunOption configures one Study.Run call. Options apply in order over
-// the study's defaults (Config.Workers for both stages, no checkpoint,
-// no observer); Run skips nil options.
+// the zero option set: both stages serial, the ecosystem's universe, no
+// checkpoint, no observer. Run skips nil options.
 type RunOption func(*runConfig)
 
 // runConfig is the resolved option set a Run call executes under.
 type runConfig struct {
-	opts     pipeline.Options
-	universe int
-}
-
-// defaultRunConfig seeds the option set from the study's Config: both
-// stages at Config.Workers.
-func (s *Study) defaultRunConfig() runConfig {
-	var rc runConfig
-	rc.opts.Workers = s.Config.Workers
-	rc.opts.DetectWorkers = s.Config.Workers
-	return rc
+	opts pipeline.Options
 }
 
 // WithStream returns nil, an option Run skips: every run already
@@ -235,20 +229,6 @@ func WithSource(src site.Source) RunOption {
 	return func(rc *runConfig) { rc.opts.Source = src }
 }
 
-// WithUniverse extends the study core with a lazily generated ranked
-// tail to n total sites for this run — the paper-exact head stays
-// byte-identical, and tail site i is derived on demand from
-// (seed, rank). n == 0 keeps the configured scale; n smaller than the
-// study core is an error.
-func WithUniverse(n int) RunOption {
-	return func(rc *runConfig) { rc.universe = n }
-}
-
-// WithFaults overrides the ecosystem's fault injector for this run.
-func WithFaults(inj *faultsim.Injector) RunOption {
-	return func(rc *runConfig) { rc.opts.Faults = inj }
-}
-
 // WithRetryPolicy tunes the resilient transport's retry/backoff/breaker
 // behaviour; zero fields take resilience.DefaultPolicy values.
 func WithRetryPolicy(p resilience.Policy) RunOption {
@@ -265,29 +245,20 @@ func WithProgress(fn func(Event)) RunOption {
 	return func(rc *runConfig) { rc.opts.Progress = fn }
 }
 
-// Run executes the §3.2 crawl and the §4 detection over every candidate
-// site as one streaming pass, populating Dataset (thin), Leaks,
-// Analysis and the shared Result store. Options select parallelism,
-// checkpointing, observation and the crash-only runtime's knobs;
-// contradictory combinations are rejected up front
-// (pipeline.Options.Validate). Cancelling ctx stops the crawl between
-// sites and surfaces ctx's error.
+// Run executes the §3.2 crawl and the §4 detection over every site of
+// the ecosystem's universe (Config.Ecosystem.UniverseSize, under its
+// fault injection) as one streaming pass, populating Dataset (thin),
+// Leaks, Analysis and the shared Result store. Options select
+// parallelism, a site subset, checkpointing, observation and the
+// crash-only runtime's knobs; contradictory combinations are rejected
+// up front (pipeline.Options.Validate). Cancelling ctx stops the crawl
+// between sites and surfaces ctx's error.
 func (s *Study) Run(ctx context.Context, options ...RunOption) error {
-	rc := s.defaultRunConfig()
+	var rc runConfig
 	for _, opt := range options {
 		if opt != nil {
 			opt(&rc)
 		}
-	}
-	if rc.universe != 0 {
-		if rc.opts.Source != nil {
-			return fmt.Errorf("piileak: WithUniverse and WithSource are both set — pick one site supply")
-		}
-		u, err := s.Eco.UniverseOf(rc.universe)
-		if err != nil {
-			return err
-		}
-		rc.opts.Source = u
 	}
 	opts := rc.opts
 	if err := opts.Validate(); err != nil {
@@ -298,7 +269,7 @@ func (s *Study) Run(ctx context.Context, options ...RunOption) error {
 		if opts.Source != nil {
 			sites = opts.Source.Len()
 		}
-		o.SetInfo(s.runInfo(sites, opts.Workers, opts.DetectWorkers, opts.Faults))
+		o.SetInfo(s.runInfo(sites, opts.Workers, opts.DetectWorkers))
 	}
 	res, err := pipeline.Run(ctx, s.Eco, s.Config.Browser, s.Engine, opts)
 	if err != nil {
@@ -318,8 +289,8 @@ func (s *Study) Run(ctx context.Context, options ...RunOption) error {
 // and the returned report lists exactly what is missing
 // (Report.Partial, Report.Missing).
 func (s *Study) RunSharded(ctx context.Context, opts shard.Options) (*shard.Report, error) {
-	if o := opts.Obs; o != nil {
-		info := s.runInfo(s.Eco.Universe().Len(), opts.Workers, opts.DetectWorkers, opts.Crawl.Faults)
+	if o := opts.Crawl.Obs; o != nil {
+		info := s.runInfo(s.Eco.Universe().Len(), opts.Workers, opts.DetectWorkers)
 		info.Shards = opts.Shards
 		o.SetInfo(info)
 	}
@@ -346,7 +317,7 @@ func (s *Study) RunShardWorker(ctx context.Context, cfg shard.WorkerConfig) (str
 		if err != nil {
 			return "", err
 		}
-		info := s.runInfo(plan.Size(cfg.Shard), cfg.Workers, cfg.DetectWorkers, cfg.Options.Faults)
+		info := s.runInfo(plan.Size(cfg.Shard), cfg.Workers, cfg.DetectWorkers)
 		info.Shards = cfg.Shards
 		info.Shard = fmt.Sprintf("%d/%d", cfg.Shard, cfg.Shards)
 		o.SetInfo(info)
@@ -355,11 +326,10 @@ func (s *Study) RunShardWorker(ctx context.Context, cfg shard.WorkerConfig) (str
 }
 
 // runInfo builds the run manifest's identity block — the one place Run,
-// RunSharded and RunShardWorker stamp it: the ecosystem and fault seeds
-// (faults overrides the ecosystem's injector when non-nil), the
-// browser, the site population and both stages' parallelism. Sharded
-// callers add the shard scope.
-func (s *Study) runInfo(sites, crawlWorkers, detectWorkers int, faults *faultsim.Injector) obs.RunInfo {
+// RunSharded and RunShardWorker stamp it: the ecosystem and fault seeds,
+// the browser, the site population and both stages' parallelism.
+// Sharded callers add the shard scope.
+func (s *Study) runInfo(sites, crawlWorkers, detectWorkers int) obs.RunInfo {
 	info := obs.RunInfo{
 		EcoSeed:       s.Eco.Config.Seed,
 		Browser:       s.Config.Browser.Name + " " + s.Config.Browser.Version,
@@ -367,24 +337,21 @@ func (s *Study) runInfo(sites, crawlWorkers, detectWorkers int, faults *faultsim
 		CrawlWorkers:  crawlWorkers,
 		DetectWorkers: detectWorkers,
 	}
-	if faults == nil {
-		faults = s.Eco.Faults
-	}
-	if faults != nil {
-		info.FaultSeed = faults.Seed()
+	if f := s.Eco.Faults; f != nil {
+		info.FaultSeed = f.Seed()
 	}
 	return info
 }
 
 // adopt populates the study from a finished run's result store and
 // records the crawl knobs replayCaptures re-runs: the site source (nil
-// is the universe), faults, retry policy and site timeout.
+// is the universe), retry policy and site timeout.
 func (s *Study) adopt(res *pipeline.Result, src site.Source, crawl crawler.Options) {
 	s.Result = res
 	s.Dataset = res.Dataset
 	s.Leaks = res.Leaks
 	s.Analysis = res.Analysis
-	s.replay = crawler.Options{Source: src, Faults: crawl.Faults, Policy: crawl.Policy, SiteTimeout: crawl.SiteTimeout}
+	s.replay = crawler.Options{Source: src, Policy: crawl.Policy, SiteTimeout: crawl.SiteTimeout}
 }
 
 // TotalRecords reports the captured request count, counted before the

@@ -458,13 +458,11 @@ func TestParallelStudyMatchesSerial(t *testing.T) {
 	if err := serial.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	cfg := SmallConfig(37)
-	cfg.Workers = 4
-	par, err := NewStudy(cfg)
+	par, err := NewStudy(SmallConfig(37))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := par.Run(context.Background()); err != nil {
+	if err := par.Run(context.Background(), WithWorkers(4, 4)); err != nil {
 		t.Fatal(err)
 	}
 	if serial.Analysis.Headline() != par.Analysis.Headline() {

@@ -94,7 +94,7 @@ func TestShardedRunsByteIdentical(t *testing.T) {
 				Workers:       2,
 				DetectWorkers: 2,
 				Clock:         resilience.NewVirtualClock(),
-				Obs:           obs.NewRun(nil),
+				Crawl:         crawler.Options{Obs: obs.NewRun(nil)},
 				Fresh:         true,
 			})
 			if err != nil {
@@ -127,7 +127,7 @@ func TestShardedRunsByteIdentical(t *testing.T) {
 			Workers:       2,
 			DetectWorkers: 2,
 			Clock:         resilience.NewVirtualClock(),
-			Obs:           o,
+			Crawl:         crawler.Options{Obs: o},
 			Fresh:         true,
 		})
 		if err != nil {
@@ -182,7 +182,7 @@ func TestShardedRunsByteIdentical(t *testing.T) {
 			Workers:       2,
 			DetectWorkers: 2,
 			Clock:         resilience.NewVirtualClock(),
-			Obs:           o,
+			Crawl:         crawler.Options{Obs: o},
 			Fresh:         true,
 		})
 		if err != nil {
@@ -256,10 +256,9 @@ func BenchmarkShardMerge(b *testing.B) {
 
 // TestRunInfoPerRunPath pins the manifest run block each run path
 // stamps through the one RunInfo builder: Run (serial, and parallel over
-// a site subset with an injector override), RunSharded (the whole
-// universe, K shards) and RunShardWorker (one shard's population and
-// its i/K label). Fault seeds fall back from the run's injector to the
-// ecosystem's.
+// a site subset), RunSharded (the whole universe, K shards) and
+// RunShardWorker (one shard's population and its i/K label). Every path
+// records the ecosystem's fault seed.
 func TestRunInfoPerRunPath(t *testing.T) {
 	ctx := context.Background()
 	cfg := SmallConfig(43)
@@ -288,16 +287,15 @@ func TestRunInfoPerRunPath(t *testing.T) {
 
 	o = obs.NewRun(nil)
 	s := newStudy()
-	if err := s.Run(ctx, WithObserver(o), WithWorkers(3, 2),
-		WithSource(site.Slice(s.Eco.Sites[:5])), WithFaults(faultsim.New(faultsim.Config{Seed: 5, Rate: 0.05}))); err != nil {
+	if err := s.Run(ctx, WithObserver(o), WithWorkers(3, 2), WithSource(site.Slice(s.Eco.Sites[:5]))); err != nil {
 		t.Fatal(err)
 	}
-	check("Run parallel subset", o, obs.RunInfo{FaultSeed: 5, Sites: 5, CrawlWorkers: 3, DetectWorkers: 2})
+	check("Run parallel subset", o, obs.RunInfo{FaultSeed: 9, Sites: 5, CrawlWorkers: 3, DetectWorkers: 2})
 
 	o = obs.NewRun(nil)
 	if _, err := newStudy().RunSharded(ctx, shard.Options{
 		Shards: 2, Dir: t.TempDir(), Workers: 2, DetectWorkers: 2,
-		Clock: resilience.NewVirtualClock(), Obs: o, Fresh: true,
+		Clock: resilience.NewVirtualClock(), Crawl: crawler.Options{Obs: o}, Fresh: true,
 	}); err != nil {
 		t.Fatal(err)
 	}

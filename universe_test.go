@@ -91,11 +91,13 @@ func TestUniverseTailIsStudyNeutral(t *testing.T) {
 	if err := core.Run(ctx, WithWorkers(4, 4)); err != nil {
 		t.Fatal(err)
 	}
-	big, err := NewStudy(SmallConfig(29))
+	cfg := SmallConfig(29)
+	cfg.Ecosystem.UniverseSize = 5000
+	big, err := NewStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := big.Run(ctx, WithWorkers(4, 4), WithUniverse(5000)); err != nil {
+	if err := big.Run(ctx, WithWorkers(4, 4)); err != nil {
 		t.Fatal(err)
 	}
 	if want, got := leaksJSON(t, core), leaksJSON(t, big); !bytes.Equal(want, got) {
@@ -109,17 +111,13 @@ func TestUniverseTailIsStudyNeutral(t *testing.T) {
 	}
 }
 
-// TestWithUniverseValidation: a universe below the study core and a
-// WithUniverse+WithSource contradiction both surface as Run errors.
-func TestWithUniverseValidation(t *testing.T) {
-	s, err := NewStudy(SmallConfig(29))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run(context.Background(), WithUniverse(5)); err == nil {
-		t.Error("Run accepted a universe below the study core")
-	}
-	if err := s.Run(context.Background(), WithUniverse(5000), WithSource(s.Eco.Universe())); err == nil {
-		t.Error("Run accepted WithUniverse and WithSource together")
+// TestUniverseBelowCoreRefused: a universe smaller than the study core
+// cannot be set — the core is the calibrated study population, and
+// scaling never truncates it.
+func TestUniverseBelowCoreRefused(t *testing.T) {
+	cfg := SmallConfig(29)
+	cfg.Ecosystem.UniverseSize = 5
+	if _, err := NewStudy(cfg); err == nil {
+		t.Error("NewStudy accepted a universe below the study core")
 	}
 }
