@@ -229,6 +229,7 @@ func TestEntryPointsShareVerdicts(t *testing.T) {
 		{[]string{"-workers", "-2"}, serve.Spec{Workers: -2}, "-workers -2 is negative"},
 		{[]string{"-browser", "netscape"}, serve.Spec{Browser: "netscape"}, `unknown browser "netscape"`},
 		{[]string{"-faults", "1.5"}, serve.Spec{Faults: 1.5}, "-faults 1.5 out of range"},
+		{[]string{"-only", "willowlane.jp, "}, serve.Spec{Only: []string{"willowlane.jp", " "}}, `-only "willowlane.jp, " names an empty site domain`},
 	} {
 		if err := c.spec.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("spec %+v: Validate() = %v, want %q", c.spec, err, c.want)

@@ -105,10 +105,19 @@ func main() {
 		switch {
 		case isWorker:
 			workerRun(ctx, study, common, rt, shardIdx, shardN)
+			return
 		case common.Supervise:
-			superviseRun(ctx, study, common, rt, *out)
+			superviseRun(ctx, study, common, rt)
 		default:
-			streamRun(ctx, study, common, rt, *out, *funnel)
+			streamRun(ctx, study, common, rt, *funnel)
+		}
+		if *out == "" {
+			err = study.WriteLeaksJSON(os.Stdout)
+		} else {
+			err = crawler.WriteFileAtomic(*out, study.WriteLeaksJSON)
+		}
+		if err != nil {
+			fatal(err)
 		}
 		return
 	}
@@ -221,10 +230,10 @@ func workerRun(ctx context.Context, study *piileak.Study, common *cliflags.Commo
 }
 
 // superviseRun runs the full sharded study under the self-healing
-// supervisor and writes the merged leak list (the -stream output). A
-// partial merge — some shard exhausted its restarts — still writes the
-// surviving leaks; the gaps are in the report.
-func superviseRun(ctx context.Context, study *piileak.Study, common *cliflags.Common, rt *cliflags.Runtime, out string) {
+// supervisor, leaving the merged leaks (the -stream output) in the
+// study. A partial merge — some shard exhausted its restarts — still
+// keeps the surviving leaks; the gaps are in the report.
+func superviseRun(ctx context.Context, study *piileak.Study, common *cliflags.Common, rt *cliflags.Runtime) {
 	sopts := shard.Options{
 		Shards:        common.Shards,
 		Dir:           common.ShardDir,
@@ -271,12 +280,11 @@ func superviseRun(ctx context.Context, study *piileak.Study, common *cliflags.Co
 	if err := common.WriteTelemetry(rt); err != nil {
 		fatal(err)
 	}
-	writeLeaks(study, out)
 }
 
 // streamRun executes the fused crawl+detect pipeline through the
-// study's Run API and writes the detected leaks.
-func streamRun(ctx context.Context, study *piileak.Study, common *cliflags.Common, rt *cliflags.Runtime, out string, funnel bool) {
+// study's Run API, leaving the detected leaks in the study.
+func streamRun(ctx context.Context, study *piileak.Study, common *cliflags.Common, rt *cliflags.Runtime, funnel bool) {
 	opts := common.RunOptions(rt, prog, cliflags.ProgressPrinter(prog, os.Stderr))
 	if err := study.Run(ctx, opts...); err != nil {
 		if errors.Is(err, context.Canceled) {
@@ -290,29 +298,6 @@ func streamRun(ctx context.Context, study *piileak.Study, common *cliflags.Commo
 	}
 	cliflags.PrintQuarantine(prog, rt.Quarantine)
 	if err := common.WriteTelemetry(rt); err != nil {
-		fatal(err)
-	}
-	writeLeaks(study, out)
-}
-
-// writeLeaks writes the study's leak list (Study.WriteLeaksJSON) to
-// path, or to stdout when path is empty.
-func writeLeaks(study *piileak.Study, path string) {
-	if path == "" {
-		if err := study.WriteLeaksJSON(os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := study.WriteLeaksJSON(f); err != nil {
-		f.Close() //lint:allow closecheck the write error is the one worth reporting
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
 		fatal(err)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	_ "net/http/pprof" // -pprof serves the default mux's profile endpoints
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -169,6 +170,10 @@ func (c *Common) Validate() error {
 	}
 	if c.Universe < 0 {
 		return fmt.Errorf("-universe %d is negative", c.Universe)
+	}
+	empty := func(domain string) bool { return strings.TrimSpace(domain) == "" }
+	if c.Only != "" && slices.ContainsFunc(strings.Split(c.Only, ","), empty) {
+		return fmt.Errorf("-only %q names an empty site domain", c.Only)
 	}
 	if c.Universe > 0 {
 		if core := c.StudyConfig().Ecosystem.ShoppingSites; c.Universe < core {
@@ -525,30 +530,16 @@ func (c *Common) WriteTelemetry(rt *Runtime) error {
 		return nil
 	}
 	if c.Metrics != "" {
-		if err := writeFile(c.Metrics, rt.Observer.WriteMetrics); err != nil {
+		if err := crawler.WriteFileAtomic(c.Metrics, rt.Observer.WriteMetrics); err != nil {
 			return fmt.Errorf("-metrics: %w", err)
 		}
 	}
 	if c.Trace != "" {
-		if err := writeFile(c.Trace, rt.Observer.WriteTrace); err != nil {
+		if err := crawler.WriteFileAtomic(c.Trace, rt.Observer.WriteTrace); err != nil {
 			return fmt.Errorf("-trace: %w", err)
 		}
 	}
 	return nil
-}
-
-// writeFile streams one telemetry artifact to path, surfacing the
-// Close error (the write is the point of the file).
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close() //lint:allow closecheck the write error is the one worth reporting
-		return err
-	}
-	return f.Close()
 }
 
 // StartPprof serves net/http/pprof's default-mux endpoints on addr (a

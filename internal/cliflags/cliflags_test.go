@@ -54,6 +54,8 @@ func TestValidate(t *testing.T) {
 		{"-detect-workers -1", "-detect-workers -1 is negative"},
 		{"-universe -1", "-universe -1 is negative"},
 		{"-small -universe 5", "-universe 5 is smaller than the 60-site study core"},
+		{"-only willowlane.jp,", `-only "willowlane.jp," names an empty site domain`},
+		{"-only a.example,,b.example", "names an empty site domain"},
 
 		// Contradictions.
 		{"-quarantine-max 2", "-quarantine-max needs -quarantine"},

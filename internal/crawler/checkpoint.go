@@ -26,20 +26,22 @@ import (
 // only the sites it had not yet appended; lines are fsynced in groups,
 // so an OS crash can also lose the unsynced tail, which a resume runs
 // again to the same bytes. A resume hands every intact line to the
-// caller's fold and keeps only the set of finished indexes. A sealed
-// checkpoint (Seal) ends in a trailer line and is a shard's result.
+// caller's fold and keeps only the set of finished indexes. A shard's
+// checkpoint is sealed when its run completes (Complete): a trailer line
+// ends it, and it is then the shard's result (ReadSealed).
 type Checkpoint struct {
 	mu       sync.Mutex
 	f        *os.File
 	path     string
 	obs      *obs.Run
-	done     []uint64  // finished site indexes loaded on resume, one bit each
-	loaded   int       // site lines loaded at open
-	torn     int       // non-empty lines dropped on load (crash-torn tail)
-	lines    int       // site lines read
-	sum      hash.Hash // SHA-256 of the site lines read
-	appends  int       // lines appended this run, for the failpoint
-	unsynced int       // bytes written since the last fsync
+	src      site.Source // the run's sites, which every decoded line must name
+	done     []uint64    // site indexes decoded, one bit each
+	loaded   int         // site lines loaded at open
+	torn     int         // non-empty lines dropped on load (crash-torn tail)
+	lines    int         // site lines in the file: read, then appended
+	sum      hash.Hash   // SHA-256 of those lines for a trailer; nil for an unsharded run's
+	appends  int         // lines appended this run, for the failpoint
+	unsynced int         // bytes written since the last fsync
 	closed   bool
 }
 
@@ -104,33 +106,23 @@ func (h Header) String() string {
 
 // OpenCheckpoint opens opts.CheckpointPath for a run of eco under opts
 // whose lines detect describes (see NewHeader). With opts.Resume and an
-// existing file, each intact line is counted in the telemetry and handed
-// to fold, in file order, and a torn tail is cut off in place; a line
-// whose index lies outside the run's source or repeats, or whose domain
-// is not the source's there, is refused. Otherwise the file starts fresh.
+// existing file, each intact line is checked (check), counted in the
+// telemetry and handed to fold, in file order, and a torn tail is cut
+// off in place. Otherwise the file starts fresh.
 func OpenCheckpoint(eco *webgen.Ecosystem, profile browser.Profile, opts Options, detect string, fold func(SiteResult)) (*Checkpoint, error) {
-	c := &Checkpoint{path: opts.CheckpointPath, obs: opts.Obs, sum: sha256.New()}
+	c := &Checkpoint{path: opts.CheckpointPath, obs: opts.Obs}
+	if opts.Shards > 0 {
+		c.sum = sha256.New() // Complete seals a shard's checkpoint
+	}
 	want := NewHeader(eco, profile, opts, detect)
 	if opts.Resume {
-		src := opts.source(eco)
-		c.done = make([]uint64, (src.Len()+63)/64)
-		loaded, err := c.load(&want, func(r SiteResult) error {
-			i := r.Index
-			if i < 0 || i >= src.Len() {
-				return c.wrap(fmt.Errorf("site index %d outside the run's %d sites", i, src.Len()))
-			}
-			if c.done[i/64]&(1<<(i%64)) != 0 {
-				return c.wrap(fmt.Errorf("duplicate site index %d (%s)", i, r.Crawl.Domain))
-			}
-			if want := src.At(i).Domain; r.Crawl.Domain != want {
-				return c.wrap(fmt.Errorf("site %d is %s, the run's site %d is %s", i, r.Crawl.Domain, i, want))
-			}
-			c.done[i/64] |= 1 << (i % 64)
+		c.src = opts.source(eco)
+		c.done = make([]uint64, (c.src.Len()+63)/64)
+		loaded, err := c.load(&want, func(r SiteResult) {
 			c.loaded++
 			c.obs.Count(obs.MetricCheckpointResumed, 1)
 			noteSiteCounters(c.obs, &r)
 			fold(r)
-			return nil
 		})
 		if err != nil {
 			return nil, err
@@ -185,12 +177,11 @@ func (u unfinished) At(i int) *site.Site {
 	return u.Source.At(i)
 }
 
-// load reads an existing checkpoint whose header equals want (nil
-// accepts any header of this version), handing each site line to add,
-// then cuts a torn tail off in place and opens the file for appends.
-// loaded is false when there is nothing to load (no file, or a blank
-// first line), so the caller starts fresh.
-func (c *Checkpoint) load(want *Header, add func(SiteResult) error) (loaded bool, err error) {
+// load reads an existing checkpoint whose header equals want, handing
+// each site line to add, then cuts a torn tail off in place and opens
+// the file for appends. loaded is false when there is nothing to load
+// (no file, or a blank first line), so the caller starts fresh.
+func (c *Checkpoint) load(want *Header, add func(SiteResult)) (loaded bool, err error) {
 	f, err := os.Open(c.path)
 	if os.IsNotExist(err) {
 		return false, nil
@@ -221,17 +212,24 @@ func (c *Checkpoint) load(want *Header, add func(SiteResult) error) (loaded bool
 	return true, nil
 }
 
+// ErrOtherRun marks a sealed file whose header is not the one the
+// reader expects: it holds another run's sites.
+var ErrOtherRun = errors.New("written for another run")
+
 // scan is the one checkpoint line reader. It reads the header, which
-// must be of this version and equal want when want is set, then the
-// site lines: each line that decodes with a domain is counted, hashed
-// and handed to add (when set), in file order. keep is the byte length
-// of the prefix through the last site line and nl whether it ends in a
-// newline; keep is 0 when the first line is blank. The first other
-// non-blank line ends the prefix. Leniently — a resume — it and every
-// later non-blank line count as torn, since a crash cut the tail.
-// Strictly — a sealed file — it must be the last line and a trailer
-// that matches the site lines.
-func (c *Checkpoint) scan(r *bufio.Reader, want *Header, strict bool, add func(SiteResult) error) (hdr Header, keep int64, nl bool, err error) {
+// must be of this version and equal want, then the site lines in file
+// order, counting and hashing each. With add, each is decoded, checked
+// (check) and handed to add. keep is the byte length of the prefix
+// through the last site line and nl whether it ends in a newline; keep
+// is 0 when the first line is blank. Leniently — a resume — the first
+// non-blank line that does not decode with a domain ends the prefix: it
+// and every later non-blank line count as torn, since a crash cut the
+// tail. Strictly — a sealed file — the last non-blank line must be the
+// trailer of the site lines before it, one per site of the source;
+// without add, those lines are hashed and never decoded. A strict want
+// with no candidate-set pin takes the file's: a merge has no detector,
+// and learns the pin from its first shard.
+func (c *Checkpoint) scan(r *bufio.Reader, want *Header, strict bool, add func(SiteResult)) (hdr Header, keep int64, nl bool, err error) {
 	line, err := r.ReadBytes('\n')
 	if err != nil && err != io.EOF {
 		return hdr, 0, false, c.wrap(err)
@@ -245,12 +243,18 @@ func (c *Checkpoint) scan(r *bufio.Reader, want *Header, strict bool, add func(S
 	if hdr.Version != checkpointVersion {
 		return hdr, 0, false, c.wrap(fmt.Errorf("format version %d, this build reads version %d: re-run to replace it", hdr.Version, checkpointVersion))
 	}
-	if want != nil && hdr != *want {
+	if strict && want.Detect == "" {
+		want.Detect = hdr.Detect
+	}
+	if hdr != *want {
+		if strict {
+			return hdr, 0, false, c.wrap(fmt.Errorf("%w: %s, this run writes %s", ErrOtherRun, hdr, *want))
+		}
 		return hdr, 0, false, c.wrap(fmt.Errorf("written for %s, resume requested for %s: re-run without resuming to replace it", hdr, *want))
 	}
 	size := int64(len(line))
 	keep, nl = size, err == nil
-	var tail []byte // the first non-blank line that is not a site
+	var tail []byte // the first non-blank line that is not a site; without add, the last non-blank line
 	for err == nil {
 		if line, err = r.ReadBytes('\n'); err != nil && err != io.EOF {
 			return hdr, 0, false, c.wrap(err)
@@ -259,16 +263,20 @@ func (c *Checkpoint) scan(r *bufio.Reader, want *Header, strict bool, add func(S
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
+		if add == nil {
+			if tail != nil {
+				c.hash(tail)
+			}
+			tail = line
+			continue
+		}
 		var s SiteResult
 		if tail == nil && json.Unmarshal(line, &s) == nil && s.Crawl.Domain != "" {
-			if add != nil {
-				if err := add(s); err != nil {
-					return hdr, 0, false, err
-				}
+			if err := c.check(&s); err != nil {
+				return hdr, 0, false, err
 			}
-			c.lines++
-			c.sum.Write(bytes.TrimSuffix(line, []byte{'\n'}))
-			c.sum.Write([]byte{'\n'})
+			add(s)
+			c.hash(line)
 			keep, nl = size, err == nil
 			continue
 		}
@@ -277,58 +285,72 @@ func (c *Checkpoint) scan(r *bufio.Reader, want *Header, strict bool, add func(S
 		}
 		c.torn++
 	}
-	if strict && (c.torn != 1 || !bytes.Equal(bytes.TrimSuffix(tail, []byte{'\n'}), c.trailer())) {
+	if !strict {
+		return hdr, keep, nl, nil
+	}
+	if c.torn > 1 || !bytes.Equal(bytes.TrimSuffix(tail, newline), c.trailer()) {
 		return hdr, 0, false, c.wrap(fmt.Errorf("not sealed: %d site lines end in %q, not in their trailer %s alone", c.lines, tail, c.trailer()))
+	}
+	if c.lines != c.src.Len() {
+		return hdr, 0, false, c.wrap(fmt.Errorf("sealed with %d site lines, its run has %d sites", c.lines, c.src.Len()))
 	}
 	return hdr, keep, nl, nil
 }
 
+var newline = []byte{'\n'}
+
+// check refuses a decoded site line whose index lies outside the run's
+// source or repeats, or whose domain is not the source's there — a
+// resume and a sealed read judge a line alike — and marks it done.
+func (c *Checkpoint) check(r *SiteResult) error {
+	i := r.Index
+	if i < 0 || i >= c.src.Len() {
+		return c.wrap(fmt.Errorf("site index %d outside the run's %d sites", i, c.src.Len()))
+	}
+	if c.done[i/64]&(1<<(i%64)) != 0 {
+		return c.wrap(fmt.Errorf("duplicate site index %d (%s)", i, r.Crawl.Domain))
+	}
+	if want := c.src.At(i).Domain; r.Crawl.Domain != want {
+		return c.wrap(fmt.Errorf("site %d is %s, the run's site %d is %s", i, r.Crawl.Domain, i, want))
+	}
+	c.done[i/64] |= 1 << (i % 64)
+	return nil
+}
+
+// hash counts one site line into the trailer: the line count, and the
+// SHA-256 over the lines, each with its newline, when one is kept.
+func (c *Checkpoint) hash(line []byte) {
+	c.lines++
+	if c.sum != nil {
+		c.sum.Write(bytes.TrimSuffix(line, newline))
+		c.sum.Write(newline)
+	}
+}
+
 // trailer is a sealed checkpoint's last line: the count and SHA-256 of
-// the site lines scanned, each hashed with its newline.
+// its site lines.
 func (c *Checkpoint) trailer() []byte {
 	return fmt.Appendf(nil, `{"lines":%d,"sha256":"%x"}`, c.lines, c.sum.Sum(nil))
 }
 
-// Seal ends the checkpoint at path with its trailer — the count and
-// SHA-256 of its site lines — and fsyncs it. It first cuts a torn tail,
-// or the trailer of an earlier seal that was never renamed into place,
-// so sealing again writes the same bytes.
-func Seal(path string) error {
-	c := &Checkpoint{path: path, sum: sha256.New()}
-	loaded, err := c.load(nil, nil)
+// ReadSealed reads the sealed checkpoint at path, a shard's result,
+// through the resume's line reader, and returns its header. It refuses
+// a header other than want (ErrOtherRun; an empty want.Detect takes the
+// file's pin), a trailer that does not match the site lines, and a
+// count of site lines other than src's sites. With fold, each site line
+// is decoded once, checked as a resume checks it — its index inside
+// src, not repeated, and src's domain there — and handed to fold, in
+// file order; a refusal can come after some lines were folded. Without
+// fold, the site lines are only hashed.
+func ReadSealed(path string, want Header, src site.Source, fold func(SiteResult)) (Header, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return Header{}, fmt.Errorf("crawler: %w", err)
 	}
-	if !loaded {
-		return c.wrap(errors.New("nothing to seal"))
-	}
-	if _, err = c.f.Write(append(c.trailer(), '\n')); err == nil {
-		err = c.f.Sync()
-	}
-	if cerr := c.f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return c.wrap(err)
-	}
-	return nil
-}
-
-// ReadSealed reads a sealed checkpoint from r strictly, through the
-// resume's line reader: the header, every site line in file order, and
-// the trailer, which must be the last line and match the site lines.
-// name labels errors.
-func ReadSealed(name string, r io.Reader) (Header, []SiteResult, error) {
-	c := &Checkpoint{path: name, sum: sha256.New()}
-	var sites []SiteResult
-	hdr, _, _, err := c.scan(bufio.NewReader(r), nil, true, func(s SiteResult) error {
-		sites = append(sites, s)
-		return nil
-	})
-	if err != nil {
-		return Header{}, nil, err
-	}
-	return hdr, sites, nil
+	c := &Checkpoint{path: path, src: src, done: make([]uint64, (src.Len()+63)/64), sum: sha256.New()}
+	hdr, _, _, err := c.scan(bufio.NewReaderSize(f, 64<<10), &want, true, fold)
+	f.Close()
+	return hdr, err
 }
 
 // Append persists one finished site: its line is written whole before
@@ -361,6 +383,7 @@ func (c *Checkpoint) Append(r SiteResult) error {
 		return c.wrap(err)
 	}
 	c.obs.Count(obs.MetricCheckpointAppends, 1)
+	c.hash(line)
 	c.unsynced += len(line)
 	if c.unsynced >= checkpointSyncBytes {
 		if err := c.sync(); err != nil {
@@ -383,6 +406,24 @@ func (c *Checkpoint) sync() error {
 		return c.wrap(err)
 	}
 	return nil
+}
+
+// Complete closes the checkpoint of a run that finished every site. A
+// shard's checkpoint (its header names a shard) is first sealed from
+// the count and SHA-256 kept as its lines were loaded and appended: the
+// trailer ends the file, which is then the shard's result.
+func (c *Checkpoint) Complete() error {
+	if c.sum != nil {
+		c.mu.Lock()
+		line := append(c.trailer(), '\n')
+		_, err := c.f.Write(line)
+		c.unsynced += len(line)
+		c.mu.Unlock()
+		if err != nil {
+			return c.wrap(err)
+		}
+	}
+	return c.Close()
 }
 
 // Close syncs any unsynced lines and releases the file, which it closes

@@ -317,10 +317,24 @@ func (d *Dataset) WriteJSONFile(path string) error {
 // WriteFileAtomic writes a file through a temp file in the same
 // directory, synced and then renamed over path, so a crash never leaves
 // a partial file under the final name. It is the module's one atomic
-// writer: datasets, checkpoint headers, quarantine bundles, shard
-// plan/result/report files and piiserve's WAL and job results all land
-// through it.
+// writer: datasets, leak lists, telemetry, checkpoint headers,
+// quarantine bundles, shard plan/report files and piiserve's WAL and
+// job results all land through it. A path that exists and is not a
+// regular file — a FIFO, a device such as /dev/null, a symlink such as
+// /dev/stdout — is written in place instead, since a rename would
+// replace it rather than write to it.
 func WriteFileAtomic(path string, write func(io.Writer) error) (err error) {
+	if fi, err := os.Lstat(path); err == nil && !fi.Mode().IsRegular() {
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_TRUNC, 0)
+		if err != nil {
+			return err
+		}
+		if err := write(f); err != nil {
+			f.Close() //lint:allow closecheck the write error is the one worth reporting
+			return err
+		}
+		return f.Close()
+	}
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err

@@ -3,8 +3,12 @@ package crawler
 import (
 	"bytes"
 	"context"
+	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
+	"syscall"
 	"testing"
 
 	"piileak/internal/browser"
@@ -332,5 +336,40 @@ func TestDatasetFileGzipRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadJSONFile(dir + "/missing.json"); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestWriteFileAtomicWritesFIFOInPlace: a target that exists and is not
+// a regular file is written to, not replaced — piicrawl -o FIFO feeds
+// the FIFO's reader, and the path stays a FIFO.
+func TestWriteFileAtomicWritesFIFOInPlace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.fifo")
+	if err := syscall.Mkfifo(path, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan []byte, 1)
+	go func() {
+		data, err := os.ReadFile(path) // blocks until the writer opens, reads to its close
+		if err != nil {
+			t.Error(err)
+		}
+		got <- data
+	}()
+	want := []byte(`{"leaks":[]}` + "\n")
+	if err := WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(want)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Checked first: a FIFO renamed away leaves its reader blocked.
+	if fi, err := os.Lstat(path); err != nil || fi.Mode()&os.ModeNamedPipe == 0 {
+		t.Fatalf("after the write the path is %v (err %v), want still a FIFO", fi.Mode(), err)
+	}
+	if data := <-got; !bytes.Equal(data, want) {
+		t.Errorf("the FIFO's reader got %q, want %q", data, want)
+	}
+	if files, _ := filepath.Glob(path + ".tmp-*"); len(files) != 0 {
+		t.Errorf("temp files left beside the FIFO: %v", files)
 	}
 }

@@ -16,7 +16,8 @@ import (
 // checkpoint resumes, and only out-of-order sites are ever held aside.
 // With CheckpointPath set, Run owns the checkpoint: each crawled site is
 // appended with its records before it merges, and a resume merges the
-// file's sites and crawls only the rest. ctx cancels the run between
+// file's sites and crawls only the rest; a completed run completes the
+// checkpoint (Checkpoint.Complete). ctx cancels the run between
 // sites and interrupts in-flight retry backoffs; the site being crawled
 // when cancellation lands is discarded (never appended or merged), so a
 // resumed run stays byte-identical to an uninterrupted one.
@@ -62,7 +63,7 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, op
 		return nil, err
 	}
 	if ckpt != nil {
-		if err := ckpt.Close(); err != nil {
+		if err := ckpt.Complete(); err != nil {
 			return nil, err
 		}
 	}

@@ -178,9 +178,11 @@ func detectGuarded(det Detector, out *crawler.SiteResult, eco *webgen.Ecosystem,
 // CheckpointPath set, the accumulate stage appends each site after
 // detection, and a resume folds the file's sites — counted in the
 // progress events and telemetry like the rest — and crawls only the
-// others. A panicking detector does not kill the run: the site is
-// marked OutcomeCrashed, quarantined (opts.Quarantine), and checkpointed
-// as such. opts.Obs observes every stage; a nil observer costs nothing.
+// others; a completed run completes the checkpoint, which seals a
+// shard's (crawler.Checkpoint.Complete). A panicking detector does not
+// kill the run: the site is marked OutcomeCrashed, quarantined
+// (opts.Quarantine), and checkpointed as such. opts.Obs observes every
+// stage; a nil observer costs nothing.
 func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, det Detector, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -341,7 +343,7 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, de
 		return nil, crawlErr
 	}
 	if ckpt != nil {
-		if err := ckpt.Close(); err != nil {
+		if err := ckpt.Complete(); err != nil {
 			return nil, err
 		}
 	}

@@ -29,7 +29,6 @@
 package serve
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"strings"
@@ -92,10 +91,10 @@ type Spec struct {
 }
 
 // flags maps the spec onto the flag surface it mirrors: the flags'
-// defaults, overridden by every field the spec sets. Only the two
-// fields whose JSON form differs from the flag's are checked here — a
-// site_timeout that is not a duration and an empty only element; the
-// flags' own validator judges the rest.
+// defaults, overridden by every field the spec sets. Only the field
+// whose JSON form differs from the flag's is checked here — a
+// site_timeout that is not a duration; the flags' own validator judges
+// the rest, an empty only element included.
 func (sp *Spec) flags() (*cliflags.Common, error) {
 	c := cliflags.Register(flag.NewFlagSet("spec", flag.ContinueOnError))
 	if sp.Seed != 0 {
@@ -108,11 +107,6 @@ func (sp *Spec) flags() (*cliflags.Common, error) {
 	c.Workers, c.DetectWorkers = sp.Workers, sp.DetectWorkers
 	c.Faults, c.FaultSeed, c.Retries = sp.Faults, sp.FaultSeed, sp.Retries
 	c.Only = strings.Join(sp.Only, ",")
-	for _, d := range sp.Only {
-		if strings.TrimSpace(d) == "" {
-			return c, errors.New("only: empty site domain")
-		}
-	}
 	if sp.SiteTimeout != "" {
 		d, err := time.ParseDuration(sp.SiteTimeout)
 		if err != nil {
@@ -136,7 +130,7 @@ func (sp *Spec) Validate() error {
 // StudyConfig builds the piileak configuration the spec describes,
 // exactly as the same flags would.
 func (sp *Spec) StudyConfig() piileak.Config {
-	c, _ := sp.flags() // a site_timeout or only error leaves the study's shape intact
+	c, _ := sp.flags() // a site_timeout error leaves the study's shape intact
 	return c.StudyConfig()
 }
 

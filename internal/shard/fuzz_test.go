@@ -8,18 +8,23 @@ import (
 
 	"piileak/internal/browser"
 	"piileak/internal/crawler"
+	"piileak/internal/site"
 	"piileak/internal/webgen"
 )
 
+// fuzzShard is the fuzz corpus' shard: shard 0 of 2 over a five-site
+// universe, whose sites are the universe's a, c and e.
+var fuzzShard = site.Slice{{Domain: "a.example"}, {Domain: "c.example"}, {Domain: "e.example"}}
+
 // fuzzResultBytes builds a small, fully-valid sealed shard result — a
-// checkpoint of shard 0 of 2 over a five-site universe, written and
-// sealed as a worker does — the fuzz corpus' honest seed, which the
-// mutator then tears, truncates and corrupts.
-func fuzzResultBytes(f *testing.F) []byte {
+// checkpoint of fuzzShard, written and sealed as a worker does — the
+// fuzz corpus' honest seed, which the mutator then tears, truncates and
+// corrupts. It returns the bytes and the header they carry.
+func fuzzResultBytes(f *testing.F) ([]byte, crawler.Header) {
 	f.Helper()
 	eco := &webgen.Ecosystem{Config: webgen.Config{Seed: 7, ShoppingSites: 5, UniverseSize: 5}}
-	path := filepath.Join(f.TempDir(), "seed.jsonl")
-	c, err := crawler.OpenCheckpoint(eco, browser.Firefox88(), crawler.Options{CheckpointPath: path, Shards: 2}, "", nil)
+	opts := crawler.Options{CheckpointPath: filepath.Join(f.TempDir(), "seed.jsonl"), Shards: 2}
+	c, err := crawler.OpenCheckpoint(eco, browser.Firefox88(), opts, "", nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -33,33 +38,33 @@ func fuzzResultBytes(f *testing.F) []byte {
 			f.Fatal(err)
 		}
 	}
-	if err := c.Close(); err != nil {
+	if err := c.Complete(); err != nil {
 		f.Fatal(err)
 	}
-	if err := crawler.Seal(path); err != nil {
-		f.Fatal(err)
-	}
-	r, err := ReadResult(path)
-	if err != nil {
+	want := crawler.NewHeader(eco, browser.Firefox88(), opts, "")
+	n := 0
+	if _, err := crawler.ReadSealed(opts.CheckpointPath, want, fuzzShard, func(crawler.SiteResult) { n++ }); err != nil {
 		f.Fatalf("seed corpus does not verify: %v", err)
 	}
-	if len(r.Sites) != len(sites) {
-		f.Fatalf("seed corpus lost sites: %d of %d", len(r.Sites), len(sites))
+	if n != len(sites) {
+		f.Fatalf("seed corpus lost sites: %d of %d", n, len(sites))
 	}
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(opts.CheckpointPath)
 	if err != nil {
 		f.Fatal(err)
 	}
-	return data
+	return data, want
 }
 
-// FuzzParseResult hardens the shard result reader: whatever bytes a
-// crashed or malicious worker leaves behind, parseResult returns
-// exactly one of (result, error) and never a partially-validated
-// Result. An accepted result names a valid shard and holds unique site
-// indexes inside it.
+// FuzzParseResult hardens the shard result reader, crawler.ReadSealed,
+// the way the supervisor and the merge call it: whatever bytes a crashed
+// or malicious worker leaves behind, it never panics. A file the
+// decoding read (the merge's) accepts, the hashing read (the
+// supervisor's) accepts too, and it folded one line per site of the
+// shard, each at a unique index inside it under the shard's domain
+// there.
 func FuzzParseResult(f *testing.F) {
-	good := fuzzResultBytes(f)
+	good, want := fuzzResultBytes(f)
 	f.Add(good)
 	f.Add([]byte{})
 	f.Add([]byte("\n"))
@@ -74,24 +79,28 @@ func FuzzParseResult(f *testing.F) {
 	flipped[len(flipped)/2] ^= 0xff
 	f.Add(flipped)
 
+	// A fuzz process runs its inputs one at a time, so they share a path.
+	path := filepath.Join(f.TempDir(), "shard-0-of-2.jsonl")
 	f.Fuzz(func(t *testing.T, data []byte) {
-		res, err := parseResult("fuzz", data)
-		if (res == nil) == (err == nil) {
-			t.Fatalf("parseResult: res=%v err=%v — exactly one must be nil", res, err)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if res == nil {
+		var folded []crawler.SiteResult
+		_, err := crawler.ReadSealed(path, want, fuzzShard, func(r crawler.SiteResult) { folded = append(folded, r) })
+		_, hashErr := crawler.ReadSealed(path, want, fuzzShard, nil)
+		if err != nil {
 			return
 		}
-		h := res.Header
-		if h.Shards < 1 || h.Shard < 0 || h.Shard >= h.Shards {
-			t.Fatalf("accepted result with invalid coordinates %+v", h)
+		if hashErr != nil {
+			t.Fatalf("the decoding read accepted what the hashing read refuses: %v", hashErr)
 		}
-		size := (&Plan{Shards: h.Shards, Universe: h.Universe}).Size(h.Shard)
+		if len(folded) != len(fuzzShard) {
+			t.Fatalf("accepted %d sites, the shard has %d", len(folded), len(fuzzShard))
+		}
 		seen := map[int]bool{}
-		for _, r := range res.Sites {
-			if r.Index < 0 || r.Index >= size || seen[r.Index] || r.Crawl.Domain == "" {
-				t.Fatalf("accepted site %q at index %d (shard %d/%d of %d sites holds %d)",
-					r.Crawl.Domain, r.Index, h.Shard, h.Shards, h.Universe, size)
+		for _, r := range folded {
+			if r.Index < 0 || r.Index >= len(fuzzShard) || seen[r.Index] || r.Crawl.Domain != fuzzShard[r.Index].Domain {
+				t.Fatalf("accepted site %q at index %d", r.Crawl.Domain, r.Index)
 			}
 			seen[r.Index] = true
 		}

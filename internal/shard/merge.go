@@ -62,65 +62,66 @@ type MissingShard struct {
 // ReportPath is the merge report's location under a shard directory.
 func ReportPath(dir string) string { return filepath.Join(dir, "report.json") }
 
-// Merge folds verified shard results back into one study result. The
-// input order is irrelevant — results are keyed by their header's shard
-// index — and the fold is the unsharded pipeline's own accumulator
-// (pipeline.Accumulator): site i of shard s lands in global index slot
-// s + i*K, so the merged leak slice, dataset and every table are
-// byte-identical to the unsharded run's when all shards are present.
+// ResultPath is shard s-of-K's result file under a shard directory: its
+// checkpoint, sealed and renamed.
+func ResultPath(dir string, shard, shards int) string {
+	return filepath.Join(dir, fmt.Sprintf("shard-%d-of-%d.jsonl", shard, shards))
+}
+
+// CheckpointPath is shard s-of-K's checkpoint under a shard directory.
+func CheckpointPath(dir string, shard, shards int) string {
+	return filepath.Join(dir, fmt.Sprintf("ckpt-%d-of-%d", shard, shards))
+}
+
+// MergeDir merges the shard results under dir per the plan (merge). A
+// shard with no result file is missing; a file that exists but fails
+// verification (a trailer mismatch, a torn tail, another run's header)
+// is an error: corruption must never be silently dropped as "missing".
+func MergeDir(eco *webgen.Ecosystem, profile browser.Profile, plan *Plan, dir string) (*pipeline.Result, *Report, error) {
+	return merge(eco, profile, plan, dir, func(s int) bool {
+		_, err := os.Stat(ResultPath(dir, s, plan.Shards))
+		return err == nil
+	})
+}
+
+// merge folds the result files of the shards read accepts back into one
+// study result, each as it is read; the other shards are missing. The
+// fold is the unsharded pipeline's own accumulator (pipeline.Accumulator):
+// site i of shard s lands in global index slot s + i*K, so the merged
+// leak slice, dataset and every table are byte-identical to the
+// unsharded run's when all shards are present.
 //
-// Each result's header must be the one a worker of this plan writes —
-// browser, seeds, universe, shard coordinates and fault settings —
-// before a single line is folded; Merge has no detector, so the
-// candidate-set pin is the one field it does not compare. ReadResult has
-// already verified the trailer. Shards absent from results degrade the
-// merge instead of failing it: their sites are simply not folded, and
-// the report lists them under Missing with Partial set.
-func Merge(eco *webgen.Ecosystem, profile browser.Profile, plan *Plan, results []*Result) (*pipeline.Result, *Report, error) {
+// Each file is read once, through crawler.ReadSealed: its header must
+// be the one a worker of this plan writes — browser, seeds, universe,
+// shard coordinates and fault settings — with the candidate-set pin of
+// the first shard read, since the merge has no detector; its trailer
+// must match its lines; and each line is decoded once, checked against
+// the shard's sites and folded. A missing shard degrades the merge
+// instead of failing it: its sites are not folded, and the report lists
+// them under Missing with Partial set.
+func merge(eco *webgen.Ecosystem, profile browser.Profile, plan *Plan, dir string, read func(s int) bool) (*pipeline.Result, *Report, error) {
 	if err := plan.Verify(eco); err != nil {
 		return nil, nil, err
 	}
-	byShard := make(map[int]*Result, len(results))
-	for _, r := range results {
-		if r == nil {
-			continue
-		}
-		h := r.Header
-		want := crawler.NewHeader(eco, profile, crawler.Options{Shard: h.Shard, Shards: plan.Shards}, h.Detect)
-		want.FaultPin = plan.FaultPin
-		if h != want {
-			return nil, nil, fmt.Errorf("shard: result for shard %d was written for %s, the plan is for %s", h.Shard, h, want)
-		}
-		if _, dup := byShard[h.Shard]; dup {
-			return nil, nil, fmt.Errorf("shard: two results claim shard %d", h.Shard)
-		}
-		byShard[h.Shard] = r
-	}
-
-	// ReadResult guaranteed each line's index is unique and inside its
-	// shard, so two results can never fight over a slot; the domain
-	// check catches a result whose lines are self-consistent but belong
-	// to a different ecosystem layout or shard.
 	acc := pipeline.NewAccumulator(plan.Universe)
 	report := &Report{Schema: ReportSchema, Shards: plan.Shards}
-	universe := eco.Universe()
+	pin := ""
 	for s := 0; s < plan.Shards; s++ {
-		r, ok := byShard[s]
-		if !ok {
+		if !read(s) {
 			report.Missing = append(report.Missing, MissingShard{
 				Shard: s,
 				Sites: plan.Domains(eco, s),
 			})
 			continue
 		}
-		for _, site := range r.Sites {
-			g := s + site.Index*plan.Shards
-			if want := universe.At(g).Domain; site.Crawl.Domain != want {
-				return nil, nil, fmt.Errorf("shard %d: site %d is %s, ecosystem index %d is %s", s, site.Index, site.Crawl.Domain, g, want)
-			}
-			site.Index = g
-			acc.Add(site)
+		hdr, err := crawler.ReadSealed(ResultPath(dir, s, plan.Shards), plan.header(eco, profile, s, pin), plan.source(eco, s), func(r crawler.SiteResult) {
+			r.Index = s + r.Index*plan.Shards
+			acc.Add(r)
+		})
+		if err != nil {
+			return nil, nil, fmt.Errorf("shard: merge shard %d: %w", s, err)
 		}
+		pin = hdr.Detect
 		report.Completed = append(report.Completed, s)
 	}
 	report.Partial = len(report.Missing) > 0
@@ -129,25 +130,4 @@ func Merge(eco *webgen.Ecosystem, profile browser.Profile, plan *Plan, results [
 	report.MergedSites = res.Stats.Sites
 	report.Leaks = len(res.Leaks)
 	return res, report, nil
-}
-
-// MergeDir reads every completed shard's result file under dir per the
-// plan and merges them. Absent files degrade into the report; a file
-// that exists but fails verification (trailer mismatch, torn tail,
-// wrong run) is an error — corruption must never be silently dropped as
-// "missing".
-func MergeDir(eco *webgen.Ecosystem, profile browser.Profile, plan *Plan, dir string) (*pipeline.Result, *Report, error) {
-	var results []*Result
-	for s := 0; s < plan.Shards; s++ {
-		path := ResultPath(dir, s, plan.Shards)
-		if _, err := os.Stat(path); err != nil {
-			continue
-		}
-		r, err := ReadResult(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		results = append(results, r)
-	}
-	return Merge(eco, profile, plan, results)
 }

@@ -22,7 +22,9 @@ import (
 	"os"
 	"path/filepath"
 
+	"piileak/internal/browser"
 	"piileak/internal/crawler"
+	"piileak/internal/site"
 	"piileak/internal/webgen"
 )
 
@@ -92,6 +94,19 @@ func (p *Plan) Size(shard int) int {
 		return 0
 	}
 	return (p.Universe - shard + p.Shards - 1) / p.Shards
+}
+
+// header is the checkpoint header shard s's worker writes under the
+// plan, with the candidate-set pin pin.
+func (p *Plan) header(eco *webgen.Ecosystem, profile browser.Profile, s int, pin string) crawler.Header {
+	h := crawler.NewHeader(eco, profile, crawler.Options{Shard: s, Shards: p.Shards}, pin)
+	h.FaultPin = p.FaultPin
+	return h
+}
+
+// source is shard s's sites, in the shard's own index order.
+func (p *Plan) source(eco *webgen.Ecosystem, s int) site.Source {
+	return interleaveSource{src: eco.Universe(), shard: s, shards: p.Shards}
 }
 
 // Domains derives the domain list one shard covers, in rank order —

@@ -3,7 +3,9 @@ package shard
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -261,48 +263,86 @@ func TestPlanVerifyRejectsForeign(t *testing.T) {
 	}
 }
 
-// reseal writes header and site lines to a checkpoint and seals it, so
-// a tampered line carries a valid trailer and only the structural
-// checks can catch it.
-func reseal(t *testing.T, header []byte, lines [][]byte) []byte {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "resealed")
-	if err := os.WriteFile(path, bytes.Join(append([][]byte{header}, lines...), nil), 0o644); err != nil {
-		t.Fatal(err)
+// seal ends a header line and site lines with the trailer a completed
+// shard run writes — their count and SHA-256 — so a tampered line
+// carries a valid trailer and only the per-line checks can catch it.
+func seal(header []byte, lines [][]byte) []byte {
+	sum := sha256.New()
+	for _, l := range lines {
+		sum.Write(l)
 	}
-	if err := crawler.Seal(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
+	out := bytes.Join(append([][]byte{header}, lines...), nil)
+	return fmt.Appendf(out, "{\"lines\":%d,\"sha256\":\"%x\"}\n", len(lines), sum.Sum(nil))
 }
 
-// TestResultRejectsTampering: the merge trusts a sealed result only
-// after the trailer and the structural invariants hold; every class of
-// corruption must be rejected.
-func TestResultRejectsTampering(t *testing.T) {
-	eco, profile, det, _ := fixture(t)
-	dir := t.TempDir()
-	plan := runShards(t, dir, 2)
-	path := ResultPath(dir, 0, 2)
-	good, err := ReadResult(path)
-	if err != nil {
-		t.Fatalf("fresh worker result fails verification: %v", err)
-	}
-	if h := good.Header; h.Shard != 0 || h.Shards != 2 || h.Universe != len(eco.Sites) || h.Detect != pipeline.DetectPin(det) {
-		t.Fatalf("header %+v looks wrong", h)
-	}
-
+// resultLines splits a shard result file into its header, site lines
+// and trailer, each with its newline.
+func resultLines(t *testing.T, path string) (raw, header []byte, sites [][]byte, trailer []byte) {
+	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := bytes.SplitAfter(raw, []byte("\n"))
 	lines = lines[:len(lines)-1] // SplitAfter's empty tail
-	header, sites, trailer := lines[0], lines[1:len(lines)-1], lines[len(lines)-1]
+	return raw, lines[0], lines[1 : len(lines)-1], lines[len(lines)-1]
+}
+
+// editHeader rewrites a header line through edit.
+func editHeader(t *testing.T, line []byte, edit func(*crawler.Header)) []byte {
+	t.Helper()
+	var h crawler.Header
+	if err := json.Unmarshal(line, &h); err != nil {
+		t.Fatal(err)
+	}
+	edit(&h)
+	out, err := json.Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(out, '\n')
+}
+
+// refusesOnDisk writes each tampered file over path in turn and requires
+// MergeDir to refuse it — a corrupt file that exists is an error, never
+// a missing shard — then restores the original.
+func refusesOnDisk(t *testing.T, plan *Plan, dir, path string, cases map[string][]byte) {
+	t.Helper()
+	eco, profile, _, _ := fixture(t)
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range cases {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if res, report, err := MergeDir(eco, profile, plan, dir); err == nil || res != nil || report != nil {
+			t.Errorf("%s: MergeDir returned (%v, %+v, %v), want (nil, nil, error)", name, res, report, err)
+		}
+	}
+	if err := os.WriteFile(path, orig, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResultRejectsTampering: the merge trusts a sealed result only
+// after the trailer and the per-line checks hold; every class of
+// corruption, written to disk, must be refused.
+func TestResultRejectsTampering(t *testing.T) {
+	eco, profile, det, _ := fixture(t)
+	dir := t.TempDir()
+	plan := runShards(t, dir, 2)
+	path := ResultPath(dir, 0, 2)
+	h, err := crawler.ReadSealed(path, plan.header(eco, profile, 0, ""), plan.source(eco, 0), nil)
+	if err != nil {
+		t.Fatalf("fresh worker result fails verification: %v", err)
+	}
+	if h.Shard != 0 || h.Shards != 2 || h.Universe != len(eco.Sites) || h.Detect != pipeline.DetectPin(det) {
+		t.Fatalf("header %+v looks wrong", h)
+	}
+
+	raw, header, sites, trailer := resultLines(t, path)
 	body := func(edit func(sites [][]byte)) [][]byte {
 		out := append([][]byte(nil), sites...)
 		edit(out)
@@ -324,38 +364,22 @@ func TestResultRejectsTampering(t *testing.T) {
 	}
 	recounted := bytes.Replace(raw, []byte(fmt.Sprintf(`{"lines":%d,`, t2.Lines)), []byte(fmt.Sprintf(`{"lines":%d,`, t2.Lines+1)), 1)
 
-	for name, data := range map[string][]byte{
+	refusesOnDisk(t, plan, dir, path, map[string][]byte{
 		"flipped body byte":  flipped,
 		"truncated trailer":  raw[:len(raw)-10],
 		"missing trailer":    raw[:len(raw)-len(trailer)],
 		"edited line count":  recounted,
-		"repeated index":     reseal(t, header, body(func(s [][]byte) { s[1] = index(s[1], 0) })),
-		"out-of-range index": reseal(t, header, body(func(s [][]byte) { s[0] = index(s[0], plan.Size(0)) })),
-	} {
-		if res, err := parseResult("tampered", data); err == nil || res != nil {
-			t.Errorf("%s: parseResult returned (%v, %v), want (nil, error)", name, res, err)
-		}
-	}
+		"repeated index":     seal(header, body(func(s [][]byte) { s[1] = index(s[1], 0) })),
+		"out-of-range index": seal(header, body(func(s [][]byte) { s[0] = index(s[0], plan.Size(0)) })),
+	})
 
 	// Another shard's header over shard 0's lines still seals: its
 	// trailer covers the site lines. The merge refuses it, since the
 	// lines name shard 0's sites.
-	var h crawler.Header
-	if err := json.Unmarshal(header, &h); err != nil {
-		t.Fatal(err)
-	}
-	h.Shard = 1
-	stolenHeader, err := json.Marshal(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stolen, err := parseResult("stolen", reseal(t, append(stolenHeader, '\n'), sites))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Merge(eco, profile, plan, []*Result{good, stolen}); err == nil {
-		t.Error("shard 0's lines merged under shard 1's header")
-	}
+	stolen := editHeader(t, header, func(h *crawler.Header) { h.Shard = 1 })
+	refusesOnDisk(t, plan, dir, ResultPath(dir, 1, 2), map[string][]byte{
+		"shard 0's lines under shard 1's header": seal(stolen, sites),
+	})
 }
 
 // TestWorkerResultSurvivesRerunAndUnrenamedSeal: a finished worker run
@@ -426,46 +450,6 @@ func TestMergeMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestMergeOrderIndependent: results are keyed by their manifests, so
-// feeding them to Merge in any order produces identical output.
-func TestMergeOrderIndependent(t *testing.T) {
-	eco, profile, _, _ := fixture(t)
-	dir := t.TempDir()
-	plan := runShards(t, dir, 3)
-	var results []*Result
-	for s := 0; s < 3; s++ {
-		r, err := ReadResult(ResultPath(dir, s, 3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, r)
-	}
-	orders := [][]*Result{
-		{results[0], results[1], results[2]},
-		{results[2], results[1], results[0]},
-		{results[1], results[2], results[0]},
-	}
-	var want []byte
-	for i, order := range orders {
-		res, report, err := Merge(eco, profile, plan, order)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if report.Partial {
-			t.Fatalf("order %d: partial", i)
-		}
-		got := leaksJSON(t, res.Leaks)
-		if i == 0 {
-			want = got
-			assertMatchesReference(t, res)
-			continue
-		}
-		if !bytes.Equal(want, got) {
-			t.Errorf("order %d: merged leaks depend on input order", i)
-		}
-	}
-}
-
 // TestMergeMissingShardDegrades: a shard with no result file degrades
 // the merge into a partial dataset plus a machine-readable account of
 // exactly which sites are gone — never an error, never silence.
@@ -511,58 +495,76 @@ func TestMergeMissingShardDegrades(t *testing.T) {
 }
 
 // TestMergeRejectsMismatchedResults: corrupt-but-present inputs are
-// errors, never silently folded or dropped — duplicate shards, foreign
-// seeds, wrong splits, and records whose domains contradict the
-// ecosystem.
+// errors, never silently folded or dropped — foreign seeds, wrong
+// splits, two candidate sets, records whose domains contradict the
+// ecosystem, and a torn file.
 func TestMergeRejectsMismatchedResults(t *testing.T) {
-	eco, profile, _, _ := fixture(t)
 	dir := t.TempDir()
 	plan := runShards(t, dir, 2)
-	r0, err := ReadResult(ResultPath(dir, 0, 2))
-	if err != nil {
+	raw, header, sites, _ := resultLines(t, ResultPath(dir, 0, 2))
+	liar := append([][]byte(nil), sites...)
+	liar[0] = bytes.Replace(liar[0], []byte(`"domain":"`), []byte(`"domain":"impostor.`), 1)
+	refusesOnDisk(t, plan, dir, ResultPath(dir, 0, 2), map[string][]byte{
+		"foreign eco seed":      seal(editHeader(t, header, func(h *crawler.Header) { h.Seed++ }), sites),
+		"different split":       seal(editHeader(t, header, func(h *crawler.Header) { h.Shards = 4 }), sites),
+		"contradicting domain":  seal(header, liar),
+		"torn result file":      raw[:len(raw)-7],
+		"missing lines, sealed": seal(header, sites[1:]),
+	})
+
+	// Shard 1 sealed under another candidate set than shard 0, whose pin
+	// the merge read first.
+	_, header, sites, _ = resultLines(t, ResultPath(dir, 1, 2))
+	refusesOnDisk(t, plan, dir, ResultPath(dir, 1, 2), map[string][]byte{
+		"another candidate set": seal(editHeader(t, header, func(h *crawler.Header) { h.Detect = "other" }), sites),
+	})
+}
+
+// TestSealedResultBytesPinned pins the result file RunWorker writes for
+// a serial `-small -seed 7 -faults 0.2` shard 0/2: its bytes come from
+// the checkpoint's lines and the trailer the completed run keeps as it
+// appends. A worker cancelled after its 10th append and run again seals
+// the same bytes, its trailer now covering a resumed prefix and the new
+// appends.
+func TestSealedResultBytesPinned(t *testing.T) {
+	const want = "d87dfb64fd1106c580c19e6fe33ed20ccb054d14584716ff7330d3e8bdd9567e"
+	eco, det := studyOf7(t, 0.2)
+	cfg := WorkerConfig{Shard: 0, Shards: 2, Dir: t.TempDir()}
+	check := func(name string) {
+		t.Helper()
+		data, err := os.ReadFile(ResultPath(cfg.Dir, 0, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, got := bytes.Count(data, []byte("\n")), fmt.Sprintf("%x", sha256.Sum256(data)); n != 32 || got != want {
+			t.Errorf("%s: result has %d lines, SHA-256 %s; want 32 lines, %s", name, n, got, want)
+		}
+	}
+	if _, err := RunWorker(context.Background(), eco, browser.Firefox88(), det, cfg); err != nil {
 		t.Fatal(err)
 	}
-	r1, err := ReadResult(ResultPath(dir, 1, 2))
-	if err != nil {
+	check("uninterrupted")
+
+	cfg.Dir = t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	crawler.CheckpointFailpoint = func(event string, appends int) {
+		if event == "post" && appends == 10 {
+			cancel()
+		}
+	}
+	_, err := RunWorker(ctx, eco, browser.Firefox88(), det, cfg)
+	crawler.CheckpointFailpoint = nil
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled worker returned %v, want context.Canceled", err)
+	}
+	if _, err := os.Stat(ResultPath(cfg.Dir, 0, 2)); !os.IsNotExist(err) {
+		t.Fatalf("a cancelled worker left a result file (stat: %v)", err)
+	}
+	if _, err := RunWorker(context.Background(), eco, browser.Firefox88(), det, cfg); err != nil {
 		t.Fatal(err)
 	}
-
-	if _, _, err := Merge(eco, profile, plan, []*Result{r0, r1, r0}); err == nil {
-		t.Error("duplicate shard result merged")
-	}
-
-	foreign := *r0
-	foreign.Header.Seed++
-	if _, _, err := Merge(eco, profile, plan, []*Result{&foreign, r1}); err == nil {
-		t.Error("result with a foreign eco seed merged")
-	}
-
-	split := *r0
-	split.Header.Shards = 4
-	if _, _, err := Merge(eco, profile, plan, []*Result{&split, r1}); err == nil {
-		t.Error("result from a different split merged")
-	}
-
-	liar := *r0
-	liar.Sites = append([]crawler.SiteResult(nil), r0.Sites...)
-	liar.Sites[0].Crawl.Domain = "impostor.example"
-	if _, _, err := Merge(eco, profile, plan, []*Result{&liar, r1}); err == nil {
-		t.Error("record with a contradicting domain merged")
-	}
-
-	// A corrupt file on disk is an error for MergeDir too — corruption
-	// must never be reinterpreted as "missing".
-	path := ResultPath(dir, 0, 2)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw[:len(raw)-7], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := MergeDir(eco, profile, plan, dir); err == nil {
-		t.Error("MergeDir silently skipped a corrupt result file")
-	}
+	check("resumed")
 }
 
 // Indexes expands one shard's global site indexes in ascending (rank)

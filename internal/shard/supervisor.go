@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -105,11 +106,11 @@ func (o Options) maxRestarts() int {
 // shardOutcome is one shard's supervision summary.
 type shardOutcome struct {
 	shard    int
-	result   *Result // verified result; nil when the shard is missing
+	done     bool // its result file verified; false when the shard is missing
 	attempts int
 	restarts int
 	stalls   int
-	err      error // terminal error when result == nil
+	err      error // terminal error when the shard is missing
 	// stderrTail holds the last failed subprocess attempt's trailing
 	// stderr lines for the missing-shard report.
 	stderrTail []string
@@ -122,11 +123,14 @@ type shardOutcome struct {
 // seeded backoff, resuming from its own checkpoint so completed sites
 // are never recrawled. A shard that exhausts its budget degrades the
 // run instead of failing it: the merge folds the survivors and the
-// report lists the lost shard with its exact site population.
+// report lists the lost shard with its exact site population. The merge
+// reads exactly the shards whose result files were verified, so a
+// shard that exhausted its budget stays missing whatever file it left.
 //
 // The returned error is reserved for the run being unusable — bad
-// options, a poisoned plan, corrupt (not absent) shard results, or
-// cancellation. Missing shards are data (Report.Partial), not errors.
+// options, a poisoned plan, a result file written for another run, a
+// verified result whose lines fail the merge's checks, or cancellation.
+// Missing shards are data (Report.Partial), not errors.
 func Supervise(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, det pipeline.Detector, opts Options) (*pipeline.Result, *Report, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, nil, err
@@ -142,16 +146,8 @@ func Supervise(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profi
 		return nil, nil, fmt.Errorf("shard: create dir: %w", err)
 	}
 
-	// The header each shard's worker writes: a result is reused or
-	// trusted only under it.
-	want := make([]crawler.Header, opts.Shards)
 	pin := pipeline.DetectPin(det)
-	for s := range want {
-		copts := opts.Crawl
-		copts.Shard, copts.Shards = s, opts.Shards
-		want[s] = crawler.NewHeader(eco, profile, copts, pin)
-	}
-	plan, done, err := preparePlan(eco, opts, want)
+	plan, done, err := preparePlan(eco, profile, pin, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -163,11 +159,11 @@ func Supervise(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profi
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			if done[s] != nil {
-				outcomes[s] = shardOutcome{shard: s, result: done[s]}
+			if done[s] {
+				outcomes[s] = shardOutcome{shard: s, done: true}
 				return
 			}
-			outcomes[s] = superviseShard(ctx, eco, profile, det, opts, clock, s, want[s])
+			outcomes[s] = superviseShard(ctx, eco, profile, det, opts, clock, plan, s, pin)
 		}(s)
 	}
 	wg.Wait()
@@ -175,11 +171,8 @@ func Supervise(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profi
 		return nil, nil, err
 	}
 
-	var results []*Result
 	for i := range outcomes {
-		out := &outcomes[i]
-		if out.result != nil {
-			results = append(results, out.result)
+		if outcomes[i].done {
 			o.Count(obs.MetricShardsCompleted, 1)
 			o.Count(obs.MetricShardDigests, 1)
 		} else {
@@ -188,7 +181,7 @@ func Supervise(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profi
 	}
 
 	sp := o.StartSpan(obs.StageMerge, "merge", 0)
-	res, report, err := Merge(eco, profile, plan, results)
+	res, report, err := merge(eco, profile, plan, opts.Dir, func(s int) bool { return outcomes[s].done })
 	if err != nil {
 		return nil, nil, err
 	}
@@ -230,17 +223,17 @@ func Supervise(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profi
 }
 
 // preparePlan writes (or validates) the plan manifest, clears stale
-// shard state under Fresh, and otherwise returns each shard's verified
-// result, by shard, for reuse. A result written under another header
-// than want — the one this run's worker would write — fails the run
-// before any worker starts: merging it would mix two studies.
-func preparePlan(eco *webgen.Ecosystem, opts Options, want []crawler.Header) (*Plan, []*Result, error) {
+// shard state under Fresh, and otherwise reports, by shard, whether a
+// verified result is there to reuse. A result written under another
+// header than this run's worker would write fails the run before any
+// worker starts: merging it would mix two studies.
+func preparePlan(eco *webgen.Ecosystem, profile browser.Profile, pin string, opts Options) (*Plan, []bool, error) {
 	plan, err := NewPlan(eco, opts.Shards)
 	if err != nil {
 		return nil, nil, err
 	}
 	plan.FaultPin = opts.Crawl.FaultPin(eco)
-	done := make([]*Result, opts.Shards)
+	done := make([]bool, opts.Shards)
 	if opts.Fresh {
 		for s := 0; s < opts.Shards; s++ {
 			os.Remove(CheckpointPath(opts.Dir, s, opts.Shards))
@@ -265,15 +258,11 @@ func preparePlan(eco *webgen.Ecosystem, opts Options, want []crawler.Header) (*P
 		}
 	}
 	for s := range done {
-		rpath := ResultPath(opts.Dir, s, opts.Shards)
-		r, err := ReadResult(rpath)
-		if err != nil {
-			continue // absent or unreadable: the shard runs again
+		err := plan.verify(eco, profile, opts.Dir, s, pin)
+		if errors.Is(err, crawler.ErrOtherRun) {
+			return nil, nil, fmt.Errorf("shard: shard %d's result does not match this study: %w", s, err)
 		}
-		if r.Header != want[s] {
-			return nil, nil, fmt.Errorf("shard: %s does not match this study: written for %s, this run writes %s", rpath, r.Header, want[s])
-		}
-		done[s] = r
+		done[s] = err == nil // absent or unreadable: the shard runs again
 	}
 	if existing != nil {
 		return existing, done, nil
@@ -281,15 +270,22 @@ func preparePlan(eco *webgen.Ecosystem, opts Options, want []crawler.Header) (*P
 	return plan, done, WritePlan(opts.Dir, plan)
 }
 
+// verify checks shard s's result file under dir against the header its
+// worker writes under the plan, hashing its site lines without decoding
+// them: the supervisor's check of each attempt and of a result it reuses.
+func (p *Plan) verify(eco *webgen.Ecosystem, profile browser.Profile, dir string, s int, pin string) error {
+	_, err := crawler.ReadSealed(ResultPath(dir, s, p.Shards), p.header(eco, profile, s, pin), p.source(eco, s), nil)
+	return err
+}
+
 // superviseShard runs one shard's attempt/restart loop to completion or
-// budget exhaustion; an attempt succeeds when it leaves a verified
-// result written under want.
-func superviseShard(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, det pipeline.Detector, opts Options, clock resilience.Clock, s int, want crawler.Header) shardOutcome {
+// budget exhaustion; an attempt succeeds when it leaves a result file
+// the plan verifies under the candidate-set pin pin.
+func superviseShard(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, det pipeline.Detector, opts Options, clock resilience.Clock, plan *Plan, s int, pin string) shardOutcome {
 	out := shardOutcome{shard: s}
 	o := opts.Crawl.Obs
 	kind := strconv.Itoa(s)
 	budget := opts.maxRestarts()
-	resultPath := ResultPath(opts.Dir, s, opts.Shards)
 
 	for attempt := 1; ; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -308,18 +304,13 @@ func superviseShard(ctx context.Context, eco *webgen.Ecosystem, profile browser.
 		if err == nil {
 			// Trust nothing the worker said — only the result file it
 			// left, verified and written under this run's header.
-			r, verr := ReadResult(resultPath)
-			if verr == nil && r.Header != want {
-				verr = fmt.Errorf("shard: %s was written for %s, this run writes %s", resultPath, r.Header, want)
-			}
-			if verr == nil {
-				sp.SetN(len(r.Sites))
+			if err = plan.verify(eco, profile, opts.Dir, s, pin); err == nil {
+				sp.SetN(plan.Size(s))
 				sp.End()
-				out.result = r
+				out.done = true
 				out.err = nil
 				return out
 			}
-			err = verr
 		}
 		sp.End()
 		out.err = err

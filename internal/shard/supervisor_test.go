@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"os/exec"
 	"reflect"
 	"strings"
@@ -239,6 +240,41 @@ func TestSuperviseReusesVerifiedResults(t *testing.T) {
 	}
 	if !report.Partial || len(report.Missing) != 2 {
 		t.Errorf("fresh run under an always-kill failpoint = %+v, want both shards missing", report)
+	}
+}
+
+// TestSuperviseCorruptResultGoesMissing: a resumed supervision whose
+// directory holds one corrupt result runs that shard again; when every
+// new attempt fails, the shard is reported missing — the merge reads
+// only the shards supervision verified, never the bad file left behind.
+func TestSuperviseCorruptResultGoesMissing(t *testing.T) {
+	eco, profile, det, _ := fixture(t)
+	dir := t.TempDir()
+	if _, _, err := Supervise(context.Background(), eco, profile, det, superviseOpts(dir, 2)); err != nil {
+		t.Fatal(err)
+	}
+	path := ResultPath(dir, 1, 2)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw[:len(raw)-7], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	withFailpoint(t, func(shard, attempt int) error { return errors.New("no new attempt survives") })
+
+	resumed := superviseOpts(dir, 2)
+	resumed.Fresh = false
+	resumed.MaxRestarts = -1
+	_, report, err := Supervise(context.Background(), eco, profile, det, resumed)
+	if err != nil {
+		t.Fatalf("a corrupt result whose shard exhausted its restarts failed the run: %v", err)
+	}
+	if !report.Partial || len(report.Missing) != 1 || report.Missing[0].Shard != 1 {
+		t.Fatalf("report = %+v, want shard 1 missing", report)
+	}
+	if report.MergedSites != (&Plan{Shards: 2, Universe: len(eco.Sites)}).Size(0) {
+		t.Errorf("merged %d sites, want shard 0's", report.MergedSites)
 	}
 }
 

@@ -18,7 +18,8 @@ type WorkerConfig struct {
 	// indexes congruent to Shard mod Shards, in rank order.
 	Shard, Shards int
 	// Dir is the shard directory holding the worker's checkpoint,
-	// which it seals and renames into its result file.
+	// which the completed run seals and the worker renames into its
+	// result file.
 	Dir string
 	// Workers/DetectWorkers are the per-shard pipeline knobs, passed
 	// through to pipeline.Options.
@@ -59,10 +60,11 @@ func (s interleaveSource) At(j int) *site.Site {
 
 // RunWorker executes one shard end to end: crawl + detect + accumulate
 // over the shard's interleaved site slice, checkpointed at
-// CheckpointPath so a restart resumes instead of recrawling, and
-// finishing by sealing the checkpoint (crawler.Seal) and renaming it
-// into the shard's result file, whose path it returns. A finished
-// worker run again returns its verified result and crawls nothing.
+// CheckpointPath so a restart resumes instead of recrawling. The
+// completed run seals its checkpoint (crawler.Checkpoint.Complete),
+// which RunWorker renames into the shard's result file, whose path it
+// returns. A finished worker run again returns its verified result and
+// crawls nothing.
 //
 // The shard's population is a lazy interleaved view of the ecosystem's
 // universe — sites materialize one at a time as the crawl reaches
@@ -98,7 +100,7 @@ func RunWorker(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profi
 	opts.Resume = true
 
 	path := ResultPath(cfg.Dir, cfg.Shard, cfg.Shards)
-	if r, err := ReadResult(path); err == nil && r.Header == crawler.NewHeader(eco, profile, opts.Options, pipeline.DetectPin(det)) {
+	if _, err := crawler.ReadSealed(path, crawler.NewHeader(eco, profile, opts.Options, pipeline.DetectPin(det)), src, nil); err == nil {
 		return path, nil
 	}
 
@@ -112,9 +114,6 @@ func RunWorker(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profi
 	}
 
 	if _, err := pipeline.Run(ctx, eco, profile, det, opts); err != nil {
-		return "", err
-	}
-	if err := crawler.Seal(opts.CheckpointPath); err != nil {
 		return "", err
 	}
 	if err := os.Rename(opts.CheckpointPath, path); err != nil {

@@ -210,10 +210,11 @@ func TestShardedRunsByteIdentical(t *testing.T) {
 	})
 }
 
-// BenchmarkShardMerge measures the verified merge itself: K shard
-// results, already crawled and digest-verified, folded back into one
-// study result. This is the fixed per-run cost sharding adds over the
-// crawl, and the number BENCH_shard.json tracks.
+// BenchmarkShardMerge measures the verified merge itself: K sealed
+// shard results, already crawled, read once each — trailer checked,
+// every line decoded and checked — and folded back into one study
+// result. This is the fixed per-run cost sharding adds over the crawl,
+// and the number BENCH_shard.json tracks.
 func BenchmarkShardMerge(b *testing.B) {
 	const shards = 4
 	s, err := NewStudy(shardedConfig(41))
@@ -233,18 +234,10 @@ func BenchmarkShardMerge(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var results []*shard.Result
-	for sh := 0; sh < shards; sh++ {
-		r, err := shard.ReadResult(shard.ResultPath(dir, sh, shards))
-		if err != nil {
-			b.Fatal(err)
-		}
-		results = append(results, r)
-	}
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, rep, err := shard.Merge(s.Eco, s.Config.Browser, plan, results)
+		res, rep, err := shard.MergeDir(s.Eco, s.Config.Browser, plan, dir)
 		if err != nil {
 			b.Fatal(err)
 		}
