@@ -51,11 +51,10 @@ bench:
 	$(GO) test -json -bench '^Benchmark(E10_Table4Blocklists|EngineMatch)$$' -benchmem -run '^$$' . ./internal/blocklist/ > BENCH_table4.json
 	$(GO) test -json -bench '^Benchmark(ETLDPlusOne|CrawlTailSite)$$' -benchmem -run '^$$' ./internal/psl/ ./internal/crawler/ > BENCH_browser.json
 
-# Short fuzz smoke over every fuzzer in the module, 10s each: the
+# Short fuzz smoke over all 11 fuzzers in the module, 10s each: the
 # dataset decoder, the one checkpoint line reader (leniently as a
 # resume: torn-tail cut, index and domain refusals, reopen; strictly as
-# a sealed shard result), the shard plan reader, the
-# Aho-Corasick automaton (matches and their order against a naive
+# a sealed shard result), the Aho-Corasick automaton (matches and their order against a naive
 # search), the filter-list parser and the filter rules' literal
 # prefilter (verdicts and deciding rules against evaluating every
 # rule's regexp), the public-suffix walk (differential against the
@@ -65,7 +64,6 @@ bench:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime 10s ./internal/crawler/
 	$(GO) test -run '^$$' -fuzz FuzzOpenCheckpoint -fuzztime 10s ./internal/crawler/
-	$(GO) test -run '^$$' -fuzz FuzzParsePlan -fuzztime 10s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz FuzzParseResult -fuzztime 10s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz FuzzMatcherMatchesNaive -fuzztime 10s ./internal/ahocorasick/
 	$(GO) test -run '^$$' -fuzz FuzzParseList -fuzztime 10s ./internal/blocklist/

@@ -35,8 +35,6 @@ func TestRunOptionDefaults(t *testing.T) {
 			func(rc runConfig) any { return rc.opts.Workers }},
 		{"WithWorkers/detect", WithWorkers(5, 6), 0, 6,
 			func(rc runConfig) any { return rc.opts.DetectWorkers }},
-		{"WithBuffer", WithBuffer(4), 0, 4,
-			func(rc runConfig) any { return rc.opts.Buffer }},
 		{"WithCheckpoint", WithCheckpoint("ck.jsonl"), "", "ck.jsonl",
 			func(rc runConfig) any { return rc.opts.CheckpointPath }},
 		{"WithResume", WithResume(nil), false, true,

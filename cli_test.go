@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -206,6 +207,59 @@ func TestShardWorkerManifest(t *testing.T) {
 	}
 	if m.Manifest.Run != want {
 		t.Errorf("worker manifest run = %+v, want %+v", m.Manifest.Run, want)
+	}
+}
+
+// TestSupervisedResumeRefusesOtherBrowser kills nothing but leaves what
+// killed workers leave: each shard's checkpoint, its header and first 10
+// site lines. A -resume under another browser must fail before any
+// worker starts, naming the mismatch and writing no output; a -resume
+// under the same flags must finish to the -stream run's leak bytes.
+func TestSupervisedResumeRefusesOtherBrowser(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := t.TempDir()
+	run := buildTools(t, dir, "piicrawl")
+	shards := filepath.Join(dir, "shards")
+	run("piicrawl", "-small", "-seed", "7", "-shards", "2", "-supervise", "-shard-dir", shards)
+	for s := 0; s < 2; s++ {
+		result := filepath.Join(shards, fmt.Sprintf("shard-%d-of-2.jsonl", s))
+		data, err := os.ReadFile(result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := bytes.SplitAfter(data, []byte("\n"))
+		if err := os.WriteFile(filepath.Join(shards, fmt.Sprintf("ckpt-%d-of-2", s)), bytes.Join(lines[:11], nil), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(result); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	brave := filepath.Join(dir, "brave.json")
+	cmd := exec.Command(filepath.Join(dir, "piicrawl"), "-small", "-seed", "7", "-shards", "2", "-supervise", "-resume",
+		"-browser", "brave", "-shard-dir", shards, "-o", brave)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 || !strings.Contains(stderr.String(), "does not match this study") {
+		t.Errorf("Brave resume of Firefox checkpoints: exit %v, stderr %q; want exit 1 naming the mismatch", err, stderr.String())
+	}
+	if _, err := os.Stat(brave); !os.IsNotExist(err) {
+		t.Errorf("refused resume wrote %s (stat: %v)", brave, err)
+	}
+
+	streamed, resumed := filepath.Join(dir, "streamed.json"), filepath.Join(dir, "resumed.json")
+	run("piicrawl", "-small", "-seed", "7", "-stream", "-o", streamed)
+	run("piicrawl", "-small", "-seed", "7", "-shards", "2", "-supervise", "-resume", "-shard-dir", shards, "-o", resumed)
+	want, err := os.ReadFile(streamed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(resumed); err != nil || len(want) == 0 || !bytes.Equal(got, want) {
+		t.Errorf("resumed leak list (%d bytes, err %v) differs from the %d-byte -stream one", len(got), err, len(want))
 	}
 }
 

@@ -12,10 +12,6 @@
 //	piilint -stats ./...               # analyzed/cached counts on stderr
 //	piilint -list                      # describe the suite
 //
-// As a vet tool (the go/analysis unitchecker protocol):
-//
-//	go vet -vettool=$(which piilint) ./...
-//
 // Findings print as file:line:col: analyzer: message, in one canonical
 // order (file, line, column, analyzer, message) regardless of worker
 // count or cache state. Suppress a deliberate exception with a trailing
@@ -27,7 +23,6 @@
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -38,21 +33,6 @@ import (
 	"piileak/internal/analysis"
 	"piileak/internal/analysis/suite"
 )
-
-// printVersion emits the version line the go vet driver hashes into
-// its build cache key; the buildID must change when the binary does,
-// so it is a digest of the executable itself.
-func printVersion() {
-	name := filepath.Base(os.Args[0])
-	id := "unknown"
-	if exe, err := os.Executable(); err == nil {
-		if data, err := os.ReadFile(exe); err == nil {
-			sum := sha256.Sum256(data)
-			id = fmt.Sprintf("%x", sum[:])
-		}
-	}
-	fmt.Printf("%s version devel comments-go-here buildID=%s\n", name, id)
-}
 
 // jsonFinding is one -json output line; the field order here is the
 // byte order in the output.
@@ -73,23 +53,6 @@ type jsonSummary struct {
 }
 
 func main() {
-	// The go vet driver probes the tool before handing it work.
-	if len(os.Args) == 2 {
-		switch {
-		case os.Args[1] == "-V=full":
-			// The go command derives a cache key from this exact
-			// shape: "<name> version devel ... buildID=<hash>".
-			printVersion()
-			return
-		case os.Args[1] == "-flags":
-			fmt.Println("[]")
-			return
-		case strings.HasSuffix(os.Args[1], ".cfg"):
-			vetUnit(os.Args[1])
-			return
-		}
-	}
-
 	list := flag.Bool("list", false, "describe the analyzers and exit")
 	workers := flag.Int("workers", 0, "concurrent package analyses (0 = GOMAXPROCS, 1 = sequential)")
 	cacheDir := flag.String("cache", "", "content-keyed result cache directory (empty = no cache)")

@@ -97,7 +97,7 @@ func (c *Cache) Get(key, pkgPath string) (*PackageResult, error) {
 	if e.Schema != cacheSchema || e.Key != key || e.PkgPath != pkgPath {
 		return nil, nil
 	}
-	facts, err := DecodeFactSet(pkgPath, e.Facts)
+	facts, err := decodeFactSet(pkgPath, e.Facts)
 	if err != nil {
 		return nil, nil
 	}

@@ -107,7 +107,7 @@ func (d *Driver) Run(g *Graph, analyzers []*Analyzer) ([]Finding, *Stats, error)
 		if err != nil {
 			return nil, "", false, err
 		}
-		res, err := AnalyzePackage(pkg, analyzers, n.depFacts)
+		res, err := analyzePackage(pkg, analyzers, n.depFacts)
 		if err != nil {
 			return nil, "", false, err
 		}

@@ -15,8 +15,7 @@ import (
 // reason interprocedurally: "this function transitively reads the wall
 // clock", "this function forwards parameter 0 to a log sink". Facts are
 // gob-encoded at export time — even within one process — so the in-memory
-// driver, the on-disk cache and the go vet unitchecker (vetx files) all
-// exchange exactly the same representation.
+// driver and the on-disk cache exchange exactly the same representation.
 //
 // Fact types must be pointers to structs and should implement String();
 // analysistest matches `// want fact:"..."` patterns against that
@@ -56,7 +55,7 @@ func NewFactSet(pkgPath string) *FactSet {
 }
 
 // factRecord is the serialized form of one fact, used by Encode/Decode
-// (cache entries and vetx files).
+// (cache entries).
 type factRecord struct {
 	Analyzer string
 	Object   string
@@ -100,8 +99,7 @@ func (fs *FactSet) Hash() [32]byte {
 	return out
 }
 
-// Encode serializes the set (deterministically) for a cache entry or a
-// vetx file.
+// Encode serializes the set (deterministically) for a cache entry.
 func (fs *FactSet) Encode() ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(fs.records()); err != nil {
@@ -110,8 +108,8 @@ func (fs *FactSet) Encode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeFactSet reconstructs a fact set serialized by Encode.
-func DecodeFactSet(pkgPath string, data []byte) (*FactSet, error) {
+// decodeFactSet reconstructs a fact set serialized by Encode.
+func decodeFactSet(pkgPath string, data []byte) (*FactSet, error) {
 	var recs []factRecord
 	if len(data) > 0 {
 		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&recs); err != nil {

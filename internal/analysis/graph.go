@@ -108,7 +108,7 @@ func LoadGraph(dir string, patterns ...string) (*Graph, error) {
 // driver analyze independent packages concurrently.
 func (g *Graph) load(node *GraphPackage) (*Package, error) {
 	fset := token.NewFileSet()
-	imp := ExportImporter(fset, g.exports)
+	imp := exportImporter(fset, g.exports)
 	return checkPackage(fset, imp, node.PkgPath, node.Dir, node.GoFiles)
 }
 

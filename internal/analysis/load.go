@@ -102,7 +102,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
 
 	fset := token.NewFileSet()
-	imp := ExportImporter(fset, exports)
+	imp := exportImporter(fset, exports)
 	var pkgs []*Package
 	for _, t := range targets {
 		pkg, err := checkPackage(fset, imp, t.ImportPath, t.Dir, t.GoFiles)
@@ -232,8 +232,8 @@ func loadDirInto(fset *token.FileSet, local map[string]*types.Package, dir strin
 	}
 
 	pkgPath := syntax[0].Name.Name
-	info := NewInfo()
-	conf := types.Config{Importer: overrideImporter{local: local, base: ExportImporter(fset, exports)}}
+	info := newInfo()
+	conf := types.Config{Importer: overrideImporter{local: local, base: exportImporter(fset, exports)}}
 	tpkg, err := conf.Check(pkgPath, fset, syntax, info)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: type-checking %s: %w", dir, err)
@@ -248,10 +248,10 @@ func loadDirInto(fset *token.FileSet, local map[string]*types.Package, dir strin
 	}, nil
 }
 
-// ExportImporter returns a gc-export-data importer whose lookup is a
+// exportImporter returns a gc-export-data importer whose lookup is a
 // map from import path to export-data file (as produced by
 // `go list -export`).
-func ExportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
+func exportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
 	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := exports[path]
 		if !ok {
@@ -276,7 +276,7 @@ func checkPackage(fset *token.FileSet, imp types.Importer, pkgPath, dir string, 
 		syntax = append(syntax, f)
 		abs = append(abs, path)
 	}
-	info := NewInfo()
+	info := newInfo()
 	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(pkgPath, fset, syntax, info)
 	if err != nil {
@@ -288,8 +288,8 @@ func checkPackage(fset *token.FileSet, imp types.Importer, pkgPath, dir string, 
 	}, nil
 }
 
-// NewInfo allocates a types.Info with every map the analyzers read.
-func NewInfo() *types.Info {
+// newInfo allocates a types.Info with every map the analyzers read.
+func newInfo() *types.Info {
 	return &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Uses:       map[*ast.Ident]types.Object{},

@@ -29,10 +29,10 @@ type PackageResult struct {
 	Facts      *FactSet
 }
 
-// AnalyzePackage applies every analyzer to one package, with deps
+// analyzePackage applies every analyzer to one package, with deps
 // supplying the fact sets of the package's dependencies. Findings are
 // filtered through the //lint:allow index and sorted.
-func AnalyzePackage(pkg *Package, analyzers []*Analyzer, deps FactReader) (*PackageResult, error) {
+func analyzePackage(pkg *Package, analyzers []*Analyzer, deps FactReader) (*PackageResult, error) {
 	res := &PackageResult{PkgPath: pkg.PkgPath, Facts: NewFactSet(pkg.PkgPath)}
 	idx := buildAllowIndex(pkg.Fset, pkg.Syntax)
 	for _, d := range idx.malformed {
@@ -99,7 +99,7 @@ func RunPackages(pkgs []*Package, analyzers []*Analyzer) ([]*PackageResult, erro
 	deps := FactReader{}
 	var results []*PackageResult
 	for _, pkg := range pkgs {
-		res, err := AnalyzePackage(pkg, analyzers, deps)
+		res, err := analyzePackage(pkg, analyzers, deps)
 		if err != nil {
 			return nil, err
 		}

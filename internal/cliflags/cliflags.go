@@ -87,7 +87,7 @@ type Common struct {
 	// ("i" with -shards, or the self-contained "i/K" form) to run as a
 	// single worker; Supervise runs all K under the self-healing
 	// supervisor and merges. ShardDir is the shard working directory
-	// (plan, one checkpoint or sealed result per shard, report).
+	// (one checkpoint or sealed result per shard, and the report).
 	// Reexec makes the supervisor run workers as re-execed
 	// subprocesses, watched by the StallTimeout checkpoint-growth
 	// watchdog; MaxRestarts caps per-shard restarts (0 = default 2,
@@ -131,7 +131,7 @@ func Register(fs *flag.FlagSet) *Common {
 	fs.IntVar(&c.Shards, "shards", 0, "shard the study into K independent failure domains (0 = unsharded)")
 	fs.StringVar(&c.Shard, "shard", "", "run one shard worker: index i (with -shards), or the self-contained i/K form")
 	fs.BoolVar(&c.Supervise, "supervise", false, "run all -shards workers under the self-healing supervisor and merge")
-	fs.StringVar(&c.ShardDir, "shard-dir", "", "shard working directory (plan, one checkpoint or sealed result per shard, report)")
+	fs.StringVar(&c.ShardDir, "shard-dir", "", "shard working directory (one checkpoint or sealed result per shard, and the report)")
 	fs.BoolVar(&c.Reexec, "reexec", false, "supervisor runs shard workers as re-execed subprocesses")
 	fs.DurationVar(&c.StallTimeout, "stall-timeout", 0, "kill a re-execed worker whose checkpoint stops growing for this long (0 disables)")
 	fs.IntVar(&c.MaxRestarts, "max-restarts", 0, "per-shard restart budget (0 = default 2, negative = never restart)")
@@ -222,7 +222,7 @@ func (c *Common) validateShards() error {
 		return nil
 	}
 	if c.ShardDir == "" {
-		return fmt.Errorf("sharded runs need -shard-dir for the plan, checkpoints and results")
+		return fmt.Errorf("sharded runs need -shard-dir for their checkpoints, results and report")
 	}
 	if c.Only != "" {
 		return fmt.Errorf("-shards and -only are contradictory: the shard plan partitions the full site universe")

@@ -212,13 +212,14 @@ func (c *Checkpoint) load(want *Header, add func(SiteResult)) (loaded bool, err 
 	return true, nil
 }
 
-// ErrOtherRun marks a sealed file whose header is not the one the
-// reader expects: it holds another run's sites.
+// ErrOtherRun marks a checkpoint or sealed file whose header is not the
+// one the reader expects: it holds another run's sites.
 var ErrOtherRun = errors.New("written for another run")
 
 // scan is the one checkpoint line reader. It reads the header, which
-// must be of this version and equal want, then the site lines in file
-// order, counting and hashing each. With add, each is decoded, checked
+// must be of this version and equal want (ErrOtherRun), then the site
+// lines in file order, counting and hashing each; a lenient scan
+// without add reads no site line. With add, each is decoded, checked
 // (check) and handed to add. keep is the byte length of the prefix
 // through the last site line and nl whether it ends in a newline; keep
 // is 0 when the first line is blank. Leniently — a resume — the first
@@ -250,10 +251,13 @@ func (c *Checkpoint) scan(r *bufio.Reader, want *Header, strict bool, add func(S
 		if strict {
 			return hdr, 0, false, c.wrap(fmt.Errorf("%w: %s, this run writes %s", ErrOtherRun, hdr, *want))
 		}
-		return hdr, 0, false, c.wrap(fmt.Errorf("written for %s, resume requested for %s: re-run without resuming to replace it", hdr, *want))
+		return hdr, 0, false, c.wrap(fmt.Errorf("%w (%s), resume requested for %s: re-run without resuming to replace it", ErrOtherRun, hdr, *want))
 	}
 	size := int64(len(line))
 	keep, nl = size, err == nil
+	if !strict && add == nil {
+		return hdr, keep, nl, nil // CheckResume reads the header alone
+	}
 	var tail []byte // the first non-blank line that is not a site; without add, the last non-blank line
 	for err == nil {
 		if line, err = r.ReadBytes('\n'); err != nil && err != io.EOF {
@@ -351,6 +355,25 @@ func ReadSealed(path string, want Header, src site.Source, fold func(SiteResult)
 	hdr, _, _, err := c.scan(bufio.NewReaderSize(f, 64<<10), &want, true, fold)
 	f.Close()
 	return hdr, err
+}
+
+// CheckResume reads the header line of the checkpoint at path and
+// refuses it as a resume under want would: malformed, of another
+// format version, or another run's (ErrOtherRun). It reads no site
+// line. A missing file, or one whose first line is blank, passes: a
+// resume starts it fresh.
+func CheckResume(path string, want Header) error {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("crawler: %w", err)
+	}
+	c := &Checkpoint{path: path}
+	_, _, _, err = c.scan(bufio.NewReader(f), &want, false, nil)
+	f.Close()
+	return err
 }
 
 // Append persists one finished site: its line is written whole before

@@ -72,6 +72,8 @@ func FuzzOpenCheckpoint(f *testing.F) {
 	profile := browser.Firefox88()
 	src := site.Slice{{Domain: "a.example"}, {Domain: "b.example"}, {Domain: "c.example"}, {Domain: "d.example"}}
 
+	// A fuzz process runs its inputs one at a time, so they share a path.
+	path := filepath.Join(f.TempDir(), "crawl.ckpt")
 	f.Fuzz(func(t *testing.T, foreign bool, body []byte) {
 		hdrEco := eco
 		if foreign {
@@ -82,7 +84,6 @@ func FuzzOpenCheckpoint(f *testing.F) {
 			t.Fatal(err)
 		}
 		file := append(append(header, '\n'), body...)
-		path := filepath.Join(t.TempDir(), "crawl.ckpt")
 		if err := os.WriteFile(path, file, 0o644); err != nil {
 			t.Fatal(err)
 		}

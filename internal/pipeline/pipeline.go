@@ -58,9 +58,6 @@ type Options struct {
 	// DetectWorkers sets the detection stage's parallelism; <= 0 means
 	// one worker.
 	DetectWorkers int
-	// Buffer is the capture channel's capacity; <= 0 selects 2. Together
-	// with the worker counts it bounds the captures in flight.
-	Buffer int
 	// Progress, when set, receives per-stage completion events. It is
 	// never called concurrently.
 	Progress func(Event)
@@ -78,11 +75,16 @@ func (o Options) Validate() error {
 	if o.DetectWorkers < 0 {
 		return fmt.Errorf("pipeline: negative DetectWorkers %d", o.DetectWorkers)
 	}
-	if o.Buffer < 0 {
-		return fmt.Errorf("pipeline: negative Buffer %d", o.Buffer)
-	}
 	return nil
 }
+
+// captureBuffer is the capacity of the captures channel (and of the
+// detect outputs channel): two sites, so a crawl worker can hand a
+// capture off while every detect worker is busy, without letting a
+// lagging detection stage pile up records. With the worker counts it
+// bounds the captures in flight: crawl workers + captureBuffer + detect
+// workers.
+const captureBuffer = 2
 
 // Event is one progress tick from a pipeline stage.
 type Event struct {
@@ -198,10 +200,6 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, de
 	if detectWorkers <= 0 {
 		detectWorkers = 1
 	}
-	buffer := opts.Buffer
-	if buffer <= 0 {
-		buffer = 2
-	}
 
 	var (
 		progressMu sync.Mutex
@@ -265,8 +263,8 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, de
 	defer cancel()
 
 	var g obs.Watermark
-	captures := make(chan crawler.SiteResult, buffer)
-	outputs := make(chan crawler.SiteResult, buffer)
+	captures := make(chan crawler.SiteResult, captureBuffer)
+	outputs := make(chan crawler.SiteResult, captureBuffer)
 
 	// Stage 1: crawl. Emissions block on the captures channel, which is
 	// the backpressure that bounds the pipeline's in-flight state.

@@ -87,15 +87,15 @@ func TestMemoryBound(t *testing.T) {
 	eco, profile, det := fixture(t, 29)
 
 	for _, tc := range []struct {
-		name                          string
-		crawlW, detectW, buffer, want int
+		name                  string
+		crawlW, detectW, want int
 	}{
-		{"serial", 0, 0, 0, 1 + 2 + 1},
-		{"parallel", 4, 2, 2, 4 + 2 + 2},
-		{"wide", 8, 4, 1, 8 + 1 + 4},
+		{"serial", 0, 0, 1 + captureBuffer + 1},
+		{"parallel", 4, 2, 4 + captureBuffer + 2},
+		{"wide", 8, 4, 8 + captureBuffer + 4},
 	} {
 		res, err := Run(context.Background(), eco, profile, det, Options{
-			Options: crawler.Options{Workers: tc.crawlW}, DetectWorkers: tc.detectW, Buffer: tc.buffer,
+			Options: crawler.Options{Workers: tc.crawlW}, DetectWorkers: tc.detectW,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

@@ -106,60 +106,3 @@ func FuzzParseResult(f *testing.F) {
 		}
 	})
 }
-
-// FuzzParsePlan hardens the plan reader the same way: arbitrary bytes
-// yield exactly one of (plan, error), and any accepted plan is a
-// structurally coherent schema-2 manifest — legacy schema-1 plans with
-// materialized assignment lists must be rejected, never upgraded.
-func FuzzParsePlan(f *testing.F) {
-	p := &Plan{Schema: PlanSchema, EcoSeed: 7, Shards: 2, Universe: 5, Interleave: "rank-mod-shards"}
-	good, err := p.Marshal()
-	if err != nil {
-		f.Fatal(err)
-	}
-	if _, err := parsePlan(good); err != nil {
-		f.Fatalf("seed corpus does not parse: %v", err)
-	}
-	f.Add(good)
-	f.Add([]byte{})
-	f.Add([]byte("{}"))
-	f.Add(good[:len(good)/2]) // torn tail
-	// A legacy schema-1 plan, complete with its materialized
-	// assignments — must be a clean rejection.
-	f.Add([]byte(`{"schema":1,"eco_seed":7,"shards":2,"universe":5,"assignments":[{"shard":0,"indexes":[0,2,4],"domains":["a.example","c.example","e.example"]},{"shard":1,"indexes":[1,3],"domains":["b.example","d.example"]}]}`))
-	f.Add(bytes.Replace(good, []byte(`"shards": 2`), []byte(`"shards": 0`), 1))
-	f.Add(bytes.Replace(good, []byte(`"universe": 5`), []byte(`"universe": 0`), 1))
-	f.Add(bytes.Replace(good, []byte("rank-mod-shards"), []byte("round-robin"), 1))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := parsePlan(data)
-		if (p == nil) == (err == nil) {
-			t.Fatalf("parsePlan: p=%v err=%v — exactly one must be nil", p, err)
-		}
-		if p == nil {
-			return
-		}
-		if p.Schema != PlanSchema || p.Shards < 1 || p.Universe < 1 {
-			t.Fatalf("accepted plan with invalid shape %+v", p)
-		}
-		if p.Interleave != planInterleave {
-			t.Fatalf("accepted plan with interleave %q", p.Interleave)
-		}
-		total := 0
-		for s := 0; s < p.Shards; s++ {
-			ix := p.Indexes(s)
-			if len(ix) != p.Size(s) {
-				t.Fatalf("shard %d: %d indexes, Size says %d", s, len(ix), p.Size(s))
-			}
-			for j, i := range ix {
-				if i != s+j*p.Shards || i >= p.Universe {
-					t.Fatalf("broken interleave: shard %d pos %d index %d", s, j, i)
-				}
-			}
-			total += len(ix)
-		}
-		if total != p.Universe {
-			t.Fatalf("plan covers %d of %d sites", total, p.Universe)
-		}
-	})
-}

@@ -62,23 +62,31 @@ type MissingShard struct {
 // ReportPath is the merge report's location under a shard directory.
 func ReportPath(dir string) string { return filepath.Join(dir, "report.json") }
 
-// ResultPath is shard s-of-K's result file under a shard directory: its
-// checkpoint, sealed and renamed.
+// The names of shard s-of-K's checkpoint and of its result file — the
+// checkpoint, sealed and renamed — under a shard directory.
+const (
+	checkpointName = "ckpt-%d-of-%d"
+	resultName     = "shard-%d-of-%d.jsonl"
+)
+
+// ResultPath is shard s-of-K's result file under a shard directory.
 func ResultPath(dir string, shard, shards int) string {
-	return filepath.Join(dir, fmt.Sprintf("shard-%d-of-%d.jsonl", shard, shards))
+	return filepath.Join(dir, fmt.Sprintf(resultName, shard, shards))
 }
 
 // CheckpointPath is shard s-of-K's checkpoint under a shard directory.
 func CheckpointPath(dir string, shard, shards int) string {
-	return filepath.Join(dir, fmt.Sprintf("ckpt-%d-of-%d", shard, shards))
+	return filepath.Join(dir, fmt.Sprintf(checkpointName, shard, shards))
 }
 
-// MergeDir merges the shard results under dir per the plan (merge). A
-// shard with no result file is missing; a file that exists but fails
-// verification (a trailer mismatch, a torn tail, another run's header)
-// is an error: corruption must never be silently dropped as "missing".
+// MergeDir merges the shard results under dir per the plan (merge),
+// each read under the header a worker writes at the default retry
+// policy and no site timeout. A shard with no result file is missing; a
+// file that exists but fails verification (a trailer mismatch, a torn
+// tail, another run's header) is an error: corruption must never be
+// silently dropped as "missing".
 func MergeDir(eco *webgen.Ecosystem, profile browser.Profile, plan *Plan, dir string) (*pipeline.Result, *Report, error) {
-	return merge(eco, profile, plan, dir, func(s int) bool {
+	return merge(eco, profile, plan, dir, crawler.Options{}, func(s int) bool {
 		_, err := os.Stat(ResultPath(dir, s, plan.Shards))
 		return err == nil
 	})
@@ -92,16 +100,16 @@ func MergeDir(eco *webgen.Ecosystem, profile browser.Profile, plan *Plan, dir st
 // unsharded run's when all shards are present.
 //
 // Each file is read once, through crawler.ReadSealed: its header must
-// be the one a worker of this plan writes — browser, seeds, universe,
-// shard coordinates and fault settings — with the candidate-set pin of
-// the first shard read, since the merge has no detector; its trailer
-// must match its lines; and each line is decoded once, checked against
-// the shard's sites and folded. A missing shard degrades the merge
-// instead of failing it: its sites are not folded, and the report lists
-// them under Missing with Partial set.
-func merge(eco *webgen.Ecosystem, profile browser.Profile, plan *Plan, dir string, read func(s int) bool) (*pipeline.Result, *Report, error) {
-	if err := plan.Verify(eco); err != nil {
-		return nil, nil, err
+// be the one its worker writes under crawl (workerHeader) — browser,
+// seeds, universe, shard coordinates and fault settings — with the
+// candidate-set pin of the first shard read, since the merge has no
+// detector; its trailer must match its lines; and each line is decoded
+// once, checked against the shard's sites and folded. A missing shard
+// degrades the merge instead of failing it: its sites are not folded,
+// and the report lists them under Missing with Partial set.
+func merge(eco *webgen.Ecosystem, profile browser.Profile, plan *Plan, dir string, crawl crawler.Options, read func(s int) bool) (*pipeline.Result, *Report, error) {
+	if n := eco.Universe().Len(); plan.Universe != n {
+		return nil, nil, fmt.Errorf("shard: plan partitions %d sites, the ecosystem has %d", plan.Universe, n)
 	}
 	acc := pipeline.NewAccumulator(plan.Universe)
 	report := &Report{Schema: ReportSchema, Shards: plan.Shards}
@@ -114,7 +122,7 @@ func merge(eco *webgen.Ecosystem, profile browser.Profile, plan *Plan, dir strin
 			})
 			continue
 		}
-		hdr, err := crawler.ReadSealed(ResultPath(dir, s, plan.Shards), plan.header(eco, profile, s, pin), plan.source(eco, s), func(r crawler.SiteResult) {
+		hdr, err := crawler.ReadSealed(ResultPath(dir, s, plan.Shards), workerHeader(eco, profile, crawl, s, plan.Shards, pin), plan.source(eco, s), func(r crawler.SiteResult) {
 			r.Index = s + r.Index*plan.Shards
 			acc.Add(r)
 		})

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"time"
@@ -30,9 +32,9 @@ var WorkerFailpoint func(shard, attempt int) error
 type Options struct {
 	// Shards is K, the number of independent failure domains.
 	Shards int
-	// Dir is the shard working directory: plan.json, one file per
-	// shard — its checkpoint, sealed into its result when the shard
-	// finishes — and report.json all live here.
+	// Dir is the shard working directory: one file per shard — its
+	// checkpoint, sealed into its result when the shard finishes — and
+	// report.json live here.
 	Dir string
 	// Workers/DetectWorkers are each shard worker's pipeline knobs.
 	Workers, DetectWorkers int
@@ -57,9 +59,10 @@ type Options struct {
 	// nil selects the wall clock; tests inject a VirtualClock so
 	// supervision is instant and deterministic.
 	Clock resilience.Clock
-	// Fresh clears each shard's previous checkpoint and result before
-	// running. The default resumes: verified results are reused without
-	// re-crawling, checkpoints continue where they stopped.
+	// Fresh clears the directory's checkpoints and results, of every
+	// shard count, before running. The default resumes: verified
+	// results are reused without re-crawling, checkpoints continue where
+	// they stopped.
 	Fresh bool
 	// Command, when set, selects subprocess mode: each worker attempt
 	// runs Command(shard) — typically piicrawl re-execed with
@@ -128,9 +131,10 @@ type shardOutcome struct {
 // shard that exhausted its budget stays missing whatever file it left.
 //
 // The returned error is reserved for the run being unusable — bad
-// options, a poisoned plan, a result file written for another run, a
-// verified result whose lines fail the merge's checks, or cancellation.
-// Missing shards are data (Report.Partial), not errors.
+// options, a resumed directory holding another shard count's files or a
+// shard file written for another run, a verified result whose lines
+// fail the merge's checks, or cancellation. Missing shards are data
+// (Report.Partial), not errors.
 func Supervise(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, det pipeline.Detector, opts Options) (*pipeline.Result, *Report, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, nil, err
@@ -146,8 +150,12 @@ func Supervise(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profi
 		return nil, nil, fmt.Errorf("shard: create dir: %w", err)
 	}
 
+	plan, err := NewPlan(eco, opts.Shards)
+	if err != nil {
+		return nil, nil, err
+	}
 	pin := pipeline.DetectPin(det)
-	plan, done, err := preparePlan(eco, profile, pin, opts)
+	done, err := prepare(eco, profile, plan, pin, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -181,7 +189,7 @@ func Supervise(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profi
 	}
 
 	sp := o.StartSpan(obs.StageMerge, "merge", 0)
-	res, report, err := merge(eco, profile, plan, opts.Dir, func(s int) bool { return outcomes[s].done })
+	res, report, err := merge(eco, profile, plan, opts.Dir, opts.Crawl, func(s int) bool { return outcomes[s].done })
 	if err != nil {
 		return nil, nil, err
 	}
@@ -222,70 +230,82 @@ func Supervise(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profi
 	return res, report, nil
 }
 
-// preparePlan writes (or validates) the plan manifest, clears stale
-// shard state under Fresh, and otherwise reports, by shard, whether a
-// verified result is there to reuse. A result written under another
-// header than this run's worker would write fails the run before any
-// worker starts: merging it would mix two studies.
-func preparePlan(eco *webgen.Ecosystem, profile browser.Profile, pin string, opts Options) (*Plan, []bool, error) {
-	plan, err := NewPlan(eco, opts.Shards)
+// prepare readies the shard directory before any worker starts. Fresh
+// clears every checkpoint and result in it, of any shard count. A
+// resume refuses a directory holding another shard count's files, and
+// checks every shard file present against the header the shard's
+// worker writes: a checkpoint by its header line, a result whole. A
+// file written for another run fails the run — resuming or merging it
+// would mix two studies. prepare reports, by shard, whether a verified
+// result is there to reuse.
+func prepare(eco *webgen.Ecosystem, profile browser.Profile, plan *Plan, pin string, opts Options) ([]bool, error) {
+	files, err := shardFiles(opts.Dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	plan.FaultPin = opts.Crawl.FaultPin(eco)
 	done := make([]bool, opts.Shards)
 	if opts.Fresh {
-		for s := 0; s < opts.Shards; s++ {
-			os.Remove(CheckpointPath(opts.Dir, s, opts.Shards))
-			os.Remove(ResultPath(opts.Dir, s, opts.Shards))
+		for _, f := range files {
+			os.Remove(f.path)
 		}
-		return plan, done, WritePlan(opts.Dir, plan)
+		return done, nil
 	}
-	path := PlanPath(opts.Dir)
-	existing, err := ReadPlan(path)
-	if err == nil {
-		// A resumed run must be resuming THIS study: same partition,
-		// same seeds, same universe, same fault settings.
-		err := existing.Verify(eco)
-		if err == nil && existing.FaultPin != plan.FaultPin {
-			err = fmt.Errorf("plan crawls with %s, this run with %s", existing.FaultPin.Summary(), plan.FaultPin.Summary())
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("shard: %s does not match this study: %w", path, err)
-		}
-		if existing.Shards != opts.Shards {
-			return nil, nil, fmt.Errorf("shard: %s plans %d shards, run wants %d — use a fresh dir or matching -shards", path, existing.Shards, opts.Shards)
+	for _, f := range files {
+		if f.shards != opts.Shards {
+			return nil, fmt.Errorf("shard: %s is a file of a %d-shard run, this run has %d — use a fresh dir or matching -shards", f.path, f.shards, opts.Shards)
 		}
 	}
 	for s := range done {
-		err := plan.verify(eco, profile, opts.Dir, s, pin)
-		if errors.Is(err, crawler.ErrOtherRun) {
-			return nil, nil, fmt.Errorf("shard: shard %d's result does not match this study: %w", s, err)
-		}
+		want := workerHeader(eco, profile, opts.Crawl, s, opts.Shards, pin)
+		_, err := crawler.ReadSealed(ResultPath(opts.Dir, s, opts.Shards), want, plan.source(eco, s), nil)
 		done[s] = err == nil // absent or unreadable: the shard runs again
+		if !errors.Is(err, crawler.ErrOtherRun) {
+			err = crawler.CheckResume(CheckpointPath(opts.Dir, s, opts.Shards), want)
+		}
+		if errors.Is(err, crawler.ErrOtherRun) {
+			return nil, fmt.Errorf("shard: shard %d does not match this study: %w", s, err)
+		}
 	}
-	if existing != nil {
-		return existing, done, nil
-	}
-	return plan, done, WritePlan(opts.Dir, plan)
+	return done, nil
 }
 
-// verify checks shard s's result file under dir against the header its
-// worker writes under the plan, hashing its site lines without decoding
-// them: the supervisor's check of each attempt and of a result it reuses.
-func (p *Plan) verify(eco *webgen.Ecosystem, profile browser.Profile, dir string, s int, pin string) error {
-	_, err := crawler.ReadSealed(ResultPath(dir, s, p.Shards), p.header(eco, profile, s, pin), p.source(eco, s), nil)
-	return err
+// shardFile is a checkpoint or result under a shard directory, and the
+// shard count of the run whose worker writes it.
+type shardFile struct {
+	path   string
+	shards int
+}
+
+// shardFiles lists the checkpoints and results under dir, of every
+// shard count, in name order. A name that only resembles one, such as
+// an atomic write's temporary file, is not listed.
+func shardFiles(dir string) ([]shardFile, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
+	}
+	var files []shardFile
+	for _, e := range entries {
+		for _, form := range []string{checkpointName, resultName} {
+			var s, k int
+			if _, err := fmt.Sscanf(e.Name(), form, &s, &k); err == nil && e.Name() == fmt.Sprintf(form, s, k) {
+				files = append(files, shardFile{filepath.Join(dir, e.Name()), k})
+			}
+		}
+	}
+	return files, nil
 }
 
 // superviseShard runs one shard's attempt/restart loop to completion or
 // budget exhaustion; an attempt succeeds when it leaves a result file
-// the plan verifies under the candidate-set pin pin.
+// that verifies under the header the shard's worker writes, hashing its
+// site lines without decoding them.
 func superviseShard(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, det pipeline.Detector, opts Options, clock resilience.Clock, plan *Plan, s int, pin string) shardOutcome {
 	out := shardOutcome{shard: s}
 	o := opts.Crawl.Obs
 	kind := strconv.Itoa(s)
 	budget := opts.maxRestarts()
+	want := workerHeader(eco, profile, opts.Crawl, s, opts.Shards, pin)
 
 	for attempt := 1; ; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -304,7 +324,7 @@ func superviseShard(ctx context.Context, eco *webgen.Ecosystem, profile browser.
 		if err == nil {
 			// Trust nothing the worker said — only the result file it
 			// left, verified and written under this run's header.
-			if err = plan.verify(eco, profile, opts.Dir, s, pin); err == nil {
+			if _, err = crawler.ReadSealed(ResultPath(opts.Dir, s, opts.Shards), want, plan.source(eco, s), nil); err == nil {
 				sp.SetN(plan.Size(s))
 				sp.End()
 				out.done = true
@@ -439,7 +459,14 @@ func WriteReport(dir string, r *Report) error {
 	if err != nil {
 		return fmt.Errorf("shard: marshal report: %w", err)
 	}
-	return writeFile(ReportPath(dir), append(data, '\n'))
+	path := ReportPath(dir)
+	if err := crawler.WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
+		return err
+	}); err != nil {
+		return fmt.Errorf("shard: write %s: %w", path, err)
+	}
+	return nil
 }
 
 // ReadReport loads a merge report.

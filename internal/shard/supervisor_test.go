@@ -18,6 +18,7 @@ import (
 	"piileak/internal/dnssim"
 	"piileak/internal/faultsim"
 	"piileak/internal/obs"
+	"piileak/internal/pii"
 	"piileak/internal/pipeline"
 	"piileak/internal/resilience"
 	"piileak/internal/site"
@@ -140,7 +141,7 @@ func TestSuperviseExhaustedShardGoesMissing(t *testing.T) {
 	if m.Error == "" {
 		t.Error("missing shard carries no terminal error")
 	}
-	plan, err := ReadPlan(PlanPath(dir))
+	plan, err := NewPlan(eco, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,8 +279,8 @@ func TestSuperviseCorruptResultGoesMissing(t *testing.T) {
 	}
 }
 
-// TestSuperviseRefusesForeignDir: a shard directory planned for a
-// different study or split cannot be resumed into.
+// TestSuperviseRefusesForeignDir: a shard directory written for a
+// different split cannot be resumed into.
 func TestSuperviseRefusesForeignDir(t *testing.T) {
 	eco, profile, det, _ := fixture(t)
 	dir := t.TempDir()
@@ -293,19 +294,30 @@ func TestSuperviseRefusesForeignDir(t *testing.T) {
 	if _, _, err := Supervise(context.Background(), eco, profile, det, wrongK); err == nil {
 		t.Error("resumed a 2-way directory as a 3-way run")
 	}
+}
 
-	other, err := NewPlan(eco, 2)
-	if err != nil {
-		t.Fatal(err)
+// TestSuperviseFreshClearsEveryShardCount: a run without resume clears
+// the checkpoints and results of every shard count, so a 2-way run, then
+// a fresh 3-way run in the same directory, resumes as a 3-way run that
+// reuses its three results.
+func TestSuperviseFreshClearsEveryShardCount(t *testing.T) {
+	eco, profile, det, _ := fixture(t)
+	dir := t.TempDir()
+	for _, k := range []int{2, 3} {
+		if _, _, err := Supervise(context.Background(), eco, profile, det, superviseOpts(dir, k)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	other.EcoSeed++
-	if err := WritePlan(dir, other); err != nil {
-		t.Fatal(err)
-	}
-	foreign := superviseOpts(dir, 2)
-	foreign.Fresh = false
-	if _, _, err := Supervise(context.Background(), eco, profile, det, foreign); err == nil {
-		t.Error("resumed a directory planned for a different study")
+	var calls atomic.Int32
+	withFailpoint(t, func(shard, attempt int) error {
+		calls.Add(1)
+		return errors.New("no new attempts allowed")
+	})
+	resumed := superviseOpts(dir, 3)
+	resumed.Fresh = false
+	_, report, err := Supervise(context.Background(), eco, profile, det, resumed)
+	if err != nil || report.Partial || calls.Load() != 0 {
+		t.Errorf("3-way resume after a fresh 3-way run over a 2-way one: err %v, report %+v, %d attempts; want a full merge and none", err, report, calls.Load())
 	}
 }
 
@@ -392,6 +404,53 @@ func TestSuperviseRefusesShardOfOtherBrowser(t *testing.T) {
 	_, _, err := Supervise(context.Background(), eco, browser.Firefox88(), det, opts)
 	if err == nil || !strings.Contains(err.Error(), "does not match this study") {
 		t.Errorf("resume err = %v, want the Brave shard refused", err)
+	}
+}
+
+// TestSuperviseRefusesCheckpointOfOtherRun: a half-done shard 0
+// checkpoint written under Brave, or under a depth-1 candidate set, and
+// resumed by a Firefox depth-2 supervision would continue another
+// study's crawl. The resume is refused before any worker starts.
+func TestSuperviseRefusesCheckpointOfOtherRun(t *testing.T) {
+	eco, det := studyOf7(t, 0)
+	depth1 := detect.MustNewEngine(eco.Persona, dnssim.NewClassifier(eco.Zone), detect.Config{Candidates: pii.CandidateConfig{MaxDepth: 1}})
+	var attempts atomic.Int32
+	withFailpoint(t, func(shard, attempt int) error {
+		attempts.Add(1)
+		return fmt.Errorf("no worker may start")
+	})
+	for _, tc := range []struct {
+		name    string
+		profile browser.Profile
+		det     pipeline.Detector
+	}{
+		{"brave", browser.Brave129(eco.BraveShields), det},
+		{"depth-1", browser.Firefox88(), depth1},
+	} {
+		dir := t.TempDir()
+		shard0 := interleaveSource{src: eco.Universe(), shard: 0, shards: 2}
+		sites := make([]*site.Site, shard0.Len()/2)
+		for j := range sites {
+			sites[j] = shard0.At(j)
+		}
+		half := pipeline.Options{}
+		half.Source = site.Slice(sites)
+		half.CheckpointPath = CheckpointPath(dir, 0, 2)
+		half.Shard, half.Shards = 0, 2
+		if _, err := pipeline.Run(context.Background(), eco, tc.profile, tc.det, half); err != nil {
+			t.Fatal(err)
+		}
+
+		attempts.Store(0)
+		opts := superviseOpts(dir, 2)
+		opts.Fresh = false
+		_, _, err := Supervise(context.Background(), eco, browser.Firefox88(), det, opts)
+		if err == nil || !strings.Contains(err.Error(), "does not match this study") {
+			t.Errorf("%s: resume err = %v, want shard 0's checkpoint refused", tc.name, err)
+		}
+		if n := attempts.Load(); n != 0 {
+			t.Errorf("%s: resume started %d worker attempts, want 0", tc.name, n)
+		}
 	}
 }
 

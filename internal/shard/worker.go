@@ -46,8 +46,11 @@ type interleaveSource struct {
 	shard, shards int
 }
 
-func (s interleaveSource) Len() int {
-	n := s.src.Len()
+func (s interleaveSource) Len() int { return s.span(s.src.Len()) }
+
+// span is the shard's site count in a universe of n sites:
+// ceil((n - shard) / shards), never negative.
+func (s interleaveSource) span(n int) int {
 	if s.shard >= n {
 		return 0
 	}
@@ -100,7 +103,7 @@ func RunWorker(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profi
 	opts.Resume = true
 
 	path := ResultPath(cfg.Dir, cfg.Shard, cfg.Shards)
-	if _, err := crawler.ReadSealed(path, crawler.NewHeader(eco, profile, opts.Options, pipeline.DetectPin(det)), src, nil); err == nil {
+	if _, err := crawler.ReadSealed(path, workerHeader(eco, profile, cfg.Options, cfg.Shard, cfg.Shards, pipeline.DetectPin(det)), src, nil); err == nil {
 		return path, nil
 	}
 
@@ -120,4 +123,13 @@ func RunWorker(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profi
 		return "", fmt.Errorf("shard: %w", err)
 	}
 	return path, nil
+}
+
+// workerHeader is the checkpoint header shard s of shards writes when
+// its worker crawls under opts with the candidate-set pin pin: the
+// header a worker checks its result against, a supervisor checks every
+// shard file against, and a merge reads each result under.
+func workerHeader(eco *webgen.Ecosystem, profile browser.Profile, opts crawler.Options, s, shards int, pin string) crawler.Header {
+	opts.Shard, opts.Shards = s, shards
+	return crawler.NewHeader(eco, profile, opts, pin)
 }

@@ -177,12 +177,6 @@ func WithWorkers(crawl, detect int) RunOption {
 	}
 }
 
-// WithBuffer sets the capture channel's capacity (default 2). Together
-// with the worker counts it bounds the captures in flight.
-func WithBuffer(n int) RunOption {
-	return func(rc *runConfig) { rc.opts.Buffer = n }
-}
-
 // WithCheckpoint persists per-site progress to path so an interrupted
 // run can continue with WithResume.
 func WithCheckpoint(path string) RunOption {

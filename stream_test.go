@@ -66,7 +66,7 @@ func TestStreamModesByteIdentical(t *testing.T) {
 	}
 
 	parallel := newStudy()
-	if err := parallel.Run(ctx, WithWorkers(4, 4), WithBuffer(2), WithObserver(obs.NewRun(nil))); err != nil {
+	if err := parallel.Run(ctx, WithWorkers(4, 4), WithObserver(obs.NewRun(nil))); err != nil {
 		t.Fatal(err)
 	}
 
