@@ -221,22 +221,7 @@ func TestSupervisedResumeRefusesOtherBrowser(t *testing.T) {
 	}
 	dir := t.TempDir()
 	run := buildTools(t, dir, "piicrawl")
-	shards := filepath.Join(dir, "shards")
-	run("piicrawl", "-small", "-seed", "7", "-shards", "2", "-supervise", "-shard-dir", shards)
-	for s := 0; s < 2; s++ {
-		result := filepath.Join(shards, fmt.Sprintf("shard-%d-of-2.jsonl", s))
-		data, err := os.ReadFile(result)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines := bytes.SplitAfter(data, []byte("\n"))
-		if err := os.WriteFile(filepath.Join(shards, fmt.Sprintf("ckpt-%d-of-2", s)), bytes.Join(lines[:11], nil), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Remove(result); err != nil {
-			t.Fatal(err)
-		}
-	}
+	shards := killedShardDir(t, run, dir)
 
 	brave := filepath.Join(dir, "brave.json")
 	cmd := exec.Command(filepath.Join(dir, "piicrawl"), "-small", "-seed", "7", "-shards", "2", "-supervise", "-resume",
@@ -260,6 +245,65 @@ func TestSupervisedResumeRefusesOtherBrowser(t *testing.T) {
 	}
 	if got, err := os.ReadFile(resumed); err != nil || len(want) == 0 || !bytes.Equal(got, want) {
 		t.Errorf("resumed leak list (%d bytes, err %v) differs from the %d-byte -stream one", len(got), err, len(want))
+	}
+}
+
+// killedShardDir runs `piicrawl -small -seed 7 -shards 2 -supervise`
+// in dir/shards and leaves there what killed workers leave: each shard's
+// checkpoint, the header and first 10 site lines of its result. It
+// returns the shard directory.
+func killedShardDir(t *testing.T, run func(tool string, args ...string) string, dir string) string {
+	t.Helper()
+	shards := filepath.Join(dir, "shards")
+	run("piicrawl", "-small", "-seed", "7", "-shards", "2", "-supervise", "-shard-dir", shards)
+	for s := 0; s < 2; s++ {
+		result := filepath.Join(shards, fmt.Sprintf("shard-%d-of-2.jsonl", s))
+		data, err := os.ReadFile(result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := bytes.SplitAfter(data, []byte("\n"))
+		if err := os.WriteFile(filepath.Join(shards, fmt.Sprintf("ckpt-%d-of-2", s)), bytes.Join(lines[:11], nil), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(result); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return shards
+}
+
+// TestCheckpointRefusalAdvice: a resume under -browser brave refuses a
+// Firefox checkpoint, naming the file, with advice the refused command
+// can follow. A shard worker always resumes its checkpoint, so it says
+// to delete the file or use a fresh -shard-dir; `-checkpoint F -resume`
+// says to re-run without resuming. Neither gives the other's advice.
+func TestCheckpointRefusalAdvice(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := t.TempDir()
+	run := buildTools(t, dir, "piicrawl")
+	shards := killedShardDir(t, run, dir)
+	ckpt := filepath.Join(dir, "stream.ckpt")
+	run("piicrawl", "-small", "-seed", "7", "-stream", "-checkpoint", ckpt, "-o", filepath.Join(dir, "leaks.json"))
+
+	const worker, resume = "delete it or use a fresh -shard-dir", "re-run without resuming to replace it"
+	for _, tc := range []struct {
+		name, path, advice, not string
+		args                    []string
+	}{
+		{"shard worker", filepath.Join(shards, "ckpt-0-of-2"), worker, resume, []string{"-shard", "0/2", "-shard-dir", shards}},
+		{"-checkpoint -resume", ckpt, resume, worker, []string{"-stream", "-checkpoint", ckpt, "-resume", "-o", filepath.Join(dir, "brave.json")}},
+	} {
+		cmd := exec.Command(filepath.Join(dir, "piicrawl"), append([]string{"-small", "-seed", "7", "-browser", "brave"}, tc.args...)...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		msg := stderr.String()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 || !strings.Contains(msg, tc.path) || !strings.Contains(msg, tc.advice) || strings.Contains(msg, tc.not) {
+			t.Errorf("%s: exit %v, stderr %q; want exit 1 naming %s and saying %q", tc.name, err, msg, tc.path, tc.advice)
+		}
 	}
 }
 

@@ -121,7 +121,7 @@ type Browser struct {
 	// Records is the captured traffic, in request order.
 	Records []httpmodel.Record
 	// Blocked counts requests the profile blocked, by receiver
-	// registrable domain.
+	// registrable domain; nil until the session's first block.
 	Blocked map[string]int
 	// FailedFetches counts requests the transport failed to deliver
 	// (after its internal retrying); those exchanges are not recorded.
@@ -165,7 +165,6 @@ func New(profile Profile, zone *dnssim.Zone) *Browser {
 	return &Browser{
 		Profile:    profile,
 		Classifier: dnssim.NewClassifier(zone),
-		Blocked:    map[string]int{},
 		jar:        map[string][]httpmodel.Cookie{},
 	}
 }
@@ -174,7 +173,7 @@ func New(profile Profile, zone *dnssim.Zone) *Browser {
 // transport (a fresh session on a fresh connection).
 func (b *Browser) Reset() {
 	b.Records = nil
-	b.Blocked = map[string]int{}
+	b.Blocked = nil
 	b.FailedFetches = 0
 	b.Transport = nil
 	b.jar = map[string][]httpmodel.Cookie{}
@@ -263,6 +262,9 @@ func (b *Browser) Do(req httpmodel.Request, page string, phase httpmodel.Phase, 
 func (b *Browser) do(req httpmodel.Request, host string, pg *page, phase httpmodel.Phase, s *site.Site, referer string, resp httpmodel.Response) bool {
 	e, _ := b.Classifier.PSL.ETLDPlusOne(host) // "" when host has none
 	if receiver, ok := b.allowed(host, e); !ok {
+		if b.Blocked == nil {
+			b.Blocked = map[string]int{}
+		}
 		b.Blocked[receiver]++
 		b.Obs.Count(obs.MetricBrowserBlocked, 1)
 		return false

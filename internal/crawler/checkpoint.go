@@ -43,6 +43,7 @@ type Checkpoint struct {
 	appends  int         // lines appended this run, for the failpoint
 	unsynced int         // bytes written since the last fsync
 	closed   bool
+	redo     string // how to replace the file when a read refuses it
 }
 
 // checkpointSyncBytes of unsynced lines trigger a group fsync (Close
@@ -110,9 +111,10 @@ func (h Header) String() string {
 // telemetry and handed to fold, in file order, and a torn tail is cut
 // off in place. Otherwise the file starts fresh.
 func OpenCheckpoint(eco *webgen.Ecosystem, profile browser.Profile, opts Options, detect string, fold func(SiteResult)) (*Checkpoint, error) {
-	c := &Checkpoint{path: opts.CheckpointPath, obs: opts.Obs}
+	c := &Checkpoint{path: opts.CheckpointPath, obs: opts.Obs, redo: redoResume}
 	if opts.Shards > 0 {
 		c.sum = sha256.New() // Complete seals a shard's checkpoint
+		c.redo = redoShard
 	}
 	want := NewHeader(eco, profile, opts, detect)
 	if opts.Resume {
@@ -216,6 +218,16 @@ func (c *Checkpoint) load(want *Header, add func(SiteResult)) (loaded bool, err 
 // one the reader expects: it holds another run's sites.
 var ErrOtherRun = errors.New("written for another run")
 
+// A file whose header a read refuses is replaced by running again, in
+// the way its reader allows: a resumed run by starting fresh, a shard's
+// worker — which always resumes its checkpoint — only once the file is
+// gone, and a sealed result by running its shard again.
+const (
+	redoResume = "re-run without resuming to replace it"
+	redoShard  = "its shard worker always resumes it: delete it or use a fresh -shard-dir"
+	redoSealed = "re-run to replace it"
+)
+
 // scan is the one checkpoint line reader. It reads the header, which
 // must be of this version and equal want (ErrOtherRun), then the site
 // lines in file order, counting and hashing each; a lenient scan
@@ -242,7 +254,7 @@ func (c *Checkpoint) scan(r *bufio.Reader, want *Header, strict bool, add func(S
 		return hdr, 0, false, c.wrap(fmt.Errorf("malformed header: %w", err))
 	}
 	if hdr.Version != checkpointVersion {
-		return hdr, 0, false, c.wrap(fmt.Errorf("format version %d, this build reads version %d: re-run to replace it", hdr.Version, checkpointVersion))
+		return hdr, 0, false, c.wrap(fmt.Errorf("format version %d, this build reads version %d: %s", hdr.Version, checkpointVersion, c.redo))
 	}
 	if strict && want.Detect == "" {
 		want.Detect = hdr.Detect
@@ -251,7 +263,7 @@ func (c *Checkpoint) scan(r *bufio.Reader, want *Header, strict bool, add func(S
 		if strict {
 			return hdr, 0, false, c.wrap(fmt.Errorf("%w: %s, this run writes %s", ErrOtherRun, hdr, *want))
 		}
-		return hdr, 0, false, c.wrap(fmt.Errorf("%w (%s), resume requested for %s: re-run without resuming to replace it", ErrOtherRun, hdr, *want))
+		return hdr, 0, false, c.wrap(fmt.Errorf("%w (%s), resume requested for %s: %s", ErrOtherRun, hdr, *want, c.redo))
 	}
 	size := int64(len(line))
 	keep, nl = size, err == nil
@@ -351,7 +363,7 @@ func ReadSealed(path string, want Header, src site.Source, fold func(SiteResult)
 	if err != nil {
 		return Header{}, fmt.Errorf("crawler: %w", err)
 	}
-	c := &Checkpoint{path: path, src: src, done: make([]uint64, (src.Len()+63)/64), sum: sha256.New()}
+	c := &Checkpoint{path: path, src: src, done: make([]uint64, (src.Len()+63)/64), sum: sha256.New(), redo: redoSealed}
 	hdr, _, _, err := c.scan(bufio.NewReaderSize(f, 64<<10), &want, true, fold)
 	f.Close()
 	return hdr, err
@@ -370,7 +382,7 @@ func CheckResume(path string, want Header) error {
 	if err != nil {
 		return fmt.Errorf("crawler: %w", err)
 	}
-	c := &Checkpoint{path: path}
+	c := &Checkpoint{path: path, redo: redoResume}
 	_, _, _, err = c.scan(bufio.NewReader(f), &want, false, nil)
 	f.Close()
 	return err

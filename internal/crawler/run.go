@@ -35,7 +35,7 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, op
 		pending[r.Index] = r
 		for p, ok := pending[next]; ok; p, ok = pending[next] {
 			delete(pending, next)
-			ds.Merge(p)
+			ds.appendSite(p)
 			next++
 		}
 	}

@@ -127,10 +127,10 @@ func DatasetShell(eco *webgen.Ecosystem, profile browser.Profile) *Dataset {
 	return newDataset(eco, profile.Name+" "+profile.Version)
 }
 
-// Merge appends one site's crawl record and side effects to the
-// dataset. Callers must merge results in site order for the dataset to
-// match a serial crawl byte for byte.
-func (d *Dataset) Merge(r SiteResult) {
+// appendSite appends one site's crawl record and side effects to the
+// dataset. Callers must append results in site order for the dataset
+// to match a serial crawl byte for byte.
+func (d *Dataset) appendSite(r SiteResult) {
 	d.Crawls = append(d.Crawls, r.Crawl)
 	d.Mailbox.Messages = append(d.Mailbox.Messages, r.Mail...)
 	for recv, n := range r.Blocked {

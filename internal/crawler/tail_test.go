@@ -49,17 +49,18 @@ func BenchmarkCrawlTailSite(b *testing.B) {
 }
 
 // TestCrawlTailSiteAllocs bounds the allocations of one fault-free tail
-// site crawl, at the counts measured with one PSL walk per request and
-// one URL parse per page: 11 for the no-auth site's two requests and
-// 171 for the shopping site's full flow. Per-request garbage creeping
-// back into the browser fails here before it shows in a universe run.
+// site crawl, at the counts measured with one PSL walk per request, one
+// URL parse per page and no block map until a site's first block: 10
+// for the no-auth site's two requests and 170 for the shopping site's
+// full flow. Per-request or per-site garbage creeping back into the
+// browser fails here before it shows in a universe run.
 func TestCrawlTailSiteAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts do not hold under the race detector")
 	}
 	eco, sites := tailSites(t)
 	br := browser.New(browser.Firefox88(), eco.Zone)
-	for i, bound := range []float64{11, 171} {
+	for i, bound := range []float64{10, 170} {
 		s := sites[i]
 		allocs := testing.AllocsPerRun(50, func() {
 			crawlSite(br, eco, s, nil, nil)

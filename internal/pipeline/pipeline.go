@@ -6,16 +6,17 @@
 // accumulation goroutine folds each site's output into the shared Result
 // store — the §4.2 analysis indexes, the §5 tracking index and the §6
 // policy-audit sender set — through the Accumulator the sharded merge
-// also uses. Peak memory is bounded by the number of captures in flight
+// also uses. Captured records are bounded by the captures in flight
 // (crawl workers + channel buffer + detect workers) instead of the whole
-// crawl.
+// crawl, and the fold keeps per site only its crawl record, plus leaks
+// and mail for the sites that have them.
 //
-// Determinism: per-site outputs land in site-index slots and are
-// concatenated in site order at the end, detection runs only on
-// successful crawls, and every accumulated aggregate is a set — so
-// serial, parallel, checkpoint-resumed and sharded runs produce
-// byte-identical leak output and identical table numbers regardless of
-// completion order.
+// Determinism: each crawl lands at its site index and the kept leaks
+// and mail are concatenated in site order at the end, detection runs
+// only on successful crawls, and every accumulated aggregate is a set
+// or a sum — so serial, parallel, checkpoint-resumed and sharded runs
+// produce byte-identical leak output and identical table numbers
+// regardless of completion order.
 //
 // A checkpointed run appends each site in the accumulate stage, after
 // detection, so its file holds exactly what the fold needs and a
@@ -224,8 +225,8 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, de
 	}
 
 	// The fold is the accumulate stage's single owner of the shared
-	// store. It keeps per-site slots, so the final concatenation is in
-	// site order no matter when each site finished.
+	// store. It keeps each site's output under its index, so the final
+	// concatenation is in site order no matter when each site finished.
 	acc := NewAccumulator(total)
 	detected := 0
 	fold := func(r crawler.SiteResult) {

@@ -236,7 +236,9 @@ func Supervise(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profi
 // checks every shard file present against the header the shard's
 // worker writes: a checkpoint by its header line, a result whole. A
 // file written for another run fails the run — resuming or merging it
-// would mix two studies. prepare reports, by shard, whether a verified
+// would mix two studies — and so does a checkpoint its worker cannot
+// resume (an unreadable header, another format version), which every
+// attempt would fail on. prepare reports, by shard, whether a verified
 // result is there to reuse.
 func prepare(eco *webgen.Ecosystem, profile browser.Profile, plan *Plan, pin string, opts Options) ([]bool, error) {
 	files, err := shardFiles(opts.Dir)
@@ -262,8 +264,11 @@ func prepare(eco *webgen.Ecosystem, profile browser.Profile, plan *Plan, pin str
 		if !errors.Is(err, crawler.ErrOtherRun) {
 			err = crawler.CheckResume(CheckpointPath(opts.Dir, s, opts.Shards), want)
 		}
-		if errors.Is(err, crawler.ErrOtherRun) {
+		switch {
+		case errors.Is(err, crawler.ErrOtherRun):
 			return nil, fmt.Errorf("shard: shard %d does not match this study: %w", s, err)
+		case err != nil:
+			return nil, fmt.Errorf("shard: shard %d cannot resume: %w", s, err)
 		}
 	}
 	return done, nil

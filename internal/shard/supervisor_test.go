@@ -454,6 +454,40 @@ func TestSuperviseRefusesCheckpointOfOtherRun(t *testing.T) {
 	}
 }
 
+// TestSuperviseRefusesUnreadableCheckpoint: a shard 0 checkpoint whose
+// header its worker cannot read — one of format version 1, or a first
+// line that is not JSON — fails every attempt the same way, so a
+// resume refuses it before any worker starts, naming the shard and the
+// file.
+func TestSuperviseRefusesUnreadableCheckpoint(t *testing.T) {
+	eco, det := studyOf7(t, 0)
+	var attempts atomic.Int32
+	withFailpoint(t, func(shard, attempt int) error {
+		attempts.Add(1)
+		return fmt.Errorf("no worker may start")
+	})
+	for _, tc := range []struct{ name, header string }{
+		{"version-1", `{"version":1,"seed":7}`},
+		{"not-json", `ckpt-0-of-2 was here`},
+	} {
+		dir := t.TempDir()
+		ckpt := CheckpointPath(dir, 0, 2)
+		if err := os.WriteFile(ckpt, []byte(tc.header+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		attempts.Store(0)
+		opts := superviseOpts(dir, 2)
+		opts.Fresh = false
+		_, _, err := Supervise(context.Background(), eco, browser.Firefox88(), det, opts)
+		if err == nil || !strings.Contains(err.Error(), "shard 0") || !strings.Contains(err.Error(), ckpt) {
+			t.Errorf("%s: resume err = %v, want shard 0's checkpoint %s refused", tc.name, err, ckpt)
+		}
+		if n := attempts.Load(); n != 0 {
+			t.Errorf("%s: resume started %d worker attempts, want 0", tc.name, n)
+		}
+	}
+}
+
 // TestSuperviseOptionsValidate pins the contradictory-settings gate.
 func TestSuperviseOptionsValidate(t *testing.T) {
 	valid := Options{Shards: 2, Dir: "x"}
