@@ -15,15 +15,16 @@
 // request's host comes from the place that built its URL (the page,
 // the site or the tag), its registrable domain is resolved once, and
 // Shields, the cookie policy and the referer policy share that one
-// verdict. A page's host, registrable domain and origin are computed
-// once per page (DESIGN.md §17).
+// verdict. A page's host, registrable domain and origin come from its
+// site, once per site, and no URL is parsed (DESIGN.md §17).
 package browser
 
 import (
 	"context"
 	"net/url"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
 
 	"piileak/internal/dnssim"
 	"piileak/internal/httpmodel"
@@ -129,31 +130,51 @@ type Browser struct {
 
 	jar map[string][]httpmodel.Cookie // cookie domain -> cookies
 	seq int
-	// page is the page the last request came from, parsed once.
+	// page is the page the last request came from.
 	page page
 }
 
-// page is what every request from one page URL needs: its host,
-// registrable domain ("" when it has none) and origin, the Referer a
-// cross-site request gets.
+// page is what every request from one page needs: its URL, and its
+// site's host, registrable domain ("" when it has none), origin (the
+// Referer a cross-site request gets) and first-party asset URL. Every
+// page of a site is on the site's host, so only the URL changes from
+// page to page.
 type page struct {
-	url, host, etld1, origin string
+	site                            *site.Site
+	url, host, etld1, origin, asset string
 }
 
-// pageFor returns the parsed page for pageURL, parsing only when the
-// page changed since the last request. The zero page saves nothing, so
-// an empty URL is parsed every time.
-func (b *Browser) pageFor(pageURL string) *page {
-	if pageURL != "" && b.page.url == pageURL {
-		return &b.page
+// pageOn returns page pageURL of site s. The site's part is derived
+// once per site, from the site itself: its origin is the homepage URL,
+// and the host is the origin's middle.
+func (b *Browser) pageOn(s *site.Site, pageURL string) *page {
+	if b.page.site != s {
+		origin := s.BaseURL()
+		host := origin[len("https://") : len(origin)-1]
+		etld1, _ := b.Classifier.PSL.ETLDPlusOne(host)
+		b.page = page{site: s, host: host, etld1: etld1, origin: origin, asset: s.PageURL("/static/app.js")}
 	}
-	b.page = page{url: pageURL}
-	if u, err := url.Parse(pageURL); err == nil {
-		b.page.host = strings.ToLower(u.Hostname())
-		b.page.etld1, _ = b.Classifier.PSL.ETLDPlusOne(b.page.host)
-		b.page.origin = u.Scheme + "://" + u.Host + "/"
-	}
+	b.page.url = pageURL
 	return &b.page
+}
+
+// spent holds the record slices Recycle hands back, for a later Reset
+// to append the next session's capture into.
+var spent sync.Pool
+
+// Recycle hands back a capture whose records nobody reads any more, so
+// a later session's Reset reuses its capacity instead of regrowing a
+// capture from empty. The pipeline's detect stage calls it once
+// detection and the §7.2 reduction are done with a site; a caller that
+// keeps its records (a dataset crawl) never does. The records are
+// cleared over their length, which is all a session ever wrote, so they
+// keep no request alive.
+func Recycle(records []httpmodel.Record) {
+	if cap(records) == 0 {
+		return
+	}
+	clear(records)
+	spent.Put(records[:0])
 }
 
 // New creates a browsing session. zone supplies CNAME records for
@@ -170,13 +191,14 @@ func New(profile Profile, zone *dnssim.Zone) *Browser {
 }
 
 // Reset clears cookies, captured traffic, the saved page and the
-// transport (a fresh session on a fresh connection).
+// transport (a fresh session on a fresh connection). The new capture
+// is empty, in a recycled slice when one was handed back.
 func (b *Browser) Reset() {
-	b.Records = nil
+	b.Records, _ = spent.Get().([]httpmodel.Record)
 	b.Blocked = nil
 	b.FailedFetches = 0
 	b.Transport = nil
-	b.jar = map[string][]httpmodel.Cookie{}
+	clear(b.jar)
 	b.seq = 0
 	b.page = page{}
 }
@@ -209,17 +231,21 @@ func (b *Browser) cookiesFor(host, e string, thirdParty bool) []httpmodel.Cookie
 	}
 	// Match domains first and walk them sorted: the jar is a map, and
 	// when several domains cover the host the emitted cookie order
-	// must not follow randomized map iteration.
-	var domains []string
-	for domain := range b.jar {
+	// must not follow randomized map iteration. A host is covered by
+	// at most a few domains, so they are gathered on the stack.
+	var stack [4]string
+	domains, n := stack[:0], 0
+	for domain, cookies := range b.jar {
 		if strings.HasSuffix(host, domain) && (len(host) == len(domain) || host[len(host)-len(domain)-1] == '.') {
 			domains = append(domains, domain)
+			n += len(cookies)
 		}
 	}
-	if len(domains) > 1 {
-		sort.Strings(domains)
+	if len(domains) == 0 {
+		return nil
 	}
-	var out []httpmodel.Cookie
+	slices.Sort(domains)
+	out := make([]httpmodel.Cookie, 0, n)
 	for _, domain := range domains {
 		out = append(out, b.jar[domain]...)
 	}
@@ -245,22 +271,21 @@ func (b *Browser) allowed(host, e string) (receiver string, ok bool) {
 	return "", true
 }
 
-// Do issues one request from page: applies shields and cookie policy,
-// attaches referer when it is not empty, records the exchange, and
-// returns whether it went through.
-func (b *Browser) Do(req httpmodel.Request, page string, phase httpmodel.Phase, referer string, resp httpmodel.Response) bool {
-	return b.do(req, req.Host(), b.pageFor(page), phase, nil, referer, resp)
-}
-
-// do is Do for a request to host, which the caller knows from building
-// the request's URL. It resolves the host's registrable domain once,
-// and Shields, the cookie policy and the referer policy share the one
+// do issues one request from page pg to host, which the caller knows
+// from building the request's URL: it applies shields and cookie
+// policy, attaches the Referer, records the exchange, and returns
+// whether it went through. The host's registrable domain is resolved
+// once — a request to the page's own host reuses the page's — and
+// Shields, the cookie policy and the referer policy share the one
 // third-party verdict. A subresource of a page on site s (s non-nil)
 // gets its Referer from that verdict, as Firefox 88's default policy
 // does: the full page URL same-site, the page's origin cross-site. A
-// navigation (s nil) carries referer as given.
+// navigation (s nil) carries referer as given, when it is not empty.
 func (b *Browser) do(req httpmodel.Request, host string, pg *page, phase httpmodel.Phase, s *site.Site, referer string, resp httpmodel.Response) bool {
-	e, _ := b.Classifier.PSL.ETLDPlusOne(host) // "" when host has none
+	e := pg.etld1
+	if host != pg.host {
+		e, _ = b.Classifier.PSL.ETLDPlusOne(host) // "" when host has none
+	}
 	if receiver, ok := b.allowed(host, e); !ok {
 		if b.Blocked == nil {
 			b.Blocked = map[string]int{}
@@ -337,7 +362,7 @@ func (b *Browser) canSetCookie(c httpmodel.Cookie, pg *page) bool {
 // the document itself arrived; when it did not (a transport failure),
 // no subresources load and the caller's flow is broken at this step.
 func (b *Browser) VisitPage(s *site.Site, pageURL string, phase httpmodel.Phase, subpage bool) bool {
-	pg := b.pageFor(pageURL)
+	pg := b.pageOn(s, pageURL)
 	if !b.do(httpmodel.Request{
 		Method: "GET", URL: pageURL, Type: httpmodel.TypeDocument,
 	}, pg.host, pg, phase, nil, "", httpmodel.Response{}) {
@@ -351,11 +376,10 @@ func (b *Browser) VisitPage(s *site.Site, pageURL string, phase httpmodel.Phase,
 // the document request — used after form submissions, where the
 // navigation request already happened.
 func (b *Browser) RenderSubresources(s *site.Site, pageURL string, phase httpmodel.Phase, subpage bool) {
-	pg := b.pageFor(pageURL)
-	asset := s.PageURL("/static/app.js")
+	pg := b.pageOn(s, pageURL)
 	b.do(httpmodel.Request{
-		Method: "GET", URL: asset, Type: httpmodel.TypeScript, Initiator: pageURL,
-	}, s.Host(), pg, phase, s, "", httpmodel.Response{})
+		Method: "GET", URL: pg.asset, Type: httpmodel.TypeScript, Initiator: pageURL,
+	}, pg.host, pg, phase, s, "", httpmodel.Response{})
 
 	for _, tag := range s.TagsOn(subpage) {
 		b.do(tag.LoadRequest(pageURL), tag.Host, pg, phase, s, "", httpmodel.Response{})
@@ -370,7 +394,7 @@ func (b *Browser) FireAuthEvent(s *site.Site, pageURL string, phase httpmodel.Ph
 	if times < 1 {
 		times = 1
 	}
-	pg := b.pageFor(pageURL)
+	pg := b.pageOn(s, pageURL)
 	for _, tag := range s.TagsOn(subpage) {
 		if len(tag.Actions) == 0 {
 			continue
@@ -389,16 +413,14 @@ func (b *Browser) FireAuthEvent(s *site.Site, pageURL string, phase httpmodel.Ph
 	}
 }
 
-// SubmitForm issues the signup/signin form submission as a top-level
-// navigation. It reports whether the submission reached the server —
-// false means the transport failed the navigation after retrying.
+// SubmitForm issues the signup/signin form submission, to action on
+// s's host, as a top-level navigation. It reports whether the
+// submission reached the server — false means the transport failed the
+// navigation after retrying.
 func (b *Browser) SubmitForm(s *site.Site, action string, fields []site.FormField, phase httpmodel.Phase, fromPage string) bool {
-	u, err := url.Parse(action)
-	if err != nil {
-		return false
-	}
+	pg := b.pageOn(s, action)
 	req := httpmodel.Request{Method: "POST", URL: action, Type: httpmodel.TypeDocument, Initiator: fromPage}
-	if u.RawQuery != "" {
+	if _, query, _ := strings.Cut(action, "?"); query != "" {
 		// A GET form: fields ride in the URL.
 		req.Method = "GET"
 	} else {
@@ -412,9 +434,8 @@ func (b *Browser) SubmitForm(s *site.Site, action string, fields []site.FormFiel
 	resp := httpmodel.Response{
 		Status: 302,
 		SetCookies: []httpmodel.Cookie{{
-			Name: "session", Value: "sess-" + s.Domain, Domain: s.Host(),
+			Name: "session", Value: "sess-" + s.Domain, Domain: pg.host,
 		}},
 	}
-	pg := b.pageFor(action)
 	return b.do(req, pg.host, pg, phase, nil, fromPage, resp)
 }

@@ -1,6 +1,7 @@
 package browser
 
 import (
+	"net/url"
 	"strings"
 	"testing"
 
@@ -29,6 +30,19 @@ func leakySite() *site.Site {
 			},
 		},
 	}
+}
+
+// doFrom issues req from the page at the literal URL pageURL, whose
+// host, registrable domain and origin come from parsing it: the tests
+// of single requests have a page URL but no site.
+func doFrom(b *Browser, req httpmodel.Request, pageURL string, phase httpmodel.Phase, referer string, resp httpmodel.Response) bool {
+	pg := &page{url: pageURL}
+	if u, err := url.Parse(pageURL); err == nil {
+		pg.host = strings.ToLower(u.Hostname())
+		pg.etld1, _ = b.Classifier.PSL.ETLDPlusOne(pg.host)
+		pg.origin = u.Scheme + "://" + u.Host + "/"
+	}
+	return b.do(req, req.Host(), pg, phase, nil, referer, resp)
 }
 
 func TestVisitPageRecordsDocumentAssetAndTags(t *testing.T) {
@@ -112,7 +126,7 @@ func TestBraveUncloaksCNAME(t *testing.T) {
 	b := New(Brave129(shields), zone)
 
 	req := httpmodel.Request{Method: "GET", URL: "https://smetrics.urbanmarket.com/b/ss/pageview", Type: httpmodel.TypeImage}
-	ok := b.Do(req, "https://www.urbanmarket.com/", httpmodel.PhaseReload, "", httpmodel.Response{})
+	ok := doFrom(b, req, "https://www.urbanmarket.com/", httpmodel.PhaseReload, "", httpmodel.Response{})
 	if ok {
 		t.Error("cloaked request passed Brave shields")
 	}
@@ -124,7 +138,7 @@ func TestBraveUncloaksCNAME(t *testing.T) {
 	p := Brave129(shields)
 	p.UncloakCNAME = false
 	b2 := New(p, zone)
-	if ok := b2.Do(req, "https://www.urbanmarket.com/", httpmodel.PhaseReload, "", httpmodel.Response{}); !ok {
+	if ok := doFrom(b2, req, "https://www.urbanmarket.com/", httpmodel.PhaseReload, "", httpmodel.Response{}); !ok {
 		t.Error("shields matched a first-party host without uncloaking")
 	}
 }
@@ -147,7 +161,7 @@ func TestThirdPartyCookiePolicy(t *testing.T) {
 	} {
 		b := New(tc.profile, nil)
 		b.SetCookie(tpCookie)
-		b.Do(req, page, httpmodel.PhaseHomepage, "", httpmodel.Response{})
+		doFrom(b, req, page, httpmodel.PhaseHomepage, "", httpmodel.Response{})
 		got := len(b.Records[0].Request.Cookies)
 		if got != tc.want {
 			t.Errorf("%s: %d cookies attached, want %d", tc.name, got, tc.want)
@@ -163,7 +177,7 @@ func TestFirstPartyCookiesAlwaysSent(t *testing.T) {
 	for _, profile := range []Profile{Chrome93(), Safari14(), Firefox88ETP(map[string]bool{"omtrdc.net": true})} {
 		b := New(profile, nil)
 		b.SetCookie(c)
-		b.Do(req, "https://www.shop.com/", httpmodel.PhaseReload, "", httpmodel.Response{})
+		doFrom(b, req, "https://www.shop.com/", httpmodel.PhaseReload, "", httpmodel.Response{})
 		if len(b.Records[0].Request.Cookies) != 1 {
 			t.Errorf("%s: first-party cookie stripped", profile.Name)
 		}
@@ -175,15 +189,15 @@ func TestSetCookieRespectsPolicy(t *testing.T) {
 	req := httpmodel.Request{Method: "GET", URL: "https://pixel.tracker.net/p", Type: httpmodel.TypeImage}
 
 	b := New(Safari14(), nil)
-	b.Do(req, "https://www.shop.com/", httpmodel.PhaseHomepage, "", resp)
-	b.Do(req, "https://www.shop.com/", httpmodel.PhaseHomepage, "", httpmodel.Response{})
+	doFrom(b, req, "https://www.shop.com/", httpmodel.PhaseHomepage, "", resp)
+	doFrom(b, req, "https://www.shop.com/", httpmodel.PhaseHomepage, "", httpmodel.Response{})
 	if len(b.Records[1].Request.Cookies) != 0 {
 		t.Error("ITP stored a third-party cookie")
 	}
 
 	b2 := New(Chrome93(), nil)
-	b2.Do(req, "https://www.shop.com/", httpmodel.PhaseHomepage, "", resp)
-	b2.Do(req, "https://www.shop.com/", httpmodel.PhaseHomepage, "", httpmodel.Response{})
+	doFrom(b2, req, "https://www.shop.com/", httpmodel.PhaseHomepage, "", resp)
+	doFrom(b2, req, "https://www.shop.com/", httpmodel.PhaseHomepage, "", httpmodel.Response{})
 	if len(b2.Records[1].Request.Cookies) != 1 {
 		t.Error("Chrome dropped a storable cookie")
 	}
@@ -239,7 +253,7 @@ func TestSubmitFormGETvsPOST(t *testing.T) {
 		t.Error("GET form URL lacks fields")
 	}
 	// The session cookie was stored.
-	b.Do(httpmodel.Request{Method: "GET", URL: s.BaseURL(), Type: httpmodel.TypeDocument},
+	doFrom(b, httpmodel.Request{Method: "GET", URL: s.BaseURL(), Type: httpmodel.TypeDocument},
 		s.BaseURL(), httpmodel.PhaseReload, "", httpmodel.Response{})
 	if len(b.Records[1].Request.Cookies) == 0 {
 		t.Error("session cookie not persisted")
@@ -249,12 +263,12 @@ func TestSubmitFormGETvsPOST(t *testing.T) {
 func TestResetClearsState(t *testing.T) {
 	b := New(Chrome93(), nil)
 	b.SetCookie(httpmodel.Cookie{Name: "x", Value: "1", Domain: "a.com"})
-	b.Do(httpmodel.Request{Method: "GET", URL: "https://a.com/"}, "https://a.com/", httpmodel.PhaseHomepage, "", httpmodel.Response{})
+	doFrom(b, httpmodel.Request{Method: "GET", URL: "https://a.com/"}, "https://a.com/", httpmodel.PhaseHomepage, "", httpmodel.Response{})
 	b.Reset()
 	if len(b.Records) != 0 || len(b.Blocked) != 0 {
 		t.Error("Reset left records")
 	}
-	b.Do(httpmodel.Request{Method: "GET", URL: "https://a.com/"}, "https://a.com/", httpmodel.PhaseHomepage, "", httpmodel.Response{})
+	doFrom(b, httpmodel.Request{Method: "GET", URL: "https://a.com/"}, "https://a.com/", httpmodel.PhaseHomepage, "", httpmodel.Response{})
 	if len(b.Records[0].Request.Cookies) != 0 {
 		t.Error("Reset left cookies")
 	}

@@ -565,8 +565,10 @@ func StartPprof(prog, addr string) error {
 }
 
 // ProgressPrinter returns the CLIs' shared progress line: crawl and
-// detect counters plus the cumulative leak count, printed every 25
-// detections and at the end.
+// detect counters plus the cumulative leak count, printed every
+// max(25, total/100) detections and at the end. That is every 25 sites
+// of the paper's 404, and about a hundred lines for a run of any larger
+// universe.
 func ProgressPrinter(prog string, w io.Writer) func(pipeline.Event) {
 	crawled := 0
 	return func(ev pipeline.Event) {
@@ -574,7 +576,7 @@ func ProgressPrinter(prog string, w io.Writer) func(pipeline.Event) {
 			crawled = ev.Done
 			return
 		}
-		if ev.Done%25 == 0 || ev.Done == ev.Total {
+		if ev.Done%max(25, ev.Total/100) == 0 || ev.Done == ev.Total {
 			fmt.Fprintf(w, "%s: crawl %d/%d  detect %d/%d  leaks %d\n",
 				prog, crawled, ev.Total, ev.Done, ev.Total, ev.Leaks)
 		}

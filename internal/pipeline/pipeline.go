@@ -2,7 +2,8 @@
 // one streaming pass. Crawl workers emit per-site captures into a
 // bounded channel; detect workers scan each capture as it arrives and
 // release the records immediately afterwards (keeping only the reduced
-// request index the §7.2 blocklist evaluation needs); a single
+// request index the §7.2 blocklist evaluation needs, and handing the
+// record slice back for a crawl worker's next site); a single
 // accumulation goroutine folds each site's output into the shared Result
 // store — the §4.2 analysis indexes, the §5 tracking index and the §6
 // policy-audit sender set — through the Accumulator the sharded merge
@@ -41,7 +42,9 @@ import (
 // Detector is what the detection stage needs from a scanner. The one
 // production implementation is *detect.Engine, from which each detect
 // worker derives a private Scanner; tests substitute misbehaving
-// detectors to exercise the crash-only path.
+// detectors to exercise the crash-only path. DetectSite must not keep
+// records once it returns: the detect stage then hands them back for
+// reuse.
 type Detector interface {
 	DetectSite(siteDomain string, records []httpmodel.Record) []core.Leak
 }
@@ -281,7 +284,8 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, de
 	}()
 
 	// Stage 2: detect. Each worker scans a capture's records and then
-	// releases them, reducing leaky sites to the request index first.
+	// releases them, reducing leaky sites to the request index first, and
+	// hands the released slice back to the browsers (browser.Recycle).
 	var wg sync.WaitGroup
 	for w := 0; w < detectWorkers; w++ {
 		wg.Add(1)
@@ -303,6 +307,9 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, de
 				if len(r.Leaks) > 0 {
 					r.Requests = httpmodel.ReduceRecords(r.Crawl.Records)
 				}
+				// Nothing reads the records after this: hand them back
+				// for a crawl worker's next site to append into.
+				browser.Recycle(r.Crawl.Records)
 				r.Crawl.Records = nil
 				g.Dec()
 				sp.SetN(len(r.Leaks))

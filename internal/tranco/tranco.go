@@ -118,7 +118,9 @@ const TailShoppingModulus = 97
 // same entry comes back byte-identical regardless of access order,
 // subsetting, or which shard asks. Tail domains embed a "-r<rank>"
 // marker; head domains are hyphen-free, so the two namespaces cannot
-// collide and tail domains are unique by construction.
+// collide and tail domains are unique by construction. A study keeps
+// every crawled domain, so the domain is one allocation of its exact
+// length: the rank's digits are formatted on the stack.
 func TailEntry(seed uint64, rank int) Entry {
 	rng := rand.New(rand.NewPCG(seed, tailSalt^uint64(rank)))
 	p := namePrefixes[rng.IntN(len(namePrefixes))]
@@ -128,9 +130,10 @@ func TailEntry(seed uint64, rank int) Entry {
 	if rank%TailShoppingModulus == 0 {
 		category = CategoryShopping
 	}
+	var digits [20]byte
 	return Entry{
 		Rank:     rank,
-		Domain:   p + s + "-r" + strconv.Itoa(rank) + "." + tld,
+		Domain:   p + s + "-r" + string(strconv.AppendInt(digits[:0], int64(rank), 10)) + "." + tld,
 		Category: category,
 	}
 }

@@ -3,8 +3,10 @@ package webgen
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"piileak/internal/httpmodel"
+	"piileak/internal/pii"
 	"piileak/internal/site"
 	"piileak/internal/tranco"
 )
@@ -75,23 +77,35 @@ func tailSite(cfg Config, head, i int) *site.Site {
 	s := &site.Site{
 		Domain:      entry.Domain,
 		Rank:        entry.Rank,
-		Collected:   collectedFor(i),
+		Collected:   tailCollected[i%4],
 		FieldNaming: namingFor(i),
 		Policy:      site.PolicyNotSpecific,
 	}
 	if entry.Category != tranco.CategoryShopping {
 		s.Obstacle = site.ObstacleNoAuth
 		if rng.IntN(4) == 0 {
-			s.Tags = append(s.Tags, benignCDNTag())
+			s.Tags = tailTags[:1:1]
 		}
 		return s
 	}
-	s.Tags = append(s.Tags, benignCDNTag(), benignFontTag())
+	s.Tags = tailTags[:2:2]
 	if rng.IntN(3) == 0 {
-		s.Tags = append(s.Tags, facebookPixelTag())
+		s.Tags = tailTags[:3:3]
 	}
 	return s
 }
+
+// Every tail site shares its tags and form fields, read-only, from
+// these: a prefix of tailTags, and collectedFor's fields by index. Each
+// slice a site holds has len == cap, so an append to it copies instead
+// of writing into another site's.
+var (
+	tailTags      = []site.Tag{benignCDNTag(), benignFontTag(), facebookPixelTag()}
+	tailCollected = [4][]pii.Type{
+		slices.Clip(collectedFor(0)), slices.Clip(collectedFor(1)),
+		slices.Clip(collectedFor(2)), slices.Clip(collectedFor(3)),
+	}
+)
 
 // The benign third parties every crawlable site embeds, shared between
 // the eager core builder and the lazy tail so the two populations load

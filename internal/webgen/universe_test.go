@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"piileak/internal/pii"
 	"piileak/internal/site"
 	"piileak/internal/tranco"
 )
@@ -168,6 +169,49 @@ func TestUniverseAtPanicsOutOfRange(t *testing.T) {
 			}()
 			u.At(i)
 		}()
+	}
+}
+
+// TestUniverseTailAtAllocs bounds the allocations of deriving one tail
+// site at the 4 it takes: the site, its domain (one allocation of its
+// exact length) and the two per-rank PCG streams of its name and its
+// attributes. Its tags and form fields are slices every tail site
+// shares; each is full (len == cap), so appending to one site's copies
+// and leaves every other site's as derived.
+func TestUniverseTailAtAllocs(t *testing.T) {
+	eco, u := universeFixture(t, 200_000)
+	head := len(eco.Sites)
+	shopping := 0
+	for i := head; i < u.Len(); i += 1009 {
+		s := u.At(i)
+		if s.Obstacle == site.ObstacleNone {
+			shopping++
+		}
+		if len(s.Tags) != cap(s.Tags) || len(s.Collected) != cap(s.Collected) {
+			t.Fatalf("tail site %s: tags %d/%d, collected %d/%d (len/cap): an append would write into a shared slice",
+				s.Domain, len(s.Tags), cap(s.Tags), len(s.Collected), cap(s.Collected))
+		}
+		if raceEnabled {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(20, func() { u.At(i) }); allocs > 4 {
+			t.Errorf("At(%d) (%s): %.0f allocs, bound 4", i, s.Domain, allocs)
+		}
+	}
+	if shopping == 0 {
+		t.Error("the sample holds no shopping tail site")
+	}
+	// Every At(i) of a site with tags shares its slices with the others.
+	i := head
+	for len(u.At(i).Tags) == 0 {
+		i++
+	}
+	want := string(siteJSON(t, u.At(i)))
+	s := u.At(i)
+	s.Tags = append(s.Tags, benignFontTag())
+	s.Collected = append(s.Collected, pii.TypeJob)
+	if got := string(siteJSON(t, u.At(i))); got != want {
+		t.Errorf("appending to a tail site's slices changed the site derived again:\n%s\n%s", got, want)
 	}
 }
 

@@ -121,3 +121,45 @@ func TestUniverseBelowCoreRefused(t *testing.T) {
 		t.Error("NewStudy accepted a universe below the study core")
 	}
 }
+
+// TestRecycledRecordsMatchSerial pins the record slices the detect
+// stage hands back to the crawl: over a 5k-site universe, a run with 2
+// crawl and 2 detect workers — detect workers recycling each site's
+// records while crawl workers append the next sites into them — writes
+// the serial run's leak bytes, Tables 1, 2 and 4 and thin dataset.
+// Under -race (CI runs it ten times in the crawl loop race lane) a
+// crawl worker writing a slice that a detect worker still scans is a
+// reported race.
+func TestRecycledRecordsMatchSerial(t *testing.T) {
+	cfg := SmallConfig(29)
+	cfg.Ecosystem.UniverseSize = 5000
+	names := []string{"leak JSON", "thin dataset", "headline", "Table 1a", "Table 1b", "Table 2", "Table 4"}
+	run := func(crawlWorkers, detectWorkers int) []any {
+		s, err := NewStudy(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Run(context.Background(), WithWorkers(crawlWorkers, detectWorkers)); err != nil {
+			t.Fatal(err)
+		}
+		var ds bytes.Buffer
+		if err := s.Dataset.WriteJSON(&ds); err != nil {
+			t.Fatal(err)
+		}
+		t2, err := s.Tracking()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t4, err := s.EvaluateBlocklists()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []any{leaksJSON(t, s), ds.Bytes(), s.Analysis.Headline(), s.Analysis.ByMethod(), s.Analysis.ByEncoding(), t2, t4}
+	}
+	serial, parallel := run(1, 1), run(2, 2)
+	for i, name := range names {
+		if !reflect.DeepEqual(parallel[i], serial[i]) {
+			t.Errorf("%s diverges from the serial run", name)
+		}
+	}
+}
