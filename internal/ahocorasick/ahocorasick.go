@@ -8,12 +8,18 @@
 // request. Benchmark A2 in the top-level harness quantifies the
 // difference.
 //
+// The trie holds at most the first prefixCap bytes of each pattern.
+// Candidate tokens are mostly hex/base64 text that shares little beyond
+// its first few bytes, so deeper levels would be one chain of
+// single-child states per pattern byte: a full trie of the depth-2
+// candidate set has 683,205 states, the capped one 206,466. A longer
+// pattern is reported where its capped prefix ends, once its remaining
+// bytes are found to follow there.
+//
 // The automaton is a handful of flat, pointer-free arrays sized up
-// front from the total pattern length, so building it takes a fixed
+// front from the capped pattern length, so building it takes a fixed
 // number of allocations however many states it has, and the garbage
-// collector never scans them. Candidate tokens are mostly hex/base64
-// text with little prefix sharing, so state counts approach total
-// pattern bytes and per-state overhead is what memory costs:
+// collector never scans them:
 //
 //   - States are numbered breadth first, so a state's children are
 //     consecutive ids: the children of s are the ids in
@@ -23,16 +29,25 @@
 //   - The root, which every mismatch falls back to, gets a dense
 //     256-entry row instead.
 //   - Outputs live in one flat array: state s reports
-//     out[outStart[s]:outStart[s+1]], its own patterns by index followed
-//     by those of its failure target, so scanning never walks failure
+//     out[outStart[s]:outStart[s+1]], its own patterns followed by
+//     those of its failure target, so scanning never walks failure
 //     chains to report.
+//   - The patterns' bytes live back to back in one buffer, which gives
+//     each pattern's length and a longer pattern's remaining bytes.
 package ahocorasick
 
 import (
 	"bytes"
+	"cmp"
 	"slices"
 	"strings"
 )
+
+// prefixCap is the most bytes of a pattern the trie holds. At 24 bytes
+// no more than two depth-2 candidate tokens share a trie string (at 16,
+// up to 30 do), so a scan that reaches a state at the cap compares the
+// remaining bytes of at most two patterns.
+const prefixCap = 24
 
 // Matcher is an immutable Aho-Corasick automaton. It is safe for
 // concurrent use after construction.
@@ -51,6 +66,12 @@ type Matcher struct {
 	// out[outStart[s]:outStart[s+1]].
 	outStart []int32
 	out      []int32
+	// pat holds the patterns' bytes back to back: pattern p is
+	// pat[patStart[p]:patStart[p+1]].
+	pat      []byte
+	patStart []int32
+	// capLen is the most bytes of a pattern the trie holds.
+	capLen int
 	// numPatterns is the number of patterns, which sizes a Scratch.
 	numPatterns int
 }
@@ -63,29 +84,37 @@ type text interface{ ~string | ~[]byte }
 // New builds an automaton over the given patterns. Empty patterns are
 // permitted but never match. Duplicate patterns each report their own
 // index.
-func New(patterns [][]byte) *Matcher { return build(patterns, bytes.Compare) }
+func New(patterns [][]byte) *Matcher { return build(patterns, bytes.Compare, prefixCap) }
 
-// NewStrings is New for string patterns; it does not copy them.
-func NewStrings(patterns []string) *Matcher { return build(patterns, strings.Compare) }
+// NewStrings is New for string patterns.
+func NewStrings(patterns []string) *Matcher { return build(patterns, strings.Compare, prefixCap) }
 
-// build constructs the automaton breadth first in one pass over the
-// patterns sorted by their bytes. Each state stands for a run of the
-// sorted order — the patterns sharing its prefix — so its children are
-// that run split by the byte after the prefix, in byte order. Every
-// state a failure link or an inherited output refers to is shallower,
-// and therefore already built, when the state that needs it is reached.
-func build[T text](patterns []T, compare func(a, b T) int) *Matcher {
-	m := &Matcher{numPatterns: len(patterns)}
-	total := 0
+// build constructs the automaton over the first capLen bytes of each
+// pattern, breadth first in one pass over the patterns sorted by their
+// bytes. Each state stands for a run of the sorted order — the patterns
+// sharing its prefix — so its children are that run split by the byte
+// after the prefix, in byte order. A state at depth capLen has no
+// children: every pattern left in its run ends there. Every state a
+// failure link or an inherited output refers to is shallower, and
+// therefore already built, when the state that needs it is reached.
+func build[T text](patterns []T, compare func(a, b T) int, capLen int) *Matcher {
+	m := &Matcher{numPatterns: len(patterns), capLen: capLen, patStart: make([]int32, len(patterns)+1)}
+	total, trieBytes := 0, 0
 	var order []int32
 	for i, p := range patterns {
+		total += len(p)
+		m.patStart[i+1] = int32(total)
 		if len(p) > 0 {
-			total += len(p)
+			trieBytes += min(len(p), capLen)
 			order = append(order, int32(i))
 		}
 	}
-	// Equal patterns stay in index order, so a state's own outputs are
-	// ascending by index.
+	m.pat = make([]byte, 0, total)
+	for _, p := range patterns {
+		m.pat = append(m.pat, p...)
+	}
+	// Equal patterns stay in index order, so a state's own outputs of
+	// one length are ascending by index.
 	slices.SortFunc(order, func(a, b int32) int {
 		if c := compare(patterns[a], patterns[b]); c != 0 {
 			return c
@@ -93,8 +122,8 @@ func build[T text](patterns []T, compare func(a, b T) int) *Matcher {
 		return int(a - b)
 	})
 
-	// A trie over total pattern bytes has at most total+1 states.
-	maxStates := total + 1
+	// A trie over trieBytes bytes has at most trieBytes+1 states.
+	maxStates := trieBytes + 1
 	m.first = make([]int32, maxStates+1)
 	m.label = make([]byte, maxStates)
 	m.fail = make([]int32, maxStates)
@@ -111,9 +140,10 @@ func build[T text](patterns []T, compare func(a, b T) int) *Matcher {
 		for s := levelStart; s < levelEnd; s++ {
 			m.first[s] = n
 			m.outStart[s] = int32(len(m.out))
-			// Patterns ending here sort first in the run.
+			// Patterns ending here sort first in the run; at the cap
+			// the whole run ends here.
 			j := lo[s]
-			for ; j < hi[s] && len(patterns[order[j]]) == depth; j++ {
+			for ; j < hi[s] && (depth == capLen || len(patterns[order[j]]) == depth); j++ {
 				m.out = append(m.out, order[j])
 			}
 			if s != 0 {
@@ -173,35 +203,95 @@ func (m *Matcher) outputs(s int32) []int32 {
 	return m.out[m.outStart[s]:m.outStart[s+1]]
 }
 
+// patLen returns the length of pattern p.
+func (m *Matcher) patLen(p int) int { return int(m.patStart[p+1] - m.patStart[p]) }
+
+// matchEnd returns the end offset of the occurrence of pattern p, an
+// output of the state the scan reached at data[i], or -1 when p is
+// longer than the trie holds and its remaining bytes do not follow.
+// Only a state at the cap reports such a pattern, so its occurrence
+// starts at i+1-capLen.
+func matchEnd[T text](m *Matcher, data T, p int32, i int) int {
+	n := m.patLen(int(p))
+	if n <= m.capLen {
+		return i + 1
+	}
+	end := i + 1 - m.capLen + n
+	if end > len(data) {
+		return -1
+	}
+	rest := m.pat[int(m.patStart[p])+m.capLen : m.patStart[p+1]]
+	for k, b := range rest {
+		if data[i+1+k] != b {
+			return -1
+		}
+	}
+	return end
+}
+
+// compareFound compares found patterns a and b, first found ending at
+// endA and endB, in the order every scan reports: by end offset, then
+// longer pattern first, then lower index.
+func (m *Matcher) compareFound(a, endA, b, endB int) int {
+	if c := cmp.Compare(endA, endB); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(m.patLen(b), m.patLen(a)); c != 0 {
+		return c
+	}
+	return cmp.Compare(a, b)
+}
+
+// sortFound puts the distinct patterns a scan found in report order,
+// given where each first ended. A pattern longer than the trie is found
+// where its capped prefix ends, before its own end, so the scan's order
+// can differ.
+func (m *Matcher) sortFound(found []int, end func(p int) int) {
+	if len(found) < 2 {
+		return
+	}
+	slices.SortFunc(found, func(a, b int) int { return m.compareFound(a, end(a), b, end(b)) })
+}
+
 // FindUnique returns the set of distinct pattern indices occurring in
-// text, in first-match order. It is the detector's hot path.
+// text, in first-match order.
 func (m *Matcher) FindUnique(text []byte) []int {
 	var found []int
-	var seen map[int]bool
+	var ends map[int]int // first-match end of each found pattern
 	s := int32(0)
-	for _, b := range text {
+	for i, b := range text {
 		s = m.step(s, b)
+		if m.outStart[s+1] == m.outStart[s] {
+			continue
+		}
 		for _, p := range m.outputs(s) {
-			if seen == nil {
-				seen = make(map[int]bool)
+			if _, ok := ends[int(p)]; ok {
+				continue
 			}
-			if !seen[int(p)] {
-				seen[int(p)] = true
+			if end := matchEnd(m, text, p, i); end >= 0 {
+				if ends == nil {
+					ends = make(map[int]int)
+				}
+				ends[int(p)] = end
 				found = append(found, int(p))
 			}
 		}
 	}
+	m.sortFound(found, func(p int) int { return ends[p] })
 	return found
 }
 
-// Scratch is reusable per-goroutine dedup state for FindUniqueInto: a
-// generation-stamped array sized to the automaton's pattern count, so
+// Scratch is reusable per-goroutine dedup state for FindUniqueInto:
+// generation-stamped arrays sized to the automaton's pattern count, so
 // clearing between scans is a counter bump, not an allocation. The zero
 // value is ready to use; a Scratch must not be shared between
 // concurrent scans.
 type Scratch struct {
 	stamp []uint32
-	gen   uint32
+	// end[p] is where pattern p's first match ended, for p stamped in
+	// the current generation.
+	end []int
+	gen uint32
 }
 
 // findUniqueInto is the allocation-free FindUnique core, generic over
@@ -209,6 +299,7 @@ type Scratch struct {
 func findUniqueInto[T text](m *Matcher, data T, sc *Scratch, dst []int) []int {
 	if len(sc.stamp) < m.numPatterns {
 		sc.stamp = make([]uint32, m.numPatterns)
+		sc.end = make([]int, m.numPatterns)
 		sc.gen = 0
 	}
 	sc.gen++
@@ -216,16 +307,25 @@ func findUniqueInto[T text](m *Matcher, data T, sc *Scratch, dst []int) []int {
 		clear(sc.stamp)
 		sc.gen = 1
 	}
+	found := len(dst)
 	s := int32(0)
 	for i := 0; i < len(data); i++ {
 		s = m.step(s, data[i])
+		if m.outStart[s+1] == m.outStart[s] {
+			continue
+		}
 		for _, p := range m.outputs(s) {
-			if sc.stamp[p] != sc.gen {
+			if sc.stamp[p] == sc.gen {
+				continue
+			}
+			if end := matchEnd(m, data, p, i); end >= 0 {
 				sc.stamp[p] = sc.gen
+				sc.end[p] = end
 				dst = append(dst, int(p))
 			}
 		}
 	}
+	m.sortFound(dst[found:], func(p int) int { return sc.end[p] })
 	return dst
 }
 
@@ -243,8 +343,15 @@ func contains[T text](m *Matcher, data T) bool {
 	s := int32(0)
 	for i := 0; i < len(data); i++ {
 		s = m.step(s, data[i])
-		if m.outStart[s+1] > m.outStart[s] {
-			return true
+		// Most bytes reach a state with no outputs: test that before
+		// slicing out.
+		if m.outStart[s+1] == m.outStart[s] {
+			continue
+		}
+		for _, p := range m.outputs(s) {
+			if matchEnd(m, data, p, i) >= 0 {
+				return true
+			}
 		}
 	}
 	return false

@@ -162,12 +162,12 @@ func naiveUnique(patterns []string, text string) []int {
 	return out
 }
 
-// distinctPrefixes counts the distinct non-empty prefixes of the
-// patterns: the trie's states other than the root.
-func distinctPrefixes(patterns []string) int {
+// distinctPrefixes counts the distinct non-empty prefixes of at most
+// capLen bytes of the patterns: the trie's states other than the root.
+func distinctPrefixes(patterns []string, capLen int) int {
 	seen := map[string]bool{}
 	for _, p := range patterns {
-		for i := 1; i <= len(p); i++ {
+		for i := 1; i <= min(len(p), capLen); i++ {
 			seen[p[:i]] = true
 		}
 	}
@@ -175,41 +175,45 @@ func distinctPrefixes(patterns []string) int {
 }
 
 // checkAgainstNaive compares every scan entry point of an automaton
-// over patterns with the naive reference on text, order included.
+// over patterns with the naive reference on text, order included. It
+// builds the automaton twice: at the production cap, and at a cap of 1
+// to 3 bytes, which most of these short patterns exceed, so their
+// remaining bytes are compared and the found patterns re-sorted.
 func checkAgainstNaive(t *testing.T, patterns []string, text string) {
 	t.Helper()
-	m := NewStrings(patterns)
 	bs := make([][]byte, len(patterns))
 	for i, p := range patterns {
 		bs[i] = []byte(p)
 	}
-	mb := New(bs)
-
 	want := naiveMatches(patterns, text)
 	wantUnique := naiveUnique(patterns, text)
-	if got := m.Find([]byte(text)); !reflect.DeepEqual(got, want) {
-		t.Fatalf("patterns %q text %q: Find\n got %v\nwant %v", patterns, text, got, want)
-	}
-	if got := mb.Find([]byte(text)); !reflect.DeepEqual(got, want) {
-		t.Fatalf("patterns %q text %q: Find ([]byte patterns)\n got %v\nwant %v", patterns, text, got, want)
-	}
-	if got := m.FindUnique([]byte(text)); !reflect.DeepEqual(got, wantUnique) {
-		t.Fatalf("patterns %q text %q: FindUnique = %v, want %v", patterns, text, got, wantUnique)
-	}
-	var sc Scratch
-	for pass := 0; pass < 2; pass++ { // the second pass reuses sc
-		if got := m.FindUniqueInto([]byte(text), &sc, nil); !reflect.DeepEqual(got, wantUnique) {
-			t.Fatalf("patterns %q text %q pass %d: FindUniqueInto = %v, want %v", patterns, text, pass, got, wantUnique)
+	for _, capLen := range []int{prefixCap, 1 + len(text)%3} {
+		m := build(patterns, strings.Compare, capLen)
+		mb := build(bs, bytes.Compare, capLen)
+		if got := m.Find([]byte(text)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cap %d patterns %q text %q: Find\n got %v\nwant %v", capLen, patterns, text, got, want)
 		}
-		if got := m.FindUniqueStringInto(text, &sc, nil); !reflect.DeepEqual(got, wantUnique) {
-			t.Fatalf("patterns %q text %q pass %d: FindUniqueStringInto = %v, want %v", patterns, text, pass, got, wantUnique)
+		if got := mb.Find([]byte(text)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cap %d patterns %q text %q: Find ([]byte patterns)\n got %v\nwant %v", capLen, patterns, text, got, want)
 		}
-	}
-	if got, want := m.ContainsString(text), len(want) > 0; got != want || m.Contains([]byte(text)) != want {
-		t.Fatalf("patterns %q text %q: Contains = %v, want %v", patterns, text, got, want)
-	}
-	if got, want := m.NumStates(), distinctPrefixes(patterns)+1; got != want || mb.NumStates() != want {
-		t.Fatalf("patterns %q: NumStates = %d, want %d", patterns, got, want)
+		if got := m.FindUnique([]byte(text)); !reflect.DeepEqual(got, wantUnique) {
+			t.Fatalf("cap %d patterns %q text %q: FindUnique = %v, want %v", capLen, patterns, text, got, wantUnique)
+		}
+		var sc Scratch
+		for pass := 0; pass < 2; pass++ { // the second pass reuses sc
+			if got := m.FindUniqueInto([]byte(text), &sc, nil); !reflect.DeepEqual(got, wantUnique) {
+				t.Fatalf("cap %d patterns %q text %q pass %d: FindUniqueInto = %v, want %v", capLen, patterns, text, pass, got, wantUnique)
+			}
+			if got := m.FindUniqueStringInto(text, &sc, nil); !reflect.DeepEqual(got, wantUnique) {
+				t.Fatalf("cap %d patterns %q text %q pass %d: FindUniqueStringInto = %v, want %v", capLen, patterns, text, pass, got, wantUnique)
+			}
+		}
+		if got, want := m.ContainsString(text), len(want) > 0; got != want || m.Contains([]byte(text)) != want {
+			t.Fatalf("cap %d patterns %q text %q: Contains = %v, want %v", capLen, patterns, text, got, want)
+		}
+		if got, want := m.NumStates(), distinctPrefixes(patterns, capLen)+1; got != want || mb.NumStates() != want {
+			t.Fatalf("cap %d patterns %q: NumStates = %d, want %d", capLen, patterns, got, want)
+		}
 	}
 }
 

@@ -1,5 +1,7 @@
 package ahocorasick
 
+import "slices"
+
 // Match reports one pattern occurrence.
 type Match struct {
 	// Pattern is the index of the matched pattern in the slice passed
@@ -9,7 +11,7 @@ type Match struct {
 	End int
 }
 
-// Find returns every occurrence of every pattern in text, in scan
+// Find returns every occurrence of every pattern in text, in report
 // order: the reference the tests hold the automaton's outputs to.
 func (m *Matcher) Find(text []byte) []Match {
 	var matches []Match
@@ -17,9 +19,12 @@ func (m *Matcher) Find(text []byte) []Match {
 	for i, b := range text {
 		s = m.step(s, b)
 		for _, p := range m.outputs(s) {
-			matches = append(matches, Match{Pattern: int(p), End: i + 1})
+			if end := matchEnd(m, text, p, i); end >= 0 {
+				matches = append(matches, Match{Pattern: int(p), End: end})
+			}
 		}
 	}
+	slices.SortFunc(matches, func(a, b Match) int { return m.compareFound(a.Pattern, a.End, b.Pattern, b.End) })
 	return matches
 }
 

@@ -294,13 +294,20 @@ func (b *Browser) do(req httpmodel.Request, host string, pg *page, phase httpmod
 		b.Obs.Count(obs.MetricBrowserBlocked, 1)
 		return false
 	}
-	if b.Ctx != nil && b.Ctx.Err() != nil {
-		// The run is cancelled: the request never leaves the browser.
-		// It counts as a failed fetch, but the crawl engine discards
-		// the in-flight site's entry anyway.
-		b.FailedFetches++
-		b.Obs.Count(obs.MetricFetchFailures, 1)
-		return false
+	if b.Ctx != nil {
+		// Receive from Done rather than call Err: a cancelable
+		// context's Err takes the lock every crawl worker shares, and
+		// this runs once per request.
+		select {
+		case <-b.Ctx.Done():
+			// The run is cancelled: the request never leaves the
+			// browser. It counts as a failed fetch, but the crawl
+			// engine discards the in-flight site's entry anyway.
+			b.FailedFetches++
+			b.Obs.Count(obs.MetricFetchFailures, 1)
+			return false
+		default:
+		}
 	}
 	if b.Transport != nil {
 		if err := b.Transport.Fetch(host); err != nil {

@@ -86,7 +86,7 @@ func CrawlStream(ctx context.Context, eco *webgen.Ecosystem, profile browser.Pro
 			b.Ctx = ctx
 			b.Obs = o
 			for !stopped.Load() {
-				if err := ctx.Err(); err != nil {
+				if err := cancelled(ctx); err != nil {
 					fail(err)
 					return
 				}
@@ -102,7 +102,7 @@ func CrawlStream(ctx context.Context, eco *webgen.Ecosystem, profile browser.Pro
 				rt := newFaultTransport(ctx, eco, opts)
 				r := crawlSite(b, eco, s, rt, opts.Quarantine)
 				r.Index = i
-				if err := ctx.Err(); err != nil {
+				if err := cancelled(ctx); err != nil {
 					// Drop the in-flight site: only sites finished
 					// before cancellation are emitted.
 					fail(err)
@@ -119,6 +119,19 @@ func CrawlStream(ctx context.Context, eco *webgen.Ecosystem, profile browser.Pro
 	}
 	wg.Wait()
 	return firstErr
+}
+
+// cancelled returns ctx's error once ctx is done, and nil until then.
+// It receives from Done, a load once the channel exists, where Err
+// would take the lock a cancelable context shares among every worker
+// polling it.
+func cancelled(ctx context.Context) error {
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	default:
+		return nil
+	}
 }
 
 // DatasetShell returns an empty dataset frame (persona, browser label,

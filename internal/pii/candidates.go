@@ -5,8 +5,11 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"piileak/internal/ahocorasick"
 )
@@ -75,12 +78,31 @@ type Token struct {
 type CandidateSet struct {
 	tokens  []Token
 	matcher *ahocorasick.Matcher
+
+	digestOnce sync.Once
+	digest     string
+}
+
+// work is one candidate value on its way to becoming a token: the
+// field it derives from, its chain, and the item of the level above it
+// (one transform shallower) that the chain's last transform applies to.
+type work struct {
+	field     int
+	parent    int
+	transform Transform
+	chain     []string
+	data      []byte
 }
 
 // BuildCandidates generates and compiles the candidate set for a
 // persona. Chains are explored breadth first and deduplicated by value,
 // so a value reachable through several chains is attributed to its
 // shortest chain (e.g. rot13∘rot13 collapses into plaintext).
+//
+// Each depth's work list is expanded for every field at once and its
+// transforms applied on GOMAXPROCS goroutines, each item into its own
+// slot; the dedup then runs field by field, shallowest chain first, so
+// the tokens and their order do not depend on the number of goroutines.
 func BuildCandidates(p Persona, cfg CandidateConfig) (*CandidateSet, error) {
 	cfg = cfg.withDefaults()
 	transforms := make([]Transform, 0, len(cfg.Transforms))
@@ -92,40 +114,49 @@ func BuildCandidates(p Persona, cfg CandidateConfig) (*CandidateSet, error) {
 		transforms = append(transforms, t)
 	}
 
-	cs := &CandidateSet{}
-	seen := make(map[string]bool)
-	add := func(value []byte, field Field, chain []string) {
-		if len(value) < cfg.MinTokenLen || seen[string(value)] {
-			return
+	fields := p.Fields()
+	// levels[d] holds every chain of d transforms, field by field.
+	levels := make([][]work, 1, cfg.MaxDepth+1)
+	for f, field := range fields {
+		levels[0] = append(levels[0], work{field: f, data: []byte(field.Value)})
+	}
+	for depth := 1; depth <= cfg.MaxDepth; depth++ {
+		level := levels[depth-1]
+		next := make([]work, 0, len(level)*len(transforms))
+		for i, w := range level {
+			for _, t := range transforms {
+				// Skip immediate self-repetition: for hashes it is
+				// covered by depth anyway and for involutions (rot13)
+				// it collapses to the parent.
+				if len(w.chain) > 0 && w.chain[len(w.chain)-1] == t.Name {
+					continue
+				}
+				chain := append(append([]string(nil), w.chain...), t.Name)
+				next = append(next, work{field: w.field, parent: i, transform: t, chain: chain})
+			}
 		}
-		seen[string(value)] = true
-		cs.tokens = append(cs.tokens, Token{Value: string(value), Field: field, Chain: chain})
+		applyTransforms(next, level)
+		levels = append(levels, next)
 	}
 
-	type work struct {
-		data  []byte
-		chain []string
+	n := 0
+	for _, level := range levels {
+		n += len(level)
 	}
-	for _, field := range p.Fields() {
-		level := []work{{data: []byte(field.Value)}}
-		add(level[0].data, field, nil)
-		for depth := 1; depth <= cfg.MaxDepth; depth++ {
-			next := make([]work, 0, len(level)*len(transforms))
-			for _, w := range level {
-				for _, t := range transforms {
-					// Skip immediate self-repetition: for hashes it
-					// is covered by depth anyway and for involutions
-					// (rot13) it collapses to the parent.
-					if len(w.chain) > 0 && w.chain[len(w.chain)-1] == t.Name {
-						continue
-					}
-					out := t.Apply(w.data)
-					chain := append(append([]string(nil), w.chain...), t.Name)
-					add(out, field, chain)
-					next = append(next, work{data: out, chain: chain})
+	cs := &CandidateSet{tokens: make([]Token, 0, n)}
+	seen := make(map[string]bool, n)
+	cursor := make([]int, len(levels)) // each level's first item not yet added
+	for f, field := range fields {
+		for d, level := range levels {
+			for ; cursor[d] < len(level) && level[cursor[d]].field == f; cursor[d]++ {
+				w := &level[cursor[d]]
+				if len(w.data) < cfg.MinTokenLen || seen[string(w.data)] {
+					continue
 				}
+				v := string(w.data)
+				seen[v] = true
+				cs.tokens = append(cs.tokens, Token{Value: v, Field: field, Chain: w.chain})
 			}
-			level = next
 		}
 	}
 
@@ -135,6 +166,25 @@ func BuildCandidates(p Persona, cfg CandidateConfig) (*CandidateSet, error) {
 	}
 	cs.matcher = ahocorasick.NewStrings(values)
 	return cs, nil
+}
+
+// applyTransforms computes each item's data by applying its transform
+// to its parent's data, on GOMAXPROCS goroutines that take items in
+// turn and write only their own.
+func applyTransforms(items, parents []work) {
+	var taken atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(items)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(taken.Add(1) - 1); i < len(items); i = int(taken.Add(1) - 1) {
+				w := &items[i]
+				w.data = w.transform.Apply(parents[w.parent].data)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // FindIn returns the distinct tokens occurring in data, in first-match
@@ -186,21 +236,28 @@ func (cs *CandidateSet) Size() int { return len(cs.tokens) }
 
 // Digest is the hex SHA-256 of every token's value, field and chain, in
 // set order, each string length-prefixed so binary values and adjacent
-// fields cannot alias. A checkpoint header pins it.
+// fields cannot alias. A checkpoint header pins it. It is computed once
+// per set.
 func (cs *CandidateSet) Digest() string {
-	h := sha256.New()
-	num := func(v int) { h.Write(binary.BigEndian.AppendUint64(nil, uint64(v))) }
-	str := func(s string) { num(len(s)); h.Write([]byte(s)) }
-	for _, t := range cs.tokens {
-		str(t.Value)
-		str(string(t.Field.Type))
-		str(t.Field.Value)
-		num(len(t.Chain))
-		for _, c := range t.Chain {
-			str(c)
+	cs.digestOnce.Do(func() {
+		h := sha256.New()
+		var buf []byte // one token's encoding, reused
+		num := func(v int) { buf = binary.BigEndian.AppendUint64(buf, uint64(v)) }
+		str := func(s string) { num(len(s)); buf = append(buf, s...) }
+		for _, t := range cs.tokens {
+			buf = buf[:0]
+			str(t.Value)
+			str(string(t.Field.Type))
+			str(t.Field.Value)
+			num(len(t.Chain))
+			for _, c := range t.Chain {
+				str(c)
+			}
+			h.Write(buf)
 		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
+		cs.digest = hex.EncodeToString(h.Sum(nil))
+	})
+	return cs.digest
 }
 
 // States returns the automaton state count (a memory proxy reported by
