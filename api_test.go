@@ -18,7 +18,7 @@ import (
 // its own knob. WithStream is the one option that moves none: it is
 // nil, which Run skips.
 func TestRunOptionDefaults(t *testing.T) {
-	o := obs.NewRun(nil)
+	o := obs.NewRun()
 	q, err := crawler.NewQuarantine(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestTelemetryIsSideChannel(t *testing.T) {
 			var observers []*obs.Run
 			var obs1 *Study
 			for i := 0; i < 5; i++ {
-				o := obs.NewRun(nil)
+				o := obs.NewRun()
 				s := newStudy()
 				if err := s.Run(ctx, WithObserver(o), WithWorkers(3, 2)); err != nil {
 					t.Fatal(err)

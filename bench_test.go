@@ -346,7 +346,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		obs  func() *obs.Run
 	}{
 		{"off", func() *obs.Run { return nil }},
-		{"on", func() *obs.Run { return obs.NewRun(nil) }},
+		{"on", func() *obs.Run { return obs.NewRun() }},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var res *pipeline.Result

@@ -348,6 +348,89 @@ func TestEntryPointsShareVerdicts(t *testing.T) {
 	}
 }
 
+// refused runs argv (a tool built in dir, then its flags) and checks
+// that it exits 1 with a stderr naming want.
+func refused(t *testing.T, dir string, want string, argv ...string) {
+	t.Helper()
+	cmd := exec.Command(filepath.Join(dir, argv[0]), argv[1:]...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 || !strings.Contains(stderr.String(), want) {
+		t.Errorf("%v: exit %v, stderr %q; want exit 1 naming %q", argv, err, stderr.String(), want)
+	}
+}
+
+// TestPiireproRefusesShardFlags: piirepro shares piicrawl's flags but
+// not its sharded runtime, so a sharded piirepro must refuse and name
+// piicrawl instead of running the study unsharded and leaving
+// -shard-dir uncreated.
+func TestPiireproRefusesShardFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := t.TempDir()
+	buildTools(t, dir, "piirepro")
+	shards := filepath.Join(dir, "shards")
+	refused(t, dir, "piicrawl -shards K -supervise", "piirepro", "-small", "-seed", "7", "-shards", "2", "-supervise", "-shard-dir", shards, "-experiments", "E1")
+	refused(t, dir, "piicrawl -shards K -supervise", "piirepro", "-small", "-seed", "7", "-shard", "0/2", "-shard-dir", shards)
+	if _, err := os.Stat(shards); !os.IsNotExist(err) {
+		t.Errorf("refused piirepro created %s (stat: %v)", shards, err)
+	}
+}
+
+// TestShardWorkerRefusesOutputFlags: a -shard worker writes only its
+// sealed result, so -o and -funnel would do nothing; it must refuse
+// them before it crawls, writing neither the output nor the shard
+// directory.
+func TestShardWorkerRefusesOutputFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := t.TempDir()
+	buildTools(t, dir, "piicrawl")
+	shards, out := filepath.Join(dir, "shards"), filepath.Join(dir, "out.json")
+	worker := []string{"piicrawl", "-small", "-seed", "7", "-shard", "0/2", "-shard-dir", shards}
+	refused(t, dir, "-o and -funnel belong to the -supervise run", append(worker, "-o", out)...)
+	refused(t, dir, "-o and -funnel belong to the -supervise run", append(worker, "-funnel")...)
+	for _, path := range []string{shards, out} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("refused worker created %s (stat: %v)", path, err)
+		}
+	}
+}
+
+// TestSupervisedFunnel: -supervise -funnel prints the merged dataset's
+// funnel, and it is the bare crawl's: the same site outcomes, records
+// and mail counts, with no capture high-water mark.
+func TestSupervisedFunnel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := t.TempDir()
+	buildTools(t, dir, "piicrawl")
+	funnel := func(args ...string) string {
+		t.Helper()
+		cmd := exec.Command(filepath.Join(dir, "piicrawl"), append([]string{"-small", "-seed", "7", "-funnel", "-o", os.DevNull}, args...)...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("piicrawl %v: %v\n%s", args, err, stderr.String())
+		}
+		var lines []string
+		for _, line := range strings.Split(stderr.String(), "\n") {
+			if strings.HasPrefix(line, "sites: ") || strings.HasPrefix(line, "records: ") {
+				lines = append(lines, line)
+			}
+		}
+		return strings.Join(lines, "\n")
+	}
+	want := funnel()
+	if got := funnel("-shards", "2", "-supervise", "-shard-dir", filepath.Join(dir, "shards")); got != want || want == "" {
+		t.Errorf("-supervise -funnel printed\n%s\nwant the bare crawl's\n%s", got, want)
+	}
+}
+
 func min(a, b int) int {
 	if a < b {
 		return a

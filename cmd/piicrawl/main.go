@@ -46,7 +46,9 @@
 // dataset to write. With -funnel it also reports the capture high-water
 // mark, the most captures in flight at once; it depends on scheduling,
 // so it never enters -metrics. Sharded runs (-supervise) write the same
-// leak list.
+// leak list, and -funnel prints their merged funnel without that mark.
+// A -shard worker refuses -o and -funnel: it writes only its sealed
+// result under -shard-dir, for the supervisor's merge.
 package main
 
 import (
@@ -77,6 +79,10 @@ func main() {
 	if err := common.Validate(); err != nil {
 		fatal(err)
 	}
+	shardIdx, shardN, isWorker := common.ShardCoords()
+	if isWorker && (*out != "" || *funnel) {
+		fatal(errors.New("a -shard worker only seals its result under -shard-dir: -o and -funnel belong to the -supervise run that merges it"))
+	}
 	if err := cliflags.StartPprof(prog, common.Pprof); err != nil {
 		fatal(err)
 	}
@@ -85,7 +91,7 @@ func main() {
 	defer cancel()
 	cliflags.InstallSignalHandler(prog, cancel)
 
-	if shardIdx, shardN, isWorker := common.ShardCoords(); isWorker || common.Supervise || *stream {
+	if isWorker || common.Supervise || *stream {
 		// Only the study paths need the detection machinery (the
 		// candidate set costs most of the startup); dataset mode below
 		// generates just the ecosystem.
@@ -107,7 +113,7 @@ func main() {
 			workerRun(ctx, study, common, rt, shardIdx, shardN)
 			return
 		case common.Supervise:
-			superviseRun(ctx, study, common, rt)
+			superviseRun(ctx, study, common, rt, *funnel)
 		default:
 			streamRun(ctx, study, common, rt, *funnel)
 		}
@@ -163,7 +169,8 @@ func main() {
 }
 
 // printFunnel writes the §3.2 funnel summary. captureHighWater < 0
-// means the bare crawl, which has no capture high-water mark.
+// means a run with no capture high-water mark of its own: the bare
+// crawl, or a supervised merge of shard workers.
 func printFunnel(ds *crawler.Dataset, totalRecords, captureHighWater int, faulty bool) {
 	counts := ds.FunnelCounts()
 	fmt.Fprintf(os.Stderr, "sites: %d  success: %d  unreachable: %d  no-auth: %d  signup-blocked: %d  captcha: %d  partial: %d  timeout: %d  crashed: %d\n",
@@ -232,8 +239,10 @@ func workerRun(ctx context.Context, study *piileak.Study, common *cliflags.Commo
 // superviseRun runs the full sharded study under the self-healing
 // supervisor, leaving the merged leaks (the -stream output) in the
 // study. A partial merge — some shard exhausted its restarts — still
-// keeps the surviving leaks; the gaps are in the report.
-func superviseRun(ctx context.Context, study *piileak.Study, common *cliflags.Common, rt *cliflags.Runtime) {
+// keeps the surviving leaks; the gaps are in the report. The funnel is
+// the merged dataset's, with no capture high-water mark: the captures
+// were in flight in the workers.
+func superviseRun(ctx context.Context, study *piileak.Study, common *cliflags.Common, rt *cliflags.Runtime, funnel bool) {
 	sopts := shard.Options{
 		Shards:        common.Shards,
 		Dir:           common.ShardDir,
@@ -276,6 +285,9 @@ func superviseRun(ctx context.Context, study *piileak.Study, common *cliflags.Co
 			fmt.Fprintf(os.Stderr, "%s: shard %d missing after %d attempt(s): %d site(s) not in the tables (see %s)\n",
 				prog, m.Shard, m.Attempts, len(m.Sites), shard.ReportPath(common.ShardDir))
 		}
+	}
+	if funnel {
+		printFunnel(study.Dataset, study.TotalRecords(), -1, common.Faults > 0)
 	}
 	if err := common.WriteTelemetry(rt); err != nil {
 		fatal(err)

@@ -4,18 +4,16 @@
 //
 // Standalone:
 //
-//	piilint ./...                      # lint packages, exit 1 on findings
-//	piilint -workers 8 ./...           # parallel DAG driver
-//	piilint -cache .lintcache ./...    # content-keyed result cache
-//	piilint -json ./...                # JSON lines + summary trailer
-//	piilint -github ./...              # GitHub Actions ::error annotations
-//	piilint -stats ./...               # analyzed/cached counts on stderr
-//	piilint -list                      # describe the suite
+//	piilint ./...            # lint packages, exit 1 on findings
+//	piilint -json ./...      # JSON lines + summary trailer
+//	piilint -github ./...    # GitHub Actions ::error annotations
+//	piilint -list            # describe the suite
 //
-// Findings print as file:line:col: analyzer: message, in one canonical
-// order (file, line, column, analyzer, message) regardless of worker
-// count or cache state. Suppress a deliberate exception with a trailing
-// or preceding comment:
+// One pass analyzes the packages in the dependency order `go list
+// -deps` gives, so every package sees the facts of everything it
+// imports. Findings print as file:line:col: analyzer: message, in one
+// canonical order (file, line, column, analyzer, message). Suppress a
+// deliberate exception with a trailing or preceding comment:
 //
 //	//lint:allow <analyzer> <reason>
 //
@@ -49,18 +47,14 @@ type jsonSummary struct {
 	Findings   int `json:"findings"`
 	Suppressed int `json:"suppressed"`
 	Analyzed   int `json:"analyzed"`
-	Cached     int `json:"cached"`
 }
 
 func main() {
 	list := flag.Bool("list", false, "describe the analyzers and exit")
-	workers := flag.Int("workers", 0, "concurrent package analyses (0 = GOMAXPROCS, 1 = sequential)")
-	cacheDir := flag.String("cache", "", "content-keyed result cache directory (empty = no cache)")
 	jsonOut := flag.Bool("json", false, "emit findings as JSON lines plus a summary trailer")
 	github := flag.Bool("github", false, "also emit GitHub Actions ::error annotations")
-	stats := flag.Bool("stats", false, "print analyzed/cached package counts to stderr")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: piilint [-list] [-workers n] [-cache dir] [-json] [-github] [-stats] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: piilint [-list] [-json] [-github] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -81,11 +75,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "piilint:", err)
 		os.Exit(2)
 	}
-	driver := &analysis.Driver{Workers: *workers}
-	if *cacheDir != "" {
-		driver.Cache = &analysis.Cache{Dir: *cacheDir}
-	}
-	findings, st, err := driver.Run(graph, suite.Analyzers())
+	findings, suppressed, err := graph.Run(suite.Analyzers())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "piilint:", err)
 		os.Exit(2)
@@ -125,14 +115,9 @@ func main() {
 	if *jsonOut {
 		enc.Encode(jsonSummary{
 			Findings:   len(findings),
-			Suppressed: st.Suppressed,
-			Analyzed:   len(st.Analyzed),
-			Cached:     len(st.Cached),
+			Suppressed: suppressed,
+			Analyzed:   len(graph.Packages),
 		})
-	}
-	if *stats {
-		fmt.Fprintf(os.Stderr, "piilint: %d package(s) analyzed, %d from cache, %d finding(s), %d suppressed\n",
-			len(st.Analyzed), len(st.Cached), len(findings), st.Suppressed)
 	}
 	if len(findings) > 0 {
 		if !*jsonOut {

@@ -19,6 +19,9 @@
 // byte-identical with telemetry on or off, and two identically-seeded
 // runs write identical telemetry files.
 //
+// Sharded runs go through piicrawl: piirepro refuses -shards, -shard
+// and -supervise rather than run the study unsharded.
+//
 // The study runs as one streaming pass: captures are released after
 // detection, so peak memory stays bounded at any -universe size, and
 // crawl/detect progress goes to stderr. The ablations that rescan raw
@@ -45,6 +48,11 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the machine-readable summary instead of text reports")
 	flag.Parse()
 
+	// The sharded runtime is piicrawl's: piirepro would run the study
+	// unsharded and leave -shard-dir untouched.
+	if common.Shards != 0 || common.Shard != "" || common.Supervise {
+		fatal(errors.New("-shards, -shard and -supervise are piicrawl's: run a sharded study with piicrawl -shards K -supervise -shard-dir D"))
+	}
 	if err := common.Validate(); err != nil {
 		fatal(err)
 	}

@@ -1,7 +1,8 @@
 // Package analysis is a small, dependency-free re-implementation of the
 // golang.org/x/tools/go/analysis surface this repo needs: Analyzer,
-// Pass, Diagnostic, a package loader built on `go list -export`, an
-// allowlist (`//lint:allow`) layer, and a deterministic runner.
+// Pass, Diagnostic, a package loader built on `go list -export -deps`,
+// an allowlist (`//lint:allow`) layer, and one runner that analyzes
+// the packages in dependency order, so facts reach every importer.
 //
 // Why not the real module? The repo is intentionally stdlib-only, and
 // the invariants piilint protects (byte-identical study output across

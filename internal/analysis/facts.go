@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/gob"
 	"fmt"
 	"go/types"
@@ -13,9 +12,10 @@ import (
 // A Fact is a serializable datum an analyzer attaches to a package-level
 // object (function, method, var, const, type) so downstream packages can
 // reason interprocedurally: "this function transitively reads the wall
-// clock", "this function forwards parameter 0 to a log sink". Facts are
-// gob-encoded at export time — even within one process — so the in-memory
-// driver and the on-disk cache exchange exactly the same representation.
+// clock", "this function forwards parameter 0 to a log sink". Each fact
+// is gob-encoded when exported and decoded into the importer's own
+// value, as go/analysis does between separately analyzed packages, so
+// an importing package gets a copy, never the exporter's pointer.
 //
 // Fact types must be pointers to structs and should implement String();
 // analysistest matches `// want fact:"..."` patterns against that
@@ -24,8 +24,8 @@ type Fact interface {
 	AFact() // marker method; dedicated to the fact namespace
 }
 
-// An ObjectFact is one (object, fact) pair, surfaced for tests and
-// debugging (AllObjectFacts).
+// An ObjectFact is one (object, fact) pair, as DecodeObjectFacts
+// surfaces them for analysistest.
 type ObjectFact struct {
 	Object types.Object
 	Fact   Fact
@@ -42,85 +42,9 @@ type factKey struct {
 
 // A FactSet is the complete fact output of one package: every fact
 // every analyzer exported, keyed by (analyzer, object path, fact type),
-// values gob-encoded. FactSets are immutable once the package's
-// analysis completes, so concurrent readers need no locking.
+// values gob-encoded.
 type FactSet struct {
-	PkgPath string
-	m       map[factKey][]byte
-}
-
-// NewFactSet returns an empty fact set for the package.
-func NewFactSet(pkgPath string) *FactSet {
-	return &FactSet{PkgPath: pkgPath, m: map[factKey][]byte{}}
-}
-
-// factRecord is the serialized form of one fact, used by Encode/Decode
-// (cache entries).
-type factRecord struct {
-	Analyzer string
-	Object   string
-	Type     string
-	Data     []byte
-}
-
-// records returns the set's contents sorted by key — the canonical
-// order every serialization and hash uses.
-func (fs *FactSet) records() []factRecord {
-	recs := make([]factRecord, 0, len(fs.m))
-	for k, v := range fs.m {
-		recs = append(recs, factRecord{Analyzer: k.Analyzer, Object: k.Object, Type: k.Type, Data: v})
-	}
-	sort.Slice(recs, func(i, j int) bool {
-		a, b := recs[i], recs[j]
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		if a.Object != b.Object {
-			return a.Object < b.Object
-		}
-		return a.Type < b.Type
-	})
-	return recs
-}
-
-// Len reports the number of facts in the set.
-func (fs *FactSet) Len() int { return len(fs.m) }
-
-// Hash returns a content digest of the set: identical facts yield an
-// identical hash regardless of export order, so it is a sound cache-key
-// ingredient for dependent packages.
-func (fs *FactSet) Hash() [32]byte {
-	h := sha256.New()
-	for _, r := range fs.records() {
-		fmt.Fprintf(h, "%s\x00%s\x00%s\x00%x\n", r.Analyzer, r.Object, r.Type, r.Data)
-	}
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
-}
-
-// Encode serializes the set (deterministically) for a cache entry.
-func (fs *FactSet) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(fs.records()); err != nil {
-		return nil, fmt.Errorf("analysis: encoding facts for %s: %w", fs.PkgPath, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeFactSet reconstructs a fact set serialized by Encode.
-func decodeFactSet(pkgPath string, data []byte) (*FactSet, error) {
-	var recs []factRecord
-	if len(data) > 0 {
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&recs); err != nil {
-			return nil, fmt.Errorf("analysis: decoding facts for %s: %w", pkgPath, err)
-		}
-	}
-	fs := NewFactSet(pkgPath)
-	for _, r := range recs {
-		fs.m[factKey{Analyzer: r.Analyzer, Object: r.Object, Type: r.Type}] = r.Data
-	}
-	return fs, nil
+	m map[factKey][]byte
 }
 
 // A FactReader resolves the fact sets of a package's dependencies by
@@ -244,12 +168,6 @@ func (p *Pass) ImportObjectFact(obj types.Object, ptr Fact) bool {
 		panic(fmt.Sprintf("analysis: %s: decoding fact %T for %s: %v", p.Analyzer.Name, ptr, key, err))
 	}
 	return true
-}
-
-// AllObjectFacts lists every fact this analyzer exported on the current
-// package, decoded, sorted by object key then type. Primarily for tests.
-func (p *Pass) AllObjectFacts() []ObjectFact {
-	return DecodeObjectFacts(p.Pkg, p.facts, p.Analyzer)
 }
 
 // DecodeObjectFacts decodes every fact analyzer a exported on pkg's

@@ -2,45 +2,47 @@ package analysis
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"go/token"
 	"io"
-	"os"
 	"os/exec"
-	"path/filepath"
-	"sort"
 	"strings"
 )
 
-// A GraphPackage is one analyzable node of the package DAG: metadata
-// only — parsing and type-checking happen lazily (and in parallel) in
-// the driver, and not at all on a warm cache hit.
+// A GraphPackage is one package to analyze: metadata only, since
+// parsing and type-checking happen in Run, one package at a time.
 type GraphPackage struct {
 	PkgPath string
 	Dir     string
-	GoFiles []string // absolute paths, go list order
-	Imports []string // in-module imports (edges into the DAG), sorted
+	GoFiles []string // file names in Dir, go list order
 }
 
-// A Graph is the loaded package DAG plus the export-data index shared
-// by every node's type-check. Export files are written by the go tool
-// and read-only here, so concurrent type-checks share the map safely.
+// A Graph is the matched packages in dependency order plus the
+// export-data index their type-checks import through.
 type Graph struct {
-	Packages []*GraphPackage // sorted by import path
+	Packages []*GraphPackage // every dependency before its importers
 	exports  map[string]string
-	index    map[string]*GraphPackage
 }
 
-// Package returns the node for an import path, or nil.
-func (g *Graph) Package(path string) *GraphPackage { return g.index[path] }
+// listPackage is the subset of `go list -json` output LoadGraph reads.
+type listPackage struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string
+	Standard   bool
+	DepOnly    bool
+	Error      *struct{ Err string }
+}
 
 // LoadGraph resolves patterns (e.g. "./...") with the go tool and
-// returns the in-module package DAG: one node per matched package,
-// edges along in-module imports, export data recorded for the full
-// dependency closure. dir is the go tool's working directory; "" means
-// the current directory.
+// returns the matched packages in the order `go list -deps` prints
+// them, with export data recorded for the full dependency closure.
+// That order is a depth-first post-order: a package is listed only
+// after all of its dependencies, so Run can hand every package the
+// facts of everything it imports. dir is the go tool's working
+// directory; "" means the current directory.
 //
 // Only non-test GoFiles are analyzed: test files deliberately exercise
 // nondeterminism (fault injection, timing) and are not part of the
@@ -48,7 +50,7 @@ func (g *Graph) Package(path string) *GraphPackage { return g.index[path] }
 func LoadGraph(dir string, patterns ...string) (*Graph, error) {
 	args := append([]string{
 		"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Dir,GoFiles,Imports,Export,Standard,DepOnly,Incomplete,Error",
+		"-json=ImportPath,Dir,GoFiles,Export,Standard,DepOnly,Error",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -60,7 +62,7 @@ func LoadGraph(dir string, patterns ...string) (*Graph, error) {
 			strings.Join(patterns, " "), err, stderr.String())
 	}
 
-	g := &Graph{exports: map[string]string{}, index: map[string]*GraphPackage{}}
+	g := &Graph{exports: map[string]string{}}
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
 		var p listPackage
@@ -75,60 +77,41 @@ func LoadGraph(dir string, patterns ...string) (*Graph, error) {
 		if p.Export != "" {
 			g.exports[p.ImportPath] = p.Export
 		}
-		if p.DepOnly || p.Standard {
-			continue
+		if !p.DepOnly && !p.Standard {
+			g.Packages = append(g.Packages, &GraphPackage{PkgPath: p.ImportPath, Dir: p.Dir, GoFiles: p.GoFiles})
 		}
-		abs := make([]string, 0, len(p.GoFiles))
-		for _, name := range p.GoFiles {
-			abs = append(abs, joinIfRelative(p.Dir, name))
-		}
-		node := &GraphPackage{PkgPath: p.ImportPath, Dir: p.Dir, GoFiles: abs, Imports: p.Imports}
-		g.Packages = append(g.Packages, node)
-		g.index[p.ImportPath] = node
-	}
-	sort.Slice(g.Packages, func(i, j int) bool { return g.Packages[i].PkgPath < g.Packages[j].PkgPath })
-
-	// Restrict edges to in-module targets and sort them: the DAG the
-	// scheduler walks, in one canonical shape.
-	for _, node := range g.Packages {
-		var in []string
-		for _, imp := range node.Imports {
-			if _, ok := g.index[imp]; ok && imp != node.PkgPath {
-				in = append(in, imp)
-			}
-		}
-		sort.Strings(in)
-		node.Imports = in
 	}
 	return g, nil
 }
 
-// load parses and type-checks one node against export data, with its
-// own FileSet — nodes share no mutable state, which is what lets the
-// driver analyze independent packages concurrently.
-func (g *Graph) load(node *GraphPackage) (*Package, error) {
+// Run analyzes the packages in graph order: each one is parsed,
+// type-checked against export data and analyzed with the facts of
+// every package before it, then dropped. It returns the findings in
+// the order SortFindings gives and the number of diagnostics that
+// //lint:allow directives suppressed.
+func (g *Graph) Run(analyzers []*Analyzer) ([]Finding, int, error) {
 	fset := token.NewFileSet()
 	imp := exportImporter(fset, g.exports)
-	return checkPackage(fset, imp, node.PkgPath, node.Dir, node.GoFiles)
-}
-
-// ContentHash digests the node's source bytes (file names and
-// contents, in order) — the package-local ingredient of its cache key.
-func (node *GraphPackage) ContentHash() (string, error) {
-	h := sha256.New()
-	for _, path := range node.GoFiles {
-		data, err := os.ReadFile(path)
+	facts := FactReader{}
+	var findings []Finding
+	suppressed := 0
+	for _, node := range g.Packages {
+		syntax, err := parseFiles(fset, node.Dir, node.GoFiles)
 		if err != nil {
-			return "", fmt.Errorf("analysis: hashing %s: %w", node.PkgPath, err)
+			return nil, 0, err
 		}
-		fmt.Fprintf(h, "%s\x00%x\n", path, sha256.Sum256(data))
+		pkg, err := checkPackage(fset, imp, node.PkgPath, syntax)
+		if err != nil {
+			return nil, 0, err
+		}
+		res, err := analyzePackage(pkg, analyzers, facts)
+		if err != nil {
+			return nil, 0, err
+		}
+		facts[node.PkgPath] = res.Facts
+		findings = append(findings, res.Findings...)
+		suppressed += res.Suppressed
 	}
-	return fmt.Sprintf("%x", h.Sum(nil)), nil
-}
-
-func joinIfRelative(dir, name string) string {
-	if filepath.IsAbs(name) {
-		return name
-	}
-	return filepath.Join(dir, name)
+	SortFindings(findings)
+	return findings, suppressed, nil
 }

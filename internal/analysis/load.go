@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -18,28 +16,13 @@ import (
 	"strings"
 )
 
-// A Package is one loaded, parsed, type-checked target package.
+// A Package is one parsed, type-checked package.
 type Package struct {
 	PkgPath   string
-	Dir       string
-	GoFiles   []string // absolute paths, in go list order
 	Fset      *token.FileSet
 	Syntax    []*ast.File
 	Types     *types.Package
 	TypesInfo *types.Info
-}
-
-// listPackage is the subset of `go list -json` output the loaders read.
-type listPackage struct {
-	ImportPath string
-	Dir        string
-	GoFiles    []string
-	Imports    []string
-	Export     string
-	Standard   bool
-	DepOnly    bool
-	Incomplete bool
-	Error      *struct{ Err string }
 }
 
 // ModuleRoot reports the directory of the enclosing module, so callers
@@ -56,82 +39,14 @@ func ModuleRoot() (string, error) {
 	return filepath.Dir(gomod), nil
 }
 
-// Load resolves patterns (e.g. "./...") with the go tool, type-checks
-// every matched package against compiled export data, and returns the
-// targets sorted by import path. dir is the working directory for the
-// go tool; "" means the current directory.
-//
-// Only non-test GoFiles are analyzed: test files deliberately exercise
-// nondeterminism (fault injection, timing) and are not part of the
-// shipped pipeline the analyzers guard.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	args := append([]string{
-		"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Dir,GoFiles,Export,Standard,DepOnly,Incomplete,Error",
-	}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("analysis: go list %s: %v\n%s",
-			strings.Join(patterns, " "), err, stderr.String())
-	}
-
-	exports := map[string]string{}
-	var targets []listPackage
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listPackage
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("analysis: decoding go list output: %w", err)
-		}
-		if p.Error != nil {
-			return nil, fmt.Errorf("analysis: %s: %s", p.ImportPath, p.Error.Err)
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if !p.DepOnly && !p.Standard {
-			targets = append(targets, p)
-		}
-	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
-
-	fset := token.NewFileSet()
-	imp := exportImporter(fset, exports)
-	var pkgs []*Package
-	for _, t := range targets {
-		pkg, err := checkPackage(fset, imp, t.ImportPath, t.Dir, t.GoFiles)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
-}
-
-// LoadDir parses and type-checks a single directory of Go files that
-// the go tool does not know about (an analysistest testdata package).
+// LoadDirs parses and type-checks directories of Go files that the go
+// tool does not know about (analysistest testdata packages), in order.
 // Imports resolve through `go list -export` run from the enclosing
 // module, so testdata may import both the standard library and this
-// repo's own packages.
-func LoadDir(dir string) (*Package, error) {
-	pkgs, err := LoadDirs(dir)
-	if err != nil {
-		return nil, err
-	}
-	return pkgs[0], nil
-}
-
-// LoadDirs parses and type-checks several testdata directories in
-// order. Later packages may import earlier ones by their package name
-// (e.g. `import "a"` resolves to the already-checked testdata package
-// a) — the shape cross-package fact tests need. All packages share one
-// FileSet so positions stay comparable.
+// repo's own packages; later packages may also import earlier ones by
+// their package name (e.g. `import "a"` resolves to the already-checked
+// testdata package a) — the shape cross-package fact tests need. All
+// packages share one FileSet so positions stay comparable.
 func LoadDirs(dirs ...string) ([]*Package, error) {
 	fset := token.NewFileSet()
 	local := map[string]*types.Package{}
@@ -176,76 +91,36 @@ func loadDirInto(fset *token.FileSet, local map[string]*types.Package, dir strin
 		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
 	}
 	sort.Strings(files)
+	syntax, err := parseFiles(fset, dir, files)
+	if err != nil {
+		return nil, err
+	}
 
-	var syntax []*ast.File
-	imports := map[string]bool{}
-	for _, name := range files {
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: %w", err)
-		}
-		syntax = append(syntax, f)
+	var imports []string
+	seen := map[string]bool{}
+	for _, f := range syntax {
 		for _, spec := range f.Imports {
 			path, _ := strconv.Unquote(spec.Path.Value)
-			if path != "" && local[path] == nil {
-				imports[path] = true
+			if path != "" && local[path] == nil && !seen[path] {
+				seen[path] = true
+				imports = append(imports, path)
 			}
 		}
 	}
-
-	exports := map[string]string{}
+	var exports map[string]string
 	if len(imports) > 0 {
-		var paths []string
-		for p := range imports {
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
 		root, err := ModuleRoot()
 		if err != nil {
 			return nil, err
 		}
-		args := append([]string{
-			"list", "-export", "-deps",
-			"-json=ImportPath,Export",
-		}, paths...)
-		cmd := exec.Command("go", args...)
-		cmd.Dir = root
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		out, err := cmd.Output()
+		g, err := LoadGraph(root, imports...)
 		if err != nil {
-			return nil, fmt.Errorf("analysis: go list %s: %v\n%s",
-				strings.Join(paths, " "), err, stderr.String())
+			return nil, err
 		}
-		dec := json.NewDecoder(bytes.NewReader(out))
-		for {
-			var p struct{ ImportPath, Export string }
-			if err := dec.Decode(&p); err == io.EOF {
-				break
-			} else if err != nil {
-				return nil, fmt.Errorf("analysis: decoding go list output: %w", err)
-			}
-			if p.Export != "" {
-				exports[p.ImportPath] = p.Export
-			}
-		}
+		exports = g.exports
 	}
-
-	pkgPath := syntax[0].Name.Name
-	info := newInfo()
-	conf := types.Config{Importer: overrideImporter{local: local, base: exportImporter(fset, exports)}}
-	tpkg, err := conf.Check(pkgPath, fset, syntax, info)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: type-checking %s: %w", dir, err)
-	}
-	abs := make([]string, len(files))
-	for i, name := range files {
-		abs[i] = filepath.Join(dir, name)
-	}
-	return &Package{
-		PkgPath: pkgPath, Dir: dir, GoFiles: abs,
-		Fset: fset, Syntax: syntax, Types: tpkg, TypesInfo: info,
-	}, nil
+	imp := overrideImporter{local: local, base: exportImporter(fset, exports)}
+	return checkPackage(fset, imp, syntax[0].Name.Name, syntax)
 }
 
 // exportImporter returns a gc-export-data importer whose lookup is a
@@ -261,31 +136,29 @@ func exportImporter(fset *token.FileSet, exports map[string]string) types.Import
 	})
 }
 
-func checkPackage(fset *token.FileSet, imp types.Importer, pkgPath, dir string, goFiles []string) (*Package, error) {
-	var syntax []*ast.File
-	abs := make([]string, 0, len(goFiles))
-	for _, name := range goFiles {
-		path := name
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(dir, name)
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+// parseFiles parses the named files of dir, comments included (the
+// //lint:allow directives and // want expectations live in them).
+func parseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
+	syntax := make([]*ast.File, 0, len(names))
+	for _, name := range names {
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: %w", err)
 		}
 		syntax = append(syntax, f)
-		abs = append(abs, path)
 	}
+	return syntax, nil
+}
+
+// checkPackage type-checks one package's files, importing through imp.
+func checkPackage(fset *token.FileSet, imp types.Importer, pkgPath string, syntax []*ast.File) (*Package, error) {
 	info := newInfo()
 	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(pkgPath, fset, syntax, info)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: type-checking %s: %w", pkgPath, err)
 	}
-	return &Package{
-		PkgPath: pkgPath, Dir: dir, GoFiles: abs,
-		Fset: fset, Syntax: syntax, Types: tpkg, TypesInfo: info,
-	}, nil
+	return &Package{PkgPath: pkgPath, Fset: fset, Syntax: syntax, Types: tpkg, TypesInfo: info}, nil
 }
 
 // newInfo allocates a types.Info with every map the analyzers read.

@@ -23,7 +23,6 @@ func (f Finding) String() string {
 // surviving findings (sorted), the number of diagnostics an allow
 // directive suppressed, and the exported fact set.
 type PackageResult struct {
-	PkgPath    string
 	Findings   []Finding
 	Suppressed int
 	Facts      *FactSet
@@ -33,7 +32,7 @@ type PackageResult struct {
 // supplying the fact sets of the package's dependencies. Findings are
 // filtered through the //lint:allow index and sorted.
 func analyzePackage(pkg *Package, analyzers []*Analyzer, deps FactReader) (*PackageResult, error) {
-	res := &PackageResult{PkgPath: pkg.PkgPath, Facts: NewFactSet(pkg.PkgPath)}
+	res := &PackageResult{Facts: &FactSet{m: map[factKey][]byte{}}}
 	idx := buildAllowIndex(pkg.Fset, pkg.Syntax)
 	for _, d := range idx.malformed {
 		res.Findings = append(res.Findings, Finding{
@@ -73,28 +72,12 @@ func analyzePackage(pkg *Package, analyzers []*Analyzer, deps FactReader) (*Pack
 	return res, nil
 }
 
-// Run applies every analyzer to every package in slice order — facts
-// flow forward, so callers pass dependencies before dependents (the
-// parallel Driver schedules the real package DAG; this entry serves
-// analysistest and other pre-loaded-package uses). Findings are
-// filtered through the //lint:allow index and returned in deterministic
-// order (file, line, column, analyzer, message) — the suite practices
-// the ordering discipline it preaches.
-func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
-	results, err := RunPackages(pkgs, analyzers)
-	if err != nil {
-		return nil, err
-	}
-	var findings []Finding
-	for _, r := range results {
-		findings = append(findings, r.Findings...)
-	}
-	SortFindings(findings)
-	return findings, nil
-}
-
-// RunPackages is Run with per-package results (facts included) — the
-// form analysistest needs for `// want fact:` assertions.
+// RunPackages applies every analyzer to every package in slice order,
+// handing each package the facts of every package before it, so
+// callers pass dependencies first. It returns per-package results,
+// facts included: the form analysistest needs for its testdata
+// packages, which `go list` cannot see and Graph.Run therefore cannot
+// load.
 func RunPackages(pkgs []*Package, analyzers []*Analyzer) ([]*PackageResult, error) {
 	deps := FactReader{}
 	var results []*PackageResult
@@ -110,9 +93,7 @@ func RunPackages(pkgs []*Package, analyzers []*Analyzer) ([]*PackageResult, erro
 }
 
 // SortFindings orders findings by (file, line, column, analyzer,
-// message) — the one total order every driver path (sequential,
-// parallel, cached, vet unit) emits, which is what makes N-worker
-// output byte-identical to sequential output.
+// message): the one order piilint prints and tests compare.
 func SortFindings(findings []Finding) {
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]

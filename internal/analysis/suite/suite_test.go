@@ -13,18 +13,18 @@ import (
 )
 
 // TestRepoIsLintClean is the acceptance gate: the shipped tree must
-// carry zero findings, with every deliberate exception annotated. A
-// failure here prints the same file:line diagnostics `make lint` does.
+// carry zero findings, with every deliberate exception annotated. It
+// runs the pass `make lint` runs, so a failure here prints the same
+// file:line diagnostics.
 func TestRepoIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks every package in the module")
 	}
-	root := moduleRoot(t)
-	pkgs, err := analysis.Load(root, "./...")
+	g, err := analysis.LoadGraph(moduleRoot(t), "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := analysis.Run(pkgs, suite.Analyzers())
+	findings, _, err := g.Run(suite.Analyzers())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,83 +47,61 @@ var deadExportExemptions = map[string]string{
 // exported package-level func, type, var and const under internal/
 // must be used by a non-test file of the module or of the benchmark
 // harness (bench/), or be named in deadExportExemptions. internal/
-// analysis is out of scope, since its loader and sequential runner
-// serve its own tests; so are methods, whose use interface
-// satisfaction hides from a by-name scan.
+// analysis is out of scope, since its testdata loader and runner serve
+// its own tests; so are methods, whose use interface satisfaction
+// hides from a by-name scan.
 func TestNoDeadExports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks every package in the module and in bench/")
 	}
-	root := moduleRoot(t)
-	pkgs, err := analysis.Load(root, "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	benchPkgs, err := analysis.Load(filepath.Join(root, "bench"), "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
 	// bench/ sees the module through export data, so a use is keyed by
 	// package path and name rather than by object identity.
 	used := map[string]bool{}
-	for _, p := range append(pkgs, benchPkgs...) {
-		for _, obj := range p.TypesInfo.Uses {
-			if obj.Pkg() != nil && obj.Pkg().Scope().Lookup(obj.Name()) == obj {
-				used[obj.Pkg().Path()+"."+obj.Name()] = true
+	declared := map[string]bool{}
+	var exported []string
+	scan := &analysis.Analyzer{
+		Name: "deadexports",
+		Doc:  "records the package-level identifiers each package uses and declares",
+		Run: func(pass *analysis.Pass) error {
+			for _, obj := range pass.TypesInfo.Uses {
+				if obj.Pkg() != nil && obj.Pkg().Scope().Lookup(obj.Name()) == obj {
+					used[obj.Pkg().Path()+"."+obj.Name()] = true
+				}
 			}
+			if !strings.HasPrefix(pass.PkgPath, "piileak/internal/") ||
+				pass.PkgPath == "piileak/internal/analysis" ||
+				strings.HasPrefix(pass.PkgPath, "piileak/internal/analysis/") {
+				return nil
+			}
+			for _, name := range pass.Pkg.Scope().Names() {
+				key := pass.PkgPath + "." + name
+				declared[key] = true
+				if token.IsExported(name) && deadExportExemptions[key] == "" {
+					exported = append(exported, key)
+				}
+			}
+			return nil
+		},
+	}
+	root := moduleRoot(t)
+	for _, dir := range []string{root, filepath.Join(root, "bench")} {
+		g, err := analysis.LoadGraph(dir, "./...")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := g.Run([]*analysis.Analyzer{scan}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	declared := map[string]bool{}
-	for _, p := range pkgs {
-		if !strings.HasPrefix(p.PkgPath, "piileak/internal/") ||
-			p.PkgPath == "piileak/internal/analysis" ||
-			strings.HasPrefix(p.PkgPath, "piileak/internal/analysis/") {
-			continue
-		}
-		for _, name := range p.Types.Scope().Names() {
-			key := p.PkgPath + "." + name
-			declared[key] = true
-			if token.IsExported(name) && !used[key] && deadExportExemptions[key] == "" {
-				t.Errorf("%s is exported but no non-test code uses it: delete it, move it into a _test.go file, or exempt it with a reason", key)
-			}
+	for _, key := range exported {
+		if !used[key] {
+			t.Errorf("%s is exported but no non-test code uses it: delete it, move it into a _test.go file, or exempt it with a reason", key)
 		}
 	}
 	for key := range deadExportExemptions {
 		if !declared[key] || used[key] {
 			t.Errorf("exemption %s is stale: the identifier is gone or has a non-test use", key)
 		}
-	}
-}
-
-// TestParallelMatchesSequential pins the parallel driver's contract at
-// repo scale: 8-worker output over the whole module is byte-identical
-// to the sequential runner's — the sorted-findings total order, not
-// scheduling luck, decides what the user sees.
-func TestParallelMatchesSequential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks every package in the module twice")
-	}
-	root := moduleRoot(t)
-	g, err := analysis.LoadGraph(root, "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	render := func(workers int) string {
-		d := &analysis.Driver{Workers: workers}
-		findings, _, err := d.Run(g, suite.Analyzers())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sb strings.Builder
-		for _, f := range findings {
-			sb.WriteString(f.String())
-			sb.WriteByte('\n')
-		}
-		return sb.String()
-	}
-	sequential := render(1)
-	if parallel := render(8); parallel != sequential {
-		t.Fatalf("8-worker output diverged from sequential:\nseq:\n%s\npar:\n%s", sequential, parallel)
 	}
 }
 

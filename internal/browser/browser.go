@@ -381,20 +381,25 @@ func (b *Browser) VisitPage(s *site.Site, pageURL string, phase httpmodel.Phase,
 
 // RenderSubresources loads a page's asset and tags without re-issuing
 // the document request — used after form submissions, where the
-// navigation request already happened.
+// navigation request already happened. A subpage loads only the
+// OnSubpages tags.
 func (b *Browser) RenderSubresources(s *site.Site, pageURL string, phase httpmodel.Phase, subpage bool) {
 	pg := b.pageOn(s, pageURL)
 	b.do(httpmodel.Request{
 		Method: "GET", URL: pg.asset, Type: httpmodel.TypeScript, Initiator: pageURL,
 	}, pg.host, pg, phase, s, "", httpmodel.Response{})
 
-	for _, tag := range s.TagsOn(subpage) {
+	for _, tag := range s.Tags {
+		if !tag.LoadsOn(subpage) {
+			continue
+		}
 		b.do(tag.LoadRequest(pageURL), tag.Host, pg, phase, s, "", httpmodel.Response{})
 	}
 }
 
-// FireAuthEvent makes every action-bearing tag on the page emit its leak
-// requests for an authentication event. Cookie-channel actions set their
+// FireAuthEvent makes every action-bearing tag on the page (on a
+// subpage, every OnSubpages one) emit its leak requests for an
+// authentication event. Cookie-channel actions set their
 // identifying cookie first, then issue the tag's beacon so the cookie
 // travels. times > 1 repeats the emission (subpage view + interaction).
 func (b *Browser) FireAuthEvent(s *site.Site, pageURL string, phase httpmodel.Phase, subpage bool, p pii.Persona, times int) {
@@ -402,8 +407,8 @@ func (b *Browser) FireAuthEvent(s *site.Site, pageURL string, phase httpmodel.Ph
 		times = 1
 	}
 	pg := b.pageOn(s, pageURL)
-	for _, tag := range s.TagsOn(subpage) {
-		if len(tag.Actions) == 0 {
+	for _, tag := range s.Tags {
+		if len(tag.Actions) == 0 || !tag.LoadsOn(subpage) {
 			continue
 		}
 		for rep := 0; rep < times; rep++ {

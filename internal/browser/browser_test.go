@@ -2,6 +2,7 @@ package browser
 
 import (
 	"net/url"
+	"slices"
 	"strings"
 	"testing"
 
@@ -62,15 +63,33 @@ func TestVisitPageRecordsDocumentAssetAndTags(t *testing.T) {
 	}
 }
 
+// TestSubpageOnlyLoadsPersistentTags: an auth page loads every tag and
+// a subpage only the OnSubpages ones, and a subpage's auth event fires
+// no tag that is absent there.
 func TestSubpageOnlyLoadsPersistentTags(t *testing.T) {
-	b := New(Firefox88(), nil)
 	s := leakySite()
 	s.Tags[1].OnSubpages = false
-	b.VisitPage(s, s.PageURL("/product/1"), httpmodel.PhaseSubpage, true)
-	for _, r := range b.Records {
-		if strings.Contains(r.Request.URL, "jscdn-static") {
-			t.Error("non-persistent tag loaded on subpage")
+	tagHosts := func(subpage bool) []string {
+		b := New(Firefox88(), nil)
+		b.VisitPage(s, s.PageURL("/product/1"), httpmodel.PhaseSubpage, subpage)
+		var hosts []string
+		for _, r := range b.Records[2:] { // after the document and its asset
+			hosts = append(hosts, r.Request.Host())
 		}
+		return hosts
+	}
+	if got, want := tagHosts(false), []string{"www.facebook.com", "cdn.jscdn-static.net"}; !slices.Equal(got, want) {
+		t.Errorf("auth page loaded tags from %v, want %v", got, want)
+	}
+	if got, want := tagHosts(true), []string{"www.facebook.com"}; !slices.Equal(got, want) {
+		t.Errorf("subpage loaded tags from %v, want %v", got, want)
+	}
+
+	s.Tags[0].OnSubpages = false
+	b := New(Firefox88(), nil)
+	b.FireAuthEvent(s, s.PageURL("/product/1"), httpmodel.PhaseSubpage, true, pii.Default(), 1)
+	if len(b.Records) != 0 {
+		t.Errorf("a subpage auth event fired %d requests from tags absent there", len(b.Records))
 	}
 }
 

@@ -409,7 +409,7 @@ type Runtime struct {
 func (c *Common) Runtime(eco *webgen.Ecosystem) (*Runtime, error) {
 	rt := &Runtime{}
 	if c.Metrics != "" || c.Trace != "" {
-		rt.Observer = obs.NewRun(nil)
+		rt.Observer = obs.NewRun()
 	}
 	if c.QuarantineDir != "" {
 		q, err := crawler.NewQuarantine(c.QuarantineDir)

@@ -71,7 +71,7 @@ func TestEngineMatchesLegacyDetectorAcrossModes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := par.Run(ctx, piileak.WithWorkers(4, 4), piileak.WithObserver(obs.NewRun(nil))); err != nil {
+			if err := par.Run(ctx, piileak.WithWorkers(4, 4), piileak.WithObserver(obs.NewRun())); err != nil {
 				t.Fatal(err)
 			}
 			if got := leaksJSON(t, par); !bytes.Equal(ref, got) {
@@ -91,7 +91,7 @@ func TestEngineMatchesLegacyDetectorAcrossModes(t *testing.T) {
 				Workers:       2,
 				DetectWorkers: 2,
 				Clock:         resilience.NewVirtualClock(),
-				Crawl:         crawler.Options{Obs: obs.NewRun(nil)},
+				Crawl:         crawler.Options{Obs: obs.NewRun()},
 				Fresh:         true,
 			})
 			if err != nil {

@@ -11,9 +11,10 @@
 // byte-identical with observation on or off. Determinism is the design
 // constraint — counters are order-independent sums, export walks every
 // map in sorted key order, spans are emitted sorted by (site index,
-// stage), and time flows through an injected Clock that defaults to a
-// virtual clock pinned at the Unix epoch, so two runs of the same seed
-// produce byte-identical metrics and trace files at any worker count.
+// stage), and spans read no clock: a span's start is 0 and its duration
+// is the virtual time the crawler adds to it, so two runs of the same
+// seed produce byte-identical metrics and trace files at any worker
+// count.
 // Scheduler-dependent values, such as the pipeline's capture-occupancy
 // high-water mark (pipeline.Stats), stay out of the registry.
 //
@@ -131,26 +132,11 @@ const (
 	HistSiteVirtualMS = "crawl_site_virtual_ms"
 )
 
-// Clock is the time source spans are stamped on. It is a structural
-// subset of resilience.Clock so an executor's clock plugs in directly;
-// obs keeps its own copy because the dependency points the other way
-// (resilience imports obs).
-type Clock interface {
-	Now() time.Time
-}
-
-// epochClock is the default: frozen at the Unix epoch, so span
-// timestamps are all zero and export bytes never depend on wall time.
-type epochClock struct{}
-
-func (epochClock) Now() time.Time { return time.Unix(0, 0) }
-
 // Span is one stage's work on one site. A nil *Span (from a nil Run)
 // is a no-op; every method is nil-receiver safe.
 type Span struct {
-	run   *Run
-	start time.Time
-	rec   SpanRecord
+	run *Run
+	rec SpanRecord
 }
 
 // SpanRecord is a span's exported form: one JSONL line in the trace.
@@ -158,9 +144,9 @@ type SpanRecord struct {
 	Stage Stage  `json:"stage"`
 	Site  string `json:"site"`
 	Index int    `json:"index"`
-	// StartMS/DurMS are on the run's clock — zero under the default
-	// epoch clock, virtual milliseconds under a fault run's
-	// VirtualClock, never wall time unless a real clock is injected.
+	// StartMS is always 0; DurMS is the virtual milliseconds added
+	// through AddDuration (a fault run's VirtualClock elapsed time),
+	// 0 otherwise. Neither is ever wall time.
 	StartMS int64 `json:"start_ms"`
 	DurMS   int64 `json:"dur_ms"`
 	// N is the span's payload size: records captured for crawl spans,
@@ -186,10 +172,10 @@ func (s *Span) SetOutcome(outcome string) {
 	s.rec.Outcome = outcome
 }
 
-// AddDuration adds d to the span's duration on top of whatever the
-// run's clock observes — the crawler feeds each site transport's
-// virtual elapsed time through here, so fault-run traces carry the
-// deterministic simulated cost per site.
+// AddDuration adds d to the span's duration, its only source — the
+// crawler feeds each site transport's virtual elapsed time through
+// here, so fault-run traces carry the deterministic simulated cost per
+// site.
 func (s *Span) AddDuration(d time.Duration) {
 	if s == nil || d <= 0 {
 		return
@@ -202,7 +188,6 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	s.rec.DurMS += s.run.clock.Now().Sub(s.start).Milliseconds()
 	s.run.mu.Lock()
 	s.run.spans = append(s.run.spans, s.rec)
 	s.run.mu.Unlock()
@@ -237,8 +222,6 @@ func (w *Watermark) High() int64 { return w.high.Load() }
 // allocation-free on a nil receiver. A non-nil Run is safe for
 // concurrent use from all pipeline stages.
 type Run struct {
-	clock Clock
-
 	mu       sync.Mutex
 	counters map[string]int64
 	gauges   map[string]int64
@@ -247,14 +230,9 @@ type Run struct {
 	info     RunInfo
 }
 
-// NewRun builds an observer on the given clock; nil selects the epoch
-// clock (the deterministic default — see the package doc).
-func NewRun(clock Clock) *Run {
-	if clock == nil {
-		clock = epochClock{}
-	}
+// NewRun builds an empty observer.
+func NewRun() *Run {
 	return &Run{
-		clock:    clock,
 		counters: map[string]int64{},
 		gauges:   map[string]int64{},
 		hists:    map[string]*hist{},
@@ -343,16 +321,7 @@ func (r *Run) StartSpan(stage Stage, site string, index int) *Span {
 	if r == nil {
 		return nil
 	}
-	return &Span{
-		run:   r,
-		start: r.clock.Now(),
-		rec: SpanRecord{
-			Stage:   stage,
-			Site:    site,
-			Index:   index,
-			StartMS: r.clock.Now().Sub(time.Unix(0, 0)).Milliseconds(),
-		},
-	}
+	return &Span{run: r, rec: SpanRecord{Stage: stage, Site: site, Index: index}}
 }
 
 // counter reads one counter under the lock (export helpers).

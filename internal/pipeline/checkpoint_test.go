@@ -82,7 +82,7 @@ func TestCancelledRunResumesByteIdentical(t *testing.T) {
 
 		var loaded int
 		done := map[string]int{}
-		o := obs.NewRun(nil)
+		o := obs.NewRun()
 		opts.Resume = true
 		opts.OnResume = func(rs crawler.ResumeSummary) { loaded = rs.Completed }
 		opts.Progress = func(ev Event) { done[ev.Stage] = ev.Done }

@@ -205,6 +205,9 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, de
 		detectWorkers = 1
 	}
 
+	// Progress calls are serialized. A crawl worker counts its site and
+	// reports the count in one lock hold, so crawl events arrive in
+	// count order however many workers race for the lock.
 	var (
 		progressMu sync.Mutex
 		crawled    int
@@ -218,13 +221,13 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, de
 		progressMu.Unlock()
 	}
 	crawlEvent := func(r *crawler.SiteResult) {
-		progressMu.Lock()
-		crawled++
-		n := crawled
-		progressMu.Unlock()
-		if opts.Progress != nil {
-			emitEvent(Event{Stage: "crawl", Done: n, Total: total, Site: r.Crawl.Domain, Outcome: string(r.Crawl.Outcome)})
+		if opts.Progress == nil {
+			return
 		}
+		progressMu.Lock()
+		defer progressMu.Unlock()
+		crawled++
+		opts.Progress(Event{Stage: "crawl", Done: crawled, Total: total, Site: r.Crawl.Domain, Outcome: string(r.Crawl.Outcome)})
 	}
 
 	// The fold is the accumulate stage's single owner of the shared

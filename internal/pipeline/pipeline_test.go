@@ -165,6 +165,44 @@ func TestProgressEvents(t *testing.T) {
 	}
 }
 
+// TestCrawlEventsInOrderAcrossWorkers pins the crawl count's order
+// where workers contend for it: 8 crawl workers over a 4,000-site
+// universe, three times. Counting a site and reporting it are one step,
+// so no worker can deliver a later count before an earlier one; with
+// the count taken under one lock hold and reported under another, each
+// such run saw about 50 of its 12,000 events out of order.
+func TestCrawlEventsInOrderAcrossWorkers(t *testing.T) {
+	cfg := webgen.SmallConfig(29)
+	cfg.UniverseSize = 4000
+	eco := webgen.MustGenerate(cfg)
+	det := detect.MustNewEngine(eco.Persona, dnssim.NewClassifier(eco.Zone), detect.Config{})
+	late := 0
+	for run := 0; run < 3; run++ {
+		last := 0
+		_, err := Run(context.Background(), eco, browser.Firefox88(), det, Options{
+			Options: crawler.Options{Workers: 8}, DetectWorkers: 2,
+			Progress: func(ev Event) {
+				if ev.Stage != "crawl" {
+					return
+				}
+				if ev.Done != last+1 {
+					late++
+				}
+				last = ev.Done
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last != cfg.UniverseSize {
+			t.Fatalf("run %d: last crawl event counted %d sites, want %d", run, last, cfg.UniverseSize)
+		}
+	}
+	if late > 0 {
+		t.Errorf("%d of %d crawl events arrived out of order", late, 3*cfg.UniverseSize)
+	}
+}
+
 // TestResultStoreViews: the Result store's derived views must agree
 // with the standalone computations over the leak list.
 func TestResultStoreViews(t *testing.T) {

@@ -77,7 +77,7 @@ func (s *Server) runJob(ctx context.Context, job *Job, lg *EventLog) error {
 
 	// Per-job observer: deterministic metrics for the job's
 	// metrics.json, independent of the server's own counters.
-	jobRun := obs.NewRun(nil)
+	jobRun := obs.NewRun()
 	opts := append(c.RunOptions(rt, "piiserve", nil),
 		piileak.WithCheckpoint(filepath.Join(jobDir, FileCheckpoint)),
 		piileak.WithResume(func(rs crawler.ResumeSummary) {

@@ -107,7 +107,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		store:   store,
 		clock:   cfg.Clock,
-		run:     obs.NewRun(nil),
+		run:     obs.NewRun(),
 		wake:    make(chan struct{}, cfg.Slots),
 		running: map[string]*running{},
 		events:  map[string]*EventLog{},

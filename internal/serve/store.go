@@ -96,8 +96,9 @@ func OpenStore(dir string) (*Store, error) {
 	return s, nil
 }
 
-// load replays an existing WAL into the job table. A missing file is an
-// empty store; the first undecodable line ends the readable prefix and
+// load replays an existing WAL into the job table. A missing or blank
+// file is an empty store; any other file must open with the header
+// line. The first undecodable line ends the readable prefix and
 // everything after it counts as torn.
 func (s *Store) load() error {
 	data, err := os.ReadFile(s.path)
@@ -107,10 +108,10 @@ func (s *Store) load() error {
 	if err != nil {
 		return fmt.Errorf("serve: store %s: %w", s.path, err)
 	}
-	lines := bytes.Split(data, []byte("\n"))
-	if len(lines) == 0 || len(bytes.TrimSpace(lines[0])) == 0 {
+	if len(bytes.TrimSpace(data)) == 0 {
 		return nil // empty file: fresh store
 	}
+	lines := bytes.Split(data, []byte("\n"))
 	var hdr storeHeader
 	if err := json.Unmarshal(lines[0], &hdr); err != nil {
 		return fmt.Errorf("serve: store %s: malformed header: %w", s.path, err)

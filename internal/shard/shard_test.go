@@ -326,7 +326,7 @@ func TestWorkerResultSurvivesRerunAndUnrenamedSeal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	o := obs.NewRun(nil)
+	o := obs.NewRun()
 	cfg.Options.Obs = o
 	if _, err := RunWorker(context.Background(), eco, profile, det, cfg); err != nil {
 		t.Fatal(err)

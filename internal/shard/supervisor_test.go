@@ -32,7 +32,7 @@ func superviseOpts(dir string, shards int) Options {
 		Shards: shards,
 		Dir:    dir,
 		Clock:  resilience.NewVirtualClock(),
-		Crawl:  crawler.Options{Obs: obs.NewRun(nil)},
+		Crawl:  crawler.Options{Obs: obs.NewRun()},
 		Fresh:  true,
 	}
 }

@@ -84,6 +84,10 @@ type Tag struct {
 // URL returns the tag's resource URL.
 func (t *Tag) URL() string { return "https://" + t.Host + t.Path }
 
+// LoadsOn reports whether the tag is present on a page: every tag is on
+// the auth pages, only OnSubpages tags on a subpage.
+func (t *Tag) LoadsOn(subpage bool) bool { return !subpage || t.OnSubpages }
+
 // Site is one first-party site.
 type Site struct {
 	// Domain is the registrable domain.
@@ -216,21 +220,6 @@ func (s *Site) FormFields(p pii.Persona) []FormField {
 		}
 	}
 	out = append(out, FormField{"password", "correct-horse-battery"})
-	return out
-}
-
-// TagsOn returns the tags present on a page: all tags on auth pages, only
-// OnSubpages tags elsewhere.
-func (s *Site) TagsOn(subpage bool) []Tag {
-	if !subpage {
-		return s.Tags
-	}
-	var out []Tag
-	for _, t := range s.Tags {
-		if t.OnSubpages {
-			out = append(out, t)
-		}
-	}
 	return out
 }
 

@@ -94,7 +94,7 @@ func TestShardedRunsByteIdentical(t *testing.T) {
 				Workers:       2,
 				DetectWorkers: 2,
 				Clock:         resilience.NewVirtualClock(),
-				Crawl:         crawler.Options{Obs: obs.NewRun(nil)},
+				Crawl:         crawler.Options{Obs: obs.NewRun()},
 				Fresh:         true,
 			})
 			if err != nil {
@@ -120,7 +120,7 @@ func TestShardedRunsByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := obs.NewRun(nil)
+		o := obs.NewRun()
 		rep, err := s.RunSharded(ctx, shard.Options{
 			Shards:        4,
 			Dir:           t.TempDir(),
@@ -175,7 +175,7 @@ func TestShardedRunsByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := obs.NewRun(nil)
+		o := obs.NewRun()
 		rep, err := s.RunSharded(ctx, shard.Options{
 			Shards:        4,
 			Dir:           t.TempDir(),
@@ -272,20 +272,20 @@ func TestRunInfoPerRunPath(t *testing.T) {
 		}
 	}
 
-	o := obs.NewRun(nil)
+	o := obs.NewRun()
 	if err := newStudy().Run(ctx, WithObserver(o)); err != nil {
 		t.Fatal(err)
 	}
 	check("Run serial", o, obs.RunInfo{FaultSeed: 9, Sites: universe})
 
-	o = obs.NewRun(nil)
+	o = obs.NewRun()
 	s := newStudy()
 	if err := s.Run(ctx, WithObserver(o), WithWorkers(3, 2), WithSource(site.Slice(s.Eco.Sites[:5]))); err != nil {
 		t.Fatal(err)
 	}
 	check("Run parallel subset", o, obs.RunInfo{FaultSeed: 9, Sites: 5, CrawlWorkers: 3, DetectWorkers: 2})
 
-	o = obs.NewRun(nil)
+	o = obs.NewRun()
 	if _, err := newStudy().RunSharded(ctx, shard.Options{
 		Shards: 2, Dir: t.TempDir(), Workers: 2, DetectWorkers: 2,
 		Clock: resilience.NewVirtualClock(), Crawl: crawler.Options{Obs: o}, Fresh: true,
@@ -294,7 +294,7 @@ func TestRunInfoPerRunPath(t *testing.T) {
 	}
 	check("RunSharded", o, obs.RunInfo{FaultSeed: 9, Sites: universe, CrawlWorkers: 2, DetectWorkers: 2, Shards: 2})
 
-	o = obs.NewRun(nil)
+	o = obs.NewRun()
 	if _, err := newStudy().RunShardWorker(ctx, shard.WorkerConfig{
 		Shard: 1, Shards: 2, Dir: t.TempDir(), Workers: 2, DetectWorkers: 2,
 		Options: crawler.Options{Obs: o},

@@ -61,12 +61,12 @@ func TestStreamModesByteIdentical(t *testing.T) {
 	}
 
 	serial := newStudy()
-	if err := serial.Run(ctx, WithObserver(obs.NewRun(nil))); err != nil {
+	if err := serial.Run(ctx, WithObserver(obs.NewRun())); err != nil {
 		t.Fatal(err)
 	}
 
 	parallel := newStudy()
-	if err := parallel.Run(ctx, WithWorkers(4, 4), WithObserver(obs.NewRun(nil))); err != nil {
+	if err := parallel.Run(ctx, WithWorkers(4, 4), WithObserver(obs.NewRun())); err != nil {
 		t.Fatal(err)
 	}
 
@@ -81,7 +81,7 @@ func TestStreamModesByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := resumed.Run(ctx, WithWorkers(3, 2),
-		WithCheckpoint(ckpt), WithResume(nil), WithObserver(obs.NewRun(nil))); err != nil {
+		WithCheckpoint(ckpt), WithResume(nil), WithObserver(obs.NewRun())); err != nil {
 		t.Fatal(err)
 	}
 
