@@ -50,14 +50,15 @@ bench:
 	$(GO) test -json -bench '^Benchmark(E10_Table4Blocklists|EngineMatch)$$' -benchmem -run '^$$' . ./internal/blocklist/ > BENCH_table4.json
 	$(GO) test -json -bench '^Benchmark(ETLDPlusOne|CrawlTailSite)$$' -benchmem -run '^$$' ./internal/psl/ ./internal/crawler/ > BENCH_browser.json
 
-# Short fuzz smoke over all 12 fuzzers in the module, 10s each: the
+# Short fuzz smoke over all 13 fuzzers in the module, 10s each: the
 # dataset decoder, the one checkpoint line reader (leniently as a
 # resume: torn-tail cut, index and domain refusals, reopen; strictly as
-# a sealed shard result), the piiserve job WAL load (refusals leave the
-# file as it was; a compacted store reopens to the same jobs, and a
-# torn append changes none), the Aho-Corasick automaton (matches and
-# their order against a naive search), the filter-list parser and the
-# filter rules' literal prefilter (verdicts and deciding rules against
+# a sealed shard result), the hand-written study-neutral line codec
+# (differential against encoding/json both ways), the piiserve job WAL
+# load (refusals leave the file as it was; a compacted store reopens to
+# the same jobs, and a torn append changes none), the Aho-Corasick
+# automaton (matches and their order against a naive search), the
+# filter-list parser and the filter rules' literal prefilter (verdicts and deciding rules against
 # evaluating every rule's regexp), the public-suffix walk (differential against the
 # label-splitting oracle it replaced), the bzip2 and base58
 # codecs (round trips, and base58 decoding never panics) and the HAR
@@ -65,6 +66,7 @@ bench:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime 10s ./internal/crawler/
 	$(GO) test -run '^$$' -fuzz FuzzOpenCheckpoint -fuzztime 10s ./internal/crawler/
+	$(GO) test -run '^$$' -fuzz FuzzSiteLine -fuzztime 10s ./internal/crawler/
 	$(GO) test -run '^$$' -fuzz FuzzParseResult -fuzztime 10s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz FuzzOpenStore -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzMatcherMatchesNaive -fuzztime 10s ./internal/ahocorasick/

@@ -231,17 +231,18 @@ const (
 // scan is the one checkpoint line reader. It reads the header, which
 // must be of this version and equal want (ErrOtherRun), then the site
 // lines in file order, counting and hashing each; a lenient scan
-// without add reads no site line. With add, each is decoded, checked
-// (check) and handed to add. keep is the byte length of the prefix
-// through the last site line and nl whether it ends in a newline; keep
-// is 0 when the first line is blank. Leniently — a resume — the first
-// non-blank line that does not decode with a domain ends the prefix: it
-// and every later non-blank line count as torn, since a crash cut the
-// tail. Strictly — a sealed file — the last non-blank line must be the
-// trailer of the site lines before it, one per site of the source;
-// without add, those lines are hashed and never decoded. A strict want
-// with no candidate-set pin takes the file's: a merge has no detector,
-// and learns the pin from its first shard.
+// without add reads no site line. With add, each is decoded
+// (decodeSiteLine), checked (check) and handed to add. keep is the byte
+// length of the prefix through the last site line and nl whether it
+// ends in a newline; keep is 0 when the first line is blank. Leniently
+// — a resume — the first non-blank line that does not decode with a
+// domain ends the prefix: it and every later non-blank line count as
+// torn, since a crash cut the tail. Strictly — a sealed file — the last
+// non-blank line must be the trailer of the site lines before it, one
+// per site of the source; without add, those lines are hashed and
+// never decoded. A strict want with no candidate-set pin takes the
+// file's: a merge has no detector, and compares the pins its shards'
+// reads return.
 func (c *Checkpoint) scan(r *bufio.Reader, want *Header, strict bool, add func(SiteResult)) (hdr Header, keep int64, nl bool, err error) {
 	line, err := r.ReadBytes('\n')
 	if err != nil && err != io.EOF {
@@ -287,7 +288,7 @@ func (c *Checkpoint) scan(r *bufio.Reader, want *Header, strict bool, add func(S
 			continue
 		}
 		var s SiteResult
-		if tail == nil && json.Unmarshal(line, &s) == nil && s.Crawl.Domain != "" {
+		if tail == nil && decodeSiteLine(line, &s) && s.Crawl.Domain != "" {
 			if err := c.check(&s); err != nil {
 				return hdr, 0, false, err
 			}
@@ -390,11 +391,15 @@ func CheckResume(path string, want Header) error {
 
 // Append persists one finished site: its line is written whole before
 // Append returns, and synced with its group once checkpointSyncBytes of
-// lines are unsynced. Safe for concurrent use.
+// lines are unsynced. A study-neutral line is written by hand, the rest
+// through encoding/json (appendNeutralLine). Safe for concurrent use.
 func (c *Checkpoint) Append(r SiteResult) error {
-	line, err := json.Marshal(r)
-	if err != nil {
-		return c.wrap(err)
+	line, neutral := appendNeutralLine(make([]byte, 0, 192), &r) // a tail site's line is about 130 bytes
+	if !neutral {
+		var err error
+		if line, err = json.Marshal(r); err != nil {
+			return c.wrap(err)
+		}
 	}
 	line = append(line, '\n')
 	c.mu.Lock()

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -181,6 +182,54 @@ func FuzzOpenCheckpoint(f *testing.F) {
 		defer c.Close()
 		if c.loaded != done || c.torn != 0 {
 			t.Errorf("reopen: loaded %d sites and %d torn lines, want %d and 0", c.loaded, c.torn, done)
+		}
+	})
+}
+
+// FuzzSiteLine pins the hand-written study-neutral line codec to
+// encoding/json in both directions. Whatever line bytes the hand reader
+// accepts, json.Unmarshal accepts into an equal SiteResult. A site built
+// from the fuzzed scalars (flags bit 0 sets EmailConfirm, bit 1
+// BotDetection) is taken by the hand writer exactly when its strings
+// are plain; its bytes are then json.Marshal's, and they decode back to
+// the site, through the hand reader whenever its integers are
+// non-negative.
+func FuzzSiteLine(f *testing.F) {
+	f.Fuzz(func(t *testing.T, line []byte, index int, domain string, rank int, outcome, obstacle string, flags uint8, attempts, retries, failed, records int) {
+		var hand SiteResult
+		if parseNeutralLine(line, &hand) {
+			var want SiteResult
+			if err := json.Unmarshal(line, &want); err != nil {
+				t.Fatalf("hand reader accepts %q, encoding/json refuses it: %v", line, err)
+			}
+			if !reflect.DeepEqual(hand, want) {
+				t.Fatalf("%q:\nhand reader %+v\nencoding/json %+v", line, hand, want)
+			}
+		}
+
+		r := SiteResult{Index: index, Records: records, Crawl: SiteCrawl{
+			Domain: domain, Rank: rank, Outcome: Outcome(outcome), Obstacle: site.Obstacle(obstacle),
+			EmailConfirm: flags&1 != 0, BotDetection: flags&2 != 0,
+			Attempts: attempts, Retries: retries, FailedFetches: failed,
+		}}
+		got, ok := appendNeutralLine(nil, &r)
+		if ok != (plain(domain) && plain(outcome) && plain(obstacle)) {
+			t.Fatalf("hand writer takes %+v: %v", r, ok)
+		}
+		if !ok {
+			return
+		}
+		want, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("hand writer:\n got %s\nwant %s", got, want)
+		}
+		var back SiteResult
+		nonNeg := index >= 0 && rank >= 0 && attempts >= 0 && retries >= 0 && failed >= 0 && records >= 0
+		if parseNeutralLine(got, &back) != nonNeg || !decodeSiteLine(got, &back) || !reflect.DeepEqual(back, r) {
+			t.Fatalf("%s decodes to %+v, want %+v, by hand: %v", got, back, r, nonNeg)
 		}
 	})
 }

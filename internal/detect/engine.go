@@ -2,8 +2,9 @@
 // phases.
 //
 // Phase 1 — Engine — compiles everything scan-invariant once: the
-// persona's candidate-token automaton (§3.1), the public suffix list
-// and the CNAME-uncloaking classifier, plus the compile-time facts the
+// persona's candidate tokens (§3.1), whose automaton the set compiles
+// on its first scan, the public suffix list and the CNAME-uncloaking
+// classifier, plus the compile-time facts the
 // scan fast path relies on (whether any token could hide behind a JSON
 // re-rendering). Engines are immutable and safe for concurrent use; a
 // process-wide build cache keyed by (persona, CandidateConfig) means

@@ -73,11 +73,15 @@ type Token struct {
 }
 
 // CandidateSet is the compiled token set: the tokens plus an
-// Aho-Corasick automaton for single-pass scanning. It is immutable and
-// safe for concurrent use.
+// Aho-Corasick automaton for single-pass scanning, compiled on the first
+// call that scans or counts its states, so a process that only pins the
+// set (Digest) never builds it. It is immutable and safe for concurrent
+// use.
 type CandidateSet struct {
-	tokens  []Token
-	matcher *ahocorasick.Matcher
+	tokens []Token
+
+	matcherOnce sync.Once
+	matcher     *ahocorasick.Matcher
 
 	digestOnce sync.Once
 	digest     string
@@ -94,10 +98,11 @@ type work struct {
 	data      []byte
 }
 
-// BuildCandidates generates and compiles the candidate set for a
-// persona. Chains are explored breadth first and deduplicated by value,
-// so a value reachable through several chains is attributed to its
-// shortest chain (e.g. rot13∘rot13 collapses into plaintext).
+// BuildCandidates generates the candidate set for a persona; its
+// automaton is compiled on first scan. Chains are explored breadth
+// first and deduplicated by value, so a value reachable through several
+// chains is attributed to its shortest chain (e.g. rot13∘rot13
+// collapses into plaintext).
 //
 // Each depth's work list is expanded for every field at once and its
 // transforms applied on GOMAXPROCS goroutines, each item into its own
@@ -159,13 +164,19 @@ func BuildCandidates(p Persona, cfg CandidateConfig) (*CandidateSet, error) {
 			}
 		}
 	}
-
-	values := make([]string, len(cs.tokens))
-	for i, t := range cs.tokens {
-		values[i] = t.Value
-	}
-	cs.matcher = ahocorasick.NewStrings(values)
 	return cs, nil
+}
+
+// automaton returns the set's automaton, compiling it on the first call.
+func (cs *CandidateSet) automaton() *ahocorasick.Matcher {
+	cs.matcherOnce.Do(func() {
+		values := make([]string, len(cs.tokens))
+		for i, t := range cs.tokens {
+			values[i] = t.Value
+		}
+		cs.matcher = ahocorasick.NewStrings(values)
+	})
+	return cs.matcher
 }
 
 // applyTransforms computes each item's data by applying its transform
@@ -190,7 +201,7 @@ func applyTransforms(items, parents []work) {
 // FindIn returns the distinct tokens occurring in data, in first-match
 // order.
 func (cs *CandidateSet) FindIn(data []byte) []Token {
-	idxs := cs.matcher.FindUnique(data)
+	idxs := cs.automaton().FindUnique(data)
 	if len(idxs) == 0 {
 		return nil
 	}
@@ -203,12 +214,12 @@ func (cs *CandidateSet) FindIn(data []byte) []Token {
 
 // Contains reports whether any candidate token occurs in data.
 func (cs *CandidateSet) Contains(data []byte) bool {
-	return cs.matcher.Contains(data)
+	return cs.automaton().Contains(data)
 }
 
 // ContainsString is Contains for string input; it allocates nothing.
 func (cs *CandidateSet) ContainsString(s string) bool {
-	return cs.matcher.ContainsString(s)
+	return cs.automaton().ContainsString(s)
 }
 
 // Scratch is the reusable dedup state FindInto needs; the zero value is
@@ -220,7 +231,7 @@ type Scratch = ahocorasick.Scratch
 // TokenAt(i). Content and order match FindIn exactly; the only
 // allocations are dst growth and sc's first use.
 func (cs *CandidateSet) FindInto(data []byte, sc *Scratch, dst []int) []int {
-	return cs.matcher.FindUniqueInto(data, sc, dst)
+	return cs.automaton().FindUniqueInto(data, sc, dst)
 }
 
 // TokenAt returns the token at index i of the compiled set, as reported
@@ -261,5 +272,5 @@ func (cs *CandidateSet) Digest() string {
 }
 
 // States returns the automaton state count (a memory proxy reported by
-// ablation A1).
-func (cs *CandidateSet) States() int { return cs.matcher.NumStates() }
+// ablation A1), compiling the automaton if no scan has.
+func (cs *CandidateSet) States() int { return cs.automaton().NumStates() }

@@ -2,6 +2,7 @@ package pii
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -107,4 +108,42 @@ func TestDigestConcurrent(t *testing.T) {
 			t.Errorf("goroutine %d: Digest = %s, want %s", i, d, goldenCases[0].digest)
 		}
 	}
+}
+
+// TestFirstScanCompileConcurrent scans a fresh set from 8 goroutines at
+// once, half through FindInto and half through ContainsString first, so
+// they race to compile its automaton: each gets what one goroutine gets
+// from a second fresh set.
+func TestFirstScanCompileConcurrent(t *testing.T) {
+	p := Default()
+	data := []byte("k=v&u=" + p.Email + "&h=" + string(MustApplyChain(p.Email, []string{"sha256"})))
+	clean := "k=v&cache=173&src=page"
+	scan := func(cs *CandidateSet, findFirst bool) (found []int, hit, miss bool) {
+		if findFirst {
+			found = cs.FindInto(data, &Scratch{}, nil)
+		}
+		hit, miss = cs.ContainsString(string(data)), cs.ContainsString(clean)
+		if !findFirst {
+			found = cs.FindInto(data, &Scratch{}, nil)
+		}
+		return found, hit, miss
+	}
+	want, wantHit, wantMiss := scan(MustBuildCandidates(p, goldenCases[0].cfg), true)
+	if len(want) < 2 || !wantHit || wantMiss {
+		t.Fatalf("one goroutine finds %v, hit %v, clean hit %v: want 2+ tokens, true, false", want, wantHit, wantMiss)
+	}
+
+	cs := MustBuildCandidates(p, goldenCases[0].cfg)
+	var wg sync.WaitGroup
+	for i := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			found, hit, miss := scan(cs, i%2 == 0)
+			if !slices.Equal(found, want) || hit != wantHit || miss != wantMiss {
+				t.Errorf("goroutine %d finds %v, hit %v, clean hit %v; want %v, %v, %v", i, found, hit, miss, want, wantHit, wantMiss)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -280,11 +280,15 @@ func TestFullTransformSetDepth1(t *testing.T) {
 	}
 }
 
+// BenchmarkBuildCandidatesDepth2 times the cold depth-2 compile, tokens
+// and automaton: the automaton is otherwise compiled on first scan, so
+// each iteration forces it.
 func BenchmarkBuildCandidatesDepth2(b *testing.B) {
 	p := Default()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		benchCandidates = MustBuildCandidates(p, CandidateConfig{MaxDepth: 2})
+		benchCandidates.States()
 	}
 }
 
@@ -324,8 +328,8 @@ func BenchmarkFindIn(b *testing.B) {
 }
 
 // TestBuildCandidatesAllocBudget guards the cold depth-2 compile
-// against per-token garbage creeping back: one uncached BuildCandidates
-// must allocate under 48 MiB in total. It allocated 758 MiB before the
+// against per-token garbage creeping back: one uncached BuildCandidates,
+// with its automaton forced, must allocate under 48 MiB in total. It allocated 758 MiB before the
 // compressors were pooled and the automaton flattened, about 29 MiB
 // before the trie was capped, and about 18 MiB since.
 func TestBuildCandidatesAllocBudget(t *testing.T) {
@@ -338,7 +342,7 @@ func TestBuildCandidatesAllocBudget(t *testing.T) {
 	const budget = 48 << 20
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	MustBuildCandidates(Default(), CandidateConfig{MaxDepth: 2})
+	MustBuildCandidates(Default(), CandidateConfig{MaxDepth: 2}).States()
 	runtime.ReadMemStats(&after)
 	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("depth-2 BuildCandidates allocated %.1f MiB", float64(got)/(1<<20))

@@ -165,6 +165,7 @@ func TestFoldHeapPerSite(t *testing.T) {
 	cfg.UniverseSize = sites
 	eco := webgen.MustGenerate(cfg)
 	det := detect.MustNewEngine(eco.Persona, dnssim.NewClassifier(eco.Zone), detect.Config{})
+	det.Candidates().States() // the automaton is set-up, not per-site state
 
 	var before, last runtime.MemStats
 	runtime.GC()

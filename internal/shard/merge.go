@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"piileak/internal/browser"
 	"piileak/internal/crawler"
@@ -99,21 +100,27 @@ func MergeDir(eco *webgen.Ecosystem, profile browser.Profile, plan *Plan, dir st
 // leak slice, dataset and every table are byte-identical to the
 // unsharded run's when all shards are present.
 //
-// Each file is read once, through crawler.ReadSealed: its header must
-// be the one its worker writes under crawl (workerHeader) — browser,
-// seeds, universe, shard coordinates and fault settings — with the
-// candidate-set pin of the first shard read, since the merge has no
-// detector; its trailer must match its lines; and each line is decoded
-// once, checked against the shard's sites and folded. A missing shard
-// degrades the merge instead of failing it: its sites are not folded,
-// and the report lists them under Missing with Partial set.
+// The files are read side by side, each once, on its own goroutine,
+// through crawler.ReadSealed: its header must be the one its worker
+// writes under crawl (workerHeader) — browser, seeds, universe, shard
+// coordinates and fault settings — and its trailer must match its
+// lines; each line is decoded once, checked against the shard's sites
+// and folded, one site at a time, as it is read (the fold does not
+// depend on arrival order). Once every read has ended, the errors are
+// reported in shard order, and every shard read must carry the
+// candidate-set pin of the first, since the merge has no detector. A
+// missing shard degrades the merge instead of failing it: its sites are
+// not folded, and the report lists them under Missing with Partial set.
 func merge(eco *webgen.Ecosystem, profile browser.Profile, plan *Plan, dir string, crawl crawler.Options, read func(s int) bool) (*pipeline.Result, *Report, error) {
 	if n := eco.Universe().Len(); plan.Universe != n {
 		return nil, nil, fmt.Errorf("shard: plan partitions %d sites, the ecosystem has %d", plan.Universe, n)
 	}
 	acc := pipeline.NewAccumulator(plan.Universe)
 	report := &Report{Schema: ReportSchema, Shards: plan.Shards}
-	pin := ""
+	hdrs := make([]crawler.Header, plan.Shards)
+	errs := make([]error, plan.Shards)
+	var mu sync.Mutex // guards acc
+	var wg sync.WaitGroup
 	for s := 0; s < plan.Shards; s++ {
 		if !read(s) {
 			report.Missing = append(report.Missing, MissingShard{
@@ -122,15 +129,27 @@ func merge(eco *webgen.Ecosystem, profile browser.Profile, plan *Plan, dir strin
 			})
 			continue
 		}
-		hdr, err := crawler.ReadSealed(ResultPath(dir, s, plan.Shards), workerHeader(eco, profile, crawl, s, plan.Shards, pin), plan.source(eco, s), func(r crawler.SiteResult) {
-			r.Index = s + r.Index*plan.Shards
-			acc.Add(r)
-		})
+		report.Completed = append(report.Completed, s)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			hdrs[s], errs[s] = crawler.ReadSealed(ResultPath(dir, s, plan.Shards), workerHeader(eco, profile, crawl, s, plan.Shards, ""), plan.source(eco, s), func(r crawler.SiteResult) {
+				r.Index = s + r.Index*plan.Shards
+				mu.Lock()
+				acc.Add(r)
+				mu.Unlock()
+			})
+		}()
+	}
+	wg.Wait()
+	for _, s := range report.Completed {
+		err := errs[s]
+		if first := report.Completed[0]; err == nil && hdrs[s].Detect != hdrs[first].Detect {
+			err = fmt.Errorf("%s: %w: candidate set %s, shard %d's is %s", ResultPath(dir, s, plan.Shards), crawler.ErrOtherRun, hdrs[s].Detect, first, hdrs[first].Detect)
+		}
 		if err != nil {
 			return nil, nil, fmt.Errorf("shard: merge shard %d: %w", s, err)
 		}
-		pin = hdr.Detect
-		report.Completed = append(report.Completed, s)
 	}
 	report.Partial = len(report.Missing) > 0
 
