@@ -35,8 +35,10 @@ race:
 	$(GO) test -race ./...
 
 # Runs the full suite, then records the streaming-pipeline comparison
-# (batch vs streamed at 1/4/8 workers) as test2json event lines in
-# BENCH_pipeline.json — the repo's perf trajectory file.
+# (batch vs streamed at 1/4/8 workers over the paper study, and the
+# pipeline's ns and allocations per site over a 20k-site lazy universe
+# at 2 workers) as test2json event lines in BENCH_pipeline.json — the
+# repo's perf trajectory file.
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
 	$(GO) test -json -bench '^BenchmarkPipeline$$' -benchmem -run '^$$' . > BENCH_pipeline.json
@@ -50,7 +52,7 @@ bench:
 	$(GO) test -json -bench '^Benchmark(E10_Table4Blocklists|EngineMatch)$$' -benchmem -run '^$$' . ./internal/blocklist/ > BENCH_table4.json
 	$(GO) test -json -bench '^Benchmark(ETLDPlusOne|CrawlTailSite)$$' -benchmem -run '^$$' ./internal/psl/ ./internal/crawler/ > BENCH_browser.json
 
-# Short fuzz smoke over all 13 fuzzers in the module, 10s each: the
+# Short fuzz smoke over all 14 fuzzers in the module, 10s each: the
 # dataset decoder, the one checkpoint line reader (leniently as a
 # resume: torn-tail cut, index and domain refusals, reopen; strictly as
 # a sealed shard result), the hand-written study-neutral line codec
@@ -61,8 +63,9 @@ bench:
 # filter-list parser and the filter rules' literal prefilter (verdicts and deciding rules against
 # evaluating every rule's regexp), the public-suffix walk (differential against the
 # label-splitting oracle it replaced), the bzip2 and base58
-# codecs (round trips, and base58 decoding never panics) and the HAR
-# parser.
+# codecs (round trips, and base58 decoding never panics), the HAR
+# parser and the pcap reader (never panics; the writer's capture of a
+# fuzzed exchange reassembles to its request and response bytes).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime 10s ./internal/crawler/
 	$(GO) test -run '^$$' -fuzz FuzzOpenCheckpoint -fuzztime 10s ./internal/crawler/
@@ -77,6 +80,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBase58RoundTrip -fuzztime 10s ./internal/encode/
 	$(GO) test -run '^$$' -fuzz FuzzBase58DecodeNeverPanics -fuzztime 10s ./internal/encode/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/har/
+	$(GO) test -run '^$$' -fuzz FuzzPcapParse -fuzztime 10s ./internal/pcap/
 
 # Crash-consistency torture: re-execs a checkpointing crawl subprocess,
 # kills it at seeded random points (including mid-record), resumes, and

@@ -3,6 +3,7 @@ package piileak
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -330,6 +331,34 @@ func BenchmarkPipeline(b *testing.B) {
 			b.ReportMetric(float64(res.Stats.CaptureHighWater), "capture_high_water")
 		})
 	}
+
+	// The cases above run the 404 heavy core sites. A universe tail site
+	// costs a few µs to crawl and scan, so over a lazy tail the
+	// pipeline's own per-site cost shows: its cost per site, at 2
+	// workers as a universe run crawls.
+	b.Run("tail-20k-2w", func(b *testing.B) {
+		const sites = 20_000
+		cfg := DefaultConfig()
+		cfg.Ecosystem.UniverseSize = sites
+		ts, err := NewStudy(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		opts := pipeline.Options{Options: crawler.Options{Workers: 2}, DetectWorkers: 2}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := pipeline.Run(context.Background(), ts.Eco, ts.Config.Browser, ts.Engine, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&m1)
+		n := float64(b.N * sites)
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/site")
+		b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/n, "allocs/site")
+	})
 }
 
 // BenchmarkObsOverhead measures the observability layer's cost on the

@@ -44,8 +44,8 @@
 // list (identical to piidetect's over a full dataset) instead of the
 // dataset — the captures are never all in memory, so there is no
 // dataset to write. With -funnel it also reports the capture high-water
-// mark, the most captures in flight at once; it depends on scheduling,
-// so it never enters -metrics. Sharded runs (-supervise) write the same
+// mark, the most captures in flight at once (at most one per worker);
+// it depends on scheduling, so it never enters -metrics. Sharded runs (-supervise) write the same
 // leak list, and -funnel prints their merged funnel without that mark.
 // A -shard worker refuses -o and -funnel: it writes only its sealed
 // result under -shard-dir, for the supervisor's merge.

@@ -164,11 +164,12 @@ var spent sync.Pool
 
 // Recycle hands back a capture whose records nobody reads any more, so
 // a later session's Reset reuses its capacity instead of regrowing a
-// capture from empty. The pipeline's detect stage calls it once
-// detection and the §7.2 reduction are done with a site; a caller that
-// keeps its records (a dataset crawl) never does. The records are
-// cleared over their length, which is all a session ever wrote, so they
-// keep no request alive.
+// capture from empty. A pipeline worker calls it once detection and the
+// §7.2 reduction are done with a site, and its browser's next Reset,
+// on the same goroutine, usually takes the slice back out; a caller
+// that keeps its records (a dataset crawl) never calls it. The records
+// are cleared over their length, which is all a session ever wrote, so
+// they keep no request alive.
 func Recycle(records []httpmodel.Record) {
 	if cap(records) == 0 {
 		return

@@ -52,13 +52,15 @@ type Common struct {
 	// lazily generated ranked tail, derived per site from (seed, rank).
 	// 0 runs the study core alone.
 	Universe int
-	// Workers parallelizes the crawl (and, unless DetectWorkers says
-	// otherwise, detection); 0 is serial.
+	// Workers parallelizes the run; 0 is serial. A dataset crawl runs
+	// Workers crawl workers. A study runs one pool of workers, each
+	// crawling, scanning and folding its own sites: the larger of
+	// Workers and DetectWorkers, at least one.
 	Workers int
-	// DetectWorkers overrides the detection stage's parallelism; 0
-	// follows Workers. Detection scans through per-worker Scanners over
-	// one shared engine, so extra detect workers cost scratch buffers,
-	// not candidate-set compiles.
+	// DetectWorkers raises a study's worker count to at least its
+	// value; 0 follows Workers. Each worker scans through a Scanner of
+	// its own over one shared engine, so a worker costs scratch
+	// buffers, not a candidate-set compile.
 	DetectWorkers int
 
 	// Faults is the fraction of hosts made faulty (0 disables
@@ -117,8 +119,8 @@ func Register(fs *flag.FlagSet) *Common {
 	fs.BoolVar(&c.Small, "small", false, "use the scaled-down ecosystem")
 	fs.StringVar(&c.Browser, "browser", "firefox", "collection browser: firefox, chrome, opera, safari, firefox-etp, brave")
 	fs.IntVar(&c.Universe, "universe", 0, "extend the study to N total sites with a lazily generated ranked tail (0 = study core only)")
-	fs.IntVar(&c.Workers, "workers", 0, "parallel crawl workers (0 = serial)")
-	fs.IntVar(&c.DetectWorkers, "detect-workers", 0, "parallel detection workers (0 = follow -workers)")
+	fs.IntVar(&c.Workers, "workers", 0, "parallel workers, each crawling and scanning its own sites (0 = serial)")
+	fs.IntVar(&c.DetectWorkers, "detect-workers", 0, "run a study on at least this many workers (0 = follow -workers)")
 	fs.Float64Var(&c.Faults, "faults", 0, "fraction of hosts made faulty (0 disables fault injection)")
 	fs.Uint64Var(&c.FaultSeed, "fault-seed", 0, "fault-injection seed (default: the ecosystem seed)")
 	fs.IntVar(&c.Retries, "retries", 0, "max fetch attempts per request under faults (default 4)")
@@ -461,8 +463,9 @@ func (c *Common) RunOptions(rt *Runtime, prog string, progress func(pipeline.Eve
 	return opts
 }
 
-// EffectiveDetectWorkers resolves the detection stage's parallelism:
-// the -detect-workers value when given, else the crawl worker count.
+// EffectiveDetectWorkers resolves -detect-workers: its value when
+// given, else -workers. A study runs the larger of it and -workers as
+// its workers.
 func (c *Common) EffectiveDetectWorkers() int {
 	if c.DetectWorkers > 0 {
 		return c.DetectWorkers

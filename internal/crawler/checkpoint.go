@@ -244,7 +244,7 @@ const (
 // file's: a merge has no detector, and compares the pins its shards'
 // reads return.
 func (c *Checkpoint) scan(r *bufio.Reader, want *Header, strict bool, add func(SiteResult)) (hdr Header, keep int64, nl bool, err error) {
-	line, err := r.ReadBytes('\n')
+	line, err := readLine(r)
 	if err != nil && err != io.EOF {
 		return hdr, 0, false, c.wrap(err)
 	}
@@ -273,7 +273,7 @@ func (c *Checkpoint) scan(r *bufio.Reader, want *Header, strict bool, add func(S
 	}
 	var tail []byte // the first non-blank line that is not a site; without add, the last non-blank line
 	for err == nil {
-		if line, err = r.ReadBytes('\n'); err != nil && err != io.EOF {
+		if line, err = readLine(r); err != nil && err != io.EOF {
 			return hdr, 0, false, c.wrap(err)
 		}
 		size += int64(len(line))
@@ -284,7 +284,7 @@ func (c *Checkpoint) scan(r *bufio.Reader, want *Header, strict bool, add func(S
 			if tail != nil {
 				c.hash(tail)
 			}
-			tail = line
+			tail = append(tail[:0], line...)
 			continue
 		}
 		var s SiteResult
@@ -298,7 +298,7 @@ func (c *Checkpoint) scan(r *bufio.Reader, want *Header, strict bool, add func(S
 			continue
 		}
 		if tail == nil {
-			tail = line
+			tail = bytes.Clone(line)
 		}
 		c.torn++
 	}
@@ -315,6 +315,23 @@ func (c *Checkpoint) scan(r *bufio.Reader, want *Header, strict bool, add func(S
 }
 
 var newline = []byte{'\n'}
+
+// readLine reads the next line through its newline, as ReadBytes does,
+// but in place: a line that fits r's buffer is a slice of it, valid
+// only until the next read, so a caller that keeps one copies it. A
+// longer line is gathered into a copy of its own.
+func readLine(r *bufio.Reader) ([]byte, error) {
+	line, err := r.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	long := bytes.Clone(line)
+	for err == bufio.ErrBufferFull {
+		line, err = r.ReadSlice('\n')
+		long = append(long, line...)
+	}
+	return long, err
+}
 
 // check refuses a decoded site line whose index lies outside the run's
 // source or repeats, or whose domain is not the source's there — a

@@ -16,8 +16,8 @@ import (
 
 // This file is the streaming crawl engine: one worker loop behind
 // CrawlStream. Run collects its emissions into a Dataset; the streaming
-// study pipeline instead forwards each emission straight into detection
-// so captures never pile up.
+// study pipeline instead scans, releases and folds each site inside its
+// emit, on the worker that crawled it, so captures never pile up.
 
 // SiteResult is one site's record from crawl to merge, and a checkpoint
 // line: the crawl record with its mail and shield-block side effects,
@@ -40,8 +40,9 @@ type SiteResult struct {
 // Workers <= 1), each with its own browser, takes the source's sites in
 // index order: with one worker, emissions arrive in site order; with
 // more, from the workers in completion order, so emit must be safe for
-// concurrent use. A blocking emit exerts backpressure, so a bounded
-// consumer bounds the captures in flight; an emit error stops the crawl.
+// concurrent use. emit runs on the worker that crawled the site, which
+// takes its next site only once emit returns: at most Workers captures
+// are ever in flight, and an emit error stops the crawl.
 //
 // Sites come from Options.Source (or the ecosystem's universe) and are
 // materialized one at a time as a worker takes them, so peak site

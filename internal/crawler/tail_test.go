@@ -53,14 +53,14 @@ func BenchmarkCrawlTailSite(b *testing.B) {
 // domain and origin taken from its site once per site, one PSL walk per
 // third-party request, a cookie jar cleared in place, a request's
 // cookie domains gathered on the stack, no block map until a site's
-// first block and no filtered copy of a site's tags per subpage: 7 for
-// the no-auth site's two requests and 125 for the shopping site's full
-// flow, when the crawl keeps its records (a dataset crawl). When the
-// records are handed back as the pipeline's detect stage does, the
-// next session appends into them instead of regrowing a capture from
-// empty: 6 and 120. Per-request or per-site
-// garbage creeping back into the browser fails here before it shows in
-// a universe run.
+// first block, no filtered copy of a site's tags per subpage and each
+// tag's URL built once when it is generated: 7 for the no-auth site's
+// two requests and 111 for the shopping site's full flow, when the
+// crawl keeps its records (a dataset crawl). When the records are
+// handed back as the pipeline's workers do, the next session appends
+// into them instead of regrowing a capture from empty: 6 and 106.
+// Per-request or per-site garbage creeping back into the browser fails
+// here before it shows in a universe run.
 func TestCrawlTailSiteAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts do not hold under the race detector")
@@ -72,8 +72,8 @@ func TestCrawlTailSiteAllocs(t *testing.T) {
 		recycle bool
 		bounds  []float64
 	}{
-		{"kept", false, []float64{7, 125}},
-		{"handed back", true, []float64{6, 120}},
+		{"kept", false, []float64{7, 111}},
+		{"handed back", true, []float64{6, 106}},
 	} {
 		for i, bound := range tc.bounds {
 			s := sites[i]

@@ -15,7 +15,7 @@
 // surface scratch reused across records, a Contains fast path that
 // dismisses clean records without allocating, and per-site host →
 // receiver memoization. Scanners come from Engine.NewScanner (one per
-// detect worker) or transparently from a sync.Pool via Engine's own
+// pipeline worker) or transparently from a sync.Pool via Engine's own
 // pipeline.Detector implementation.
 //
 // The original single-phase detector survives only in this package's
@@ -46,7 +46,7 @@ type Config struct {
 // Engine is the immutable, concurrency-safe compile of everything
 // detection needs that does not change between scans. Build one per
 // (persona, config) — or let NewEngine's shared cache do it for you —
-// and share it across every detect worker, shard and tenant.
+// and share it across every pipeline worker, shard and tenant.
 type Engine struct {
 	cands *pii.CandidateSet
 	list  *psl.List

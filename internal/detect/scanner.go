@@ -15,7 +15,8 @@ import (
 // percent-decoding buffers, the host→receiver memo — lives here and is
 // reused across records, so the steady-state no-leak path allocates
 // nothing. A Scanner is NOT safe for concurrent use; create one per
-// detect worker with Engine.NewScanner (the Engine itself stays shared).
+// pipeline worker with Engine.NewScanner (the Engine itself stays
+// shared).
 type Scanner struct {
 	eng *Engine
 
@@ -43,7 +44,7 @@ type recvEntry struct {
 }
 
 // NewScanner returns a fresh scanner bound to the engine. Intended use
-// is one Scanner per detect worker, scanning records serially.
+// is one Scanner per pipeline worker, scanning records serially.
 func (e *Engine) NewScanner() *Scanner {
 	return &Scanner{eng: e, hostRecv: make(map[string]recvEntry)}
 }

@@ -15,8 +15,9 @@ import (
 
 // Accumulator is the study fold: it takes sites' outputs in any order
 // and assembles the shared Result store in site order. The pipeline's
-// accumulate stage and the sharded runtime's verified merge both fold
-// through it, so an unsharded run and a merged one cannot drift apart.
+// workers, under one lock, and the sharded runtime's verified merge
+// both fold through it, so an unsharded run and a merged one cannot
+// drift apart.
 //
 // Every aggregate it feeds (the §4.2 analysis indexes, the §5 tracking
 // index, the §7.2 request index, the shield block counters) is a set or

@@ -51,11 +51,11 @@ func datasetBytes(t *testing.T, res *Result) []byte {
 }
 
 // TestCancelledRunResumesByteIdentical: a checkpointed run cancelled
-// mid-run keeps every site that reached the accumulate stage, and a
-// resume — serial, or with 4 crawl and 3 detect workers appending while
-// they run — writes the uninterrupted run's leak and dataset bytes. The
-// resumed sites still count: both stages' progress reaches the total,
-// and so do the crawl and detect counters.
+// mid-run keeps every site a worker had crawled before the cancel, and
+// a resume — serial, or with 4 workers appending while they run —
+// writes the uninterrupted run's leak and dataset bytes. The resumed
+// sites still count: both stages' progress reaches the total, and so
+// do the crawl and detect counters.
 func TestCancelledRunResumesByteIdentical(t *testing.T) {
 	eco, profile, det := fixture(t, 29)
 	ref, err := Run(context.Background(), eco, profile, det, Options{})

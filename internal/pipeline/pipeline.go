@@ -1,14 +1,14 @@
-// Package pipeline fuses the study's crawl and detection stages into
-// one streaming pass. Crawl workers emit per-site captures into a
-// bounded channel; detect workers scan each capture as it arrives and
-// release the records immediately afterwards (keeping only the reduced
-// request index the §7.2 blocklist evaluation needs, and handing the
-// record slice back for a crawl worker's next site); a single
-// accumulation goroutine folds each site's output into the shared Result
-// store — the §4.2 analysis indexes, the §5 tracking index and the §6
-// policy-audit sender set — through the Accumulator the sharded merge
-// also uses. Captured records are bounded by the captures in flight
-// (crawl workers + channel buffer + detect workers) instead of the whole
+// Package pipeline fuses the study's crawl and detection into one
+// streaming pass. One pool of workers takes the sites; each worker
+// crawls a site, scans its capture with a detect.Scanner it holds for
+// that site, releases the records (keeping only the reduced request
+// index the §7.2 blocklist evaluation needs, and handing the record
+// slice back for its browser's next site), and then, under the one lock
+// the workers share, appends the site to the checkpoint and folds it
+// into the shared Result store — the §4.2 analysis indexes, the §5
+// tracking index and the §6 policy-audit sender set — through the
+// Accumulator the sharded merge also uses. No site crosses a goroutine,
+// captured records are bounded by the workers instead of the whole
 // crawl, and the fold keeps per site only its crawl record, plus leaks
 // and mail for the sites that have them.
 //
@@ -19,9 +19,9 @@
 // produce byte-identical leak output and identical table numbers
 // regardless of completion order.
 //
-// A checkpointed run appends each site in the accumulate stage, after
-// detection, so its file holds exactly what the fold needs and a
-// resumed site skips both the crawl and detection.
+// A checkpointed run appends each site after detection, so its file
+// holds exactly what the fold needs and a resumed site skips both the
+// crawl and detection.
 package pipeline
 
 import (
@@ -39,28 +39,29 @@ import (
 	"piileak/internal/webgen"
 )
 
-// Detector is what the detection stage needs from a scanner. The one
-// production implementation is *detect.Engine, from which each detect
-// worker derives a private Scanner; tests substitute misbehaving
-// detectors to exercise the crash-only path. DetectSite must not keep
-// records once it returns: the detect stage then hands them back for
-// reuse.
+// Detector is what detection needs from a scanner. The one production
+// implementation is *detect.Engine, from which Run derives one private
+// Scanner per worker; tests substitute misbehaving detectors to
+// exercise the crash-only path, and any detector but an Engine is
+// shared by the workers, so it must be safe for concurrent use.
+// DetectSite must not keep records once it returns: the worker then
+// hands them back for reuse.
 type Detector interface {
 	DetectSite(siteDomain string, records []httpmodel.Record) []core.Leak
 }
 
 // Options configures a study run. The embedded crawler.Options is the
-// single source of truth for the crawl stage — its Workers field IS the
-// crawl parallelism (<= 1 crawls serially with one browser), its Obs
-// field is the run's observer, and its site-source / fault / checkpoint
-// / watchdog knobs apply unchanged. There is no separate
-// CrawlWorkers override anymore; Validate rejects contradictions
-// instead of silently preferring one side.
+// single source of truth for the crawl — its Obs field is the run's
+// observer, and its site-source / fault / checkpoint / watchdog knobs
+// apply unchanged. Validate rejects contradictions instead of silently
+// preferring one side.
 type Options struct {
 	crawler.Options
 
-	// DetectWorkers sets the detection stage's parallelism; <= 0 means
-	// one worker.
+	// DetectWorkers and the embedded Workers size the one pool of
+	// workers, each crawling, scanning and folding its own sites: the
+	// pool has max(1, Workers, DetectWorkers) of them, so <= 1 for both
+	// runs serially with one browser and one scanner.
 	DetectWorkers int
 	// Progress, when set, receives per-stage completion events. It is
 	// never called concurrently.
@@ -82,15 +83,8 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// captureBuffer is the capacity of the captures channel (and of the
-// detect outputs channel): two sites, so a crawl worker can hand a
-// capture off while every detect worker is busy, without letting a
-// lagging detection stage pile up records. With the worker counts it
-// bounds the captures in flight: crawl workers + captureBuffer + detect
-// workers.
-const captureBuffer = 2
-
-// Event is one progress tick from a pipeline stage.
+// Event is one progress tick from a pipeline stage. A site's crawl
+// and detect events arrive together, as its worker folds it.
 type Event struct {
 	// Stage is "crawl" or "detect".
 	Stage string
@@ -114,9 +108,10 @@ type Stats struct {
 	// Leaks is the total detected leak count.
 	Leaks int
 	// CaptureHighWater is the maximum number of record-bearing captures
-	// simultaneously in flight — the pipeline's memory bound. It depends
-	// on scheduling in parallel runs, so it stays out of the
-	// deterministic telemetry registry; only Run sets it.
+	// simultaneously in flight — the pipeline's memory bound, at most
+	// one per worker. It depends on scheduling in parallel runs, so it
+	// stays out of the deterministic telemetry registry; only Run sets
+	// it.
 	CaptureHighWater int
 	// Released counts sites whose records were dropped after detection.
 	Released int
@@ -177,16 +172,20 @@ func detectGuarded(det Detector, out *crawler.SiteResult, eco *webgen.Ecosystem,
 }
 
 // Run executes the fused crawl+detect+accumulate pipeline and returns
-// the shared result store. Cancelling ctx stops the crawl stage (the
-// site in flight is discarded, exactly as in crawler.CrawlStream); the
-// detect and accumulate stages drain what was already captured before
-// Run returns ctx's error, so a checkpointed run is left resumable. With
-// CheckpointPath set, the accumulate stage appends each site after
-// detection, and a resume folds the file's sites — counted in the
+// the shared result store. Each of its max(1, Workers, DetectWorkers)
+// workers takes a site through crawler.CrawlStream and, on the same
+// goroutine, scans it, releases its records, and appends and folds it
+// under one lock. Cancelling ctx stops every worker before its next
+// site (a site mid-crawl is discarded, exactly as in
+// crawler.CrawlStream; a crawled site is still scanned, appended and
+// folded) before Run returns ctx's error, so a checkpointed run is left
+// resumable. With CheckpointPath set, each site is appended before it
+// is folded, and a resume folds the file's sites — counted in the
 // progress events and telemetry like the rest — and crawls only the
-// others; a completed run completes the checkpoint, which seals a
-// shard's (crawler.Checkpoint.Complete). A panicking detector does not
-// kill the run: the site is marked OutcomeCrashed, quarantined
+// others; a failed append stops the crawl and fails the run, and a
+// completed run completes the checkpoint, which seals a shard's
+// (crawler.Checkpoint.Complete). A panicking detector does not kill the
+// run: the site is marked OutcomeCrashed, quarantined
 // (opts.Quarantine), and checkpointed as such. opts.Obs observes every
 // stage; a nil observer costs nothing.
 func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, det Detector, opts Options) (*Result, error) {
@@ -200,51 +199,32 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, de
 	total := src.Len()
 	o := opts.Obs
 
-	detectWorkers := opts.DetectWorkers
-	if detectWorkers <= 0 {
-		detectWorkers = 1
-	}
-
-	// Progress calls are serialized. A crawl worker counts its site and
-	// reports the count in one lock hold, so crawl events arrive in
-	// count order however many workers race for the lock.
-	var (
-		progressMu sync.Mutex
-		crawled    int
-	)
-	emitEvent := func(ev Event) {
-		if opts.Progress == nil {
-			return
-		}
-		progressMu.Lock()
-		opts.Progress(ev)
-		progressMu.Unlock()
-	}
-	crawlEvent := func(r *crawler.SiteResult) {
-		if opts.Progress == nil {
-			return
-		}
-		progressMu.Lock()
-		defer progressMu.Unlock()
-		crawled++
-		opts.Progress(Event{Stage: "crawl", Done: crawled, Total: total, Site: r.Crawl.Domain, Outcome: string(r.Crawl.Outcome)})
-	}
-
-	// The fold is the accumulate stage's single owner of the shared
-	// store. It keeps each site's output under its index, so the final
+	// The fold owns the shared store, and mu serializes it with the
+	// checkpoint appends and the progress calls: a site's count, its
+	// two events and its fold are one lock hold, so events arrive in
+	// count order however many workers race for the lock. The
+	// accumulator keeps each site's output under its index, so the final
 	// concatenation is in site order no matter when each site finished.
+	var (
+		mu   sync.Mutex
+		done int
+	)
 	acc := NewAccumulator(total)
-	detected := 0
-	fold := func(r crawler.SiteResult) {
-		acc.Add(r)
+	fold := func(r *crawler.SiteResult) {
+		done++
+		if opts.Progress != nil {
+			opts.Progress(Event{Stage: "crawl", Done: done, Total: total, Site: r.Crawl.Domain, Outcome: string(r.Crawl.Outcome)})
+		}
+		acc.Add(*r)
 		if r.Records > 0 {
 			o.Count(obs.MetricReleased, 1)
 		}
-		detected++
 		o.Count(obs.MetricDetectSites, 1)
 		o.Count(obs.MetricDetectLeaks, int64(len(r.Leaks)))
 		o.Observe(obs.HistSiteLeaks, int64(len(r.Leaks)))
-		emitEvent(Event{Stage: "detect", Done: detected, Total: total, Site: r.Crawl.Domain, Leaks: acc.Leaks()})
+		if opts.Progress != nil {
+			opts.Progress(Event{Stage: "detect", Done: done, Total: total, Site: r.Crawl.Domain, Leaks: acc.Leaks()})
+		}
 	}
 
 	// The crawl walks the resolved source, so it and the accumulator
@@ -252,104 +232,72 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, de
 	// sites.
 	copts := opts.Options
 	copts.Source = src
+	copts.Workers = max(1, opts.Workers, opts.DetectWorkers)
 	var ckpt *crawler.Checkpoint
 	if opts.CheckpointPath != "" {
 		var err error
-		ckpt, err = crawler.OpenCheckpoint(eco, profile, copts, DetectPin(det), func(r crawler.SiteResult) {
-			crawlEvent(&r)
-			fold(r)
-		})
+		ckpt, err = crawler.OpenCheckpoint(eco, profile, copts, DetectPin(det), func(r crawler.SiteResult) { fold(&r) })
 		if err != nil {
 			return nil, err
 		}
 		defer ckpt.Close()
 		copts.Source = ckpt.Unfinished(src)
 	}
-	// A failed append stops the crawl through this context.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 
-	var g obs.Watermark
-	captures := make(chan crawler.SiteResult, captureBuffer)
-	outputs := make(chan crawler.SiteResult, captureBuffer)
-
-	// Stage 1: crawl. Emissions block on the captures channel, which is
-	// the backpressure that bounds the pipeline's in-flight state.
-	var crawlErr error
-	go func() {
-		defer close(captures)
-		crawlErr = crawler.CrawlStream(ctx, eco, profile, copts, func(r crawler.SiteResult) error {
-			g.Inc()
-			captures <- r
-			crawlEvent(&r)
-			return nil
-		})
-	}()
-
-	// Stage 2: detect. Each worker scans a capture's records and then
-	// releases them, reducing leaky sites to the request index first, and
-	// hands the released slice back to the browsers (browser.Recycle).
-	var wg sync.WaitGroup
-	for w := 0; w < detectWorkers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// An Engine detector is shared compile-time state; each
-			// worker scans through its own Scanner so the per-record
-			// scratch (match buffers, decode buffers, receiver memo) is
-			// never contended.
-			wdet := det
-			if eng, ok := det.(*detect.Engine); ok {
-				wdet = eng.NewScanner()
-			}
-			for r := range captures {
-				sp := o.StartSpan(obs.StageDetect, r.Crawl.Domain, r.Index)
-				if r.Crawl.Outcome == crawler.OutcomeSuccess {
-					detectGuarded(wdet, &r, eco, copts)
-				}
-				if len(r.Leaks) > 0 {
-					r.Requests = httpmodel.ReduceRecords(r.Crawl.Records)
-				}
-				// Nothing reads the records after this: hand them back
-				// for a crawl worker's next site to append into.
-				browser.Recycle(r.Crawl.Records)
-				r.Crawl.Records = nil
-				g.Dec()
-				sp.SetN(len(r.Leaks))
-				sp.End()
-				outputs <- r
-			}
-		}()
+	// An Engine is shared compile-time state; each worker scans through
+	// a Scanner of its own, taken from this free list of one per worker,
+	// so the per-record scratch (match buffers, decode buffers, receiver
+	// memo) is never contended.
+	scanners := make(chan Detector, copts.Workers)
+	for range copts.Workers {
+		if eng, ok := det.(*detect.Engine); ok {
+			scanners <- eng.NewScanner()
+		} else {
+			scanners <- det
+		}
 	}
-	go func() {
-		wg.Wait()
-		close(outputs)
-	}()
 
-	// Stage 3: accumulate, on this goroutine: append each site to the
-	// checkpoint, then fold it. After a failed append the stage only
-	// drains, so the other stages can stop.
-	var appendErr error
-	for r := range outputs {
-		if appendErr != nil {
-			continue
+	var (
+		g      obs.Watermark
+		failed error // the failed append; no site is appended after it
+	)
+	err := crawler.CrawlStream(ctx, eco, profile, copts, func(r crawler.SiteResult) error {
+		g.Inc()
+		sp := o.StartSpan(obs.StageDetect, r.Crawl.Domain, r.Index)
+		if r.Crawl.Outcome == crawler.OutcomeSuccess {
+			sc := <-scanners
+			detectGuarded(sc, &r, eco, copts)
+			scanners <- sc
+		}
+		if len(r.Leaks) > 0 {
+			r.Requests = httpmodel.ReduceRecords(r.Crawl.Records)
+		}
+		// Nothing reads the records after this: hand them back for this
+		// worker's browser to append its next site into.
+		browser.Recycle(r.Crawl.Records)
+		r.Crawl.Records = nil
+		g.Dec()
+		sp.SetN(len(r.Leaks))
+		sp.End()
+
+		mu.Lock()
+		defer mu.Unlock()
+		if failed != nil {
+			return failed
 		}
 		if ckpt != nil {
-			if appendErr = ckpt.Append(r); appendErr != nil {
-				cancel()
-				continue
+			if failed = ckpt.Append(r); failed != nil {
+				return failed
 			}
 		}
 		ap := o.StartSpan(obs.StageAccumulate, r.Crawl.Domain, r.Index)
-		fold(r)
+		fold(&r)
 		ap.SetN(len(r.Leaks))
 		ap.End()
-	}
-	if appendErr != nil {
-		return nil, appendErr
-	}
-	if crawlErr != nil {
-		return nil, crawlErr
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if ckpt != nil {
 		if err := ckpt.Complete(); err != nil {

@@ -81,7 +81,7 @@ func TestRunMatchesBatch(t *testing.T) {
 
 // TestMemoryBound demonstrates the pipeline's memory guarantee: the
 // number of record-bearing captures simultaneously alive never exceeds
-// crawl workers + channel buffer + detect workers, and every capture's
+// the workers, max(1, Workers, DetectWorkers), and every capture's
 // records are released after detection.
 func TestMemoryBound(t *testing.T) {
 	eco, profile, det := fixture(t, 29)
@@ -90,9 +90,9 @@ func TestMemoryBound(t *testing.T) {
 		name                  string
 		crawlW, detectW, want int
 	}{
-		{"serial", 0, 0, 1 + captureBuffer + 1},
-		{"parallel", 4, 2, 4 + captureBuffer + 2},
-		{"wide", 8, 4, 8 + captureBuffer + 4},
+		{"serial", 0, 0, 1},
+		{"parallel", 4, 2, 4},
+		{"wide", 8, 4, 8},
 	} {
 		res, err := Run(context.Background(), eco, profile, det, Options{
 			Options: crawler.Options{Workers: tc.crawlW}, DetectWorkers: tc.detectW,
@@ -166,7 +166,7 @@ func TestProgressEvents(t *testing.T) {
 }
 
 // TestCrawlEventsInOrderAcrossWorkers pins the crawl count's order
-// where workers contend for it: 8 crawl workers over a 4,000-site
+// where workers contend for it: 8 workers over a 4,000-site
 // universe, three times. Counting a site and reporting it are one step,
 // so no worker can deliver a later count before an earlier one; with
 // the count taken under one lock hold and reported under another, each

@@ -74,7 +74,9 @@ type Spec struct {
 	Small bool `json:"small,omitempty"`
 	// Browser sets -browser; empty keeps firefox.
 	Browser string `json:"browser,omitempty"`
-	// Workers and DetectWorkers set -workers and -detect-workers.
+	// Workers and DetectWorkers set -workers and -detect-workers: the
+	// job runs the larger of the two as its workers, each crawling,
+	// scanning and folding its own sites.
 	Workers       int `json:"workers,omitempty"`
 	DetectWorkers int `json:"detect_workers,omitempty"`
 	// Faults, FaultSeed and Retries set -faults, -fault-seed and

@@ -79,10 +79,27 @@ type Tag struct {
 	OnSubpages bool
 	// Actions is the tag's leak behaviour; empty for benign tags.
 	Actions []LeakAction
+
+	// url is the resource URL WithURL stored.
+	url string
 }
 
-// URL returns the tag's resource URL.
-func (t *Tag) URL() string { return "https://" + t.Host + t.Path }
+// WithURL returns t with its resource URL built once, for a generator
+// to call when t's Host and Path are final: every load and leak request
+// the tag makes reuses it. Nothing may change a tag after that.
+func (t Tag) WithURL() Tag {
+	t.url = t.URL()
+	return t
+}
+
+// URL returns the tag's resource URL: the one WithURL stored, or for a
+// tag built without it, its concatenation.
+func (t *Tag) URL() string {
+	if t.url != "" {
+		return t.url
+	}
+	return "https://" + t.Host + t.Path
+}
 
 // LoadsOn reports whether the tag is present on a page: every tag is on
 // the auth pages, only OnSubpages tags on a subpage.

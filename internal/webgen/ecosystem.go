@@ -793,7 +793,7 @@ func (e *Ecosystem) buildTags(rng *rand.Rand) {
 				JSONBody: ed.JSON,
 			})
 		}
-		s.Tags = append(s.Tags, tag)
+		s.Tags = append(s.Tags, tag.WithURL())
 	}
 
 	// Referer senders: ad tags with no actions; the GET form leaks.
@@ -812,7 +812,7 @@ func (e *Ecosystem) buildTags(rng *rand.Rand) {
 				Host:     p.Host,
 				Path:     providerPath(p),
 				Type:     httpmodel.TypeScript,
-			})
+			}.WithURL())
 		}
 	}
 

@@ -112,16 +112,16 @@ var (
 // the same background resources.
 
 func benignCDNTag() site.Tag {
-	return site.Tag{Receiver: "jscdn-static.net", Host: "cdn.jscdn-static.net", Path: "/lib/app.js", Type: httpmodel.TypeScript, OnSubpages: true}
+	return site.Tag{Receiver: "jscdn-static.net", Host: "cdn.jscdn-static.net", Path: "/lib/app.js", Type: httpmodel.TypeScript, OnSubpages: true}.WithURL()
 }
 
 func benignFontTag() site.Tag {
-	return site.Tag{Receiver: "webfonts-host.org", Host: "fonts.webfonts-host.org", Path: "/css/family.css", Type: httpmodel.TypeStylesheet, OnSubpages: true}
+	return site.Tag{Receiver: "webfonts-host.org", Host: "fonts.webfonts-host.org", Path: "/css/family.css", Type: httpmodel.TypeStylesheet, OnSubpages: true}.WithURL()
 }
 
 func facebookPixelTag() site.Tag {
 	return site.Tag{
 		Receiver: "facebook.com", Host: "www.facebook.com",
 		Path: "/en_US/fbevents.js", Type: httpmodel.TypeScript, OnSubpages: true,
-	}
+	}.WithURL()
 }

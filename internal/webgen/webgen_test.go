@@ -342,6 +342,36 @@ func TestCloakedTagsHaveCNAMEs(t *testing.T) {
 	}
 }
 
+// TestTagURLsBuiltOnce: every tag the generator makes, in the study
+// core and in a universe tail, stores the URL its Host and Path give,
+// so its load and leak requests read the URL instead of building it
+// again (URL allocates nothing).
+func TestTagURLsBuiltOnce(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.UniverseSize = 1000
+	u := MustGenerate(cfg).Universe()
+	tags := 0
+	for i := 0; i < u.Len(); i++ {
+		s := u.At(i)
+		for j := range s.Tags {
+			tag := &s.Tags[j]
+			tags++
+			if got, want := tag.URL(), "https://"+tag.Host+tag.Path; got != want {
+				t.Fatalf("%s: tag URL %q, want %q", s.Domain, got, want)
+			}
+			if raceEnabled {
+				continue
+			}
+			if allocs := testing.AllocsPerRun(1, func() { _ = tag.URL() }); allocs != 0 {
+				t.Fatalf("%s: tag %s builds its URL on every call (%.0f allocs)", s.Domain, tag.Host, allocs)
+			}
+		}
+	}
+	if tags == 0 {
+		t.Fatal("no tags generated")
+	}
+}
+
 func TestBraveSurvivorsExactlyNine(t *testing.T) {
 	eco := defaultEco(t)
 	survivors := map[int]bool{}

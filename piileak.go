@@ -15,7 +15,7 @@
 // Every run streams: each site's captures are scanned as the crawl
 // finishes it and released right after detection, so peak memory is
 // bounded by the captures in flight. Run takes functional options:
-// WithWorkers(4, 4) parallelizes both stages, WithCheckpoint(path) makes
+// WithWorkers(4, 4) runs four workers, WithCheckpoint(path) makes
 // the run resumable, and WithObserver(run) attaches an obs.Run that
 // collects deterministic metrics and stage traces without changing a
 // single output byte. RunSharded runs the same study as K supervised
@@ -168,8 +168,9 @@ type runConfig struct {
 // left.
 func WithStream() RunOption { return nil }
 
-// WithWorkers sets the crawl and detect stages' parallelism. Values <= 1
-// run the stage serially; results are byte-identical at any setting.
+// WithWorkers sizes the run's one pool of workers, each crawling,
+// scanning and folding its own sites: max(1, crawl, detect) of them, so
+// values <= 1 run serially. Results are byte-identical at any setting.
 func WithWorkers(crawl, detect int) RunOption {
 	return func(rc *runConfig) {
 		rc.opts.Workers = crawl

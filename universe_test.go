@@ -122,14 +122,14 @@ func TestUniverseBelowCoreRefused(t *testing.T) {
 	}
 }
 
-// TestRecycledRecordsMatchSerial pins the record slices the detect
-// stage hands back to the crawl: over a 5k-site universe, a run with 2
-// crawl and 2 detect workers — detect workers recycling each site's
-// records while crawl workers append the next sites into them — writes
+// TestRecycledRecordsMatchSerial pins the record slices the workers
+// hand back to their browsers: over a 5k-site universe, a run on 2
+// workers — each recycling a site's records once it has scanned them,
+// while the other appends its next site into a recycled slice — writes
 // the serial run's leak bytes, Tables 1, 2 and 4 and thin dataset.
 // Under -race (CI runs it ten times in the crawl loop race lane) a
-// crawl worker writing a slice that a detect worker still scans is a
-// reported race.
+// browser writing a slice that a worker still scans is a reported
+// race.
 func TestRecycledRecordsMatchSerial(t *testing.T) {
 	cfg := SmallConfig(29)
 	cfg.Ecosystem.UniverseSize = 5000
