@@ -52,15 +52,18 @@ bench:
 	$(GO) test -json -bench '^Benchmark(E10_Table4Blocklists|EngineMatch)$$' -benchmem -run '^$$' . ./internal/blocklist/ > BENCH_table4.json
 	$(GO) test -json -bench '^Benchmark(ETLDPlusOne|CrawlTailSite)$$' -benchmem -run '^$$' ./internal/psl/ ./internal/crawler/ > BENCH_browser.json
 
-# Short fuzz smoke over all 14 fuzzers in the module, 10s each: the
+# Short fuzz smoke over all 15 fuzzers in the module, 10s each: the
 # dataset decoder, the one checkpoint line reader (leniently as a
 # resume: torn-tail cut, index and domain refusals, reopen; strictly as
 # a sealed shard result), the hand-written study-neutral line codec
 # (differential against encoding/json both ways), the piiserve job WAL
 # load (refusals leave the file as it was; a compacted store reopens to
-# the same jobs, and a torn append changes none), the Aho-Corasick
-# automaton (matches and their order against a naive search), the
-# filter-list parser and the filter rules' literal prefilter (verdicts and deciding rules against
+# the same jobs, and a torn append changes none), the piiserve job-spec
+# reader (never panics; a spec it accepts maps onto flags their own
+# validator accepts, with the spec's only elements one for one), the
+# Aho-Corasick automaton (matches and their order against a naive
+# search, dense first-level rows included), the filter-list parser and
+# the filter rules' literal prefilter (verdicts and deciding rules against
 # evaluating every rule's regexp), the public-suffix walk (differential against the
 # label-splitting oracle it replaced), the bzip2 and base58
 # codecs (round trips, and base58 decoding never panics), the HAR
@@ -72,6 +75,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSiteLine -fuzztime 10s ./internal/crawler/
 	$(GO) test -run '^$$' -fuzz FuzzParseResult -fuzztime 10s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz FuzzOpenStore -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz FuzzSpec -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzMatcherMatchesNaive -fuzztime 10s ./internal/ahocorasick/
 	$(GO) test -run '^$$' -fuzz FuzzParseList -fuzztime 10s ./internal/blocklist/
 	$(GO) test -run '^$$' -fuzz FuzzMatchAgreesWithRegexp -fuzztime 10s ./internal/blocklist/

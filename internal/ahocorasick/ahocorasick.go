@@ -26,8 +26,14 @@
 //     [first[s], first[s+1]), and label[c] is the byte on the edge into
 //     c. Children are laid out in byte order, so a state's outgoing
 //     labels are one sorted span of label.
-//   - The root, which every mismatch falls back to, gets a dense
-//     256-entry row instead.
+//   - The root, which every mismatch falls back to, and each state at
+//     depth 1 get a dense 256-entry row instead, with the failure
+//     transitions folded in, so a step from one of them is one load.
+//     Candidate tokens share their first byte in a few dozen ways
+//     (hex, base64 and e-mail alphabets), so the first level is where
+//     a clean text spends most of its steps and where the linear child
+//     scan would be longest; the depth-2 candidate set has 70 such
+//     states, whose rows take 70 KB.
 //   - Outputs live in one flat array: state s reports
 //     out[outStart[s]:outStart[s+1]], its own patterns followed by
 //     those of its failure target, so scanning never walks failure
@@ -52,8 +58,15 @@ const prefixCap = 24
 // Matcher is an immutable Aho-Corasick automaton. It is safe for
 // concurrent use after construction.
 type Matcher struct {
-	// root[b] is the state the root moves to on byte b (0: stay).
-	root [256]int32
+	// next[s<<8|b] is the state s moves to on byte b, for the root and
+	// the depth-1 states s <= dense: the root's row (0: stay) and then
+	// one row per depth-1 state, each a copy of the root's row with the
+	// state's children written over it, as a depth-1 state fails to
+	// the root.
+	next []int32
+	// dense is the last state with a row in next: the depth-1 states
+	// are 1..dense, and deeper states step through first and label.
+	dense int32
 	// first has one entry per state plus a sentinel: the children of s
 	// are the states first[s] .. first[s+1]-1.
 	first []int32
@@ -122,8 +135,16 @@ func build[T text](patterns []T, compare func(a, b T) int, capLen int) *Matcher 
 		return int(a - b)
 	})
 
-	// A trie over trieBytes bytes has at most trieBytes+1 states.
+	// A trie over trieBytes bytes has at most trieBytes+1 states, and
+	// one depth-1 state per distinct first byte.
 	maxStates := trieBytes + 1
+	depth1 := 0
+	for j, p := range order {
+		if j == 0 || patterns[p][0] != patterns[order[j-1]][0] {
+			depth1++
+		}
+	}
+	m.next = make([]int32, (depth1+1)<<8)
 	m.first = make([]int32, maxStates+1)
 	m.label = make([]byte, maxStates)
 	m.fail = make([]int32, maxStates)
@@ -139,6 +160,9 @@ func build[T text](patterns []T, compare func(a, b T) int, capLen int) *Matcher 
 	for levelStart, levelEnd := int32(0), int32(1); levelStart < levelEnd; depth++ {
 		for s := levelStart; s < levelEnd; s++ {
 			m.first[s] = n
+			if depth == 1 {
+				copy(m.next[s<<8:(s+1)<<8], m.next[:256])
+			}
 			m.outStart[s] = int32(len(m.out))
 			// Patterns ending here sort first in the run; at the cap
 			// the whole run ends here.
@@ -160,13 +184,21 @@ func build[T text](patterns []T, compare func(a, b T) int, capLen int) *Matcher 
 				c := n
 				n++
 				m.label[c], lo[c], hi[c] = b, j, k
-				if s == 0 {
-					m.root[b] = c
-				} else {
+				if s != 0 {
 					m.fail[c] = m.step(m.fail[s], b)
+				}
+				if depth <= 1 {
+					m.next[int(s)<<8|int(b)] = c
 				}
 				j = k
 			}
+		}
+		if depth == 0 {
+			// The depth-1 states are numbered now; their rows are
+			// filled as their level is built, and no step reaches one
+			// of them before that: a depth-2 state's failure target is
+			// the root's child on its byte.
+			m.dense = n - 1
 		}
 		levelStart, levelEnd = levelEnd, n
 	}
@@ -181,9 +213,11 @@ func build[T text](patterns []T, compare func(a, b T) int, capLen int) *Matcher 
 	return m
 }
 
-// step advances the automaton from state s on byte b.
+// step advances the automaton from state s on byte b: a state deeper
+// than the first level scans its children and falls back along its
+// failure links until a child matches or a dense row answers.
 func (m *Matcher) step(s int32, b byte) int32 {
-	for s != 0 {
+	for s > m.dense {
 		lo, hi := m.first[s], m.first[s+1]
 		for c := lo; c < hi; c++ {
 			if l := m.label[c]; l >= b {
@@ -195,7 +229,7 @@ func (m *Matcher) step(s int32, b byte) int32 {
 		}
 		s = m.fail[s]
 	}
-	return m.root[b]
+	return m.next[int(s)<<8|int(b)]
 }
 
 // outputs returns the patterns state s reports.

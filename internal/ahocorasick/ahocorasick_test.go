@@ -244,6 +244,21 @@ func FuzzMatcherMatchesNaive(f *testing.F) {
 	f.Add("he|she|his|hers", "ushers")
 	f.Add("aa|aaa|a|aa", "aaaa")
 	f.Add("|x", "xx")
+	// First-level states with many children, as hex and base64
+	// candidate tokens give them, so the dense rows are fuzzed.
+	const hex = "0123456789abcdef"
+	const b64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+	var hexPats, b64Pats []string
+	for _, first := range "0af" {
+		for _, c := range hex {
+			hexPats = append(hexPats, string(first)+string(c)+"9")
+		}
+	}
+	for _, c := range b64 {
+		b64Pats = append(b64Pats, "Q"+string(c))
+	}
+	f.Add(strings.Join(hexPats, "|"), "0f9a09af99f0a00a9c"+hex+hex)
+	f.Add(strings.Join(b64Pats, "|")+"|QQx|Q", "QQQxQ+Q/"+b64)
 	f.Fuzz(func(t *testing.T, pats, text string) {
 		if len(pats) > 256 || len(text) > 1024 {
 			return

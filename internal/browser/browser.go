@@ -21,6 +21,7 @@ package browser
 
 import (
 	"context"
+	"maps"
 	"net/url"
 	"slices"
 	"strings"
@@ -132,50 +133,128 @@ type Browser struct {
 	seq int
 	// page is the page the last request came from.
 	page page
+	// headers are empty header maps a handed-back capture's records
+	// held, for this session's Referers (refererMap).
+	headers []map[string]string
 }
 
 // page is what every request from one page needs: its URL, and its
-// site's host, registrable domain ("" when it has none), origin (the
-// Referer a cross-site request gets) and first-party asset URL. Every
-// page of a site is on the site's host, so only the URL changes from
-// page to page.
+// site's host, registrable domain, origin (the Referer a cross-site
+// request gets) and first-party asset URL. Every page of a site is on
+// the site's host, so only the URL changes from page to page.
 type page struct {
 	site                            *site.Site
 	url, host, etld1, origin, asset string
+	// urlRef and originRef are the Referer header maps carrying url and
+	// origin, built on first use and shared, read-only, by every record
+	// whose Referer has that value: nothing writes to them while a
+	// record holds them (Recycle empties them once nobody does).
+	urlRef, originRef map[string]string
 }
 
-// pageOn returns page pageURL of site s. The site's part is derived
-// once per site, from the site itself: its origin is the homepage URL,
-// and the host is the origin's middle.
-func (b *Browser) pageOn(s *site.Site, pageURL string) *page {
-	if b.page.site != s {
-		origin := s.BaseURL()
-		host := origin[len("https://") : len(origin)-1]
-		etld1, _ := b.Classifier.PSL.ETLDPlusOne(host)
-		b.page = page{site: s, host: host, etld1: etld1, origin: origin, asset: s.PageURL("/static/app.js")}
+// siteOn makes s the site of b's page. The site's part is derived once
+// per site, from the site itself: its host, origin and asset URL are one
+// allocation (site.PageStrings), and its registrable domain is its
+// Domain, which the site model makes one, so no URL is parsed and no
+// public-suffix list walked.
+func (b *Browser) siteOn(s *site.Site) *page {
+	pg := &b.page
+	if pg.site != s {
+		pg.site, pg.url, pg.etld1 = s, "", s.Domain
+		pg.origin, pg.host, pg.asset = s.PageStrings()
+		pg.urlRef, pg.originRef = nil, nil
 	}
-	b.page.url = pageURL
-	return &b.page
+	return pg
 }
 
-// spent holds the record slices Recycle hands back, for a later Reset
-// to append the next session's capture into.
-var spent sync.Pool
+// pageOn returns page pageURL of site s.
+func (b *Browser) pageOn(s *site.Site, pageURL string) *page {
+	pg := b.siteOn(s)
+	if pg.url != pageURL {
+		pg.url, pg.urlRef = pageURL, nil
+	}
+	return pg
+}
+
+// PageURL returns the URL of page path on site s, where path starts
+// with "/": the site's origin itself for "/", otherwise the origin and
+// path in one concatenation.
+func (b *Browser) PageURL(s *site.Site, path string) string {
+	pg := b.siteOn(s)
+	if path == "/" {
+		return pg.origin
+	}
+	return pg.origin[:len(pg.origin)-1] + path
+}
+
+// sharedReferer returns the page's shared Referer header map for value
+// v, a subresource's Referer: the page's URL or its origin.
+func (b *Browser) sharedReferer(pg *page, v string) map[string]string {
+	ref := &pg.originRef
+	if v == pg.url {
+		ref = &pg.urlRef
+	}
+	if *ref == nil {
+		*ref = b.refererMap(v)
+	}
+	return *ref
+}
+
+// refererMap returns a header map holding Referer v alone: one a
+// handed-back capture left, when the session has one, or a new one.
+func (b *Browser) refererMap(v string) map[string]string {
+	var h map[string]string
+	if n := len(b.headers); n > 0 {
+		h, b.headers = b.headers[n-1], b.headers[:n-1]
+	} else {
+		h = make(map[string]string, 1)
+	}
+	h["Referer"] = v
+	return h
+}
+
+// capture is what Recycle hands back for a later Reset: a record slice
+// and the header maps its records held, emptied.
+type capture struct {
+	records []httpmodel.Record
+	headers []map[string]string
+}
+
+// spent holds the captures Recycle hands back, and boxes the empty
+// capture values Reset leaves: a capture put into a sync.Pool as a
+// value would be boxed in a new allocation every time, and so would a
+// new *capture per Put, so the boxes go round too.
+var spent, boxes sync.Pool
 
 // Recycle hands back a capture whose records nobody reads any more, so
 // a later session's Reset reuses its capacity instead of regrowing a
-// capture from empty. A pipeline worker calls it once detection and the
-// §7.2 reduction are done with a site, and its browser's next Reset,
-// on the same goroutine, usually takes the slice back out; a caller
-// that keeps its records (a dataset crawl) never calls it. The records
-// are cleared over their length, which is all a session ever wrote, so
-// they keep no request alive.
+// capture from empty, and its request header maps for the Referers of
+// a later session's pages. A pipeline worker calls it once detection
+// and the §7.2 reduction are done with a site, and its browser's next
+// Reset, on the same goroutine, usually takes the capture back out; a
+// caller that keeps its records (a dataset crawl) never calls it. Every
+// request header map in a browser's records is the browser's own (do
+// makes them all), so each is emptied and kept; one that several
+// records share is kept once, as it is already empty when the next
+// record is reached. The records are cleared over their length, which
+// is all a session ever wrote, so they keep no request alive.
 func Recycle(records []httpmodel.Record) {
 	if cap(records) == 0 {
 		return
 	}
+	c, _ := boxes.Get().(*capture)
+	if c == nil {
+		c = new(capture)
+	}
+	for i := range records {
+		if h := records[i].Request.Headers; len(h) > 0 {
+			clear(h)
+			c.headers = append(c.headers, h)
+		}
+	}
 	clear(records)
-	spent.Put(records[:0])
+	c.records = records[:0]
+	spent.Put(c)
 }
 
 // New creates a browsing session. zone supplies CNAME records for
@@ -193,9 +272,18 @@ func New(profile Profile, zone *dnssim.Zone) *Browser {
 
 // Reset clears cookies, captured traffic, the saved page and the
 // transport (a fresh session on a fresh connection). The new capture
-// is empty, in a recycled slice when one was handed back.
+// is empty, in a recycled slice when one was handed back, whose
+// emptied header maps join the session's spares.
 func (b *Browser) Reset() {
-	b.Records, _ = spent.Get().([]httpmodel.Record)
+	b.Records = nil
+	if c, ok := spent.Get().(*capture); ok {
+		// The capture's emptied header maps join the spares, and the
+		// capture leaves with the spares' old array for its next use.
+		b.Records = c.records
+		b.headers, c.headers = append(c.headers, b.headers...), b.headers[:0]
+		c.records = nil
+		boxes.Put(c)
+	}
 	b.Blocked = nil
 	b.FailedFetches = 0
 	b.Transport = nil
@@ -227,7 +315,7 @@ func (p *Profile) dropsCrossSiteCookie(e string) bool {
 // host, whose registrable domain is e, given the request's third-party
 // verdict.
 func (b *Browser) cookiesFor(host, e string, thirdParty bool) []httpmodel.Cookie {
-	if thirdParty && b.Profile.dropsCrossSiteCookie(e) {
+	if len(b.jar) == 0 || thirdParty && b.Profile.dropsCrossSiteCookie(e) {
 		return nil
 	}
 	// Match domains first and walk them sorted: the jar is a map, and
@@ -272,21 +360,20 @@ func (b *Browser) allowed(host, e string) (receiver string, ok bool) {
 	return "", true
 }
 
-// do issues one request from page pg to host, which the caller knows
-// from building the request's URL: it applies shields and cookie
-// policy, attaches the Referer, records the exchange, and returns
-// whether it went through. The host's registrable domain is resolved
-// once — a request to the page's own host reuses the page's — and
+// do issues one request from page pg to host, whose registrable domain
+// is e ("" when it has none), both known to the caller from building the
+// request's URL: it applies shields and cookie policy, attaches the
+// Referer, records the exchange, and returns whether it went through.
 // Shields, the cookie policy and the referer policy share the one
 // third-party verdict. A subresource of a page on site s (s non-nil)
 // gets its Referer from that verdict, as Firefox 88's default policy
-// does: the full page URL same-site, the page's origin cross-site. A
-// navigation (s nil) carries referer as given, when it is not empty.
-func (b *Browser) do(req httpmodel.Request, host string, pg *page, phase httpmodel.Phase, s *site.Site, referer string, resp httpmodel.Response) bool {
-	e := pg.etld1
-	if host != pg.host {
-		e, _ = b.Classifier.PSL.ETLDPlusOne(host) // "" when host has none
-	}
+// does: the full page URL same-site, the page's origin cross-site, in
+// the page's shared header map for that value. A navigation (s nil)
+// carries referer as given, when it is not empty, in a map of its own.
+// resp is the server's answer, nil for a plain 200. The record is built
+// in place, and every request header map it holds is one do made, so
+// do never writes into a caller's map and Recycle may reuse them all.
+func (b *Browser) do(req *httpmodel.Request, host, e string, pg *page, phase httpmodel.Phase, s *site.Site, referer string, resp *httpmodel.Response) bool {
 	if receiver, ok := b.allowed(host, e); !ok {
 		if b.Blocked == nil {
 			b.Blocked = map[string]int{}
@@ -328,33 +415,56 @@ func (b *Browser) do(req httpmodel.Request, host string, pg *page, phase httpmod
 			referer = pg.url
 		}
 	}
-	if referer != "" {
-		if req.Headers == nil {
-			req.Headers = map[string]string{}
+	var headers map[string]string
+	switch {
+	case len(req.Headers) > 0:
+		// The caller's header map is not do's to change, nor its
+		// records' to share: they get a copy.
+		headers = maps.Clone(req.Headers)
+		if referer != "" {
+			headers["Referer"] = referer
 		}
-		req.Headers["Referer"] = referer
+	case s != nil:
+		headers = b.sharedReferer(pg, referer)
+	case referer != "":
+		headers = b.refererMap(referer)
 	}
-	req.Cookies = b.cookiesFor(host, e, thirdParty)
-
-	if resp.Status == 0 {
-		resp.Status = 200
-	}
-	for _, c := range resp.SetCookies {
-		if b.canSetCookie(c, pg) {
-			b.SetCookie(c)
+	cookies := b.cookiesFor(host, e, thirdParty)
+	if resp != nil {
+		for _, c := range resp.SetCookies {
+			if b.canSetCookie(c, pg) {
+				b.SetCookie(c)
+			}
 		}
 	}
 
 	b.seq++
 	b.Obs.Count(obs.MetricBrowserRequests, 1)
-	b.Records = append(b.Records, httpmodel.Record{
-		Seq:      b.seq,
-		Page:     pg.url,
-		Phase:    phase,
-		Request:  req,
-		Response: resp,
-	})
+	n := len(b.Records)
+	b.Records = slices.Grow(b.Records, 1)[:n+1]
+	rec := &b.Records[n]
+	rec.Seq, rec.Page, rec.Phase = b.seq, pg.url, phase
+	rec.Request = *req
+	rec.Request.Headers, rec.Request.Cookies = headers, cookies
+	rec.Response = httpmodel.Response{}
+	if resp != nil {
+		rec.Response = *resp
+	}
+	if rec.Response.Status == 0 {
+		rec.Response.Status = 200
+	}
 	return true
+}
+
+// tagDomain returns the registrable domain of tag t's host ("" when it
+// has none): the one the generator stored (site.Tag.WithURL), or for a
+// tag built without it, a public-suffix walk.
+func (b *Browser) tagDomain(t *site.Tag) string {
+	if e, ok := t.RegistrableDomain(); ok {
+		return e
+	}
+	e, _ := b.Classifier.PSL.ETLDPlusOne(t.Host)
+	return e
 }
 
 // canSetCookie applies the cookie policy to a Set-Cookie received on a
@@ -371,9 +481,9 @@ func (b *Browser) canSetCookie(c httpmodel.Cookie, pg *page) bool {
 // no subresources load and the caller's flow is broken at this step.
 func (b *Browser) VisitPage(s *site.Site, pageURL string, phase httpmodel.Phase, subpage bool) bool {
 	pg := b.pageOn(s, pageURL)
-	if !b.do(httpmodel.Request{
+	if !b.do(&httpmodel.Request{
 		Method: "GET", URL: pageURL, Type: httpmodel.TypeDocument,
-	}, pg.host, pg, phase, nil, "", httpmodel.Response{}) {
+	}, pg.host, pg.etld1, pg, phase, nil, "", nil) {
 		return false
 	}
 	b.RenderSubresources(s, pageURL, phase, subpage)
@@ -386,15 +496,17 @@ func (b *Browser) VisitPage(s *site.Site, pageURL string, phase httpmodel.Phase,
 // OnSubpages tags.
 func (b *Browser) RenderSubresources(s *site.Site, pageURL string, phase httpmodel.Phase, subpage bool) {
 	pg := b.pageOn(s, pageURL)
-	b.do(httpmodel.Request{
+	b.do(&httpmodel.Request{
 		Method: "GET", URL: pg.asset, Type: httpmodel.TypeScript, Initiator: pageURL,
-	}, pg.host, pg, phase, s, "", httpmodel.Response{})
+	}, pg.host, pg.etld1, pg, phase, s, "", nil)
 
-	for _, tag := range s.Tags {
+	for i := range s.Tags {
+		tag := &s.Tags[i]
 		if !tag.LoadsOn(subpage) {
 			continue
 		}
-		b.do(tag.LoadRequest(pageURL), tag.Host, pg, phase, s, "", httpmodel.Response{})
+		req := tag.LoadRequest(pageURL)
+		b.do(&req, tag.Host, b.tagDomain(tag), pg, phase, s, "", nil)
 	}
 }
 
@@ -408,10 +520,12 @@ func (b *Browser) FireAuthEvent(s *site.Site, pageURL string, phase httpmodel.Ph
 		times = 1
 	}
 	pg := b.pageOn(s, pageURL)
-	for _, tag := range s.Tags {
+	for i := range s.Tags {
+		tag := &s.Tags[i]
 		if len(tag.Actions) == 0 || !tag.LoadsOn(subpage) {
 			continue
 		}
+		e := b.tagDomain(tag)
 		for rep := 0; rep < times; rep++ {
 			for _, action := range tag.Actions {
 				req, cookies := tag.LeakRequest(action, pageURL, p)
@@ -420,7 +534,7 @@ func (b *Browser) FireAuthEvent(s *site.Site, pageURL string, phase httpmodel.Ph
 					// the (cloaked, first-party) tag host.
 					b.SetCookie(c)
 				}
-				b.do(req, tag.Host, pg, phase, s, "", httpmodel.Response{})
+				b.do(&req, tag.Host, e, pg, phase, s, "", nil)
 			}
 		}
 	}
@@ -450,5 +564,5 @@ func (b *Browser) SubmitForm(s *site.Site, action string, fields []site.FormFiel
 			Name: "session", Value: "sess-" + s.Domain, Domain: pg.host,
 		}},
 	}
-	return b.do(req, pg.host, pg, phase, nil, fromPage, resp)
+	return b.do(&req, pg.host, pg.etld1, pg, phase, nil, fromPage, &resp)
 }

@@ -43,7 +43,9 @@ func doFrom(b *Browser, req httpmodel.Request, pageURL string, phase httpmodel.P
 		pg.etld1, _ = b.Classifier.PSL.ETLDPlusOne(pg.host)
 		pg.origin = u.Scheme + "://" + u.Host + "/"
 	}
-	return b.do(req, req.Host(), pg, phase, nil, referer, resp)
+	host := req.Host()
+	e, _ := b.Classifier.PSL.ETLDPlusOne(host)
+	return b.do(&req, host, e, pg, phase, nil, referer, &resp)
 }
 
 func TestVisitPageRecordsDocumentAssetAndTags(t *testing.T) {

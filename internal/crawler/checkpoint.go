@@ -410,11 +410,13 @@ func CheckResume(path string, want Header) error {
 // Append returns, and synced with its group once checkpointSyncBytes of
 // lines are unsynced. A study-neutral line is written by hand, the rest
 // through encoding/json (appendNeutralLine). Safe for concurrent use.
-func (c *Checkpoint) Append(r SiteResult) error {
-	line, neutral := appendNeutralLine(make([]byte, 0, 192), &r) // a tail site's line is about 130 bytes
+func (c *Checkpoint) Append(r *SiteResult) error {
+	line, neutral := appendNeutralLine(make([]byte, 0, 192), r) // a tail site's line is about 130 bytes
 	if !neutral {
+		// Marshal a copy: handing r itself to encoding/json would move
+		// every caller's record to the heap, whichever line it writes.
 		var err error
-		if line, err = json.Marshal(r); err != nil {
+		if line, err = json.Marshal(*r); err != nil {
 			return c.wrap(err)
 		}
 	}

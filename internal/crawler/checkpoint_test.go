@@ -302,7 +302,8 @@ func TestCheckpointSyncsInGroups(t *testing.T) {
 			}
 			var want []string
 			for i := 1; i <= tc.n; i++ {
-				if err := c.Append(sizedEntry(t, i, tc.size)); err != nil {
+				e := sizedEntry(t, i, tc.size)
+				if err := c.Append(&e); err != nil {
 					t.Fatal(err)
 				}
 				want = append(want, fmt.Sprintf("pre%d", i), fmt.Sprintf("mid%d", i))

@@ -173,118 +173,122 @@ func newDataset(eco *webgen.Ecosystem, browserLabel string) *Dataset {
 	return ds
 }
 
-// crawlOne executes the flow on one site. rt is the resilient transport
-// for this crawl (nil for the stock fault-free run): when set, every
-// navigation can fail after retries, and the flow degrades instead of
-// pretending the web is reliable.
-func crawlOne(b *browser.Browser, s *site.Site, p pii.Persona, mbox *mailbox.Mailbox, rt *faultTransport) SiteCrawl {
-	crawl := SiteCrawl{
-		Domain:       s.Domain,
-		Rank:         s.Rank,
-		Obstacle:     s.Obstacle,
-		EmailConfirm: s.EmailConfirm,
-		BotDetection: s.BotDetection,
-	}
+// crawlOne executes the flow on one site into crawl, which must be
+// zero: the caller's site record holds it, so the crawl is built in
+// place. rt is the resilient transport for this crawl (nil for the
+// stock fault-free run): when set, every navigation can fail after
+// retries, and the flow degrades instead of pretending the web is
+// reliable.
+func crawlOne(b *browser.Browser, s *site.Site, p *pii.Persona, mbox *mailbox.Mailbox, rt *faultTransport, crawl *SiteCrawl) {
+	crawl.Domain, crawl.Rank, crawl.Obstacle = s.Domain, s.Rank, s.Obstacle
+	crawl.EmailConfirm, crawl.BotDetection = s.EmailConfirm, s.BotDetection
 	if rt != nil {
 		b.Transport = rt
 	}
-	finish := func(outcome Outcome) SiteCrawl {
-		crawl.Outcome = outcome
-		crawl.Records = b.Records
-		rt.account(&crawl, b)
-		return crawl
-	}
-
-	switch s.Obstacle {
-	case site.ObstacleUnreachable:
+	if s.Obstacle == site.ObstacleUnreachable {
 		crawl.Outcome = OutcomeUnreachable
-		rt.account(&crawl, b)
-		return crawl
+	} else {
+		crawl.Outcome = visit(b, s, p, mbox)
+		crawl.Records = b.Records
+	}
+	rt.account(crawl, b)
+}
+
+// visit walks a reachable site through the flow as far as its obstacles
+// and the transport let it, and returns the outcome.
+func visit(b *browser.Browser, s *site.Site, p *pii.Persona, mbox *mailbox.Mailbox) Outcome {
+	// Every page URL comes from the browser, which derives the site's
+	// origin once per site: the homepage is the origin itself, and any
+	// other page is the origin plus its path in one concatenation.
+	homepage := b.PageURL(s, "/")
+	switch s.Obstacle {
 	case site.ObstacleNoAuth:
-		b.VisitPage(s, s.BaseURL(), httpmodel.PhaseHomepage, false)
-		return finish(OutcomeNoAuthFlow)
+		b.VisitPage(s, homepage, httpmodel.PhaseHomepage, false)
+		return OutcomeNoAuthFlow
 	case site.ObstaclePhoneVerify, site.ObstacleIDDocuments, site.ObstacleRegionBlock:
-		b.VisitPage(s, s.BaseURL(), httpmodel.PhaseHomepage, false)
-		b.VisitPage(s, s.PageURL("/account/signup"), httpmodel.PhaseSignup, false)
-		return finish(OutcomeSignupBlocked)
+		b.VisitPage(s, homepage, httpmodel.PhaseHomepage, false)
+		b.VisitPage(s, b.PageURL(s, "/account/signup"), httpmodel.PhaseSignup, false)
+		return OutcomeSignupBlocked
 	}
 
 	// Homepage, then the sign-up page. A homepage that never arrives —
 	// retries spent, circuit opened — is the live-web unreachable case
 	// (§3.2's 22 sites); a later step breaking instead degrades the
 	// record to partial.
-	if !b.VisitPage(s, s.BaseURL(), httpmodel.PhaseHomepage, false) {
-		return finish(OutcomeUnreachable)
+	if !b.VisitPage(s, homepage, httpmodel.PhaseHomepage, false) {
+		return OutcomeUnreachable
 	}
-	signupPage := s.PageURL("/account/signup")
+	signupPage := b.PageURL(s, "/account/signup")
 	if !b.VisitPage(s, signupPage, httpmodel.PhaseSignup, false) {
-		return finish(OutcomePartial)
+		return OutcomePartial
 	}
 
 	// Bot detection: a human operator passes; Brave's shields break
 	// the CAPTCHA widget on one site (§7.1).
 	if s.BotDetection && s.CaptchaBreaksUnderShields && b.Profile.Shields != nil {
-		return finish(OutcomeCaptcha)
+		return OutcomeCaptcha
 	}
 
 	// Submit the sign-up form. GET forms land on the action URL with
 	// PII in the query string (the referer-leak source); POST forms
+	// submit to the sign-up page itself (site.SignupActionURL) and
 	// redirect to a clean welcome page.
-	action := s.SignupActionURL(p)
-	resultPage := action
-	if !s.SignupGET {
-		resultPage = s.PageURL("/account/welcome")
+	var action, resultPage string
+	if s.SignupGET {
+		action = s.SignupActionURL(*p)
+		resultPage = action
+	} else {
+		action, resultPage = signupPage, b.PageURL(s, "/account/welcome")
 	}
-	if !b.SubmitForm(s, action, s.FormFields(p), httpmodel.PhaseSignup, signupPage) {
-		return finish(OutcomePartial)
+	if !b.SubmitForm(s, action, s.FormFields(*p), httpmodel.PhaseSignup, signupPage) {
+		return OutcomePartial
 	}
 	b.RenderSubresources(s, resultPage, httpmodel.PhaseSignup, false)
-	b.FireAuthEvent(s, resultPage, httpmodel.PhaseSignup, false, p, 1)
+	b.FireAuthEvent(s, resultPage, httpmodel.PhaseSignup, false, *p, 1)
 
 	// E-mail confirmation when the site requires it. The mail is sent
 	// by the sign-up that just succeeded, so it is delivered even when
 	// the activation visit then fails.
 	if s.EmailConfirm {
-		link := s.PageURL("/account/confirm?token=tok-" + s.Domain)
+		link := b.PageURL(s, "/account/confirm?token=tok-"+s.Domain)
 		mbox.DeliverConfirmation(s.Domain, link)
 		if !b.VisitPage(s, link, httpmodel.PhaseConfirm, false) {
-			return finish(OutcomePartial)
+			return OutcomePartial
 		}
 	}
 
 	// Sign in with the created account.
-	loginPage := s.PageURL("/account/login")
+	loginPage := b.PageURL(s, "/account/login")
 	if !b.VisitPage(s, loginPage, httpmodel.PhaseSignin, false) {
-		return finish(OutcomePartial)
+		return OutcomePartial
 	}
-	home := s.PageURL("/account/home")
-	if !b.SubmitForm(s, s.PageURL("/account/login/submit"), []site.FormField{
+	home := b.PageURL(s, "/account/home")
+	if !b.SubmitForm(s, b.PageURL(s, "/account/login/submit"), []site.FormField{
 		{Name: "email", Value: p.Email},
 		{Name: "password", Value: "correct-horse-battery"},
 	}, httpmodel.PhaseSignin, loginPage) {
-		return finish(OutcomePartial)
+		return OutcomePartial
 	}
 	b.RenderSubresources(s, home, httpmodel.PhaseSignin, false)
-	b.FireAuthEvent(s, home, httpmodel.PhaseSignin, false, p, 1)
+	b.FireAuthEvent(s, home, httpmodel.PhaseSignin, false, *p, 1)
 
 	// Reload the logged-in page.
 	if !b.VisitPage(s, home, httpmodel.PhaseReload, false) {
-		return finish(OutcomePartial)
+		return OutcomePartial
 	}
-	b.FireAuthEvent(s, home, httpmodel.PhaseReload, false, p, 1)
+	b.FireAuthEvent(s, home, httpmodel.PhaseReload, false, *p, 1)
 
 	// Click through to a product subpage (§5.2's persistence probe):
 	// persistent tags fire on the view and again on an interaction.
-	product := s.PageURL("/product/8812")
+	product := b.PageURL(s, "/product/8812")
 	if !b.VisitPage(s, product, httpmodel.PhaseSubpage, true) {
-		return finish(OutcomePartial)
+		return OutcomePartial
 	}
-	b.FireAuthEvent(s, product, httpmodel.PhaseSubpage, true, p, 2)
+	b.FireAuthEvent(s, product, httpmodel.PhaseSubpage, true, *p, 2)
 
 	// Post-signup marketing mail.
 	mbox.DeliverMarketing(s.Domain, s.MarketingMails, s.SpamMails)
-
-	return finish(OutcomeSuccess)
+	return OutcomeSuccess
 }
 
 // WriteJSONFile writes the dataset to a path, gzip-compressing when the

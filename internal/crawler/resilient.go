@@ -314,33 +314,35 @@ func (t *faultTransport) account(c *SiteCrawl, b *browser.Browser) {
 	c.FailedFetches = b.FailedFetches
 }
 
-// crawlSite runs one site through the flow and packages the result.
-// A panic anywhere in the flow is recovered here: the site is recorded
-// as OutcomeCrashed with whatever captures the browser holds, a
-// diagnostics bundle goes to the quarantine, and the crawl continues
+// crawlSite runs one site through the flow into r, which holds the
+// site's index and is otherwise zero, so the site's record is built in
+// place. A panic anywhere in the flow is recovered here: the site is
+// recorded as OutcomeCrashed with whatever captures the browser holds,
+// a diagnostics bundle goes to the quarantine, and the crawl continues
 // with the next site.
-func crawlSite(b *browser.Browser, eco *webgen.Ecosystem, s *site.Site, rt *faultTransport, q *Quarantine) (r SiteResult) {
+func crawlSite(b *browser.Browser, eco *webgen.Ecosystem, s *site.Site, rt *faultTransport, q *Quarantine, r *SiteResult) {
 	var mbox mailbox.Mailbox
 	defer func() {
 		if p := recover(); p != nil {
-			r = crashedSite(b, eco, s, rt, &mbox, q, StageCrawl, p)
+			crashedSite(b, eco, s, rt, &mbox, q, StageCrawl, p, r)
 		}
 	}()
-	crawl := crawlOne(b, s, eco.Persona, &mbox, rt)
+	crawlOne(b, s, &eco.Persona, &mbox, rt, &r.Crawl)
 	if rt != nil && rt.timedOut {
 		// The watchdog cut the flow off mid-step; whatever outcome the
 		// degraded flow reached (partial, unreachable) is really a
 		// budget exhaustion, recorded as such with partial captures.
-		crawl.Outcome = OutcomeTimeout
+		r.Crawl.Outcome = OutcomeTimeout
 	}
-	return SiteResult{Crawl: crawl, Mail: mbox.Messages, Blocked: b.Blocked, Records: len(crawl.Records)}
+	r.Mail, r.Blocked, r.Records = mbox.Messages, b.Blocked, len(r.Crawl.Records)
 }
 
-// crashedSite packages a panicked site: the quarantined record keeps
-// the partial captures and side effects gathered before the crash, so
-// the bundle is enough to re-run and debug the site in isolation.
-func crashedSite(b *browser.Browser, eco *webgen.Ecosystem, s *site.Site, rt *faultTransport, mbox *mailbox.Mailbox, q *Quarantine, stage string, panicked any) SiteResult {
-	crawl := SiteCrawl{
+// crashedSite packages a panicked site into r: the quarantined record
+// keeps the partial captures and side effects gathered before the
+// crash, so the bundle is enough to re-run and debug the site in
+// isolation.
+func crashedSite(b *browser.Browser, eco *webgen.Ecosystem, s *site.Site, rt *faultTransport, mbox *mailbox.Mailbox, q *Quarantine, stage string, panicked any, r *SiteResult) {
+	r.Crawl = SiteCrawl{
 		Domain:       s.Domain,
 		Rank:         s.Rank,
 		Outcome:      OutcomeCrashed,
@@ -349,11 +351,11 @@ func crashedSite(b *browser.Browser, eco *webgen.Ecosystem, s *site.Site, rt *fa
 		BotDetection: s.BotDetection,
 		Records:      b.Records,
 	}
-	rt.account(&crawl, b)
+	rt.account(&r.Crawl, b)
 	var faultSeed uint64
 	if rt != nil && rt.inj != nil {
 		faultSeed = rt.inj.Seed()
 	}
-	q.Add(BundleFor(stage, &crawl, eco.Config.Seed, faultSeed, panicked))
-	return SiteResult{Crawl: crawl, Mail: mbox.Messages, Blocked: b.Blocked, Records: len(crawl.Records)}
+	q.Add(BundleFor(stage, &r.Crawl, eco.Config.Seed, faultSeed, panicked))
+	r.Mail, r.Blocked, r.Records = mbox.Messages, b.Blocked, len(r.Crawl.Records)
 }

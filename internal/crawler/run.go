@@ -50,7 +50,7 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, op
 	}
 	err := CrawlStream(ctx, eco, profile, opts, func(r SiteResult) error {
 		if ckpt != nil {
-			if err := ckpt.Append(r); err != nil {
+			if err := ckpt.Append(&r); err != nil {
 				return err
 			}
 		}

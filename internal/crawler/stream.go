@@ -86,6 +86,7 @@ func CrawlStream(ctx context.Context, eco *webgen.Ecosystem, profile browser.Pro
 			b := browser.New(profile, eco.Zone)
 			b.Ctx = ctx
 			b.Obs = o
+			var r SiteResult // the site's record, built in place
 			for !stopped.Load() {
 				if err := cancelled(ctx); err != nil {
 					fail(err)
@@ -101,8 +102,8 @@ func CrawlStream(ctx context.Context, eco *webgen.Ecosystem, profile browser.Pro
 				}
 				sp := o.StartSpan(obs.StageCrawl, s.Domain, i)
 				rt := newFaultTransport(ctx, eco, opts)
-				r := crawlSite(b, eco, s, rt, opts.Quarantine)
-				r.Index = i
+				r = SiteResult{Index: i}
+				crawlSite(b, eco, s, rt, opts.Quarantine, &r)
 				if err := cancelled(ctx); err != nil {
 					// Drop the in-flight site: only sites finished
 					// before cancellation are emitted.

@@ -42,25 +42,31 @@ func BenchmarkCrawlTailSite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, s := range sites {
-			crawlSite(br, eco, s, nil, nil)
+			var r SiteResult
+			crawlSite(br, eco, s, nil, nil, &r)
 			br.Reset()
 		}
 	}
 }
 
 // TestCrawlTailSiteAllocs bounds the allocations of one fault-free tail
-// site crawl, at the counts measured with each page's host, registrable
-// domain and origin taken from its site once per site, one PSL walk per
-// third-party request, a cookie jar cleared in place, a request's
-// cookie domains gathered on the stack, no block map until a site's
-// first block, no filtered copy of a site's tags per subpage and each
-// tag's URL built once when it is generated: 7 for the no-auth site's
-// two requests and 111 for the shopping site's full flow, when the
-// crawl keeps its records (a dataset crawl). When the records are
-// handed back as the pipeline's workers do, the next session appends
-// into them instead of regrowing a capture from empty: 6 and 106.
-// Per-request or per-site garbage creeping back into the browser fails
-// here before it shows in a universe run.
+// site crawl, at the counts measured with each page's host, origin and
+// asset URL derived from its site in one allocation per site and its
+// registrable domain taken from the site's domain, each tag's URL and
+// registrable domain stored when it is generated, a page's Referer
+// header maps shared by its requests, every page URL the origin plus a
+// path in one concatenation, each record built in place, a cookie jar
+// cleared in place, a request's cookie domains gathered on the stack,
+// no block map until a site's first block and no filtered copy of a
+// site's tags per subpage: 5 for the no-auth site's two requests and 80
+// for the shopping site's full flow, when the crawl keeps its records
+// (a dataset crawl). When the records are handed back as the pipeline's
+// workers do, the next session appends into them instead of regrowing a
+// capture from empty, its Referers go into the emptied header maps of
+// the capture handed back, and the pool's boxes go round with them: 1
+// (the site's page strings) and 56. Per-request or per-site garbage
+// creeping back into the browser fails here before it shows in a
+// universe run.
 func TestCrawlTailSiteAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts do not hold under the race detector")
@@ -72,13 +78,14 @@ func TestCrawlTailSiteAllocs(t *testing.T) {
 		recycle bool
 		bounds  []float64
 	}{
-		{"kept", false, []float64{7, 111}},
-		{"handed back", true, []float64{6, 106}},
+		{"kept", false, []float64{5, 80}},
+		{"handed back", true, []float64{1, 56}},
 	} {
 		for i, bound := range tc.bounds {
 			s := sites[i]
 			allocs := testing.AllocsPerRun(50, func() {
-				r := crawlSite(br, eco, s, nil, nil)
+				var r SiteResult
+				crawlSite(br, eco, s, nil, nil, &r)
 				if tc.recycle {
 					browser.Recycle(r.Crawl.Records)
 				}

@@ -63,8 +63,8 @@ func NewAccumulator(sites int) *Accumulator {
 
 // Add folds one site after detection: its records released, its leaks
 // and reduced requests set. Sites may arrive in any order, each at most
-// once.
-func (a *Accumulator) Add(r crawler.SiteResult) {
+// once. The fold keeps r's crawl, leaks, mail and requests, not r.
+func (a *Accumulator) Add(r *crawler.SiteResult) {
 	a.crawls[r.Index] = r.Crawl
 	if len(r.Leaks) > 0 || len(r.Mail) > 0 {
 		a.reports = append(a.reports, report{r.Index, r.Leaks, r.Mail})

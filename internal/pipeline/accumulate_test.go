@@ -73,8 +73,8 @@ func TestFoldOrderKeepsDataset(t *testing.T) {
 	}
 	fold := func(order []crawler.SiteResult) (outputs, *Result) {
 		acc := NewAccumulator(population)
-		for _, r := range order {
-			acc.Add(r)
+		for i := range order {
+			acc.Add(&order[i])
 		}
 		res := acc.Result(eco, profile)
 		leaks, err := json.Marshal(res.Leaks)

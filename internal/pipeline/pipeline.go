@@ -215,7 +215,7 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, de
 		if opts.Progress != nil {
 			opts.Progress(Event{Stage: "crawl", Done: done, Total: total, Site: r.Crawl.Domain, Outcome: string(r.Crawl.Outcome)})
 		}
-		acc.Add(*r)
+		acc.Add(r)
 		if r.Records > 0 {
 			o.Count(obs.MetricReleased, 1)
 		}
@@ -286,7 +286,7 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, de
 			return failed
 		}
 		if ckpt != nil {
-			if failed = ckpt.Append(r); failed != nil {
+			if failed = ckpt.Append(&r); failed != nil {
 				return failed
 			}
 		}

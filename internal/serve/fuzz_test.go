@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"os"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -77,4 +79,32 @@ func openJobs(dir string) ([]*Job, int, int, error) {
 	}
 	jobs, torn, recovered := st.Jobs(), st.TornRecords(), st.Recovered()
 	return jobs, torn, recovered, st.Close()
+}
+
+// FuzzSpec runs arbitrary bytes through the submit handler's spec
+// reader (unknown fields refused) and Spec.Validate. Neither panics,
+// and a spec Validate accepts maps through flags onto a flag set whose
+// own validator accepts it, with an -only list of the spec's elements,
+// one for one: a job runs exactly the sites its spec names.
+func FuzzSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := decodeSpec(bytes.NewReader(data))
+		if err != nil || spec.Validate() != nil {
+			return
+		}
+		c, err := spec.flags()
+		if err != nil {
+			t.Fatalf("Validate accepts %+v, flags refuses it: %v", spec, err)
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("Validate accepts %+v, its flags are refused: %v", spec, err)
+		}
+		var only []string
+		if c.Only != "" {
+			only = strings.Split(c.Only, ",")
+		}
+		if !slices.Equal(only, spec.Only) {
+			t.Fatalf("spec only %q runs as -only %q", spec.Only, c.Only)
+		}
+	})
 }

@@ -93,10 +93,12 @@ type Spec struct {
 }
 
 // flags maps the spec onto the flag surface it mirrors: the flags'
-// defaults, overridden by every field the spec sets. Only the field
-// whose JSON form differs from the flag's is checked here — a
-// site_timeout that is not a duration; the flags' own validator judges
-// the rest, an empty only element included.
+// defaults, overridden by every field the spec sets. Only the fields
+// whose JSON form differs from the flag's are checked here — a
+// site_timeout that is not a duration, and an only element the
+// comma-joined flag cannot carry as one domain (one holding a comma,
+// which would name two, or an empty one, which would name none); the
+// flags' own validator judges the rest, a blank only element included.
 func (sp *Spec) flags() (*cliflags.Common, error) {
 	c := cliflags.Register(flag.NewFlagSet("spec", flag.ContinueOnError))
 	if sp.Seed != 0 {
@@ -115,6 +117,14 @@ func (sp *Spec) flags() (*cliflags.Common, error) {
 			return c, fmt.Errorf("site_timeout: %v", err)
 		}
 		c.SiteTimeout = d
+	}
+	for i, d := range sp.Only {
+		if d == "" {
+			return c, fmt.Errorf("only: element %d is an empty site domain", i)
+		}
+		if strings.Contains(d, ",") {
+			return c, fmt.Errorf("only: element %q holds a comma; give one site domain per element", d)
+		}
 	}
 	return c, nil
 }

@@ -35,6 +35,8 @@ func TestSpecValidate(t *testing.T) {
 		{"bad timeout", Spec{SiteTimeout: "soon"}, false},
 		{"negative timeout", Spec{SiteTimeout: "-5s"}, false},
 		{"empty only entry", Spec{Only: []string{"a.example", " "}}, false},
+		{"lone empty only entry", Spec{Only: []string{""}}, false},
+		{"comma in an only entry", Spec{Seed: 7, Small: true, Only: []string{"a.com,b.com"}}, false},
 	}
 	for _, c := range cases {
 		if err := c.spec.Validate(); (err == nil) != c.ok {
@@ -281,6 +283,11 @@ func TestAdmissionControl(t *testing.T) {
 	}
 	if w := postSpec(t, h, `{"seed":7,"surprise":true}`); w.Code != http.StatusBadRequest {
 		t.Fatalf("unknown field: %d, want 400", w.Code)
+	}
+	// One only element is one domain: a comma in it is refused, naming
+	// the element, not split into two.
+	if w := postSpec(t, h, `{"seed":7,"small":true,"only":["a.com,b.com"]}`); w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "a.com,b.com") {
+		t.Fatalf("comma in an only element: %d %s, want 400 naming the element", w.Code, w.Body.String())
 	}
 
 	srv.Drain()

@@ -33,8 +33,8 @@ func fuzzResultBytes(f *testing.F) ([]byte, crawler.Header) {
 		{Index: 2, Crawl: crawler.SiteCrawl{Domain: "e.example", Outcome: crawler.OutcomeSuccess}, Records: 1},
 		{Index: 1, Crawl: crawler.SiteCrawl{Domain: "c.example", Outcome: crawler.OutcomeUnreachable}},
 	}
-	for _, r := range sites {
-		if err := c.Append(r); err != nil {
+	for i := range sites {
+		if err := c.Append(&sites[i]); err != nil {
 			f.Fatal(err)
 		}
 	}

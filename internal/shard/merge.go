@@ -136,7 +136,7 @@ func merge(eco *webgen.Ecosystem, profile browser.Profile, plan *Plan, dir strin
 			hdrs[s], errs[s] = crawler.ReadSealed(ResultPath(dir, s, plan.Shards), workerHeader(eco, profile, crawl, s, plan.Shards, ""), plan.source(eco, s), func(r crawler.SiteResult) {
 				r.Index = s + r.Index*plan.Shards
 				mu.Lock()
-				acc.Add(r)
+				acc.Add(&r)
 				mu.Unlock()
 			})
 		}()

@@ -16,6 +16,7 @@ import (
 	"piileak/internal/blocklist"
 	"piileak/internal/httpmodel"
 	"piileak/internal/pii"
+	"piileak/internal/psl"
 )
 
 // Obstacle explains why a site drops out of the §3.2 collection funnel.
@@ -80,17 +81,26 @@ type Tag struct {
 	// Actions is the tag's leak behaviour; empty for benign tags.
 	Actions []LeakAction
 
-	// url is the resource URL WithURL stored.
-	url string
+	// url is the resource URL WithURL stored, and etld1 the
+	// registrable domain of Host ("" when it has none).
+	url, etld1 string
 }
 
-// WithURL returns t with its resource URL built once, for a generator
-// to call when t's Host and Path are final: every load and leak request
-// the tag makes reuses it. Nothing may change a tag after that.
+// WithURL returns t with its resource URL and its host's registrable
+// domain (under the default public-suffix list, the one a browser
+// classifies with) resolved once, for a generator to call when t's Host
+// and Path are final: every load and leak request the tag makes reuses
+// them. Nothing may change a tag after that.
 func (t Tag) WithURL() Tag {
 	t.url = t.URL()
+	t.etld1, _ = psl.ETLDPlusOne(t.Host)
 	return t
 }
+
+// RegistrableDomain returns the registrable domain of the tag's host
+// ("" when it has none) as WithURL stored it, and false for a tag built
+// without WithURL, whose host the caller must resolve itself.
+func (t *Tag) RegistrableDomain() (string, bool) { return t.etld1, t.url != "" }
 
 // URL returns the tag's resource URL: the one WithURL stored, or for a
 // tag built without it, its concatenation.
@@ -107,7 +117,10 @@ func (t *Tag) LoadsOn(subpage bool) bool { return !subpage || t.OnSubpages }
 
 // Site is one first-party site.
 type Site struct {
-	// Domain is the registrable domain.
+	// Domain is the site's registrable domain (its eTLD+1), and every
+	// page of the site is on host "www." + Domain. The browser relies on
+	// both: a page's registrable domain is Domain, with no public-suffix
+	// walk, so a generator must never put a longer host here.
 	Domain string
 	// Rank is the Tranco rank.
 	Rank int
@@ -147,6 +160,19 @@ type Site struct {
 
 // Host returns the site's canonical web host.
 func (s *Site) Host() string { return "www." + s.Domain }
+
+// assetPath is the path of the first-party script every page loads.
+const assetPath = "/static/app.js"
+
+// PageStrings returns the site's homepage URL (its origin, BaseURL),
+// its host (Host) and the URL of the first-party script its pages load,
+// all three slices of one string: a browser derives them once per site
+// in one allocation.
+func (s *Site) PageStrings() (origin, host, asset string) {
+	asset = "https://www." + s.Domain + assetPath
+	origin = asset[:len(asset)-len(assetPath)+1]
+	return origin, origin[len("https://") : len(origin)-1], asset
+}
 
 // BaseURL returns the homepage URL.
 func (s *Site) BaseURL() string { return "https://" + s.Host() + "/" }

@@ -10,6 +10,7 @@ package tranco
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 	"strconv"
 )
@@ -119,14 +120,16 @@ const TailShoppingModulus = 97
 // subsetting, or which shard asks. Tail domains embed a "-r<rank>"
 // marker; head domains are hyphen-free, so the two namespaces cannot
 // collide and tail domains are unique by construction. A study keeps
-// every crawled domain, so the domain is one allocation of its exact
-// length: the rank's digits are formatted on the stack.
+// every crawled domain, so the domain is the one allocation: the PCG is
+// held by value and drawn through IntN, and the rank's digits are
+// formatted on the stack.
 func TailEntry(seed uint64, rank int) Entry {
-	rng := rand.New(rand.NewPCG(seed, tailSalt^uint64(rank)))
-	p := namePrefixes[rng.IntN(len(namePrefixes))]
-	s := nameSuffixes[rng.IntN(len(nameSuffixes))]
-	tld := tlds[rng.IntN(len(tlds))]
-	category := Categories[1:][rng.IntN(len(Categories)-1)]
+	var rng rand.PCG
+	rng.Seed(seed, tailSalt^uint64(rank))
+	p := namePrefixes[IntN(&rng, len(namePrefixes))]
+	s := nameSuffixes[IntN(&rng, len(nameSuffixes))]
+	tld := tlds[IntN(&rng, len(tlds))]
+	category := Categories[1:][IntN(&rng, len(Categories)-1)]
 	if rank%TailShoppingModulus == 0 {
 		category = CategoryShopping
 	}
@@ -136,6 +139,32 @@ func TailEntry(seed uint64, rank int) Entry {
 		Domain:   p + s + "-r" + string(strconv.AppendInt(digits[:0], int64(rank), 10)) + "." + tld,
 		Category: category,
 	}
+}
+
+// IntN returns a draw in [0, n) from p, the one math/rand/v2's
+// rand.New(p).IntN(n) returns, for a positive n. It is a local copy of
+// that algorithm (a power of two masks one 64-bit draw; any other n
+// takes Lemire's multiply-and-reject, whose rare rejections draw
+// again), so a PCG held by value is drawn from without the two heap
+// allocations a Rand costs, and the universe tail does not depend on
+// Rand's algorithms staying the same across Go releases. math/rand/v2
+// draws the same numbers on 32-bit platforms.
+func IntN(p *rand.PCG, n int) int {
+	if n <= 0 {
+		panic("tranco: IntN of a non-positive bound")
+	}
+	u := uint64(n)
+	if u&(u-1) == 0 {
+		return int(p.Uint64() & (u - 1))
+	}
+	hi, lo := bits.Mul64(p.Uint64(), u)
+	if lo < u {
+		thresh := -u % u
+		for lo < thresh {
+			hi, lo = bits.Mul64(p.Uint64(), u)
+		}
+	}
+	return int(hi)
 }
 
 // Shopping returns the shopping-category entries in rank order.

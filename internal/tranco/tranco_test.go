@@ -1,6 +1,8 @@
 package tranco
 
 import (
+	"math"
+	"math/rand/v2"
 	"reflect"
 	"strings"
 	"testing"
@@ -91,6 +93,30 @@ func TestTailEntryPinned(t *testing.T) {
 	} {
 		if got := TailEntry(c.seed, c.want.Rank); got != c.want {
 			t.Errorf("TailEntry(%d, %d) = %+v, want %+v", c.seed, c.want.Rank, got, c.want)
+		}
+	}
+}
+
+// TestIntNMatchesRand is the differential pin for drawing the tail from
+// a PCG held by value: over many seeds and bounds, a sequence of IntN
+// draws equals the sequence rand.New(rand.NewPCG(s1, s2)).IntN returns.
+// The bounds cover powers of two (the masked draw), odd and even
+// values, values near 2^31, and values near 2^63, where the
+// multiply-and-reject loop rejects often.
+func TestIntNMatchesRand(t *testing.T) {
+	bounds := []int{1, 2, 3, 4, 5, 7, 12, 16, 17, 40, 97, 1000, 1 << 20, 1<<20 + 1,
+		1<<31 - 1, 1 << 31, 1<<31 + 1, 3 << 30, 1<<32 - 1, 1<<62 + 1, 3 << 61, math.MaxInt64}
+	for seed := uint64(0); seed < 200; seed++ {
+		s1, s2 := seed*0x9e3779b97f4a7c15, tailSalt^seed
+		for _, n := range bounds {
+			var p rand.PCG
+			p.Seed(s1, s2)
+			want := rand.New(rand.NewPCG(s1, s2))
+			for draw := 0; draw < 8; draw++ {
+				if got, w := IntN(&p, n), want.IntN(n); got != w {
+					t.Fatalf("seeds (%#x, %#x), n %d, draw %d: IntN %d, rand.IntN %d", s1, s2, n, draw, got, w)
+				}
+			}
 		}
 	}
 }

@@ -56,7 +56,7 @@ func (u *Universe) At(i int) *site.Site {
 	if i < len(u.eco.Sites) {
 		return u.eco.Sites[i]
 	}
-	return tailSite(u.eco.Config, len(u.eco.Sites), i)
+	return tailSite(&u.eco.Config, len(u.eco.Sites), i)
 }
 
 // tailSite derives background site i (global universe index) for a
@@ -69,11 +69,14 @@ func (u *Universe) At(i int) *site.Site {
 // selection would discard them — and carry at most one benign tag;
 // shopping sites complete the full flow with benign tags plus an
 // occasional actionless tracker pixel (embedding a tracker is not
-// leaking), and send no marketing mail.
-func tailSite(cfg Config, head, i int) *site.Site {
+// leaking), and send no marketing mail. A tail site costs two
+// allocations, the Site and its domain: both PCG streams are held by
+// value and drawn through tranco.IntN.
+func tailSite(cfg *Config, head, i int) *site.Site {
 	rank := cfg.TopN + (i - head) + 1
 	entry := tranco.TailEntry(cfg.Seed, rank)
-	rng := rand.New(rand.NewPCG(cfg.Seed, universeSalt^uint64(rank)))
+	var rng rand.PCG
+	rng.Seed(cfg.Seed, universeSalt^uint64(rank))
 	s := &site.Site{
 		Domain:      entry.Domain,
 		Rank:        entry.Rank,
@@ -83,13 +86,13 @@ func tailSite(cfg Config, head, i int) *site.Site {
 	}
 	if entry.Category != tranco.CategoryShopping {
 		s.Obstacle = site.ObstacleNoAuth
-		if rng.IntN(4) == 0 {
+		if tranco.IntN(&rng, 4) == 0 {
 			s.Tags = tailTags[:1:1]
 		}
 		return s
 	}
 	s.Tags = tailTags[:2:2]
-	if rng.IntN(3) == 0 {
+	if tranco.IntN(&rng, 3) == 0 {
 		s.Tags = tailTags[:3:3]
 	}
 	return s

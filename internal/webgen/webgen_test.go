@@ -8,6 +8,7 @@ import (
 	"piileak/internal/blocklist"
 	"piileak/internal/httpmodel"
 	"piileak/internal/pii"
+	"piileak/internal/psl"
 	"piileak/internal/site"
 )
 
@@ -345,7 +346,8 @@ func TestCloakedTagsHaveCNAMEs(t *testing.T) {
 // TestTagURLsBuiltOnce: every tag the generator makes, in the study
 // core and in a universe tail, stores the URL its Host and Path give,
 // so its load and leak requests read the URL instead of building it
-// again (URL allocates nothing).
+// again (URL allocates nothing), and the registrable domain the public
+// suffix list gives its Host, so the browser walks no list for it.
 func TestTagURLsBuiltOnce(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.UniverseSize = 1000
@@ -358,6 +360,10 @@ func TestTagURLsBuiltOnce(t *testing.T) {
 			tags++
 			if got, want := tag.URL(), "https://"+tag.Host+tag.Path; got != want {
 				t.Fatalf("%s: tag URL %q, want %q", s.Domain, got, want)
+			}
+			want, _ := psl.ETLDPlusOne(tag.Host)
+			if got, stored := tag.RegistrableDomain(); !stored || got != want {
+				t.Fatalf("%s: tag %s stores registrable domain %q (stored %v), the list gives %q", s.Domain, tag.Host, got, stored, want)
 			}
 			if raceEnabled {
 				continue

@@ -273,7 +273,7 @@ func TestPolicyAuditCNAMECloaked(t *testing.T) {
 	}
 	sender := s.Eco.Sites[0]
 	acc := pipeline.NewAccumulator(1)
-	acc.Add(crawler.SiteResult{
+	acc.Add(&crawler.SiteResult{
 		Crawl: crawler.SiteCrawl{Domain: sender.Domain, Outcome: crawler.OutcomeSuccess},
 		Leaks: []core.Leak{{
 			Site:     sender.Domain,
