@@ -43,7 +43,6 @@ bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
 	$(GO) test -json -bench '^BenchmarkPipeline$$' -benchmem -run '^$$' . > BENCH_pipeline.json
 	$(GO) test -json -bench '^BenchmarkPiilint$$' -benchmem -run '^$$' ./internal/analysis/suite > BENCH_lint.json
-	$(GO) test -json -bench '^BenchmarkWatchdog$$' -benchmem -run '^$$' . > BENCH_ctx.json
 	$(GO) test -json -bench '^BenchmarkObsOverhead$$' -benchmem -run '^$$' . > BENCH_obs.json
 	$(GO) test -json -bench '^BenchmarkShardMerge$$' -benchmem -run '^$$' . > BENCH_shard.json
 	$(GO) test -json -bench '^BenchmarkUniverse$$' -benchmem -run '^$$' ./internal/webgen/ > BENCH_universe.json

@@ -9,7 +9,6 @@ import (
 	"piileak/internal/crawler"
 	"piileak/internal/faultsim"
 	"piileak/internal/obs"
-	"piileak/internal/resilience"
 	"piileak/internal/site"
 )
 
@@ -23,8 +22,6 @@ func TestRunOptionDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := resilience.Policy{MaxAttempts: 7}
-
 	for _, tc := range []struct {
 		name       string
 		opt        RunOption
@@ -47,8 +44,8 @@ func TestRunOptionDefaults(t *testing.T) {
 			func(rc runConfig) any { return rc.opts.Quarantine }},
 		{"WithSource", WithSource(site.Slice(nil)), false, true,
 			func(rc runConfig) any { return rc.opts.Source != nil }},
-		{"WithRetryPolicy", WithRetryPolicy(pol), resilience.Policy{}, pol,
-			func(rc runConfig) any { return rc.opts.Policy }},
+		{"WithMaxAttempts", WithMaxAttempts(7), 0, 7,
+			func(rc runConfig) any { return rc.opts.MaxAttempts }},
 		{"WithProgress", WithProgress(func(Event) {}), false, true,
 			func(rc runConfig) any { return rc.opts.Progress != nil }},
 	} {

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"piileak/internal/browser"
 	"piileak/internal/core"
@@ -389,36 +388,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(len(res.Leaks)), "leaks")
-		})
-	}
-}
-
-// BenchmarkWatchdog measures the crash-only runtime's overhead on the
-// fault-free paper-scale crawl: the stock resilient path against the
-// same crawl under a per-site watchdog budget, whose deadline check
-// rides on every fetch. The budget never trips fault-free (the virtual
-// clock only advances under injected faults), so the delta is pure
-// bookkeeping cost.
-func BenchmarkWatchdog(b *testing.B) {
-	s := study(b)
-	eco, profile := s.Eco, s.Config.Browser
-	for _, tc := range []struct {
-		name string
-		opts crawler.Options
-	}{
-		{"off", crawler.Options{}},
-		{"on", crawler.Options{SiteTimeout: time.Minute}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			var records int
-			for i := 0; i < b.N; i++ {
-				ds, err := crawler.Run(context.Background(), eco, profile, tc.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				records = ds.TotalRecords()
-			}
-			b.ReportMetric(float64(records), "records")
 		})
 	}
 }

@@ -17,12 +17,12 @@
 // breakers, and partial records instead of dropped sites. -checkpoint
 // persists per-site progress; -resume continues a killed run from that
 // file, producing the same dataset an uninterrupted run would have.
-// -site-timeout caps each site's crawl budget (on the run's clock, so
-// fault-injected virtual time counts); sites over budget are recorded as
-// "timeout" with their partial captures. -quarantine names a directory
-// that collects diagnostics bundles for sites whose crawl or detection
-// panicked; the study continues without them and -only re-runs them
-// individually.
+// -site-timeout caps each site's crawl budget on its virtual clock,
+// which only injected faults advance, so it acts only under -faults;
+// sites over budget are recorded as "timeout" with their partial
+// captures. -quarantine names a directory that collects diagnostics
+// bundles for sites whose crawl or detection panicked; the study
+// continues without them and -only re-runs them individually.
 //
 // -metrics and -trace attach the deterministic observer: the former
 // writes the run's counter registry and manifest as JSON, the latter
@@ -62,7 +62,6 @@ import (
 	"piileak"
 	"piileak/internal/cliflags"
 	"piileak/internal/crawler"
-	"piileak/internal/resilience"
 	"piileak/internal/shard"
 	"piileak/internal/webgen"
 )
@@ -202,7 +201,7 @@ func printFunnel(ds *crawler.Dataset, totalRecords, captureHighWater int, faulty
 // quarantine paths, so only the behavioural knobs pass through.
 func shardCrawlerOptions(common *cliflags.Common, rt *cliflags.Runtime) crawler.Options {
 	return crawler.Options{
-		Policy:      resilience.Policy{MaxAttempts: common.Retries},
+		MaxAttempts: common.Retries,
 		SiteTimeout: common.SiteTimeout,
 		Obs:         rt.Observer,
 	}

@@ -14,8 +14,10 @@
 // piirepro shares piicrawl's full flag surface (internal/cliflags): the
 // crash-only runtime's knobs (-site-timeout, -quarantine, -checkpoint,
 // -resume, -only), deterministic fault injection (-faults), alternate
-// collection browsers (-browser), and the telemetry outputs. -metrics
-// and -trace attach the deterministic observer — the tables are
+// collection browsers (-browser), and the telemetry outputs.
+// -site-timeout acts only under -faults: it cuts off a site whose
+// virtual clock, which only injected faults advance, passes the budget.
+// -metrics and -trace attach the deterministic observer — the tables are
 // byte-identical with telemetry on or off, and two identically-seeded
 // runs write identical telemetry files.
 //

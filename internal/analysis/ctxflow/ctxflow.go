@@ -122,7 +122,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, hasCtx, isMain bool, sel
 	}
 	if analysis.IsPkgCall(info, call, "time", "Sleep") {
 		pass.Reportf(call.Pos(),
-			"time.Sleep ignores the caller's ctx; use resilience.SleepContext with the injected clock "+
+			"time.Sleep ignores the caller's ctx; use the injected resilience.Clock's SleepContext "+
 				"so shutdown cancels the wait")
 		return
 	}

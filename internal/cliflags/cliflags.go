@@ -33,7 +33,6 @@ import (
 	"piileak/internal/faultsim"
 	"piileak/internal/obs"
 	"piileak/internal/pipeline"
-	"piileak/internal/resilience"
 	"piileak/internal/site"
 	"piileak/internal/webgen"
 )
@@ -440,7 +439,7 @@ func (c *Common) RunOptions(rt *Runtime, prog string, progress func(pipeline.Eve
 		opts = append(opts, piileak.WithSiteTimeout(c.SiteTimeout))
 	}
 	if c.Retries > 0 {
-		opts = append(opts, piileak.WithRetryPolicy(resilience.Policy{MaxAttempts: c.Retries}))
+		opts = append(opts, piileak.WithMaxAttempts(c.Retries))
 	}
 	if rt.Quarantine != nil {
 		opts = append(opts, piileak.WithQuarantine(rt.Quarantine))
@@ -480,7 +479,7 @@ func (c *Common) EffectiveDetectWorkers() int {
 func (c *Common) CrawlerOptions(rt *Runtime, prog string) crawler.Options {
 	copts := crawler.Options{
 		Workers:        c.Workers,
-		Policy:         resilience.Policy{MaxAttempts: c.Retries},
+		MaxAttempts:    c.Retries,
 		SiteTimeout:    c.SiteTimeout,
 		Quarantine:     rt.Quarantine,
 		CheckpointPath: c.Checkpoint,

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"piileak/internal/browser"
-	"piileak/internal/resilience"
 	"piileak/internal/site"
 	"piileak/internal/webgen"
 )
@@ -129,12 +128,12 @@ func TestCheckpointRefusesOtherFaultRate(t *testing.T) {
 // at one attempt per fetch — `-faults 0.2 -retries 1 -checkpoint F` —
 // and resumed at the default retries is refused, and so is a resume
 // under another site timeout; the same settings, however spelled,
-// resume.
+// resume: one attempt as one, and the default budget as 0 or 4.
 func TestCheckpointRefusesOtherRetryPolicy(t *testing.T) {
 	eco := faultyEcosystem(t, 7, 0.2)
-	path := filepath.Join(t.TempDir(), "crawl.ckpt")
-	once := resilience.Policy{MaxAttempts: 1}
-	if _, err := Run(context.Background(), eco, browser.Firefox88(), Options{Source: site.Slice(eco.Sites[:3]), CheckpointPath: path, Policy: once}); err != nil {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "crawl.ckpt")
+	if _, err := Run(context.Background(), eco, browser.Firefox88(), Options{Source: site.Slice(eco.Sites[:3]), CheckpointPath: path, MaxAttempts: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
@@ -142,7 +141,7 @@ func TestCheckpointRefusesOtherRetryPolicy(t *testing.T) {
 		opts Options
 	}{
 		{"default-retries", Options{}},
-		{"site-timeout", Options{Policy: once, SiteTimeout: 25 * time.Second}},
+		{"site-timeout", Options{MaxAttempts: 1, SiteTimeout: 25 * time.Second}},
 	} {
 		tc.opts.CheckpointPath, tc.opts.Resume = path, true
 		_, err := Run(context.Background(), eco, browser.Firefox88(), tc.opts)
@@ -150,10 +149,15 @@ func TestCheckpointRefusesOtherRetryPolicy(t *testing.T) {
 			t.Errorf("%s: resume err = %v, want a header mismatch", tc.name, err)
 		}
 	}
-	spelled := resilience.DefaultPolicy()
-	spelled.MaxAttempts = 1
-	if _, err := Run(context.Background(), eco, browser.Firefox88(), Options{Source: site.Slice(eco.Sites[:3]), CheckpointPath: path, Resume: true, Policy: spelled}); err != nil {
+	if _, err := Run(context.Background(), eco, browser.Firefox88(), Options{Source: site.Slice(eco.Sites[:3]), CheckpointPath: path, Resume: true, MaxAttempts: 1}); err != nil {
 		t.Errorf("matching resume failed: %v", err)
+	}
+	spelled := filepath.Join(dir, "default.ckpt")
+	if _, err := Run(context.Background(), eco, browser.Firefox88(), Options{Source: site.Slice(eco.Sites[:3]), CheckpointPath: spelled}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), eco, browser.Firefox88(), Options{Source: site.Slice(eco.Sites[:3]), CheckpointPath: spelled, Resume: true, MaxAttempts: 4}); err != nil {
+		t.Errorf("resume at 4 attempts of a checkpoint written at the default (0): %v", err)
 	}
 }
 

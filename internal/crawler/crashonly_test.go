@@ -3,6 +3,8 @@ package crawler
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -11,6 +13,7 @@ import (
 
 	"piileak/internal/browser"
 	"piileak/internal/faultsim"
+	"piileak/internal/obs"
 	"piileak/internal/site"
 	"piileak/internal/webgen"
 )
@@ -94,18 +97,61 @@ func TestWatchdogDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestWatchdogFaultFreeStaysByteIdentical: with no injector, a site
-// budget must not perturb the stock dataset — the virtual clock never
-// advances, so the deadline never trips and no accounting fields leak
-// into the JSON.
+// budget must not perturb the stock run — nothing advances a site's
+// virtual clock, so the deadline never trips, no accounting fields leak
+// into the JSON, and the metrics and trace exports match byte for byte.
 func TestWatchdogFaultFreeStaysByteIdentical(t *testing.T) {
 	eco := webgen.MustGenerate(webgen.SmallConfig(11))
-	want := datasetBytes(t, mustRun(t, eco, browser.Firefox88(), Options{}))
-	ds, err := Run(context.Background(), eco, browser.Firefox88(), Options{SiteTimeout: time.Second})
-	if err != nil {
+	run := func(opts Options) (ds, metrics, trace []byte) {
+		opts.Obs = obs.NewRun()
+		d := mustRun(t, eco, browser.Firefox88(), opts)
+		var m, tr bytes.Buffer
+		if err := opts.Obs.WriteMetrics(&m); err != nil {
+			t.Fatal(err)
+		}
+		if err := opts.Obs.WriteTrace(&tr); err != nil {
+			t.Fatal(err)
+		}
+		return datasetBytes(t, d), m.Bytes(), tr.Bytes()
+	}
+	wantDS, wantMetrics, wantTrace := run(Options{})
+	ds, metrics, trace := run(Options{SiteTimeout: time.Second})
+	if !bytes.Equal(wantDS, ds) {
+		t.Error("fault-free crawl with -site-timeout is not byte-identical to the stock crawl")
+	}
+	if !bytes.Equal(wantMetrics, metrics) {
+		t.Errorf("fault-free -site-timeout changed the metrics export:\n%s\nwant:\n%s", metrics, wantMetrics)
+	}
+	if !bytes.Equal(wantTrace, trace) {
+		t.Error("fault-free -site-timeout changed the trace export")
+	}
+}
+
+// TestFaultRuntimeBytesPinned pins the fault runtime end to end: the
+// serial crawl of `piicrawl -small -seed 7 -faults 0.3 -site-timeout 20s
+// -o ds.json -metrics m.json` (245 retries, 3 opened breakers, 12
+// refused fetches, 12 timed-out sites; the same bytes at -workers 4).
+// A drift in any retry, breaker, fault-class or watchdog constant moves
+// one of the two digests.
+func TestFaultRuntimeBytesPinned(t *testing.T) {
+	o := obs.NewRun()
+	ds := mustRun(t, faultyEcosystem(t, 7, 0.3), browser.Firefox88(), Options{SiteTimeout: 20 * time.Second, Obs: o})
+	var m bytes.Buffer
+	if err := o.WriteMetrics(&m); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(want, datasetBytes(t, ds)) {
-		t.Error("fault-free crawl with -site-timeout is not byte-identical to the stock crawl")
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"dataset", datasetBytes(t, ds), "1aa7d889860367dae02012b9c69868c2ac968c9ef5fb6d76e96ead89b0fa24da"},
+		{"metrics", m.Bytes(), "25e461a64865f7900b2dfc74fe1e18233aa03d710eb661a1b739204827670fd9"},
+	} {
+		sum := sha256.Sum256(tc.data)
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("%s sha256 = %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
 

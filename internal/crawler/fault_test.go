@@ -244,10 +244,11 @@ func TestPartialRecordsKeepPrefixTraffic(t *testing.T) {
 		cleanBySite[clean.Crawls[i].Domain] = &clean.Crawls[i]
 	}
 
-	// Bias the fault mix toward degrading hosts so some site's own host
-	// dies mid-flow and the partial path actually runs.
+	// Make every host faulty so some site's own host dies mid-flow
+	// (a tenth of the faulty hosts degrade) and the partial path
+	// actually runs.
 	cfg := webgen.SmallConfig(29)
-	cfg.Faults = &faultsim.Config{Rate: 0.5, DegradeFrac: 0.6, PermanentFrac: 0.05}
+	cfg.Faults = &faultsim.Config{Rate: 1}
 	ds := mustRun(t, webgen.MustGenerate(cfg), browser.Firefox88(), Options{})
 	partials := 0
 	for i := range ds.Crawls {
@@ -271,7 +272,7 @@ func TestPartialRecordsKeepPrefixTraffic(t *testing.T) {
 		}
 	}
 	if partials == 0 {
-		t.Fatal("no partial outcomes despite a degrading-heavy fault mix")
+		t.Fatal("no partial outcomes with every host faulty")
 	}
 }
 

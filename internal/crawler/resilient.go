@@ -17,10 +17,11 @@ import (
 )
 
 // This file is the resilient crawl runtime: the glue between faultsim's
-// injected failures and the §3.2 flow. Every site crawl gets its own
-// transport — per-host attempt counters, circuit breakers, a virtual
-// clock and a watchdog deadline — so serial, parallel and resumed runs
-// of the same seed produce byte-identical datasets.
+// injected failures and the §3.2 flow. Every site crawl under fault
+// injection gets its own transport — per-host attempt counters, circuit
+// breakers, a virtual clock and a watchdog deadline — so serial,
+// parallel and resumed runs of the same seed produce byte-identical
+// datasets.
 
 // Options configures a crawl beyond the stock fault-free defaults.
 type Options struct {
@@ -32,13 +33,15 @@ type Options struct {
 	// Workers > 1 crawls with that many parallel workers; <= 1 crawls
 	// serially with one browser.
 	Workers int
-	// Policy tunes retry/backoff/breaker behaviour; zero fields take
-	// resilience.DefaultPolicy values.
-	Policy resilience.Policy
-	// SiteTimeout is the per-site watchdog budget: a site whose crawl
-	// exceeds it (on the transport's clock, so virtual-clock runs stay
-	// deterministic) is cut off and recorded as OutcomeTimeout with its
-	// partial captures kept. <= 0 disables the watchdog.
+	// MaxAttempts is the tries per fetch under fault injection (1 = no
+	// retry); <= 0 takes the runtime's default of 4.
+	MaxAttempts int
+	// SiteTimeout is the per-site watchdog budget under fault
+	// injection: a site whose crawl exceeds it (on the transport's
+	// virtual clock, so runs stay deterministic) is cut off and
+	// recorded as OutcomeTimeout with its partial captures kept. <= 0
+	// disables the watchdog. Without an injector nothing advances a
+	// site's clock, so the budget has nothing to act on.
 	SiteTimeout time.Duration
 	// Quarantine, when set, receives a diagnostics bundle for every
 	// site whose crawl (or detection, in the pipeline) panicked. A nil
@@ -115,11 +118,11 @@ func (o Options) source(eco *webgen.Ecosystem) site.Source {
 }
 
 // FaultPin holds the crawl settings that change a faulted site's bytes:
-// the ecosystem's injector seed and rate, the effective retry policy
-// and the site watchdog budget. A crawl without an injector never
-// retries and never advances its clock, so none of them can change a
-// byte there: its pin is zero and adds nothing to a checkpoint header
-// or a shard plan.
+// the ecosystem's injector seed and rate, the retry tuning at the
+// effective attempt budget and the site watchdog budget. A crawl
+// without an injector never retries and never advances its clock, so
+// none of them can change a byte there: its pin is zero and adds
+// nothing to a checkpoint header or a shard plan.
 type FaultPin struct {
 	FaultSeed   uint64  `json:"fault_seed,omitempty"`
 	FaultRate   float64 `json:"fault_rate,omitempty"`
@@ -128,14 +131,14 @@ type FaultPin struct {
 }
 
 // FaultPin returns the pin of a crawl of eco under these options. The
-// retry policy renders every field, so a policy field added later is
-// pinned too.
+// retry pin renders the attempt budget beside the runtime's constant
+// tuning (resilience.Tuning), so a change to either is pinned.
 func (o Options) FaultPin(eco *webgen.Ecosystem) FaultPin {
 	inj := eco.Faults
 	if inj == nil {
 		return FaultPin{}
 	}
-	pin := FaultPin{FaultSeed: inj.Seed(), FaultRate: inj.Rate(), Retry: fmt.Sprintf("%+v", o.Policy.WithDefaults())}
+	pin := FaultPin{FaultSeed: inj.Seed(), FaultRate: inj.Rate(), Retry: resilience.Tuning(o.MaxAttempts)}
 	if o.SiteTimeout > 0 {
 		pin.SiteTimeout = o.SiteTimeout.String()
 	}
@@ -172,7 +175,7 @@ func (e watchdogError) Error() string {
 // backoff + per-host circuit breakers from the resilience executor, and
 // the per-site watchdog deadline. All state is scoped to the one crawl,
 // which is what keeps parallel and serial runs identical. A nil
-// *faultTransport is the fault-free, watchdog-free path.
+// *faultTransport is the fault-free path.
 type faultTransport struct {
 	ctx      context.Context
 	inj      *faultsim.Injector
@@ -190,39 +193,35 @@ type faultTransport struct {
 }
 
 // newFaultTransport builds a transport for one site crawl under the
-// ecosystem's injector; no injector and no watchdog yields nil (no
-// transport, no overhead, byte-identical fault-free records).
+// ecosystem's injector. Without an injector it returns nil (no
+// transport, no overhead, byte-identical fault-free records): nothing
+// can fail, and nothing advances the site's virtual clock, so a site
+// budget could never trip.
 func newFaultTransport(ctx context.Context, eco *webgen.Ecosystem, opts Options) *faultTransport {
 	inj := eco.Faults
-	if inj == nil && opts.SiteTimeout <= 0 {
+	if inj == nil {
 		return nil
-	}
-	seed := eco.Config.Seed
-	if inj != nil {
-		seed = inj.Seed()
 	}
 	t := &faultTransport{
 		ctx:  ctx,
 		inj:  inj,
-		exec: resilience.NewExecutor(opts.Policy, nil, seed),
+		exec: resilience.NewExecutor(opts.MaxAttempts, nil, inj.Seed()),
 		hits: map[string]int{},
 		obs:  opts.Obs,
 	}
 	t.exec.Obs = opts.Obs
-	if inj != nil {
-		hook := inj.DNSHook()
-		if o := opts.Obs; o != nil {
-			inner := hook
-			hook = func(host string, attempt int) error {
-				err := inner(host, attempt)
-				if err != nil {
-					o.CountKind(obs.MetricFaultInjected, string(faultsim.KindDNS), 1)
-				}
-				return err
+	hook := inj.DNSHook()
+	if o := opts.Obs; o != nil {
+		inner := hook
+		hook = func(host string, attempt int) error {
+			err := inner(host, attempt)
+			if err != nil {
+				o.CountKind(obs.MetricFaultInjected, string(faultsim.KindDNS), 1)
 			}
+			return err
 		}
-		t.resolver = dnssim.NewResolver(eco.Zone, hook)
 	}
+	t.resolver = dnssim.NewResolver(eco.Zone, hook)
 	if opts.SiteTimeout > 0 {
 		t.budget = opts.SiteTimeout
 		t.deadline = t.exec.Clock.Now().Add(opts.SiteTimeout)
@@ -246,12 +245,6 @@ func (t *faultTransport) Fetch(host string) error {
 	if err := t.watchdogErr(host); err != nil {
 		return err
 	}
-	if t.inj == nil {
-		// Watchdog-only transport: nothing can fail, so skip the
-		// retry/breaker machinery entirely — fault-free runs with a
-		// site budget must stay byte-identical to runs without one.
-		return nil
-	}
 	return t.exec.DoContext(t.ctx, host, func() error {
 		// The previous attempt's fault delay or backoff may have spent
 		// the site's budget; a watchdog error is not transient, so the
@@ -270,7 +263,7 @@ func (t *faultTransport) Fetch(host string) error {
 			return nil
 		}
 		t.obs.CountKind(obs.MetricFaultInjected, string(f.Kind), 1)
-		budget := t.exec.Policy.AttemptTimeout
+		budget := resilience.AttemptTimeout
 		switch f.Kind {
 		case faultsim.KindSlow:
 			if f.Delay <= budget {
@@ -296,22 +289,16 @@ func (t *faultTransport) Fetch(host string) error {
 
 // account stamps the runtime's counters onto a finished site record.
 // Safe on a nil receiver (the fault-free path), where it must leave the
-// record untouched so default datasets stay byte-identical. A
-// watchdog-only transport (nil injector) stamps failed fetches alone:
-// attempts/retries would be non-zero on every site and break fault-free
-// byte-identity, while failed fetches stay zero unless the watchdog
-// actually tripped.
+// record untouched so default datasets stay byte-identical.
 func (t *faultTransport) account(c *SiteCrawl, b *browser.Browser) {
 	if t == nil {
 		return
 	}
-	if t.inj != nil {
-		c.Attempts = t.total
-		c.Retries = t.exec.Retries
-		t.obs.Count(obs.MetricFetchAttempts, int64(t.total))
-		t.obs.Count(obs.MetricFetchRetries, int64(t.exec.Retries))
-	}
+	c.Attempts = t.total
+	c.Retries = t.exec.Retries
 	c.FailedFetches = b.FailedFetches
+	t.obs.Count(obs.MetricFetchAttempts, int64(t.total))
+	t.obs.Count(obs.MetricFetchRetries, int64(t.exec.Retries))
 }
 
 // crawlSite runs one site through the flow into r, which holds the
@@ -353,7 +340,7 @@ func crashedSite(b *browser.Browser, eco *webgen.Ecosystem, s *site.Site, rt *fa
 	}
 	rt.account(&r.Crawl, b)
 	var faultSeed uint64
-	if rt != nil && rt.inj != nil {
+	if rt != nil {
 		faultSeed = rt.inj.Seed()
 	}
 	q.Add(BundleFor(stage, &r.Crawl, eco.Config.Seed, faultSeed, panicked))

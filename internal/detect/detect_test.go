@@ -135,6 +135,27 @@ func edgeEngine(t *testing.T) *Engine {
 	return eng
 }
 
+// TestRefererBothSpellings: a HAR capture can hold both "Referer" and
+// "referer". Referer must give one answer on every call, so the
+// prefilter and the full scan read the same header and the token in
+// the canonical spelling is found every time.
+func TestRefererBothSpellings(t *testing.T) {
+	sc := edgeEngine(t).NewScanner()
+	leaky := "https://www.shop.example.com/s?e=" + pii.Default().Email
+	rec := httpmodel.Record{Request: httpmodel.Request{
+		URL:     "https://t.adnxs.com/seg?add=1",
+		Headers: map[string]string{"Referer": leaky, "referer": "https://www.shop.example.com/cart"},
+	}}
+	for i := range 100 {
+		if got := rec.Request.Referer(); got != leaky {
+			t.Fatalf("call %d: Referer() = %q, want the canonical spelling's %q", i, got, leaky)
+		}
+		if leaks := sc.DetectRecord("shop.example.com", &rec); len(leaks) == 0 {
+			t.Fatalf("call %d: DetectRecord missed the Referer token", i)
+		}
+	}
+}
+
 // TestPrefilterEdgeCases drives the records that stress the fast path's
 // superset argument: tokens hidden behind percent-encoding on every
 // channel, '+' in paths, escaped JSON, malformed query pairs. Each must

@@ -11,8 +11,8 @@
 // up exactly where it stopped. Hosts fall into four behaviours:
 //
 //   - healthy: never fault (most hosts);
-//   - flaky: the first 1..MaxFailures fetch attempts fail, then the
-//     host recovers (retry-with-backoff wins);
+//   - flaky: the first 1..3 fetch attempts fail, then the host
+//     recovers (retry-with-backoff wins);
 //   - permanent: every attempt fails (the crawl's circuit breaker
 //     exhausts and the site is funnelled out as unreachable);
 //   - degrading: the host serves its first fetches, then dies
@@ -43,17 +43,32 @@ const (
 	KindTruncated Kind = "truncated_body"
 	// KindPanic makes the transport panic instead of returning an
 	// error — the poison-site case the crash-only runtime quarantines.
-	// It is deliberately absent from AllKinds: the seeded assignment
-	// must stay stable, so panics are only injected when a Config pins
-	// them explicitly (Kinds or Hosts).
+	// It is deliberately absent from drawnKinds: the seeded assignment
+	// must stay stable, so panics are only injected where Config.Hosts
+	// pins them.
 	KindPanic Kind = "panic"
 )
 
-// AllKinds lists every fault kind the seeded assignment draws from, in
-// draw order. KindPanic is excluded; see its doc.
-func AllKinds() []Kind {
-	return []Kind{KindDNS, KindTimeout, KindHTTP5xx, KindSlow, KindTruncated}
-}
+// drawnKinds lists every fault kind the seeded assignment draws from,
+// in draw order. KindPanic is excluded; see its doc.
+var drawnKinds = [...]Kind{KindDNS, KindTimeout, KindHTTP5xx, KindSlow, KindTruncated}
+
+// The seeded assignment's class mix and failure windows.
+const (
+	// permanentFrac of the faulty hosts never recover and degradeFrac
+	// die mid-flow after serving their first fetches; the remainder are
+	// flaky-then-healthy.
+	permanentFrac = 0.1
+	degradeFrac   = 0.1
+	// maxFailures bounds how many leading attempts a flaky host fails:
+	// one under the default retry budget, so retries recover every
+	// flaky host.
+	maxFailures = 3
+	// A degrading host serves minHealthy..maxHealthy fetches before it
+	// dies.
+	minHealthy = 2
+	maxHealthy = 8
+)
 
 // Fault describes one injected failure. It implements error so it can
 // travel through retry machinery unchanged.
@@ -124,50 +139,9 @@ type Config struct {
 	Seed uint64
 	// Rate is the fraction of hosts that are faulty at all (0..1).
 	Rate float64
-	// PermanentFrac is the fraction of faulty hosts that never recover
-	// (default 0.1).
-	PermanentFrac float64
-	// DegradeFrac is the fraction of faulty hosts that die mid-flow
-	// after serving their first fetches (default 0.1). The remainder
-	// are flaky-then-healthy.
-	DegradeFrac float64
-	// MaxFailures bounds how many leading attempts a flaky host fails
-	// (default 3 — one under the default retry budget, so retries
-	// recover every flaky host).
-	MaxFailures int
-	// MinHealthy/MaxHealthy bound how many fetches a degrading host
-	// serves before dying (defaults 2 and 8).
-	MinHealthy int
-	MaxHealthy int
-	// Kinds restricts the failure modes drawn for faulty hosts
-	// (default: all of AllKinds).
-	Kinds []Kind
 	// Hosts pins explicit per-host profiles, overriding the seeded
 	// assignment. A zero-valued Profile pins the host healthy.
 	Hosts map[string]Profile
-}
-
-// withDefaults fills unset tuning fields.
-func (c Config) withDefaults() Config {
-	if c.PermanentFrac == 0 {
-		c.PermanentFrac = 0.1
-	}
-	if c.DegradeFrac == 0 {
-		c.DegradeFrac = 0.1
-	}
-	if c.MaxFailures == 0 {
-		c.MaxFailures = 3
-	}
-	if c.MinHealthy == 0 {
-		c.MinHealthy = 2
-	}
-	if c.MaxHealthy == 0 {
-		c.MaxHealthy = 8
-	}
-	if len(c.Kinds) == 0 {
-		c.Kinds = AllKinds()
-	}
-	return c
 }
 
 // Injector decides, deterministically, whether a fetch faults. It is
@@ -179,7 +153,7 @@ type Injector struct {
 // New builds an injector; nil Config semantics live on Config itself
 // (zero value = no faults).
 func New(cfg Config) *Injector {
-	return &Injector{cfg: cfg.withDefaults()}
+	return &Injector{cfg: cfg}
 }
 
 // Seed returns the injector's fault seed.
@@ -230,22 +204,20 @@ func (in *Injector) ProfileFor(host string) *Profile {
 	p := &Profile{}
 	class := unit(in.hostHash(host, 2))
 	switch {
-	case class < in.cfg.PermanentFrac:
+	case class < permanentFrac:
 		p.Permanent = true
-	case class < in.cfg.PermanentFrac+in.cfg.DegradeFrac:
-		span := in.cfg.MaxHealthy - in.cfg.MinHealthy + 1
-		p.FailAfter = in.cfg.MinHealthy + int(in.hostHash(host, 3)%uint64(span))
+	case class < permanentFrac+degradeFrac:
+		p.FailAfter = minHealthy + int(in.hostHash(host, 3)%(maxHealthy-minHealthy+1))
 	default:
-		p.FailFirst = 1 + int(in.hostHash(host, 4)%uint64(in.cfg.MaxFailures))
+		p.FailFirst = 1 + int(in.hostHash(host, 4)%maxFailures)
 	}
-	p.Kind = in.cfg.Kinds[in.hostHash(host, 5)%uint64(len(in.cfg.Kinds))]
 	return in.finish(p, host)
 }
 
 // finish fills kind-specific defaults.
 func (in *Injector) finish(p *Profile, host string) *Profile {
 	if p.Kind == "" {
-		p.Kind = in.cfg.Kinds[in.hostHash(host, 5)%uint64(len(in.cfg.Kinds))]
+		p.Kind = drawnKinds[in.hostHash(host, 5)%uint64(len(drawnKinds))]
 	}
 	if p.Kind == KindHTTP5xx && p.Status == 0 {
 		p.Status = []int{500, 502, 503, 504}[in.hostHash(host, 6)%4]

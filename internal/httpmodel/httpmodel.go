@@ -109,14 +109,24 @@ func (r *Request) Host() string {
 	return strings.ToLower(u.Hostname())
 }
 
-// Referer returns the Referer header, if present.
+// Referer returns the Referer header, if present. The canonical
+// spelling wins; failing that, the smallest key that matches it
+// case-insensitively, so a capture holding several spellings (a HAR
+// with both "Referer" and "referer") gives every caller one answer.
 func (r *Request) Referer() string {
-	for k, v := range r.Headers {
-		if strings.EqualFold(k, "Referer") {
-			return v
+	if v, ok := r.Headers["Referer"]; ok {
+		return v
+	}
+	var key string // no matching key is empty
+	for k := range r.Headers {
+		if strings.EqualFold(k, "Referer") && (key == "" || k < key) {
+			key = k
 		}
 	}
-	return ""
+	if key == "" {
+		return ""
+	}
+	return r.Headers[key]
 }
 
 // Param is one decoded key/value pair.

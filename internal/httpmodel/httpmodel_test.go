@@ -24,6 +24,17 @@ func TestRefererCaseInsensitive(t *testing.T) {
 	if got := r.Referer(); got != "https://site.com/signup" {
 		t.Errorf("Referer = %q", got)
 	}
+	// Without the canonical spelling the smallest matching key wins,
+	// on every call.
+	r.Headers = map[string]string{"referer": "https://a.com/", "REFERER": "https://b.com/", "Accept": "*/*"}
+	for range 100 {
+		if got := r.Referer(); got != "https://b.com/" {
+			t.Fatalf("Referer = %q, want the REFERER value", got)
+		}
+	}
+	if got := (&Request{Headers: map[string]string{"Accept": "*/*", "": "https://c.com/"}}).Referer(); got != "" {
+		t.Errorf("Referer without the header = %q", got)
+	}
 }
 
 func TestQueryParamsSortedAndDecoded(t *testing.T) {

@@ -14,9 +14,9 @@ import (
 // the open circuit. The fix fails fast, so no virtual time passes after
 // the breaker opens.
 func TestDoContextNoSleepAfterBreakerOpens(t *testing.T) {
-	// Threshold 3, budget 4: the third attempt of the first fetch opens
+	// Threshold 5, budget 6: the fifth attempt of the first fetch opens
 	// the breaker with one attempt left in the budget.
-	e := NewExecutor(Policy{MaxAttempts: 4, BreakerThreshold: 3, BreakerCooldown: time.Hour}, nil, 1)
+	e := NewExecutor(6, nil, 1)
 	vc := e.Clock.(*VirtualClock)
 
 	calls := 0
@@ -24,17 +24,20 @@ func TestDoContextNoSleepAfterBreakerOpens(t *testing.T) {
 	if !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("err = %v, want ErrCircuitOpen once the breaker opens mid-budget", err)
 	}
-	if calls != 3 {
-		t.Errorf("calls = %d, want 3 (the opening failure ends the fetch)", calls)
+	if calls != 5 {
+		t.Errorf("calls = %d, want 5 (the opening failure ends the fetch)", calls)
 	}
-	// Exactly two backoffs were slept (after attempts 1 and 2); the
-	// third failure opened the breaker and must not have slept.
-	want := e.Policy.Backoff(1, "h", 1) + e.Policy.Backoff(1, "h", 2)
+	// Exactly four backoffs were slept (after attempts 1 to 4); the
+	// fifth failure opened the breaker and must not have slept.
+	var want time.Duration
+	for attempt := 1; attempt <= 4; attempt++ {
+		want += Backoff(1, "h", attempt)
+	}
 	if got := vc.Elapsed(); got != want {
 		t.Errorf("virtual time = %v, want %v (no backoff after the breaker opened)", got, want)
 	}
-	if e.Retries != 2 {
-		t.Errorf("retries = %d, want 2 (the refused attempt is not a retry)", e.Retries)
+	if e.Retries != 4 {
+		t.Errorf("retries = %d, want 4 (the refused attempt is not a retry)", e.Retries)
 	}
 }
 
@@ -42,7 +45,7 @@ func TestDoContextNoSleepAfterBreakerOpens(t *testing.T) {
 // loop before the next attempt runs, and the error carries both the
 // cancellation and the last transport failure.
 func TestDoContextCancelledBeforeAttempt(t *testing.T) {
-	e := NewExecutor(Policy{MaxAttempts: 4}, nil, 1)
+	e := NewExecutor(4, nil, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
 	err := e.DoContext(ctx, "h", func() error {
@@ -65,7 +68,7 @@ func TestDoContextCancelledBeforeAttempt(t *testing.T) {
 // clock a cancelled backoff wait returns without advancing time — the
 // deterministic equivalent of a real clock's interrupted timer.
 func TestDoContextCancelledWaitDoesNotAdvanceVirtualClock(t *testing.T) {
-	e := NewExecutor(Policy{MaxAttempts: 4}, nil, 1)
+	e := NewExecutor(4, nil, 1)
 	vc := e.Clock.(*VirtualClock)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -96,18 +99,6 @@ func TestRealClockSleepContextInterruptible(t *testing.T) {
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("interrupted sleep blocked for real")
-	}
-}
-
-// TestSleepContextNilContextFallsBack pins the nil-ctx convenience: the
-// wait happens on the clock with no cancellation semantics.
-func TestSleepContextNilContextFallsBack(t *testing.T) {
-	vc := NewVirtualClock()
-	if err := SleepContext(nil, vc, time.Minute); err != nil {
-		t.Fatalf("SleepContext(nil) = %v", err)
-	}
-	if vc.Elapsed() != time.Minute {
-		t.Errorf("elapsed = %v, want 1m", vc.Elapsed())
 	}
 }
 

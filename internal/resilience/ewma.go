@@ -5,29 +5,23 @@ import (
 	"time"
 )
 
+// ewmaAlpha is EWMA's smoothing factor: each new sample weighs 0.3.
+const ewmaAlpha = 0.3
+
 // EWMA is an exponentially weighted moving average of durations, safe
-// for concurrent use. piiserve's admission control feeds it completed
-// job durations and serves the smoothed value as the Retry-After hint
-// when shedding load — a recency-weighted estimate that tracks the
-// current workload instead of averaging over the server's lifetime.
+// for concurrent use; the zero value is ready. piiserve's admission
+// control feeds it completed job durations and serves the smoothed
+// value as the Retry-After hint when shedding load — a recency-weighted
+// estimate that tracks the current workload instead of averaging over
+// the server's lifetime.
 type EWMA struct {
 	mu    sync.Mutex
-	alpha float64
 	value time.Duration
 	n     int
 }
 
-// NewEWMA returns an average with the given smoothing factor in (0, 1];
-// higher alpha weighs recent samples more. Out-of-range values clamp to
-// the conventional 0.3.
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.3
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Record folds one sample in. The first sample seeds the average.
+// Record folds one sample in. The first sample seeds the average; a
+// negative one is ignored.
 func (e *EWMA) Record(d time.Duration) {
 	if d < 0 {
 		return
@@ -37,7 +31,7 @@ func (e *EWMA) Record(d time.Duration) {
 	if e.n == 0 {
 		e.value = d
 	} else {
-		e.value = time.Duration(e.alpha*float64(d) + (1-e.alpha)*float64(e.value))
+		e.value = time.Duration(ewmaAlpha*float64(d) + (1-ewmaAlpha)*float64(e.value))
 	}
 	e.n++
 }

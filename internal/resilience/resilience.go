@@ -21,83 +21,53 @@ import (
 	"piileak/internal/obs"
 )
 
-// Policy bundles the retry, timeout and breaker knobs.
-type Policy struct {
-	// MaxAttempts is the total tries per fetch (1 = no retry).
-	MaxAttempts int
-	// BaseDelay is the first backoff; successive retries multiply it by
-	// Multiplier up to MaxDelay.
-	BaseDelay  time.Duration
-	MaxDelay   time.Duration
-	Multiplier float64
-	// Jitter is the fraction of each backoff randomized (0..1),
-	// deterministically per (seed, key, attempt).
-	Jitter float64
+// The runtime's tuning. Only the attempt budget is a setting (piicrawl
+// -retries); the rest is fixed, and a checkpoint's fault pin renders
+// all of it (Tuning).
+const (
+	// defaultAttempts is the budget a non-positive attempt count takes.
+	defaultAttempts = 4
+	// baseDelay is the first backoff; each later retry multiplies it by
+	// multiplier, up to maxDelay.
+	baseDelay  = 250 * time.Millisecond
+	maxDelay   = 8 * time.Second
+	multiplier = 2
+	// jitter is the fraction of each backoff randomized, deterministically
+	// per (seed, key, attempt).
+	jitter = 0.5
 	// AttemptTimeout is the per-attempt budget: a response slower than
 	// this fails the attempt.
-	AttemptTimeout time.Duration
-	// BreakerThreshold consecutive failures open a host's breaker;
-	// BreakerCooldown later it half-opens and BreakerProbes successful
-	// probes close it again.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	BreakerProbes    int
+	AttemptTimeout = 10 * time.Second
+	// breakerThreshold consecutive failures open a host's breaker;
+	// breakerCooldown later it half-opens, and breakerProbes successful
+	// probes close it again. The threshold deliberately exceeds the
+	// default budget: one fetch's own retry burst can never trip the
+	// breaker (a flaky host must be allowed to recover on its last
+	// attempt); only sustained failure across successive fetches opens
+	// it.
+	breakerThreshold = 5
+	breakerCooldown  = 30 * time.Second
+	breakerProbes    = 1
+)
+
+// attempts resolves an attempt count: non-positive takes the default,
+// since a zero budget would make every DoContext a no-op that reports
+// success.
+func attempts(n int) int {
+	if n <= 0 {
+		return defaultAttempts
+	}
+	return n
 }
 
-// DefaultPolicy returns the crawl runtime's stock tuning: four attempts
-// with 250ms..8s backoff, a 10s attempt budget, and a breaker that
-// opens after five straight failures. The threshold deliberately
-// exceeds MaxAttempts: one fetch's own retry burst can never trip the
-// breaker (a flaky host must be allowed to recover on its last
-// attempt); only sustained failure across successive fetches opens it.
-func DefaultPolicy() Policy {
-	return Policy{
-		MaxAttempts:      4,
-		BaseDelay:        250 * time.Millisecond,
-		MaxDelay:         8 * time.Second,
-		Multiplier:       2,
-		Jitter:           0.5,
-		AttemptTimeout:   10 * time.Second,
-		BreakerThreshold: 5,
-		BreakerCooldown:  30 * time.Second,
-		BreakerProbes:    1,
-	}
-}
-
-// WithDefaults fills unset fields from DefaultPolicy, so callers can
-// override just MaxAttempts and keep the rest stock. Non-positive
-// values count as unset: a negative MaxAttempts would otherwise make
-// every DoContext a zero-attempt no-op that reports success.
-func (p Policy) WithDefaults() Policy {
-	d := DefaultPolicy()
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = d.MaxAttempts
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = d.BaseDelay
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = d.MaxDelay
-	}
-	if p.Multiplier <= 0 {
-		p.Multiplier = d.Multiplier
-	}
-	if p.Jitter <= 0 {
-		p.Jitter = d.Jitter
-	}
-	if p.AttemptTimeout <= 0 {
-		p.AttemptTimeout = d.AttemptTimeout
-	}
-	if p.BreakerThreshold <= 0 {
-		p.BreakerThreshold = d.BreakerThreshold
-	}
-	if p.BreakerCooldown <= 0 {
-		p.BreakerCooldown = d.BreakerCooldown
-	}
-	if p.BreakerProbes <= 0 {
-		p.BreakerProbes = d.BreakerProbes
-	}
-	return p
+// Tuning renders the tuning an executor of attempt budget n runs under
+// (n resolved as NewExecutor resolves it) for a checkpoint header's
+// fault pin: the budget beside the constants, in the header's fixed
+// layout, so a resume under another budget or other constants is
+// refused.
+func Tuning(n int) string {
+	return fmt.Sprintf("{MaxAttempts:%d BaseDelay:%v MaxDelay:%v Multiplier:%v Jitter:%v AttemptTimeout:%v BreakerThreshold:%d BreakerCooldown:%v BreakerProbes:%d}",
+		attempts(n), baseDelay, maxDelay, multiplier, jitter, AttemptTimeout, breakerThreshold, breakerCooldown, breakerProbes)
 }
 
 // mix64 is splitmix64's finalizer.
@@ -113,29 +83,24 @@ func mix64(x uint64) uint64 {
 // Backoff returns the delay before retry number attempt (1-based: the
 // wait after the attempt-th failure). The jittered part is a pure
 // function of (seed, key, attempt).
-func (p Policy) Backoff(seed uint64, key string, attempt int) time.Duration {
+func Backoff(seed uint64, key string, attempt int) time.Duration {
 	if attempt < 1 {
 		attempt = 1
 	}
-	d := float64(p.BaseDelay)
+	d := float64(baseDelay)
 	for i := 1; i < attempt; i++ {
-		d *= p.Multiplier
-		if d >= float64(p.MaxDelay) {
-			d = float64(p.MaxDelay)
+		d *= multiplier
+		if d >= float64(maxDelay) {
+			d = float64(maxDelay)
 			break
 		}
 	}
-	if d > float64(p.MaxDelay) {
-		d = float64(p.MaxDelay)
+	h := seed ^ uint64(attempt)*0x9e3779b97f4a7c15
+	for i := 0; i < len(key); i++ {
+		h = mix64(h ^ uint64(key[i]))
 	}
-	if p.Jitter > 0 {
-		h := seed ^ uint64(attempt)*0x9e3779b97f4a7c15
-		for i := 0; i < len(key); i++ {
-			h = mix64(h ^ uint64(key[i]))
-		}
-		u := float64(mix64(h)>>11) / float64(1<<53) // [0, 1)
-		d *= 1 - p.Jitter*u                         // full-jitter downward
-	}
+	u := float64(mix64(h)>>11) / float64(1<<53) // [0, 1)
+	d *= 1 - jitter*u                           // full-jitter downward
 	return time.Duration(d)
 }
 
@@ -143,6 +108,11 @@ func (p Policy) Backoff(seed uint64, key string, attempt int) time.Duration {
 type Clock interface {
 	Now() time.Time
 	Sleep(d time.Duration)
+	// SleepContext waits d or until ctx is done, whichever comes
+	// first, returning ctx.Err() when the wait was cut short. Every
+	// retry, backoff and watchdog wait goes through it, so a cancelled
+	// run stops waiting at once.
+	SleepContext(ctx context.Context, d time.Duration) error
 }
 
 // RealClock is the wall clock.
@@ -155,6 +125,26 @@ func (RealClock) Now() time.Time { return time.Now() }
 
 // Sleep calls time.Sleep.
 func (RealClock) Sleep(d time.Duration) { time.Sleep(d) }
+
+// SleepContext waits on a real timer, returning early when ctx is
+// cancelled mid-wait: the crash-only runtime's "Ctrl-C must not wait
+// out an 8s backoff" path.
+func (RealClock) SleepContext(ctx context.Context, d time.Duration) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if d <= 0 {
+		return nil
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
+	}
+}
 
 // VirtualClock advances instantly on Sleep. It starts at a fixed epoch
 // so runs are comparable, and is safe for concurrent use.
@@ -183,6 +173,19 @@ func (c *VirtualClock) Sleep(d time.Duration) {
 	c.mu.Lock()
 	c.now = c.now.Add(d)
 	c.mu.Unlock()
+}
+
+// SleepContext advances the virtual clock instantly. A cancelled
+// context still short-circuits first, so cancellation behaves
+// identically under virtual and real clocks; an uncancelled virtual
+// wait never blocks, which is what keeps torture and fault tests
+// deterministic and fast.
+func (c *VirtualClock) SleepContext(ctx context.Context, d time.Duration) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	c.Sleep(d)
+	return nil
 }
 
 // Elapsed is the virtual time slept since the epoch.
@@ -214,23 +217,15 @@ func (s BreakerState) String() string {
 	}
 }
 
-// Breaker is a per-host circuit breaker. It is not safe for concurrent
-// use; scope one BreakerSet per crawl (the crawler gives every site
-// crawl its own, which is what keeps parallel crawls deterministic).
+// Breaker is a per-host circuit breaker; the zero value is closed. It
+// is not safe for concurrent use; scope one BreakerSet per crawl (the
+// crawler gives every site crawl its own, which is what keeps parallel
+// crawls deterministic).
 type Breaker struct {
-	threshold int
-	cooldown  time.Duration
-	probes    int
-
 	state     BreakerState
 	fails     int
 	successes int
 	until     time.Time // when an open breaker may half-open
-}
-
-// NewBreaker builds a breaker from the policy's thresholds.
-func NewBreaker(p Policy) *Breaker {
-	return &Breaker{threshold: p.BreakerThreshold, cooldown: p.BreakerCooldown, probes: p.BreakerProbes}
 }
 
 // State reports the breaker's current position.
@@ -255,7 +250,7 @@ func (b *Breaker) Record(now time.Time, ok bool) {
 		switch b.state {
 		case BreakerHalfOpen:
 			b.successes++
-			if b.successes >= b.probes {
+			if b.successes >= breakerProbes {
 				b.state = BreakerClosed
 				b.fails = 0
 			}
@@ -268,32 +263,31 @@ func (b *Breaker) Record(now time.Time, ok bool) {
 	case BreakerHalfOpen:
 		// A failed probe re-opens immediately.
 		b.state = BreakerOpen
-		b.until = now.Add(b.cooldown)
+		b.until = now.Add(breakerCooldown)
 	default:
 		b.fails++
-		if b.fails >= b.threshold {
+		if b.fails >= breakerThreshold {
 			b.state = BreakerOpen
-			b.until = now.Add(b.cooldown)
+			b.until = now.Add(breakerCooldown)
 		}
 	}
 }
 
 // BreakerSet keys breakers by host, creating them on demand.
 type BreakerSet struct {
-	policy Policy
-	m      map[string]*Breaker
+	m map[string]*Breaker
 }
 
-// NewBreakerSet builds an empty set under a policy.
-func NewBreakerSet(p Policy) *BreakerSet {
-	return &BreakerSet{policy: p, m: map[string]*Breaker{}}
+// NewBreakerSet builds an empty set.
+func NewBreakerSet() *BreakerSet {
+	return &BreakerSet{m: map[string]*Breaker{}}
 }
 
 // Get returns host's breaker, creating it closed.
 func (s *BreakerSet) Get(host string) *Breaker {
 	b, ok := s.m[host]
 	if !ok {
-		b = NewBreaker(s.policy)
+		b = &Breaker{}
 		s.m[host] = b
 	}
 	return b
@@ -321,14 +315,15 @@ func retryable(err error) bool {
 	return true
 }
 
-// Executor runs operations under one policy, clock and breaker set. It
-// is single-goroutine (one per site crawl); Retries accumulates the
-// backoff retries performed for reporting.
+// Executor runs operations under one attempt budget, clock and breaker
+// set. It is single-goroutine (one per site crawl); Retries accumulates
+// the backoff retries performed for reporting.
 type Executor struct {
-	Policy   Policy
-	Clock    Clock
-	Seed     uint64
-	Breakers *BreakerSet
+	// MaxAttempts is the total tries per operation (1 = no retry).
+	MaxAttempts int
+	Clock       Clock
+	Seed        uint64
+	Breakers    *BreakerSet
 
 	// Obs, when set, receives breaker-transition and refusal counts.
 	// Telemetry only — never an input to retry decisions.
@@ -338,14 +333,14 @@ type Executor struct {
 	Retries int
 }
 
-// NewExecutor wires an executor with a fresh breaker set; a nil clock
-// selects a VirtualClock (the simulation default).
-func NewExecutor(p Policy, clock Clock, seed uint64) *Executor {
-	p = p.WithDefaults()
+// NewExecutor wires an executor with a fresh breaker set and a budget
+// of maxAttempts tries per operation (non-positive takes the default
+// of 4); a nil clock selects a VirtualClock (the simulation default).
+func NewExecutor(maxAttempts int, clock Clock, seed uint64) *Executor {
 	if clock == nil {
 		clock = NewVirtualClock()
 	}
-	return &Executor{Policy: p, Clock: clock, Seed: seed, Breakers: NewBreakerSet(p)}
+	return &Executor{MaxAttempts: attempts(maxAttempts), Clock: clock, Seed: seed, Breakers: NewBreakerSet()}
 }
 
 // DoContext runs op under retry/backoff and key's circuit breaker. op
@@ -358,7 +353,7 @@ func NewExecutor(p Policy, clock Clock, seed uint64) *Executor {
 func (e *Executor) DoContext(ctx context.Context, key string, op func() error) error {
 	br := e.Breakers.Get(key)
 	var last error
-	for attempt := 1; attempt <= e.Policy.MaxAttempts; attempt++ {
+	for attempt := 1; attempt <= e.MaxAttempts; attempt++ {
 		if err := ctxErr(ctx, last); err != nil {
 			return err
 		}
@@ -382,7 +377,7 @@ func (e *Executor) DoContext(ctx context.Context, key string, op func() error) e
 		if !retryable(err) {
 			return last
 		}
-		if attempt < e.Policy.MaxAttempts {
+		if attempt < e.MaxAttempts {
 			// The failure that just landed may have opened the breaker.
 			// Sleeping out the backoff would be pure waste — the next
 			// Allow refuses until the cooldown, which is longer than any
@@ -391,7 +386,7 @@ func (e *Executor) DoContext(ctx context.Context, key string, op func() error) e
 				return fmt.Errorf("%w: %s (last error: %v)", ErrCircuitOpen, key, last)
 			}
 			e.Retries++
-			if serr := SleepContext(ctx, e.Clock, e.Policy.Backoff(e.Seed, key, attempt)); serr != nil {
+			if serr := e.Clock.SleepContext(ctx, Backoff(e.Seed, key, attempt)); serr != nil {
 				return ctxErr(ctx, last)
 			}
 		}

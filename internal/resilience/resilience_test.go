@@ -4,48 +4,78 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
 
-func TestBackoffGrowsAndCaps(t *testing.T) {
-	p := Policy{BaseDelay: 100 * time.Millisecond, MaxDelay: time.Second, Multiplier: 2}.WithDefaults()
-	p.Jitter = 0 // pure exponential for this test
-	prev := time.Duration(0)
-	for attempt := 1; attempt <= 8; attempt++ {
-		d := p.Backoff(1, "host", attempt)
-		if d < prev {
-			t.Fatalf("attempt %d: backoff shrank: %v < %v", attempt, d, prev)
-		}
-		if d > p.MaxDelay {
-			t.Fatalf("attempt %d: backoff %v over cap %v", attempt, d, p.MaxDelay)
-		}
-		prev = d
+// envelope is the un-jittered backoff before retry attempt: 250ms
+// doubling per retry, capped at 8s. Jitter takes up to half of it off.
+func envelope(attempt int) time.Duration {
+	d := 250 * time.Millisecond
+	for i := 1; i < attempt && d < 8*time.Second; i++ {
+		d *= 2
 	}
-	if got := p.Backoff(1, "host", 8); got != p.MaxDelay {
-		t.Errorf("deep retry = %v, want cap %v", got, p.MaxDelay)
+	return min(d, 8*time.Second)
+}
+
+func TestBackoffGrowsAndCaps(t *testing.T) {
+	for attempt := 1; attempt <= 12; attempt++ {
+		hi := envelope(attempt)
+		if attempt > 1 && hi < envelope(attempt-1) {
+			t.Fatalf("attempt %d: envelope shrank", attempt)
+		}
+		for _, key := range []string{"host", "a.com", "cdn.tracker.net"} {
+			d := Backoff(1, key, attempt)
+			if d > hi || d < hi/2 {
+				t.Fatalf("attempt %d, %s: backoff %v outside [%v, %v]", attempt, key, d, hi/2, hi)
+			}
+			if d > maxDelay {
+				t.Fatalf("attempt %d, %s: backoff %v over cap %v", attempt, key, d, maxDelay)
+			}
+		}
+	}
+	if hi := envelope(8); hi != maxDelay {
+		t.Errorf("deep retry envelope = %v, want cap %v", hi, maxDelay)
+	}
+	if Backoff(1, "host", 0) != Backoff(1, "host", 1) {
+		t.Error("attempt 0 is not clamped to the first retry")
 	}
 }
 
 func TestBackoffJitterDeterministicPerKey(t *testing.T) {
-	p := DefaultPolicy()
-	a := p.Backoff(7, "a.com", 2)
-	if a != p.Backoff(7, "a.com", 2) {
+	a := Backoff(7, "a.com", 2)
+	if a != Backoff(7, "a.com", 2) {
 		t.Fatal("same (seed, key, attempt) must give the same jitter")
 	}
-	if a == p.Backoff(7, "b.com", 2) && a == p.Backoff(7, "c.com", 2) {
+	if a == Backoff(7, "b.com", 2) && a == Backoff(7, "c.com", 2) {
 		t.Error("different keys all jittered identically (suspicious)")
 	}
-	if a > p.Backoff(7, "a.com", 5) && p.Backoff(7, "a.com", 5) == 0 {
+	if a > Backoff(7, "a.com", 5) && Backoff(7, "a.com", 5) == 0 {
 		t.Error("jitter zeroed a delay")
 	}
 	// Jitter only shrinks the deterministic exponential, never grows it.
-	noJitter := p
-	noJitter.Jitter = 0
 	for attempt := 1; attempt <= 5; attempt++ {
-		if p.Backoff(7, "a.com", attempt) > noJitter.Backoff(7, "a.com", attempt) {
+		if Backoff(7, "a.com", attempt) > envelope(attempt) {
 			t.Fatalf("attempt %d: jittered delay exceeds base", attempt)
 		}
+	}
+}
+
+// TestTuningLayoutPinned: the retry pin of a fault-injected checkpoint
+// header renders the attempt budget and the constant tuning in the
+// header's fixed layout, which the pinned checkpoint and shard-result
+// digests hash; a non-positive budget renders as the default it runs
+// as.
+func TestTuningLayoutPinned(t *testing.T) {
+	const want = "{MaxAttempts:4 BaseDelay:250ms MaxDelay:8s Multiplier:2 Jitter:0.5 AttemptTimeout:10s BreakerThreshold:5 BreakerCooldown:30s BreakerProbes:1}"
+	for _, n := range []int{0, -3, 4} {
+		if got := Tuning(n); got != want {
+			t.Errorf("Tuning(%d) = %s, want %s", n, got, want)
+		}
+	}
+	if got := Tuning(1); got != strings.Replace(want, "MaxAttempts:4", "MaxAttempts:1", 1) {
+		t.Errorf("Tuning(1) = %s", got)
 	}
 }
 
@@ -65,17 +95,24 @@ func TestVirtualClockAdvancesWithoutSleeping(t *testing.T) {
 	}
 }
 
+// fail records n failures on b at now.
+func fail(b *Breaker, now time.Time, n int) {
+	for range n {
+		b.Record(now, false)
+	}
+}
+
+// TestBreakerStateMachine runs the breaker's tuning: it opens at five
+// straight failures, half-opens 30s later, and one good probe closes it.
 func TestBreakerStateMachine(t *testing.T) {
-	p := Policy{BreakerThreshold: 3, BreakerCooldown: time.Minute, BreakerProbes: 1}.WithDefaults()
-	b := NewBreaker(p)
+	b := &Breaker{}
 	now := time.Unix(0, 0)
 
 	if !b.Allow(now) || b.State() != BreakerClosed {
 		t.Fatal("new breaker must be closed")
 	}
-	// Two failures: still closed. Third: open.
-	b.Record(now, false)
-	b.Record(now, false)
+	// Four failures: still closed. Fifth: open.
+	fail(b, now, 4)
 	if b.State() != BreakerClosed {
 		t.Fatal("opened below threshold")
 	}
@@ -83,7 +120,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	if b.State() != BreakerOpen {
 		t.Fatal("did not open at threshold")
 	}
-	if b.Allow(now.Add(30 * time.Second)) {
+	if b.Allow(now.Add(29 * time.Second)) {
 		t.Fatal("open breaker allowed a request inside cooldown")
 	}
 	// Cooldown passes: half-open, a probe is allowed.
@@ -106,13 +143,11 @@ func TestBreakerStateMachine(t *testing.T) {
 	if b.State() != BreakerClosed {
 		t.Fatal("successful probe did not close")
 	}
-	// Success resets the failure count: two fails, success, two fails
+	// Success resets the failure count: four fails, success, four fails
 	// must stay closed.
-	b.Record(now, false)
-	b.Record(now, false)
+	fail(b, now, 4)
 	b.Record(now, true)
-	b.Record(now, false)
-	b.Record(now, false)
+	fail(b, now, 4)
 	if b.State() != BreakerClosed {
 		t.Fatal("failure count not reset by success")
 	}
@@ -128,21 +163,22 @@ func TestBreakerStateString(t *testing.T) {
 	}
 }
 
-func TestWithDefaultsClampsNonPositive(t *testing.T) {
-	p := Policy{MaxAttempts: -3, BaseDelay: -time.Second, BreakerThreshold: -1}.WithDefaults()
-	d := DefaultPolicy()
-	if p.MaxAttempts != d.MaxAttempts || p.BaseDelay != d.BaseDelay || p.BreakerThreshold != d.BreakerThreshold {
-		t.Errorf("negative fields not clamped to defaults: %+v", p)
-	}
-	// A negative budget must not turn Do into a zero-attempt success.
-	e := NewExecutor(Policy{MaxAttempts: -1}, nil, 1)
-	calls := 0
-	err := e.DoContext(context.Background(), "h", func() error { calls++; return fmt.Errorf("down") })
-	if calls == 0 {
-		t.Fatal("Do never called the op")
-	}
-	if err == nil {
-		t.Fatal("Do reported success for an always-failing op")
+func TestNonPositiveAttemptsTakeDefault(t *testing.T) {
+	for _, n := range []int{0, -1, -3} {
+		e := NewExecutor(n, nil, 1)
+		if e.MaxAttempts != defaultAttempts {
+			t.Errorf("NewExecutor(%d).MaxAttempts = %d, want %d", n, e.MaxAttempts, defaultAttempts)
+		}
+		// A non-positive budget must not turn Do into a zero-attempt
+		// success.
+		calls := 0
+		err := e.DoContext(context.Background(), "h", func() error { calls++; return fmt.Errorf("down") })
+		if calls != defaultAttempts {
+			t.Fatalf("budget %d: Do called the op %d times, want %d", n, calls, defaultAttempts)
+		}
+		if err == nil {
+			t.Fatal("Do reported success for an always-failing op")
+		}
 	}
 }
 
@@ -160,7 +196,7 @@ func (o *flakyOp) run() error {
 }
 
 func TestExecutorRetriesTransientFailure(t *testing.T) {
-	e := NewExecutor(Policy{MaxAttempts: 4}, nil, 1)
+	e := NewExecutor(4, nil, 1)
 	op := &flakyOp{failures: 2}
 	if err := e.DoContext(context.Background(), "host.com", op.run); err != nil {
 		t.Fatalf("Do = %v, want recovery", err)
@@ -178,7 +214,7 @@ func TestExecutorRetriesTransientFailure(t *testing.T) {
 }
 
 func TestExecutorExhaustsBudget(t *testing.T) {
-	e := NewExecutor(Policy{MaxAttempts: 3}, nil, 1)
+	e := NewExecutor(3, nil, 1)
 	op := &flakyOp{failures: 100}
 	err := e.DoContext(context.Background(), "host.com", op.run)
 	if err == nil {
@@ -190,10 +226,11 @@ func TestExecutorExhaustsBudget(t *testing.T) {
 }
 
 func TestExecutorCircuitOpensAcrossFetches(t *testing.T) {
-	// Threshold 3, budget 2 per fetch: the second fetch's first attempt
-	// trips the breaker, so its second is refused and a third fetch
-	// fails fast without calling the op at all.
-	e := NewExecutor(Policy{MaxAttempts: 2, BreakerThreshold: 3, BreakerCooldown: time.Hour}, nil, 1)
+	// Threshold 5, budget 3 per fetch: the second fetch's second
+	// attempt trips the breaker, so the fetch ends on the breaker's
+	// verdict, and a third fetch, well inside the 30s cooldown, fails
+	// fast without calling the op at all.
+	e := NewExecutor(3, nil, 1)
 	op := &flakyOp{failures: 100}
 	if err := e.DoContext(context.Background(), "host.com", op.run); err == nil {
 		t.Fatal("first fetch should fail")
@@ -214,14 +251,17 @@ func TestExecutorCircuitOpensAcrossFetches(t *testing.T) {
 }
 
 func TestExecutorBreakerHalfOpensAfterCooldown(t *testing.T) {
-	e := NewExecutor(Policy{MaxAttempts: 1, BreakerThreshold: 2, BreakerCooldown: time.Minute}, nil, 1)
-	op := &flakyOp{failures: 2}
-	e.DoContext(context.Background(), "h", op.run)
-	e.DoContext(context.Background(), "h", op.run)
+	// One attempt per fetch: five failing fetches open the breaker.
+	e := NewExecutor(1, nil, 1)
+	op := &flakyOp{failures: 5}
+	for range 5 {
+		e.DoContext(context.Background(), "h", op.run)
+	}
 	if !errors.Is(e.DoContext(context.Background(), "h", op.run), ErrCircuitOpen) {
 		t.Fatal("breaker should be open")
 	}
-	// Advance past cooldown: the half-open probe runs and succeeds.
+	// Advance past the 30s cooldown: the half-open probe runs and
+	// succeeds, and that one probe closes the breaker.
 	e.Clock.Sleep(2 * time.Minute)
 	if err := e.DoContext(context.Background(), "h", op.run); err != nil {
 		t.Fatalf("post-cooldown probe = %v, want success", err)
@@ -237,7 +277,7 @@ func (fatal) Error() string   { return "permanent failure" }
 func (fatal) Transient() bool { return false }
 
 func TestExecutorDoesNotRetryNonTransient(t *testing.T) {
-	e := NewExecutor(Policy{MaxAttempts: 5}, nil, 1)
+	e := NewExecutor(5, nil, 1)
 	calls := 0
 	err := e.DoContext(context.Background(), "h", func() error { calls++; return fatal{} })
 	if err == nil || calls != 1 {
@@ -247,7 +287,7 @@ func TestExecutorDoesNotRetryNonTransient(t *testing.T) {
 
 func TestExecutorDeterministicTiming(t *testing.T) {
 	run := func() time.Duration {
-		e := NewExecutor(Policy{MaxAttempts: 4}, nil, 99)
+		e := NewExecutor(4, nil, 99)
 		op := &flakyOp{failures: 3}
 		if err := e.DoContext(context.Background(), "slow-host.com", op.run); err != nil {
 			t.Fatal(err)

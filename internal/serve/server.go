@@ -79,7 +79,7 @@ type Server struct {
 	draining bool
 	running  map[string]*running
 	events   map[string]*EventLog
-	ewma     *resilience.EWMA
+	ewma     resilience.EWMA
 	started  bool
 }
 
@@ -111,7 +111,6 @@ func New(cfg Config) (*Server, error) {
 		wake:    make(chan struct{}, cfg.Slots),
 		running: map[string]*running{},
 		events:  map[string]*EventLog{},
-		ewma:    resilience.NewEWMA(0.3),
 	}
 	s.run.Count(obs.MetricServeRecovered, int64(store.Recovered()))
 	s.run.Count(obs.MetricServeTorn, int64(store.TornRecords()))
@@ -344,7 +343,7 @@ func (s *Server) execute(ctx context.Context, id string) {
 		// The watchdog dies with jctx: execute always cancels on the way
 		// out, so the goroutine cannot outlive the attempt.
 		go func() {
-			if resilience.SleepContext(jctx, s.clock, budget) == nil {
+			if s.clock.SleepContext(jctx, budget) == nil {
 				s.mu.Lock()
 				r.timedOut = true
 				s.mu.Unlock()

@@ -347,9 +347,9 @@ func superviseShard(ctx context.Context, eco *webgen.Ecosystem, profile browser.
 		}
 		out.restarts++
 		o.CountKind(obs.MetricShardRestarts, kind, 1)
-		// Restarts back off on the stock policy, seeded per shard.
-		d := resilience.DefaultPolicy().Backoff(eco.Config.Seed, "shard-"+kind, attempt)
-		if serr := resilience.SleepContext(ctx, clock, d); serr != nil {
+		// Restarts back off like fetch retries, seeded per shard.
+		d := resilience.Backoff(eco.Config.Seed, "shard-"+kind, attempt)
+		if serr := clock.SleepContext(ctx, d); serr != nil {
 			out.err = serr
 			return out
 		}
@@ -417,7 +417,7 @@ func runSubprocess(ctx context.Context, cmd *exec.Cmd, ckptPath string, stall ti
 			lastSize := int64(-1)
 			idle := time.Duration(0)
 			for {
-				if resilience.SleepContext(watchCtx, clock, interval) != nil {
+				if clock.SleepContext(watchCtx, interval) != nil {
 					return
 				}
 				size := int64(0)

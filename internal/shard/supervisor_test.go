@@ -336,7 +336,7 @@ func TestSuperviseRefusesOtherFaultSettings(t *testing.T) {
 	cfg := eco.Config
 	cfg.Faults = &faultsim.Config{Rate: 0.5}
 	retries := superviseOpts(dir, 2)
-	retries.Crawl.Policy = resilience.Policy{MaxAttempts: 1}
+	retries.Crawl.MaxAttempts = 1
 	for _, tc := range []struct {
 		name string
 		eco  *webgen.Ecosystem

@@ -25,7 +25,7 @@
 // Every knob has one setter. What the study is — the ecosystem's seed,
 // scale, universe size and fault injection, the candidate depth, the
 // browser — is Config; how one run executes — parallelism, site
-// subset, checkpoint, observer, retry policy, site timeout — is a
+// subset, checkpoint, observer, attempt budget, site timeout — is a
 // RunOption. The CLIs and piiserve's job specs set both through
 // internal/cliflags.
 //
@@ -51,7 +51,6 @@ import (
 	"piileak/internal/pii"
 	"piileak/internal/pipeline"
 	"piileak/internal/policy"
-	"piileak/internal/resilience"
 	"piileak/internal/shard"
 	"piileak/internal/site"
 	"piileak/internal/tracking"
@@ -202,9 +201,10 @@ func WithObserver(o *obs.Run) RunOption {
 	return func(rc *runConfig) { rc.opts.Obs = o }
 }
 
-// WithSiteTimeout caps each site's crawl budget on the run's clock
-// (virtual under fault injection); sites over budget are recorded as
-// OutcomeTimeout with their partial captures.
+// WithSiteTimeout caps each site's crawl budget on the virtual clock of
+// a fault-injected run; sites over budget are recorded as
+// OutcomeTimeout with their partial captures. It acts only under fault
+// injection: without faults nothing advances a site's clock.
 func WithSiteTimeout(d time.Duration) RunOption {
 	return func(rc *runConfig) { rc.opts.SiteTimeout = d }
 }
@@ -224,10 +224,10 @@ func WithSource(src site.Source) RunOption {
 	return func(rc *runConfig) { rc.opts.Source = src }
 }
 
-// WithRetryPolicy tunes the resilient transport's retry/backoff/breaker
-// behaviour; zero fields take resilience.DefaultPolicy values.
-func WithRetryPolicy(p resilience.Policy) RunOption {
-	return func(rc *runConfig) { rc.opts.Policy = p }
+// WithMaxAttempts caps the tries per fetch under fault injection
+// (1 = no retry); n <= 0 keeps the default of 4.
+func WithMaxAttempts(n int) RunOption {
+	return func(rc *runConfig) { rc.opts.MaxAttempts = n }
 }
 
 // Event is one progress tick from a pipeline stage, re-exported so
@@ -340,13 +340,13 @@ func (s *Study) runInfo(sites, crawlWorkers, detectWorkers int) obs.RunInfo {
 
 // adopt populates the study from a finished run's result store and
 // records the crawl knobs replayCaptures re-runs: the site source (nil
-// is the universe), retry policy and site timeout.
+// is the universe), attempt budget and site timeout.
 func (s *Study) adopt(res *pipeline.Result, src site.Source, crawl crawler.Options) {
 	s.Result = res
 	s.Dataset = res.Dataset
 	s.Leaks = res.Leaks
 	s.Analysis = res.Analysis
-	s.replay = crawler.Options{Source: src, Policy: crawl.Policy, SiteTimeout: crawl.SiteTimeout}
+	s.replay = crawler.Options{Source: src, MaxAttempts: crawl.MaxAttempts, SiteTimeout: crawl.SiteTimeout}
 }
 
 // TotalRecords reports the captured request count, counted before the
